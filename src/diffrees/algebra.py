@@ -13,7 +13,7 @@ from typing import NamedTuple
 from .errors import (DimensionTooSmallError, InhomogeneousRelationError,
                      LinearTermError, NotRegularSequenceError,
                      RelationDegreeError, ValidationError)
-from .groebner import IdealHandle, height_in_quotient, is_nonzerodivisor
+from .groebner import IdealHandle, is_nonzerodivisor
 from .matrix import PolyMatrix
 
 
@@ -50,7 +50,14 @@ class DifferentialPresentation(NamedTuple):
 
 def validation_issues(context, relations, budget=None):
     """All hypothesis violations for the would-be algebra, in a fixed order."""
+    return _issues_and_ideal(context, relations, budget)[0]
+
+
+def _issues_and_ideal(context, relations, budget):
+    """The validation issues and the defining-ideal handle whose basis the
+    regular-sequence check built (None when that check did not run)."""
     issues = []
+    defining = None
     for idx, f in enumerate(relations):
         label = f"relation {idx + 1} ({f})"
         homogeneous, degree = f.weighted_degree_info()
@@ -83,7 +90,7 @@ def validation_issues(context, relations, budget=None):
     if n - c < 1:
         issues.append(ValidationIssue(
             "dimension", f"quotient dimension would be {n - c} < 1"))
-    return issues
+    return issues, defining
 
 
 class GradedAlgebra:
@@ -91,21 +98,23 @@ class GradedAlgebra:
 
     __slots__ = ("context", "relations", "defining_ideal", "dimension",
                  "codimension", "standard_graded", "relation_degrees",
-                 "_presentation", "_reduced", "_budget")
+                 "_presentation", "_reduced", "_budget", "_sums")
 
     def __init__(self, *_a, **_k):
         raise TypeError("use GradedAlgebra.validate(context, relations)")
 
     @classmethod
     def validate(cls, context, relations, budget=None):
+        """The validated algebra; raises the ValidationError of the first
+        issue, carrying every issue as `.issues`."""
         relations = tuple(relations)
-        issues = validation_issues(context, relations, budget)
+        issues, defining = _issues_and_ideal(context, relations, budget)
         if issues:
             raise _error_for(issues[0], issues)
         self = object.__new__(cls)
         self.context = context
         self.relations = relations
-        self.defining_ideal = IdealHandle(context, relations)
+        self.defining_ideal = defining
         self.codimension = len(relations)
         self.dimension = context.arity - len(relations)
         self.standard_graded = context.is_standard_graded
@@ -114,6 +123,7 @@ class GradedAlgebra:
         self._presentation = None
         self._reduced = None
         self._budget = budget
+        self._sums = {}
         return self
 
     @property
@@ -168,23 +178,18 @@ class GradedAlgebra:
 
     def is_reduced(self, budget=None):
         """Generic smoothness: the singular locus I + I_c(Theta) must have
-        height >= c + 1 in the ambient ring; with the complete-intersection
-        hypothesis this characterises reducedness in characteristic zero."""
+        height >= c + 1 in the ambient ring, i.e. height >= 1 in R; with
+        the complete-intersection hypothesis this characterises
+        reducedness in characteristic zero."""
         if self._reduced is not None:
             return self._reduced
-        budget = budget or self._budget
         c = self.codimension
         if c == 0:
             self._reduced = True
             return True
         pres = self.jacobian_presentation(budget)
-        sing = self.defining_ideal + IdealHandle(
-            self.context, pres.ambient_theta.minors(c))
-        if sing.is_unit(budget):
-            height = float("inf")
-        else:
-            height = self.arity - sing.krull_dimension(budget).dimension
-        self._reduced = height >= c + 1
+        minors = IdealHandle(self.context, pres.ambient_theta.minors(c))
+        self._reduced = self.height_of(minors, budget) >= 1
         return self._reduced
 
     def irrelevant_local_data(self):
@@ -197,11 +202,26 @@ class GradedAlgebra:
 
     # -- delegated ideal theory ----------------------------------------------------
 
+    def ideal_sum(self, handle):
+        """The ambient ideal I + J of an ideal J of P, one handle per
+        distinct generator tuple of J for the life of the algebra, so each
+        distinct sum has its bases built once."""
+        total = self._sums.get(handle.generators)
+        if total is None:
+            total = self._sums[handle.generators] = \
+                self.defining_ideal + handle
+        return total
+
     def height_of(self, handle, budget=None):
-        """Height in R of an ideal given by ambient generators."""
-        return height_in_quotient(self.defining_ideal, handle,
-                                  quotient_dim=self.dimension,
-                                  budget=budget or self._budget)
+        """Height in R of an ideal given by ambient generators; the unit
+        ideal has height +infinity.  A dimension difference is the height
+        because R is a complete intersection, hence equidimensional and
+        catenary."""
+        budget = budget or self._budget
+        total = self.ideal_sum(handle)
+        if total.is_unit(budget):
+            return float("inf")
+        return self.dimension - total.krull_dimension(budget).dimension
 
     def nonzerodivisor_check(self, g, budget=None):
         budget = budget or self._budget

@@ -76,6 +76,8 @@ def load_case(path):
             parser.read_file(fh, source=str(path))
     except OSError as ex:
         raise ParseError(f"cannot read case file: {ex}")
+    except UnicodeDecodeError as ex:
+        raise ParseError(f"case file is not UTF-8: {ex}")
     except configparser.Error as ex:
         raise ParseError(f"bad case file structure: {ex}")
 

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit status: 0 all checks pass, 2 assertion/expectation failure,
-3 resource exhaustion, 4 invalid input.
+3 resource exhaustion, 4 invalid input, 5 a case raised an internal error.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .algebra import GradedAlgebra, validation_issues
+from .algebra import GradedAlgebra
 from .casefile import load_case, load_matrix_file
 from .eagon_northcott import build_en, en_acyclicity
 from .errors import (DiffreesError, ParseError, ResolutionLengthError,
-                     StepBudgetExceeded, TestElementSearchError)
+                     StepBudgetExceeded, TestElementSearchError,
+                     ValidationError)
 from .fitting import ft_condition
 from .rees import analytic_spread, is_linear_type, rees_ideal
 from .resolution import depth_and_cm
@@ -87,17 +88,17 @@ def cmd_validate(args):
         _emit({"status": "invalid_input", "errors": [err]}, args.format,
               f"parse error: {err}")
         return EXIT_INVALID
-    issues = validation_issues(case.context, case.relations, args.budget)
-    if issues:
+    try:
+        algebra = GradedAlgebra.validate(case.context, case.relations,
+                                         args.budget)
+    except ValidationError as ex:
         payload = {"status": "invalid_input", "case": case.name,
                    "issues": [{"code": i.code, "message": i.message}
-                              for i in issues]}
+                              for i in ex.issues]}
         text = "\n".join([f"case {case.name}: rejected"]
-                         + [f"  [{i.code}] {i.message}" for i in issues])
+                         + [f"  [{i.code}] {i.message}" for i in ex.issues])
         _emit(payload, args.format, text)
         return EXIT_INVALID
-    algebra = GradedAlgebra.validate(case.context, case.relations,
-                                     args.budget)
     payload = {"status": "ok", "case": case.name,
                "dimension": algebra.dimension,
                "codimension": algebra.codimension,
@@ -115,14 +116,14 @@ def _validated_algebra(args):
         _emit({"status": "invalid_input", "errors": [err]}, args.format,
               f"parse error: {err}")
         return None, None, EXIT_INVALID
-    issues = validation_issues(case.context, case.relations, args.budget)
-    if issues:
-        text = "\n".join(f"[{i.code}] {i.message}" for i in issues)
+    try:
+        algebra = GradedAlgebra.validate(case.context, case.relations,
+                                         args.budget)
+    except ValidationError as ex:
+        text = "\n".join(f"[{i.code}] {i.message}" for i in ex.issues)
         _emit({"status": "invalid_input",
-               "issues": [i.message for i in issues]}, args.format, text)
+               "issues": [i.message for i in ex.issues]}, args.format, text)
         return None, None, EXIT_INVALID
-    algebra = GradedAlgebra.validate(case.context, case.relations,
-                                     args.budget)
     return case, algebra, None
 
 
@@ -197,15 +198,14 @@ def cmd_en_dump(args):
     try:
         if path.suffix == ".case":
             case = load_case(path)
-            issues = validation_issues(case.context, case.relations,
-                                       args.budget)
-            if issues:
+            try:
+                algebra = GradedAlgebra.validate(case.context,
+                                                 case.relations, args.budget)
+            except ValidationError as ex:
                 _emit({"status": "invalid_input",
-                       "issues": [i.message for i in issues]}, args.format,
-                      "\n".join(i.message for i in issues))
+                       "issues": [i.message for i in ex.issues]},
+                      args.format, "\n".join(i.message for i in ex.issues))
                 return EXIT_INVALID
-            algebra = GradedAlgebra.validate(case.context, case.relations,
-                                             args.budget)
             n, d = algebra.arity, algebra.dimension
             if not (d >= 2 and n >= 2 * d):
                 _emit({"status": "invalid_input",

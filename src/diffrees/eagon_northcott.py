@@ -110,7 +110,8 @@ def build_en(matrix):
         stage_bases.append(basis)
         ranks.append(len(basis))
         labels.append(tuple(basis))
-        assert len(basis) == comb(m, t + i - 1) * comb(t + i - 2, t - 1)
+        if len(basis) != comb(m, t + i - 1) * comb(t + i - 2, t - 1):
+            raise AssertionError(f"stage {i} basis has the wrong rank")
 
     # d_1: the row of maximal minors, ordered by column subset.
     first = [[matrix.minor(tuple(range(t)), J) for (J, _) in stage_bases[0]]]

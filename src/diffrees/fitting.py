@@ -88,7 +88,7 @@ def fitting_profile(algebra, budget=None):
         if height == float("inf"):
             off = float("inf")
         else:
-            sat = (algebra.defining_ideal + fi).saturation_by_ideal(
+            sat = algebra.ideal_sum(fi).saturation_by_ideal(
                 irrelevant, budget)
             if sat.is_unit(budget):
                 off = float("inf")
@@ -96,9 +96,9 @@ def fitting_profile(algebra, budget=None):
                 off = (algebra.dimension
                        - sat.krull_dimension(budget).dimension)
         rows.append(FittingRow(i, fi, height, off))
-    if rows:
-        heights = [r.height for r in rows]
-        assert heights == sorted(heights), "Fitting heights must increase"
+    heights = [r.height for r in rows]
+    if heights != sorted(heights):
+        raise AssertionError(f"Fitting heights must increase: {heights}")
     return FittingProfile(rank=e, rows=tuple(rows))
 
 
@@ -206,8 +206,8 @@ def last_rows_probe(algebra, rowops=0, seed=0, budget=None):
                            [algebra.reduce(m, budget)
                             for m in matrix.minors(
                                 t, rows=range(n - t, n))])
-        equal = (algebra.defining_ideal + full).equals(
-            algebra.defining_ideal + last, budget)
+        equal = algebra.ideal_sum(full).equals(algebra.ideal_sum(last),
+                                               budget)
         height = algebra.height_of(full, budget)
         ok = (not equal) or (height < d)
         return equal, height, ok, last

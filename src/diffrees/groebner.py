@@ -14,6 +14,7 @@ produce identical bases.
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -62,19 +63,8 @@ def _memo_key(key):
     return cached
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _content(d):
-    g0 = 0
-    for v in d.values():
-        g0 = _gcd(g0, v if v > 0 else -v)
-        if g0 == 1:
-            return 1
-    return g0
+    return math.gcd(*d.values())
 
 
 def _int_normalize(d, key):
@@ -83,10 +73,7 @@ def _int_normalize(d, key):
     d = {e: c for e, c in d.items() if c}
     if not d:
         return None, {}
-    mult = 1
-    for c in d.values():
-        den = c.denominator
-        mult = mult * den // _gcd(mult, den)
+    mult = math.lcm(*(c.denominator for c in d.values()))
     ints = {e: int(c * mult) for e, c in d.items()}
     g0 = _content(ints)
     if g0 > 1:
@@ -97,18 +84,21 @@ def _int_normalize(d, key):
     return lm, ints
 
 
-def _nf(poly, lms, basis, key, counter, quotients=None):
+def _nf(poly, lms, basis, key, counter, memo, quotients=None):
     """Full normal form against content-free integer reducers.
 
     Returns the exact normal form as a {monomial: Fraction} dict.  When
     `quotients` is a list it receives (index, monomial, multiplier)
     triples, the multipliers taken against the monic reducers.
+
+    `memo` maps a monomial to (checked_upto, first_divisor_index): the
+    index of the first leading monomial dividing it, or None when none of
+    lms[:checked_upto] does.  It stays valid, and the reducer choice stays
+    that of a linear scan, as long as the caller only appends to `lms`;
+    callers that change their reducer lists otherwise pass a fresh dict.
     """
     work = {e: c for e, c in poly.items() if c}
-    mult = 1
-    for c in work.values():
-        den = c.denominator
-        mult = mult * den // _gcd(mult, den)
+    mult = math.lcm(*(c.denominator for c in work.values()))
     scale = Fraction(mult)
     work = {e: int(c * mult) for e, c in work.items()}
     remainder = {}
@@ -117,35 +107,41 @@ def _nf(poly, lms, basis, key, counter, quotients=None):
         c = work.pop(m)
         if not c:
             continue
-        for idx, lm in enumerate(lms):
-            q = mono_divide(m, lm)
-            if q is not None:
-                counter.spend()
-                g = basis[idx]
-                lead = g[lm]
-                if quotients is not None:
-                    quotients.append((idx, q, Fraction(c) / scale))
-                if lead != 1:
-                    for e in work:
-                        work[e] *= lead
-                    scale *= lead
-                for e, a in g.items():
-                    if e == lm:
-                        continue
-                    t = mono_mul(e, q)
-                    v = work.get(t, 0) - c * a
-                    if v:
-                        work[t] = v
-                    elif t in work:
-                        del work[t]
-                if work:
-                    g0 = _content(work)
-                    if g0 > 1:
-                        work = {e: v // g0 for e, v in work.items()}
-                        scale /= g0
-                break
-        else:
+        checked, idx = memo.get(m, (0, None))
+        if idx is None and checked < len(lms):
+            for k in range(checked, len(lms)):
+                if mono_divide(m, lms[k]) is not None:
+                    idx = k
+                    break
+            memo[m] = (len(lms), idx)
+        if idx is None:
             remainder[m] = remainder.get(m, 0) + Fraction(c) / scale
+            continue
+        counter.spend()
+        lm = lms[idx]
+        q = mono_divide(m, lm)
+        g = basis[idx]
+        lead = g[lm]
+        if quotients is not None:
+            quotients.append((idx, q, Fraction(c) / scale))
+        if lead != 1:
+            for e in work:
+                work[e] *= lead
+            scale *= lead
+        for e, a in g.items():
+            if e == lm:
+                continue
+            t = mono_mul(e, q)
+            v = work.get(t, 0) - c * a
+            if v:
+                work[t] = v
+            elif t in work:
+                del work[t]
+        if work:
+            g0 = _content(work)
+            if g0 > 1:
+                work = {e: v // g0 for e, v in work.items()}
+                scale /= g0
     return {e: c for e, c in remainder.items() if c}
 
 
@@ -157,6 +153,7 @@ def _buchberger(generators, key, wdeg, counter):
     """
     basis = []
     lms = []
+    memo = {}
     pending = set()
     heap = []
 
@@ -202,7 +199,7 @@ def _buchberger(generators, key, wdeg, counter):
             elif t in spoly:
                 del spoly[t]
         counter.spend()
-        r = _nf(spoly, lms, basis, key, counter)
+        r = _nf(spoly, lms, basis, key, counter, memo)
         if r:
             lm, ints = _int_normalize(r, key)
             basis.append(ints)
@@ -228,7 +225,7 @@ def _interreduce(basis, lms, key, counter):
         for i in range(len(polys)):
             other_lms = heads[:i] + heads[i + 1:]
             other_polys = polys[:i] + polys[i + 1:]
-            r = _nf(polys[i], other_lms, other_polys, key, counter)
+            r = _nf(polys[i], other_lms, other_polys, key, counter, {})
             if r != polys[i]:
                 _, ints = _int_normalize(r, key)
                 polys[i] = ints
@@ -250,9 +247,10 @@ class DimensionReport(NamedTuple):
 class IdealHandle:
     """An ideal in a polynomial ring with cached reduced Groebner bases.
 
-    Handles are immutable apart from the write-once per-order basis cache;
-    concurrent reads are safe and duplicated basis computations agree by
-    the determinism contract.
+    Handles are immutable apart from the write-once per-order basis cache
+    and the first-divisor memo of `normal_form`, whose entries are exact
+    whenever written; concurrent reads are safe and duplicated basis
+    computations agree by the determinism contract.
     """
 
     __slots__ = ("context", "generators", "_cache", "_prepared", "_dim")
@@ -305,10 +303,10 @@ class IdealHandle:
                 lm, ints = _int_normalize(dict(g.terms), key)
                 lms.append(lm)
                 dicts.append(ints)
-            prepared = (key, lms, dicts)
+            prepared = (key, lms, dicts, {})
             self._prepared[order] = prepared
-        key, lms, dicts = prepared
-        r = _nf(dict(p.terms), lms, dicts, key, StepCounter(budget))
+        key, lms, dicts, memo = prepared
+        r = _nf(dict(p.terms), lms, dicts, key, StepCounter(budget), memo)
         return Polynomial._make(self.context, r)
 
     def contains(self, p, budget=None):
@@ -477,7 +475,7 @@ def exact_divide(p, g):
     lm, ints = _int_normalize(dict(g.terms), key)
     lc = g.coefficient(lm)
     quotients = []
-    r = _nf(dict(p.terms), [lm], [ints], key, StepCounter(), quotients)
+    r = _nf(dict(p.terms), [lm], [ints], key, StepCounter(), {}, quotients)
     if r:
         raise ValueError("polynomial is not divisible")
     acc = {}

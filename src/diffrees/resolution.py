@@ -343,7 +343,9 @@ def syzygies(pres, budget=None):
             continue
         quotients = []
         r = _mod_nf(col, run.lms, run.gens, key, counter, quotients)
-        assert not r, "a column must reduce to zero against its own basis"
+        if r:
+            raise AssertionError(
+                "a column must reduce to zero against its own basis")
         taut = {(zero_e, j): Fraction(1)}
         for idx, q, c in quotients:
             for (e, col2), c2 in run.expressions[idx].items():
@@ -444,7 +446,8 @@ def free_resolution(pres, max_length=None, budget=None):
             raise ResolutionLengthError(
                 f"resolution exceeded maximum length {max_length}")
         rerun = _module_buchberger(family, key, wdeg, StepCounter(budget))
-        assert rerun.added == 0, "a stage family must already be a basis"
+        if rerun.added:
+            raise AssertionError("a stage family must already be a basis")
         records = [s for s in rerun.syzygies if s]
         if not records:
             break
@@ -523,15 +526,16 @@ def _minimize(mats, shifts):
             for c, lam in col_factors.items():
                 for j in range(width):
                     nxt[c0][j] = nxt[c0][j] + lam * nxt[c][j]
-            assert all(p.is_zero for p in nxt[c0]), "cancelled row must vanish"
+            if not all(p.is_zero for p in nxt[c0]):
+                raise AssertionError("cancelled row must vanish")
             del nxt[c0]
         if k > 0:
             prev = mats[k - 1]
             for r, mu in row_factors.items():
                 for row in prev:
                     row[r0] = row[r0] + mu * row[r]
-            assert all(row[r0].is_zero for row in prev), \
-                "cancelled column must vanish"
+            if not all(row[r0].is_zero for row in prev):
+                raise AssertionError("cancelled column must vanish")
             for row in prev:
                 del row[r0]
         for row in m:

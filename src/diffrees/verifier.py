@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import json
 import time
+import traceback
 from dataclasses import dataclass, field
 
-from .algebra import GradedAlgebra, validation_issues
+from .algebra import GradedAlgebra
 from .errors import (ParseError, ResolutionLengthError,
-                     StepBudgetExceeded, TestElementSearchError)
+                     StepBudgetExceeded, TestElementSearchError,
+                     ValidationError)
 from .fitting import (euler_minor_identity, fitting_profile, ft_condition,
                       ft_condition_off_irrelevant, last_rows_probe)
 from .groebner import IdealHandle
@@ -37,13 +39,15 @@ EXIT_OK = 0
 EXIT_ASSERTION = 2
 EXIT_RESOURCE = 3
 EXIT_INVALID = 4
+EXIT_INTERNAL = 5
 
 
 @dataclass
 class Report:
     case: str
     status: str = "ok"                  # ok | assertion_failure |
-    #                                     invalid_input | resource_exhausted
+    #                                     invalid_input | resource_exhausted |
+    #                                     internal_error
     inputs: dict = field(default_factory=dict)
     hypotheses: dict = field(default_factory=dict)
     fitting: dict = field(default_factory=dict)
@@ -60,7 +64,8 @@ class Report:
     def exit_code(self):
         return {"ok": EXIT_OK, "assertion_failure": EXIT_ASSERTION,
                 "resource_exhausted": EXIT_RESOURCE,
-                "invalid_input": EXIT_INVALID}[self.status]
+                "invalid_input": EXIT_INVALID,
+                "internal_error": EXIT_INTERNAL}[self.status]
 
     def to_dict(self, include_timings=False):
         out = {
@@ -118,6 +123,18 @@ class _Stage:
         return False
 
 
+def _validated(case, report, budget):
+    """The case's algebra, or None after recording every validation issue
+    in the report."""
+    try:
+        return GradedAlgebra.validate(case.context, case.relations, budget)
+    except ValidationError as ex:
+        report.status = "invalid_input"
+        report.errors = [{"stage": "validate", "code": i.code,
+                          "message": i.message} for i in ex.issues]
+        return None
+
+
 def run_pipeline(case, seed=None, budget=None, artifacts=None):
     """Execute the full pipeline for a parsed case file and build a report.
 
@@ -137,13 +154,9 @@ def run_pipeline(case, seed=None, budget=None, artifacts=None):
     if seed is None:
         seed = 0
 
-    issues = validation_issues(case.context, case.relations, budget)
-    if issues:
-        report.status = "invalid_input"
-        report.errors = [{"stage": "validate", "code": i.code,
-                          "message": i.message} for i in issues]
+    algebra = _validated(case, report, budget)
+    if algebra is None:
         return report
-    algebra = GradedAlgebra.validate(case.context, case.relations, budget)
     if artifacts is not None:
         artifacts["algebra"] = algebra
     if not algebra.standard_graded:
@@ -407,13 +420,9 @@ def probe_report(case, rowops=None, seed=None, budget=None):
         "weights": list(case.context.weights),
         "relations": [str(f) for f in case.relations],
     }
-    issues = validation_issues(case.context, case.relations, budget)
-    if issues:
-        report.status = "invalid_input"
-        report.errors = [{"stage": "validate", "code": i.code,
-                          "message": i.message} for i in issues]
+    algebra = _validated(case, report, budget)
+    if algebra is None:
         return report
-    algebra = GradedAlgebra.validate(case.context, case.relations, budget)
     rowops = case.rowops if rowops is None else rowops
     seed = (case.seed if seed is None else seed) or 0
     try:
@@ -519,7 +528,8 @@ def run_case(case, seed=None, budget=None):
 
 def run_case_path(path, seed=None, budget=None):
     """Load and run one case file; parse errors become invalid-input
-    reports so directory runs keep going."""
+    reports and any other exception an internal-error report, so
+    directory runs keep going."""
     from .casefile import load_case
     try:
         case = load_case(path)
@@ -528,4 +538,11 @@ def run_case_path(path, seed=None, budget=None):
         report.errors.append({"stage": "parse", "code": "parse",
                               "message": str(ex)})
         return report
-    return run_case(case, seed=seed, budget=budget)
+    try:
+        return run_case(case, seed=seed, budget=budget)
+    except Exception as ex:  # one faulty case must not lose the others
+        report = Report(case=case.name, status="internal_error")
+        report.errors.append({"stage": "pipeline", "code": "internal",
+                              "message": f"{type(ex).__name__}: {ex}",
+                              "traceback": traceback.format_exc()})
+        return report

@@ -1,0 +1,125 @@
+"""Differential tests of the degrevlex engine against independent oracles.
+
+Reduced Groebner bases are unique, so the engine must agree term by term
+with the no-criteria oracle in `oracles.py` and, for standard gradings,
+with sympy.  A wrong reducer choice in the first-divisor memo of `_nf`
+would change a basis or a normal form and show here.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from diffrees.groebner import IdealHandle, StepCounter, _memo_key, _nf
+from diffrees.poly import DEGREVLEX, Polynomial, VariableContext
+from diffrees.sampler import monomials_of_degree
+
+from conftest import P
+from oracles import naive_buchberger, naive_remainder_full
+
+
+@st.composite
+def homogeneous_ideals(draw, weighted):
+    """A context of 2-3 variables and 1-3 homogeneous generators with at
+    most three terms each; weighted draws keep X1 of weight 1."""
+    n = draw(st.integers(2, 3))
+    weights = (1,) + tuple(draw(st.integers(1, 2)) if weighted else 1
+                           for _ in range(n - 1))
+    ctx = VariableContext(tuple(f"X{i + 1}" for i in range(n)), weights)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        pool = monomials_of_degree(ctx, draw(st.integers(2, 3)))
+        chosen = draw(st.lists(st.sampled_from(pool), min_size=1,
+                               max_size=3, unique=True))
+        coeffs = draw(st.lists(st.integers(-3, 3).filter(bool),
+                               min_size=len(chosen), max_size=len(chosen)))
+        gens.append(Polynomial.from_terms(ctx, zip(chosen, coeffs)))
+    return ctx, gens
+
+
+def _sympy_basis(ctx, gens):
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(ctx.names)
+    exprs = [sum(sympy.Rational(c.numerator, c.denominator)
+                 * sympy.Mul(*(s**e for s, e in zip(syms, exps)))
+                 for exps, c in g.terms) for g in gens]
+    basis = sympy.groebner(exprs, *syms, order="grevlex", domain=sympy.QQ)
+    return {frozenset((exps, Fraction(int(c.p), int(c.q)))
+                      for exps, c in g.terms())
+            for g in basis.polys}
+
+
+def _check_normal_forms(ctx, handle, basis, probes):
+    """normal_form, called twice so the second call reads the memo that
+    the first one filled, against full division by the reduced basis."""
+    key = DEGREVLEX.key_for(ctx)
+    for p in probes:
+        expected = naive_remainder_full(p, basis, key)
+        assert handle.normal_form(p) == expected
+        assert handle.normal_form(p) == expected
+
+
+_SETTINGS = settings(max_examples=40, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@_SETTINGS
+@given(homogeneous_ideals(weighted=False))
+def test_standard_graded_bases_match_oracles(drawn):
+    ctx, gens = drawn
+    handle = IdealHandle(ctx, gens)
+    basis = handle.groebner_basis()
+    assert basis == naive_buchberger(ctx, gens)
+    assert {frozenset(g.terms) for g in basis} == _sympy_basis(ctx, gens)
+    _check_normal_forms(ctx, handle, basis, gens + [g * g for g in gens])
+
+
+@_SETTINGS
+@given(homogeneous_ideals(weighted=True))
+def test_weighted_bases_match_naive_oracle(drawn):
+    ctx, gens = drawn
+    handle = IdealHandle(ctx, gens)
+    basis = handle.groebner_basis()
+    assert basis == naive_buchberger(ctx, gens)
+    _check_normal_forms(ctx, handle, basis, gens + [g * g for g in gens])
+
+
+def test_growing_basis_matches_oracles():
+    """Buchberger appends several S-polynomial remainders here, so the
+    memo's "no divisor yet" entries are revisited against longer lists."""
+    ctx = VariableContext(("X", "Y", "Z", "W"))
+    gens = [P(ctx, "X^2 - Y*W + Z^2"), P(ctx, "X*Y - Z*W"),
+            P(ctx, "Y^2 - X*Z + W^2")]
+    basis = IdealHandle(ctx, gens).groebner_basis()
+    assert len(basis) > len(gens)
+    assert basis == naive_buchberger(ctx, gens)
+    assert {frozenset(g.terms) for g in basis} == _sympy_basis(ctx, gens)
+
+
+def test_memo_picks_the_linear_scan_reducer_after_appends(xyz):
+    """A memo filled against a shorter reducer list must give the same
+    reducers, steps and remainder as a fresh scan of the longer list."""
+    key = _memo_key(DEGREVLEX.key_for(xyz))
+    p = dict(P(xyz, "X^2*Y + X*Y*Z + Y^2*Z + Z^3").terms)
+    reducers = [P(xyz, "X*Y - Z^2"), P(xyz, "Y*Z - X^2"), P(xyz, "X*Z")]
+    lms, basis = [], []
+    memo = {}
+    rescanned = []
+    for g in reducers:
+        terms = dict(g.terms)
+        lms.append(max(terms, key=key))
+        basis.append({e: int(c) for e, c in terms.items()})
+        before = dict(memo)
+        shared, fresh = [], []
+        steps_shared, steps_fresh = StepCounter(), StepCounter()
+        r_shared = _nf(p, lms, basis, key, steps_shared, memo, shared)
+        r_fresh = _nf(p, lms, basis, key, steps_fresh, {}, fresh)
+        assert r_shared == r_fresh
+        assert shared == fresh
+        assert steps_shared.remaining == steps_fresh.remaining
+        rescanned += [m for m, (_, idx) in before.items()
+                      if idx is None and memo[m][1] is not None]
+    # X*Z^2 had no divisor among X*Y and X^2 and is found by X*Z.
+    assert rescanned

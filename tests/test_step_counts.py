@@ -1,0 +1,70 @@
+"""Exact step-count gate on a fixed mini-workload.
+
+Reduction steps (`StepCounter.spend` units) do not depend on the machine,
+so this gate has no timing noise: a rise shows a costlier engine or a
+basis built more often than before.  The workload is the shipped cases
+plus the first probe instances of `probe_corpus(seed=0)`, run the way a
+user's case is run, through `run_case`.
+"""
+
+from importlib import resources
+
+import pytest
+
+from diffrees import groebner
+from diffrees.casefile import CaseFile, load_case
+from diffrees.poly import DEGREVLEX
+from diffrees.sampler import probe_corpus
+from diffrees.verifier import run_case
+
+# Steps the mini-workload spends once every distinct basis is built once
+# per case; raise it only with a reason recorded in CHANGES.md.
+STEP_CEILING = 32063
+
+
+@pytest.fixture(scope="module")
+def shipped_cases():
+    base = resources.files("diffrees") / "cases"
+    return [load_case(str(p)) for p in sorted(base.iterdir(),
+                                              key=lambda p: p.name)
+            if p.name.endswith(".case")]
+
+
+@pytest.fixture(scope="module")
+def probe_cases():
+    return [CaseFile(name, algebra.context, algebra.relations, mode="prop31")
+            for name, algebra in probe_corpus(seed=0, count=8)]
+
+
+def test_step_count_does_not_grow(shipped_cases, probe_cases, monkeypatch):
+    steps = [0]
+    spend = groebner.StepCounter.spend
+
+    def counted(counter, n=1):
+        steps[0] += n
+        return spend(counter, n)
+
+    monkeypatch.setattr(groebner.StepCounter, "spend", counted)
+    for case in shipped_cases + probe_cases:
+        assert run_case(case).status == "ok", case.name
+    assert steps[0] <= STEP_CEILING
+
+
+def test_no_basis_built_twice_in_a_probe_case(probe_cases, monkeypatch):
+    built = set()
+    repeats = []
+    basis = groebner.IdealHandle.groebner_basis
+
+    def recording(handle, order=DEGREVLEX, budget=None):
+        if order not in handle._cache:
+            key = (handle.context, order, frozenset(handle.generators))
+            if key in built:
+                repeats.append(handle)
+            built.add(key)
+        return basis(handle, order, budget)
+
+    monkeypatch.setattr(groebner.IdealHandle, "groebner_basis", recording)
+    for case in probe_cases:
+        built.clear()
+        assert run_case(case).status == "ok", case.name
+        assert not repeats, f"{case.name} rebuilt {repeats}"

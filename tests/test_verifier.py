@@ -259,6 +259,38 @@ def test_cli_verify_directory_parallel(tmp_path, capsys):
     assert out.index("coordinate-cross") < out.index("quadric-cone")
 
 
+def test_cli_verify_isolates_a_raising_case(tmp_path, capsys, monkeypatch):
+    from diffrees import verifier
+    real = verifier.run_case
+
+    def flaky(case, seed=None, budget=None):
+        if case.name == "coordinate-cross":
+            raise ArithmeticError("constant Jacobian entry")
+        return real(case, seed=seed, budget=budget)
+
+    monkeypatch.setattr(verifier, "run_case", flaky)
+    _write(tmp_path, "a.case", QUADRIC)
+    _write(tmp_path, "b.case", CROSS)
+    _write(tmp_path, "c.case", QUADRIC.replace("quadric-cone", "second-cone"))
+    assert main(["--format", "json", "verify", str(tmp_path)]) == 5
+    reports = json.loads(capsys.readouterr().out)
+    assert [(r["case"], r["status"]) for r in reports] == [
+        ("coordinate-cross", "internal_error"), ("quadric-cone", "ok"),
+        ("second-cone", "ok")]
+    (error,) = reports[0]["errors"]
+    assert error["message"] == "ArithmeticError: constant Jacobian entry"
+    assert "flaky" in error["traceback"]
+
+
+def test_cli_verify_directory_with_non_utf8_case(tmp_path, capsys):
+    (tmp_path / "a.case").write_bytes(b"[algebra]\nname = bad\xff\n")
+    _write(tmp_path, "b.case", QUADRIC)
+    assert main(["verify", str(tmp_path)]) == 4
+    out = capsys.readouterr().out
+    assert "not UTF-8" in out
+    assert "case: quadric-cone\nstatus: ok" in out
+
+
 def test_cli_json_output_deterministic(tmp_path, capsys):
     path = _write(tmp_path, "q.case", QUADRIC)
     assert main(["--format", "json", "--seed", "5", "verify", path]) == 0
