@@ -28,6 +28,17 @@ _RESOURCE_ERRORS = (StepBudgetExceeded, TestElementSearchError,
                     ResolutionLengthError)
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parser():
     parser = argparse.ArgumentParser(
         prog="diffrees",
@@ -37,10 +48,10 @@ def _parser():
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for randomized choices (test elements, "
                              "row operations)")
-    parser.add_argument("--budget", type=int, default=None,
+    parser.add_argument("--budget", type=_positive_int, default=None,
                         help="Groebner reduction-step budget per basis")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_positive_int, default=1,
                         help="parallel worker processes for directory runs")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -267,7 +278,8 @@ def _case_paths(target):
 def _run_many(paths, args):
     results = []
     if args.jobs > 1 and len(paths) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        workers = min(args.jobs, len(paths))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [(str(p), pool.submit(run_case_path, str(p),
                                             args.seed, args.budget))
                        for p in paths]

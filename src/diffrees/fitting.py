@@ -77,24 +77,18 @@ class FtVerdict:
 
 def fitting_profile(algebra, budget=None):
     """Heights of F_i for i in [rank, n-1], plus the heights after removing
-    the components supported on the irrelevant maximal ideal."""
+    the components supported on the irrelevant maximal ideal.
+
+    The second height needs no saturation: for a homogeneous ideal J,
+    (J : m^inf) is the unit ideal iff dim P/J <= 0, and otherwise it has
+    the dimension of J.  So it is +inf when ht F_i >= dim R, which is
+    dim P/(I + F_i) <= 0, and ht F_i otherwise."""
     n, e = algebra.arity, algebra.dimension
-    ctx = algebra.context
-    irrelevant = IdealHandle(ctx, list(ctx.gens()))
     rows = []
     for i in range(e, n):
         fi = fitting_ideal(algebra, i, budget)
         height = algebra.height_of(fi, budget)
-        if height == float("inf"):
-            off = float("inf")
-        else:
-            sat = algebra.ideal_sum(fi).saturation_by_ideal(
-                irrelevant, budget)
-            if sat.is_unit(budget):
-                off = float("inf")
-            else:
-                off = (algebra.dimension
-                       - sat.krull_dimension(budget).dimension)
+        off = float("inf") if height >= algebra.dimension else height
         rows.append(FittingRow(i, fi, height, off))
     heights = [r.height for r in rows]
     if heights != sorted(heights):

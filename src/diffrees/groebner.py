@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from operator import add, ge, neg, sub
 from typing import NamedTuple
 
 from .errors import StepBudgetExceeded
@@ -96,30 +97,38 @@ def _nf(poly, lms, basis, key, counter, memo, quotients=None):
     lms[:checked_upto] does.  It stays valid, and the reducer choice stays
     that of a linear scan, as long as the caller only appends to `lms`;
     callers that change their reducer lists otherwise pass a fresh dict.
+
+    The working polynomial is a dict next to a min-heap of (negated key,
+    monomial); a monomial is pushed when it enters the dict and cancelled
+    terms stay there as zeros until popped.  Every term a reduction adds
+    is smaller than the lead it cancels, so the heap pops the terms in
+    descending order and a popped monomial never comes back.
     """
     work = {e: c for e, c in poly.items() if c}
     mult = math.lcm(*(c.denominator for c in work.values()))
     scale = Fraction(mult)
     work = {e: int(c * mult) for e, c in work.items()}
+    heap = [(tuple(map(neg, key(e))), e) for e in work]
+    heapq.heapify(heap)
     remainder = {}
-    while work:
-        m = max(work, key=key)
+    while heap:
+        m = heapq.heappop(heap)[1]
         c = work.pop(m)
         if not c:
             continue
         checked, idx = memo.get(m, (0, None))
         if idx is None and checked < len(lms):
             for k in range(checked, len(lms)):
-                if mono_divide(m, lms[k]) is not None:
+                if all(map(ge, m, lms[k])):
                     idx = k
                     break
             memo[m] = (len(lms), idx)
         if idx is None:
-            remainder[m] = remainder.get(m, 0) + Fraction(c) / scale
+            remainder[m] = Fraction(c) / scale
             continue
         counter.spend()
         lm = lms[idx]
-        q = mono_divide(m, lm)
+        q = tuple(map(sub, m, lm))
         g = basis[idx]
         lead = g[lm]
         if quotients is not None:
@@ -131,18 +140,18 @@ def _nf(poly, lms, basis, key, counter, memo, quotients=None):
         for e, a in g.items():
             if e == lm:
                 continue
-            t = mono_mul(e, q)
-            v = work.get(t, 0) - c * a
-            if v:
-                work[t] = v
-            elif t in work:
-                del work[t]
-        if work:
-            g0 = _content(work)
-            if g0 > 1:
-                work = {e: v // g0 for e, v in work.items()}
-                scale /= g0
-    return {e: c for e, c in remainder.items() if c}
+            t = tuple(map(add, e, q))
+            v = work.get(t)
+            if v is None:
+                work[t] = -c * a
+                heapq.heappush(heap, (tuple(map(neg, key(t))), t))
+            else:
+                work[t] = v - c * a
+        g0 = _content(work)
+        if g0 > 1:
+            work = {e: v // g0 for e, v in work.items()}
+            scale /= g0
+    return remainder
 
 
 def _buchberger(generators, key, wdeg, counter):
@@ -179,7 +188,7 @@ def _buchberger(generators, key, wdeg, counter):
         if lcm == mono_mul(lms[i], lms[j]):
             continue  # coprime leading terms
         if any(k != i and k != j
-               and mono_divide(lcm, lms[k]) is not None
+               and all(map(ge, lcm, lms[k]))
                and (min(i, k), max(i, k)) not in pending
                and (min(j, k), max(j, k)) not in pending
                for k in range(len(basis))):
@@ -211,25 +220,24 @@ def _buchberger(generators, key, wdeg, counter):
 
 def _interreduce(basis, lms, key, counter):
     """Minimalize and tail-reduce, then return the unique monic reduced
-    basis as {monomial: Fraction} dicts."""
-    order = sorted(range(len(basis)), key=lambda i: key(lms[i]))
-    kept = []
-    for i in order:
-        if not any(mono_divide(lms[i], lms[j]) is not None for j in kept):
-            kept.append(i)
-    polys = [basis[i] for i in kept]
-    heads = [lms[i] for i in kept]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(polys)):
-            other_lms = heads[:i] + heads[i + 1:]
-            other_polys = polys[:i] + polys[i + 1:]
-            r = _nf(polys[i], other_lms, other_polys, key, counter, {})
-            if r != polys[i]:
-                _, ints = _int_normalize(r, key)
-                polys[i] = ints
-                changed = True
+    basis as {monomial: Fraction} dicts.
+
+    One pass by increasing lead: an element whose lead a kept lead divides
+    is dropped, and every other one is reduced against the already reduced
+    elements before it.  That is the whole tail reduction, because a
+    larger lead divides no term of the element.  The reducer lists are
+    only appended to, so one first-divisor memo serves the whole pass.
+    """
+    heads = []
+    polys = []
+    memo = {}
+    for i in sorted(range(len(basis)), key=lambda i: key(lms[i])):
+        lm = lms[i]
+        if any(all(map(ge, lm, h)) for h in heads):
+            continue
+        r = _nf(basis[i], heads, polys, key, counter, memo)
+        polys.append(_int_normalize(r, key)[1])
+        heads.append(lm)
     monic = []
     for lm, p in zip(heads, polys):
         lead = Fraction(p[lm])

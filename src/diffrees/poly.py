@@ -70,7 +70,8 @@ class MonomialOrder:
 
     def key_for(self, context):
         """Return a sort key function on exponent tuples; larger key means
-        larger monomial."""
+        larger monomial.  Keys are flat integer tuples, all of one length
+        for a given order and context."""
         weights = context.weights
         if self.kind == "lex":
             return lambda e: e
@@ -82,8 +83,8 @@ class MonomialOrder:
         back = tuple(i for i in range(context.arity) if i not in set(front))
         fkey = _drl_key(tuple(weights[i] for i in front))
         bkey = _drl_key(tuple(weights[i] for i in back))
-        return lambda e: (fkey(tuple(e[i] for i in front)),
-                          bkey(tuple(e[i] for i in back)))
+        return lambda e: (fkey(tuple(e[i] for i in front))
+                          + bkey(tuple(e[i] for i in back)))
 
     def __eq__(self, other):
         return (isinstance(other, MonomialOrder)
@@ -99,9 +100,12 @@ class MonomialOrder:
 
 
 def _drl_key(weights):
+    """Flat key (deg, -x_n, ..., -x_1).  Every key of one order has the
+    same length, so keys of composite orders are plain concatenations and
+    compare like the nested pairs they stand for."""
     def key(e):
-        deg = sum(w * x for w, x in zip(weights, e))
-        return (deg, tuple(-x for x in reversed(e)))
+        return ((sum(map(operator.mul, weights, e)),)
+                + tuple(map(operator.neg, reversed(e))))
     return key
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, ge, neg, sub
 
 from .eagon_northcott import FreeComplex
 from .errors import ResolutionLengthError
@@ -27,8 +28,9 @@ _ZERO = Fraction(0)
 # module engine over {(exponents, component): Fraction} dicts
 
 def _pot_key(ring_key):
-    """Position-over-term: earlier components dominate."""
-    return lambda t: (-t[1], ring_key(t[0]))
+    """Position-over-term: earlier components dominate.  Like the ring
+    keys, module keys are flat tuples of one length per order."""
+    return lambda t: (-t[1],) + ring_key(t[0])
 
 
 def _schreyer_key(prev_key, prev_lms):
@@ -37,7 +39,7 @@ def _schreyer_key(prev_key, prev_lms):
     def key(t):
         e, c = t
         mono, comp = prev_lms[c]
-        return (prev_key((mono_mul(e, mono), comp)), -c)
+        return prev_key((tuple(map(add, e, mono)), comp)) + (-c,)
     return key
 
 
@@ -51,45 +53,42 @@ def _mod_monic(d, key):
 
 
 def _mod_nf(element, lms, gens, key, counter, quotients=None):
-    """Full normal form in a free module against monic reducers."""
+    """Full normal form in a free module against monic reducers.
+
+    The working element is a dict next to a min-heap of (negated key,
+    term), kept as in `groebner._nf`: terms are popped in descending
+    order and a popped term never comes back."""
     work = dict(element)
+    heap = [(tuple(map(neg, key(t))), t) for t in work]
+    heapq.heapify(heap)
     remainder = {}
-    keycache = {}
-
-    def cached(t):
-        v = keycache.get(t)
-        if v is None:
-            v = keycache[t] = key(t)
-        return v
-
-    while work:
-        term = max(work, key=cached)
+    while heap:
+        term = heapq.heappop(heap)[1]
         c = work.pop(term)
         if not c:
             continue
         e, comp = term
         for idx, (lmono, lcomp) in enumerate(lms):
-            if lcomp != comp:
+            if lcomp != comp or not all(map(ge, e, lmono)):
                 continue
-            q = mono_divide(e, lmono)
-            if q is None:
-                continue
+            q = tuple(map(sub, e, lmono))
             counter.spend()
             for (e2, c2), a in gens[idx].items():
                 if e2 == lmono and c2 == lcomp:
                     continue
-                t2 = (mono_mul(e2, q), c2)
-                v = work.get(t2, _ZERO) - c * a
-                if v:
-                    work[t2] = v
-                elif t2 in work:
-                    del work[t2]
+                t2 = (tuple(map(add, e2, q)), c2)
+                v = work.get(t2)
+                if v is None:
+                    work[t2] = -c * a
+                    heapq.heappush(heap, (tuple(map(neg, key(t2))), t2))
+                else:
+                    work[t2] = v - c * a
             if quotients is not None:
                 quotients.append((idx, q, c))
             break
         else:
-            remainder[term] = remainder.get(term, _ZERO) + c
-    return {t: c for t, c in remainder.items() if c}
+            remainder[term] = c
+    return remainder
 
 
 class _EngineResult:
@@ -205,29 +204,21 @@ def _module_buchberger(columns, key, wdeg, counter, expressions=False):
 def _interreduce_module(gens, lms, key, counter):
     """Minimal, tail-reduced, monic family sorted by decreasing lead.
 
-    The drop pass must scan by increasing lead so divisors are kept before
-    their multiples."""
-    order = sorted(range(len(gens)), key=lambda i: key(lms[i]))
-    kept = []
-    for i in order:
+    One pass by increasing lead, so divisors are kept before their
+    multiples: each kept element is reduced against the already reduced
+    ones, since a larger lead divides no term of it."""
+    polys = []
+    heads = []
+    for i in sorted(range(len(gens)), key=lambda i: key(lms[i])):
         mono_i, comp_i = lms[i]
-        if not any(comp_i == lms[j][1]
-                   and mono_divide(mono_i, lms[j][0]) is not None
-                   for j in kept):
-            kept.append(i)
-    kept.sort(key=lambda i: key(lms[i]), reverse=True)
-    polys = [dict(gens[i]) for i in kept]
-    heads = [lms[i] for i in kept]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(polys)):
-            r = _mod_nf(polys[i], heads[:i] + heads[i + 1:],
-                        polys[:i] + polys[i + 1:], key, counter)
-            if r != polys[i]:
-                _, monic = _mod_monic(r, key)
-                polys[i] = monic
-                changed = True
+        if any(comp_i == comp and all(map(ge, mono_i, mono))
+               for mono, comp in heads):
+            continue
+        r = _mod_nf(gens[i], heads, polys, key, counter)
+        polys.append(_mod_monic(r, key)[1])
+        heads.append(lms[i])
+    polys.reverse()
+    heads.reverse()
     return polys, heads
 
 

@@ -9,9 +9,10 @@ from diffrees.fitting import (euler_minor_identity, fitting_ideal,
 from diffrees.groebner import IdealHandle
 from diffrees.matrix import PolyMatrix
 from diffrees.poly import VariableContext
-from diffrees.sampler import probe_corpus, random_homogeneous
+from diffrees.sampler import probe_corpus, random_graded_ci, random_homogeneous
 
 from conftest import P
+from oracles import saturated_height_off_irrelevant
 
 
 def test_two_by_two_determinant():
@@ -115,6 +116,39 @@ def test_off_irrelevant_can_fail():
     ctx = VariableContext(("X", "Y", "Z"))
     algebra = GradedAlgebra.validate(ctx, [P(ctx, "X^2")])
     assert not ft_condition_off_irrelevant(algebra, 1).holds
+
+
+# (variables, dimension, max relation degree, seed of random_graded_ci):
+# the random complete intersections of the benchmark's random-ci
+# workload.  The fitting stage finishes on all of them; its probe_corpus
+# instance is left out, because the saturation below stalls on it.
+RANDOM_CI_SHAPES = ((4, 3, 3, 0), (4, 3, 3, 1), (5, 4, 3, 0), (5, 4, 3, 1),
+                    (4, 2, 3, 0), (4, 2, 3, 4), (4, 2, 3, 5), (5, 3, 3, 2),
+                    (5, 3, 3, 4))
+
+
+def _shipped_algebras(cases_dir):
+    from diffrees.casefile import load_case
+    return [GradedAlgebra.validate(case.context, case.relations)
+            for case in (load_case(str(p)) for p in sorted(
+                cases_dir.iterdir(), key=lambda p: p.name)
+                if p.name.endswith(".case"))]
+
+
+def test_off_irrelevant_dimension_check_matches_saturation(cases_dir):
+    """The dimension check of fitting_profile against the saturation by
+    the irrelevant ideal that it replaced."""
+    algebras = _shipped_algebras(cases_dir)
+    algebras += [random_graded_ci(random.Random(seed), n, d, max_degree=deg)
+                 for n, d, deg, seed in RANDOM_CI_SHAPES]
+    assert len(algebras) == 16
+    finite = 0
+    for algebra in algebras:
+        for row in fitting_profile(algebra).rows:
+            expected = saturated_height_off_irrelevant(algebra, row.ideal)
+            assert row.height_off_irrelevant == expected, (algebra, row.index)
+            finite += expected != float("inf")
+    assert finite
 
 
 def test_euler_minor_identity_named_cases(curve_cone):

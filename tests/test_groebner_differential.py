@@ -10,33 +10,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from diffrees.groebner import IdealHandle, StepCounter, _memo_key, _nf
-from diffrees.poly import DEGREVLEX, Polynomial, VariableContext
-from diffrees.sampler import monomials_of_degree
+from diffrees.poly import DEGREVLEX, VariableContext
 
-from conftest import P
+from conftest import P, homogeneous_ideals
 from oracles import naive_buchberger, naive_remainder_full
-
-
-@st.composite
-def homogeneous_ideals(draw, weighted):
-    """A context of 2-3 variables and 1-3 homogeneous generators with at
-    most three terms each; weighted draws keep X1 of weight 1."""
-    n = draw(st.integers(2, 3))
-    weights = (1,) + tuple(draw(st.integers(1, 2)) if weighted else 1
-                           for _ in range(n - 1))
-    ctx = VariableContext(tuple(f"X{i + 1}" for i in range(n)), weights)
-    gens = []
-    for _ in range(draw(st.integers(1, 3))):
-        pool = monomials_of_degree(ctx, draw(st.integers(2, 3)))
-        chosen = draw(st.lists(st.sampled_from(pool), min_size=1,
-                               max_size=3, unique=True))
-        coeffs = draw(st.lists(st.integers(-3, 3).filter(bool),
-                               min_size=len(chosen), max_size=len(chosen)))
-        gens.append(Polynomial.from_terms(ctx, zip(chosen, coeffs)))
-    return ctx, gens
 
 
 def _sympy_basis(ctx, gens):

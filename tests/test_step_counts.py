@@ -18,8 +18,9 @@ from diffrees.sampler import probe_corpus
 from diffrees.verifier import run_case
 
 # Steps the mini-workload spends once every distinct basis is built once
-# per case; raise it only with a reason recorded in CHANGES.md.
-STEP_CEILING = 32063
+# per case and the Fitting heights off the irrelevant ideal come from a
+# dimension check; raise it only with a reason recorded in CHANGES.md.
+STEP_CEILING = 31549
 
 
 @pytest.fixture(scope="module")

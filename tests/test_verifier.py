@@ -259,6 +259,49 @@ def test_cli_verify_directory_parallel(tmp_path, capsys):
     assert out.index("coordinate-cross") < out.index("quadric-cone")
 
 
+@pytest.mark.parametrize("option", ["--budget", "--jobs"])
+@pytest.mark.parametrize("value", ["0", "-5", "two"])
+def test_cli_counts_must_be_positive_integers(tmp_path, capsys, option, value):
+    path = _write(tmp_path, "q.case", QUADRIC)
+    with pytest.raises(SystemExit) as exit_info:
+        main([option, value, "verify", path])
+    assert exit_info.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+
+
+def test_cli_pool_is_capped_at_the_case_count(tmp_path, capsys, monkeypatch):
+    """A pool larger than the number of cases would only start idle
+    workers; the stand-in executor runs each case in this process."""
+    from concurrent.futures import Future
+
+    from diffrees import cli
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    _write(tmp_path, "a.case", QUADRIC)
+    _write(tmp_path, "b.case", CROSS)
+    assert main(["--jobs", "8", "verify", str(tmp_path)]) == 0
+    assert main(["--jobs", "2", "verify", str(tmp_path)]) == 0
+    assert sizes == [2, 2]
+    assert capsys.readouterr().out.count("2/2 cases passed") == 2
+
+
 def test_cli_verify_isolates_a_raising_case(tmp_path, capsys, monkeypatch):
     from diffrees import verifier
     real = verifier.run_case
