@@ -13,7 +13,7 @@ from typing import NamedTuple
 from .errors import (DimensionTooSmallError, InhomogeneousRelationError,
                      LinearTermError, NotRegularSequenceError,
                      RelationDegreeError, ValidationError)
-from .groebner import IdealHandle, is_nonzerodivisor
+from .groebner import IdealHandle
 from .matrix import PolyMatrix
 
 
@@ -224,11 +224,15 @@ class GradedAlgebra:
         return self.dimension - total.krull_dimension(budget).dimension
 
     def nonzerodivisor_check(self, g, budget=None):
+        """g is regular on R iff it lies in no minimal prime of R, because
+        R is a complete intersection, hence Cohen-Macaulay and unmixed; that
+        is iff dim R/gR < dim R, i.e. iff g has height >= 1 in R.  No
+        homogeneity of g is needed."""
         budget = budget or self._budget
         if g.is_zero or self.defining_ideal.contains(g, budget):
             return NonzerodivisorCheck(False, "zero element of the quotient")
         return NonzerodivisorCheck(
-            is_nonzerodivisor(self.defining_ideal, g, budget), None)
+            self.height_of(IdealHandle(self.context, [g]), budget) >= 1, None)
 
     def __repr__(self):
         rels = ", ".join(str(f) for f in self.relations) or "0"

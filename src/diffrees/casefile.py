@@ -65,6 +65,17 @@ def _parse_bool(key, raw):
     raise ParseError(f"expected a boolean for {key!r}, got {raw!r}")
 
 
+def _parse_int(key, raw, nonnegative=False):
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or (nonnegative and value < 0):
+        kind = "a nonnegative integer" if nonnegative else "an integer"
+        raise ParseError(f"expected {kind} for {key!r}, got {raw!r}")
+    return value
+
+
 def load_case(path):
     """Parse and lex a case file; algebra-level validation happens later so
     rejections can list every violated hypothesis."""
@@ -108,10 +119,7 @@ def load_case(path):
             if key in _BOOL_KEYS:
                 expectations[key] = _parse_bool(key, raw)
             elif key in _INT_KEYS:
-                try:
-                    expectations[key] = int(raw)
-                except ValueError:
-                    raise ParseError(f"expected an integer for {key!r}")
+                expectations[key] = _parse_int(key, raw)
             elif key in _TEXT_KEYS:
                 expectations[key] = _split_values(raw)
             else:
@@ -124,9 +132,9 @@ def load_case(path):
         if mode not in ("pipeline", "prop31", "en-dump"):
             raise ParseError(f"unknown mode {mode!r}")
         if "seed" in msec:
-            seed = int(msec["seed"])
+            seed = _parse_int("seed", msec["seed"])
         if "rowops" in msec:
-            rowops = int(msec["rowops"])
+            rowops = _parse_int("rowops", msec["rowops"], nonnegative=True)
 
     return CaseFile(name=name, context=context, relations=tuple(relations),
                     expectations=expectations, mode=mode, seed=seed,

@@ -28,15 +28,25 @@ _RESOURCE_ERRORS = (StepBudgetExceeded, TestElementSearchError,
                     ResolutionLengthError)
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(lowest):
+    """An argparse type for integers >= `lowest`, checked at parse time."""
+    word = "positive" if lowest == 1 else "nonnegative"
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = lowest - 1
+        if value < lowest:
+            raise argparse.ArgumentTypeError(
+                f"expected a {word} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _parser():
@@ -59,14 +69,14 @@ def _parser():
         .add_argument("case")
     ft = sub.add_parser("ft-check", help="Fitting-height condition for one t")
     ft.add_argument("case")
-    ft.add_argument("--t", type=int, required=True)
+    ft.add_argument("--t", type=_nonnegative_int, required=True)
     sub.add_parser("linear-type", help="compare the Rees and symmetric "
                                        "ideals").add_argument("case")
     sub.add_parser("rees-cm", help="depth and Cohen-Macaulay verdict for "
                                    "the Rees algebra").add_argument("case")
     probe = sub.add_parser("prop31", help="last-rows minor comparison probe")
     probe.add_argument("case")
-    probe.add_argument("--rowops", type=int, default=None,
+    probe.add_argument("--rowops", type=_nonnegative_int, default=None,
                        help="extra random invertible row-operation trials")
     dump = sub.add_parser("en-dump", help="print the Eagon-Northcott complex "
                                           "of a case's last-rows block or of "

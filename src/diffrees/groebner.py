@@ -1,10 +1,13 @@
-"""Buchberger engine and ideal-theoretic toolbox.
+"""The one Buchberger engine and the ideal-theoretic toolbox.
 
 Everything downstream (Fitting heights, saturations, Rees ideals, free
-resolutions) reduces to the operations in this module: reduced Groebner
-bases with both classical pair criteria, normal forms, elimination,
-quotients, saturation, Krull dimension by independent variable sets, and
-heights in complete-intersection quotients.
+resolutions) reduces to the operations in this module: Groebner bases
+with both classical pair criteria, normal forms, interreduction,
+elimination, intersection, saturation, Krull dimension by independent
+variable sets, and heights in complete-intersection quotients.  The same
+kernel serves free modules: the term x^a e_c of a module of rank r is the
+flat exponent tuple a + (c, r-1-c), and Schreyer syzygy records come from
+the same pair loop (see `_buchberger`).
 
 All computations are exact over Q and deterministic: the pair queue is
 ordered by weighted lcm degree with a fixed tie-break, so repeated runs
@@ -75,7 +78,7 @@ def _int_normalize(d, key):
     if not d:
         return None, {}
     mult = math.lcm(*(c.denominator for c in d.values()))
-    ints = {e: int(c * mult) for e, c in d.items()}
+    ints = {e: c.numerator * (mult // c.denominator) for e, c in d.items()}
     g0 = _content(ints)
     if g0 > 1:
         ints = {e: v // g0 for e, v in ints.items()}
@@ -107,7 +110,7 @@ def _nf(poly, lms, basis, key, counter, memo, quotients=None):
     work = {e: c for e, c in poly.items() if c}
     mult = math.lcm(*(c.denominator for c in work.values()))
     scale = Fraction(mult)
-    work = {e: int(c * mult) for e, c in work.items()}
+    work = {e: c.numerator * (mult // c.denominator) for e, c in work.items()}
     heap = [(tuple(map(neg, key(e))), e) for e in work]
     heapq.heapify(heap)
     remainder = {}
@@ -154,21 +157,38 @@ def _nf(poly, lms, basis, key, counter, memo, quotients=None):
     return remainder
 
 
-def _buchberger(generators, key, wdeg, counter):
-    """Groebner basis of the ideal generated by the given term dicts.
+def _buchberger(generators, key, wdeg, counter, rank=1, records=None):
+    """Groebner basis of the ideal or submodule the given term dicts
+    generate, returned raw as (basis, lms): content-free integer elements
+    and their leading monomials, in the order they were found.
+
+    A module element of a free module of rank `rank` writes its term
+    x^a e_c as the flat exponent tuple a + (c, rank-1-c), so divisibility,
+    quotients and products stay within one component and `wdeg` ignores
+    the two trailing coordinates; a pair of leads in different components
+    is never formed.
 
     Pairs are processed in increasing (weighted lcm degree, lcm key, i, j)
-    order; the coprime and chain criteria prune the queue.
+    order; the coprime and chain criteria prune the queue.  When `records`
+    is a list, no criterion applies and every pair appends its reduction
+    equation in monic coordinates,
+    q_i e_i - q_j e_j - sum_k c_k q_k e_k - lc(r) e_new, as a
+    {(basis index, quotient monomial): coefficient} dict; for a basis these
+    records generate the syzygies (Schreyer).  Under this encoding the
+    coprime test only ever fires in rank one.
     """
     basis = []
     lms = []
     memo = {}
     pending = set()
     heap = []
+    criteria = records is None
 
     def push_pairs(new_index):
         lm_new = lms[new_index]
         for i in range(new_index):
+            if rank > 1 and lms[i][-1] != lm_new[-1]:
+                continue
             lcm = mono_lcm(lms[i], lm_new)
             heapq.heappush(heap, (wdeg(lcm), key(lcm), i, new_index))
             pending.add((i, new_index))
@@ -185,14 +205,15 @@ def _buchberger(generators, key, wdeg, counter):
         _, _, i, j = heapq.heappop(heap)
         pending.discard((i, j))
         lcm = mono_lcm(lms[i], lms[j])
-        if lcm == mono_mul(lms[i], lms[j]):
-            continue  # coprime leading terms
-        if any(k != i and k != j
-               and all(map(ge, lcm, lms[k]))
-               and (min(i, k), max(i, k)) not in pending
-               and (min(j, k), max(j, k)) not in pending
-               for k in range(len(basis))):
-            continue  # chain criterion
+        if criteria:
+            if lcm == mono_mul(lms[i], lms[j]):
+                continue  # coprime leading terms
+            if any(k != i and k != j
+                   and all(map(ge, lcm, lms[k]))
+                   and (min(i, k), max(i, k)) not in pending
+                   and (min(j, k), max(j, k)) not in pending
+                   for k in range(len(basis))):
+                continue  # chain criterion
         qi = mono_divide(lcm, lms[i])
         qj = mono_divide(lcm, lms[j])
         gi, gj = basis[i], basis[j]
@@ -208,14 +229,29 @@ def _buchberger(generators, key, wdeg, counter):
             elif t in spoly:
                 del spoly[t]
         counter.spend()
-        r = _nf(spoly, lms, basis, key, counter, memo)
+        quotients = None if criteria else []
+        r = _nf(spoly, lms, basis, key, counter, memo, quotients)
         if r:
             lm, ints = _int_normalize(r, key)
             basis.append(ints)
             lms.append(lm)
             push_pairs(len(basis) - 1)
+        if not criteria:
+            # the S-polynomial is l_i l_j times the monic one
+            scale = Fraction(1, li * lj)
+            record = {(i, qi): Fraction(1), (j, qj): Fraction(-1)}
+            for k, q, c in quotients:
+                t = (k, q)
+                v = record.get(t, 0) - c * scale
+                if v:
+                    record[t] = v
+                else:
+                    del record[t]
+            if r:
+                record[(len(basis) - 1, (0,) * len(lm))] = -r[lm] * scale
+            records.append(record)
 
-    return _interreduce(basis, lms, key, counter)
+    return basis, lms
 
 
 def _interreduce(basis, lms, key, counter):
@@ -292,8 +328,9 @@ class IdealHandle:
         ctx = self.context
         key = _memo_key(order.key_for(ctx))
         counter = StepCounter(budget)
-        heads, polys = _buchberger([dict(g.terms) for g in self.generators],
-                                   key, ctx.weighted_degree, counter)
+        basis, lms = _buchberger([dict(g.terms) for g in self.generators],
+                                 key, ctx.weighted_degree, counter)
+        _, polys = _interreduce(basis, lms, key, counter)
         basis = tuple(Polynomial._make(ctx, d) for d in polys)
         self._cache[order] = basis
         return basis
@@ -355,16 +392,6 @@ class IdealHandle:
         gens += [(big.one - u) * _lift(g, big, 1) for g in other.generators]
         eliminated = _eliminate_front(big, gens, 1, budget)
         return IdealHandle(ctx, [_drop(g, ctx, 1) for g in eliminated])
-
-    def quotient(self, g, budget=None):
-        """The ideal quotient (I : g) for a nonzero polynomial g."""
-        if g.is_zero:
-            raise ValueError("quotient by zero is undefined")
-        if g.is_constant:
-            return IdealHandle(self.context, self.generators)
-        meet = self.intersection(IdealHandle(self.context, [g]), budget)
-        return IdealHandle(self.context,
-                           [exact_divide(h, g) for h in meet.generators])
 
     def saturation(self, g, budget=None):
         """(I : g^inf) via one elimination: adjoin y, add y*g - 1, drop y."""
@@ -474,25 +501,6 @@ def _eliminate_front(big_context, generators, front_count, budget=None):
     return [g for g in basis if all(not any(e[:front_count]) for e, _ in g.terms)]
 
 
-def exact_divide(p, g):
-    """p / g when g divides p exactly; raises otherwise."""
-    if g.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    ctx = p.context
-    key = _memo_key(DEGREVLEX.key_for(ctx))
-    lm, ints = _int_normalize(dict(g.terms), key)
-    lc = g.coefficient(lm)
-    quotients = []
-    r = _nf(dict(p.terms), [lm], [ints], key, StepCounter(), {}, quotients)
-    if r:
-        raise ValueError("polynomial is not divisible")
-    acc = {}
-    for _, q, c in quotients:
-        acc[q] = acc.get(q, 0) + c
-    quotient = Polynomial._make(ctx, acc)
-    return quotient / lc
-
-
 # ---------------------------------------------------------------------------
 # top-level operation names
 
@@ -512,10 +520,6 @@ def saturation(handle, g, budget=None):
     return handle.saturation(g, budget)
 
 
-def ideal_quotient(handle, g, budget=None):
-    return handle.quotient(g, budget)
-
-
 def krull_dimension(handle, budget=None):
     return handle.krull_dimension(budget)
 
@@ -533,10 +537,3 @@ def height_in_quotient(defining_ideal, other, quotient_dim=None, budget=None):
     if quotient_dim is None:
         quotient_dim = defining_ideal.krull_dimension(budget).dimension
     return quotient_dim - total.krull_dimension(budget).dimension
-
-
-def is_nonzerodivisor(defining_ideal, g, budget=None):
-    """True iff g is regular on P/defining_ideal, i.e. (I : g) = I."""
-    if g.is_zero:
-        raise ValueError("the zero polynomial is never a nonzerodivisor")
-    return defining_ideal.quotient(g, budget).equals(defining_ideal, budget)

@@ -1,225 +1,41 @@
 """Graded free resolutions by syzygies, with depth and Cohen-Macaulay tests.
 
-Module Groebner bases use the position-over-term extension of the ring
-order; syzygy stages use induced Schreyer orders, so iterated stages only
-ever reduce S-pairs of families that are already bases.  The tower is then
-minimized by cancelling constant entries, which suffices to read off the
-projective dimension, and depth follows by graded Auslander-Buchsbaum at
-the irrelevant maximal ideal.
+Module elements run on the ring kernel of `groebner`: the term x^a e_c of
+a free module of rank r is the flat exponent tuple a + (c, r-1-c), kept in
+{term: Fraction} dicts.  Module Groebner bases use the position-over-term
+extension of the ring order; syzygy stages use induced Schreyer orders, so
+iterated stages only ever reduce S-pairs of families that are already
+bases.  The tower is then minimized by cancelling constant entries, which
+suffices to read off the projective dimension, and depth follows by graded
+Auslander-Buchsbaum at the irrelevant maximal ideal.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, ge, neg, sub
+from operator import add
 
 from .eagon_northcott import FreeComplex
 from .errors import ResolutionLengthError
-from .groebner import StepCounter
+from .groebner import StepCounter, _buchberger, _interreduce, _nf
 from .matrix import PolyMatrix
-from .poly import DEGREVLEX, Polynomial, mono_divide, mono_lcm, mono_mul
-
-_ZERO = Fraction(0)
+from .poly import DEGREVLEX, Polynomial
 
 
-# ---------------------------------------------------------------------------
-# module engine over {(exponents, component): Fraction} dicts
-
-def _pot_key(ring_key):
-    """Position-over-term: earlier components dominate.  Like the ring
-    keys, module keys are flat tuples of one length per order."""
-    return lambda t: (-t[1],) + ring_key(t[0])
+def _position_key(ctx):
+    """Position-over-term over degrevlex: earlier components dominate."""
+    ring_key = DEGREVLEX.key_for(ctx)
+    n = ctx.arity
+    return lambda t: (t[-1],) + ring_key(t[:n])
 
 
-def _schreyer_key(prev_key, prev_lms):
-    """Order induced by the previous stage: compare images of the leading
-    monomials, break ties toward the earlier generator."""
-    def key(t):
-        e, c = t
-        mono, comp = prev_lms[c]
-        return prev_key((tuple(map(add, e, mono)), comp)) + (-c,)
-    return key
-
-
-def _mod_monic(d, key):
-    lm = max(d, key=key)
-    lc = d[lm]
-    if lc == 1:
-        return lm, dict(d)
-    inv = Fraction(1) / lc
-    return lm, {t: c * inv for t, c in d.items()}
-
-
-def _mod_nf(element, lms, gens, key, counter, quotients=None):
-    """Full normal form in a free module against monic reducers.
-
-    The working element is a dict next to a min-heap of (negated key,
-    term), kept as in `groebner._nf`: terms are popped in descending
-    order and a popped term never comes back."""
-    work = dict(element)
-    heap = [(tuple(map(neg, key(t))), t) for t in work]
-    heapq.heapify(heap)
-    remainder = {}
-    while heap:
-        term = heapq.heappop(heap)[1]
-        c = work.pop(term)
-        if not c:
-            continue
-        e, comp = term
-        for idx, (lmono, lcomp) in enumerate(lms):
-            if lcomp != comp or not all(map(ge, e, lmono)):
-                continue
-            q = tuple(map(sub, e, lmono))
-            counter.spend()
-            for (e2, c2), a in gens[idx].items():
-                if e2 == lmono and c2 == lcomp:
-                    continue
-                t2 = (tuple(map(add, e2, q)), c2)
-                v = work.get(t2)
-                if v is None:
-                    work[t2] = -c * a
-                    heapq.heappush(heap, (tuple(map(neg, key(t2))), t2))
-                else:
-                    work[t2] = v - c * a
-            if quotients is not None:
-                quotients.append((idx, q, c))
-            break
-        else:
-            remainder[term] = c
-    return remainder
-
-
-class _EngineResult:
-    __slots__ = ("gens", "lms", "syzygies", "expressions", "added")
-
-    def __init__(self, gens, lms, syzygies, expressions, added):
-        self.gens = gens
-        self.lms = lms
-        self.syzygies = syzygies
-        self.expressions = expressions
-        self.added = added
-
-
-def _module_buchberger(columns, key, wdeg, counter, expressions=False):
-    """Module Groebner basis with syzygy records.
-
-    Every same-component S-pair of the final family is processed exactly
-    once and its reduction equation is recorded, so the records generate
-    the syzygy module of the returned family (and are a basis for the
-    induced Schreyer order).
-    """
-    gens = []
-    lms = []
-    exprs = [] if expressions else None
-    syzygies = []
-    heap = []
-    added = 0
-
-    def push_pairs(k):
-        mono_k, comp_k = lms[k]
-        for i in range(k):
-            mono_i, comp_i = lms[i]
-            if comp_i != comp_k:
-                continue
-            lcm = mono_lcm(mono_i, mono_k)
-            heapq.heappush(heap, (wdeg(lcm), key((lcm, comp_k)), i, k))
-
-    for j, col in enumerate(columns):
-        if not col:
-            continue
-        lm, monic = _mod_monic(col, key)
-        gens.append(monic)
-        lms.append(lm)
-        if expressions:
-            zero_e = tuple(0 for _ in lm[0])
-            exprs.append({(zero_e, j): Fraction(1) / col[lm]})
-        push_pairs(len(gens) - 1)
-
-    while heap:
-        _, _, i, j = heapq.heappop(heap)
-        (mi, comp), (mj, _) = lms[i], lms[j]
-        lcm = mono_lcm(mi, mj)
-        qi = mono_divide(lcm, mi)
-        qj = mono_divide(lcm, mj)
-        spair = {}
-        for (e, c0), a in gens[i].items():
-            spair[(mono_mul(e, qi), c0)] = a
-        for (e, c0), a in gens[j].items():
-            t = (mono_mul(e, qj), c0)
-            v = spair.get(t, _ZERO) - a
-            if v:
-                spair[t] = v
-            elif t in spair:
-                del spair[t]
-        counter.spend()
-        quotients = []
-        r = _mod_nf(spair, lms, gens, key, counter, quotients)
-        syz = {(qi, i): Fraction(1)}
-        t = (qj, j)
-        syz[t] = syz.get(t, _ZERO) - 1
-        for idx, q, c in quotients:
-            t = (q, idx)
-            v = syz.get(t, _ZERO) - c
-            if v:
-                syz[t] = v
-            elif t in syz:
-                del syz[t]
-        if r:
-            lm, monic = _mod_monic(r, key)
-            lc = r[lm]
-            gens.append(monic)
-            lms.append(lm)
-            added += 1
-            new_index = len(gens) - 1
-            zero_e = tuple(0 for _ in lm[0])
-            syz[(zero_e, new_index)] = -lc
-            if expressions:
-                new_expr = {}
-                for factor, src in ((Fraction(1), i), (Fraction(-1), j)):
-                    q = qi if src == i else qj
-                    for (e, col), c in exprs[src].items():
-                        t = (mono_mul(e, q), col)
-                        v = new_expr.get(t, _ZERO) + factor * c
-                        if v:
-                            new_expr[t] = v
-                        elif t in new_expr:
-                            del new_expr[t]
-                for idx, q, c in quotients:
-                    for (e, col), c2 in exprs[idx].items():
-                        t = (mono_mul(e, q), col)
-                        v = new_expr.get(t, _ZERO) - c * c2
-                        if v:
-                            new_expr[t] = v
-                        elif t in new_expr:
-                            del new_expr[t]
-                exprs.append({t: c / lc for t, c in new_expr.items()})
-            push_pairs(new_index)
-        syzygies.append(syz)
-
-    return _EngineResult(gens, lms, syzygies, exprs, added)
-
-
-def _interreduce_module(gens, lms, key, counter):
-    """Minimal, tail-reduced, monic family sorted by decreasing lead.
-
-    One pass by increasing lead, so divisors are kept before their
-    multiples: each kept element is reduced against the already reduced
-    ones, since a larger lead divides no term of it."""
-    polys = []
-    heads = []
-    for i in sorted(range(len(gens)), key=lambda i: key(lms[i])):
-        mono_i, comp_i = lms[i]
-        if any(comp_i == comp and all(map(ge, mono_i, mono))
-               for mono, comp in heads):
-            continue
-        r = _mod_nf(gens[i], heads, polys, key, counter)
-        polys.append(_mod_monic(r, key)[1])
-        heads.append(lms[i])
-    polys.reverse()
-    heads.reverse()
-    return polys, heads
+def _induced_key(prev_key, prev_lms, n):
+    """Schreyer order induced by the previous stage: compare the images of
+    the leading terms, break ties toward the earlier generator."""
+    return lambda t: (prev_key(tuple(map(add, t[:n] + (0, 0),
+                                         prev_lms[t[n]])))
+                      + (-t[n],))
 
 
 # ---------------------------------------------------------------------------
@@ -274,23 +90,27 @@ def presentation_of_ideal(handle):
     return ModulePresentation(ctx, 1, PolyMatrix(ctx, (row,)))
 
 
-def _columns_to_elements(pres):
+def _columns_to_elements(pres, rank):
+    """The columns as elements of a free module of rank `rank`, which may
+    exceed the target rank; their terms lie in the first components."""
     cols = []
     for j in range(pres.matrix.ncols):
         d = {}
         for i in range(pres.target_rank):
+            tail = (i, rank - 1 - i)
             for e, c in pres.matrix.entry(i, j).terms:
-                d[(e, i)] = c
+                d[e + tail] = c
         cols.append(d)
     return cols
 
 
 def _elements_to_matrix(ctx, elements, rank):
+    n = ctx.arity
     cols = []
     for el in elements:
         per_comp = [dict() for _ in range(rank)]
-        for (e, comp), c in el.items():
-            per_comp[comp][e] = c
+        for t, c in el.items():
+            per_comp[t[n]][t[:n]] = c
         cols.append(tuple(Polynomial._make(ctx, d) for d in per_comp))
     if not cols:
         return PolyMatrix(ctx, tuple(() for _ in range(rank)))
@@ -300,76 +120,43 @@ def _elements_to_matrix(ctx, elements, rank):
 # ---------------------------------------------------------------------------
 
 def syzygies(pres, budget=None):
-    """Generating set of the syzygy module of the presentation's columns.
+    """Minimal generating set of the syzygy module of the presentation's
+    columns, by eliminating components (Greuel-Pfister, A Singular
+    Introduction to Commutative Algebra, 2.5).
 
-    The S-pair relations of a module Groebner basis are pushed back to the
-    original columns through the tracked basis expressions, completed by
-    the tautological relations (column minus its division by the basis),
-    and pruned to a minimal generating set.
+    The columns c_j + e_{r+j} live in rank r + m.  Under position-over-term
+    with the r target components first, the elements of their reduced
+    basis whose lead lies in a component >= r lie there entirely and
+    generate the syzygies once shifted down by r.  They are then pruned to
+    a minimal generating set.
     """
     ctx = pres.context
-    key = _pot_key(DEGREVLEX.key_for(ctx))
+    n = ctx.arity
+    r, m = pres.target_rank, pres.matrix.ncols
+    key = _position_key(ctx)
     counter = StepCounter(budget)
-    cols = _columns_to_elements(pres)
-    run = _module_buchberger(cols, key, ctx.weighted_degree, counter,
-                             expressions=True)
-    zero_e = (0,) * ctx.arity
-
-    raw = []
-    for syz in run.syzygies:
-        out = {}
-        for (q, k), c in syz.items():
-            for (e, col), c2 in run.expressions[k].items():
-                t = (mono_mul(q, e), col)
-                v = out.get(t, _ZERO) + c * c2
-                if v:
-                    out[t] = v
-                elif t in out:
-                    del out[t]
-        if out:
-            raw.append(out)
-    for j, col in enumerate(cols):
-        if not col:
-            raw.append({(zero_e, j): Fraction(1)})
-            continue
-        quotients = []
-        r = _mod_nf(col, run.lms, run.gens, key, counter, quotients)
-        if r:
-            raise AssertionError(
-                "a column must reduce to zero against its own basis")
-        taut = {(zero_e, j): Fraction(1)}
-        for idx, q, c in quotients:
-            for (e, col2), c2 in run.expressions[idx].items():
-                t = (mono_mul(q, e), col2)
-                v = taut.get(t, _ZERO) - c * c2
-                if v:
-                    taut[t] = v
-                elif t in taut:
-                    del taut[t]
-        taut = {t: c for t, c in taut.items() if c}
-        if taut:
-            raw.append(taut)
-
-    unique = []
-    seen = set()
-    for el in raw:
-        sig = tuple(sorted(el.items()))
-        if sig not in seen:
-            seen.add(sig)
-            unique.append(el)
-    minimal = _minimal_generators(unique, ctx, budget)
-    matrix = _elements_to_matrix(ctx, minimal, pres.matrix.ncols)
-    return ModulePresentation(ctx, pres.matrix.ncols, matrix,
-                              shifts=pres.column_degrees())
+    columns = _columns_to_elements(pres, r + m)
+    unit = (0,) * n
+    for j, col in enumerate(columns):
+        col[unit + (r + j, m - 1 - j)] = Fraction(1)
+    basis, lms = _buchberger(columns, key, ctx.weighted_degree, counter,
+                             r + m)
+    heads, reduced = _interreduce(basis, lms, key, counter)
+    found = [{t[:n] + (t[n] - r, t[n + 1]): c for t, c in el.items()}
+             for lm, el in zip(heads, reduced) if lm[n] >= r]
+    minimal = _minimal_generators(found, ctx, m, budget)
+    matrix = _elements_to_matrix(ctx, minimal, m)
+    return ModulePresentation(ctx, m, matrix, shifts=pres.column_degrees())
 
 
-def _minimal_generators(elements, ctx, budget):
+def _minimal_generators(elements, ctx, rank, budget):
     """Drop any element lying in the submodule spanned by the rest."""
-    key = _pot_key(DEGREVLEX.key_for(ctx))
+    key = _position_key(ctx)
+    wdeg = ctx.weighted_degree
 
     def sort_key(el):
         items = tuple(sorted(el.items()))
-        return (max(ctx.weighted_degree(e) for (e, _c), _ in items), items)
+        return (max(wdeg(t) for t, _ in items), items)
 
     current = sorted(elements, key=sort_key)
     changed = True
@@ -380,9 +167,8 @@ def _minimal_generators(elements, ctx, budget):
             if not others:
                 continue
             counter = StepCounter(budget)
-            run = _module_buchberger(list(others), key, ctx.weighted_degree,
-                                     counter)
-            if not _mod_nf(current[i], run.lms, run.gens, key, counter):
+            basis, lms = _buchberger(others, key, wdeg, counter, rank)
+            if not _nf(current[i], lms, basis, key, counter, {}):
                 del current[i]
                 changed = True
                 break
@@ -414,40 +200,45 @@ def free_resolution(pres, max_length=None, budget=None):
     """Resolve the cokernel of the presentation by iterated syzygies.
 
     Stage one is a module Groebner basis of the columns; later stages are
-    Schreyer syzygy bases, interreduced between stages.  The tower is then
-    minimized by unit-entry cancellation and flagged minimal.
+    Schreyer syzygy bases, the records of a rerun of the stage family,
+    interreduced between stages.  Families are kept in decreasing lead
+    order.  The tower is then minimized by unit-entry cancellation and
+    flagged minimal.
     """
     ctx = pres.context
+    n = ctx.arity
     if max_length is None:
-        max_length = 2 * ctx.arity + 4
-    key = _pot_key(DEGREVLEX.key_for(ctx))
+        max_length = 2 * n + 4
+    key = _position_key(ctx)
     wdeg = ctx.weighted_degree
-    cols = _columns_to_elements(pres)
-
-    run = _module_buchberger(cols, key, wdeg, StepCounter(budget))
-    family, lms = _interreduce_module(run.gens, run.lms, key,
-                                      StepCounter(budget))
     stage_rank = pres.target_rank
+
+    basis, lms = _buchberger(_columns_to_elements(pres, stage_rank), key,
+                             wdeg, StepCounter(budget), stage_rank)
+    lms, family = _interreduce(basis, lms, key, StepCounter(budget))
     shifts = [list(pres.shifts)]
     matrices = []
     while family:
+        family.reverse()
+        lms.reverse()
         matrices.append(_elements_to_matrix(ctx, family, stage_rank))
         shifts.append(list(_stage_shifts(ctx, family, shifts[-1])))
         if len(matrices) > max_length:
             raise ResolutionLengthError(
                 f"resolution exceeded maximum length {max_length}")
-        rerun = _module_buchberger(family, key, wdeg, StepCounter(budget))
-        if rerun.added:
+        records = []
+        basis, _ = _buchberger(family, key, wdeg, StepCounter(budget),
+                               stage_rank, records)
+        if len(basis) > len(family):
             raise AssertionError("a stage family must already be a basis")
-        records = [s for s in rerun.syzygies if s]
-        if not records:
+        stage_rank = len(family)
+        syz = [{q[:n] + (k, stage_rank - 1 - k): c
+                for (k, q), c in rec.items()} for rec in records if rec]
+        if not syz:
             break
-        next_key = _schreyer_key(key, list(lms))
-        family, lms = _interreduce_module(
-            records, [max(s, key=next_key) for s in records], next_key,
-            StepCounter(budget))
-        key = next_key
-        stage_rank = matrices[-1].ncols
+        key = _induced_key(key, lms, n)
+        lms, family = _interreduce(syz, [max(s, key=key) for s in syz], key,
+                                   StepCounter(budget))
 
     mats = [[list(r) for r in m.entries] for m in matrices]
     _minimize(mats, shifts)
@@ -462,10 +253,11 @@ def free_resolution(pres, max_length=None, budget=None):
 
 
 def _stage_shifts(ctx, family, prev_shifts):
+    n = ctx.arity
     out = []
     for el in family:
-        (e, comp), _ = next(iter(el.items()))
-        out.append(ctx.weighted_degree(e) + prev_shifts[comp])
+        t = next(iter(el))
+        out.append(ctx.weighted_degree(t) + prev_shifts[t[n]])
     return tuple(out)
 
 

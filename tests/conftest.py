@@ -11,8 +11,46 @@ from diffrees.poly import Polynomial, VariableContext, parse_polynomial
 from diffrees.sampler import monomials_of_degree
 
 
+# (variables, dimension, max relation degree, seed of random_graded_ci):
+# the random-ci draws of the benchmark that run to the end of the pipeline.
+REES_RANDOM_CI_SHAPES = ((4, 3, 3, 0), (4, 3, 3, 1), (5, 4, 3, 0),
+                         (5, 4, 3, 1), (4, 2, 3, 0), (4, 2, 3, 4),
+                         (5, 3, 3, 2), (5, 3, 3, 4))
+
+
 def P(ctx, text):
     return parse_polynomial(ctx, text)
+
+
+def shipped_algebras(cases_dir):
+    from diffrees.casefile import load_case
+    return [GradedAlgebra.validate(case.context, case.relations)
+            for case in (load_case(str(p)) for p in sorted(
+                cases_dir.iterdir(), key=lambda p: p.name)
+                if p.name.endswith(".case"))]
+
+
+def column_span_checker(matrix):
+    """Membership in the column span of `matrix`, by a module basis on the
+    ring kernel with the flat term encoding of `resolution`."""
+    from diffrees.groebner import StepCounter, _buchberger, _nf
+    from diffrees.resolution import (ModulePresentation,
+                                     _columns_to_elements, _position_key)
+    ctx = matrix.context
+    rank = matrix.nrows
+    pres = ModulePresentation(ctx, rank, matrix)
+    key = _position_key(ctx)
+    basis, lms = _buchberger(_columns_to_elements(pres, rank), key,
+                             ctx.weighted_degree, StepCounter(), rank)
+
+    def contains(column):
+        element = {}
+        for i, p in enumerate(column):
+            for e, c in p.terms:
+                element[e + (i, rank - 1 - i)] = c
+        return not _nf(element, lms, basis, key, StepCounter(), {})
+
+    return contains
 
 
 @st.composite

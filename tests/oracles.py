@@ -7,17 +7,24 @@ ideal quotients instead of the one-shot elimination trick.
 
 The second half keeps slow paths the library replaced by exact shortcuts,
 so the shortcuts can be checked against them: the nested order keys, the
-max-scan normal forms and the multi-pass interreductions of both engines,
-and the saturation that gave the Fitting heights off the irrelevant ideal.
+max-scan normal form and the multi-pass interreduction of the ring
+kernel, the separate module engine over (exponents, component) terms that
+resolutions ran on before the ring kernel took the flat module encoding,
+the ideal quotient and the nonzerodivisor test by (I : g) == I, and the
+saturation that gave the Fitting heights off the irrelevant ideal.
 """
 
+import heapq
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import add, ge, neg, sub
 
-from diffrees.poly import DEGREVLEX, mono_divide, mono_mul
-from diffrees.groebner import IdealHandle, _content, _int_normalize
-from diffrees.resolution import _mod_monic
+from diffrees.poly import DEGREVLEX, Polynomial, mono_divide, mono_lcm, \
+    mono_mul
+from diffrees.groebner import IdealHandle, StepCounter, _content, \
+    _int_normalize
+from diffrees.resolution import _minimize
 
 
 def _leading(p, key):
@@ -120,12 +127,45 @@ def brute_force_dimension(handle):
     return -1
 
 
+def exact_divide(p, g):
+    """p / g by textbook division; raises when g does not divide p."""
+    ctx = p.context
+    key = DEGREVLEX.key_for(ctx)
+    glm = _leading(g, key)
+    quotient = ctx.zero
+    while not p.is_zero:
+        lm = _leading(p, key)
+        q = mono_divide(lm, glm)
+        if q is None:
+            raise ValueError("polynomial is not divisible")
+        t = ctx.monomial(q, p.coefficient(lm) / g.coefficient(glm))
+        quotient = quotient + t
+        p = p - t * g
+    return quotient
+
+
+def ideal_quotient(handle, g):
+    """(I : g) for a nonzero g, as (I meet (g)) / g."""
+    if g.is_zero:
+        raise ValueError("quotient by zero is undefined")
+    meet = handle.intersection(IdealHandle(handle.context, [g]))
+    return IdealHandle(handle.context,
+                       [exact_divide(h, g) for h in meet.generators])
+
+
+def is_nonzerodivisor(defining_ideal, g):
+    """True iff g is regular on P/defining_ideal, i.e. (I : g) = I."""
+    if g.is_zero:
+        raise ValueError("the zero polynomial is never a nonzerodivisor")
+    return ideal_quotient(defining_ideal, g).equals(defining_ideal)
+
+
 def iterated_quotient_saturation(handle, g, max_rounds=64):
     """(I : g^inf) by stabilizing (.. : g); the library instead uses one
     auxiliary-variable elimination."""
     current = handle
     for _ in range(max_rounds):
-        nxt = current.quotient(g)
+        nxt = ideal_quotient(current, g)
         if nxt.equals(current):
             return current
         current = nxt
@@ -261,7 +301,7 @@ def multipass_interreduce(basis, lms, key, counter):
     for i in order:
         if not any(mono_divide(lms[i], lms[j]) is not None for j in kept):
             kept.append(i)
-    polys = [basis[i] for i in kept]
+    polys = [_int_normalize(basis[i], key)[1] for i in kept]
     heads = [lms[i] for i in kept]
     changed = True
     while changed:
@@ -282,66 +322,202 @@ def multipass_interreduce(basis, lms, key, counter):
     return heads, monic
 
 
-def max_scan_mod_nf(element, lms, gens, key, counter, quotients=None):
-    """`resolution._mod_nf` as it was, max() over the working element."""
-    zero = Fraction(0)
+# The module engine resolutions ran on before the ring kernel took the
+# flat module encoding.  Terms are (exponents, component) pairs, elements
+# {term: Fraction} dicts, reducers monic, and no pair criterion applies.
+
+def pot_key(ring_key):
+    """Position-over-term on (exponents, component) terms."""
+    return lambda t: (-t[1],) + ring_key(t[0])
+
+
+def schreyer_key(prev_key, prev_lms):
+    """The order induced by the previous stage's leading terms."""
+    def key(t):
+        e, c = t
+        mono, comp = prev_lms[c]
+        return prev_key((tuple(map(add, e, mono)), comp)) + (-c,)
+    return key
+
+
+def mod_monic(d, key):
+    lm = max(d, key=key)
+    lc = d[lm]
+    if lc == 1:
+        return lm, dict(d)
+    inv = Fraction(1) / lc
+    return lm, {t: c * inv for t, c in d.items()}
+
+
+def mod_nf(element, lms, gens, key, counter, quotients=None):
+    """Full normal form in a free module against monic reducers, the
+    working element kept next to a heap of negated keys."""
     work = dict(element)
+    heap = [(tuple(map(neg, key(t))), t) for t in work]
+    heapq.heapify(heap)
     remainder = {}
-    while work:
-        term = max(work, key=key)
+    while heap:
+        term = heapq.heappop(heap)[1]
         c = work.pop(term)
         if not c:
             continue
         e, comp = term
         for idx, (lmono, lcomp) in enumerate(lms):
-            if lcomp != comp:
+            if lcomp != comp or not all(map(ge, e, lmono)):
                 continue
-            q = mono_divide(e, lmono)
-            if q is None:
-                continue
+            q = tuple(map(sub, e, lmono))
             counter.spend()
             for (e2, c2), a in gens[idx].items():
                 if e2 == lmono and c2 == lcomp:
                     continue
-                t2 = (mono_mul(e2, q), c2)
-                v = work.get(t2, zero) - c * a
-                if v:
-                    work[t2] = v
-                elif t2 in work:
-                    del work[t2]
+                t2 = (tuple(map(add, e2, q)), c2)
+                v = work.get(t2)
+                if v is None:
+                    work[t2] = -c * a
+                    heapq.heappush(heap, (tuple(map(neg, key(t2))), t2))
+                else:
+                    work[t2] = v - c * a
             if quotients is not None:
                 quotients.append((idx, q, c))
             break
         else:
-            remainder[term] = remainder.get(term, zero) + c
-    return {t: c for t, c in remainder.items() if c}
+            remainder[term] = c
+    return remainder
 
 
-def multipass_interreduce_module(gens, lms, key, counter):
-    """`resolution._interreduce_module` as it was: passes in decreasing
-    lead order until nothing changes."""
-    order = sorted(range(len(gens)), key=lambda i: key(lms[i]))
-    kept = []
-    for i in order:
+def module_buchberger(columns, key, wdeg, counter):
+    """Module Groebner basis with a syzygy record for every same-component
+    S-pair; returns (gens, lms, records, added)."""
+    zero = Fraction(0)
+    gens, lms, records, heap = [], [], [], []
+    added = 0
+
+    def push_pairs(k):
+        mono_k, comp_k = lms[k]
+        for i in range(k):
+            mono_i, comp_i = lms[i]
+            if comp_i != comp_k:
+                continue
+            lcm = mono_lcm(mono_i, mono_k)
+            heapq.heappush(heap, (wdeg(lcm), key((lcm, comp_k)), i, k))
+
+    for col in columns:
+        if not col:
+            continue
+        lm, monic = mod_monic(col, key)
+        gens.append(monic)
+        lms.append(lm)
+        push_pairs(len(gens) - 1)
+
+    while heap:
+        _, _, i, j = heapq.heappop(heap)
+        (mi, _), (mj, _) = lms[i], lms[j]
+        lcm = mono_lcm(mi, mj)
+        qi = mono_divide(lcm, mi)
+        qj = mono_divide(lcm, mj)
+        spair = {}
+        for (e, c0), a in gens[i].items():
+            spair[(mono_mul(e, qi), c0)] = a
+        for (e, c0), a in gens[j].items():
+            t = (mono_mul(e, qj), c0)
+            v = spair.get(t, zero) - a
+            if v:
+                spair[t] = v
+            elif t in spair:
+                del spair[t]
+        counter.spend()
+        quotients = []
+        r = mod_nf(spair, lms, gens, key, counter, quotients)
+        syz = {(qi, i): Fraction(1)}
+        t = (qj, j)
+        syz[t] = syz.get(t, zero) - 1
+        for idx, q, c in quotients:
+            t = (q, idx)
+            v = syz.get(t, zero) - c
+            if v:
+                syz[t] = v
+            elif t in syz:
+                del syz[t]
+        if r:
+            lm, monic = mod_monic(r, key)
+            gens.append(monic)
+            lms.append(lm)
+            added += 1
+            syz[(tuple(0 for _ in lm[0]), len(gens) - 1)] = -r[lm]
+            push_pairs(len(gens) - 1)
+        records.append(syz)
+    return gens, lms, records, added
+
+
+def interreduce_module(gens, lms, key, counter):
+    """Minimal, tail-reduced, monic family sorted by decreasing lead."""
+    polys, heads = [], []
+    for i in sorted(range(len(gens)), key=lambda i: key(lms[i])):
         mono_i, comp_i = lms[i]
-        if not any(comp_i == lms[j][1]
-                   and mono_divide(mono_i, lms[j][0]) is not None
-                   for j in kept):
-            kept.append(i)
-    kept.sort(key=lambda i: key(lms[i]), reverse=True)
-    polys = [dict(gens[i]) for i in kept]
-    heads = [lms[i] for i in kept]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(polys)):
-            r = max_scan_mod_nf(polys[i], heads[:i] + heads[i + 1:],
-                                polys[:i] + polys[i + 1:], key, counter)
-            if r != polys[i]:
-                _, monic = _mod_monic(r, key)
-                polys[i] = monic
-                changed = True
+        if any(comp_i == comp and all(map(ge, mono_i, mono))
+               for mono, comp in heads):
+            continue
+        r = mod_nf(gens[i], heads, polys, key, counter)
+        polys.append(mod_monic(r, key)[1])
+        heads.append(lms[i])
+    polys.reverse()
+    heads.reverse()
     return polys, heads
+
+
+def module_resolution_stages(pres):
+    """The stages of `free_resolution` on the module engine above: per
+    stage, the family (decreasing leads) and the records of its rerun."""
+    ctx = pres.context
+    key = pot_key(DEGREVLEX.key_for(ctx))
+    wdeg = ctx.weighted_degree
+    columns = []
+    for j in range(pres.matrix.ncols):
+        columns.append({(e, i): c for i in range(pres.target_rank)
+                        for e, c in pres.matrix.entry(i, j).terms})
+    gens, lms, _, _ = module_buchberger(columns, key, wdeg, StepCounter())
+    family, lms = interreduce_module(gens, lms, key, StepCounter())
+    stages = []
+    while family:
+        _, _, records, added = module_buchberger(family, key, wdeg,
+                                                 StepCounter())
+        assert not added, "a stage family must already be a basis"
+        records = [s for s in records if s]
+        stages.append((family, records))
+        if not records:
+            break
+        key = schreyer_key(key, list(lms))
+        family, lms = interreduce_module(
+            records, [max(s, key=key) for s in records], key, StepCounter())
+    return stages
+
+
+def module_free_resolution(pres):
+    """(ranks, differentials, shifts) of `free_resolution` computed from
+    `module_resolution_stages`, minimized by the library's `_minimize`."""
+    ctx = pres.context
+    shifts = [list(pres.shifts)]
+    mats = []
+    rank = pres.target_rank
+    for family, _ in module_resolution_stages(pres):
+        rows = [[ctx.zero] * len(family) for _ in range(rank)]
+        stage_shifts = []
+        for j, el in enumerate(family):
+            per_comp = [{} for _ in range(rank)]
+            for (e, comp), c in el.items():
+                per_comp[comp][e] = c
+            for i, d in enumerate(per_comp):
+                rows[i][j] = Polynomial.from_terms(ctx, d.items())
+            (e, comp), _ = next(iter(el.items()))
+            stage_shifts.append(ctx.weighted_degree(e) + shifts[-1][comp])
+        mats.append(rows)
+        shifts.append(stage_shifts)
+        rank = len(family)
+    _minimize(mats, shifts)
+    ranks = (len(shifts[0]),) + tuple(len(m[0]) for m in mats)
+    differentials = tuple(tuple(tuple(r) for r in m) for m in mats)
+    return ranks, differentials, tuple(tuple(s) for s in
+                                       shifts[:len(mats) + 1])
 
 
 def saturated_height_off_irrelevant(algebra, fitting, budget=None):

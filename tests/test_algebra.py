@@ -9,7 +9,8 @@ from diffrees.errors import (DimensionTooSmallError,
 from diffrees.poly import VariableContext
 from diffrees.sampler import random_graded_ci
 
-from conftest import P
+from conftest import P, REES_RANDOM_CI_SHAPES, shipped_algebras
+from oracles import is_nonzerodivisor
 
 
 def test_validate_quadric_cone(xyz, quadric_cone):
@@ -139,6 +140,48 @@ def test_nonzerodivisor_check_notes(coordinate_cross):
     assert ok.ok and ok.note is None
     zero = coordinate_cross.nonzerodivisor_check(X * Y)
     assert not zero.ok and "zero element" in zero.note
+
+
+def test_nonzerodivisor_check_matches_quotient(cases_dir, monkeypatch):
+    """The dimension check against (I : g) == I on every test-element draw
+    of the shipped cases and the random-ci draws."""
+    from diffrees.rees import find_test_element
+    check = GradedAlgebra.nonzerodivisor_check
+    verdicts = []
+
+    def compared(algebra, g, budget=None):
+        got = check(algebra, g, budget)
+        assert got.ok == is_nonzerodivisor(algebra.defining_ideal, g)
+        verdicts.append(got.ok)
+        return got
+
+    monkeypatch.setattr(GradedAlgebra, "nonzerodivisor_check", compared)
+    algebras = shipped_algebras(cases_dir)
+    algebras += [random_graded_ci(random.Random(seed), n, d, max_degree=deg)
+                 for n, d, deg, seed in REES_RANDOM_CI_SHAPES]
+    for algebra in algebras:
+        find_test_element(algebra)
+    assert verdicts.count(True) == len(algebras) == 15
+
+
+def test_nonzerodivisor_check_known_zerodivisors(coordinate_cross):
+    """Zerodivisors and nonzerodivisors of k[X, Y]/(XY) and of the union
+    of two planes, homogeneous or not."""
+    X, Y = coordinate_cross.context.gens()
+    planes_ctx = VariableContext(("X", "Y", "Z"))
+    planes = GradedAlgebra.validate(planes_ctx, [P(planes_ctx, "X^2 - Y^2")])
+    cases = [(coordinate_cross, X, False), (coordinate_cross, Y * Y, False),
+             (coordinate_cross, X + X * X, False),
+             (coordinate_cross, X + Y, True),
+             (coordinate_cross, X + Y * Y, True),
+             (coordinate_cross, X + coordinate_cross.context.one, True),
+             (planes, P(planes_ctx, "X - Y"), False),
+             (planes, P(planes_ctx, "X + Y + X*Z + Y*Z"), False),
+             (planes, P(planes_ctx, "Z"), True),
+             (planes, P(planes_ctx, "X"), True)]
+    for algebra, g, expected in cases:
+        assert algebra.nonzerodivisor_check(g).ok is expected, g
+        assert is_nonzerodivisor(algebra.defining_ideal, g) is expected, g
 
 
 def test_no_relations_is_polynomial_ring():

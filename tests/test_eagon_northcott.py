@@ -11,6 +11,8 @@ from diffrees.poly import VariableContext
 from diffrees.resolution import ModulePresentation, syzygies
 from diffrees.sampler import random_homogeneous
 
+from conftest import column_span_checker
+
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +161,7 @@ def test_exactness_crosscheck_with_syzygies(catalecticant):
     d1 = en.differentials[0]
     d2 = en.differentials[1]
     syz = syzygies(ModulePresentation(ctx, 1, d1))
-    span = _column_span_checker(d2)
+    span = column_span_checker(d2)
     for j in range(syz.matrix.ncols):
         assert span(syz.matrix.column(j))
 
@@ -191,28 +193,7 @@ def test_exactness_crosscheck_on_last_rows_block():
             col = [ctx.zero] * d1.ncols
             col[i] = f
             span_cols.append(tuple(col))
-    span = _column_span_checker(PolyMatrix.from_columns(ctx, span_cols))
+    span = column_span_checker(PolyMatrix.from_columns(ctx, span_cols))
     for j in range(syz.matrix.ncols):
         kernel_vector = [syz.matrix.entry(i, j) for i in range(d1.ncols)]
         assert span(tuple(kernel_vector))
-
-
-def _column_span_checker(matrix):
-    from diffrees.resolution import (_columns_to_elements, _mod_nf,
-                                     _module_buchberger, _pot_key)
-    from diffrees.groebner import StepCounter
-    from diffrees.poly import DEGREVLEX
-    ctx = matrix.context
-    pres = ModulePresentation(ctx, matrix.nrows, matrix)
-    key = _pot_key(DEGREVLEX.key_for(ctx))
-    run = _module_buchberger(_columns_to_elements(pres), key,
-                             ctx.weighted_degree, StepCounter())
-
-    def contains(column):
-        element = {}
-        for i, p in enumerate(column):
-            for e, c in p.terms:
-                element[(e, i)] = c
-        return not _mod_nf(element, run.lms, run.gens, key, StepCounter())
-
-    return contains

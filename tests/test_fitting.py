@@ -11,7 +11,7 @@ from diffrees.matrix import PolyMatrix
 from diffrees.poly import VariableContext
 from diffrees.sampler import probe_corpus, random_graded_ci, random_homogeneous
 
-from conftest import P
+from conftest import P, shipped_algebras
 from oracles import saturated_height_off_irrelevant
 
 
@@ -127,18 +127,10 @@ RANDOM_CI_SHAPES = ((4, 3, 3, 0), (4, 3, 3, 1), (5, 4, 3, 0), (5, 4, 3, 1),
                     (5, 3, 3, 4))
 
 
-def _shipped_algebras(cases_dir):
-    from diffrees.casefile import load_case
-    return [GradedAlgebra.validate(case.context, case.relations)
-            for case in (load_case(str(p)) for p in sorted(
-                cases_dir.iterdir(), key=lambda p: p.name)
-                if p.name.endswith(".case"))]
-
-
 def test_off_irrelevant_dimension_check_matches_saturation(cases_dir):
     """The dimension check of fitting_profile against the saturation by
     the irrelevant ideal that it replaced."""
-    algebras = _shipped_algebras(cases_dir)
+    algebras = shipped_algebras(cases_dir)
     algebras += [random_graded_ci(random.Random(seed), n, d, max_degree=deg)
                  for n, d, deg, seed in RANDOM_CI_SHAPES]
     assert len(algebras) == 16

@@ -14,3 +14,19 @@ def test_no_assert_statements_in_the_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found
+
+
+def test_only_groebner_runs_a_heap():
+    """One Groebner engine: the heap-ordered pair queue and normal form
+    live in `groebner.py`, and no other module builds its own."""
+    importers = []
+    for path in sorted(Path(diffrees.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom)
+                     else [])
+            if "heapq" in names:
+                importers.append(path.name)
+    assert importers == ["groebner.py"]

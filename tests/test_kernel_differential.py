@@ -4,9 +4,12 @@ kernels they replaced, which `oracles.py` keeps.
 The heap pops the terms of the working polynomial in the order max()
 found them, so every reducer choice is the same: remainders, the
 (index, monomial, multiplier) quotient triples and the reduction steps
-must agree call by call.  The one-pass interreductions must return the
-bases the multi-pass ones did; the ring one also spends the same steps,
-because the first of the old passes already was the one pass.
+must agree call by call.  The one-pass interreduction must return the
+bases the multi-pass one did and spend the same steps, because the first
+of the old passes already was the one pass.  Resolutions and syzygies run
+on the same kernels with module terms in the flat encoding
+a + (c, r-1-c), so they are checked call by call too, and a module normal
+form under a Schreyer key must agree with the old module engine's.
 """
 
 from contextlib import contextmanager
@@ -18,9 +21,9 @@ from hypothesis import strategies as st
 
 import oracles
 from diffrees import groebner, resolution
-from diffrees.groebner import IdealHandle, StepCounter
+from diffrees.groebner import IdealHandle, StepCounter, _int_normalize
 from diffrees.poly import DEGREVLEX, LEX, MonomialOrder, VariableContext
-from diffrees.resolution import (_mod_monic, _pot_key, _schreyer_key,
+from diffrees.resolution import (_induced_key, _position_key,
                                  free_resolution, presentation_of_ideal,
                                  syzygies)
 
@@ -38,11 +41,8 @@ def _spent(counter):
 def checked_kernels():
     """Route every kernel call of the library through the new and the old
     version, assert that they agree, and count the compared calls."""
-    calls = dict.fromkeys(("nf", "interreduce", "mod_nf",
-                           "interreduce_module"), 0)
+    calls = dict.fromkeys(("nf", "interreduce"), 0)
     nf, interreduce = groebner._nf, groebner._interreduce
-    mod_nf = resolution._mod_nf
-    interreduce_module = resolution._interreduce_module
 
     def nf_checked(poly, lms, basis, key, counter, memo, quotients=None):
         ref_quotients, ref_counter = [], StepCounter()
@@ -70,34 +70,10 @@ def checked_kernels():
         calls["interreduce"] += 1
         return got
 
-    def mod_nf_checked(element, lms, gens, key, counter, quotients=None):
-        ref_quotients, ref_counter = [], StepCounter()
-        expected = oracles.max_scan_mod_nf(element, list(lms), list(gens),
-                                           key, ref_counter, ref_quotients)
-        got_quotients, before = [], counter.remaining
-        got = mod_nf(element, lms, gens, key, counter, got_quotients)
-        assert list(got.items()) == list(expected.items())
-        assert got_quotients == ref_quotients
-        assert before - counter.remaining == _spent(ref_counter)
-        if quotients is not None:
-            quotients.extend(got_quotients)
-        calls["mod_nf"] += 1
-        return got
-
-    def interreduce_module_checked(gens, lms, key, counter):
-        expected = oracles.multipass_interreduce_module(gens, lms, key,
-                                                        StepCounter())
-        got = interreduce_module(gens, lms, key, counter)
-        assert got == expected
-        calls["interreduce_module"] += 1
-        return got
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(groebner, "_nf", nf_checked)
-        mp.setattr(groebner, "_interreduce", interreduce_checked)
-        mp.setattr(resolution, "_mod_nf", mod_nf_checked)
-        mp.setattr(resolution, "_interreduce_module",
-                   interreduce_module_checked)
+        for module in (groebner, resolution):
+            mp.setattr(module, "_nf", nf_checked)
+            mp.setattr(module, "_interreduce", interreduce_checked)
         yield calls
 
 
@@ -134,7 +110,7 @@ def test_module_kernels_match_max_scan(drawn):
     ctx, gens = drawn
     with checked_kernels() as calls:
         free_resolution(presentation_of_ideal(IdealHandle(ctx, gens)))
-    assert calls["interreduce_module"] >= 1
+    assert calls["interreduce"] >= 1
 
 
 def test_schreyer_stages_match_max_scan():
@@ -146,52 +122,72 @@ def test_schreyer_stages_match_max_scan():
     with checked_kernels() as calls:
         res = free_resolution(presentation_of_ideal(IdealHandle(ctx, gens)))
     assert res.ranks == (1, 4, 6, 4, 1)
-    assert calls["interreduce_module"] == 4
-    assert calls["mod_nf"] > 100
+    assert calls["interreduce"] == 4
+    assert calls["nf"] > 100
 
 
 def test_syzygies_match_max_scan():
-    """The expression-tracking run and the tautological reductions of
-    `syzygies`, which feed quotient triples into the relations.  One fixed
-    ideal: `_minimal_generators` reruns a module Buchberger per candidate,
-    so random draws can take seconds each."""
+    """The component-elimination basis of `syzygies` and the membership
+    tests of its minimal-generator pass.  One fixed ideal:
+    `_minimal_generators` builds a basis per candidate, so random draws
+    can take seconds each."""
     ctx = VariableContext(("X", "Y", "Z", "W"))
     gens = [P(ctx, "X*Z - Y^2"), P(ctx, "X*W - Y*Z"), P(ctx, "Y*W - Z^2")]
     with checked_kernels() as calls:
         syz = syzygies(presentation_of_ideal(IdealHandle(ctx, gens)))
     assert syz.matrix.ncols == 2
-    assert calls["mod_nf"] > 10
+    assert calls["interreduce"] == 1
+    assert calls["nf"] > 10
+
+
+def _flat(term, rank):
+    e, c = term
+    return e + (c, rank - 1 - c)
 
 
 @st.composite
 def module_reductions(draw):
-    """Monic reducers and one element in a free module of rank 2 over 3
-    variables, under a Schreyer key over a random previous stage."""
-    ctx = VariableContext(("X", "Y", "Z"))
+    """Reducers and one element in a free module of rank 2 over 3
+    variables, under a Schreyer key over a random previous stage of
+    rank 2, as (exponents, component) terms."""
     exps = st.tuples(*[st.integers(0, 2)] * 3)
     prev_lms = draw(st.lists(st.tuples(exps, st.integers(0, 1)),
                              min_size=2, max_size=2))
-    key = _schreyer_key(_pot_key(DEGREVLEX.key_for(ctx)), prev_lms)
     coeffs = st.integers(-3, 3).filter(bool).map(Fraction)
     elements = st.dictionaries(st.tuples(exps, st.integers(0, 1)), coeffs,
                                min_size=1, max_size=4)
-    lms, gens = [], []
-    for el in draw(st.lists(elements, min_size=1, max_size=4)):
-        lm, monic = _mod_monic(el, key)
-        lms.append(lm)
-        gens.append(monic)
-    return key, lms, gens, draw(elements)
+    return (prev_lms, draw(st.lists(elements, min_size=1, max_size=4)),
+            draw(elements))
 
 
 @_SETTINGS
 @given(module_reductions())
 def test_schreyer_key_normal_forms_match_max_scan(drawn):
-    key, lms, gens, element = drawn
+    """The ring kernel on flat module terms against the old module
+    engine's normal form on (exponents, component) terms."""
+    prev_lms, reducers, element = drawn
+    ctx = VariableContext(("X", "Y", "Z"))
+    old_key = oracles.schreyer_key(oracles.pot_key(DEGREVLEX.key_for(ctx)),
+                                   prev_lms)
+    key = _induced_key(_position_key(ctx),
+                       [_flat(t, 2) for t in prev_lms], 3)
+    old_lms, old_gens, lms, basis = [], [], [], []
+    for el in reducers:
+        lm, monic = oracles.mod_monic(el, old_key)
+        old_lms.append(lm)
+        old_gens.append(monic)
+        lm, ints = _int_normalize({_flat(t, 2): c for t, c in el.items()},
+                                  key)
+        lms.append(lm)
+        basis.append(ints)
     got_q, ref_q, got_c, ref_c = [], [], StepCounter(), StepCounter()
-    got = resolution._mod_nf(element, lms, gens, key, got_c, got_q)
-    expected = oracles.max_scan_mod_nf(element, lms, gens, key, ref_c, ref_q)
-    assert list(got.items()) == list(expected.items())
-    assert got_q == ref_q
+    got = groebner._nf({_flat(t, 2): c for t, c in element.items()}, lms,
+                       basis, key, got_c, {}, got_q)
+    expected = oracles.mod_nf(element, old_lms, old_gens, old_key, ref_c,
+                              ref_q)
+    assert list(got.items()) == [(_flat(t, 2), c)
+                                 for t, c in expected.items()]
+    assert got_q == [(k, q + (0, 0), c) for k, q, c in ref_q]
     assert _spent(got_c) == _spent(ref_c)
 
 
@@ -221,19 +217,22 @@ def test_flat_keys_order_like_nested_keys(drawn):
         for a in monomials:
             for b in monomials:
                 assert _sign(flat(a), flat(b)) == _sign(nested(a), nested(b))
-    flat_pot = _pot_key(DEGREVLEX.key_for(ctx))
+    rank = 2
+    flat_pot = _position_key(ctx)
     nested_pot = oracles.nested_pot_key(
         oracles.nested_key_for(DEGREVLEX, ctx))
-    prev_lms = [(m, k % 2) for k, m in enumerate(monomials)]
-    flat_schreyer = _schreyer_key(flat_pot, prev_lms)
+    prev_lms = [(m, k % rank) for k, m in enumerate(monomials)]
+    flat_schreyer = _induced_key(flat_pot,
+                                 [_flat(t, rank) for t in prev_lms], n)
     nested_schreyer = oracles.nested_schreyer_key(nested_pot, prev_lms)
     terms = [(m, c) for c, m in enumerate(monomials)]
     for s in terms:
         for t in terms:
-            assert (_sign(flat_schreyer(s), flat_schreyer(t))
+            fs, ft = _flat(s, len(terms)), _flat(t, len(terms))
+            assert (_sign(flat_schreyer(fs), flat_schreyer(ft))
                     == _sign(nested_schreyer(s), nested_schreyer(t)))
-            s2, t2 = (s[0], s[1] % 2), (t[0], t[1] % 2)
-            assert (_sign(flat_pot(s2), flat_pot(t2))
+            s2, t2 = (s[0], s[1] % rank), (t[0], t[1] % rank)
+            assert (_sign(flat_pot(_flat(s2, rank)), flat_pot(_flat(t2, rank)))
                     == _sign(nested_pot(s2), nested_pot(t2)))
 
 

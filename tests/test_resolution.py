@@ -10,7 +10,7 @@ from diffrees.resolution import (ModulePresentation, depth_and_cm,
                                  free_resolution, presentation_of_ideal,
                                  syzygies)
 
-from conftest import P
+from conftest import P, column_span_checker
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +43,31 @@ def test_zero_matrix_full_syzygies(ring4):
     assert syz.matrix.shape == (2, 2)
     cols = {tuple(str(p) for p in syz.matrix.column(j)) for j in range(2)}
     assert cols == {("1", "0"), ("0", "1")}
+
+
+def test_rank_two_syzygies(ring4):
+    """The columns of the 2x3 catalecticant in a rank-2 target: its kernel
+    is spanned by the signed 2x2 minors."""
+    X, Y, Z, W = ring4.gens()
+    cat = PolyMatrix(ring4, ((X, Y, Z), (Y, Z, W)))
+    syz = syzygies(ModulePresentation(ring4, 2, cat))
+    assert syz.matrix.nrows == 3 and syz.matrix.ncols >= 1
+    assert (cat @ syz.matrix).is_zero()
+    assert syz.shifts == (1, 1, 1)
+    known = (Y * W - Z**2, Y * Z - X * W, X * Z - Y**2)
+    assert (cat @ PolyMatrix.from_columns(ring4, [known])).is_zero()
+    assert column_span_checker(syz.matrix)(known)
+
+
+def test_zero_and_repeated_columns_give_trivial_syzygies(ring4):
+    X, Y, _, _ = ring4.gens()
+    zero = ring4.zero
+    matrix = PolyMatrix(ring4, ((X, zero, X), (Y, zero, Y)))
+    syz = syzygies(ModulePresentation(ring4, 2, matrix))
+    assert (matrix @ syz.matrix).is_zero()
+    cols = {tuple(str(p) for p in syz.matrix.column(j))
+            for j in range(syz.matrix.ncols)}
+    assert cols == {("0", "1", "0"), ("1", "0", "-1")}
 
 
 def test_syzygies_shape_mismatch(ring4):

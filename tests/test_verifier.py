@@ -72,6 +72,15 @@ def test_load_case_rejects_bad_expect_key(tmp_path):
                          QUADRIC + "\n[expect]\nnonsense = 1\n"))
 
 
+@pytest.mark.parametrize("line,message", [
+    ("rowops = -3", "a nonnegative integer"), ("rowops = two", "a nonnegative"),
+    ("seed = abc", "an integer")])
+def test_load_case_rejects_bad_mode_counts(tmp_path, line, message):
+    text = QUADRIC + f"\n[mode]\nrun = prop31\n{line}\n"
+    with pytest.raises(ParseError, match=message):
+        load_case(_write(tmp_path, "bad.case", text))
+
+
 def test_matrix_file(tmp_path):
     text = """
 [matrix]
@@ -267,6 +276,24 @@ def test_cli_counts_must_be_positive_integers(tmp_path, capsys, option, value):
         main([option, value, "verify", path])
     assert exit_info.value.code == 2
     assert "expected a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,option", [("ft-check", "--t"),
+                                            ("prop31", "--rowops")])
+@pytest.mark.parametrize("value", ["-7", "two"])
+def test_cli_counts_must_be_nonnegative_integers(tmp_path, capsys, command,
+                                                 option, value):
+    path = _write(tmp_path, "q.case", QUADRIC)
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, path, option, value])
+    assert exit_info.value.code == 2
+    assert "expected a nonnegative integer" in capsys.readouterr().err
+
+
+def test_cli_ft_check_accepts_t_zero(tmp_path, capsys):
+    path = _write(tmp_path, "q.case", QUADRIC)
+    assert main(["ft-check", path, "--t", "0"]) == 0
+    assert "F_0 holds" in capsys.readouterr().out
 
 
 def test_cli_pool_is_capped_at_the_case_count(tmp_path, capsys, monkeypatch):
