@@ -16,8 +16,7 @@ from .fitting import (euler_minor_identity, fitting_ideal, fitting_profile,
                       ft_condition, ft_condition_off_irrelevant,
                       last_rows_probe, minors)
 from .groebner import (DimensionReport, IdealHandle, height_in_quotient,
-                       ideal, ideal_equal, ideal_membership, krull_dimension,
-                       reduced_groebner, saturation)
+                       step_budget)
 from .matrix import PolyMatrix
 from .poly import (DEGREVLEX, LEX, MonomialOrder, Polynomial,
                    VariableContext, parse_polynomial)

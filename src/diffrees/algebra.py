@@ -48,12 +48,12 @@ class DifferentialPresentation(NamedTuple):
     generators: int
 
 
-def validation_issues(context, relations, budget=None):
+def validation_issues(context, relations):
     """All hypothesis violations for the would-be algebra, in a fixed order."""
-    return _issues_and_ideal(context, relations, budget)[0]
+    return _issues_and_ideal(context, relations)[0]
 
 
-def _issues_and_ideal(context, relations, budget):
+def _issues_and_ideal(context, relations):
     """The validation issues and the defining-ideal handle whose basis the
     regular-sequence check built (None when that check did not run)."""
     issues = []
@@ -81,7 +81,7 @@ def _issues_and_ideal(context, relations, budget):
     c = len(relations)
     if not any(i.code in ("inhomogeneous", "degree") for i in issues):
         defining = IdealHandle(context, relations)
-        dim = defining.krull_dimension(budget).dimension
+        dim = defining.krull_dimension().dimension
         if dim != n - c:
             issues.append(ValidationIssue(
                 "not-regular-sequence",
@@ -98,17 +98,17 @@ class GradedAlgebra:
 
     __slots__ = ("context", "relations", "defining_ideal", "dimension",
                  "codimension", "standard_graded", "relation_degrees",
-                 "_presentation", "_reduced", "_budget", "_sums")
+                 "_presentation", "_reduced", "_sums")
 
     def __init__(self, *_a, **_k):
         raise TypeError("use GradedAlgebra.validate(context, relations)")
 
     @classmethod
-    def validate(cls, context, relations, budget=None):
+    def validate(cls, context, relations):
         """The validated algebra; raises the ValidationError of the first
         issue, carrying every issue as `.issues`."""
         relations = tuple(relations)
-        issues, defining = _issues_and_ideal(context, relations, budget)
+        issues, defining = _issues_and_ideal(context, relations)
         if issues:
             raise _error_for(issues[0], issues)
         self = object.__new__(cls)
@@ -122,7 +122,6 @@ class GradedAlgebra:
                                       for f in relations)
         self._presentation = None
         self._reduced = None
-        self._budget = budget
         self._sums = {}
         return self
 
@@ -130,13 +129,13 @@ class GradedAlgebra:
     def arity(self):
         return self.context.arity
 
-    def reduce(self, p, budget=None):
+    def reduce(self, p):
         """Normal form modulo the defining ideal (degrevlex)."""
-        return self.defining_ideal.normal_form(p, budget=budget or self._budget)
+        return self.defining_ideal.normal_form(p)
 
     # -- differential module -----------------------------------------------------
 
-    def jacobian_presentation(self, budget=None):
+    def jacobian_presentation(self):
         if self._presentation is not None:
             return self._presentation
         ctx = self.context
@@ -144,7 +143,7 @@ class GradedAlgebra:
         reduced_rows = []
         for i in range(ctx.arity):
             ambient_rows.append(tuple(f.derivative(i) for f in self.relations))
-            reduced_rows.append(tuple(self.reduce(p, budget)
+            reduced_rows.append(tuple(self.reduce(p)
                                       for p in ambient_rows[-1]))
         for row in reduced_rows:
             for p in row:
@@ -176,7 +175,7 @@ class GradedAlgebra:
             out.append(residual)
         return tuple(out)
 
-    def is_reduced(self, budget=None):
+    def is_reduced(self):
         """Generic smoothness: the singular locus I + I_c(Theta) must have
         height >= c + 1 in the ambient ring, i.e. height >= 1 in R; with
         the complete-intersection hypothesis this characterises
@@ -187,9 +186,9 @@ class GradedAlgebra:
         if c == 0:
             self._reduced = True
             return True
-        pres = self.jacobian_presentation(budget)
+        pres = self.jacobian_presentation()
         minors = IdealHandle(self.context, pres.ambient_theta.minors(c))
-        self._reduced = self.height_of(minors, budget) >= 1
+        self._reduced = self.height_of(minors) >= 1
         return self._reduced
 
     def irrelevant_local_data(self):
@@ -212,27 +211,25 @@ class GradedAlgebra:
                 self.defining_ideal + handle
         return total
 
-    def height_of(self, handle, budget=None):
+    def height_of(self, handle):
         """Height in R of an ideal given by ambient generators; the unit
         ideal has height +infinity.  A dimension difference is the height
         because R is a complete intersection, hence equidimensional and
         catenary."""
-        budget = budget or self._budget
         total = self.ideal_sum(handle)
-        if total.is_unit(budget):
+        if total.is_unit():
             return float("inf")
-        return self.dimension - total.krull_dimension(budget).dimension
+        return self.dimension - total.krull_dimension().dimension
 
-    def nonzerodivisor_check(self, g, budget=None):
+    def nonzerodivisor_check(self, g):
         """g is regular on R iff it lies in no minimal prime of R, because
         R is a complete intersection, hence Cohen-Macaulay and unmixed; that
         is iff dim R/gR < dim R, i.e. iff g has height >= 1 in R.  No
         homogeneity of g is needed."""
-        budget = budget or self._budget
-        if g.is_zero or self.defining_ideal.contains(g, budget):
+        if g.is_zero or self.defining_ideal.contains(g):
             return NonzerodivisorCheck(False, "zero element of the quotient")
         return NonzerodivisorCheck(
-            self.height_of(IdealHandle(self.context, [g]), budget) >= 1, None)
+            self.height_of(IdealHandle(self.context, [g])) >= 1, None)
 
     def __repr__(self):
         rels = ", ".join(str(f) for f in self.relations) or "0"
@@ -253,5 +250,5 @@ def _error_for(first, issues):
     return err
 
 
-def validate(context, relations, budget=None):
-    return GradedAlgebra.validate(context, relations, budget)
+def validate(context, relations):
+    return GradedAlgebra.validate(context, relations)

@@ -76,9 +76,9 @@ def _parse_int(key, raw, nonnegative=False):
     return value
 
 
-def load_case(path):
-    """Parse and lex a case file; algebra-level validation happens later so
-    rejections can list every violated hypothesis."""
+def _read(path, kind, required):
+    """A configparser over the UTF-8 file at `path`, which must have the
+    section `required`; `kind` names the file in error messages."""
     parser = configparser.ConfigParser(interpolation=None,
                                        comment_prefixes=("#",))
     parser.optionxform = str
@@ -86,17 +86,20 @@ def load_case(path):
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh, source=str(path))
     except OSError as ex:
-        raise ParseError(f"cannot read case file: {ex}")
+        raise ParseError(f"cannot read {kind} file: {ex}")
     except UnicodeDecodeError as ex:
-        raise ParseError(f"case file is not UTF-8: {ex}")
+        raise ParseError(f"{kind} file is not UTF-8: {ex}")
     except configparser.Error as ex:
-        raise ParseError(f"bad case file structure: {ex}")
+        raise ParseError(f"bad {kind} file structure: {ex}")
+    if not parser.has_section(required):
+        raise ParseError(f"{kind} file needs a [{required}] section")
+    return parser
 
-    if not parser.has_section("algebra"):
-        raise ParseError("case file needs an [algebra] section")
-    section = parser["algebra"]
+
+def _context(section):
+    """The VariableContext of a section's `variables` and `weights`."""
     if "variables" not in section:
-        raise ParseError("[algebra] needs a 'variables' key")
+        raise ParseError(f"[{section.name}] needs a 'variables' key")
     names = [v.strip() for v in section["variables"].split(",") if v.strip()]
     weights = None
     if "weights" in section:
@@ -105,9 +108,17 @@ def load_case(path):
         except ValueError:
             raise ParseError("weights must be integers")
     try:
-        context = VariableContext(names, weights)
+        return VariableContext(names, weights)
     except ValueError as ex:
         raise ParseError(str(ex))
+
+
+def load_case(path):
+    """Parse and lex a case file; algebra-level validation happens later so
+    rejections can list every violated hypothesis."""
+    parser = _read(path, "case", "algebra")
+    section = parser["algebra"]
+    context = _context(section)
     relations = []
     for chunk in _split_values(section.get("relations", "")):
         relations.append(parse_polynomial(context, chunk))
@@ -144,25 +155,8 @@ def load_case(path):
 def load_matrix_file(path):
     """Parse a [matrix] file: `variables`, optional `weights`, and a
     multiline `rows` value with one ';'-separated row per line."""
-    parser = configparser.ConfigParser(interpolation=None,
-                                       comment_prefixes=("#",))
-    parser.optionxform = str
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh, source=str(path))
-    except (OSError, configparser.Error) as ex:
-        raise ParseError(f"cannot read matrix file: {ex}")
-    if not parser.has_section("matrix"):
-        raise ParseError("matrix file needs a [matrix] section")
-    section = parser["matrix"]
-    names = [v.strip() for v in section.get("variables", "").split(",")
-             if v.strip()]
-    if not names:
-        raise ParseError("[matrix] needs a 'variables' key")
-    weights = None
-    if "weights" in section:
-        weights = [int(w) for w in section["weights"].split(",")]
-    context = VariableContext(names, weights)
+    section = _read(path, "matrix", "matrix")["matrix"]
+    context = _context(section)
     rows = []
     for line in section.get("rows", "").splitlines():
         line = line.strip()

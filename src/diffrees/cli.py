@@ -19,6 +19,7 @@ from .errors import (DiffreesError, ParseError, ResolutionLengthError,
                      StepBudgetExceeded, TestElementSearchError,
                      ValidationError)
 from .fitting import ft_condition
+from .groebner import step_budget
 from .rees import analytic_spread, is_linear_type, rees_ideal
 from .resolution import depth_and_cm
 from .verifier import (EXIT_ASSERTION, EXIT_INVALID, EXIT_OK, EXIT_RESOURCE,
@@ -59,7 +60,7 @@ def _parser():
                         help="seed for randomized choices (test elements, "
                              "row operations)")
     parser.add_argument("--budget", type=_positive_int, default=None,
-                        help="Groebner reduction-step budget per basis")
+                        help="Groebner reduction-step budget per case")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--jobs", type=_positive_int, default=1,
                         help="parallel worker processes for directory runs")
@@ -110,8 +111,7 @@ def cmd_validate(args):
               f"parse error: {err}")
         return EXIT_INVALID
     try:
-        algebra = GradedAlgebra.validate(case.context, case.relations,
-                                         args.budget)
+        algebra = GradedAlgebra.validate(case.context, case.relations)
     except ValidationError as ex:
         payload = {"status": "invalid_input", "case": case.name,
                    "issues": [{"code": i.code, "message": i.message}
@@ -138,8 +138,7 @@ def _validated_algebra(args):
               f"parse error: {err}")
         return None, None, EXIT_INVALID
     try:
-        algebra = GradedAlgebra.validate(case.context, case.relations,
-                                         args.budget)
+        algebra = GradedAlgebra.validate(case.context, case.relations)
     except ValidationError as ex:
         text = "\n".join(f"[{i.code}] {i.message}" for i in ex.issues)
         _emit({"status": "invalid_input",
@@ -152,7 +151,7 @@ def cmd_ft_check(args):
     case, algebra, code = _validated_algebra(args)
     if code is not None:
         return code
-    verdict = ft_condition(algebra, args.t, budget=args.budget)
+    verdict = ft_condition(algebra, args.t)
     payload = {"case": case.name, "t": args.t, "holds": verdict.holds,
                "witness": verdict.witness()}
     text = (f"case {case.name}: F_{args.t} "
@@ -167,9 +166,8 @@ def cmd_linear_type(args):
     case, algebra, code = _validated_algebra(args)
     if code is not None:
         return code
-    rees = rees_ideal(algebra, seed=args.seed or case.seed or 0,
-                      budget=args.budget)
-    holds = is_linear_type(rees, args.budget)
+    rees = rees_ideal(algebra, seed=args.seed or case.seed or 0)
+    holds = is_linear_type(rees)
     payload = {"case": case.name, "linear_type": holds,
                "test_element": str(rees.test_element),
                "torsion_generators": [str(t)
@@ -186,10 +184,9 @@ def cmd_rees_cm(args):
     case, algebra, code = _validated_algebra(args)
     if code is not None:
         return code
-    rees = rees_ideal(algebra, seed=args.seed or case.seed or 0,
-                      budget=args.budget)
-    rep = depth_and_cm(rees.ideal, args.budget)
-    spread = analytic_spread(rees, args.budget)
+    rees = rees_ideal(algebra, seed=args.seed or case.seed or 0)
+    rep = depth_and_cm(rees.ideal)
+    spread = analytic_spread(rees)
     payload = {"case": case.name, "cohen_macaulay": rep.cohen_macaulay,
                "dim": rep.dimension, "depth": rep.depth,
                "pd": rep.projective_dimension,
@@ -208,8 +205,7 @@ def cmd_prop31(args):
         _emit({"status": "invalid_input", "errors": [err]}, args.format,
               f"parse error: {err}")
         return EXIT_INVALID
-    report = probe_report(case, rowops=args.rowops, seed=args.seed,
-                          budget=args.budget)
+    report = probe_report(case, rowops=args.rowops, seed=args.seed)
     _emit(report.to_dict(), args.format, emit_report(report, "text"))
     return report.exit_code()
 
@@ -221,7 +217,7 @@ def cmd_en_dump(args):
             case = load_case(path)
             try:
                 algebra = GradedAlgebra.validate(case.context,
-                                                 case.relations, args.budget)
+                                                 case.relations)
             except ValidationError as ex:
                 _emit({"status": "invalid_input",
                        "issues": [i.message for i in ex.issues]},
@@ -236,7 +232,7 @@ def cmd_en_dump(args):
                                    "block; need dim >= 2 and n >= 2*dim")
                 return EXIT_INVALID
             t = n - 2 * d + 1
-            theta = algebra.jacobian_presentation(args.budget).theta
+            theta = algebra.jacobian_presentation().theta
             matrix = theta.submatrix(range(n - t, n), range(theta.ncols))
             quotient = algebra
         else:
@@ -252,7 +248,7 @@ def cmd_en_dump(args):
               args.format, "matrix needs at least as many columns as rows")
         return EXIT_INVALID
     complex_ = build_en(matrix)
-    record = en_acyclicity(matrix, quotient, args.budget)
+    record = en_acyclicity(matrix, quotient)
     payload = {
         "ranks": list(complex_.ranks),
         "differentials": [[[str(p) for p in row] for row in d.entries]
@@ -352,7 +348,9 @@ def main(argv=None):
         "corpus": cmd_corpus,
     }
     try:
-        return handlers[args.command](args)
+        # verify and corpus open a budget per case, in run_case
+        with step_budget(args.budget):
+            return handlers[args.command](args)
     except _RESOURCE_ERRORS as ex:
         print(f"resource exhausted: {ex}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -171,7 +171,7 @@ class AcyclicityRecord:
     criterion_met: bool
 
 
-def en_acyclicity(matrix, quotient=None, budget=None):
+def en_acyclicity(matrix, quotient=None):
     """Height criterion for exactness: ht of the maximal-minor ideal versus
     the bound m - t + 1, in the quotient algebra when one is supplied."""
     t, m = matrix.nrows, matrix.ncols
@@ -180,19 +180,19 @@ def en_acyclicity(matrix, quotient=None, budget=None):
     bound = m - t + 1
     ctx = matrix.context
     if quotient is not None:
-        gens = [quotient.reduce(p, budget) for p in matrix.minors(t)]
-        height = quotient.height_of(IdealHandle(ctx, gens), budget)
+        gens = [quotient.reduce(p) for p in matrix.minors(t)]
+        height = quotient.height_of(IdealHandle(ctx, gens))
     else:
         handle = IdealHandle(ctx, matrix.minors(t))
-        if handle.is_unit(budget):
+        if handle.is_unit():
             height = float("inf")
         else:
-            height = ctx.arity - handle.krull_dimension(budget).dimension
+            height = ctx.arity - handle.krull_dimension().dimension
     return AcyclicityRecord(minor_height=height, bound=bound,
                             criterion_met=height >= bound)
 
 
-def kernel_membership(differential, vector, quotient=None, budget=None):
+def kernel_membership(differential, vector, quotient=None):
     """True iff the differential kills the vector, in the quotient when
     one is supplied."""
     vector = tuple(vector)
@@ -201,4 +201,4 @@ def kernel_membership(differential, vector, quotient=None, budget=None):
     image = differential.apply_vector(vector)
     if quotient is None:
         return all(p.is_zero for p in image)
-    return all(quotient.reduce(p, budget).is_zero for p in image)
+    return all(quotient.reduce(p).is_zero for p in image)

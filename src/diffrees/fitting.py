@@ -20,19 +20,19 @@ def minors(matrix, size, rows=None, cols=None):
     return matrix.minors(size, rows=rows, cols=cols)
 
 
-def fitting_ideal(algebra, i, budget=None):
+def fitting_ideal(algebra, i):
     """The i-th Fitting ideal of the differential module, i.e. the ideal of
     (n - i)-minors of the Jacobian presentation, with generators reduced
     modulo the defining ideal.  F_i = (1) once n - i <= 0 and (0) when the
     requested minors outsize the matrix."""
-    pres = algebra.jacobian_presentation(budget)
+    pres = algebra.jacobian_presentation()
     n = algebra.arity
     size = n - i
     if size <= 0:
         return IdealHandle(algebra.context, [algebra.context.one])
     if size > min(pres.theta.nrows, pres.theta.ncols):
         return IdealHandle(algebra.context, [])
-    gens = [algebra.reduce(m, budget) for m in pres.theta.minors(size)]
+    gens = [algebra.reduce(m) for m in pres.theta.minors(size)]
     return IdealHandle(algebra.context, gens)
 
 
@@ -75,7 +75,7 @@ class FtVerdict:
                 "actual_height": self.actual}
 
 
-def fitting_profile(algebra, budget=None):
+def fitting_profile(algebra):
     """Heights of F_i for i in [rank, n-1], plus the heights after removing
     the components supported on the irrelevant maximal ideal.
 
@@ -86,8 +86,8 @@ def fitting_profile(algebra, budget=None):
     n, e = algebra.arity, algebra.dimension
     rows = []
     for i in range(e, n):
-        fi = fitting_ideal(algebra, i, budget)
-        height = algebra.height_of(fi, budget)
+        fi = fitting_ideal(algebra, i)
+        height = algebra.height_of(fi)
         off = float("inf") if height >= algebra.dimension else height
         rows.append(FittingRow(i, fi, height, off))
     heights = [r.height for r in rows]
@@ -96,9 +96,9 @@ def fitting_profile(algebra, budget=None):
     return FittingProfile(rank=e, rows=tuple(rows))
 
 
-def ft_condition(algebra, t, profile=None, budget=None):
+def ft_condition(algebra, t, profile=None):
     """True iff ht F_i >= i - e + t + 1 for every i in [e, n-1]."""
-    profile = profile or fitting_profile(algebra, budget)
+    profile = profile or fitting_profile(algebra)
     for row in profile.rows:
         bound = row.bound(t, profile.rank)
         if row.height < bound:
@@ -107,12 +107,12 @@ def ft_condition(algebra, t, profile=None, budget=None):
     return FtVerdict(t, True)
 
 
-def ft_condition_off_irrelevant(algebra, t, profile=None, budget=None):
+def ft_condition_off_irrelevant(algebra, t, profile=None):
     """The F_t inequality checked away from the irrelevant maximal ideal:
     each row passes if its global height meets the bound or if the Fitting
     ideal becomes the unit ideal after saturating by the irrelevant ideal
     (every failing prime then contains it)."""
-    profile = profile or fitting_profile(algebra, budget)
+    profile = profile or fitting_profile(algebra)
     for row in profile.rows:
         bound = row.bound(t, profile.rank)
         if row.height >= bound:
@@ -126,7 +126,7 @@ def ft_condition_off_irrelevant(algebra, t, profile=None, budget=None):
 
 # ---------------------------------------------------------------------------
 
-def euler_minor_identity(algebra, budget=None):
+def euler_minor_identity(algebra):
     """Residual of the Euler-relation expansion of the corner minor.
 
     With t = n - 2d + 1 and theta the Jacobian presentation, the weighted
@@ -144,7 +144,7 @@ def euler_minor_identity(algebra, budget=None):
         raise ValueError("identity needs dimension >= 2 and n >= 2*dim")
     t = n - 2 * d + 1
     ctx = algebra.context
-    theta = algebra.jacobian_presentation(budget).theta
+    theta = algebra.jacobian_presentation().theta
     cols = tuple(range(t))
     last_rows = tuple(range(2 * d - 1, n))
     lhs = ctx.gen(n - 1) * theta.minor(last_rows, cols) * ctx.weights[n - 1]
@@ -157,7 +157,7 @@ def euler_minor_identity(algebra, budget=None):
         rhs = rhs + ctx.gen(i) * det * ctx.weights[i]
     if t % 2:
         rhs = -rhs
-    return algebra.reduce(lhs - rhs, budget)
+    return algebra.reduce(lhs - rhs)
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ class LastRowsProbe:
     row_op_trials: tuple = field(default_factory=tuple)
 
 
-def last_rows_probe(algebra, rowops=0, seed=0, budget=None):
+def last_rows_probe(algebra, rowops=0, seed=0):
     """Compare the ideal of t x t minors of the Jacobian presentation with
     the one generated by its last t rows, t = n - 2d + 1.
 
@@ -190,24 +190,21 @@ def last_rows_probe(algebra, rowops=0, seed=0, budget=None):
     if not (d >= 2 and n >= 2 * d):
         raise ValueError("probe needs dimension >= 2 and n >= 2*dim")
     t = n - 2 * d + 1
-    theta = algebra.jacobian_presentation(budget).theta
+    theta = algebra.jacobian_presentation().theta
 
     def compare(matrix):
         full = IdealHandle(algebra.context,
-                           [algebra.reduce(m, budget)
-                            for m in matrix.minors(t)])
+                           [algebra.reduce(m) for m in matrix.minors(t)])
         last = IdealHandle(algebra.context,
-                           [algebra.reduce(m, budget)
-                            for m in matrix.minors(
-                                t, rows=range(n - t, n))])
-        equal = algebra.ideal_sum(full).equals(algebra.ideal_sum(last),
-                                               budget)
-        height = algebra.height_of(full, budget)
+                           [algebra.reduce(m) for m in
+                            matrix.minors(t, rows=range(n - t, n))])
+        equal = algebra.ideal_sum(full).equals(algebra.ideal_sum(last))
+        height = algebra.height_of(full)
         ok = (not equal) or (height < d)
         return equal, height, ok, last
 
     equal, height_full, ok, last = compare(theta)
-    height_last = algebra.height_of(last, budget)
+    height_last = algebra.height_of(last)
     trials = []
     rng = random.Random(seed)
     for _ in range(rowops):

@@ -16,6 +16,8 @@ produce identical bases.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import heapq
 import math
 from fractions import Fraction
@@ -44,6 +46,27 @@ class StepCounter:
             raise StepBudgetExceeded(
                 f"Groebner step budget of {self.limit} exceeded; "
                 "rerun with a larger --budget")
+
+
+_budget = contextvars.ContextVar("step_budget", default=None)
+
+
+@contextlib.contextmanager
+def step_budget(limit):
+    """One StepCounter for every Groebner computation inside the block:
+    a case's whole chain of bases and normal forms shares one budget."""
+    token = _budget.set(StepCounter(limit))
+    try:
+        yield
+    finally:
+        _budget.reset(token)
+
+
+def _steps():
+    """The counter of the open `step_budget`; with none open, a fresh
+    default counter, so a direct library call is capped on its own."""
+    counter = _budget.get()
+    return StepCounter() if counter is None else counter
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +343,14 @@ class IdealHandle:
 
     # -- bases ---------------------------------------------------------------
 
-    def groebner_basis(self, order=DEGREVLEX, budget=None):
+    def groebner_basis(self, order=DEGREVLEX):
         """The unique reduced Groebner basis under `order`, cached."""
         cached = self._cache.get(order)
         if cached is not None:
             return cached
         ctx = self.context
         key = _memo_key(order.key_for(ctx))
-        counter = StepCounter(budget)
+        counter = _steps()
         basis, lms = _buchberger([dict(g.terms) for g in self.generators],
                                  key, ctx.weighted_degree, counter)
         _, polys = _interreduce(basis, lms, key, counter)
@@ -335,12 +358,12 @@ class IdealHandle:
         self._cache[order] = basis
         return basis
 
-    def normal_form(self, p, order=DEGREVLEX, budget=None):
+    def normal_form(self, p, order=DEGREVLEX):
         if p.context != self.context:
             raise ValueError("polynomial context mismatch")
         prepared = self._prepared.get(order)
         if prepared is None:
-            basis = self.groebner_basis(order, budget)
+            basis = self.groebner_basis(order)
             key = _memo_key(order.key_for(self.context))
             lms = []
             dicts = []
@@ -351,24 +374,24 @@ class IdealHandle:
             prepared = (key, lms, dicts, {})
             self._prepared[order] = prepared
         key, lms, dicts, memo = prepared
-        r = _nf(dict(p.terms), lms, dicts, key, StepCounter(budget), memo)
+        r = _nf(dict(p.terms), lms, dicts, key, _steps(), memo)
         return Polynomial._make(self.context, r)
 
-    def contains(self, p, budget=None):
-        return self.normal_form(p, budget=budget).is_zero
+    def contains(self, p):
+        return self.normal_form(p).is_zero
 
-    def equals(self, other, budget=None):
+    def equals(self, other):
         """Mutual inclusion of generators."""
         if self.context != other.context:
             raise ValueError("ideal context mismatch")
-        return (all(other.contains(g, budget) for g in self.generators)
-                and all(self.contains(g, budget) for g in other.generators))
+        return (all(other.contains(g) for g in self.generators)
+                and all(self.contains(g) for g in other.generators))
 
     def is_zero_ideal(self):
         return not self.generators
 
-    def is_unit(self, budget=None):
-        gb = self.groebner_basis(budget=budget)
+    def is_unit(self):
+        gb = self.groebner_basis()
         return len(gb) == 1 and gb[0].is_constant
 
     # -- arithmetic ------------------------------------------------------------
@@ -380,7 +403,7 @@ class IdealHandle:
             return IdealHandle(self.context, self.generators + other.generators)
         return NotImplemented
 
-    def intersection(self, other, budget=None):
+    def intersection(self, other):
         """Computed with a tag variable: eliminate u from u*I + (1-u)*J."""
         if self.context != other.context:
             raise ValueError("ideal context mismatch")
@@ -390,10 +413,10 @@ class IdealHandle:
         u = big.gen(0)
         gens = [u * _lift(g, big, 1) for g in self.generators]
         gens += [(big.one - u) * _lift(g, big, 1) for g in other.generators]
-        eliminated = _eliminate_front(big, gens, 1, budget)
+        eliminated = _eliminate_front(big, gens, 1)
         return IdealHandle(ctx, [_drop(g, ctx, 1) for g in eliminated])
 
-    def saturation(self, g, budget=None):
+    def saturation(self, g):
         """(I : g^inf) via one elimination: adjoin y, add y*g - 1, drop y."""
         if g.is_zero:
             raise ValueError("saturation by zero is undefined")
@@ -405,10 +428,10 @@ class IdealHandle:
         y = big.gen(0)
         gens = [_lift(h, big, 1) for h in self.generators]
         gens.append(y * _lift(g, big, 1) - big.one)
-        eliminated = _eliminate_front(big, gens, 1, budget)
+        eliminated = _eliminate_front(big, gens, 1)
         return IdealHandle(ctx, [_drop(h, ctx, 1) for h in eliminated])
 
-    def saturation_by_ideal(self, other, budget=None):
+    def saturation_by_ideal(self, other):
         """(I : J^inf), the intersection of the per-generator saturations."""
         if self.context != other.context:
             raise ValueError("ideal context mismatch")
@@ -416,18 +439,18 @@ class IdealHandle:
             raise ValueError("saturation by the zero ideal is undefined")
         result = None
         for g in other.generators:
-            sat = self.saturation(g, budget)
-            result = sat if result is None else result.intersection(sat, budget)
+            sat = self.saturation(g)
+            result = sat if result is None else result.intersection(sat)
         return result
 
     # -- dimension and height ---------------------------------------------------
 
-    def krull_dimension(self, budget=None):
+    def krull_dimension(self):
         """Dimension of context/I via independent sets modulo leading terms."""
         if self._dim is not None:
             return self._dim
         ctx = self.context
-        gb = self.groebner_basis(budget=budget)
+        gb = self.groebner_basis()
         if any(g.is_constant and not g.is_zero for g in gb):
             report = DimensionReport(-1, None)
         else:
@@ -443,10 +466,6 @@ class IdealHandle:
                 tuple(ctx.names[i] for i in independent))
         self._dim = report
         return report
-
-
-def ideal(context, generators):
-    return IdealHandle(context, generators)
 
 
 def _min_hitting_set(supports, nvars):
@@ -492,39 +511,16 @@ def _drop(p, small_context, shift):
     return Polynomial.from_terms(small_context, terms)
 
 
-def _eliminate_front(big_context, generators, front_count, budget=None):
+def _eliminate_front(big_context, generators, front_count):
     """Basis elements of the ideal that avoid the first `front_count`
     variables; with a block order their span is the elimination ideal."""
     order = MonomialOrder.elimination(tuple(range(front_count)))
     handle = IdealHandle(big_context, generators)
-    basis = handle.groebner_basis(order, budget)
+    basis = handle.groebner_basis(order)
     return [g for g in basis if all(not any(e[:front_count]) for e, _ in g.terms)]
 
 
-# ---------------------------------------------------------------------------
-# top-level operation names
-
-def reduced_groebner(handle, order=DEGREVLEX, budget=None):
-    return handle.groebner_basis(order, budget)
-
-
-def ideal_membership(p, handle, budget=None):
-    return handle.contains(p, budget)
-
-
-def ideal_equal(left, right, budget=None):
-    return left.equals(right, budget)
-
-
-def saturation(handle, g, budget=None):
-    return handle.saturation(g, budget)
-
-
-def krull_dimension(handle, budget=None):
-    return handle.krull_dimension(budget)
-
-
-def height_in_quotient(defining_ideal, other, quotient_dim=None, budget=None):
+def height_in_quotient(defining_ideal, other, quotient_dim=None):
     """Height of the image of `other` in P/defining_ideal.
 
     Computed as dim difference, which is the height precisely because the
@@ -532,8 +528,8 @@ def height_in_quotient(defining_ideal, other, quotient_dim=None, budget=None):
     and catenary; the unit ideal gets +infinity.
     """
     total = defining_ideal + other
-    if total.is_unit(budget):
+    if total.is_unit():
         return float("inf")
     if quotient_dim is None:
-        quotient_dim = defining_ideal.krull_dimension(budget).dimension
-    return quotient_dim - total.krull_dimension(budget).dimension
+        quotient_dim = defining_ideal.krull_dimension().dimension
+    return quotient_dim - total.krull_dimension().dimension

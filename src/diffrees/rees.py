@@ -43,14 +43,14 @@ class ReesPresentation:
     #   that do not lie in the symmetric-algebra ideal
 
 
-def extended_context(algebra):
-    """Base variables followed by T-variables, one per module generator.
+def extended_context(ctx):
+    """Base variables followed by T-variables, one per module generator
+    dX_i, so one per base variable.
 
     T_i carries the weight of X_i, which keeps each linear form
     sum_i (df_j/dX_i) T_i homogeneous of the degree of f_j; under standard
     grading every T-weight is 1.
     """
-    ctx = algebra.context
     t_names = ctx.fresh_names("T", ctx.arity)
     return VariableContext(ctx.names + t_names, ctx.weights + ctx.weights)
 
@@ -61,13 +61,13 @@ def lift_to_extended(p, big):
     return Polynomial.from_terms(big, ((e + pad, c) for e, c in p.terms))
 
 
-def symmetric_presentation(algebra, budget=None):
+def symmetric_presentation(algebra):
     """Present the symmetric algebra and report whether its defining ideal
     is a complete intersection (height equals the generator count)."""
     ctx = algebra.context
-    big = extended_context(algebra)
+    big = extended_context(ctx)
     n = ctx.arity
-    theta = algebra.jacobian_presentation(budget).ambient_theta
+    theta = algebra.jacobian_presentation().ambient_theta
     lifted = tuple(lift_to_extended(f, big) for f in algebra.relations)
     forms = []
     for j in range(theta.ncols):
@@ -83,7 +83,7 @@ def symmetric_presentation(algebra, budget=None):
     if count == 0:
         height = 0
     else:
-        dim = handle.krull_dimension(budget).dimension
+        dim = handle.krull_dimension().dimension
         height = big.arity - dim
     return SymmetricPresentation(
         algebra=algebra, extended_context=big, ideal=handle,
@@ -91,20 +91,20 @@ def symmetric_presentation(algebra, budget=None):
         is_complete_intersection=height == count, height=height)
 
 
-def find_test_element(algebra, seed=0, retries=64, budget=None):
+def find_test_element(algebra, seed=0, retries=64):
     """Random small-integer combination of the maximal minors of the
     Jacobian presentation that is a nonzerodivisor on the base ring.
 
     The draw is seeded, so runs are reproducible; exhausting the retry
     bound signals either a non-reduced input or an unlucky seed.
     """
-    if not algebra.is_reduced(budget):
+    if not algebra.is_reduced():
         raise NotReducedError(
             "torsion is only defined over a reduced base; refusing")
     c = algebra.codimension
-    theta = algebra.jacobian_presentation(budget).theta
+    theta = algebra.jacobian_presentation().theta
     candidates = ([algebra.context.one] if c == 0
-                  else [algebra.reduce(m, budget) for m in theta.minors(c)])
+                  else [algebra.reduce(m) for m in theta.minors(c)])
     rng = random.Random(seed)
     for _ in range(retries):
         coeffs = [rng.randint(-3, 3) for _ in candidates]
@@ -114,7 +114,7 @@ def find_test_element(algebra, seed=0, retries=64, budget=None):
                 g = g + m * co
         if g.is_zero:
             continue
-        check = algebra.nonzerodivisor_check(g, budget)
+        check = algebra.nonzerodivisor_check(g)
         if check.ok:
             return g
     raise TestElementSearchError(
@@ -122,22 +122,22 @@ def find_test_element(algebra, seed=0, retries=64, budget=None):
         "try another --seed")
 
 
-def rees_ideal(algebra, seed=0, budget=None, symmetric=None):
+def rees_ideal(algebra, seed=0, symmetric=None):
     """Saturate the symmetric-algebra ideal by a test element; the extra
     basis elements generate the torsion."""
-    sym = symmetric or symmetric_presentation(algebra, budget)
-    g = find_test_element(algebra, seed=seed, budget=budget)
+    sym = symmetric or symmetric_presentation(algebra)
+    g = find_test_element(algebra, seed=seed)
     lifted_g = lift_to_extended(g, sym.extended_context)
-    saturated = sym.ideal.saturation(lifted_g, budget)
-    torsion = tuple(h for h in saturated.groebner_basis(budget=budget)
-                    if not sym.ideal.contains(h, budget))
+    saturated = sym.ideal.saturation(lifted_g)
+    torsion = tuple(h for h in saturated.groebner_basis()
+                    if not sym.ideal.contains(h))
     return ReesPresentation(symmetric=sym, ideal=saturated, test_element=g,
                             torsion_generators=torsion)
 
 
-def is_linear_type(rees, budget=None):
+def is_linear_type(rees):
     """True iff the symmetric algebra is already torsion-free."""
-    return rees.ideal.equals(rees.symmetric.ideal, budget)
+    return rees.ideal.equals(rees.symmetric.ideal)
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ class SpreadRecord:
     rees_dimension_expected: int
 
 
-def analytic_spread(rees, budget=None):
+def analytic_spread(rees):
     """Dimension of the special fiber (the Rees algebra modulo the base
     variables), with the inequality checks it must satisfy."""
     algebra = rees.symmetric.algebra
@@ -161,8 +161,8 @@ def analytic_spread(rees, budget=None):
     d = algebra.dimension
     e = d
     fiber = rees.ideal + IdealHandle(big, [big.gen(i) for i in range(n)])
-    value = fiber.krull_dimension(budget).dimension
-    rdim = rees.ideal.krull_dimension(budget).dimension
+    value = fiber.krull_dimension().dimension
+    rdim = rees.ideal.krull_dimension().dimension
     lower, upper = e, d + e - 1
     ok = (lower <= value <= upper) and value <= n and rdim == d + e
     return SpreadRecord(value=value, rank=e, lower=lower, upper=upper,

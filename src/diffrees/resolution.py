@@ -18,7 +18,7 @@ from operator import add
 
 from .eagon_northcott import FreeComplex
 from .errors import ResolutionLengthError
-from .groebner import StepCounter, _buchberger, _interreduce, _nf
+from .groebner import _buchberger, _interreduce, _nf, _steps
 from .matrix import PolyMatrix
 from .poly import DEGREVLEX, Polynomial
 
@@ -119,7 +119,7 @@ def _elements_to_matrix(ctx, elements, rank):
 
 # ---------------------------------------------------------------------------
 
-def syzygies(pres, budget=None):
+def syzygies(pres):
     """Minimal generating set of the syzygy module of the presentation's
     columns, by eliminating components (Greuel-Pfister, A Singular
     Introduction to Commutative Algebra, 2.5).
@@ -134,7 +134,7 @@ def syzygies(pres, budget=None):
     n = ctx.arity
     r, m = pres.target_rank, pres.matrix.ncols
     key = _position_key(ctx)
-    counter = StepCounter(budget)
+    counter = _steps()
     columns = _columns_to_elements(pres, r + m)
     unit = (0,) * n
     for j, col in enumerate(columns):
@@ -144,12 +144,12 @@ def syzygies(pres, budget=None):
     heads, reduced = _interreduce(basis, lms, key, counter)
     found = [{t[:n] + (t[n] - r, t[n + 1]): c for t, c in el.items()}
              for lm, el in zip(heads, reduced) if lm[n] >= r]
-    minimal = _minimal_generators(found, ctx, m, budget)
+    minimal = _minimal_generators(found, ctx, m)
     matrix = _elements_to_matrix(ctx, minimal, m)
     return ModulePresentation(ctx, m, matrix, shifts=pres.column_degrees())
 
 
-def _minimal_generators(elements, ctx, rank, budget):
+def _minimal_generators(elements, ctx, rank):
     """Drop any element lying in the submodule spanned by the rest."""
     key = _position_key(ctx)
     wdeg = ctx.weighted_degree
@@ -159,6 +159,7 @@ def _minimal_generators(elements, ctx, rank, budget):
         return (max(wdeg(t) for t, _ in items), items)
 
     current = sorted(elements, key=sort_key)
+    counter = _steps()
     changed = True
     while changed:
         changed = False
@@ -166,7 +167,6 @@ def _minimal_generators(elements, ctx, rank, budget):
             others = current[:i] + current[i + 1:]
             if not others:
                 continue
-            counter = StepCounter(budget)
             basis, lms = _buchberger(others, key, wdeg, counter, rank)
             if not _nf(current[i], lms, basis, key, counter, {}):
                 del current[i]
@@ -196,7 +196,7 @@ class FreeResolution:
         return len(self.complex.ranks) - 1
 
 
-def free_resolution(pres, max_length=None, budget=None):
+def free_resolution(pres, max_length=None):
     """Resolve the cokernel of the presentation by iterated syzygies.
 
     Stage one is a module Groebner basis of the columns; later stages are
@@ -212,10 +212,11 @@ def free_resolution(pres, max_length=None, budget=None):
     key = _position_key(ctx)
     wdeg = ctx.weighted_degree
     stage_rank = pres.target_rank
+    counter = _steps()
 
     basis, lms = _buchberger(_columns_to_elements(pres, stage_rank), key,
-                             wdeg, StepCounter(budget), stage_rank)
-    lms, family = _interreduce(basis, lms, key, StepCounter(budget))
+                             wdeg, counter, stage_rank)
+    lms, family = _interreduce(basis, lms, key, counter)
     shifts = [list(pres.shifts)]
     matrices = []
     while family:
@@ -227,8 +228,8 @@ def free_resolution(pres, max_length=None, budget=None):
             raise ResolutionLengthError(
                 f"resolution exceeded maximum length {max_length}")
         records = []
-        basis, _ = _buchberger(family, key, wdeg, StepCounter(budget),
-                               stage_rank, records)
+        basis, _ = _buchberger(family, key, wdeg, counter, stage_rank,
+                               records)
         if len(basis) > len(family):
             raise AssertionError("a stage family must already be a basis")
         stage_rank = len(family)
@@ -238,7 +239,7 @@ def free_resolution(pres, max_length=None, budget=None):
             break
         key = _induced_key(key, lms, n)
         lms, family = _interreduce(syz, [max(s, key=key) for s in syz], key,
-                                   StepCounter(budget))
+                                   counter)
 
     mats = [[list(r) for r in m.entries] for m in matrices]
     _minimize(mats, shifts)
@@ -345,16 +346,16 @@ class DepthReport:
                    "valid at the irrelevant maximal ideal for graded input")
 
 
-def depth_and_cm(handle, budget=None, max_length=None):
+def depth_and_cm(handle, max_length=None):
     """Depth, projective dimension and the Cohen-Macaulay verdict for the
     graded quotient by a proper homogeneous ideal."""
-    if handle.is_unit(budget):
+    if handle.is_unit():
         raise ValueError("the unit ideal has no quotient to measure")
     ctx = handle.context
     res = free_resolution(presentation_of_ideal(handle),
-                          max_length=max_length, budget=budget)
+                          max_length=max_length)
     pd = res.pd
     depth = ctx.arity - pd
-    dim = handle.krull_dimension(budget).dimension
+    dim = handle.krull_dimension().dimension
     return DepthReport(dimension=dim, depth=depth, projective_dimension=pd,
                        cohen_macaulay=depth == dim)

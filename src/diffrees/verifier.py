@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .algebra import GradedAlgebra
@@ -30,9 +31,10 @@ from .errors import (ParseError, ResolutionLengthError,
                      ValidationError)
 from .fitting import (euler_minor_identity, fitting_profile, ft_condition,
                       ft_condition_off_irrelevant, last_rows_probe)
-from .groebner import IdealHandle
-from .rees import (analytic_spread, is_linear_type, rees_ideal,
-                   symmetric_presentation)
+from .groebner import IdealHandle, step_budget
+from .poly import parse_polynomial
+from .rees import (analytic_spread, extended_context, is_linear_type,
+                   rees_ideal, symmetric_presentation)
 from .resolution import depth_and_cm
 
 EXIT_OK = 0
@@ -67,8 +69,8 @@ class Report:
                 "invalid_input": EXIT_INVALID,
                 "internal_error": EXIT_INTERNAL}[self.status]
 
-    def to_dict(self, include_timings=False):
-        out = {
+    def to_dict(self):
+        return {
             "case": self.case,
             "status": self.status,
             "inputs": self.inputs,
@@ -83,9 +85,6 @@ class Report:
             "expectation_failures": self.expectation_failures,
             "errors": self.errors,
         }
-        if include_timings:
-            out["timings"] = self.timings
-        return out
 
 
 def _height_json(h):
@@ -100,34 +99,21 @@ def _verdict_dict(v):
     return out
 
 
-class _Clock:
-    def __init__(self, report):
-        self.report = report
-
-    def stage(self, name):
-        return _Stage(self.report, name)
-
-
-class _Stage:
-    def __init__(self, report, name):
-        self.report = report
-        self.name = name
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.report.timings[self.name] = round(
-            time.perf_counter() - self.start, 3)
-        return False
+@contextmanager
+def _stage(report, name):
+    """Record the wall time of the block in the report's timings."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        report.timings[name] = round(time.perf_counter() - start, 3)
 
 
-def _validated(case, report, budget):
+def _validated(case, report):
     """The case's algebra, or None after recording every validation issue
     in the report."""
     try:
-        return GradedAlgebra.validate(case.context, case.relations, budget)
+        return GradedAlgebra.validate(case.context, case.relations)
     except ValidationError as ex:
         report.status = "invalid_input"
         report.errors = [{"stage": "validate", "code": i.code,
@@ -135,13 +121,12 @@ def _validated(case, report, budget):
         return None
 
 
-def run_pipeline(case, seed=None, budget=None, artifacts=None):
+def run_pipeline(case, seed=None):
     """Execute the full pipeline for a parsed case file and build a report.
 
     Resource and exhaustion errors are caught and reported per stage; the
-    structural assertions are evaluated on whatever verdicts exist.  When a
-    dict is passed as `artifacts` the live algebra/rees objects are stored
-    in it for reuse.
+    structural assertions are evaluated on whatever verdicts exist, and the
+    case's expectations, a Rees ideal among them, on the finished report.
     """
     report = Report(case=case.name)
     report.inputs = {
@@ -149,16 +134,13 @@ def run_pipeline(case, seed=None, budget=None, artifacts=None):
         "weights": list(case.context.weights),
         "relations": [str(f) for f in case.relations],
     }
-    clock = _Clock(report)
     seed = case.seed if seed is None else seed
     if seed is None:
         seed = 0
 
-    algebra = _validated(case, report, budget)
+    algebra = _validated(case, report)
     if algebra is None:
         return report
-    if artifacts is not None:
-        artifacts["algebra"] = algebra
     if not algebra.standard_graded:
         report.status = "invalid_input"
         report.errors = [{"stage": "validate", "code": "grading",
@@ -171,9 +153,9 @@ def run_pipeline(case, seed=None, budget=None, artifacts=None):
     algebra.euler_residuals()
 
     try:
-        with clock.stage("hypotheses"):
-            reduced = algebra.is_reduced(budget)
-            profile = fitting_profile(algebra, budget)
+        with _stage(report, "hypotheses"):
+            reduced = algebra.is_reduced()
+            profile = fitting_profile(algebra)
             condition_i = ft_condition_off_irrelevant(algebra, 0, profile)
         report.hypotheses = {
             "standard_graded": True,
@@ -182,7 +164,7 @@ def run_pipeline(case, seed=None, budget=None, artifacts=None):
             "reduced": reduced,
             "condition_i": condition_i.holds,
         }
-        with clock.stage("fitting"):
+        with _stage(report, "fitting"):
             f1 = ft_condition(algebra, 1, profile)
             f0 = ft_condition(algebra, 0, profile)
             f1_off = ft_condition_off_irrelevant(algebra, 1, profile)
@@ -205,15 +187,12 @@ def run_pipeline(case, seed=None, budget=None, artifacts=None):
         }
 
         linear = cm = spread_rec = None
-        with clock.stage("symmetric"):
-            sym = symmetric_presentation(algebra, budget)
+        with _stage(report, "symmetric"):
+            sym = symmetric_presentation(algebra)
         if reduced:
-            with clock.stage("rees"):
-                rees = rees_ideal(algebra, seed=seed, budget=budget,
-                                  symmetric=sym)
-                if artifacts is not None:
-                    artifacts["rees"] = rees
-                linear = is_linear_type(rees, budget)
+            with _stage(report, "rees"):
+                rees = rees_ideal(algebra, seed=seed, symmetric=sym)
+                linear = is_linear_type(rees)
             witness = (str(rees.torsion_generators[0])
                        if rees.torsion_generators else None)
             report.linear_type = {
@@ -223,8 +202,8 @@ def run_pipeline(case, seed=None, budget=None, artifacts=None):
                                        for t in rees.torsion_generators],
                 "torsion_witness": witness,
             }
-            with clock.stage("rees_cm"):
-                cm = depth_and_cm(rees.ideal, budget)
+            with _stage(report, "rees_cm"):
+                cm = depth_and_cm(rees.ideal)
             report.rees_cm = {
                 "holds": cm.cohen_macaulay,
                 "dim": cm.dimension,
@@ -232,8 +211,8 @@ def run_pipeline(case, seed=None, budget=None, artifacts=None):
                 "pd": cm.projective_dimension,
                 "method": cm.method,
             }
-            with clock.stage("spread"):
-                spread_rec = analytic_spread(rees, budget)
+            with _stage(report, "spread"):
+                spread_rec = analytic_spread(rees)
             report.spread = {
                 "value": spread_rec.value,
                 "lower": spread_rec.lower,
@@ -257,9 +236,13 @@ def run_pipeline(case, seed=None, budget=None, artifacts=None):
                         spread_rec=spread_rec,
                         sym_ci=sym.is_complete_intersection, n=n, d=d)
         if reduced:
-            with clock.stage("shortcut"):
-                report.shortcut = _shortcut(algebra, profile, reduced,
-                                            report, budget)
+            with _stage(report, "shortcut"):
+                report.shortcut = _shortcut(algebra, profile, report)
+            if check_rees_ideal_expectation(case, rees) is False:
+                report.expectation_failures.append(
+                    {"key": "rees_ideal",
+                     "expected": case.expectations["rees_ideal"],
+                     "actual": [str(g) for g in rees.ideal.groebner_basis()]})
         else:
             report.shortcut = {"applicable": False,
                                "reason": "base is not reduced"}
@@ -314,7 +297,7 @@ def _run_assertions(report, *, reduced, condition_i, f0, f1, f1_off,
         report.status = "assertion_failure"
 
 
-def smooth_ci_shortcut(algebra, profile=None, pipeline_cm=None, budget=None):
+def smooth_ci_shortcut(algebra, profile=None, pipeline_cm=None):
     """Cone-over-smooth-projective-variety shortcut.
 
     When the input is reduced and smooth away from the vertex (every
@@ -325,10 +308,10 @@ def smooth_ci_shortcut(algebra, profile=None, pipeline_cm=None, budget=None):
     must agree.  A failed smoothness check makes the shortcut
     inapplicable, never fatal.
     """
-    profile = profile or fitting_profile(algebra, budget)
+    profile = profile or fitting_profile(algebra)
     smooth_off_origin = all(r.height_off_irrelevant == float("inf")
                             for r in profile.rows)
-    if not (algebra.is_reduced(budget) and smooth_off_origin):
+    if not (algebra.is_reduced() and smooth_off_origin):
         return {"applicable": False,
                 "reason": "input is not smooth away from the vertex"}
     n, d = algebra.arity, algebra.dimension
@@ -340,13 +323,9 @@ def smooth_ci_shortcut(algebra, profile=None, pipeline_cm=None, budget=None):
     return out
 
 
-def _shortcut(algebra, profile, reduced, report, budget):
-    if not reduced:
-        return {"applicable": False,
-                "reason": "input is not smooth away from the vertex"}
+def _shortcut(algebra, profile, report):
     out = smooth_ci_shortcut(algebra, profile,
-                             pipeline_cm=report.rees_cm.get("holds"),
-                             budget=budget)
+                             pipeline_cm=report.rees_cm.get("holds"))
     if out.get("agrees_with_pipeline") is False:
         report.status = "assertion_failure"
     return out
@@ -378,7 +357,7 @@ def _check_expectations(case, report):
                     report.expectation_failures.append(
                         {"key": key, "expected": canon, "actual": got})
         elif key == "rees_ideal":
-            continue  # handled by the caller, needs the handles
+            continue  # checked by the pipeline, which holds the Rees ideal
         else:
             actual = checks[key]()
             if actual != expected:
@@ -386,33 +365,24 @@ def _check_expectations(case, report):
                     {"key": key, "expected": expected, "actual": actual})
 
 
-def _extended_case_context(case):
-    from .poly import VariableContext
-    ctx = case.context
-    t_names = ctx.fresh_names("T", ctx.arity)
-    return VariableContext(ctx.names + t_names, ctx.weights + ctx.weights)
-
-
 def _reparse(case, text):
-    from .poly import parse_polynomial
-    return parse_polynomial(_extended_case_context(case), text)
+    return parse_polynomial(extended_context(case.context), text)
 
 
-def check_rees_ideal_expectation(case, algebra, rees, budget=None):
+def check_rees_ideal_expectation(case, rees):
     """Exact equality of the computed Rees ideal against an expected
     generator list given in the extended ring's variables."""
-    from .poly import parse_polynomial
     expected = case.expectations.get("rees_ideal")
     if not expected:
         return None
     big = rees.symmetric.extended_context
     gens = [parse_polynomial(big, raw) for raw in expected]
-    return rees.ideal.equals(IdealHandle(big, gens), budget)
+    return rees.ideal.equals(IdealHandle(big, gens))
 
 
 # ---------------------------------------------------------------------------
 
-def probe_report(case, rowops=None, seed=None, budget=None):
+def probe_report(case, rowops=None, seed=None):
     """Report for the last-rows minor probe mode."""
     report = Report(case=case.name)
     report.inputs = {
@@ -420,15 +390,14 @@ def probe_report(case, rowops=None, seed=None, budget=None):
         "weights": list(case.context.weights),
         "relations": [str(f) for f in case.relations],
     }
-    algebra = _validated(case, report, budget)
+    algebra = _validated(case, report)
     if algebra is None:
         return report
     rowops = case.rowops if rowops is None else rowops
     seed = (case.seed if seed is None else seed) or 0
     try:
-        probe = last_rows_probe(algebra, rowops=rowops, seed=seed,
-                                budget=budget)
-        residual = euler_minor_identity(algebra, budget)
+        probe = last_rows_probe(algebra, rowops=rowops, seed=seed)
+        residual = euler_minor_identity(algebra)
     except ValueError as ex:
         report.status = "invalid_input"
         report.errors.append({"stage": "probe", "code": "shape",
@@ -504,26 +473,12 @@ def _text_report(report):
 
 
 def run_case(case, seed=None, budget=None):
-    """Dispatch on the case's mode and attach the Rees-ideal expectation
-    check, which needs the live handles."""
-    if case.mode == "prop31":
-        return probe_report(case, seed=seed, budget=budget)
-    artifacts = {}
-    report = run_pipeline(case, seed=seed, budget=budget, artifacts=artifacts)
-    if (report.status in ("ok", "assertion_failure")
-            and case.expectations.get("rees_ideal")
-            and report.linear_type.get("holds") is not None
-            and "rees" in artifacts):
-        algebra = artifacts["algebra"]
-        rees = artifacts["rees"]
-        if not check_rees_ideal_expectation(case, algebra, rees, budget):
-            report.expectation_failures.append(
-                {"key": "rees_ideal", "expected": case.expectations[
-                    "rees_ideal"], "actual": [
-                    str(g) for g in rees.ideal.groebner_basis()]})
-            if report.status == "ok":
-                report.status = "assertion_failure"
-    return report
+    """Run a parsed case in its mode under one step budget for the whole
+    case (`budget` reduction steps, the default cap when None)."""
+    with step_budget(budget):
+        if case.mode == "prop31":
+            return probe_report(case, seed=seed)
+        return run_pipeline(case, seed=seed)
 
 
 def run_case_path(path, seed=None, budget=None):

@@ -520,16 +520,16 @@ def module_free_resolution(pres):
                                        shifts[:len(mats) + 1])
 
 
-def saturated_height_off_irrelevant(algebra, fitting, budget=None):
+def saturated_height_off_irrelevant(algebra, fitting):
     """The height of I + F off the irrelevant ideal m as `fitting_profile`
     computed it before its dimension check: saturate by every variable,
     intersect, and measure; +inf when the saturation is the unit ideal."""
     ctx = algebra.context
     total = algebra.defining_ideal + fitting
-    if total.is_unit(budget):
+    if total.is_unit():
         return float("inf")
     irrelevant = IdealHandle(ctx, list(ctx.gens()))
-    sat = total.saturation_by_ideal(irrelevant, budget)
-    if sat.is_unit(budget):
+    sat = total.saturation_by_ideal(irrelevant)
+    if sat.is_unit():
         return float("inf")
-    return algebra.dimension - sat.krull_dimension(budget).dimension
+    return algebra.dimension - sat.krull_dimension().dimension

@@ -149,8 +149,8 @@ def test_nonzerodivisor_check_matches_quotient(cases_dir, monkeypatch):
     check = GradedAlgebra.nonzerodivisor_check
     verdicts = []
 
-    def compared(algebra, g, budget=None):
-        got = check(algebra, g, budget)
+    def compared(algebra, g):
+        got = check(algebra, g)
         assert got.ok == is_nonzerodivisor(algebra.defining_ideal, g)
         verdicts.append(got.ok)
         return got

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from diffrees import groebner
 from diffrees.errors import StepBudgetExceeded
-from diffrees.groebner import IdealHandle, height_in_quotient
+from diffrees.groebner import IdealHandle, height_in_quotient, step_budget
 from diffrees.poly import DEGREVLEX, LEX, VariableContext
 from diffrees.sampler import random_homogeneous
 
@@ -208,8 +209,37 @@ def test_nonzerodivisors(xyz, quadric_cone):
 def test_step_budget_is_a_resource_error(xyz):
     X, Y, Z = xyz.gens()
     gens = [X**3 - Y * Z**2 + X * Y * Z, Y**4 - X * Z**3, Z**5 - X**2 * Y**3]
-    with pytest.raises(StepBudgetExceeded):
-        IdealHandle(xyz, gens).groebner_basis(budget=3)
+    with step_budget(3), pytest.raises(StepBudgetExceeded):
+        IdealHandle(xyz, gens).groebner_basis()
+
+
+def test_step_budget_spans_every_basis_in_its_block(xyz):
+    """One counter serves the whole block: two bases that each fit the
+    budget alone exhaust it together."""
+    X, Y, Z = xyz.gens()
+    first = [X**2 - Y * Z, X * Y - Z**2, Y**3 - X * Z**2]
+    second = [X**2 * Y - Z**3, Y**3 - X * Z**2, X**4 - Y * Z**3]
+
+    def steps(gens):
+        with step_budget(None):
+            IdealHandle(xyz, gens).groebner_basis()
+            counter = groebner._steps()
+            return counter.limit - counter.remaining
+
+    a, b = steps(first), steps(second)
+    limit = max(a, b)
+    assert min(a, b) > 0
+    for gens in (first, second):
+        with step_budget(limit):
+            IdealHandle(xyz, gens).groebner_basis()
+    with step_budget(limit), pytest.raises(StepBudgetExceeded):
+        IdealHandle(xyz, first).groebner_basis()
+        IdealHandle(xyz, second).groebner_basis()
+
+
+def test_calls_outside_a_budget_are_capped_one_by_one():
+    assert groebner._steps() is not groebner._steps()
+    assert groebner._steps().limit == groebner.DEFAULT_STEP_BUDGET
 
 
 def test_elimination_basis_spans_subring_part(xyz):

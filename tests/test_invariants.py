@@ -30,3 +30,23 @@ def test_only_groebner_runs_a_heap():
             if "heapq" in names:
                 importers.append(path.name)
     assert importers == ["groebner.py"]
+
+
+def test_step_budget_is_opened_only_at_the_entry_points():
+    """The step budget lives in `groebner`: only the functions that open
+    one take a `budget`, and only `groebner.py` builds a StepCounter."""
+    owners, builders = set(), set()
+    for path in sorted(Path(diffrees.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                if any(a.arg == "budget" for a in args.posonlyargs
+                       + args.args + args.kwonlyargs):
+                    owners.add(node.name)
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "StepCounter"):
+                builders.add(path.name)
+    assert owners <= {"step_budget", "run_case", "run_case_path"}
+    assert {"run_case", "run_case_path"} <= owners
+    assert builders == {"groebner.py"}

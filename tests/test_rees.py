@@ -139,7 +139,7 @@ def test_rees_dimension_is_d_plus_e(curve_cone, surface_cone):
 def test_extended_context_avoids_collisions():
     ctx = VariableContext(("T1", "X"))
     algebra = GradedAlgebra.validate(ctx, [P(ctx, "T1*X")])
-    big = extended_context(algebra)
+    big = extended_context(algebra.context)
     assert len(set(big.names)) == 4
     assert big.names[:2] == ("T1", "X")
 

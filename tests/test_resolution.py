@@ -3,7 +3,7 @@ import random
 import pytest
 
 from diffrees.errors import StepBudgetExceeded
-from diffrees.groebner import IdealHandle
+from diffrees.groebner import IdealHandle, step_budget
 from diffrees.matrix import PolyMatrix
 from diffrees.poly import VariableContext
 from diffrees.resolution import (ModulePresentation, depth_and_cm,
@@ -184,8 +184,8 @@ def test_maximal_ideal_koszul_ranks(xyz):
 def test_budget_propagates(xyz):
     X, Y, Z = xyz.gens()
     handle = IdealHandle(xyz, [X**3 - Y * Z**2, Y**4 - X * Z**3])
-    with pytest.raises(StepBudgetExceeded):
-        free_resolution(presentation_of_ideal(handle), budget=2)
+    with step_budget(2), pytest.raises(StepBudgetExceeded):
+        free_resolution(presentation_of_ideal(handle))
 
 
 def test_shifts_are_consistent(ring4):

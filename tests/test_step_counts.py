@@ -58,13 +58,13 @@ def test_no_basis_built_twice_in_a_probe_case(probe_cases, monkeypatch):
     repeats = []
     basis = groebner.IdealHandle.groebner_basis
 
-    def recording(handle, order=DEGREVLEX, budget=None):
+    def recording(handle, order=DEGREVLEX):
         if order not in handle._cache:
             key = (handle.context, order, frozenset(handle.generators))
             if key in built:
                 repeats.append(handle)
             built.add(key)
-        return basis(handle, order, budget)
+        return basis(handle, order)
 
     monkeypatch.setattr(groebner.IdealHandle, "groebner_basis", recording)
     for case in probe_cases:

@@ -1,7 +1,9 @@
 import json
+from importlib import resources
 
 import pytest
 
+from diffrees import groebner
 from diffrees.casefile import load_case, load_matrix_file
 from diffrees.cli import main
 from diffrees.errors import ParseError
@@ -13,6 +15,21 @@ def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def _steps_of(run, monkeypatch):
+    """Reduction steps `run()` spends, counted through StepCounter.spend."""
+    steps = [0]
+    spend = groebner.StepCounter.spend
+
+    def counted(counter, n=1):
+        steps[0] += n
+        return spend(counter, n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner.StepCounter, "spend", counted)
+        run()
+    return steps[0]
 
 
 QUADRIC = """
@@ -250,6 +267,44 @@ def test_cli_verify_budget_exhaustion_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _shipped(name):
+    return str(resources.files("diffrees") / "cases" / f"{name}.case")
+
+
+def test_cli_budget_is_not_per_basis(capsys):
+    """Each basis of diagonal-quadrics-curve fits 6000 steps; the case as
+    a whole does not."""
+    assert main(["--budget", "6000", "verify",
+                 _shipped("diagonal-quadrics-curve")]) == 3
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["diagonal-quadrics-curve",
+                                  "coordinate-cross"])
+def test_cli_budget_bounds_the_whole_case(capsys, monkeypatch, name):
+    """--budget counts every step of the case up to its last, which for
+    coordinate-cross is spent checking the expected Rees ideal."""
+    path = _shipped(name)
+    total = _steps_of(lambda: main(["verify", path]), monkeypatch)
+    assert main(["--budget", str(total - 1), "verify", path]) == 3
+    assert main(["--budget", str(total), "verify", path]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_budget_is_per_case_in_a_directory(tmp_path, capsys, monkeypatch,
+                                               jobs):
+    """Each case fits the budget, the two together do not."""
+    a = _write(tmp_path, "a.case", QUADRIC)
+    b = _write(tmp_path, "b.case", CROSS)
+    steps = [_steps_of(lambda: run_case_path(p), monkeypatch) for p in (a, b)]
+    limit = max(steps)
+    assert sum(steps) > limit
+    assert main(["--jobs", jobs, "--budget", str(limit), "verify",
+                 str(tmp_path)]) == 0
+    assert "2/2 cases passed" in capsys.readouterr().out
+
+
 def test_cli_verify_directory_merged(tmp_path, capsys):
     _write(tmp_path, "a.case", QUADRIC)
     _write(tmp_path, "b.case", CROSS)
@@ -395,6 +450,17 @@ rows = X; Y; Z
     out = capsys.readouterr().out
     assert "ranks: 1 3 2" in out
     assert "acyclic" in out
+
+
+@pytest.mark.parametrize("body", [
+    b"[matrix]\nvariables = X, Y\nweights = 1, a\nrows = X; Y\n",
+    b"[matrix]\nvariables = X, X\nrows = X; X\n",
+    b"[matrix]\nvariables = X, Y\nrows = X; Y # \xff\n"],
+    ids=["non-integer-weight", "duplicate-variable", "not-utf8"])
+def test_cli_en_dump_rejects_a_bad_matrix_file(tmp_path, capsys, body):
+    (tmp_path / "bad.matrix").write_bytes(body)
+    assert main(["en-dump", str(tmp_path / "bad.matrix")]) == 4
+    assert "parse error" in capsys.readouterr().out
 
 
 def test_cli_en_dump_case(tmp_path, capsys):
