@@ -45,6 +45,13 @@ class CaseFile:
     rowops: int = 0
     path: str | None = None
 
+    def seed_for(self, seed):
+        """The seed a run uses: `seed` when given (0 included), else the
+        file's `[mode] seed`, else 0."""
+        if seed is not None:
+            return seed
+        return 0 if self.seed is None else self.seed
+
 
 def _split_values(raw):
     parts = []

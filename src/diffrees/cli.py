@@ -166,7 +166,7 @@ def cmd_linear_type(args):
     case, algebra, code = _validated_algebra(args)
     if code is not None:
         return code
-    rees = rees_ideal(algebra, seed=args.seed or case.seed or 0)
+    rees = rees_ideal(algebra, seed=case.seed_for(args.seed))
     holds = is_linear_type(rees)
     payload = {"case": case.name, "linear_type": holds,
                "test_element": str(rees.test_element),
@@ -184,7 +184,7 @@ def cmd_rees_cm(args):
     case, algebra, code = _validated_algebra(args)
     if code is not None:
         return code
-    rees = rees_ideal(algebra, seed=args.seed or case.seed or 0)
+    rees = rees_ideal(algebra, seed=case.seed_for(args.seed))
     rep = depth_and_cm(rees.ideal)
     spread = analytic_spread(rees)
     payload = {"case": case.name, "cohen_macaulay": rep.cohen_macaulay,

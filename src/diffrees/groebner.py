@@ -6,8 +6,8 @@ with both classical pair criteria, normal forms, interreduction,
 elimination, intersection, saturation, Krull dimension by independent
 variable sets, and heights in complete-intersection quotients.  The same
 kernel serves free modules: the term x^a e_c of a module of rank r is the
-flat exponent tuple a + (c, r-1-c), and Schreyer syzygy records come from
-the same pair loop (see `_buchberger`).
+flat exponent tuple a + (c, r-1-c), and the Schreyer syzygy records of a
+basis are reduced on the same normal form (see `_schreyer_records`).
 
 All computations are exact over Q and deterministic: the pair queue is
 ordered by weighted lcm degree with a fixed tie-break, so repeated runs
@@ -180,7 +180,28 @@ def _nf(poly, lms, basis, key, counter, memo, quotients=None):
     return remainder
 
 
-def _buchberger(generators, key, wdeg, counter, rank=1, records=None):
+def _spoly(gi, lmi, gj, lmj):
+    """The S-polynomial lc_j x^qi g_i - lc_i x^qj g_j of two content-free
+    integer elements, with the quotients qi, qj of lcm(lm_i, lm_j) by
+    their leads."""
+    lcm = mono_lcm(lmi, lmj)
+    qi = mono_divide(lcm, lmi)
+    qj = mono_divide(lcm, lmj)
+    li, lj = gi[lmi], gj[lmj]
+    spoly = {}
+    for e, c in gi.items():
+        spoly[mono_mul(e, qi)] = c * lj
+    for e, c in gj.items():
+        t = mono_mul(e, qj)
+        v = spoly.get(t, 0) - c * li
+        if v:
+            spoly[t] = v
+        elif t in spoly:
+            del spoly[t]
+    return spoly, qi, qj
+
+
+def _buchberger(generators, key, wdeg, counter, rank=1):
     """Groebner basis of the ideal or submodule the given term dicts
     generate, returned raw as (basis, lms): content-free integer elements
     and their leading monomials, in the order they were found.
@@ -192,20 +213,14 @@ def _buchberger(generators, key, wdeg, counter, rank=1, records=None):
     is never formed.
 
     Pairs are processed in increasing (weighted lcm degree, lcm key, i, j)
-    order; the coprime and chain criteria prune the queue.  When `records`
-    is a list, no criterion applies and every pair appends its reduction
-    equation in monic coordinates,
-    q_i e_i - q_j e_j - sum_k c_k q_k e_k - lc(r) e_new, as a
-    {(basis index, quotient monomial): coefficient} dict; for a basis these
-    records generate the syzygies (Schreyer).  Under this encoding the
-    coprime test only ever fires in rank one.
+    order; the coprime and chain criteria prune the queue.  Under this
+    encoding the coprime test only ever fires in rank one.
     """
     basis = []
     lms = []
     memo = {}
     pending = set()
     heap = []
-    criteria = records is None
 
     def push_pairs(new_index):
         lm_new = lms[new_index]
@@ -228,53 +243,73 @@ def _buchberger(generators, key, wdeg, counter, rank=1, records=None):
         _, _, i, j = heapq.heappop(heap)
         pending.discard((i, j))
         lcm = mono_lcm(lms[i], lms[j])
-        if criteria:
-            if lcm == mono_mul(lms[i], lms[j]):
-                continue  # coprime leading terms
-            if any(k != i and k != j
-                   and all(map(ge, lcm, lms[k]))
-                   and (min(i, k), max(i, k)) not in pending
-                   and (min(j, k), max(j, k)) not in pending
-                   for k in range(len(basis))):
-                continue  # chain criterion
-        qi = mono_divide(lcm, lms[i])
-        qj = mono_divide(lcm, lms[j])
-        gi, gj = basis[i], basis[j]
-        li, lj = gi[lms[i]], gj[lms[j]]
-        spoly = {}
-        for e, c in gi.items():
-            spoly[mono_mul(e, qi)] = c * lj
-        for e, c in gj.items():
-            t = mono_mul(e, qj)
-            v = spoly.get(t, 0) - c * li
-            if v:
-                spoly[t] = v
-            elif t in spoly:
-                del spoly[t]
+        if lcm == mono_mul(lms[i], lms[j]):
+            continue  # coprime leading terms
+        if any(k != i and k != j
+               and all(map(ge, lcm, lms[k]))
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
+               for k in range(len(basis))):
+            continue  # chain criterion
+        spoly, _, _ = _spoly(basis[i], lms[i], basis[j], lms[j])
         counter.spend()
-        quotients = None if criteria else []
-        r = _nf(spoly, lms, basis, key, counter, memo, quotients)
+        r = _nf(spoly, lms, basis, key, counter, memo)
         if r:
             lm, ints = _int_normalize(r, key)
             basis.append(ints)
             lms.append(lm)
             push_pairs(len(basis) - 1)
-        if not criteria:
+
+    return basis, lms
+
+
+def _schreyer_records(family, key, counter):
+    """Schreyer syzygy records of a family that is already a Groebner
+    basis under `key`, one per minimal pair.
+
+    The record of a pair i < j in one component is its reduction equation
+    in monic coordinates, q_i e_i - q_j e_j - sum_k c_k q_k e_k, as a
+    {(family index, quotient monomial): coefficient} dict.  Under the
+    order the family's leads induce, with ties broken toward the earlier
+    index, its lead is q_i e_i, where q_i = lcm(lm_i, lm_j) / lm_i.  All
+    records form a Groebner basis of the syzygies (Schreyer), so the
+    records whose leads minimally generate the lead module already do:
+    for each i only the j whose quotient no other quotient of i divides
+    are reduced, the smallest j among equal quotients.
+    """
+    basis = []
+    lms = []
+    for el in family:
+        lm, ints = _int_normalize(el, key)
+        basis.append(ints)
+        lms.append(lm)
+    memo = {}
+    records = []
+    for i, lmi in enumerate(lms):
+        firsts = {}
+        for j in range(i + 1, len(lms)):
+            if lms[j][-1] == lmi[-1]:
+                firsts.setdefault(mono_divide(mono_lcm(lmi, lms[j]), lmi), j)
+        for q, j in firsts.items():
+            if any(p != q and all(map(ge, q, p)) for p in firsts):
+                continue
+            spoly, qi, qj = _spoly(basis[i], lmi, basis[j], lms[j])
+            counter.spend()
+            quotients = []
+            if _nf(spoly, lms, basis, key, counter, memo, quotients):
+                raise AssertionError("a stage family must already be a basis")
             # the S-polynomial is l_i l_j times the monic one
-            scale = Fraction(1, li * lj)
+            scale = Fraction(1, basis[i][lmi] * basis[j][lms[j]])
             record = {(i, qi): Fraction(1), (j, qj): Fraction(-1)}
-            for k, q, c in quotients:
-                t = (k, q)
+            for k, qk, c in quotients:
+                t = (k, qk)
                 v = record.get(t, 0) - c * scale
                 if v:
                     record[t] = v
                 else:
                     del record[t]
-            if r:
-                record[(len(basis) - 1, (0,) * len(lm))] = -r[lm] * scale
             records.append(record)
-
-    return basis, lms
+    return records
 
 
 def _interreduce(basis, lms, key, counter):

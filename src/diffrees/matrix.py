@@ -54,10 +54,6 @@ class PolyMatrix:
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def transpose(self):
-        return PolyMatrix(self.context, tuple(zip(*self.entries))
-                          if self.entries else ())
-
     def submatrix(self, rows, cols):
         rows = tuple(rows)
         cols = tuple(cols)

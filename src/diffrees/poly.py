@@ -304,12 +304,6 @@ class Polynomial:
             return None
         return min(sum(e) for e, _ in self.terms)
 
-    def leading_monomial(self, order=DEGREVLEX):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        key = order.key_for(self.context)
-        return max((e for e, _ in self.terms), key=key)
-
     # -- arithmetic -------------------------------------------------------------
 
     def _check(self, other):

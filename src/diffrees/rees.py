@@ -29,10 +29,6 @@ class SymmetricPresentation:
     is_complete_intersection: bool
     height: int
 
-    @property
-    def generator_count(self):
-        return len(self.lifted_relations) + len(self.linear_forms)
-
 
 @dataclass(frozen=True)
 class ReesPresentation:

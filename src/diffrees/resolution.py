@@ -4,10 +4,12 @@ Module elements run on the ring kernel of `groebner`: the term x^a e_c of
 a free module of rank r is the flat exponent tuple a + (c, r-1-c), kept in
 {term: Fraction} dicts.  Module Groebner bases use the position-over-term
 extension of the ring order; syzygy stages use induced Schreyer orders, so
-iterated stages only ever reduce S-pairs of families that are already
-bases.  The tower is then minimized by cancelling constant entries, which
-suffices to read off the projective dimension, and depth follows by graded
-Auslander-Buchsbaum at the irrelevant maximal ideal.
+iterated stages only reduce the minimal S-pairs of families that are
+already bases (`groebner._schreyer_records`).  The tower is then
+minimized by cancelling constant entries, on {row: {exponents: Fraction}}
+columns, before any `PolyMatrix` is built; that suffices to read off the
+projective dimension, and depth follows by graded Auslander-Buchsbaum at
+the irrelevant maximal ideal.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from operator import add
 
 from .eagon_northcott import FreeComplex
 from .errors import ResolutionLengthError
-from .groebner import _buchberger, _interreduce, _nf, _steps
+from .groebner import (_buchberger, _interreduce, _nf,
+                       _schreyer_records, _steps)
 from .matrix import PolyMatrix
 from .poly import DEGREVLEX, Polynomial
 
@@ -104,17 +107,23 @@ def _columns_to_elements(pres, rank):
     return cols
 
 
-def _elements_to_matrix(ctx, elements, rank):
-    n = ctx.arity
+def _elements_to_columns(family, n):
+    """Each element as a column {row: {exponents: coefficient}}."""
     cols = []
-    for el in elements:
-        per_comp = [dict() for _ in range(rank)]
+    for el in family:
+        col = {}
         for t, c in el.items():
-            per_comp[t[n]][t[:n]] = c
-        cols.append(tuple(Polynomial._make(ctx, d) for d in per_comp))
-    if not cols:
-        return PolyMatrix(ctx, tuple(() for _ in range(rank)))
-    return PolyMatrix.from_columns(ctx, cols)
+            col.setdefault(t[n], {})[t[:n]] = c
+        cols.append(col)
+    return cols
+
+
+def _to_matrix(ctx, columns, rows):
+    """The PolyMatrix of {row: {exponents: coefficient}} columns, with the
+    given row ids top to bottom."""
+    return PolyMatrix(ctx, tuple(
+        tuple(Polynomial._make(ctx, col.get(r, {})) for col in columns)
+        for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +154,7 @@ def syzygies(pres):
     found = [{t[:n] + (t[n] - r, t[n + 1]): c for t, c in el.items()}
              for lm, el in zip(heads, reduced) if lm[n] >= r]
     minimal = _minimal_generators(found, ctx, m)
-    matrix = _elements_to_matrix(ctx, minimal, m)
+    matrix = _to_matrix(ctx, _elements_to_columns(minimal, n), range(m))
     return ModulePresentation(ctx, m, matrix, shifts=pres.column_degrees())
 
 
@@ -200,9 +209,9 @@ def free_resolution(pres, max_length=None):
     """Resolve the cokernel of the presentation by iterated syzygies.
 
     Stage one is a module Groebner basis of the columns; later stages are
-    Schreyer syzygy bases, the records of a rerun of the stage family,
-    interreduced between stages.  Families are kept in decreasing lead
-    order.  The tower is then minimized by unit-entry cancellation and
+    Schreyer syzygy bases, the records of the minimal pairs of the stage
+    family, interreduced between stages.  Families are kept in decreasing
+    lead order.  The tower is then minimized by unit-entry cancellation and
     flagged minimal.
     """
     ctx = pres.context
@@ -217,39 +226,32 @@ def free_resolution(pres, max_length=None):
     basis, lms = _buchberger(_columns_to_elements(pres, stage_rank), key,
                              wdeg, counter, stage_rank)
     lms, family = _interreduce(basis, lms, key, counter)
-    shifts = [list(pres.shifts)]
-    matrices = []
+    shifts = [dict(enumerate(pres.shifts))]
+    stages = []
     while family:
         family.reverse()
         lms.reverse()
-        matrices.append(_elements_to_matrix(ctx, family, stage_rank))
-        shifts.append(list(_stage_shifts(ctx, family, shifts[-1])))
-        if len(matrices) > max_length:
+        stages.append(dict(enumerate(_elements_to_columns(family, n))))
+        shifts.append(dict(enumerate(_stage_shifts(ctx, family,
+                                                   shifts[-1]))))
+        if len(stages) > max_length:
             raise ResolutionLengthError(
                 f"resolution exceeded maximum length {max_length}")
-        records = []
-        basis, _ = _buchberger(family, key, wdeg, counter, stage_rank,
-                               records)
-        if len(basis) > len(family):
-            raise AssertionError("a stage family must already be a basis")
+        records = _schreyer_records(family, key, counter)
+        if not records:
+            break
         stage_rank = len(family)
         syz = [{q[:n] + (k, stage_rank - 1 - k): c
-                for (k, q), c in rec.items()} for rec in records if rec]
-        if not syz:
-            break
+                for (k, q), c in rec.items()} for rec in records]
         key = _induced_key(key, lms, n)
         lms, family = _interreduce(syz, [max(s, key=key) for s in syz], key,
                                    counter)
 
-    mats = [[list(r) for r in m.entries] for m in matrices]
-    _minimize(mats, shifts)
-    ranks = [len(shifts[0])]
-    final = []
-    for m in mats:
-        final.append(PolyMatrix(ctx, tuple(tuple(r) for r in m)))
-        ranks.append(len(m[0]))
-    return FreeResolution(FreeComplex(tuple(ranks), tuple(final)),
-                          tuple(tuple(s) for s in shifts[:len(mats) + 1]),
+    _minimize(stages, shifts)
+    final = tuple(_to_matrix(ctx, [cols[c] for c in shifts[k + 1]],
+                             shifts[k]) for k, cols in enumerate(stages))
+    return FreeResolution(FreeComplex(tuple(len(s) for s in shifts), final),
+                          tuple(tuple(s.values()) for s in shifts),
                           minimal=True)
 
 
@@ -262,76 +264,88 @@ def _stage_shifts(ctx, family, prev_shifts):
     return tuple(out)
 
 
-def _minimize(mats, shifts):
+def _add_product(acc, a, b, scale):
+    """acc += scale * a * b on {exponents: Fraction} dicts, zeros dropped."""
+    for e, c in a.items():
+        cs = c * scale
+        for f, d in b.items():
+            t = tuple(map(add, e, f))
+            v = acc.get(t, 0) + cs * d
+            if v:
+                acc[t] = v
+            else:
+                del acc[t]
+
+
+def _minimize(stages, shifts):
     """Cancel constant entries by row/column reduction, updating the two
     adjacent differentials and shift tables, until every entry lies in the
     maximal ideal.  Stages that become empty split off exactly, so the
-    tower is truncated at the first zero stage."""
-    while True:
-        spot = None
-        for k, m in enumerate(mats):
-            for r, row in enumerate(m):
-                for c, p in enumerate(row):
-                    if not p.is_zero and p.is_constant:
-                        spot = (k, r, c)
-                        break
-                if spot:
-                    break
-            if spot:
-                break
+    tower is truncated at the first zero stage.
+
+    `stages[k]` maps the columns of the k-th differential, the basis of
+    F_{k+1}, to {row: polynomial dict} with zero entries absent, and
+    `shifts[k]` maps the basis of F_k to its degrees.  Both keep the ids
+    of the unminimized tower in increasing order, so cancelling a basis
+    element only deletes its id.
+
+    The entries are homogeneous and the weights positive, so a nonzero
+    entry is a constant exactly where its row and column shifts agree;
+    the pivot is the first such entry in (stage, row, column) order.  A
+    cancellation deletes the column of the stage before and the row of
+    the stage after, which creates no constant, so a stage once cleared
+    stays clear.  The row operations that clear the pivot column change
+    only the deleted row and column; they enter only the check that the
+    cancelled column of the stage before vanishes.
+    """
+    k = 0
+    while k < len(stages):
+        cols, rows_at, cols_at = stages[k], shifts[k], shifts[k + 1]
+        spot = min(((r, c) for c, col in cols.items()
+                    for r in col if rows_at[r] == cols_at[c]), default=None)
         if spot is None:
-            return
-        k, r0, c0 = spot
-        m = mats[k]
-        u = m[r0][c0].constant_value()
-        ncols = len(m[0])
-        nrows = len(m)
+            k += 1
+            continue
+        r0, c0 = spot
+        pivot = cols.pop(c0)
+        (u,) = pivot.pop(r0).values()
+        inv = 1 / u
 
-        col_factors = {}
-        for c in range(ncols):
-            if c == c0 or m[r0][c].is_zero:
+        # columns c: col_c -= (m[r0][c] / u) col_c0; row r0 goes
+        factors = {}
+        for c, col in cols.items():
+            p = col.pop(r0, None)
+            if p is None:
                 continue
-            lam = m[r0][c] / u
-            col_factors[c] = lam
-            for r in range(nrows):
-                m[r][c] = m[r][c] - lam * m[r][c0]
-        row_factors = {}
-        for r in range(nrows):
-            if r == r0 or m[r][c0].is_zero:
-                continue
-            mu = m[r][c0] / u
-            row_factors[r] = mu
-            for c in range(ncols):
-                m[r][c] = m[r][c] - mu * m[r0][c]
-
-        if k + 1 < len(mats):
-            nxt = mats[k + 1]
-            width = len(nxt[0]) if nxt else 0
-            for c, lam in col_factors.items():
-                for j in range(width):
-                    nxt[c0][j] = nxt[c0][j] + lam * nxt[c][j]
-            if not all(p.is_zero for p in nxt[c0]):
-                raise AssertionError("cancelled row must vanish")
-            del nxt[c0]
+            factors[c] = p
+            for r, q in pivot.items():
+                acc = col.setdefault(r, {})
+                _add_product(acc, p, q, -inv)
+                if not acc:
+                    del col[r]
+        if k + 1 < len(stages):
+            for col in stages[k + 1].values():
+                acc = col.pop(c0, {})
+                for c, p in factors.items():
+                    if c in col:
+                        _add_product(acc, p, col[c], inv)
+                if acc:
+                    raise AssertionError("cancelled row must vanish")
         if k > 0:
-            prev = mats[k - 1]
-            for r, mu in row_factors.items():
-                for row in prev:
-                    row[r0] = row[r0] + mu * row[r]
-            if not all(row[r0].is_zero for row in prev):
+            prev = stages[k - 1]
+            acc = prev.pop(r0)
+            for r, q in pivot.items():
+                for i, p in prev[r].items():
+                    _add_product(acc.setdefault(i, {}), q, p, inv)
+            if any(acc.values()):
                 raise AssertionError("cancelled column must vanish")
-            for row in prev:
-                del row[r0]
-        for row in m:
-            del row[c0]
-        del m[r0]
-        del shifts[k][r0]
-        del shifts[k + 1][c0]
+        del rows_at[r0]
+        del cols_at[c0]
 
-        for idx, mat in enumerate(mats):
-            if not mat or not mat[0]:
+        for idx in range(len(stages)):
+            if not shifts[idx] or not shifts[idx + 1]:
                 # F at this boundary vanished; the exact tail splits off
-                del mats[idx:]
+                del stages[idx:]
                 del shifts[idx + 1:]
                 break
 

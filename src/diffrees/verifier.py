@@ -134,9 +134,7 @@ def run_pipeline(case, seed=None):
         "weights": list(case.context.weights),
         "relations": [str(f) for f in case.relations],
     }
-    seed = case.seed if seed is None else seed
-    if seed is None:
-        seed = 0
+    seed = case.seed_for(seed)
 
     algebra = _validated(case, report)
     if algebra is None:
@@ -394,7 +392,7 @@ def probe_report(case, rowops=None, seed=None):
     if algebra is None:
         return report
     rowops = case.rowops if rowops is None else rowops
-    seed = (case.seed if seed is None else seed) or 0
+    seed = case.seed_for(seed)
     try:
         probe = last_rows_probe(algebra, rowops=rowops, seed=seed)
         residual = euler_minor_identity(algebra)

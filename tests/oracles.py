@@ -10,8 +10,10 @@ so the shortcuts can be checked against them: the nested order keys, the
 max-scan normal form and the multi-pass interreduction of the ring
 kernel, the separate module engine over (exponents, component) terms that
 resolutions ran on before the ring kernel took the flat module encoding,
-the ideal quotient and the nonzerodivisor test by (I : g) == I, and the
-saturation that gave the Fitting heights off the irrelevant ideal.
+with a record for every pair, the minimization of a tower by `Polynomial`
+arithmetic that rescans every entry for a unit, the ideal quotient and
+the nonzerodivisor test by (I : g) == I, and the saturation that gave the
+Fitting heights off the irrelevant ideal.
 """
 
 import heapq
@@ -24,7 +26,6 @@ from diffrees.poly import DEGREVLEX, Polynomial, mono_divide, mono_lcm, \
     mono_mul
 from diffrees.groebner import IdealHandle, StepCounter, _content, \
     _int_normalize
-from diffrees.resolution import _minimize
 
 
 def _leading(p, key):
@@ -492,9 +493,83 @@ def module_resolution_stages(pres):
     return stages
 
 
+def _minimize(mats, shifts):
+    """Cancel constant entries by row/column reduction, updating the two
+    adjacent differentials and shift tables, until every entry lies in the
+    maximal ideal.  Stages that become empty split off exactly, so the
+    tower is truncated at the first zero stage."""
+    while True:
+        spot = None
+        for k, m in enumerate(mats):
+            for r, row in enumerate(m):
+                for c, p in enumerate(row):
+                    if not p.is_zero and p.is_constant:
+                        spot = (k, r, c)
+                        break
+                if spot:
+                    break
+            if spot:
+                break
+        if spot is None:
+            return
+        k, r0, c0 = spot
+        m = mats[k]
+        u = m[r0][c0].constant_value()
+        ncols = len(m[0])
+        nrows = len(m)
+
+        col_factors = {}
+        for c in range(ncols):
+            if c == c0 or m[r0][c].is_zero:
+                continue
+            lam = m[r0][c] / u
+            col_factors[c] = lam
+            for r in range(nrows):
+                m[r][c] = m[r][c] - lam * m[r][c0]
+        row_factors = {}
+        for r in range(nrows):
+            if r == r0 or m[r][c0].is_zero:
+                continue
+            mu = m[r][c0] / u
+            row_factors[r] = mu
+            for c in range(ncols):
+                m[r][c] = m[r][c] - mu * m[r0][c]
+
+        if k + 1 < len(mats):
+            nxt = mats[k + 1]
+            width = len(nxt[0]) if nxt else 0
+            for c, lam in col_factors.items():
+                for j in range(width):
+                    nxt[c0][j] = nxt[c0][j] + lam * nxt[c][j]
+            if not all(p.is_zero for p in nxt[c0]):
+                raise AssertionError("cancelled row must vanish")
+            del nxt[c0]
+        if k > 0:
+            prev = mats[k - 1]
+            for r, mu in row_factors.items():
+                for row in prev:
+                    row[r0] = row[r0] + mu * row[r]
+            if not all(row[r0].is_zero for row in prev):
+                raise AssertionError("cancelled column must vanish")
+            for row in prev:
+                del row[r0]
+        for row in m:
+            del row[c0]
+        del m[r0]
+        del shifts[k][r0]
+        del shifts[k + 1][c0]
+
+        for idx, mat in enumerate(mats):
+            if not mat or not mat[0]:
+                # F at this boundary vanished; the exact tail splits off
+                del mats[idx:]
+                del shifts[idx + 1:]
+                break
+
+
 def module_free_resolution(pres):
     """(ranks, differentials, shifts) of `free_resolution` computed from
-    `module_resolution_stages`, minimized by the library's `_minimize`."""
+    `module_resolution_stages`, minimized by `_minimize` above."""
     ctx = pres.context
     shifts = [list(pres.shifts)]
     mats = []

@@ -2,15 +2,21 @@
 against the separate module engine it replaced, which `oracles.py` keeps.
 
 The ring kernel runs module elements in the flat encoding a + (c, r-1-c)
-and takes its stage records from the same pair loop as ring bases.  The
-old engine works on (exponents, component) terms with monic reducers.
-Both must give the same family and the same reduction records at every
-stage, and the same minimized differentials, shifts and ranks.
+and reduces only the minimal pairs of each stage family.  The old engine
+works on (exponents, component) terms with monic reducers and a record
+for every pair.  Both must give the same family at every stage, each new
+record must be one of the old ones, and the minimized differentials,
+shifts and ranks must agree.  `_minimize` on term dicts is also checked
+against the `Polynomial` one it replaced on hand-built towers.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from operator import add
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +25,7 @@ from hypothesis import strategies as st
 import oracles
 from diffrees import resolution
 from diffrees.groebner import IdealHandle, StepCounter
-from diffrees.poly import DEGREVLEX, VariableContext
+from diffrees.poly import DEGREVLEX, Polynomial, VariableContext
 from diffrees.rees import rees_ideal
 from diffrees.resolution import free_resolution, presentation_of_ideal
 from diffrees.sampler import random_graded_ci
@@ -28,31 +34,35 @@ from conftest import (P, REES_RANDOM_CI_SHAPES, homogeneous_ideals,
                       shipped_algebras)
 
 def _recorded_stages(pres):
-    """`free_resolution` of `pres`, with each stage family and the records
-    of its rerun translated to (exponents, component) terms."""
+    """`free_resolution` of `pres`, with each stage family and its Schreyer
+    records translated to (exponents, component) terms."""
     n = pres.context.arity
     stages = []
-    buchberger = resolution._buchberger
+    schreyer_records = resolution._schreyer_records
 
-    def recording(generators, key, wdeg, counter, rank=1, records=None):
-        out = buchberger(generators, key, wdeg, counter, rank, records)
-        if records is not None:
-            family = [{(t[:n], t[n]): c for t, c in el.items()}
-                      for el in generators]
-            syz = [{(q[:n], k): c for (k, q), c in rec.items()}
-                   for rec in records if rec]
-            stages.append((family, syz))
-        return out
+    def recording(family, key, counter):
+        records = schreyer_records(family, key, counter)
+        stages.append(([{(t[:n], t[n]): c for t, c in el.items()}
+                        for el in family],
+                       [{(q[:n], k): c for (k, q), c in rec.items()}
+                        for rec in records]))
+        return records
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(resolution, "_buchberger", recording)
+        mp.setattr(resolution, "_schreyer_records", recording)
         res = free_resolution(pres)
     return res, stages
 
 
 def assert_matches_module_engine(pres):
+    """Every stage family is the old engine's, every record of a minimal
+    pair is one of the old engine's records of that stage, and the
+    minimized tower is the old engine's."""
     res, stages = _recorded_stages(pres)
-    assert stages == oracles.module_resolution_stages(pres)
+    old = oracles.module_resolution_stages(pres)
+    assert [family for family, _ in stages] == [family for family, _ in old]
+    for (_, records), (_, old_records) in zip(stages, old):
+        assert all(rec in old_records for rec in records)
     ranks, differentials, shifts = oracles.module_free_resolution(pres)
     assert res.ranks == ranks
     assert res.shifts == shifts
@@ -101,30 +111,114 @@ def test_rees_resolutions_match_module_engine(cases_dir):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.booleans().flatmap(lambda w: homogeneous_ideals(weighted=w)))
-def test_records_of_a_growing_basis_match_module_engine(drawn):
-    """Generators that are not yet a basis: records that add a new element
-    carry its coefficient, and every record is a syzygy of the basis."""
+def test_records_of_a_reduced_basis_match_module_engine(drawn):
+    """The records of the minimal pairs of a reduced basis are syzygies of
+    it, each one the old engine's record of the same pair."""
     ctx, gens = drawn
     n = ctx.arity
     pres = presentation_of_ideal(IdealHandle(ctx, gens))
     key = resolution._position_key(ctx)
-    records = []
     basis, lms = resolution._buchberger(
         resolution._columns_to_elements(pres, 1), key, ctx.weighted_degree,
-        StepCounter(), 1, records)
+        StepCounter(), 1)
+    _, family = resolution._interreduce(basis, lms, key, StepCounter())
+    records = resolution._schreyer_records(family, key, StepCounter())
     old_key = oracles.pot_key(DEGREVLEX.key_for(ctx))
-    columns = [{(e, 0): c for e, c in g.terms} for g in pres.matrix.row(0)]
-    old_gens, _, old_records, _ = oracles.module_buchberger(
+    columns = [{(t[:n], 0): c for t, c in el.items()} for el in family]
+    _, _, old_records, added = oracles.module_buchberger(
         columns, old_key, ctx.weighted_degree, StepCounter())
-    assert len(basis) == len(old_gens)
-    assert ([{(q[:n], k): c for (k, q), c in rec.items()} for rec in records]
-            == old_records)
-    monic = [{t[:n]: Fraction(c, g[lm]) for t, c in g.items()}
-             for g, lm in zip(basis, lms)]
+    assert not added
     for rec in records:
+        assert {(q[:n], k): c for (k, q), c in rec.items()} in old_records
         total = {}
         for (k, q), c in rec.items():
-            for e, a in monic[k].items():
-                t = tuple(map(add, e, q[:n]))
-                total[t] = total.get(t, 0) + c * a
+            for t, a in family[k].items():
+                e = tuple(map(add, t[:n], q[:n]))
+                total[e] = total.get(e, 0) + c * a
         assert not any(total.values())
+
+
+def test_records_need_a_basis():
+    """A family that is not a basis has a pair with a nonzero remainder:
+    X^2 + Y^2 and X*Y leave Y^3."""
+    ctx = VariableContext(("X", "Y"))
+    key = resolution._position_key(ctx)
+    family = [{(2, 0, 0, 0): Fraction(1), (0, 2, 0, 0): Fraction(1)},
+              {(1, 1, 0, 0): Fraction(1)}]
+    with pytest.raises(AssertionError, match="already be a basis"):
+        resolution._schreyer_records(family, key, StepCounter())
+
+
+# Non-minimal towers for `_minimize`, as (differentials, shifts): each
+# differential a list of rows of polynomial strings in X, Y.
+#
+# The generators X, Y, X + Y, X*Y of (X, Y) with all four of their
+# relations: units cancel in stages 1 and 2, and F_3 splits off.
+REDUNDANT = ([[["X", "Y", "X + Y", "X*Y"]],
+              [["1", "Y", "0", "Y"],
+               ["1", "0", "X", "-X"],
+               ["-1", "0", "0", "0"],
+               ["0", "-1", "-1", "0"]],
+              [["0"], ["1"], ["-1"], ["-1"]]],
+             [[0], [1, 1, 1, 2], [1, 2, 2, 2], [2]])
+# The Koszul complex of X, Y plus the exact tail
+# 0 -> R(-4) -> R(-3) + R(-4) -> R(-3): F_3 and F_4 split off whole.
+SPLIT_TAIL = ([[["X", "Y"]],
+               [["Y", "0"], ["-X", "0"]],
+               [["0", "0"], ["1", "0"]],
+               [["0"], ["1"]]],
+              [[0], [1, 1], [2, 3], [3, 4], [4]])
+
+
+def _tower(spec, flip=None):
+    """The tower as oracle matrices (rows of Polynomials), shift lists and
+    `_minimize` stages; `flip` = (stage, row, column) negates one entry."""
+    ctx = VariableContext(("X", "Y"))
+    mats = [[[P(ctx, text) for text in row] for row in m] for m in spec[0]]
+    if flip is not None:
+        k, r, c = flip
+        mats[k][r][c] = -mats[k][r][c]
+    stages = [{c: {r: dict(row[c].terms) for r, row in enumerate(m)
+                   if not row[c].is_zero}
+               for c in range(len(m[0]))} for m in mats]
+    return ctx, mats, [list(s) for s in spec[1]], stages
+
+
+def _corrupted_minimize(flip):
+    _, _, shifts, stages = _tower(REDUNDANT, flip)
+    resolution._minimize(stages, [dict(enumerate(s)) for s in shifts])
+
+
+@pytest.mark.parametrize("spec,ranks", [(REDUNDANT, (1, 2, 1)),
+                                        (SPLIT_TAIL, (1, 2, 1))],
+                         ids=["redundant-generators", "split-tail"])
+def test_minimize_matches_the_oracle(spec, ranks):
+    ctx, mats, shifts, stages = _tower(spec)
+    table = [dict(enumerate(s)) for s in shifts]
+    resolution._minimize(stages, table)
+    oracles._minimize(mats, shifts)
+    got = [[[Polynomial._make(ctx, cols[c].get(r, {}))
+             for c in table[k + 1]] for r in table[k]]
+           for k, cols in enumerate(stages)]
+    assert got == mats
+    assert [list(s.values()) for s in table] == shifts
+    assert tuple(len(s) for s in shifts) == ranks
+
+
+@pytest.mark.parametrize("flip,message", [
+    ((2, 1, 0), "cancelled row must vanish"),
+    ((0, 0, 1), "cancelled column must vanish")], ids=["next", "previous"])
+def test_minimize_rejects_a_corrupted_tower_under_O(flip, message):
+    """One sign flipped next to the first unit breaks d^2 = 0; the check
+    raises explicitly, so it holds with asserts stripped."""
+    tests = Path(__file__).parent
+    src = Path(resolution.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), str(tests), os.environ.get("PYTHONPATH", "")]))
+    script = ("import sys, test_resolution_differential as t\n"
+              "assert False, 'asserts must be stripped'\n"
+              f"t._corrupted_minimize({flip!r})\n")
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert f"AssertionError: {message}" in done.stderr

@@ -248,6 +248,30 @@ def test_cli_linear_type_and_rees_cm(tmp_path, capsys):
     assert "is NOT Cohen-Macaulay" in capsys.readouterr().out
 
 
+def test_cli_explicit_seed_zero_beats_the_case_seed(tmp_path, capsys):
+    """`--seed 0` is a seed like any other: linear-type draws the test
+    element verify draws with it, not the one of the file's seed 5."""
+    path = _write(tmp_path, "s.case", """
+[algebra]
+name = seeded
+variables = X, Y, Z, W
+relations = X*Y - Z*W
+
+[mode]
+seed = 5
+""")
+
+    def run(*argv):
+        assert main(["--format", "json", *argv, path]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    zero = run("--seed", "0", "linear-type")["test_element"]
+    assert zero == run("--seed", "0", "verify")["linear_type"]["test_element"]
+    assert zero != run("linear-type")["test_element"]
+    assert (run("linear-type")["test_element"]
+            == run("--seed", "5", "verify")["linear_type"]["test_element"])
+
+
 def test_cli_verify_exit_codes(tmp_path, capsys):
     good = _write(tmp_path, "good.case", QUADRIC)
     assert main(["verify", good]) == 0
