@@ -7,14 +7,14 @@ torsion saturation, free resolutions, and a verification pipeline tying
 the verdicts together.
 """
 
-from .algebra import GradedAlgebra, validate, validation_issues
+from .algebra import GradedAlgebra, validation_issues
 from .eagon_northcott import (FreeComplex, build_en, en_acyclicity,
                               kernel_membership, koszul_complex)
 from .errors import (ContextMismatchError, DiffreesError, ParseError,
                      StepBudgetExceeded, ValidationError)
 from .fitting import (euler_minor_identity, fitting_ideal, fitting_profile,
                       ft_condition, ft_condition_off_irrelevant,
-                      last_rows_probe, minors)
+                      last_rows_probe)
 from .groebner import (DimensionReport, IdealHandle, height_in_quotient,
                        step_budget)
 from .matrix import PolyMatrix

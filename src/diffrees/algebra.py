@@ -248,7 +248,3 @@ def _error_for(first, issues):
     err = cls(first.message)
     err.issues = tuple(issues)
     return err
-
-
-def validate(context, relations):
-    return GradedAlgebra.validate(context, relations)

@@ -15,11 +15,6 @@ from dataclasses import dataclass, field
 from .groebner import IdealHandle
 
 
-def minors(matrix, size, rows=None, cols=None):
-    """All size x size minors of a PolyMatrix (Laplace expansion)."""
-    return matrix.minors(size, rows=rows, cols=cols)
-
-
 def fitting_ideal(algebra, i):
     """The i-th Fitting ideal of the differential module, i.e. the ideal of
     (n - i)-minors of the Jacobian presentation, with generators reduced

@@ -132,8 +132,11 @@ def rees_ideal(algebra, seed=0, symmetric=None):
 
 
 def is_linear_type(rees):
-    """True iff the symmetric algebra is already torsion-free."""
-    return rees.ideal.equals(rees.symmetric.ideal)
+    """True iff the symmetric algebra is already torsion-free.  J lies in
+    J : g^inf, and `rees_ideal` tested every basis element of the
+    saturation for membership in J, so the two are equal iff there are no
+    torsion generators."""
+    return not rees.torsion_generators
 
 
 @dataclass(frozen=True)

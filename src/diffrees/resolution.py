@@ -9,7 +9,9 @@ already bases (`groebner._schreyer_records`).  The tower is then
 minimized by cancelling constant entries, on {row: {exponents: Fraction}}
 columns, before any `PolyMatrix` is built; that suffices to read off the
 projective dimension, and depth follows by graded Auslander-Buchsbaum at
-the irrelevant maximal ideal.
+the irrelevant maximal ideal.  `syzygies` reaches a minimal generating set
+the same way, cancelling constant entries in the one stage of Schreyer
+relations among its generators.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from operator import add
 
 from .eagon_northcott import FreeComplex
 from .errors import ResolutionLengthError
-from .groebner import (_buchberger, _interreduce, _nf,
-                       _schreyer_records, _steps)
+from .groebner import (_buchberger, _interreduce, _schreyer_records,
+                       _steps)
 from .matrix import PolyMatrix
 from .poly import DEGREVLEX, Polynomial
 
@@ -135,9 +137,12 @@ def syzygies(pres):
 
     The columns c_j + e_{r+j} live in rank r + m.  Under position-over-term
     with the r target components first, the elements of their reduced
-    basis whose lead lies in a component >= r lie there entirely and
-    generate the syzygies once shifted down by r.  They are then pruned to
-    a minimal generating set.
+    basis whose lead lies in a component >= r lie there entirely and, once
+    shifted down by r, form a reduced basis of the syzygies.  The records
+    of its minimal pairs generate the relations among these generators
+    (Schreyer), so `_minimize` on that one stage cancels every generator
+    with a constant relation; the survivors have none, so they generate
+    minimally by graded Nakayama.
     """
     ctx = pres.context
     n = ctx.arity
@@ -153,35 +158,24 @@ def syzygies(pres):
     heads, reduced = _interreduce(basis, lms, key, counter)
     found = [{t[:n] + (t[n] - r, t[n + 1]): c for t, c in el.items()}
              for lm, el in zip(heads, reduced) if lm[n] >= r]
-    minimal = _minimal_generators(found, ctx, m)
-    matrix = _to_matrix(ctx, _elements_to_columns(minimal, n), range(m))
-    return ModulePresentation(ctx, m, matrix, shifts=pres.column_degrees())
+    relations = _schreyer_syzygies(found, key, counter, n)
+    degrees = pres.column_degrees()
+    found_shifts = _stage_shifts(ctx, found, degrees)
+    shifts = [dict(enumerate(found_shifts)),
+              dict(enumerate(_stage_shifts(ctx, relations, found_shifts)))]
+    _minimize([dict(enumerate(_elements_to_columns(relations, n)))], shifts)
+    # the row ids left in shifts[0] are the generators no relation cancelled
+    matrix = _to_matrix(ctx, _elements_to_columns(
+        [found[i] for i in shifts[0]], n), range(m))
+    return ModulePresentation(ctx, m, matrix, shifts=degrees)
 
 
-def _minimal_generators(elements, ctx, rank):
-    """Drop any element lying in the submodule spanned by the rest."""
-    key = _position_key(ctx)
-    wdeg = ctx.weighted_degree
-
-    def sort_key(el):
-        items = tuple(sorted(el.items()))
-        return (max(wdeg(t) for t, _ in items), items)
-
-    current = sorted(elements, key=sort_key)
-    counter = _steps()
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(current)):
-            others = current[:i] + current[i + 1:]
-            if not others:
-                continue
-            basis, lms = _buchberger(others, key, wdeg, counter, rank)
-            if not _nf(current[i], lms, basis, key, counter, {}):
-                del current[i]
-                changed = True
-                break
-    return current
+def _schreyer_syzygies(family, key, counter, n):
+    """The records of the minimal pairs of `family`, a basis under `key`,
+    as flat elements of a free module of rank len(family)."""
+    rank = len(family)
+    return [{q[:n] + (k, rank - 1 - k): c for (k, q), c in rec.items()}
+            for rec in _schreyer_records(family, key, counter)]
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +231,9 @@ def free_resolution(pres, max_length=None):
         if len(stages) > max_length:
             raise ResolutionLengthError(
                 f"resolution exceeded maximum length {max_length}")
-        records = _schreyer_records(family, key, counter)
-        if not records:
+        syz = _schreyer_syzygies(family, key, counter, n)
+        if not syz:
             break
-        stage_rank = len(family)
-        syz = [{q[:n] + (k, stage_rank - 1 - k): c
-                for (k, q), c in rec.items()} for rec in records]
         key = _induced_key(key, lms, n)
         lms, family = _interreduce(syz, [max(s, key=key) for s in syz], key,
                                    counter)

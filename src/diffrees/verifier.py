@@ -147,7 +147,6 @@ def run_pipeline(case, seed=None):
                                      "the probe operations"}]
         return report
 
-    n, d = algebra.arity, algebra.dimension
     algebra.euler_residuals()
 
     try:
@@ -168,7 +167,7 @@ def run_pipeline(case, seed=None):
             f1_off = ft_condition_off_irrelevant(algebra, 1, profile)
         report.fitting = {
             "rank": profile.rank,
-            "generators": n,
+            "generators": algebra.arity,
             "profile": [{"i": r.index,
                          "height": _height_json(r.height),
                          "height_off_irrelevant":
@@ -178,11 +177,7 @@ def run_pipeline(case, seed=None):
             "f1": _verdict_dict(f1),
             "f1_off_irrelevant": _verdict_dict(f1_off),
         }
-        report.edim = {
-            "edim": n, "dim": d,
-            "at_most_2d": n <= 2 * d,
-            "at_most_2d_minus_1": n <= 2 * d - 1,
-        }
+        report.edim = algebra.irrelevant_local_data()._asdict()
 
         linear = cm = spread_rec = None
         with _stage(report, "symmetric"):
@@ -232,7 +227,7 @@ def run_pipeline(case, seed=None):
                         f1=f1.holds, f1_off=f1_off.holds,
                         linear=linear, cm=cm,
                         spread_rec=spread_rec,
-                        sym_ci=sym.is_complete_intersection, n=n, d=d)
+                        sym_ci=sym.is_complete_intersection)
         if reduced:
             with _stage(report, "shortcut"):
                 report.shortcut = _shortcut(algebra, profile, report)
@@ -258,7 +253,7 @@ def run_pipeline(case, seed=None):
 
 
 def _run_assertions(report, *, reduced, condition_i, f0, f1, f1_off,
-                    linear, cm, spread_rec, sym_ci, n, d):
+                    linear, cm, spread_rec, sym_ci):
     assertions = {}
     if reduced:
         assertions["f1_iff_linear_type"] = {
@@ -266,7 +261,7 @@ def _run_assertions(report, *, reduced, condition_i, f0, f1, f1_off,
             "f1": f1, "linear_type": linear,
         }
         if condition_i and cm is not None:
-            combined = f1_off and (n <= 2 * d - 1)
+            combined = f1_off and report.edim["at_most_2d_minus_1"]
             assertions["cm_iff_f1"] = {
                 "pass": (cm.cohen_macaulay == f1) and (f1 == combined),
                 "rees_cm": cm.cohen_macaulay, "f1": f1,

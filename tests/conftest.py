@@ -30,15 +30,16 @@ def shipped_algebras(cases_dir):
                 if p.name.endswith(".case"))]
 
 
-def column_span_checker(matrix):
+def column_span_checker(matrix, shifts=None):
     """Membership in the column span of `matrix`, by a module basis on the
-    ring kernel with the flat term encoding of `resolution`."""
+    ring kernel with the flat term encoding of `resolution`; `shifts` are
+    row degrees making its columns homogeneous."""
     from diffrees.groebner import StepCounter, _buchberger, _nf
     from diffrees.resolution import (ModulePresentation,
                                      _columns_to_elements, _position_key)
     ctx = matrix.context
     rank = matrix.nrows
-    pres = ModulePresentation(ctx, rank, matrix)
+    pres = ModulePresentation(ctx, rank, matrix, shifts)
     key = _position_key(ctx)
     basis, lms = _buchberger(_columns_to_elements(pres, rank), key,
                              ctx.weighted_degree, StepCounter(), rank)

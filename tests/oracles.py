@@ -10,7 +10,9 @@ so the shortcuts can be checked against them: the nested order keys, the
 max-scan normal form and the multi-pass interreduction of the ring
 kernel, the separate module engine over (exponents, component) terms that
 resolutions ran on before the ring kernel took the flat module encoding,
-with a record for every pair, the minimization of a tower by `Polynomial`
+with a record for every pair (and syzygy generators by eliminating
+components on it), the pass that pruned syzygies to minimal generators
+with one basis per candidate, the minimization of a tower by `Polynomial`
 arithmetic that rescans every entry for a unit, the ideal quotient and
 the nonzerodivisor test by (I : g) == I, and the saturation that gave the
 Fitting heights off the irrelevant ideal.
@@ -24,8 +26,9 @@ from operator import add, ge, neg, sub
 
 from diffrees.poly import DEGREVLEX, Polynomial, mono_divide, mono_lcm, \
     mono_mul
-from diffrees.groebner import IdealHandle, StepCounter, _content, \
-    _int_normalize
+from diffrees.groebner import IdealHandle, StepCounter, _buchberger, \
+    _content, _int_normalize, _nf, _steps
+from diffrees.resolution import _position_key
 
 
 def _leading(p, key):
@@ -491,6 +494,54 @@ def module_resolution_stages(pres):
         family, lms = interreduce_module(
             records, [max(s, key=key) for s in records], key, StepCounter())
     return stages
+
+
+def syzygy_generators(pres):
+    """Generators of the syzygies of the presentation's columns on the
+    module engine above, as flat elements of rank m: the elements of a
+    basis of the columns c_j + e_{r+j} whose leads lie in a component
+    >= r, shifted down by r."""
+    ctx = pres.context
+    r, m = pres.target_rank, pres.matrix.ncols
+    unit = (0,) * ctx.arity
+    columns = []
+    for j in range(m):
+        col = {(e, i): c for i in range(r)
+               for e, c in pres.matrix.entry(i, j).terms}
+        col[(unit, r + j)] = Fraction(1)
+        columns.append(col)
+    key = pot_key(DEGREVLEX.key_for(ctx))
+    gens, lms, _, _ = module_buchberger(columns, key, ctx.weighted_degree,
+                                       StepCounter())
+    gens, lms = interreduce_module(gens, lms, key, StepCounter())
+    return [{e + (c - r, m - 1 - c + r): a for (e, c), a in g.items()}
+            for g, (_, comp) in zip(gens, lms) if comp >= r]
+
+
+def minimal_generators(elements, ctx, rank):
+    """Drop any element lying in the submodule spanned by the rest."""
+    key = _position_key(ctx)
+    wdeg = ctx.weighted_degree
+
+    def sort_key(el):
+        items = tuple(sorted(el.items()))
+        return (max(wdeg(t) for t, _ in items), items)
+
+    current = sorted(elements, key=sort_key)
+    counter = _steps()
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(current)):
+            others = current[:i] + current[i + 1:]
+            if not others:
+                continue
+            basis, lms = _buchberger(others, key, wdeg, counter, rank)
+            if not _nf(current[i], lms, basis, key, counter, {}):
+                del current[i]
+                changed = True
+                break
+    return current
 
 
 def _minimize(mats, shifts):

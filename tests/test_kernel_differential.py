@@ -71,8 +71,8 @@ def checked_kernels():
         return got
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "_nf", nf_checked)
         for module in (groebner, resolution):
-            mp.setattr(module, "_nf", nf_checked)
             mp.setattr(module, "_interreduce", interreduce_checked)
         yield calls
 
@@ -126,18 +126,16 @@ def test_schreyer_stages_match_max_scan():
     assert calls["nf"] > 100
 
 
-def test_syzygies_match_max_scan():
-    """The component-elimination basis of `syzygies` and the membership
-    tests of its minimal-generator pass.  One fixed ideal:
-    `_minimal_generators` builds a basis per candidate, so random draws
-    can take seconds each."""
-    ctx = VariableContext(("X", "Y", "Z", "W"))
-    gens = [P(ctx, "X*Z - Y^2"), P(ctx, "X*W - Y*Z"), P(ctx, "Y*W - Z^2")]
+@_SETTINGS
+@given(st.booleans().flatmap(lambda w: homogeneous_ideals(weighted=w)))
+def test_syzygies_match_max_scan(drawn):
+    """The component-elimination basis of `syzygies` and the Schreyer
+    records of its elements."""
+    ctx, gens = drawn
     with checked_kernels() as calls:
-        syz = syzygies(presentation_of_ideal(IdealHandle(ctx, gens)))
-    assert syz.matrix.ncols == 2
+        syzygies(presentation_of_ideal(IdealHandle(ctx, gens)))
     assert calls["interreduce"] == 1
-    assert calls["nf"] > 10
+    assert calls["nf"] > 0
 
 
 def _flat(term, rank):

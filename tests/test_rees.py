@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from diffrees.algebra import GradedAlgebra
@@ -9,8 +11,9 @@ from diffrees.rees import (analytic_spread, extended_context,
                            find_test_element, is_linear_type, rees_ideal,
                            symmetric_presentation)
 from diffrees.resolution import depth_and_cm
+from diffrees.sampler import random_graded_ci
 
-from conftest import P
+from conftest import P, REES_RANDOM_CI_SHAPES, shipped_algebras
 
 
 def test_symmetric_presentation_quadric_cone(quadric_cone):
@@ -97,6 +100,22 @@ def test_linear_type_iff_f1_on_fixtures(quadric_cone, coordinate_cross,
                     surface_cone):
         rp = rees_ideal(algebra)
         assert is_linear_type(rp) == ft_condition(algebra, 1).holds
+
+
+def test_linear_type_is_equality_with_the_symmetric_ideal(cases_dir):
+    """No torsion generator exactly when the Rees ideal equals the
+    symmetric-algebra ideal, on the shipped cases and the random-ci draws
+    that finish."""
+    algebras = shipped_algebras(cases_dir)
+    algebras += [random_graded_ci(random.Random(seed), n, d,
+                                  max_degree=deg)
+                 for n, d, deg, seed in REES_RANDOM_CI_SHAPES]
+    verdicts = []
+    for algebra in algebras:
+        rp = rees_ideal(algebra)
+        verdicts.append(is_linear_type(rp))
+        assert verdicts[-1] == rp.ideal.equals(rp.symmetric.ideal)
+    assert True in verdicts and False in verdicts
 
 
 def test_f0_implies_symmetric_ci(quadric_cone, coordinate_cross,

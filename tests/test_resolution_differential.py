@@ -7,13 +7,16 @@ works on (exponents, component) terms with monic reducers and a record
 for every pair.  Both must give the same family at every stage, each new
 record must be one of the old ones, and the minimized differentials,
 shifts and ranks must agree.  `_minimize` on term dicts is also checked
-against the `Polynomial` one it replaced on hand-built towers.
+against the `Polynomial` one it replaced on hand-built towers, and
+`syzygies`, which prunes through it, against the pass that dropped one
+generator at a time while the rest still spanned it.
 """
 
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from operator import add
 from pathlib import Path
@@ -25,13 +28,15 @@ from hypothesis import strategies as st
 import oracles
 from diffrees import resolution
 from diffrees.groebner import IdealHandle, StepCounter
+from diffrees.matrix import PolyMatrix
 from diffrees.poly import DEGREVLEX, Polynomial, VariableContext
 from diffrees.rees import rees_ideal
-from diffrees.resolution import free_resolution, presentation_of_ideal
+from diffrees.resolution import (ModulePresentation, free_resolution,
+                                 presentation_of_ideal, syzygies)
 from diffrees.sampler import random_graded_ci
 
-from conftest import (P, REES_RANDOM_CI_SHAPES, homogeneous_ideals,
-                      shipped_algebras)
+from conftest import (P, REES_RANDOM_CI_SHAPES, column_span_checker,
+                      homogeneous_ideals, shipped_algebras)
 
 def _recorded_stages(pres):
     """`free_resolution` of `pres`, with each stage family and its Schreyer
@@ -147,6 +152,54 @@ def test_records_need_a_basis():
               {(1, 1, 0, 0): Fraction(1)}]
     with pytest.raises(AssertionError, match="already be a basis"):
         resolution._schreyer_records(family, key, StepCounter())
+
+
+def assert_matches_minimal_generators(pres):
+    """`syzygies` against the old minimal-generator pass over syzygy
+    generators from the module engine: both annihilate the columns, have
+    as many columns of each degree, and each lies in the other's span."""
+    ctx, m = pres.context, pres.matrix.ncols
+    syz = syzygies(pres)
+    assert (pres.matrix @ syz.matrix).is_zero()
+    minimal = oracles.minimal_generators(oracles.syzygy_generators(pres),
+                                         ctx, m)
+    ref = ModulePresentation(ctx, m, resolution._to_matrix(
+        ctx, resolution._elements_to_columns(minimal, ctx.arity), range(m)),
+        shifts=syz.shifts)
+    assert Counter(syz.column_degrees()) == Counter(ref.column_degrees())
+    for spanning, spanned in ((syz, ref), (ref, syz)):
+        contains = column_span_checker(spanning.matrix, spanning.shifts)
+        assert all(map(contains, spanned.matrix.columns()))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.booleans().flatmap(lambda w: homogeneous_ideals(weighted=w)))
+def test_syzygies_match_minimal_generators(drawn):
+    ctx, gens = drawn
+    assert_matches_minimal_generators(
+        presentation_of_ideal(IdealHandle(ctx, gens)))
+
+
+# Presentations as rows of polynomial strings in X, Y, Z, W.
+FIXED_PRESENTATIONS = {
+    "twisted-cubic": [["X*Z - Y^2", "X*W - Y*Z", "Y*W - Z^2"]],
+    "rank-2-catalecticant": [["X", "Y", "Z"], ["Y", "Z", "W"]],
+    "zero-and-repeated-columns": [["X", "0", "X"], ["Y", "0", "Y"]],
+}
+
+
+@pytest.mark.parametrize("rows", FIXED_PRESENTATIONS.values(),
+                         ids=FIXED_PRESENTATIONS)
+def test_fixed_syzygies_match_minimal_generators(rows):
+    """The twisted cubic's elimination basis has three elements with one
+    constant relation among them, so only the cancellation makes it
+    minimal."""
+    ctx = VariableContext(("X", "Y", "Z", "W"))
+    matrix = PolyMatrix(ctx, tuple(tuple(P(ctx, v) for v in row)
+                                   for row in rows))
+    assert_matches_minimal_generators(
+        ModulePresentation(ctx, len(rows), matrix))
 
 
 # Non-minimal towers for `_minimize`, as (differentials, shifts): each
