@@ -2,9 +2,10 @@
 
 Everything downstream (Fitting heights, saturations, Rees ideals, free
 resolutions) reduces to the operations in this module: Groebner bases
-with both classical pair criteria, normal forms, interreduction,
-elimination, intersection, saturation, Krull dimension by independent
-variable sets, and heights in complete-intersection quotients.  The same
+with the Gebauer-Moeller pair update, normal forms by gcd-scaled integer
+reductions, interreduction, elimination, intersection, saturation, Krull
+dimension by independent variable sets, and heights in
+complete-intersection quotients.  The same
 kernel serves free modules: the term x^a e_c of a module of rank r is the
 flat exponent tuple a + (c, r-1-c), and the Schreyer syzygy records of a
 basis are reduced on the same normal form (see `_schreyer_records`).
@@ -90,8 +91,16 @@ def _memo_key(key):
     return cached
 
 
-def _content(d):
-    return math.gcd(*d.values())
+def _primitive(ints, key):
+    """Content-free form of a nonzero integer dict with positive leading
+    coefficient, as (lm, dict)."""
+    g0 = math.gcd(*ints.values())
+    if g0 > 1:
+        ints = {e: v // g0 for e, v in ints.items()}
+    lm = max(ints, key=key)
+    if ints[lm] < 0:
+        ints = {e: -v for e, v in ints.items()}
+    return lm, ints
 
 
 def _int_normalize(d, key):
@@ -101,22 +110,24 @@ def _int_normalize(d, key):
     if not d:
         return None, {}
     mult = math.lcm(*(c.denominator for c in d.values()))
-    ints = {e: c.numerator * (mult // c.denominator) for e, c in d.items()}
-    g0 = _content(ints)
-    if g0 > 1:
-        ints = {e: v // g0 for e, v in ints.items()}
-    lm = max(ints, key=key)
-    if ints[lm] < 0:
-        ints = {e: -v for e, v in ints.items()}
-    return lm, ints
+    return _primitive({e: c.numerator * (mult // c.denominator)
+                       for e, c in d.items()}, key)
 
 
 def _nf(poly, lms, basis, key, counter, memo, quotients=None):
     """Full normal form against content-free integer reducers.
 
-    Returns the exact normal form as a {monomial: Fraction} dict.  When
+    Returns (remainder, scale): an {monomial: int} dict and a rational
+    such that remainder / scale is the exact normal form.  When
     `quotients` is a list it receives (index, monomial, multiplier)
     triples, the multipliers taken against the monic reducers.
+
+    A term c x^m meets the reducer g with lead l x^lm by gcd-scaled
+    cancellation: with h = gcd(c, l), the work and the remainder so far
+    are multiplied by l // h and (c // h) x^q g is subtracted.  The
+    content of work and remainder is removed only after a step whose
+    factor l // h is not 1, which bounds the coefficients without a
+    rebuild after every step.
 
     `memo` maps a monomial to (checked_upto, first_divisor_index): the
     index of the first leading monomial dividing it, or None when none of
@@ -150,7 +161,7 @@ def _nf(poly, lms, basis, key, counter, memo, quotients=None):
                     break
             memo[m] = (len(lms), idx)
         if idx is None:
-            remainder[m] = Fraction(c) / scale
+            remainder[m] = c
             continue
         counter.spend()
         lm = lms[idx]
@@ -158,11 +169,16 @@ def _nf(poly, lms, basis, key, counter, memo, quotients=None):
         g = basis[idx]
         lead = g[lm]
         if quotients is not None:
-            quotients.append((idx, q, Fraction(c) / scale))
-        if lead != 1:
+            quotients.append((idx, q, c / scale))
+        h = math.gcd(c, lead)
+        f = lead // h
+        c //= h
+        if f != 1:
             for e in work:
-                work[e] *= lead
-            scale *= lead
+                work[e] *= f
+            for e in remainder:
+                remainder[e] *= f
+            scale *= f
         for e, a in g.items():
             if e == lm:
                 continue
@@ -173,11 +189,13 @@ def _nf(poly, lms, basis, key, counter, memo, quotients=None):
                 heapq.heappush(heap, (tuple(map(neg, key(t))), t))
             else:
                 work[t] = v - c * a
-        g0 = _content(work)
-        if g0 > 1:
-            work = {e: v // g0 for e, v in work.items()}
-            scale /= g0
-    return remainder
+        if f != 1:
+            g0 = math.gcd(*work.values(), *remainder.values())
+            if g0 > 1:
+                work = {e: v // g0 for e, v in work.items()}
+                remainder = {e: v // g0 for e, v in remainder.items()}
+                scale /= g0
+    return remainder, scale
 
 
 def _spoly(gi, lmi, gj, lmj):
@@ -213,23 +231,41 @@ def _buchberger(generators, key, wdeg, counter, rank=1):
     is never formed.
 
     Pairs are processed in increasing (weighted lcm degree, lcm key, i, j)
-    order; the coprime and chain criteria prune the queue.  Under this
-    encoding the coprime test only ever fires in rank one.
+    order and pruned when a new element t arrives, by the update of
+    Gebauer and Moeller (JSC 6, 1988).  Among the new pairs (i, t) one is
+    kept per lcm, none whose lcm another new lcm strictly divides, and no
+    lcm class that holds a pair with coprime leads; a pending pair (i, j)
+    goes when lm_t divides its lcm and that lcm differs from lcm(i, t)
+    and lcm(j, t).  Under this encoding the coprime test only ever fires
+    in rank one.
     """
     basis = []
     lms = []
     memo = {}
-    pending = set()
+    pending = {}
     heap = []
 
-    def push_pairs(new_index):
-        lm_new = lms[new_index]
-        for i in range(new_index):
-            if rank > 1 and lms[i][-1] != lm_new[-1]:
+    def push_pairs(t):
+        lm_new = lms[t]
+        lcms = {}
+        classes = {}
+        coprime = set()
+        for i in range(t):
+            if rank == 1 or lms[i][-1] == lm_new[-1]:
+                lcm = lcms[i] = mono_lcm(lms[i], lm_new)
+                classes.setdefault(lcm, i)
+                if lcm == mono_mul(lms[i], lm_new):
+                    coprime.add(lcm)
+        for (i, j), lcm in list(pending.items()):
+            if (all(map(ge, lcm, lm_new)) and lcm != lcms.get(i)
+                    and lcm != lcms.get(j)):
+                del pending[(i, j)]
+        for lcm, i in classes.items():
+            if lcm in coprime or any(other != lcm and all(map(ge, lcm, other))
+                                     for other in classes):
                 continue
-            lcm = mono_lcm(lms[i], lm_new)
-            heapq.heappush(heap, (wdeg(lcm), key(lcm), i, new_index))
-            pending.add((i, new_index))
+            pending[(i, t)] = lcm
+            heapq.heappush(heap, (wdeg(lcm), key(lcm), i, t))
 
     for g in generators:
         lm, ints = _int_normalize(g, key)
@@ -241,21 +277,13 @@ def _buchberger(generators, key, wdeg, counter, rank=1):
 
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        pending.discard((i, j))
-        lcm = mono_lcm(lms[i], lms[j])
-        if lcm == mono_mul(lms[i], lms[j]):
-            continue  # coprime leading terms
-        if any(k != i and k != j
-               and all(map(ge, lcm, lms[k]))
-               and (min(i, k), max(i, k)) not in pending
-               and (min(j, k), max(j, k)) not in pending
-               for k in range(len(basis))):
-            continue  # chain criterion
+        if pending.pop((i, j), None) is None:
+            continue
         spoly, _, _ = _spoly(basis[i], lms[i], basis[j], lms[j])
         counter.spend()
-        r = _nf(spoly, lms, basis, key, counter, memo)
+        r, _ = _nf(spoly, lms, basis, key, counter, memo)
         if r:
-            lm, ints = _int_normalize(r, key)
+            lm, ints = _primitive(r, key)
             basis.append(ints)
             lms.append(lm)
             push_pairs(len(basis) - 1)
@@ -296,7 +324,7 @@ def _schreyer_records(family, key, counter):
             spoly, qi, qj = _spoly(basis[i], lmi, basis[j], lms[j])
             counter.spend()
             quotients = []
-            if _nf(spoly, lms, basis, key, counter, memo, quotients):
+            if _nf(spoly, lms, basis, key, counter, memo, quotients)[0]:
                 raise AssertionError("a stage family must already be a basis")
             # the S-polynomial is l_i l_j times the monic one
             scale = Fraction(1, basis[i][lmi] * basis[j][lms[j]])
@@ -329,8 +357,8 @@ def _interreduce(basis, lms, key, counter):
         lm = lms[i]
         if any(all(map(ge, lm, h)) for h in heads):
             continue
-        r = _nf(basis[i], heads, polys, key, counter, memo)
-        polys.append(_int_normalize(r, key)[1])
+        r, _ = _nf(basis[i], heads, polys, key, counter, memo)
+        polys.append(_primitive(r, key)[1])
         heads.append(lm)
     monic = []
     for lm, p in zip(heads, polys):
@@ -409,16 +437,20 @@ class IdealHandle:
             prepared = (key, lms, dicts, {})
             self._prepared[order] = prepared
         key, lms, dicts, memo = prepared
-        r = _nf(dict(p.terms), lms, dicts, key, _steps(), memo)
-        return Polynomial._make(self.context, r)
+        r, scale = _nf(dict(p.terms), lms, dicts, key, _steps(), memo)
+        return Polynomial._make(self.context,
+                                {e: v / scale for e, v in r.items()})
 
     def contains(self, p):
         return self.normal_form(p).is_zero
 
     def equals(self, other):
-        """Mutual inclusion of generators."""
+        """Mutual inclusion of generators; equal generator sets need no
+        basis."""
         if self.context != other.context:
             raise ValueError("ideal context mismatch")
+        if set(self.generators) == set(other.generators):
+            return True
         return (all(other.contains(g) for g in self.generators)
                 and all(self.contains(g) for g in other.generators))
 

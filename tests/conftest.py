@@ -49,7 +49,7 @@ def column_span_checker(matrix, shifts=None):
         for i, p in enumerate(column):
             for e, c in p.terms:
                 element[e + (i, rank - 1 - i)] = c
-        return not _nf(element, lms, basis, key, StepCounter(), {})
+        return not _nf(element, lms, basis, key, StepCounter(), {})[0]
 
     return contains
 

@@ -7,15 +7,16 @@ ideal quotients instead of the one-shot elimination trick.
 
 The second half keeps slow paths the library replaced by exact shortcuts,
 so the shortcuts can be checked against them: the nested order keys, the
-max-scan normal form and the multi-pass interreduction of the ring
-kernel, the separate module engine over (exponents, component) terms that
-resolutions ran on before the ring kernel took the flat module encoding,
-with a record for every pair (and syzygy generators by eliminating
-components on it), the pass that pruned syzygies to minimal generators
-with one basis per candidate, the minimization of a tower by `Polynomial`
-arithmetic that rescans every entry for a unit, the ideal quotient and
-the nonzerodivisor test by (I : g) == I, and the saturation that gave the
-Fitting heights off the irrelevant ideal.
+max-scan normal form, the chain-scan Buchberger and the multi-pass
+interreduction of the ring kernel, the separate module engine over
+(exponents, component) terms that resolutions ran on before the ring
+kernel took the flat module encoding, with a record for every pair (and
+syzygy generators by eliminating components on it), the pass that pruned
+syzygies to minimal generators with one basis per candidate, the
+minimization of a tower by `Polynomial` arithmetic that rescans every
+entry for a unit, the ideal quotient and the nonzerodivisor test by
+(I : g) == I, and the saturation that gave the Fitting heights off the
+irrelevant ideal.
 """
 
 import heapq
@@ -27,7 +28,7 @@ from operator import add, ge, neg, sub
 from diffrees.poly import DEGREVLEX, Polynomial, mono_divide, mono_lcm, \
     mono_mul
 from diffrees.groebner import IdealHandle, StepCounter, _buchberger, \
-    _content, _int_normalize, _nf, _steps
+    _int_normalize, _nf, _spoly, _steps
 from diffrees.resolution import _position_key
 
 
@@ -290,11 +291,62 @@ def max_scan_nf(poly, lms, basis, key, counter, memo, quotients=None):
             elif t in work:
                 del work[t]
         if work:
-            g0 = _content(work)
+            g0 = math.gcd(*work.values())
             if g0 > 1:
                 work = {e: v // g0 for e, v in work.items()}
                 scale /= g0
     return {e: c for e, c in remainder.items() if c}
+
+
+def chain_scan_buchberger(generators, key, wdeg, counter, rank=1):
+    """`groebner._buchberger` as it was: the coprime and chain criteria
+    tested on every popped pair, the chain criterion by a scan of the
+    whole basis against the pending pairs."""
+    basis = []
+    lms = []
+    memo = {}
+    pending = set()
+    heap = []
+
+    def push_pairs(new_index):
+        lm_new = lms[new_index]
+        for i in range(new_index):
+            if rank > 1 and lms[i][-1] != lm_new[-1]:
+                continue
+            lcm = mono_lcm(lms[i], lm_new)
+            heapq.heappush(heap, (wdeg(lcm), key(lcm), i, new_index))
+            pending.add((i, new_index))
+
+    for g in generators:
+        lm, ints = _int_normalize(g, key)
+        if lm is None:
+            continue
+        basis.append(ints)
+        lms.append(lm)
+        push_pairs(len(basis) - 1)
+
+    while heap:
+        _, _, i, j = heapq.heappop(heap)
+        pending.discard((i, j))
+        lcm = mono_lcm(lms[i], lms[j])
+        if lcm == mono_mul(lms[i], lms[j]):
+            continue  # coprime leading terms
+        if any(k != i and k != j
+               and all(map(ge, lcm, lms[k]))
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
+               for k in range(len(basis))):
+            continue  # chain criterion
+        spoly, _, _ = _spoly(basis[i], lms[i], basis[j], lms[j])
+        counter.spend()
+        r, _ = _nf(spoly, lms, basis, key, counter, memo)
+        if r:
+            lm, ints = _int_normalize(r, key)
+            basis.append(ints)
+            lms.append(lm)
+            push_pairs(len(basis) - 1)
+
+    return basis, lms
 
 
 def multipass_interreduce(basis, lms, key, counter):
@@ -537,7 +589,7 @@ def minimal_generators(elements, ctx, rank):
             if not others:
                 continue
             basis, lms = _buchberger(others, key, wdeg, counter, rank)
-            if not _nf(current[i], lms, basis, key, counter, {}):
+            if not _nf(current[i], lms, basis, key, counter, {})[0]:
                 del current[i]
                 changed = True
                 break

@@ -96,6 +96,14 @@ def test_ideal_equality_change_of_generators(xyz):
     assert not IdealHandle(xyz, [X]).equals(IdealHandle(xyz, [Y]))
 
 
+def test_equal_generator_sets_build_no_basis(xyz):
+    X, Y, Z = xyz.gens()
+    first = IdealHandle(xyz, [X * Y - Z**2, X**2])
+    second = IdealHandle(xyz, [X**2, X * Y - Z**2, X**2])
+    assert first.equals(second) and second.equals(first)
+    assert not first._cache and not second._cache
+
+
 def test_saturation_examples(xyz):
     X, Y, _ = xyz.gens()
     sat = IdealHandle(xyz, [X**2 * Y]).saturation(X)

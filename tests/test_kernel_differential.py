@@ -2,14 +2,17 @@
 kernels they replaced, which `oracles.py` keeps.
 
 The heap pops the terms of the working polynomial in the order max()
-found them, so every reducer choice is the same: remainders, the
-(index, monomial, multiplier) quotient triples and the reduction steps
-must agree call by call.  The one-pass interreduction must return the
-bases the multi-pass one did and spend the same steps, because the first
-of the old passes already was the one pass.  Resolutions and syzygies run
-on the same kernels with module terms in the flat encoding
-a + (c, r-1-c), so they are checked call by call too, and a module normal
-form under a Schreyer key must agree with the old module engine's.
+found them, and the gcd-scaled cancellation changes only the integer
+scale of the work, so every reducer choice is the same: the exact
+remainders (the integer remainder over its scale), the (index, monomial,
+multiplier) quotient triples and the reduction steps must agree call by
+call.  The one-pass interreduction must return the bases the multi-pass
+one did and spend the same steps, because the first of the old passes
+already was the one pass.  Resolutions and syzygies run on the same
+kernels with module terms in the flat encoding a + (c, r-1-c), so they
+are checked call by call too, and a module normal form under a Schreyer
+key must agree with the old module engine's.  The Gebauer-Moeller pair
+update must give the reduced bases the chain scan it replaced gave.
 """
 
 from contextlib import contextmanager
@@ -21,11 +24,12 @@ from hypothesis import strategies as st
 
 import oracles
 from diffrees import groebner, resolution
-from diffrees.groebner import IdealHandle, StepCounter, _int_normalize
+from diffrees.groebner import (IdealHandle, StepCounter, _int_normalize,
+                               _memo_key)
 from diffrees.poly import DEGREVLEX, LEX, MonomialOrder, VariableContext
-from diffrees.resolution import (_induced_key, _position_key,
-                                 free_resolution, presentation_of_ideal,
-                                 syzygies)
+from diffrees.resolution import (_columns_to_elements, _induced_key,
+                                 _position_key, free_resolution,
+                                 presentation_of_ideal, syzygies)
 
 from conftest import P, homogeneous_ideals
 
@@ -50,14 +54,15 @@ def checked_kernels():
                                        ref_counter, dict(memo),
                                        ref_quotients)
         got_quotients, before = [], counter.remaining
-        got = nf(poly, lms, basis, key, counter, memo, got_quotients)
-        assert list(got.items()) == list(expected.items())
+        got, scale = nf(poly, lms, basis, key, counter, memo, got_quotients)
+        assert ([(e, Fraction(v) / scale) for e, v in got.items()]
+                == list(expected.items()))
         assert got_quotients == ref_quotients
         assert before - counter.remaining == _spent(ref_counter)
         if quotients is not None:
             quotients.extend(got_quotients)
         calls["nf"] += 1
-        return got
+        return got, scale
 
     def interreduce_checked(basis, lms, key, counter):
         ref_counter = StepCounter()
@@ -138,6 +143,49 @@ def test_syzygies_match_max_scan(drawn):
     assert calls["nf"] > 0
 
 
+def _assert_same_reduced_basis(generators, key, wdeg, rank=1):
+    got = groebner._buchberger(generators, key, wdeg, StepCounter(), rank)
+    ref = oracles.chain_scan_buchberger(generators, key, wdeg,
+                                        StepCounter(), rank)
+    assert (groebner._interreduce(*got, key, StepCounter())
+            == groebner._interreduce(*ref, key, StepCounter()))
+
+
+@_SETTINGS
+@given(st.booleans().flatmap(lambda w: homogeneous_ideals(weighted=w)))
+def test_pair_update_matches_chain_scan(drawn):
+    """The Gebauer-Moeller update against the chain scan it replaced, in
+    three ring orders and in rank > 1: the component-elimination columns
+    of `syzygies` and the first resolution stage of the syzygy module."""
+    ctx, gens = drawn
+    wdeg = ctx.weighted_degree
+    for order in (DEGREVLEX, LEX, MonomialOrder.elimination((0,))):
+        _assert_same_reduced_basis([dict(g.terms) for g in gens],
+                                   _memo_key(order.key_for(ctx)), wdeg)
+    pres = presentation_of_ideal(IdealHandle(ctx, gens))
+    rank = 1 + len(gens)
+    columns = _columns_to_elements(pres, rank)
+    for j, col in enumerate(columns):
+        col[(0,) * ctx.arity + (1 + j, rank - 2 - j)] = Fraction(1)
+    _assert_same_reduced_basis(columns, _position_key(ctx), wdeg, rank)
+    syz = syzygies(pres)
+    _assert_same_reduced_basis(_columns_to_elements(syz, syz.target_rank),
+                               _position_key(ctx), wdeg, syz.target_rank)
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+def test_pair_update_drops_a_pending_pair(order):
+    """The third generator's lead X*Y divides the lcm X^2*Y^2 of the
+    pending pair of the first two and differs from both new lcms, so the
+    update deletes that pair before it is reduced."""
+    ctx = VariableContext(("X", "Y", "Z", "W"))
+    gens = [P(ctx, "X^2*Y - Z^3"), P(ctx, "X*Y^2 - W^3"),
+            P(ctx, "X*Y - Z*W")]
+    _assert_same_reduced_basis([dict(g.terms) for g in gens],
+                               _memo_key(order.key_for(ctx)),
+                               ctx.weighted_degree)
+
+
 def _flat(term, rank):
     e, c = term
     return e + (c, rank - 1 - c)
@@ -179,12 +227,12 @@ def test_schreyer_key_normal_forms_match_max_scan(drawn):
         lms.append(lm)
         basis.append(ints)
     got_q, ref_q, got_c, ref_c = [], [], StepCounter(), StepCounter()
-    got = groebner._nf({_flat(t, 2): c for t, c in element.items()}, lms,
-                       basis, key, got_c, {}, got_q)
+    got, scale = groebner._nf({_flat(t, 2): c for t, c in element.items()},
+                              lms, basis, key, got_c, {}, got_q)
     expected = oracles.mod_nf(element, old_lms, old_gens, old_key, ref_c,
                               ref_q)
-    assert list(got.items()) == [(_flat(t, 2), c)
-                                 for t, c in expected.items()]
+    assert [(t, Fraction(v) / scale) for t, v in got.items()] == [
+        (_flat(t, 2), c) for t, c in expected.items()]
     assert got_q == [(k, q + (0, 0), c) for k, q, c in ref_q]
     assert _spent(got_c) == _spent(ref_c)
 
