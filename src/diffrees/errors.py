@@ -20,6 +20,11 @@ class ParseError(DiffreesError):
         super().__init__(message)
 
 
+class ExponentOverflowError(DiffreesError, ValueError):
+    """An exponent reached 2^31, past the field the Groebner kernel packs
+    each exponent into."""
+
+
 class StepBudgetExceeded(DiffreesError):
     """A Groebner computation ran out of its reduction-step budget.
 

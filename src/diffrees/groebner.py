@@ -10,9 +10,17 @@ kernel serves free modules: the term x^a e_c of a module of rank r is the
 flat exponent tuple a + (c, r-1-c), and the Schreyer syzygy records of a
 basis are reduced on the same normal form (see `_schreyer_records`).
 
-All computations are exact over Q and deterministic: the pair queue is
-ordered by weighted lcm degree with a fixed tie-break, so repeated runs
-produce identical bases.
+Inside the kernel every exponent tuple is packed into one int, each
+exponent in a 32-bit field whose top bit is a guard bit: a product of
+monomials is one addition and a divisibility test one subtraction and
+mask (see `_Monomials`).  The kernel's entry points take and return
+exponent-tuple dicts and pack only inside; an exponent that reaches 2^31
+raises `ExponentOverflowError` instead of carrying into its neighbour.
+
+All computations are exact over Q and deterministic: the pair queue,
+which also holds the input generators until each is reduced against the
+basis so far, is ordered by weighted degree with a fixed tie-break, so
+repeated runs produce identical bases.
 """
 
 from __future__ import annotations
@@ -21,13 +29,14 @@ import contextlib
 import contextvars
 import heapq
 import math
+import struct
 from fractions import Fraction
-from operator import add, ge, neg, sub
+from operator import neg
 from typing import NamedTuple
 
 from .errors import StepBudgetExceeded
-from .poly import (DEGREVLEX, MonomialOrder, Polynomial,
-                   mono_divide, mono_lcm, mono_mul)
+from .poly import (DEGREVLEX, EXPONENT_LIMIT, MonomialOrder, Polynomial,
+                   exponent_overflow)
 
 DEFAULT_STEP_BUDGET = 10_000_000
 
@@ -71,69 +80,127 @@ def _steps():
 
 
 # ---------------------------------------------------------------------------
-# raw engine over {exponent tuple: int} dicts
+# raw engine over packed monomials
+#
+# Inside the kernel a monomial is one nonnegative int: exponent i of an
+# exponent tuple of length L fills bits 32(L-1-i) to 32(L-1-i)+30, and bit
+# 31 of every field is a guard bit that a valid monomial leaves clear, as
+# with the packed exponent vectors of Monagan and Pearce (Polynomial
+# division using dynamic arrays, heaps, and packed exponent vectors, CASC
+# 2007).  A product of monomials is one addition e + q and the quotient by
+# a divisor one subtraction m - lm.  With G the mask of all guard bits, lm
+# divides m exactly when ((m | G) - lm) & G == G: the set guards keep each
+# field's subtraction from borrowing out of it, and a guard survives where
+# m_i >= lm_i.  Two valid exponents sum to less than 2^32, so an exponent
+# that reaches 2^31 sets its own guard bit instead of carrying into its
+# neighbour, and `_Monomials.unpack` raises on it; `_nf` looks up the
+# order key of every monomial it meets, unpacking each new one, so no
+# such monomial gets past it.
 #
 # Reductions are fraction-free: basis elements are content-free integer
 # polynomials with positive leading coefficient, and the working
 # polynomial carries one global rational scale instead of per-coefficient
 # denominators.  Monic output is produced once at the very end.
 
-def _memo_key(key):
-    """Memoize an order key; monomials repeat heavily within one run."""
-    cache = {}
+_FIELD = (1 << 32) - 1     # the lowest field: the last exponent
 
-    def cached(e):
-        v = cache.get(e)
-        if v is None:
-            v = cache[e] = key(e)
+
+class _Monomials(dict):
+    """Packed monomials of one exponent length under one order key.
+
+    Packs and unpacks exponent tuples, and maps a packed monomial to its
+    negated order key, computed on first lookup and then kept: a min-heap
+    of (negated key, monomial) pops the largest monomial first, and the
+    lead of a polynomial is the monomial of least negated key.
+    """
+
+    __slots__ = ("key", "guard", "_struct")
+
+    def __init__(self, key, length):
+        super().__init__()
+        self.key = key
+        self.guard = int.from_bytes(b"\x80\0\0\0" * length, "big")
+        self._struct = struct.Struct(f">{length}I")
+
+    def pack(self, e):
+        if max(e) >= EXPONENT_LIMIT:
+            raise exponent_overflow(e)
+        return int.from_bytes(self._struct.pack(*e), "big")
+
+    def unpack(self, m):
+        e = self._struct.unpack(m.to_bytes(self._struct.size, "big"))
+        if m & self.guard:
+            raise exponent_overflow(e)
+        return e
+
+    def __missing__(self, m):
+        v = self[m] = tuple(map(neg, self.key(self.unpack(m))))
         return v
 
-    return cached
+
+def _packed(dicts, key):
+    """The `_Monomials` of the dicts' exponent length under `key`, and the
+    dicts with packed monomials."""
+    length = next((len(e) for d in dicts for e in d), 1)
+    mons = _Monomials(key, length)
+    pack = mons.pack
+    return mons, [{pack(e): c for e, c in d.items()} for d in dicts]
 
 
-def _primitive(ints, key):
-    """Content-free form of a nonzero integer dict with positive leading
-    coefficient, as (lm, dict)."""
+def _lcm(a, b, guard):
+    """lcm of two packed monomials: the guards that survive a - b mark
+    the fields where a is not smaller, and fill a mask of those fields."""
+    mask = ((((a | guard) - b) & guard) >> 31) * _FIELD
+    return (a & mask) | (b & ~mask)
+
+
+def _primitive(ints, mons):
+    """Content-free form of a nonzero packed integer dict with positive
+    leading coefficient, as (lm, dict)."""
     g0 = math.gcd(*ints.values())
     if g0 > 1:
         ints = {e: v // g0 for e, v in ints.items()}
-    lm = max(ints, key=key)
+    lm = min(ints, key=mons.__getitem__)
     if ints[lm] < 0:
         ints = {e: -v for e, v in ints.items()}
     return lm, ints
 
 
-def _int_normalize(d, key):
-    """Content-free integer form with positive leading coefficient; accepts
-    int or Fraction coefficients.  Returns (lm, dict) or (None, {})."""
+def _int_normalize(d, mons):
+    """Content-free integer form with positive leading coefficient of a
+    packed dict with int or Fraction coefficients.  Returns (lm, dict) or
+    (None, {})."""
     d = {e: c for e, c in d.items() if c}
     if not d:
         return None, {}
     mult = math.lcm(*(c.denominator for c in d.values()))
     return _primitive({e: c.numerator * (mult // c.denominator)
-                       for e, c in d.items()}, key)
+                       for e, c in d.items()}, mons)
 
 
-def _nf(poly, lms, basis, key, counter, memo, quotients=None):
-    """Full normal form against content-free integer reducers.
+def _nf(poly, lms, basis, mons, counter, memo, quotients=None):
+    """Full normal form of a packed dict against content-free packed
+    integer reducers, ordered by the negated keys of `mons`.
 
-    Returns (remainder, scale): an {monomial: int} dict and a rational
-    such that remainder / scale is the exact normal form.  When
+    Returns (remainder, scale): a packed {monomial: int} dict and a
+    rational such that remainder / scale is the exact normal form.  When
     `quotients` is a list it receives (index, monomial, multiplier)
     triples, the multipliers taken against the monic reducers.
 
     A term c x^m meets the reducer g with lead l x^lm by gcd-scaled
     cancellation: with h = gcd(c, l), the work and the remainder so far
-    are multiplied by l // h and (c // h) x^q g is subtracted.  The
-    content of work and remainder is removed only after a step whose
+    are multiplied by l // h and (c // h) x^q g is subtracted, where
+    q = m - lm is one subtraction and each product e + q one addition.
+    The content of work and remainder is removed only after a step whose
     factor l // h is not 1, which bounds the coefficients without a
     rebuild after every step.
 
     `memo` maps a monomial to (checked_upto, first_divisor_index): the
-    index of the first leading monomial dividing it, or None when none of
-    lms[:checked_upto] does.  It stays valid, and the reducer choice stays
-    that of a linear scan, as long as the caller only appends to `lms`;
-    callers that change their reducer lists otherwise pass a fresh dict.
+    index of the first leading monomial dividing it, by the guard-bit
+    test, or None when none of lms[:checked_upto] does.  It stays valid,
+    and the reducer choice stays that of a linear scan, as long as the
+    caller only appends to `lms`; callers that change their reducer lists
+    otherwise pass a fresh dict.
 
     The working polynomial is a dict next to a min-heap of (negated key,
     monomial); a monomial is pushed when it enters the dict and cancelled
@@ -145,18 +212,21 @@ def _nf(poly, lms, basis, key, counter, memo, quotients=None):
     mult = math.lcm(*(c.denominator for c in work.values()))
     scale = Fraction(mult)
     work = {e: c.numerator * (mult // c.denominator) for e, c in work.items()}
-    heap = [(tuple(map(neg, key(e))), e) for e in work]
+    heap = [(mons[e], e) for e in work]
     heapq.heapify(heap)
+    guard = mons.guard
+    heappop, heappush = heapq.heappop, heapq.heappush
     remainder = {}
     while heap:
-        m = heapq.heappop(heap)[1]
+        m = heappop(heap)[1]
         c = work.pop(m)
         if not c:
             continue
         checked, idx = memo.get(m, (0, None))
         if idx is None and checked < len(lms):
+            mg = m | guard
             for k in range(checked, len(lms)):
-                if all(map(ge, m, lms[k])):
+                if (mg - lms[k]) & guard == guard:
                     idx = k
                     break
             memo[m] = (len(lms), idx)
@@ -165,7 +235,7 @@ def _nf(poly, lms, basis, key, counter, memo, quotients=None):
             continue
         counter.spend()
         lm = lms[idx]
-        q = tuple(map(sub, m, lm))
+        q = m - lm
         g = basis[idx]
         lead = g[lm]
         if quotients is not None:
@@ -182,11 +252,11 @@ def _nf(poly, lms, basis, key, counter, memo, quotients=None):
         for e, a in g.items():
             if e == lm:
                 continue
-            t = tuple(map(add, e, q))
+            t = e + q
             v = work.get(t)
             if v is None:
                 work[t] = -c * a
-                heapq.heappush(heap, (tuple(map(neg, key(t))), t))
+                heappush(heap, (mons[t], t))
             else:
                 work[t] = v - c * a
         if f != 1:
@@ -198,19 +268,16 @@ def _nf(poly, lms, basis, key, counter, memo, quotients=None):
     return remainder, scale
 
 
-def _spoly(gi, lmi, gj, lmj):
+def _spoly(gi, lmi, gj, lmj, lcm):
     """The S-polynomial lc_j x^qi g_i - lc_i x^qj g_j of two content-free
-    integer elements, with the quotients qi, qj of lcm(lm_i, lm_j) by
-    their leads."""
-    lcm = mono_lcm(lmi, lmj)
-    qi = mono_divide(lcm, lmi)
-    qj = mono_divide(lcm, lmj)
+    packed integer elements, with the quotients qi, qj of their leads'
+    packed `lcm` by those leads."""
+    qi = lcm - lmi
+    qj = lcm - lmj
     li, lj = gi[lmi], gj[lmj]
-    spoly = {}
-    for e, c in gi.items():
-        spoly[mono_mul(e, qi)] = c * lj
+    spoly = {e + qi: c * lj for e, c in gi.items()}
     for e, c in gj.items():
-        t = mono_mul(e, qj)
+        t = e + qj
         v = spoly.get(t, 0) - c * li
         if v:
             spoly[t] = v
@@ -228,17 +295,26 @@ def _buchberger(generators, key, wdeg, counter, rank=1):
     x^a e_c as the flat exponent tuple a + (c, rank-1-c), so divisibility,
     quotients and products stay within one component and `wdeg` ignores
     the two trailing coordinates; a pair of leads in different components
-    is never formed.
+    is never formed.  The terms are packed on entry (see `_Monomials`)
+    and unpacked on return.
 
-    Pairs are processed in increasing (weighted lcm degree, lcm key, i, j)
-    order and pruned when a new element t arrives, by the update of
-    Gebauer and Moeller (JSC 6, 1988).  Among the new pairs (i, t) one is
-    kept per lcm, none whose lcm another new lcm strictly divides, and no
-    lcm class that holds a pair with coprime leads; a pending pair (i, j)
-    goes when lm_t divides its lcm and that lcm differs from lcm(i, t)
-    and lcm(j, t).  Under this encoding the coprime test only ever fires
-    in rank one.
+    The generators are not taken in as they come.  Each waits in the pair
+    queue at (weighted degree of its lead, key of its lead, -1, index);
+    when popped it is reduced against the basis found so far and enters
+    only if its remainder is nonzero, so a generator that the others
+    already generate costs one normal form and no pairs.  Pairs (i, j) are
+    processed in increasing (weighted lcm degree, lcm key, i, j) order and
+    pruned when a new element t arrives, by the update of Gebauer and
+    Moeller (JSC 6, 1988).  Among the new pairs (i, t) one is kept per
+    lcm, none whose lcm another new lcm strictly divides, and no lcm class
+    that holds a pair with coprime leads; a pending pair (i, j) goes when
+    lm_t divides its lcm and that lcm differs from lcm(i, t) and lcm(j, t).
+    Under this encoding the coprime test only ever fires in rank one.
     """
+    mons, generators = _packed(generators, key)
+    guard = mons.guard
+    unpack = mons.unpack
+    inputs = []
     basis = []
     lms = []
     memo = {}
@@ -247,48 +323,58 @@ def _buchberger(generators, key, wdeg, counter, rank=1):
 
     def push_pairs(t):
         lm_new = lms[t]
+        component = lm_new & _FIELD
         lcms = {}
         classes = {}
         coprime = set()
         for i in range(t):
-            if rank == 1 or lms[i][-1] == lm_new[-1]:
-                lcm = lcms[i] = mono_lcm(lms[i], lm_new)
+            if rank == 1 or lms[i] & _FIELD == component:
+                lcm = lcms[i] = _lcm(lms[i], lm_new, guard)
                 classes.setdefault(lcm, i)
-                if lcm == mono_mul(lms[i], lm_new):
+                if lcm == lms[i] + lm_new:
                     coprime.add(lcm)
         for (i, j), lcm in list(pending.items()):
-            if (all(map(ge, lcm, lm_new)) and lcm != lcms.get(i)
-                    and lcm != lcms.get(j)):
+            if (((lcm | guard) - lm_new) & guard == guard
+                    and lcm != lcms.get(i) and lcm != lcms.get(j)):
                 del pending[(i, j)]
         for lcm, i in classes.items():
-            if lcm in coprime or any(other != lcm and all(map(ge, lcm, other))
-                                     for other in classes):
+            if lcm in coprime:
+                continue
+            high = lcm | guard
+            if any(other != lcm and (high - other) & guard == guard
+                   for other in classes):
                 continue
             pending[(i, t)] = lcm
-            heapq.heappush(heap, (wdeg(lcm), key(lcm), i, t))
+            e = unpack(lcm)
+            heapq.heappush(heap, (wdeg(e), key(e), i, t))
 
     for g in generators:
-        lm, ints = _int_normalize(g, key)
+        lm, ints = _int_normalize(g, mons)
         if lm is None:
             continue
-        basis.append(ints)
-        lms.append(lm)
-        push_pairs(len(basis) - 1)
+        e = unpack(lm)
+        heapq.heappush(heap, (wdeg(e), key(e), -1, len(inputs)))
+        inputs.append(ints)
 
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        if pending.pop((i, j), None) is None:
-            continue
-        spoly, _, _ = _spoly(basis[i], lms[i], basis[j], lms[j])
-        counter.spend()
-        r, _ = _nf(spoly, lms, basis, key, counter, memo)
+        if i < 0:
+            r, _ = _nf(inputs[j], lms, basis, mons, counter, memo)
+        else:
+            lcm = pending.pop((i, j), None)
+            if lcm is None:
+                continue
+            spoly, _, _ = _spoly(basis[i], lms[i], basis[j], lms[j], lcm)
+            counter.spend()
+            r, _ = _nf(spoly, lms, basis, mons, counter, memo)
         if r:
-            lm, ints = _primitive(r, key)
+            lm, ints = _primitive(r, mons)
             basis.append(ints)
             lms.append(lm)
             push_pairs(len(basis) - 1)
 
-    return basis, lms
+    return ([{unpack(e): c for e, c in g.items()} for g in basis],
+            [unpack(lm) for lm in lms])
 
 
 def _schreyer_records(family, key, counter):
@@ -303,34 +389,41 @@ def _schreyer_records(family, key, counter):
     records form a Groebner basis of the syzygies (Schreyer), so the
     records whose leads minimally generate the lead module already do:
     for each i only the j whose quotient no other quotient of i divides
-    are reduced, the smallest j among equal quotients.
+    are reduced, the smallest j among equal quotients.  The family is
+    packed on entry; the records' quotient monomials are exponent tuples.
     """
+    mons, family = _packed(family, key)
+    guard = mons.guard
+    unpack = mons.unpack
     basis = []
     lms = []
     for el in family:
-        lm, ints = _int_normalize(el, key)
+        lm, ints = _int_normalize(el, mons)
         basis.append(ints)
         lms.append(lm)
     memo = {}
     records = []
     for i, lmi in enumerate(lms):
+        component = lmi & _FIELD
         firsts = {}
         for j in range(i + 1, len(lms)):
-            if lms[j][-1] == lmi[-1]:
-                firsts.setdefault(mono_divide(mono_lcm(lmi, lms[j]), lmi), j)
+            if lms[j] & _FIELD == component:
+                firsts.setdefault(_lcm(lmi, lms[j], guard) - lmi, j)
         for q, j in firsts.items():
-            if any(p != q and all(map(ge, q, p)) for p in firsts):
+            high = q | guard
+            if any(p != q and (high - p) & guard == guard for p in firsts):
                 continue
-            spoly, qi, qj = _spoly(basis[i], lmi, basis[j], lms[j])
+            spoly, qi, qj = _spoly(basis[i], lmi, basis[j], lms[j], q + lmi)
             counter.spend()
             quotients = []
-            if _nf(spoly, lms, basis, key, counter, memo, quotients)[0]:
+            if _nf(spoly, lms, basis, mons, counter, memo, quotients)[0]:
                 raise AssertionError("a stage family must already be a basis")
             # the S-polynomial is l_i l_j times the monic one
             scale = Fraction(1, basis[i][lmi] * basis[j][lms[j]])
-            record = {(i, qi): Fraction(1), (j, qj): Fraction(-1)}
+            record = {(i, unpack(qi)): Fraction(1),
+                      (j, unpack(qj)): Fraction(-1)}
             for k, qk, c in quotients:
-                t = (k, qk)
+                t = (k, unpack(qk))
                 v = record.get(t, 0) - c * scale
                 if v:
                     record[t] = v
@@ -342,7 +435,7 @@ def _schreyer_records(family, key, counter):
 
 def _interreduce(basis, lms, key, counter):
     """Minimalize and tail-reduce, then return the unique monic reduced
-    basis as {monomial: Fraction} dicts.
+    basis as (leads, {monomial: Fraction} dicts), on exponent tuples.
 
     One pass by increasing lead: an element whose lead a kept lead divides
     is dropped, and every other one is reduced against the already reduced
@@ -350,21 +443,26 @@ def _interreduce(basis, lms, key, counter):
     larger lead divides no term of the element.  The reducer lists are
     only appended to, so one first-divisor memo serves the whole pass.
     """
+    mons, basis = _packed(basis, key)
+    guard = mons.guard
+    lms = [mons.pack(lm) for lm in lms]
     heads = []
     polys = []
     memo = {}
-    for i in sorted(range(len(basis)), key=lambda i: key(lms[i])):
-        lm = lms[i]
-        if any(all(map(ge, lm, h)) for h in heads):
+    for i in sorted(range(len(basis)), key=lambda i: mons[lms[i]],
+                    reverse=True):
+        high = lms[i] | guard
+        if any((high - h) & guard == guard for h in heads):
             continue
-        r, _ = _nf(basis[i], heads, polys, key, counter, memo)
-        polys.append(_primitive(r, key)[1])
-        heads.append(lm)
+        r, _ = _nf(basis[i], heads, polys, mons, counter, memo)
+        polys.append(_primitive(r, mons)[1])
+        heads.append(lms[i])
+    unpack = mons.unpack
     monic = []
     for lm, p in zip(heads, polys):
         lead = Fraction(p[lm])
-        monic.append({e: c / lead for e, c in p.items()})
-    return heads, monic
+        monic.append({unpack(e): c / lead for e, c in p.items()})
+    return [unpack(lm) for lm in heads], monic
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +510,7 @@ class IdealHandle:
         if cached is not None:
             return cached
         ctx = self.context
-        key = _memo_key(order.key_for(ctx))
+        key = order.key_for(ctx)
         counter = _steps()
         basis, lms = _buchberger([dict(g.terms) for g in self.generators],
                                  key, ctx.weighted_degree, counter)
@@ -427,19 +525,22 @@ class IdealHandle:
         prepared = self._prepared.get(order)
         if prepared is None:
             basis = self.groebner_basis(order)
-            key = _memo_key(order.key_for(self.context))
+            mons = _Monomials(order.key_for(self.context),
+                              self.context.arity)
             lms = []
             dicts = []
             for g in basis:
-                lm, ints = _int_normalize(dict(g.terms), key)
+                lm, ints = _int_normalize(
+                    {mons.pack(e): c for e, c in g.terms}, mons)
                 lms.append(lm)
                 dicts.append(ints)
-            prepared = (key, lms, dicts, {})
+            prepared = (mons, lms, dicts, {})
             self._prepared[order] = prepared
-        key, lms, dicts, memo = prepared
-        r, scale = _nf(dict(p.terms), lms, dicts, key, _steps(), memo)
-        return Polynomial._make(self.context,
-                                {e: v / scale for e, v in r.items()})
+        mons, lms, dicts, memo = prepared
+        r, scale = _nf({mons.pack(e): c for e, c in p.terms}, lms, dicts,
+                       mons, _steps(), memo)
+        return Polynomial._make(self.context, {mons.unpack(e): v / scale
+                                               for e, v in r.items()})
 
     def contains(self, p):
         return self.normal_form(p).is_zero
@@ -521,11 +622,9 @@ class IdealHandle:
         if any(g.is_constant and not g.is_zero for g in gb):
             report = DimensionReport(-1, None)
         else:
-            key = DEGREVLEX.key_for(ctx)
-            supports = []
-            for g in gb:
-                lm = max((e for e, _ in g.terms), key=key)
-                supports.append(frozenset(i for i, e in enumerate(lm) if e))
+            # terms are sorted by the context's degrevlex key, lead first
+            supports = [frozenset(i for i, e in enumerate(g.terms[0][0]) if e)
+                        for g in gb]
             hitting = _min_hitting_set(supports, ctx.arity)
             independent = tuple(sorted(set(range(ctx.arity)) - hitting))
             report = DimensionReport(

@@ -12,28 +12,24 @@ import operator
 import re
 from fractions import Fraction
 
-from .errors import ContextMismatchError, ParseError
+from .errors import ContextMismatchError, ExponentOverflowError, ParseError
 
+# Every exponent stays below 2^31: the Groebner kernel packs each into a
+# 32-bit field whose top bit is a guard bit.
+EXPONENT_LIMIT = 1 << 31
+
+
+def exponent_overflow(e):
+    """The error for an exponent tuple with an entry >= EXPONENT_LIMIT."""
+    return ExponentOverflowError(
+        f"exponent {max(e)} is too large: exponents must stay below "
+        f"2^31 = {EXPONENT_LIMIT}")
 
 # ---------------------------------------------------------------------------
 # monomial helpers (dense exponent tuples)
 
 def mono_mul(a, b):
     return tuple(map(operator.add, a, b))
-
-
-def mono_divide(a, b):
-    """a / b as an exponent tuple, or None when b does not divide a."""
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
-
-
-def mono_lcm(a, b):
-    return tuple(map(max, a, b))
 
 
 class MonomialOrder:
@@ -164,6 +160,8 @@ class VariableContext:
             raise ValueError("exponent length must match arity")
         if any(e < 0 for e in exponents):
             raise ValueError("exponents must be nonnegative")
+        if any(e >= EXPONENT_LIMIT for e in exponents):
+            raise exponent_overflow(exponents)
         return Polynomial._make(self, {exponents: Fraction(coefficient)})
 
     def constant(self, value):
@@ -506,6 +504,10 @@ class _Parser:
         p = self.expr()
         if self.peek()[0] != "end":
             self.fail(f"unexpected {self.peek()[1]!r}")
+        for e, _ in p.terms:
+            if any(x >= EXPONENT_LIMIT for x in e):
+                _, _, line, col = self.tokens[0]
+                raise ParseError(str(exponent_overflow(e)), line, col)
         return p
 
     def expr(self):
@@ -545,6 +547,8 @@ class _Parser:
             kind, val, _, _ = self.peek()
             if kind != "num":
                 self.fail("exponent must be a nonnegative integer")
+            if int(val) >= EXPONENT_LIMIT:
+                self.fail(str(exponent_overflow((int(val),))))
             self.take()
             return base ** int(val)
         return base

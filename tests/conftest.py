@@ -34,7 +34,8 @@ def column_span_checker(matrix, shifts=None):
     """Membership in the column span of `matrix`, by a module basis on the
     ring kernel with the flat term encoding of `resolution`; `shifts` are
     row degrees making its columns homogeneous."""
-    from diffrees.groebner import StepCounter, _buchberger, _nf
+    from diffrees.groebner import StepCounter, _buchberger
+    from oracles import tuple_nf
     from diffrees.resolution import (ModulePresentation,
                                      _columns_to_elements, _position_key)
     ctx = matrix.context
@@ -49,7 +50,7 @@ def column_span_checker(matrix, shifts=None):
         for i, p in enumerate(column):
             for e, c in p.terms:
                 element[e + (i, rank - 1 - i)] = c
-        return not _nf(element, lms, basis, key, StepCounter(), {})[0]
+        return not tuple_nf(element, lms, basis, key, StepCounter(), {})[0]
 
     return contains
 

@@ -7,7 +7,8 @@ ideal quotients instead of the one-shot elimination trick.
 
 The second half keeps slow paths the library replaced by exact shortcuts,
 so the shortcuts can be checked against them: the nested order keys, the
-max-scan normal form, the chain-scan Buchberger and the multi-pass
+ring kernel on exponent tuples before monomials were packed into ints,
+the max-scan normal form, the chain-scan Buchberger and the multi-pass
 interreduction of the ring kernel, the separate module engine over
 (exponents, component) terms that resolutions ran on before the ring
 kernel took the flat module encoding, with a record for every pair (and
@@ -25,11 +26,23 @@ from fractions import Fraction
 from itertools import combinations
 from operator import add, ge, neg, sub
 
-from diffrees.poly import DEGREVLEX, Polynomial, mono_divide, mono_lcm, \
-    mono_mul
-from diffrees.groebner import IdealHandle, StepCounter, _buchberger, \
-    _int_normalize, _nf, _spoly, _steps
+from diffrees.poly import DEGREVLEX, Polynomial, mono_mul
+from diffrees.groebner import IdealHandle, StepCounter, _buchberger, _steps
 from diffrees.resolution import _position_key
+
+
+def mono_divide(a, b):
+    """a / b as an exponent tuple, or None when b does not divide a."""
+    out = []
+    for x, y in zip(a, b):
+        if x < y:
+            return None
+        out.append(x - y)
+    return tuple(out)
+
+
+def mono_lcm(a, b):
+    return tuple(map(max, a, b))
 
 
 def _leading(p, key):
@@ -247,6 +260,151 @@ def nested_schreyer_key(prev_key, prev_lms):
     return key
 
 
+# The ring kernel on exponent tuples, as it was before `groebner` packed
+# its monomials into ints: the heap-ordered normal form, the S-polynomial
+# and the order-key memo, on {exponent tuple: int} dicts.
+
+def memo_key(key):
+    """Memoize an order key; monomials repeat heavily within one run."""
+    cache = {}
+
+    def cached(e):
+        v = cache.get(e)
+        if v is None:
+            v = cache[e] = key(e)
+        return v
+
+    return cached
+
+
+def tuple_primitive(ints, key):
+    """Content-free form of a nonzero integer dict with positive leading
+    coefficient, as (lm, dict)."""
+    g0 = math.gcd(*ints.values())
+    if g0 > 1:
+        ints = {e: v // g0 for e, v in ints.items()}
+    lm = max(ints, key=key)
+    if ints[lm] < 0:
+        ints = {e: -v for e, v in ints.items()}
+    return lm, ints
+
+
+def tuple_int_normalize(d, key):
+    """Content-free integer form with positive leading coefficient; accepts
+    int or Fraction coefficients.  Returns (lm, dict) or (None, {})."""
+    d = {e: c for e, c in d.items() if c}
+    if not d:
+        return None, {}
+    mult = math.lcm(*(c.denominator for c in d.values()))
+    return tuple_primitive({e: c.numerator * (mult // c.denominator)
+                            for e, c in d.items()}, key)
+
+
+def tuple_nf(poly, lms, basis, key, counter, memo, quotients=None):
+    """Full normal form against content-free integer reducers.
+
+    Returns (remainder, scale): an {monomial: int} dict and a rational
+    such that remainder / scale is the exact normal form.  When
+    `quotients` is a list it receives (index, monomial, multiplier)
+    triples, the multipliers taken against the monic reducers.
+
+    A term c x^m meets the reducer g with lead l x^lm by gcd-scaled
+    cancellation: with h = gcd(c, l), the work and the remainder so far
+    are multiplied by l // h and (c // h) x^q g is subtracted.  The
+    content of work and remainder is removed only after a step whose
+    factor l // h is not 1, which bounds the coefficients without a
+    rebuild after every step.
+
+    `memo` maps a monomial to (checked_upto, first_divisor_index): the
+    index of the first leading monomial dividing it, or None when none of
+    lms[:checked_upto] does.  It stays valid, and the reducer choice stays
+    that of a linear scan, as long as the caller only appends to `lms`;
+    callers that change their reducer lists otherwise pass a fresh dict.
+
+    The working polynomial is a dict next to a min-heap of (negated key,
+    monomial); a monomial is pushed when it enters the dict and cancelled
+    terms stay there as zeros until popped.  Every term a reduction adds
+    is smaller than the lead it cancels, so the heap pops the terms in
+    descending order and a popped monomial never comes back.
+    """
+    work = {e: c for e, c in poly.items() if c}
+    mult = math.lcm(*(c.denominator for c in work.values()))
+    scale = Fraction(mult)
+    work = {e: c.numerator * (mult // c.denominator) for e, c in work.items()}
+    heap = [(tuple(map(neg, key(e))), e) for e in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m)
+        if not c:
+            continue
+        checked, idx = memo.get(m, (0, None))
+        if idx is None and checked < len(lms):
+            for k in range(checked, len(lms)):
+                if all(map(ge, m, lms[k])):
+                    idx = k
+                    break
+            memo[m] = (len(lms), idx)
+        if idx is None:
+            remainder[m] = c
+            continue
+        counter.spend()
+        lm = lms[idx]
+        q = tuple(map(sub, m, lm))
+        g = basis[idx]
+        lead = g[lm]
+        if quotients is not None:
+            quotients.append((idx, q, c / scale))
+        h = math.gcd(c, lead)
+        f = lead // h
+        c //= h
+        if f != 1:
+            for e in work:
+                work[e] *= f
+            for e in remainder:
+                remainder[e] *= f
+            scale *= f
+        for e, a in g.items():
+            if e == lm:
+                continue
+            t = tuple(map(add, e, q))
+            v = work.get(t)
+            if v is None:
+                work[t] = -c * a
+                heapq.heappush(heap, (tuple(map(neg, key(t))), t))
+            else:
+                work[t] = v - c * a
+        if f != 1:
+            g0 = math.gcd(*work.values(), *remainder.values())
+            if g0 > 1:
+                work = {e: v // g0 for e, v in work.items()}
+                remainder = {e: v // g0 for e, v in remainder.items()}
+                scale /= g0
+    return remainder, scale
+
+
+def tuple_spoly(gi, lmi, gj, lmj):
+    """The S-polynomial lc_j x^qi g_i - lc_i x^qj g_j of two content-free
+    integer elements, with the quotients qi, qj of lcm(lm_i, lm_j) by
+    their leads."""
+    lcm = mono_lcm(lmi, lmj)
+    qi = mono_divide(lcm, lmi)
+    qj = mono_divide(lcm, lmj)
+    li, lj = gi[lmi], gj[lmj]
+    spoly = {}
+    for e, c in gi.items():
+        spoly[mono_mul(e, qi)] = c * lj
+    for e, c in gj.items():
+        t = mono_mul(e, qj)
+        v = spoly.get(t, 0) - c * li
+        if v:
+            spoly[t] = v
+        elif t in spoly:
+            del spoly[t]
+    return spoly, qi, qj
+
+
 def max_scan_nf(poly, lms, basis, key, counter, memo, quotients=None):
     """`groebner._nf` as it was: the lead found by max() over the whole
     working polynomial at every step."""
@@ -299,9 +457,10 @@ def max_scan_nf(poly, lms, basis, key, counter, memo, quotients=None):
 
 
 def chain_scan_buchberger(generators, key, wdeg, counter, rank=1):
-    """`groebner._buchberger` as it was: the coprime and chain criteria
-    tested on every popped pair, the chain criterion by a scan of the
-    whole basis against the pending pairs."""
+    """`groebner._buchberger` as it was: every generator appended to the
+    basis unreduced, the coprime and chain criteria tested on every popped
+    pair, the chain criterion by a scan of the whole basis against the
+    pending pairs, all on the tuple kernel."""
     basis = []
     lms = []
     memo = {}
@@ -318,7 +477,7 @@ def chain_scan_buchberger(generators, key, wdeg, counter, rank=1):
             pending.add((i, new_index))
 
     for g in generators:
-        lm, ints = _int_normalize(g, key)
+        lm, ints = tuple_int_normalize(g, key)
         if lm is None:
             continue
         basis.append(ints)
@@ -337,11 +496,11 @@ def chain_scan_buchberger(generators, key, wdeg, counter, rank=1):
                and (min(j, k), max(j, k)) not in pending
                for k in range(len(basis))):
             continue  # chain criterion
-        spoly, _, _ = _spoly(basis[i], lms[i], basis[j], lms[j])
+        spoly, _, _ = tuple_spoly(basis[i], lms[i], basis[j], lms[j])
         counter.spend()
-        r, _ = _nf(spoly, lms, basis, key, counter, memo)
+        r, _ = tuple_nf(spoly, lms, basis, key, counter, memo)
         if r:
-            lm, ints = _int_normalize(r, key)
+            lm, ints = tuple_int_normalize(r, key)
             basis.append(ints)
             lms.append(lm)
             push_pairs(len(basis) - 1)
@@ -357,7 +516,7 @@ def multipass_interreduce(basis, lms, key, counter):
     for i in order:
         if not any(mono_divide(lms[i], lms[j]) is not None for j in kept):
             kept.append(i)
-    polys = [_int_normalize(basis[i], key)[1] for i in kept]
+    polys = [tuple_int_normalize(basis[i], key)[1] for i in kept]
     heads = [lms[i] for i in kept]
     changed = True
     while changed:
@@ -368,7 +527,7 @@ def multipass_interreduce(basis, lms, key, counter):
             r = max_scan_nf(polys[i], other_lms, other_polys, key, counter,
                             {})
             if r != polys[i]:
-                _, ints = _int_normalize(r, key)
+                _, ints = tuple_int_normalize(r, key)
                 polys[i] = ints
                 changed = True
     monic = []
@@ -589,7 +748,7 @@ def minimal_generators(elements, ctx, rank):
             if not others:
                 continue
             basis, lms = _buchberger(others, key, wdeg, counter, rank)
-            if not _nf(current[i], lms, basis, key, counter, {})[0]:
+            if not tuple_nf(current[i], lms, basis, key, counter, {})[0]:
                 del current[i]
                 changed = True
                 break

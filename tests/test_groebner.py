@@ -3,7 +3,7 @@ import random
 import pytest
 
 from diffrees import groebner
-from diffrees.errors import StepBudgetExceeded
+from diffrees.errors import ExponentOverflowError, StepBudgetExceeded
 from diffrees.groebner import IdealHandle, height_in_quotient, step_budget
 from diffrees.poly import DEGREVLEX, LEX, VariableContext
 from diffrees.sampler import random_homogeneous
@@ -17,6 +17,20 @@ from oracles import (brute_force_dimension, ideal_quotient,
 def test_monomial_ideal_is_its_own_basis(xyz):
     I = IdealHandle(xyz, [P(xyz, "X^2"), P(xyz, "X*Y")])
     assert [str(g) for g in I.groebner_basis()] == ["X*Y", "X^2"]
+
+
+def test_exponent_overflow_raises_instead_of_carrying(xyz):
+    """Polynomial arithmetic can build X^(2^31), and a reduction can make
+    Y^(2^31) from valid terms; the packed kernel refuses both rather
+    than let the exponent carry into the next variable's field."""
+    big = xyz.monomial((2**30, 0, 0))
+    with pytest.raises(ExponentOverflowError):
+        IdealHandle(xyz, [big * big]).groebner_basis()
+    X, Y, _ = xyz.gens()
+    handle = IdealHandle(xyz, [X - xyz.monomial((0, 2**30, 0))])
+    assert handle.normal_form(X, LEX) == xyz.monomial((0, 2**30, 0))
+    with pytest.raises(ExponentOverflowError):
+        handle.normal_form(X * X, LEX)
 
 
 def test_zero_ideal(xyz):

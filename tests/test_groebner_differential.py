@@ -11,11 +11,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from diffrees.groebner import IdealHandle, StepCounter, _memo_key, _nf
+from diffrees.groebner import IdealHandle, StepCounter
 from diffrees.poly import DEGREVLEX, VariableContext
 
 from conftest import P, homogeneous_ideals
-from oracles import naive_buchberger, naive_remainder_full
+from oracles import (memo_key, naive_buchberger, naive_remainder_full,
+                     tuple_nf)
 
 
 def _sympy_basis(ctx, gens):
@@ -80,7 +81,7 @@ def test_growing_basis_matches_oracles():
 def test_memo_picks_the_linear_scan_reducer_after_appends(xyz):
     """A memo filled against a shorter reducer list must give the same
     reducers, steps and remainder as a fresh scan of the longer list."""
-    key = _memo_key(DEGREVLEX.key_for(xyz))
+    key = memo_key(DEGREVLEX.key_for(xyz))
     p = dict(P(xyz, "X^2*Y + X*Y*Z + Y^2*Z + Z^3").terms)
     reducers = [P(xyz, "X*Y - Z^2"), P(xyz, "Y*Z - X^2"), P(xyz, "X*Z")]
     lms, basis = [], []
@@ -93,9 +94,10 @@ def test_memo_picks_the_linear_scan_reducer_after_appends(xyz):
         before = dict(memo)
         shared, fresh = [], []
         steps_shared, steps_fresh = StepCounter(), StepCounter()
-        r_shared, s_shared = _nf(p, lms, basis, key, steps_shared, memo,
-                                 shared)
-        r_fresh, s_fresh = _nf(p, lms, basis, key, steps_fresh, {}, fresh)
+        r_shared, s_shared = tuple_nf(p, lms, basis, key, steps_shared,
+                                      memo, shared)
+        r_fresh, s_fresh = tuple_nf(p, lms, basis, key, steps_fresh, {},
+                                    fresh)
         assert ({e: v / s_shared for e, v in r_shared.items()}
                 == {e: v / s_fresh for e, v in r_fresh.items()})
         assert shared == fresh

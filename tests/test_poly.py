@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from diffrees.errors import ContextMismatchError, ParseError
+from diffrees.errors import (ContextMismatchError, ExponentOverflowError,
+                             ParseError)
 from diffrees.poly import (DEGREVLEX, LEX, MonomialOrder, Polynomial,
                            VariableContext, parse_polynomial)
 from diffrees.sampler import random_homogeneous
@@ -127,6 +128,25 @@ def test_parser_errors(xyz):
         parse_polynomial(xyz, "X / Y")
     with pytest.raises(ParseError):
         parse_polynomial(xyz, "X ^ Y")
+
+
+def test_exponents_of_2_31_are_rejected(xyz):
+    """The Groebner kernel packs each exponent into 31 bits, so neither
+    the parser nor `monomial` lets one reach 2^31."""
+    assert xyz.monomial((2**31 - 1, 0, 0)).terms[0][0][0] == 2**31 - 1
+    with pytest.raises(ExponentOverflowError):
+        xyz.monomial((0, 2**31, 0))
+    with pytest.raises(ValueError):
+        xyz.monomial((0, 0, 2**40))
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial(xyz, "X^2147483648 - Y^2147483648")
+    assert exc.value.column == 3
+    for text in ("X^1073741824 * X^1073741824", "(X^65536)^32768",
+                 "Y + Z*Z^2147483647"):
+        with pytest.raises(ParseError):
+            parse_polynomial(xyz, text)
+    assert parse_polynomial(xyz, "X^2147483647").terms[0][0] == (
+        2**31 - 1, 0, 0)
 
 
 def test_canonical_term_order_is_stable(xyz):

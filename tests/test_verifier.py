@@ -285,6 +285,21 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_verify_rejects_exponents_of_2_31(tmp_path, capsys):
+    path = _write(tmp_path, "huge.case", """
+[algebra]
+name = huge-exponents
+variables = X, Y
+relations = X^2147483648 - Y^2147483648
+""")
+    assert main(["--format", "json", "verify", path]) == 4
+    (error,) = json.loads(capsys.readouterr().out)["errors"]
+    assert error["code"] == "parse"
+    assert "2^31" in error["message"]
+    with pytest.raises(ParseError):
+        load_case(path)
+
+
 def test_cli_verify_budget_exhaustion_exit_3(tmp_path, capsys):
     path = _write(tmp_path, "q.case", QUADRIC)
     assert main(["--budget", "2", "verify", path]) == 3
