@@ -15,8 +15,7 @@ from .errors import (ContextMismatchError, DiffreesError, ParseError,
 from .fitting import (euler_minor_identity, fitting_ideal, fitting_profile,
                       ft_condition, ft_condition_off_irrelevant,
                       last_rows_probe)
-from .groebner import (DimensionReport, IdealHandle, height_in_quotient,
-                       step_budget)
+from .groebner import DimensionReport, IdealHandle, step_budget
 from .matrix import PolyMatrix
 from .poly import (DEGREVLEX, LEX, MonomialOrder, Polynomial,
                    VariableContext, parse_polynomial)

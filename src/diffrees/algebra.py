@@ -13,6 +13,7 @@ from typing import NamedTuple
 from .errors import (DimensionTooSmallError, InhomogeneousRelationError,
                      LinearTermError, NotRegularSequenceError,
                      RelationDegreeError, ValidationError)
+from .fitting import fitting_ideal
 from .groebner import IdealHandle
 from .matrix import PolyMatrix
 
@@ -37,13 +38,11 @@ class IrrelevantLocalData(NamedTuple):
 class DifferentialPresentation(NamedTuple):
     """Presentation of the differential module by the transposed Jacobian.
 
-    `theta` has entries reduced modulo the defining ideal, `ambient_theta`
-    keeps the raw polynomial entries for the smoothness test; the module
-    has `generators` = n generators and rank equal to the quotient
-    dimension whenever the rank hypotheses (reduced, equidimensional) hold.
+    `theta` has entries reduced modulo the defining ideal; the module has
+    `generators` = n generators and rank equal to the quotient dimension
+    whenever the rank hypotheses (reduced, equidimensional) hold.
     """
     theta: PolyMatrix
-    ambient_theta: PolyMatrix
     rank: int
     generators: int
 
@@ -139,23 +138,16 @@ class GradedAlgebra:
         if self._presentation is not None:
             return self._presentation
         ctx = self.context
-        ambient_rows = []
-        reduced_rows = []
-        for i in range(ctx.arity):
-            ambient_rows.append(tuple(f.derivative(i) for f in self.relations))
-            reduced_rows.append(tuple(self.reduce(p)
-                                      for p in ambient_rows[-1]))
-        for row in reduced_rows:
+        rows = [tuple(self.reduce(f.derivative(i)) for f in self.relations)
+                for i in range(ctx.arity)]
+        for row in rows:
             for p in row:
                 if not p.is_zero and p.is_constant:
                     raise ArithmeticError(
                         "constant Jacobian entry contradicts relations in m^2")
-        degrees = tuple(self.relation_degrees)
-        pres = DifferentialPresentation(
-            theta=PolyMatrix(ctx, reduced_rows, column_degrees=degrees),
-            ambient_theta=PolyMatrix(ctx, ambient_rows, column_degrees=degrees),
-            rank=self.dimension,
-            generators=ctx.arity)
+        pres = DifferentialPresentation(theta=PolyMatrix(ctx, rows),
+                                        rank=self.dimension,
+                                        generators=ctx.arity)
         self._presentation = pres
         return pres
 
@@ -176,19 +168,14 @@ class GradedAlgebra:
         return tuple(out)
 
     def is_reduced(self):
-        """Generic smoothness: the singular locus I + I_c(Theta) must have
-        height >= c + 1 in the ambient ring, i.e. height >= 1 in R; with
-        the complete-intersection hypothesis this characterises
-        reducedness in characteristic zero."""
-        if self._reduced is not None:
-            return self._reduced
-        c = self.codimension
-        if c == 0:
-            self._reduced = True
-            return True
-        pres = self.jacobian_presentation()
-        minors = IdealHandle(self.context, pres.ambient_theta.minors(c))
-        self._reduced = self.height_of(minors) >= 1
+        """Generic smoothness: the Jacobian ideal F_e, e = dim R, of
+        c-minors must have height >= 1 in R; with the complete-intersection
+        hypothesis this characterises reducedness in characteristic zero.
+        F_e is the first row of the Fitting profile, so both share one
+        handle of I + F_e."""
+        if self._reduced is None:
+            self._reduced = self.height_of(
+                fitting_ideal(self, self.dimension)) >= 1
         return self._reduced
 
     def irrelevant_local_data(self):

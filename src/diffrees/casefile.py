@@ -15,7 +15,7 @@ Grammar (configparser dialect, `#`-comments):
     rees_ideal = X*Y; X*T2; Y*T1; T1*T2
 
     [mode]                       # optional
-    run = pipeline               # pipeline | prop31 | en-dump
+    run = pipeline               # pipeline | prop31
     seed = 0
     rowops = 2
 """
@@ -147,7 +147,7 @@ def load_case(path):
     if parser.has_section("mode"):
         msec = parser["mode"]
         mode = msec.get("run", "pipeline").strip()
-        if mode not in ("pipeline", "prop31", "en-dump"):
+        if mode not in ("pipeline", "prop31"):
             raise ParseError(f"unknown mode {mode!r}")
         if "seed" in msec:
             seed = _parse_int("seed", msec["seed"])

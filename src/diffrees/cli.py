@@ -18,7 +18,7 @@ from .eagon_northcott import build_en, en_acyclicity
 from .errors import (DiffreesError, ParseError, ResolutionLengthError,
                      StepBudgetExceeded, TestElementSearchError,
                      ValidationError)
-from .fitting import ft_condition
+from .fitting import ft_condition, height_json, last_rows_size
 from .groebner import step_budget
 from .rees import analytic_spread, is_linear_type, rees_ideal
 from .resolution import depth_and_cm
@@ -152,8 +152,7 @@ def cmd_ft_check(args):
     if code is not None:
         return code
     verdict = ft_condition(algebra, args.t)
-    payload = {"case": case.name, "t": args.t, "holds": verdict.holds,
-               "witness": verdict.witness()}
+    payload = {"case": case.name, **verdict.to_dict()}
     text = (f"case {case.name}: F_{args.t} "
             + ("holds" if verdict.holds else
                f"fails at i={verdict.failing_index} "
@@ -223,15 +222,13 @@ def cmd_en_dump(args):
                        "issues": [i.message for i in ex.issues]},
                       args.format, "\n".join(i.message for i in ex.issues))
                 return EXIT_INVALID
-            n, d = algebra.arity, algebra.dimension
-            if not (d >= 2 and n >= 2 * d):
-                _emit({"status": "invalid_input",
-                       "issues": ["en-dump on a case needs dim >= 2 and "
-                                  "n >= 2*dim (last-rows block)"]},
-                      args.format, "case shape does not define a last-rows "
-                                   "block; need dim >= 2 and n >= 2*dim")
+            try:
+                t = last_rows_size(algebra)
+            except ValueError as ex:
+                _emit({"status": "invalid_input", "issues": [str(ex)]},
+                      args.format, str(ex))
                 return EXIT_INVALID
-            t = n - 2 * d + 1
+            n = algebra.arity
             theta = algebra.jacobian_presentation().theta
             matrix = theta.submatrix(range(n - t, n), range(theta.ncols))
             quotient = algebra
@@ -255,9 +252,7 @@ def cmd_en_dump(args):
                           for d in complex_.differentials],
         "labels": [[repr(l) for l in stage] for stage in
                    complex_.basis_labels],
-        "acyclicity": {"minor_height": ("inf" if record.minor_height ==
-                                        float("inf") else
-                                        record.minor_height),
+        "acyclicity": {"minor_height": height_json(record.minor_height),
                        "bound": record.bound,
                        "criterion_met": record.criterion_met},
         "is_complex": complex_.is_complex(),

@@ -60,14 +60,9 @@ class LinearTermError(ValidationError):
 
 
 class NotRegularSequenceError(ValidationError):
-    """The relations do not form a regular sequence; carries the observed
-    dimension of the quotient."""
+    """The relations do not form a regular sequence."""
 
     code = "not-regular-sequence"
-
-    def __init__(self, message, observed_dimension=None):
-        super().__init__(message)
-        self.observed_dimension = observed_dimension
 
 
 class DimensionTooSmallError(ValidationError):

@@ -17,9 +17,10 @@ from .groebner import IdealHandle
 
 def fitting_ideal(algebra, i):
     """The i-th Fitting ideal of the differential module, i.e. the ideal of
-    (n - i)-minors of the Jacobian presentation, with generators reduced
-    modulo the defining ideal.  F_i = (1) once n - i <= 0 and (0) when the
-    requested minors outsize the matrix."""
+    (n - i)-minors of the Jacobian presentation, whose entries are reduced
+    modulo the defining ideal.  The minors are not reduced again: every
+    height is taken of I + F_i, whose basis does that.  F_i = (1) once
+    n - i <= 0 and (0) when the requested minors outsize the matrix."""
     pres = algebra.jacobian_presentation()
     n = algebra.arity
     size = n - i
@@ -27,8 +28,7 @@ def fitting_ideal(algebra, i):
         return IdealHandle(algebra.context, [algebra.context.one])
     if size > min(pres.theta.nrows, pres.theta.ncols):
         return IdealHandle(algebra.context, [])
-    gens = [algebra.reduce(m) for m in pres.theta.minors(size)]
-    return IdealHandle(algebra.context, gens)
+    return IdealHandle(algebra.context, pres.theta.minors(size))
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,10 @@ class FittingProfile:
     rank: int
     rows: tuple
 
-    def row(self, i):
-        for r in self.rows:
-            if r.index == i:
-                return r
-        raise KeyError(f"no Fitting row for i={i}")
+
+def height_json(h):
+    """A height as JSON: an int, or "inf" for the unit ideal."""
+    return "inf" if h == float("inf") else h
 
 
 @dataclass(frozen=True)
@@ -63,11 +62,15 @@ class FtVerdict:
     actual: float | None = None
     off_irrelevant: bool = False
 
-    def witness(self):
-        if self.holds:
-            return None
-        return {"i": self.failing_index, "required_height": self.required,
-                "actual_height": self.actual}
+    def to_dict(self):
+        """The report form: {t, holds}, plus a witness {i, required,
+        actual} when the condition fails."""
+        out = {"t": self.t, "holds": self.holds}
+        if not self.holds:
+            out["witness"] = {"i": self.failing_index,
+                              "required": self.required,
+                              "actual": height_json(self.actual)}
+        return out
 
 
 def fitting_profile(algebra):
@@ -93,33 +96,41 @@ def fitting_profile(algebra):
 
 def ft_condition(algebra, t, profile=None):
     """True iff ht F_i >= i - e + t + 1 for every i in [e, n-1]."""
-    profile = profile or fitting_profile(algebra)
-    for row in profile.rows:
-        bound = row.bound(t, profile.rank)
-        if row.height < bound:
-            return FtVerdict(t, False, failing_index=row.index,
-                             required=bound, actual=row.height)
-    return FtVerdict(t, True)
+    return _ft_verdict(algebra, t, profile, off_irrelevant=False)
 
 
 def ft_condition_off_irrelevant(algebra, t, profile=None):
-    """The F_t inequality checked away from the irrelevant maximal ideal:
-    each row passes if its global height meets the bound or if the Fitting
-    ideal becomes the unit ideal after saturating by the irrelevant ideal
-    (every failing prime then contains it)."""
+    """The F_t inequality checked away from the irrelevant maximal ideal,
+    on the heights off it: a row also passes when its Fitting ideal
+    becomes the unit ideal after saturating by the irrelevant ideal (every
+    failing prime then contains it)."""
+    return _ft_verdict(algebra, t, profile, off_irrelevant=True)
+
+
+def _ft_verdict(algebra, t, profile, off_irrelevant):
     profile = profile or fitting_profile(algebra)
     for row in profile.rows:
         bound = row.bound(t, profile.rank)
-        if row.height >= bound:
-            continue
-        if row.height_off_irrelevant == float("inf"):
-            continue
-        return FtVerdict(t, False, failing_index=row.index, required=bound,
-                         actual=row.height, off_irrelevant=True)
-    return FtVerdict(t, True, off_irrelevant=True)
+        height = row.height_off_irrelevant if off_irrelevant else row.height
+        if height < bound:
+            return FtVerdict(t, False, failing_index=row.index,
+                             required=bound, actual=height,
+                             off_irrelevant=off_irrelevant)
+    return FtVerdict(t, True, off_irrelevant=off_irrelevant)
 
 
 # ---------------------------------------------------------------------------
+
+def last_rows_size(algebra):
+    """The size t = n - 2d + 1 of the last-rows block of the Jacobian
+    presentation, its last t rows; a ValueError unless d >= 2 and
+    n >= 2d."""
+    n, d = algebra.arity, algebra.dimension
+    if not (d >= 2 and n >= 2 * d):
+        raise ValueError(f"the last-rows block needs dimension >= 2 and "
+                         f"n >= 2*dimension; got n = {n}, dimension {d}")
+    return n - 2 * d + 1
+
 
 def euler_minor_identity(algebra):
     """Residual of the Euler-relation expansion of the corner minor.
@@ -135,9 +146,7 @@ def euler_minor_identity(algebra):
     be identically zero; the sign convention is fixed by our own expansion.
     """
     n, d = algebra.arity, algebra.dimension
-    if not (d >= 2 and n >= 2 * d):
-        raise ValueError("identity needs dimension >= 2 and n >= 2*dim")
-    t = n - 2 * d + 1
+    t = last_rows_size(algebra)
     ctx = algebra.context
     theta = algebra.jacobian_presentation().theta
     cols = tuple(range(t))
@@ -182,9 +191,7 @@ def last_rows_probe(algebra, rowops=0, seed=0):
     operations (entries in [-3, 3]).
     """
     n, d = algebra.arity, algebra.dimension
-    if not (d >= 2 and n >= 2 * d):
-        raise ValueError("probe needs dimension >= 2 and n >= 2*dim")
-    t = n - 2 * d + 1
+    t = last_rows_size(algebra)
     theta = algebra.jacobian_presentation().theta
 
     def compare(matrix):

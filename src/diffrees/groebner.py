@@ -585,7 +585,12 @@ class IdealHandle:
         return IdealHandle(ctx, [_drop(g, ctx, 1) for g in eliminated])
 
     def saturation(self, g):
-        """(I : g^inf) via one elimination: adjoin y, add y*g - 1, drop y."""
+        """(I : g^inf) via one elimination: adjoin y, add y*g - 1, drop y.
+
+        The block order restricts to degrevlex on y-free monomials, so the
+        y-free elements of the reduced block basis, in their order, are
+        the reduced degrevlex basis of the result; it starts with that
+        basis cached."""
         if g.is_zero:
             raise ValueError("saturation by zero is undefined")
         if g.is_constant:
@@ -597,7 +602,9 @@ class IdealHandle:
         gens = [_lift(h, big, 1) for h in self.generators]
         gens.append(y * _lift(g, big, 1) - big.one)
         eliminated = _eliminate_front(big, gens, 1)
-        return IdealHandle(ctx, [_drop(h, ctx, 1) for h in eliminated])
+        result = IdealHandle(ctx, [_drop(h, ctx, 1) for h in eliminated])
+        result._cache[DEGREVLEX] = result.generators
+        return result
 
     def saturation_by_ideal(self, other):
         """(I : J^inf), the intersection of the per-generator saturations."""
@@ -685,17 +692,3 @@ def _eliminate_front(big_context, generators, front_count):
     basis = handle.groebner_basis(order)
     return [g for g in basis if all(not any(e[:front_count]) for e, _ in g.terms)]
 
-
-def height_in_quotient(defining_ideal, other, quotient_dim=None):
-    """Height of the image of `other` in P/defining_ideal.
-
-    Computed as dim difference, which is the height precisely because the
-    validated quotients are complete intersections, hence equidimensional
-    and catenary; the unit ideal gets +infinity.
-    """
-    total = defining_ideal + other
-    if total.is_unit():
-        return float("inf")
-    if quotient_dim is None:
-        quotient_dim = defining_ideal.krull_dimension().dimension
-    return quotient_dim - total.krull_dimension().dimension

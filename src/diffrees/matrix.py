@@ -11,9 +11,9 @@ from .poly import Polynomial
 class PolyMatrix:
     """Immutable rectangular matrix of polynomials sharing one context."""
 
-    __slots__ = ("context", "nrows", "ncols", "entries", "column_degrees")
+    __slots__ = ("context", "nrows", "ncols", "entries")
 
-    def __init__(self, context, entries, column_degrees=None):
+    def __init__(self, context, entries):
         rows = tuple(tuple(r) for r in entries)
         width = len(rows[0]) if rows else 0
         for r in rows:
@@ -28,8 +28,6 @@ class PolyMatrix:
         self.nrows = len(rows)
         self.ncols = width
         self.entries = rows
-        self.column_degrees = (tuple(column_degrees)
-                               if column_degrees is not None else None)
 
     @classmethod
     def from_columns(cls, context, columns):

@@ -186,12 +186,12 @@ class VariableContext:
     def variable(self, name):
         return self.gen(self.index(name))
 
-    def insert_front(self, names, weights=None):
-        """New context with extra variables prepended (used for elimination)."""
+    def insert_front(self, names):
+        """New context with extra variables of weight 1 prepended (used for
+        elimination)."""
         names = tuple(names)
-        if weights is None:
-            weights = (1,) * len(names)
-        return VariableContext(names + self.names, tuple(weights) + self.weights)
+        return VariableContext(names + self.names,
+                               (1,) * len(names) + self.weights)
 
     def fresh_names(self, base, count):
         """Deterministic variable names built from `base` avoiding clashes."""

@@ -59,11 +59,15 @@ def lift_to_extended(p, big):
 
 def symmetric_presentation(algebra):
     """Present the symmetric algebra and report whether its defining ideal
-    is a complete intersection (height equals the generator count)."""
+    is a complete intersection (height equals the generator count).
+
+    The linear forms read the Jacobian entries reduced modulo I; they
+    differ from the raw derivatives by elements of I*P[T], which the
+    lifted relations generate, so the ideal is the same."""
     ctx = algebra.context
     big = extended_context(ctx)
     n = ctx.arity
-    theta = algebra.jacobian_presentation().ambient_theta
+    theta = algebra.jacobian_presentation().theta
     lifted = tuple(lift_to_extended(f, big) for f in algebra.relations)
     forms = []
     for j in range(theta.ncols):
@@ -87,7 +91,10 @@ def symmetric_presentation(algebra):
         is_complete_intersection=height == count, height=height)
 
 
-def find_test_element(algebra, seed=0, retries=64):
+TEST_ELEMENT_DRAWS = 64
+
+
+def find_test_element(algebra, seed=0):
     """Random small-integer combination of the maximal minors of the
     Jacobian presentation that is a nonzerodivisor on the base ring.
 
@@ -102,7 +109,7 @@ def find_test_element(algebra, seed=0, retries=64):
     candidates = ([algebra.context.one] if c == 0
                   else [algebra.reduce(m) for m in theta.minors(c)])
     rng = random.Random(seed)
-    for _ in range(retries):
+    for _ in range(TEST_ELEMENT_DRAWS):
         coeffs = [rng.randint(-3, 3) for _ in candidates]
         g = algebra.context.zero
         for co, m in zip(coeffs, candidates):
@@ -114,8 +121,8 @@ def find_test_element(algebra, seed=0, retries=64):
         if check.ok:
             return g
     raise TestElementSearchError(
-        f"no nonzerodivisor test element found in {retries} draws; "
-        "try another --seed")
+        f"no nonzerodivisor test element found in {TEST_ELEMENT_DRAWS} "
+        "draws; try another --seed")
 
 
 def rees_ideal(algebra, seed=0, symmetric=None):

@@ -199,19 +199,19 @@ class FreeResolution:
         return len(self.complex.ranks) - 1
 
 
-def free_resolution(pres, max_length=None):
+def free_resolution(pres):
     """Resolve the cokernel of the presentation by iterated syzygies.
 
     Stage one is a module Groebner basis of the columns; later stages are
     Schreyer syzygy bases, the records of the minimal pairs of the stage
     family, interreduced between stages.  Families are kept in decreasing
     lead order.  The tower is then minimized by unit-entry cancellation and
-    flagged minimal.
+    flagged minimal.  A tower longer than 2n + 4 stages raises a
+    ResolutionLengthError.
     """
     ctx = pres.context
     n = ctx.arity
-    if max_length is None:
-        max_length = 2 * n + 4
+    max_length = 2 * n + 4
     key = _position_key(ctx)
     wdeg = ctx.weighted_degree
     stage_rank = pres.target_rank
@@ -351,14 +351,13 @@ class DepthReport:
                    "valid at the irrelevant maximal ideal for graded input")
 
 
-def depth_and_cm(handle, max_length=None):
+def depth_and_cm(handle):
     """Depth, projective dimension and the Cohen-Macaulay verdict for the
     graded quotient by a proper homogeneous ideal."""
     if handle.is_unit():
         raise ValueError("the unit ideal has no quotient to measure")
     ctx = handle.context
-    res = free_resolution(presentation_of_ideal(handle),
-                          max_length=max_length)
+    res = free_resolution(presentation_of_ideal(handle))
     pd = res.pd
     depth = ctx.arity - pd
     dim = handle.krull_dimension().dimension

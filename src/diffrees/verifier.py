@@ -30,7 +30,8 @@ from .errors import (ParseError, ResolutionLengthError,
                      StepBudgetExceeded, TestElementSearchError,
                      ValidationError)
 from .fitting import (euler_minor_identity, fitting_profile, ft_condition,
-                      ft_condition_off_irrelevant, last_rows_probe)
+                      ft_condition_off_irrelevant, height_json,
+                      last_rows_probe)
 from .groebner import IdealHandle, step_budget
 from .poly import parse_polynomial
 from .rees import (analytic_spread, extended_context, is_linear_type,
@@ -85,18 +86,6 @@ class Report:
             "expectation_failures": self.expectation_failures,
             "errors": self.errors,
         }
-
-
-def _height_json(h):
-    return "inf" if h == float("inf") else h
-
-
-def _verdict_dict(v):
-    out = {"t": v.t, "holds": v.holds}
-    if not v.holds:
-        out["witness"] = {"i": v.failing_index, "required": v.required,
-                          "actual": _height_json(v.actual)}
-    return out
 
 
 @contextmanager
@@ -169,13 +158,13 @@ def run_pipeline(case, seed=None):
             "rank": profile.rank,
             "generators": algebra.arity,
             "profile": [{"i": r.index,
-                         "height": _height_json(r.height),
+                         "height": height_json(r.height),
                          "height_off_irrelevant":
-                             _height_json(r.height_off_irrelevant)}
+                             height_json(r.height_off_irrelevant)}
                         for r in profile.rows],
-            "f0": _verdict_dict(f0),
-            "f1": _verdict_dict(f1),
-            "f1_off_irrelevant": _verdict_dict(f1_off),
+            "f0": f0.to_dict(),
+            "f1": f1.to_dict(),
+            "f1_off_irrelevant": f1_off.to_dict(),
         }
         report.edim = algebra.irrelevant_local_data()._asdict()
 
@@ -404,10 +393,10 @@ def probe_report(case, rowops=None, seed=None):
     report.fitting = {
         "minor_size": probe.t,
         "ideals_equal": probe.ideals_equal,
-        "height_full": _height_json(probe.height_full),
-        "height_last_rows": _height_json(probe.height_last_rows),
+        "height_full": height_json(probe.height_full),
+        "height_last_rows": height_json(probe.height_last_rows),
         "row_op_trials": [{"ideals_equal": tr.ideals_equal,
-                           "height_full": _height_json(tr.height_full),
+                           "height_full": height_json(tr.height_full),
                            "implication_holds": tr.implication_holds}
                           for tr in probe.row_op_trials],
     }

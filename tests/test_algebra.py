@@ -6,6 +6,7 @@ from diffrees.algebra import GradedAlgebra, validation_issues
 from diffrees.errors import (DimensionTooSmallError,
                              InhomogeneousRelationError, LinearTermError,
                              NotRegularSequenceError, RelationDegreeError)
+from diffrees.groebner import IdealHandle
 from diffrees.poly import VariableContext
 from diffrees.sampler import random_graded_ci
 
@@ -120,6 +121,15 @@ def test_reduced_fails_on_square_relation():
     mixed = GradedAlgebra.validate(
         ctx, [P(ctx, "X*Y - Z^2"), P(ctx, "(X + Z)^2")])
     assert not mixed.is_reduced()
+
+
+def test_height_of_examples(xyz, quadric_cone, coordinate_cross):
+    X, Y, Z = xyz.gens()
+    assert quadric_cone.height_of(IdealHandle(xyz, [X, Y, Z])) == 2
+    assert quadric_cone.height_of(IdealHandle(xyz, [xyz.one])) == float("inf")
+    a, b = coordinate_cross.context.gens()
+    assert coordinate_cross.height_of(
+        IdealHandle(coordinate_cross.context, [a + b])) == 1
 
 
 def test_irrelevant_local_data(quadric_cone, coordinate_cross,

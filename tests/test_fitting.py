@@ -8,7 +8,7 @@ from diffrees.fitting import (euler_minor_identity, fitting_ideal,
                               ft_condition_off_irrelevant, last_rows_probe)
 from diffrees.groebner import IdealHandle
 from diffrees.matrix import PolyMatrix
-from diffrees.poly import VariableContext
+from diffrees.poly import DEGREVLEX, VariableContext
 from diffrees.sampler import probe_corpus, random_graded_ci, random_homogeneous
 
 from conftest import P, shipped_algebras
@@ -157,6 +157,26 @@ def test_euler_minor_identity_degenerate_t1(curve_cone):
 def test_euler_minor_identity_shape_guard(quadric_cone):
     with pytest.raises(ValueError):
         euler_minor_identity(quadric_cone)
+
+
+def test_is_reduced_shares_the_profile_basis_of_i_plus_f_e(monkeypatch):
+    """Reducedness is the F_e row of the profile, so `is_reduced` and
+    `fitting_profile` build one basis per row between them."""
+    ctx = VariableContext(("X", "Y", "Z", "W"))
+    algebra = GradedAlgebra.validate(ctx, [
+        P(ctx, "X^2 + Y^2 + Z^2 + W^2"), P(ctx, "X^3 + 2*Y^3 + 3*Z^3 + 4*W^3")])
+    built = []
+    basis = IdealHandle.groebner_basis
+
+    def recording(handle, order=DEGREVLEX):
+        if order not in handle._cache:
+            built.append(handle)
+        return basis(handle, order)
+
+    monkeypatch.setattr(IdealHandle, "groebner_basis", recording)
+    assert algebra.is_reduced()
+    profile = fitting_profile(algebra)
+    assert built == [algebra.ideal_sum(row.ideal) for row in profile.rows]
 
 
 def test_euler_minor_identity_cubic_t3():

@@ -4,7 +4,7 @@ import pytest
 
 from diffrees import groebner
 from diffrees.errors import ExponentOverflowError, StepBudgetExceeded
-from diffrees.groebner import IdealHandle, height_in_quotient, step_budget
+from diffrees.groebner import IdealHandle, step_budget
 from diffrees.poly import DEGREVLEX, LEX, VariableContext
 from diffrees.sampler import random_homogeneous
 
@@ -205,17 +205,6 @@ def test_witness_is_independent(xyz):
         for g in handle.groebner_basis()]
     chosen = {xyz.index(name) for name in report.witness}
     assert not any(s <= chosen for s in supports)
-
-
-def test_height_in_quotient_examples(xyz, quadric_cone):
-    X, Y, Z = xyz.gens()
-    I = quadric_cone.defining_ideal
-    assert height_in_quotient(I, IdealHandle(xyz, [X, Y, Z])) == 2
-    assert height_in_quotient(I, IdealHandle(xyz, [xyz.one])) == float("inf")
-    flat = VariableContext(("X", "Y"))
-    a, b = flat.gens()
-    axes = IdealHandle(flat, [a * b])
-    assert height_in_quotient(axes, IdealHandle(flat, [a + b])) == 1
 
 
 def test_nonzerodivisors(xyz, quadric_cone):

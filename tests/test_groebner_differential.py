@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from diffrees.groebner import IdealHandle, StepCounter
 from diffrees.poly import DEGREVLEX, VariableContext
@@ -64,6 +65,21 @@ def test_weighted_bases_match_naive_oracle(drawn):
     basis = handle.groebner_basis()
     assert basis == naive_buchberger(ctx, gens)
     _check_normal_forms(ctx, handle, basis, gens + [g * g for g in gens])
+
+
+@_SETTINGS
+@given(st.booleans().flatmap(lambda w: homogeneous_ideals(weighted=w)),
+       st.data())
+def test_saturation_starts_with_its_reduced_basis(drawn, data):
+    """The y-free part of the block basis that `saturation` caches equals
+    a fresh degrevlex build from its generators."""
+    ctx, gens = drawn
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=ctx.arity,
+                                max_size=ctx.arity).filter(any))
+    g = sum((x * c for x, c in zip(ctx.gens(), coeffs) if c), ctx.zero)
+    sat = IdealHandle(ctx, gens).saturation(g)
+    seeded = sat._cache[DEGREVLEX]
+    assert seeded == IdealHandle(ctx, sat.generators).groebner_basis()
 
 
 def test_growing_basis_matches_oracles():

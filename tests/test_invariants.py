@@ -2,9 +2,12 @@
 strips assert statements, so the package raises explicitly instead."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import diffrees
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
 def test_no_assert_statements_in_the_package():
@@ -50,3 +53,20 @@ def test_step_budget_is_opened_only_at_the_entry_points():
     assert owners <= {"step_budget", "run_case", "run_case_path"}
     assert {"run_case", "run_case_path"} <= owners
     assert builders == {"groebner.py"}
+
+
+def test_every_traced_entry_point_resolves():
+    """`bench/tracer.py` wraps its ENTRY_POINTS by name, so a renamed or
+    deleted function breaks a traced benchmark run; the file is only
+    read."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"), str(TRACER))
+    (entry_points,) = [ast.literal_eval(node.value)
+                       for node in tree.body if isinstance(node, ast.Assign)
+                       and [getattr(t, "id", None) for t in node.targets]
+                       == ["ENTRY_POINTS"]]
+    assert entry_points
+    for module_name, path, _ in entry_points:
+        owner = importlib.import_module(module_name)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), f"{module_name}.{path}"

@@ -7,6 +7,7 @@ from diffrees import groebner
 from diffrees.casefile import load_case, load_matrix_file
 from diffrees.cli import main
 from diffrees.errors import ParseError
+from diffrees.fitting import euler_minor_identity
 from diffrees.verifier import emit_report, run_case, run_case_path, run_pipeline
 
 
@@ -285,6 +286,14 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_en_dump_is_not_a_case_mode(tmp_path, capsys):
+    path = _write(tmp_path, "d.case", QUADRIC + "\n[mode]\nrun = en-dump\n")
+    with pytest.raises(ParseError, match="unknown mode"):
+        load_case(path)
+    assert main(["verify", path]) == 4
+    assert "unknown mode" in capsys.readouterr().out
+
+
 def test_cli_verify_rejects_exponents_of_2_31(tmp_path, capsys):
     path = _write(tmp_path, "huge.case", """
 [algebra]
@@ -500,6 +509,33 @@ def test_cli_en_dump_rejects_a_bad_matrix_file(tmp_path, capsys, body):
     (tmp_path / "bad.matrix").write_bytes(body)
     assert main(["en-dump", str(tmp_path / "bad.matrix")]) == 4
     assert "parse error" in capsys.readouterr().out
+
+
+def test_last_rows_shape_is_rejected_with_one_message(tmp_path, capsys,
+                                                     quadric_cone):
+    """n = 3 < 2*dim: en-dump, prop31 and the Euler identity refuse the
+    quadric cone with the same message."""
+    with pytest.raises(ValueError) as raised:
+        euler_minor_identity(quadric_cone)
+    message = str(raised.value)
+    path = _write(tmp_path, "q.case", QUADRIC)
+    assert main(["--format", "json", "en-dump", path]) == 4
+    assert json.loads(capsys.readouterr().out)["issues"] == [message]
+    assert main(["--format", "json", "prop31", path]) == 4
+    errors = json.loads(capsys.readouterr().out)["errors"]
+    assert [e["message"] for e in errors] == [message]
+
+
+def test_cli_ft_check_json_is_the_pipeline_entry(tmp_path, capsys):
+    path = _write(tmp_path, "c.case", CROSS)
+    assert main(["--format", "json", "verify", path]) == 0
+    fitting = json.loads(capsys.readouterr().out)["fitting"]
+    for t in (0, 1):
+        assert main(["--format", "json", "ft-check", path, "--t", str(t)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload.pop("case") == "coordinate-cross"
+        assert payload == fitting[f"f{t}"]
+    assert "witness" in fitting["f1"]
 
 
 def test_cli_en_dump_case(tmp_path, capsys):
