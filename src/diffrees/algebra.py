@@ -97,7 +97,7 @@ class GradedAlgebra:
 
     __slots__ = ("context", "relations", "defining_ideal", "dimension",
                  "codimension", "standard_graded", "relation_degrees",
-                 "_presentation", "_reduced", "_sums")
+                 "_presentation", "_minors", "_reduced", "_sums")
 
     def __init__(self, *_a, **_k):
         raise TypeError("use GradedAlgebra.validate(context, relations)")
@@ -120,6 +120,7 @@ class GradedAlgebra:
         self.relation_degrees = tuple(f.weighted_degree_info()[1]
                                       for f in relations)
         self._presentation = None
+        self._minors = {}
         self._reduced = None
         self._sums = {}
         return self
@@ -150,6 +151,18 @@ class GradedAlgebra:
                                         generators=ctx.arity)
         self._presentation = pres
         return pres
+
+    def jacobian_minors(self, size):
+        """The size x size minors of `theta` in `PolyMatrix.minors` order,
+        zeros included, and the handle of the ideal they generate: built
+        once per size for the life of the algebra, so the Fitting ideals,
+        reducedness and the test-element draws share them."""
+        cached = self._minors.get(size)
+        if cached is None:
+            minors = tuple(self.jacobian_presentation().theta.minors(size))
+            cached = self._minors[size] = (minors,
+                                           IdealHandle(self.context, minors))
+        return cached
 
     def euler_residuals(self):
         """For each relation f of weighted degree D the ambient polynomial

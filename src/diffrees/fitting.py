@@ -18,17 +18,18 @@ from .groebner import IdealHandle
 def fitting_ideal(algebra, i):
     """The i-th Fitting ideal of the differential module, i.e. the ideal of
     (n - i)-minors of the Jacobian presentation, whose entries are reduced
-    modulo the defining ideal.  The minors are not reduced again: every
-    height is taken of I + F_i, whose basis does that.  F_i = (1) once
-    n - i <= 0 and (0) when the requested minors outsize the matrix."""
-    pres = algebra.jacobian_presentation()
-    n = algebra.arity
-    size = n - i
+    modulo the defining ideal, as the algebra's one handle per index
+    (`GradedAlgebra.jacobian_minors`).  The minors are not reduced again:
+    every height is taken of I + F_i, whose basis does that.  F_i = (1)
+    once n - i <= 0 and (0) when the requested minors outsize the
+    matrix."""
+    theta = algebra.jacobian_presentation().theta
+    size = algebra.arity - i
     if size <= 0:
         return IdealHandle(algebra.context, [algebra.context.one])
-    if size > min(pres.theta.nrows, pres.theta.ncols):
+    if size > min(theta.nrows, theta.ncols):
         return IdealHandle(algebra.context, [])
-    return IdealHandle(algebra.context, pres.theta.minors(size))
+    return algebra.jacobian_minors(size)[1]
 
 
 @dataclass(frozen=True)

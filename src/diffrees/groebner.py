@@ -79,6 +79,11 @@ def _steps():
     return StepCounter() if counter is None else counter
 
 
+def budget_is_open():
+    """Whether the call runs inside a `step_budget` block."""
+    return _budget.get() is not None
+
+
 # ---------------------------------------------------------------------------
 # raw engine over packed monomials
 #
@@ -389,8 +394,10 @@ def _schreyer_records(family, key, counter):
     records form a Groebner basis of the syzygies (Schreyer), so the
     records whose leads minimally generate the lead module already do:
     for each i only the j whose quotient no other quotient of i divides
-    are reduced, the smallest j among equal quotients.  The family is
-    packed on entry; the records' quotient monomials are exponent tuples.
+    are reduced, the smallest j among equal quotients.  Each record lists
+    its lead first: every quotient term maps below the lcm, so none of
+    them cancels it.  The family is packed on entry; the records' quotient
+    monomials are exponent tuples.
     """
     mons, family = _packed(family, key)
     guard = mons.guard

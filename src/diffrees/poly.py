@@ -368,16 +368,23 @@ class Polynomial:
         return self * (Fraction(1) / Fraction(other))
 
     def __pow__(self, n):
+        """Repeated squaring; each product a * b first spends len(a) *
+        len(b) steps of the open step budget, so a power too large to
+        expand runs out of budget instead of running for minutes."""
+        from .groebner import _steps   # groebner imports this module
         n = int(n)
         if n < 0:
             raise ValueError("negative powers are not defined")
+        counter = _steps()
         result = self.context.one
         base = self
         while n:
             if n & 1:
+                counter.spend(len(result.terms) * len(base.terms))
                 result = result * base
             n >>= 1
             if n:
+                counter.spend(len(base.terms) ** 2)
                 base = base * base
         return result
 

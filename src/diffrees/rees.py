@@ -96,7 +96,8 @@ TEST_ELEMENT_DRAWS = 64
 
 def find_test_element(algebra, seed=0):
     """Random small-integer combination of the maximal minors of the
-    Jacobian presentation that is a nonzerodivisor on the base ring.
+    Jacobian presentation, the algebra's cached ones reduced modulo I,
+    that is a nonzerodivisor on the base ring.
 
     The draw is seeded, so runs are reproducible; exhausting the retry
     bound signals either a non-reduced input or an unlucky seed.
@@ -105,9 +106,8 @@ def find_test_element(algebra, seed=0):
         raise NotReducedError(
             "torsion is only defined over a reduced base; refusing")
     c = algebra.codimension
-    theta = algebra.jacobian_presentation().theta
-    candidates = ([algebra.context.one] if c == 0
-                  else [algebra.reduce(m) for m in theta.minors(c)])
+    candidates = ([algebra.context.one] if c == 0 else
+                  [algebra.reduce(m) for m in algebra.jacobian_minors(c)[0]])
     rng = random.Random(seed)
     for _ in range(TEST_ELEMENT_DRAWS):
         coeffs = [rng.randint(-3, 3) for _ in candidates]

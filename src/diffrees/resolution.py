@@ -2,30 +2,35 @@
 
 Module elements run on the ring kernel of `groebner`: the term x^a e_c of
 a free module of rank r is the flat exponent tuple a + (c, r-1-c), kept in
-{term: Fraction} dicts.  Module Groebner bases use the position-over-term
-extension of the ring order; syzygy stages use induced Schreyer orders, so
-iterated stages only reduce the minimal S-pairs of families that are
-already bases (`groebner._schreyer_records`).  The tower is then
-minimized by cancelling constant entries, on {row: {exponents: Fraction}}
-columns, before any `PolyMatrix` is built; that suffices to read off the
-projective dimension, and depth follows by graded Auslander-Buchsbaum at
-the irrelevant maximal ideal.  `syzygies` reaches a minimal generating set
-the same way, cancelling constant entries in the one stage of Schreyer
-relations among its generators.
+{term: Fraction} dicts.  Stage one is a module Groebner basis under the
+position-over-term extension of the ring order.  Every later stage is the
+family of Schreyer records of the minimal pairs of the stage before: their
+leads divide no one another and they form a Groebner basis of the
+syzygies under the induced Schreyer order (Schreyer), so no stage is
+interreduced (`groebner._schreyer_records`).
+
+That Schreyer frame is a graded free resolution, in general not a minimal
+one.  The minimal Betti numbers are the homology of F (x) k, so
+beta_i = rank F_i - rank(d_i (x) k) - rank(d_{i+1} (x) k), where d (x) k
+keeps the constant entries: the terms whose exponent block is zero.  Their
+ranks are exact ranks over Q of sparse matrices, as Macaulay2's
+`minimalBetti` reads Betti numbers off a non-minimal frame
+(Erocal-Motsak-Schreyer-Steenpass, Refined algorithms to compute
+syzygies, JSC 74, 2016).  The projective dimension is the last nonzero
+Betti number's index, and depth follows by graded Auslander-Buchsbaum at
+the irrelevant maximal ideal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
 
-from .eagon_northcott import FreeComplex
 from .errors import ResolutionLengthError
 from .groebner import (_buchberger, _interreduce, _schreyer_records,
                        _steps)
 from .matrix import PolyMatrix
-from .poly import DEGREVLEX, Polynomial
+from .poly import DEGREVLEX
 
 
 def _position_key(ctx):
@@ -35,12 +40,30 @@ def _position_key(ctx):
     return lambda t: (t[-1],) + ring_key(t[:n])
 
 
-def _induced_key(prev_key, prev_lms, n):
-    """Schreyer order induced by the previous stage: compare the images of
-    the leading terms, break ties toward the earlier generator."""
-    return lambda t: (prev_key(tuple(map(add, t[:n] + (0, 0),
-                                         prev_lms[t[n]])))
-                      + (-t[n],))
+def _induced_key(ring_key, chain, n):
+    """The Schreyer order of a stage whose components carry `chain`.
+
+    `chain[j]` is (position, lead, tie) for component j: the position-
+    over-term coordinate of the F_0 component its chain of leads ends in,
+    the sum of the lead exponents along that chain, and the negated index
+    of the generator at each stage.  A term x^a e_j then compares as its
+    image x^(a + lead) in F_0, ties broken toward the earlier generator at
+    the first stage that differs: the key the stage-by-stage induced
+    orders give, in one ring-key call.
+    """
+    def key(t):
+        position, lead, tie = chain[t[n]]
+        return (position,) + ring_key(tuple(map(add, t[:n], lead))) + tie
+    return key
+
+
+def _next_chain(chain, lms, n):
+    """The chain of the stage whose generators lead with `lms`."""
+    out = []
+    for j, lm in enumerate(lms):
+        position, lead, tie = chain[lm[n]]
+        out.append((position, tuple(map(add, lead, lm[:n])), tie + (-j,)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -74,19 +97,6 @@ class ModulePresentation:
                 raise ValueError(f"column {j} is not homogeneous for the "
                                  "declared shifts")
 
-    def column_degrees(self):
-        """Degrees of the columns; zero columns contribute shift 0."""
-        out = []
-        for j in range(self.matrix.ncols):
-            deg = 0
-            for i in range(self.target_rank):
-                p = self.matrix.entry(i, j)
-                if not p.is_zero:
-                    deg = p.weighted_degree_info()[1] + self.shifts[i]
-                    break
-            out.append(deg)
-        return tuple(out)
-
 
 def presentation_of_ideal(handle):
     """Rank-one presentation whose columns are the ideal generators."""
@@ -109,70 +119,10 @@ def _columns_to_elements(pres, rank):
     return cols
 
 
-def _elements_to_columns(family, n):
-    """Each element as a column {row: {exponents: coefficient}}."""
-    cols = []
-    for el in family:
-        col = {}
-        for t, c in el.items():
-            col.setdefault(t[n], {})[t[:n]] = c
-        cols.append(col)
-    return cols
-
-
-def _to_matrix(ctx, columns, rows):
-    """The PolyMatrix of {row: {exponents: coefficient}} columns, with the
-    given row ids top to bottom."""
-    return PolyMatrix(ctx, tuple(
-        tuple(Polynomial._make(ctx, col.get(r, {})) for col in columns)
-        for r in rows))
-
-
-# ---------------------------------------------------------------------------
-
-def syzygies(pres):
-    """Minimal generating set of the syzygy module of the presentation's
-    columns, by eliminating components (Greuel-Pfister, A Singular
-    Introduction to Commutative Algebra, 2.5).
-
-    The columns c_j + e_{r+j} live in rank r + m.  Under position-over-term
-    with the r target components first, the elements of their reduced
-    basis whose lead lies in a component >= r lie there entirely and, once
-    shifted down by r, form a reduced basis of the syzygies.  The records
-    of its minimal pairs generate the relations among these generators
-    (Schreyer), so `_minimize` on that one stage cancels every generator
-    with a constant relation; the survivors have none, so they generate
-    minimally by graded Nakayama.
-    """
-    ctx = pres.context
-    n = ctx.arity
-    r, m = pres.target_rank, pres.matrix.ncols
-    key = _position_key(ctx)
-    counter = _steps()
-    columns = _columns_to_elements(pres, r + m)
-    unit = (0,) * n
-    for j, col in enumerate(columns):
-        col[unit + (r + j, m - 1 - j)] = Fraction(1)
-    basis, lms = _buchberger(columns, key, ctx.weighted_degree, counter,
-                             r + m)
-    heads, reduced = _interreduce(basis, lms, key, counter)
-    found = [{t[:n] + (t[n] - r, t[n + 1]): c for t, c in el.items()}
-             for lm, el in zip(heads, reduced) if lm[n] >= r]
-    relations = _schreyer_syzygies(found, key, counter, n)
-    degrees = pres.column_degrees()
-    found_shifts = _stage_shifts(ctx, found, degrees)
-    shifts = [dict(enumerate(found_shifts)),
-              dict(enumerate(_stage_shifts(ctx, relations, found_shifts)))]
-    _minimize([dict(enumerate(_elements_to_columns(relations, n)))], shifts)
-    # the row ids left in shifts[0] are the generators no relation cancelled
-    matrix = _to_matrix(ctx, _elements_to_columns(
-        [found[i] for i in shifts[0]], n), range(m))
-    return ModulePresentation(ctx, m, matrix, shifts=degrees)
-
-
 def _schreyer_syzygies(family, key, counter, n):
     """The records of the minimal pairs of `family`, a basis under `key`,
-    as flat elements of a free module of rank len(family)."""
+    as flat elements of a free module of rank len(family), each with its
+    lead first."""
     rank = len(family)
     return [{q[:n] + (k, rank - 1 - k): c for (k, q), c in rec.items()}
             for rec in _schreyer_records(family, key, counter)]
@@ -182,68 +132,65 @@ def _schreyer_syzygies(family, key, counter, n):
 
 @dataclass(frozen=True)
 class FreeResolution:
-    complex: FreeComplex
-    shifts: tuple          # per stage, degree shifts of the free module
-    minimal: bool
+    """A Schreyer frame of the cokernel and the minimal Betti numbers read
+    off it; the frame need not be minimal, the Betti numbers are."""
 
-    @property
-    def ranks(self):
-        return self.complex.ranks
-
-    @property
-    def differentials(self):
-        return self.complex.differentials
+    ranks: tuple           # rank of each free module F_0, F_1, ... of the frame
+    shifts: tuple          # per frame stage, the degree shifts of its basis
+    betti: tuple           # minimal Betti numbers beta_0, ..., beta_pd
 
     @property
     def pd(self):
-        return len(self.complex.ranks) - 1
+        return len(self.betti) - 1
 
 
-def free_resolution(pres):
-    """Resolve the cokernel of the presentation by iterated syzygies.
+def free_resolution(pres, basis=None):
+    """Resolve the cokernel of the presentation by a Schreyer frame and
+    read its minimal Betti numbers off the frame.
 
-    Stage one is a module Groebner basis of the columns; later stages are
-    Schreyer syzygy bases, the records of the minimal pairs of the stage
-    family, interreduced between stages.  Families are kept in decreasing
-    lead order.  The tower is then minimized by unit-entry cancellation and
-    flagged minimal.  A tower longer than 2n + 4 stages raises a
+    Stage one is the reduced Groebner basis of the columns under
+    position-over-term: `basis` when the caller already has it, as flat
+    elements, else a fresh one.  Later stages are the Schreyer records of
+    the minimal pairs of the stage family.  Each family is sorted by
+    decreasing lead.  A frame longer than 2n + 4 stages raises a
     ResolutionLengthError.
     """
     ctx = pres.context
     n = ctx.arity
     max_length = 2 * n + 4
+    ring_key = DEGREVLEX.key_for(ctx)
     key = _position_key(ctx)
-    wdeg = ctx.weighted_degree
-    stage_rank = pres.target_rank
+    rank = pres.target_rank
     counter = _steps()
 
-    basis, lms = _buchberger(_columns_to_elements(pres, stage_rank), key,
-                             wdeg, counter, stage_rank)
-    lms, family = _interreduce(basis, lms, key, counter)
-    shifts = [dict(enumerate(pres.shifts))]
-    stages = []
+    if basis is None:
+        found, lms = _buchberger(_columns_to_elements(pres, rank), key,
+                                 ctx.weighted_degree, counter, rank)
+        _, basis = _interreduce(found, lms, key, counter)
+    family = basis
+    leads = [max(el, key=key) for el in family]
+    chain = [(rank - 1 - c, (0,) * n, ()) for c in range(rank)]
+    ranks = [rank]
+    shifts = [tuple(pres.shifts)]
+    constant_ranks = []
     while family:
-        family.reverse()
-        lms.reverse()
-        stages.append(dict(enumerate(_elements_to_columns(family, n))))
-        shifts.append(dict(enumerate(_stage_shifts(ctx, family,
-                                                   shifts[-1]))))
-        if len(stages) > max_length:
+        order = sorted(range(len(family)), key=lambda i: key(leads[i]),
+                       reverse=True)
+        family = [family[i] for i in order]
+        leads = [leads[i] for i in order]
+        ranks.append(len(family))
+        shifts.append(_stage_shifts(ctx, family, shifts[-1]))
+        constant_ranks.append(_constant_rank(family, n))
+        if len(constant_ranks) > max_length:
             raise ResolutionLengthError(
                 f"resolution exceeded maximum length {max_length}")
-        syz = _schreyer_syzygies(family, key, counter, n)
-        if not syz:
-            break
-        key = _induced_key(key, lms, n)
-        lms, family = _interreduce(syz, [max(s, key=key) for s in syz], key,
-                                   counter)
+        family = _schreyer_syzygies(family, key, counter, n)
+        chain = _next_chain(chain, leads, n)
+        key = _induced_key(ring_key, chain, n)
+        leads = [next(iter(el)) for el in family]
 
-    _minimize(stages, shifts)
-    final = tuple(_to_matrix(ctx, [cols[c] for c in shifts[k + 1]],
-                             shifts[k]) for k, cols in enumerate(stages))
-    return FreeResolution(FreeComplex(tuple(len(s) for s in shifts), final),
-                          tuple(tuple(s.values()) for s in shifts),
-                          minimal=True)
+    return FreeResolution(tuple(ranks), tuple(shifts),
+                          _betti_numbers(ranks, constant_ranks))
 
 
 def _stage_shifts(ctx, family, prev_shifts):
@@ -255,90 +202,39 @@ def _stage_shifts(ctx, family, prev_shifts):
     return tuple(out)
 
 
-def _add_product(acc, a, b, scale):
-    """acc += scale * a * b on {exponents: Fraction} dicts, zeros dropped."""
-    for e, c in a.items():
-        cs = c * scale
-        for f, d in b.items():
-            t = tuple(map(add, e, f))
-            v = acc.get(t, 0) + cs * d
-            if v:
-                acc[t] = v
-            else:
-                del acc[t]
-
-
-def _minimize(stages, shifts):
-    """Cancel constant entries by row/column reduction, updating the two
-    adjacent differentials and shift tables, until every entry lies in the
-    maximal ideal.  Stages that become empty split off exactly, so the
-    tower is truncated at the first zero stage.
-
-    `stages[k]` maps the columns of the k-th differential, the basis of
-    F_{k+1}, to {row: polynomial dict} with zero entries absent, and
-    `shifts[k]` maps the basis of F_k to its degrees.  Both keep the ids
-    of the unminimized tower in increasing order, so cancelling a basis
-    element only deletes its id.
-
-    The entries are homogeneous and the weights positive, so a nonzero
-    entry is a constant exactly where its row and column shifts agree;
-    the pivot is the first such entry in (stage, row, column) order.  A
-    cancellation deletes the column of the stage before and the row of
-    the stage after, which creates no constant, so a stage once cleared
-    stays clear.  The row operations that clear the pivot column change
-    only the deleted row and column; they enter only the check that the
-    cancelled column of the stage before vanishes.
-    """
-    k = 0
-    while k < len(stages):
-        cols, rows_at, cols_at = stages[k], shifts[k], shifts[k + 1]
-        spot = min(((r, c) for c, col in cols.items()
-                    for r in col if rows_at[r] == cols_at[c]), default=None)
-        if spot is None:
-            k += 1
-            continue
-        r0, c0 = spot
-        pivot = cols.pop(c0)
-        (u,) = pivot.pop(r0).values()
-        inv = 1 / u
-
-        # columns c: col_c -= (m[r0][c] / u) col_c0; row r0 goes
-        factors = {}
-        for c, col in cols.items():
-            p = col.pop(r0, None)
-            if p is None:
-                continue
-            factors[c] = p
-            for r, q in pivot.items():
-                acc = col.setdefault(r, {})
-                _add_product(acc, p, q, -inv)
-                if not acc:
-                    del col[r]
-        if k + 1 < len(stages):
-            for col in stages[k + 1].values():
-                acc = col.pop(c0, {})
-                for c, p in factors.items():
-                    if c in col:
-                        _add_product(acc, p, col[c], inv)
-                if acc:
-                    raise AssertionError("cancelled row must vanish")
-        if k > 0:
-            prev = stages[k - 1]
-            acc = prev.pop(r0)
-            for r, q in pivot.items():
-                for i, p in prev[r].items():
-                    _add_product(acc.setdefault(i, {}), q, p, inv)
-            if any(acc.values()):
-                raise AssertionError("cancelled column must vanish")
-        del rows_at[r0]
-        del cols_at[c0]
-
-        for idx in range(len(stages)):
-            if not shifts[idx] or not shifts[idx + 1]:
-                # F at this boundary vanished; the exact tail splits off
-                del stages[idx:]
-                del shifts[idx + 1:]
+def _constant_rank(family, n):
+    """Rank over Q of d (x) k for the differential whose columns are
+    `family`: the terms with a zero exponent block, by exact elimination
+    on sparse {row: Fraction} columns."""
+    pivots = {}
+    for el in family:
+        v = {t[n]: c for t, c in el.items() if not any(t[:n])}
+        while v:
+            p = min(v)
+            w = pivots.get(p)
+            if w is None:
+                pivots[p] = v
                 break
+            f = v[p] / w[p]
+            for i, c in w.items():
+                x = v.get(i, 0) - f * c
+                if x:
+                    v[i] = x
+                else:
+                    del v[i]
+    return len(pivots)
+
+
+def _betti_numbers(ranks, constant_ranks):
+    """beta_i = rank F_i - rank(d_i (x) k) - rank(d_{i+1} (x) k), with
+    d_0 = 0 and zero past the frame, and the zeros after pd dropped."""
+    c = [0, *constant_ranks, 0]
+    betti = [r - c[i] - c[i + 1] for i, r in enumerate(ranks)]
+    if min(betti) < 0:
+        raise AssertionError(f"negative Betti number in {betti}")
+    while len(betti) > 1 and not betti[-1]:
+        betti.pop()
+    return tuple(betti)
 
 
 @dataclass(frozen=True)
@@ -353,11 +249,18 @@ class DepthReport:
 
 def depth_and_cm(handle):
     """Depth, projective dimension and the Cohen-Macaulay verdict for the
-    graded quotient by a proper homogeneous ideal."""
+    graded quotient by a proper homogeneous ideal.  The handle's reduced
+    degrevlex basis, which position-over-term in rank one orders the same
+    way, is stage one of the frame."""
     if handle.is_unit():
         raise ValueError("the unit ideal has no quotient to measure")
     ctx = handle.context
-    res = free_resolution(presentation_of_ideal(handle))
+    basis = [{e + (0, 0): c for e, c in g.terms}
+             for g in handle.groebner_basis()]
+    res = free_resolution(presentation_of_ideal(handle), basis)
+    if res.betti[0] != 1:
+        raise AssertionError(f"a proper ideal has beta_0 = 1, got "
+                             f"{res.betti[0]}")
     pd = res.pd
     depth = ctx.arity - pd
     dim = handle.krull_dimension().dimension

@@ -32,7 +32,7 @@ from .errors import (ParseError, ResolutionLengthError,
 from .fitting import (euler_minor_identity, fitting_profile, ft_condition,
                       ft_condition_off_irrelevant, height_json,
                       last_rows_probe)
-from .groebner import IdealHandle, step_budget
+from .groebner import IdealHandle, budget_is_open, step_budget
 from .poly import parse_polynomial
 from .rees import (analytic_spread, extended_context, is_linear_type,
                    rees_ideal, symmetric_presentation)
@@ -456,30 +456,46 @@ def _text_report(report):
 
 def run_case(case, seed=None, budget=None):
     """Run a parsed case in its mode under one step budget for the whole
-    case (`budget` reduction steps, the default cap when None)."""
+    case: `budget` reduction steps; when None, the budget already open
+    around the call, as `run_case_path` opens one for the parse and the
+    run together, else the default cap."""
+    if budget is None and budget_is_open():
+        return _run_in_mode(case, seed)
     with step_budget(budget):
-        if case.mode == "prop31":
-            return probe_report(case, seed=seed)
-        return run_pipeline(case, seed=seed)
+        return _run_in_mode(case, seed)
+
+
+def _run_in_mode(case, seed):
+    if case.mode == "prop31":
+        return probe_report(case, seed=seed)
+    return run_pipeline(case, seed=seed)
 
 
 def run_case_path(path, seed=None, budget=None):
-    """Load and run one case file; parse errors become invalid-input
-    reports and any other exception an internal-error report, so
-    directory runs keep going."""
+    """Load and run one case file under one step budget of `budget`
+    steps for the parse and the run together; parse errors become
+    invalid-input reports, a parse out of budget a resource-exhausted one
+    and any other exception an internal-error report, so directory runs
+    keep going."""
     from .casefile import load_case
-    try:
-        case = load_case(path)
-    except ParseError as ex:
-        report = Report(case=str(path), status="invalid_input")
-        report.errors.append({"stage": "parse", "code": "parse",
-                              "message": str(ex)})
-        return report
-    try:
-        return run_case(case, seed=seed, budget=budget)
-    except Exception as ex:  # one faulty case must not lose the others
-        report = Report(case=case.name, status="internal_error")
-        report.errors.append({"stage": "pipeline", "code": "internal",
-                              "message": f"{type(ex).__name__}: {ex}",
-                              "traceback": traceback.format_exc()})
-        return report
+    with step_budget(budget):
+        try:
+            case = load_case(path)
+        except ParseError as ex:
+            report = Report(case=str(path), status="invalid_input")
+            report.errors.append({"stage": "parse", "code": "parse",
+                                  "message": str(ex)})
+            return report
+        except StepBudgetExceeded as ex:
+            report = Report(case=str(path), status="resource_exhausted")
+            report.errors.append({"stage": "parse", "code": "resource",
+                                  "message": str(ex)})
+            return report
+        try:
+            return run_case(case, seed=seed)
+        except Exception as ex:  # one faulty case must not lose the others
+            report = Report(case=case.name, status="internal_error")
+            report.errors.append({"stage": "pipeline", "code": "internal",
+                                  "message": f"{type(ex).__name__}: {ex}",
+                                  "traceback": traceback.format_exc()})
+            return report

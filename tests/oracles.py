@@ -17,18 +17,28 @@ syzygies to minimal generators with one basis per candidate, the
 minimization of a tower by `Polynomial` arithmetic that rescans every
 entry for a unit, the ideal quotient and the nonzerodivisor test by
 (I : g) == I, and the saturation that gave the Fitting heights off the
-irrelevant ideal.
+irrelevant ideal.  Last comes the minimized tower that `free_resolution`
+built before it read Betti numbers off the Schreyer frame: stages
+interreduced under nested Schreyer keys, then minimized by cancelling
+constant entries on term dicts, and `syzygies`, pruned the same way.
 """
 
 import heapq
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import add, ge, neg, sub
 
+from diffrees import groebner
+from diffrees.eagon_northcott import FreeComplex
+from diffrees.errors import ResolutionLengthError
+from diffrees.matrix import PolyMatrix
 from diffrees.poly import DEGREVLEX, Polynomial, mono_mul
 from diffrees.groebner import IdealHandle, StepCounter, _buchberger, _steps
-from diffrees.resolution import _position_key
+from diffrees.resolution import (ModulePresentation, _columns_to_elements,
+                                 _position_key, _schreyer_syzygies,
+                                 _stage_shifts)
 
 
 def mono_divide(a, b):
@@ -755,7 +765,7 @@ def minimal_generators(elements, ctx, rank):
     return current
 
 
-def _minimize(mats, shifts):
+def minimize_matrices(mats, shifts):
     """Cancel constant entries by row/column reduction, updating the two
     adjacent differentials and shift tables, until every entry lies in the
     maximal ideal.  Stages that become empty split off exactly, so the
@@ -830,8 +840,8 @@ def _minimize(mats, shifts):
 
 
 def module_free_resolution(pres):
-    """(ranks, differentials, shifts) of `free_resolution` computed from
-    `module_resolution_stages`, minimized by `_minimize` above."""
+    """(ranks, differentials, shifts) of `minimized_free_resolution`
+    computed from `module_resolution_stages`, minimized by `minimize_matrices` above."""
     ctx = pres.context
     shifts = [list(pres.shifts)]
     mats = []
@@ -850,7 +860,7 @@ def module_free_resolution(pres):
         mats.append(rows)
         shifts.append(stage_shifts)
         rank = len(family)
-    _minimize(mats, shifts)
+    minimize_matrices(mats, shifts)
     ranks = (len(shifts[0]),) + tuple(len(m[0]) for m in mats)
     differentials = tuple(tuple(tuple(r) for r in m) for m in mats)
     return ranks, differentials, tuple(tuple(s) for s in
@@ -870,3 +880,241 @@ def saturated_height_off_irrelevant(algebra, fitting):
     if sat.is_unit():
         return float("inf")
     return algebra.dimension - sat.krull_dimension().dimension
+
+
+# ---------------------------------------------------------------------------
+# the minimized tower
+
+def nested_induced_key(prev_key, prev_lms, n):
+    """Schreyer order induced by the previous stage: compare the images of
+    the leading terms, break ties toward the earlier generator; stage k
+    calls through k nested keys."""
+    return lambda t: (prev_key(tuple(map(add, t[:n] + (0, 0),
+                                         prev_lms[t[n]])))
+                      + (-t[n],))
+
+
+def column_degrees(pres):
+    """Degrees of the presentation's columns; zero columns contribute
+    shift 0."""
+    out = []
+    for j in range(pres.matrix.ncols):
+        deg = 0
+        for i in range(pres.target_rank):
+            p = pres.matrix.entry(i, j)
+            if not p.is_zero:
+                deg = p.weighted_degree_info()[1] + pres.shifts[i]
+                break
+        out.append(deg)
+    return tuple(out)
+
+
+def elements_to_columns(family, n):
+    """Each flat element as a column {row: {exponents: coefficient}}."""
+    cols = []
+    for el in family:
+        col = {}
+        for t, c in el.items():
+            col.setdefault(t[n], {})[t[:n]] = c
+        cols.append(col)
+    return cols
+
+
+def columns_to_matrix(ctx, columns, rows):
+    """The PolyMatrix of {row: {exponents: coefficient}} columns, with the
+    given row ids top to bottom."""
+    return PolyMatrix(ctx, tuple(
+        tuple(Polynomial._make(ctx, col.get(r, {})) for col in columns)
+        for r in rows))
+
+
+def _add_product(acc, a, b, scale):
+    """acc += scale * a * b on {exponents: Fraction} dicts, zeros dropped."""
+    for e, c in a.items():
+        cs = c * scale
+        for f, d in b.items():
+            t = tuple(map(add, e, f))
+            v = acc.get(t, 0) + cs * d
+            if v:
+                acc[t] = v
+            else:
+                del acc[t]
+
+
+def minimize_columns(stages, shifts):
+    """Cancel constant entries by row/column reduction, updating the two
+    adjacent differentials and shift tables, until every entry lies in the
+    maximal ideal.  Stages that become empty split off exactly, so the
+    tower is truncated at the first zero stage.
+
+    `stages[k]` maps the columns of the k-th differential, the basis of
+    F_{k+1}, to {row: polynomial dict} with zero entries absent, and
+    `shifts[k]` maps the basis of F_k to its degrees.  Both keep the ids
+    of the unminimized tower in increasing order, so cancelling a basis
+    element only deletes its id.
+
+    The entries are homogeneous and the weights positive, so a nonzero
+    entry is a constant exactly where its row and column shifts agree;
+    the pivot is the first such entry in (stage, row, column) order.  A
+    cancellation deletes the column of the stage before and the row of
+    the stage after, which creates no constant, so a stage once cleared
+    stays clear.  The row operations that clear the pivot column change
+    only the deleted row and column; they enter only the check that the
+    cancelled column of the stage before vanishes, which raises
+    explicitly, so it holds under `python -O`.
+    """
+    k = 0
+    while k < len(stages):
+        cols, rows_at, cols_at = stages[k], shifts[k], shifts[k + 1]
+        spot = min(((r, c) for c, col in cols.items()
+                    for r in col if rows_at[r] == cols_at[c]), default=None)
+        if spot is None:
+            k += 1
+            continue
+        r0, c0 = spot
+        pivot = cols.pop(c0)
+        (u,) = pivot.pop(r0).values()
+        inv = 1 / u
+
+        # columns c: col_c -= (m[r0][c] / u) col_c0; row r0 goes
+        factors = {}
+        for c, col in cols.items():
+            p = col.pop(r0, None)
+            if p is None:
+                continue
+            factors[c] = p
+            for r, q in pivot.items():
+                acc = col.setdefault(r, {})
+                _add_product(acc, p, q, -inv)
+                if not acc:
+                    del col[r]
+        if k + 1 < len(stages):
+            for col in stages[k + 1].values():
+                acc = col.pop(c0, {})
+                for c, p in factors.items():
+                    if c in col:
+                        _add_product(acc, p, col[c], inv)
+                if acc:
+                    raise AssertionError("cancelled row must vanish")
+        if k > 0:
+            prev = stages[k - 1]
+            acc = prev.pop(r0)
+            for r, q in pivot.items():
+                for i, p in prev[r].items():
+                    _add_product(acc.setdefault(i, {}), q, p, inv)
+            if any(acc.values()):
+                raise AssertionError("cancelled column must vanish")
+        del rows_at[r0]
+        del cols_at[c0]
+
+        for idx in range(len(stages)):
+            if not shifts[idx] or not shifts[idx + 1]:
+                # F at this boundary vanished; the exact tail splits off
+                del stages[idx:]
+                del shifts[idx + 1:]
+                break
+
+
+@dataclass(frozen=True)
+class MinimizedResolution:
+    complex: FreeComplex
+    shifts: tuple          # per stage, degree shifts of the free module
+
+    @property
+    def ranks(self):
+        return self.complex.ranks
+
+    @property
+    def differentials(self):
+        return self.complex.differentials
+
+    @property
+    def pd(self):
+        return len(self.complex.ranks) - 1
+
+
+def minimized_free_resolution(pres):
+    """The minimal free resolution of the cokernel, as `free_resolution`
+    built it before it read Betti numbers off the frame: stage one is a
+    module Groebner basis of the columns, later stages the Schreyer
+    records of the minimal pairs of the stage family, interreduced between
+    stages under nested induced keys; families in decreasing lead order.
+    The tower is then minimized by `minimize_columns`."""
+    ctx = pres.context
+    n = ctx.arity
+    max_length = 2 * n + 4
+    key = _position_key(ctx)
+    wdeg = ctx.weighted_degree
+    stage_rank = pres.target_rank
+    counter = _steps()
+
+    basis, lms = groebner._buchberger(
+        _columns_to_elements(pres, stage_rank), key, wdeg, counter,
+        stage_rank)
+    lms, family = groebner._interreduce(basis, lms, key, counter)
+    shifts = [dict(enumerate(pres.shifts))]
+    stages = []
+    while family:
+        family.reverse()
+        lms.reverse()
+        stages.append(dict(enumerate(elements_to_columns(family, n))))
+        shifts.append(dict(enumerate(_stage_shifts(ctx, family,
+                                                   shifts[-1]))))
+        if len(stages) > max_length:
+            raise ResolutionLengthError(
+                f"resolution exceeded maximum length {max_length}")
+        syz = _schreyer_syzygies(family, key, counter, n)
+        if not syz:
+            break
+        key = nested_induced_key(key, lms, n)
+        lms, family = groebner._interreduce(
+            syz, [max(s, key=key) for s in syz], key, counter)
+
+    minimize_columns(stages, shifts)
+    final = tuple(columns_to_matrix(ctx, [cols[c] for c in shifts[k + 1]],
+                                    shifts[k])
+                  for k, cols in enumerate(stages))
+    return MinimizedResolution(
+        FreeComplex(tuple(len(s) for s in shifts), final),
+        tuple(tuple(s.values()) for s in shifts))
+
+
+def syzygies(pres):
+    """Minimal generating set of the syzygy module of the presentation's
+    columns, by eliminating components (Greuel-Pfister, A Singular
+    Introduction to Commutative Algebra, 2.5).
+
+    The columns c_j + e_{r+j} live in rank r + m.  Under position-over-term
+    with the r target components first, the elements of their reduced
+    basis whose lead lies in a component >= r lie there entirely and, once
+    shifted down by r, form a reduced basis of the syzygies.  The records
+    of its minimal pairs generate the relations among these generators
+    (Schreyer), so `minimize_columns` on that one stage cancels every
+    generator with a constant relation; the survivors have none, so they
+    generate minimally by graded Nakayama.
+    """
+    ctx = pres.context
+    n = ctx.arity
+    r, m = pres.target_rank, pres.matrix.ncols
+    key = _position_key(ctx)
+    counter = _steps()
+    columns = _columns_to_elements(pres, r + m)
+    unit = (0,) * n
+    for j, col in enumerate(columns):
+        col[unit + (r + j, m - 1 - j)] = Fraction(1)
+    basis, lms = groebner._buchberger(columns, key, ctx.weighted_degree,
+                                      counter, r + m)
+    heads, reduced = groebner._interreduce(basis, lms, key, counter)
+    found = [{t[:n] + (t[n] - r, t[n + 1]): c for t, c in el.items()}
+             for lm, el in zip(heads, reduced) if lm[n] >= r]
+    relations = _schreyer_syzygies(found, key, counter, n)
+    degrees = column_degrees(pres)
+    found_shifts = _stage_shifts(ctx, found, degrees)
+    shifts = [dict(enumerate(found_shifts)),
+              dict(enumerate(_stage_shifts(ctx, relations, found_shifts)))]
+    minimize_columns([dict(enumerate(elements_to_columns(relations, n)))],
+                     shifts)
+    # the row ids left in shifts[0] are the generators no relation cancelled
+    matrix = columns_to_matrix(ctx, elements_to_columns(
+        [found[i] for i in shifts[0]], n), range(m))
+    return ModulePresentation(ctx, m, matrix, shifts=degrees)

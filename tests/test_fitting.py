@@ -9,6 +9,7 @@ from diffrees.fitting import (euler_minor_identity, fitting_ideal,
 from diffrees.groebner import IdealHandle
 from diffrees.matrix import PolyMatrix
 from diffrees.poly import DEGREVLEX, VariableContext
+from diffrees.rees import find_test_element
 from diffrees.sampler import probe_corpus, random_graded_ci, random_homogeneous
 
 from conftest import P, shipped_algebras
@@ -177,6 +178,34 @@ def test_is_reduced_shares_the_profile_basis_of_i_plus_f_e(monkeypatch):
     assert algebra.is_reduced()
     profile = fitting_profile(algebra)
     assert built == [algebra.ideal_sum(row.ideal) for row in profile.rows]
+
+
+def test_jacobian_minors_are_computed_once_per_size(monkeypatch):
+    """`is_reduced`, `fitting_profile` and `find_test_element` read the
+    algebra's minors: each size is expanded once, each Fitting index has
+    one handle, and the test element draws over the c-minors in the order
+    of `PolyMatrix.minors`, zeros included."""
+    ctx = VariableContext(("X", "Y", "Z", "W"))
+    algebra = GradedAlgebra.validate(ctx, [
+        P(ctx, "X^2 + Y^2 + Z^2 + W^2"), P(ctx, "X^3 + 2*Y^3 + 3*Z^3 + 4*W^3")])
+    theta = algebra.jacobian_presentation().theta
+    expected = {size: tuple(theta.minors(size)) for size in (1, 2)}
+    sizes = []
+    minors = PolyMatrix.minors
+
+    def recording(matrix, size, rows=None, cols=None):
+        sizes.append(size)
+        return minors(matrix, size, rows, cols)
+
+    monkeypatch.setattr(PolyMatrix, "minors", recording)
+    assert algebra.is_reduced()
+    profile = fitting_profile(algebra)
+    find_test_element(algebra)
+    assert sorted(sizes) == [1, 2]
+    assert all(row.ideal is fitting_ideal(algebra, row.index)
+               for row in profile.rows)
+    assert {size: algebra.jacobian_minors(size)[0]
+            for size in (1, 2)} == expected
 
 
 def test_euler_minor_identity_cubic_t3():

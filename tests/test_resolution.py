@@ -7,10 +7,10 @@ from diffrees.groebner import IdealHandle, step_budget
 from diffrees.matrix import PolyMatrix
 from diffrees.poly import VariableContext
 from diffrees.resolution import (ModulePresentation, depth_and_cm,
-                                 free_resolution, presentation_of_ideal,
-                                 syzygies)
+                                 free_resolution, presentation_of_ideal)
 
 from conftest import P, column_span_checker
+from oracles import minimized_free_resolution, syzygies
 
 
 @pytest.fixture(scope="module")
@@ -94,11 +94,13 @@ def test_hypersurface_resolution():
 def test_quadric_cone_symmetric_ideal_resolution():
     ctx = VariableContext(("X", "Y", "Z", "T1", "T2", "T3"))
     gens = [P(ctx, "X*Y - Z^2"), P(ctx, "Y*T1 + X*T2 - 2*Z*T3")]
-    res = free_resolution(presentation_of_ideal(IdealHandle(ctx, gens)))
+    pres = presentation_of_ideal(IdealHandle(ctx, gens))
+    res = free_resolution(pres)
     assert res.pd == 2
-    assert res.ranks == (1, 2, 1)
-    assert res.complex.is_complex()
-    assert res.minimal
+    assert res.betti == (1, 2, 1)
+    minimized = minimized_free_resolution(pres)
+    assert minimized.ranks == res.betti
+    assert minimized.complex.is_complex()
 
 
 def test_disjoint_edges_resolution():
@@ -111,18 +113,19 @@ def test_disjoint_edges_resolution():
     assert rep.dimension == 2
     assert not rep.cohen_macaulay
     res = free_resolution(presentation_of_ideal(handle))
-    assert res.ranks == (1, 4, 4, 1)
+    assert res.betti == (1, 4, 4, 1)
 
 
 def test_resolution_validity(ring4):
     X, Y, Z, W = ring4.gens()
     handle = IdealHandle(ring4, [X * Z - Y**2, X * W - Y * Z, Y * W - Z**2])
-    res = free_resolution(presentation_of_ideal(handle))
+    res = minimized_free_resolution(presentation_of_ideal(handle))
     assert res.complex.is_complex()
     # stage-1 columns generate the ideal exactly (mutual membership)
     stage1 = IdealHandle(ring4, list(res.differentials[0].row(0)))
     assert stage1.equals(handle)
     assert res.pd == 2
+    assert free_resolution(presentation_of_ideal(handle)).pd == 2
 
 
 def test_pd_stable_under_generator_shuffle(ring4):
@@ -133,10 +136,9 @@ def test_pd_stable_under_generator_shuffle(ring4):
     for _ in range(4):
         shuffled = gens[:]
         rng.shuffle(shuffled)
-        res = free_resolution(presentation_of_ideal(
-            IdealHandle(ring4, shuffled)))
-        pds.add(res.pd)
-        assert res.complex.is_complex()
+        pres = presentation_of_ideal(IdealHandle(ring4, shuffled))
+        pds.add(free_resolution(pres).pd)
+        assert minimized_free_resolution(pres).complex.is_complex()
     assert pds == {2}
 
 
@@ -161,7 +163,7 @@ def test_en_length_crosscheck(ring4):
 def test_zero_ideal_resolution():
     ctx = VariableContext(("X", "Y"))
     res = free_resolution(presentation_of_ideal(IdealHandle(ctx, [])))
-    assert res.ranks == (1,)
+    assert res.ranks == (1,) == res.betti
     assert res.pd == 0
     rep = depth_and_cm(IdealHandle(ctx, []))
     assert rep.cohen_macaulay and rep.depth == 2
@@ -176,7 +178,7 @@ def test_unit_ideal_rejected():
 def test_maximal_ideal_koszul_ranks(xyz):
     handle = IdealHandle(xyz, list(xyz.gens()))
     res = free_resolution(presentation_of_ideal(handle))
-    assert res.ranks == (1, 3, 3, 1)
+    assert res.betti == (1, 3, 3, 1)
     rep = depth_and_cm(handle)
     assert rep.depth == 0 == rep.dimension
 
@@ -192,7 +194,9 @@ def test_shifts_are_consistent(ring4):
     X, Y, Z, W = ring4.gens()
     cat = PolyMatrix(ring4, ((X, Y, Z), (Y, Z, W)))
     handle = IdealHandle(ring4, cat.minors(2))
-    res = free_resolution(presentation_of_ideal(handle))
+    frame = free_resolution(presentation_of_ideal(handle))
+    res = minimized_free_resolution(presentation_of_ideal(handle))
+    assert frame.shifts == res.shifts
     assert res.shifts[0] == (0,)
     assert res.shifts[1] == (2, 2, 2)
     assert res.shifts[2] == (3, 3)
@@ -207,8 +211,8 @@ def test_shifts_are_consistent(ring4):
 
 
 def test_hilbert_series_crosscheck():
-    # the graded resolution and the leading-term ideal must produce the
-    # same Hilbert numerator: validates exactness, ranks, and shifts
+    # the graded Schreyer frame and the leading-term ideal must produce
+    # the same Hilbert numerator: validates exactness, ranks, and shifts
     from oracles import (hilbert_numerator_from_leading_terms,
                          hilbert_numerator_from_resolution)
     ctx6 = VariableContext(("X", "Y", "Z", "T1", "T2", "T3"))
@@ -246,8 +250,9 @@ def test_resolution_fuzz_invariants():
         handle = IdealHandle(ctx, gens)
         if handle.is_unit() or handle.is_zero_ideal():
             continue
-        res = free_resolution(presentation_of_ideal(handle))
-        assert res.complex.is_complex()
+        pres = presentation_of_ideal(handle)
+        res = free_resolution(pres)
+        assert minimized_free_resolution(pres).complex.is_complex()
         assert res.pd <= n
         rep = depth_and_cm(handle)
         assert rep.depth + rep.projective_dimension == n

@@ -1,17 +1,23 @@
 """Differential tests of `free_resolution` on the one Groebner engine
-against the separate module engine it replaced, which `oracles.py` keeps.
+against the separate module engine it replaced and against the minimized
+tower it built before, both of which `oracles.py` keeps.
 
-The ring kernel runs module elements in the flat encoding a + (c, r-1-c)
-and reduces only the minimal pairs of each stage family.  The old engine
-works on (exponents, component) terms with monic reducers and a record
-for every pair.  Both must give the same family at every stage, each new
-record must be one of the old ones, and the minimized differentials,
-shifts and ranks must agree.  `_minimize` on term dicts is also checked
-against the `Polynomial` one it replaced on hand-built towers, and
-`syzygies`, which prunes through it, against the pass that dropped one
-generator at a time while the rest still spanned it.
+The ring kernel runs module elements in the flat encoding a + (c, r-1-c),
+reduces only the minimal pairs of each stage family and interreduces no
+stage after the first.  The old engine works on (exponents, component)
+terms with monic reducers, a record for every pair and reduced stage
+families.  The leads of the records of the minimal pairs depend only on
+the leads of the stage before, so both frames have the same leads at
+every stage, hence the same ranks and shifts; the first families agree
+term by term and each record of the first stage is one of the old ones.
+The Betti numbers read off the frame must be the ranks of the minimized
+tower.  The minimization on term dicts is also checked against the
+`Polynomial` one it replaced on hand-built towers, and `syzygies`, which
+prunes through it, against the pass that dropped one generator at a time
+while the rest still spanned it.
 """
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -31,26 +37,22 @@ from diffrees.groebner import IdealHandle, StepCounter
 from diffrees.matrix import PolyMatrix
 from diffrees.poly import DEGREVLEX, Polynomial, VariableContext
 from diffrees.rees import rees_ideal
-from diffrees.resolution import (ModulePresentation, free_resolution,
-                                 presentation_of_ideal, syzygies)
+from diffrees.resolution import (ModulePresentation, depth_and_cm,
+                                 free_resolution, presentation_of_ideal)
 from diffrees.sampler import random_graded_ci
 
 from conftest import (P, REES_RANDOM_CI_SHAPES, column_span_checker,
                       homogeneous_ideals, shipped_algebras)
 
 def _recorded_stages(pres):
-    """`free_resolution` of `pres`, with each stage family and its Schreyer
-    records translated to (exponents, component) terms."""
-    n = pres.context.arity
+    """`free_resolution` of `pres`, with each stage family, its key and
+    its Schreyer records."""
     stages = []
     schreyer_records = resolution._schreyer_records
 
     def recording(family, key, counter):
         records = schreyer_records(family, key, counter)
-        stages.append(([{(t[:n], t[n]): c for t, c in el.items()}
-                        for el in family],
-                       [{(q[:n], k): c for (k, q), c in rec.items()}
-                        for rec in records]))
+        stages.append((family, key, records))
         return records
 
     with pytest.MonkeyPatch.context() as mp:
@@ -59,20 +61,76 @@ def _recorded_stages(pres):
     return res, stages
 
 
+def _flat(element, rank):
+    """An old-engine element in the flat encoding of rank `rank`."""
+    return {e + (c, rank - 1 - c): a for (e, c), a in element.items()}
+
+
 def assert_matches_module_engine(pres):
-    """Every stage family is the old engine's, every record of a minimal
-    pair is one of the old engine's records of that stage, and the
-    minimized tower is the old engine's."""
+    """Every stage of the frame leads like the old engine's, the first
+    family is the old engine's and each record of its minimal pairs is one
+    of the old engine's records; the frame's ranks and shifts are the old
+    engine's before minimization and its Betti numbers the ranks after,
+    where the moved minimization gives the old tower exactly."""
+    ctx = pres.context
+    n = ctx.arity
     res, stages = _recorded_stages(pres)
     old = oracles.module_resolution_stages(pres)
-    assert [family for family, _ in stages] == [family for family, _ in old]
-    for (_, records), (_, old_records) in zip(stages, old):
-        assert all(rec in old_records for rec in records)
-    ranks, differentials, shifts = oracles.module_free_resolution(pres)
-    assert res.ranks == ranks
-    assert res.shifts == shifts
-    assert tuple(m.entries for m in res.differentials) == differentials
+    assert len(stages) == len(old)
+    rank = pres.target_rank
+    shifts = [tuple(pres.shifts)]
+    for (family, key, _), (old_family, _) in zip(stages, old):
+        old_family = [_flat(el, rank) for el in old_family]
+        assert ([max(el, key=key) for el in family]
+                == [max(el, key=key) for el in old_family])
+        shifts.append(tuple(ctx.weighted_degree(t) + shifts[-1][t[n]]
+                            for t in map(next, map(iter, old_family))))
+        rank = len(family)
+    if stages:
+        (family, _, records), (old_family, old_records) = stages[0], old[0]
+        assert family == [_flat(el, pres.target_rank) for el in old_family]
+        assert all({(q[:n], k): c for (k, q), c in rec.items()}
+                   in old_records for rec in records)
+    assert res.ranks == tuple(map(len, shifts))
+    assert res.shifts == tuple(shifts)
+    ranks, differentials, minimal_shifts = oracles.module_free_resolution(
+        pres)
+    assert res.betti == ranks
+    minimized = oracles.minimized_free_resolution(pres)
+    assert minimized.ranks == ranks
+    assert minimized.shifts == minimal_shifts
+    assert (tuple(m.entries for m in minimized.differentials)
+            == differentials)
     return res
+
+
+def _stage_one(handle):
+    """The stage-one family `depth_and_cm` hands to `free_resolution`."""
+    handed = []
+    real = resolution.free_resolution
+
+    def recording(pres, basis=None):
+        handed.append(basis)
+        return real(pres, basis)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution, "free_resolution", recording)
+        depth_and_cm(handle)
+    (basis,) = handed
+    return basis
+
+
+def assert_stage_one_is_the_module_basis(handle):
+    """The cached reduced degrevlex basis, as stage one, is the family
+    `_buchberger` and `_interreduce` build from the generators under
+    position-over-term."""
+    ctx = handle.context
+    key = resolution._position_key(ctx)
+    found = resolution._buchberger(
+        resolution._columns_to_elements(presentation_of_ideal(handle), 1),
+        key, ctx.weighted_degree, StepCounter(), 1)
+    _, family = resolution._interreduce(*found, key, StepCounter())
+    assert _stage_one(handle) == family
 
 
 @settings(max_examples=40, deadline=None,
@@ -86,6 +144,66 @@ def test_resolutions_match_module_engine(drawn):
     assert_matches_module_engine(presentation_of_ideal(handle))
 
 
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.booleans().flatmap(lambda w: homogeneous_ideals(weighted=w)))
+def test_betti_numbers_match_the_minimized_tower(drawn):
+    """The Betti numbers and pd read off the frame, directly and through
+    `depth_and_cm`, against the ranks of the minimized tower; every Betti
+    number is >= 0 and beta_0 = 1 for a proper ideal."""
+    ctx, gens = drawn
+    handle = IdealHandle(ctx, gens)
+    pres = presentation_of_ideal(handle)
+    res = free_resolution(pres)
+    minimized = oracles.minimized_free_resolution(pres)
+    assert res.betti == minimized.ranks
+    assert res.pd == minimized.pd
+    assert min(res.betti) >= 0
+    if handle.is_unit():
+        return
+    assert res.betti[0] == 1
+    assert depth_and_cm(handle).projective_dimension == minimized.pd
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.booleans().flatmap(lambda w: homogeneous_ideals(weighted=w)))
+def test_stage_one_from_the_cached_basis(drawn):
+    ctx, gens = drawn
+    handle = IdealHandle(ctx, gens)
+    if not handle.is_unit():
+        assert_stage_one_is_the_module_basis(handle)
+
+
+def _negative_betti():
+    resolution._betti_numbers([1, 1], [2])
+
+
+def _beta_zero_of_two():
+    ctx = VariableContext(("X", "Y"))
+    X, Y = ctx.gens()
+    real = resolution.free_resolution
+
+    def doubled(pres, basis=None):
+        res = real(pres, basis)
+        return dataclasses.replace(res, betti=(2,) + res.betti[1:])
+
+    resolution.free_resolution = doubled
+    depth_and_cm(IdealHandle(ctx, [X * Y]))
+
+
+@pytest.mark.parametrize("check,message", [
+    ("_negative_betti", "negative Betti number in [-1, -1]"),
+    ("_beta_zero_of_two", "a proper ideal has beta_0 = 1, got 2")],
+    ids=["negative", "beta-0"])
+def test_betti_checks_raise_under_O(check, message):
+    """A frame whose constant ranks exceed its ranks, and a proper ideal
+    whose beta_0 is not 1, raise explicitly, so with asserts stripped."""
+    done = _run_under_O(f"t.{check}()\n")
+    assert done.returncode == 1
+    assert f"AssertionError: {message}" in done.stderr
+
+
 def test_schreyer_example_matches_module_engine():
     """Four stages, three of them under iterated Schreyer keys."""
     ctx = VariableContext(("X", "Y", "Z", "W"))
@@ -93,12 +211,13 @@ def test_schreyer_example_matches_module_engine():
             P(ctx, "Y^2 - X*Z + W^2"), P(ctx, "X*W")]
     pres = presentation_of_ideal(IdealHandle(ctx, gens))
     res = assert_matches_module_engine(pres)
-    assert res.ranks == (1, 4, 6, 4, 1)
+    assert res.betti == (1, 4, 6, 4, 1)
 
 
 def test_rees_resolutions_match_module_engine(cases_dir):
     """The resolutions behind every Cohen-Macaulay verdict of the shipped
-    cases and of the random-ci draws that finish."""
+    cases and of the random-ci draws that finish, each with the stage one
+    that the saturation's cached basis gives."""
     deepest = 0
     algebras = shipped_algebras(cases_dir)
     assert len(algebras) == 7
@@ -107,8 +226,9 @@ def test_rees_resolutions_match_module_engine(cases_dir):
                  for n, d, deg, seed in REES_RANDOM_CI_SHAPES]
     for algebra in algebras:
         assert algebra.is_reduced()
-        pres = presentation_of_ideal(rees_ideal(algebra).ideal)
-        res = assert_matches_module_engine(pres)
+        handle = rees_ideal(algebra).ideal
+        assert_stage_one_is_the_module_basis(handle)
+        res = assert_matches_module_engine(presentation_of_ideal(handle))
         deepest = max(deepest, res.pd)
     assert deepest == 6
 
@@ -159,14 +279,15 @@ def assert_matches_minimal_generators(pres):
     generators from the module engine: both annihilate the columns, have
     as many columns of each degree, and each lies in the other's span."""
     ctx, m = pres.context, pres.matrix.ncols
-    syz = syzygies(pres)
+    syz = oracles.syzygies(pres)
     assert (pres.matrix @ syz.matrix).is_zero()
     minimal = oracles.minimal_generators(oracles.syzygy_generators(pres),
                                          ctx, m)
-    ref = ModulePresentation(ctx, m, resolution._to_matrix(
-        ctx, resolution._elements_to_columns(minimal, ctx.arity), range(m)),
+    ref = ModulePresentation(ctx, m, oracles.columns_to_matrix(
+        ctx, oracles.elements_to_columns(minimal, ctx.arity), range(m)),
         shifts=syz.shifts)
-    assert Counter(syz.column_degrees()) == Counter(ref.column_degrees())
+    assert (Counter(oracles.column_degrees(syz))
+            == Counter(oracles.column_degrees(ref)))
     for spanning, spanned in ((syz, ref), (ref, syz)):
         contains = column_span_checker(spanning.matrix, spanning.shifts)
         assert all(map(contains, spanned.matrix.columns()))
@@ -202,7 +323,8 @@ def test_fixed_syzygies_match_minimal_generators(rows):
         ModulePresentation(ctx, len(rows), matrix))
 
 
-# Non-minimal towers for `_minimize`, as (differentials, shifts): each
+# Non-minimal towers for `oracles.minimize_columns`, as (differentials,
+# shifts): each
 # differential a list of rows of polynomial strings in X, Y.
 #
 # The generators X, Y, X + Y, X*Y of (X, Y) with all four of their
@@ -225,7 +347,8 @@ SPLIT_TAIL = ([[["X", "Y"]],
 
 def _tower(spec, flip=None):
     """The tower as oracle matrices (rows of Polynomials), shift lists and
-    `_minimize` stages; `flip` = (stage, row, column) negates one entry."""
+    `minimize_columns` stages; `flip` = (stage, row, column) negates one
+    entry."""
     ctx = VariableContext(("X", "Y"))
     mats = [[[P(ctx, text) for text in row] for row in m] for m in spec[0]]
     if flip is not None:
@@ -239,7 +362,7 @@ def _tower(spec, flip=None):
 
 def _corrupted_minimize(flip):
     _, _, shifts, stages = _tower(REDUNDANT, flip)
-    resolution._minimize(stages, [dict(enumerate(s)) for s in shifts])
+    oracles.minimize_columns(stages, [dict(enumerate(s)) for s in shifts])
 
 
 @pytest.mark.parametrize("spec,ranks", [(REDUNDANT, (1, 2, 1)),
@@ -248,8 +371,8 @@ def _corrupted_minimize(flip):
 def test_minimize_matches_the_oracle(spec, ranks):
     ctx, mats, shifts, stages = _tower(spec)
     table = [dict(enumerate(s)) for s in shifts]
-    resolution._minimize(stages, table)
-    oracles._minimize(mats, shifts)
+    oracles.minimize_columns(stages, table)
+    oracles.minimize_matrices(mats, shifts)
     got = [[[Polynomial._make(ctx, cols[c].get(r, {}))
              for c in table[k + 1]] for r in table[k]]
            for k, cols in enumerate(stages)]
@@ -264,14 +387,18 @@ def test_minimize_matches_the_oracle(spec, ranks):
 def test_minimize_rejects_a_corrupted_tower_under_O(flip, message):
     """One sign flipped next to the first unit breaks d^2 = 0; the check
     raises explicitly, so it holds with asserts stripped."""
+    done = _run_under_O(f"t._corrupted_minimize({flip!r})\n")
+    assert done.returncode == 1
+    assert f"AssertionError: {message}" in done.stderr
+
+
+def _run_under_O(call):
+    """Run `call` on this module, imported as t, under `python -O`."""
     tests = Path(__file__).parent
     src = Path(resolution.__file__).parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), str(tests), os.environ.get("PYTHONPATH", "")]))
     script = ("import sys, test_resolution_differential as t\n"
-              "assert False, 'asserts must be stripped'\n"
-              f"t._corrupted_minimize({flip!r})\n")
-    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+              "assert False, 'asserts must be stripped'\n" + call)
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert done.returncode == 1
-    assert f"AssertionError: {message}" in done.stderr

@@ -19,14 +19,15 @@ from diffrees.verifier import run_case
 
 # Steps the mini-workload spends once every distinct basis is built once
 # per case, the Fitting heights off the irrelevant ideal and the
-# nonzerodivisor test come from dimension checks, the first stage of a
-# resolution prunes pairs by the Gebauer-Moeller update, later stages
-# reduce only their minimal Schreyer pairs, the linear-type verdict reads
-# the torsion generators, ideals with equal generator sets compare
-# without a basis, a redundant input generator is reduced to zero
-# before it forms any pair and a saturation keeps the degrevlex basis its
-# elimination found; raise it only with a reason recorded in CHANGES.md.
-STEP_CEILING = 25961
+# nonzerodivisor test come from dimension checks, a resolution of an
+# ideal starts from the ideal's cached reduced basis, later stages reduce
+# only their minimal Schreyer pairs and are not interreduced, the
+# linear-type verdict reads the torsion generators, ideals with equal
+# generator sets compare without a basis, a redundant input generator is
+# reduced to zero before it forms any pair and a saturation keeps the
+# degrevlex basis its elimination found; raise it only with a reason
+# recorded in CHANGES.md.
+STEP_CEILING = 25683
 
 
 @pytest.fixture(scope="module")

@@ -309,6 +309,25 @@ relations = X^2147483648 - Y^2147483648
         load_case(path)
 
 
+def test_cli_verify_charges_the_parse_to_the_budget(tmp_path, capsys):
+    """Expanding (X+Y+Z)^3000 would run for minutes; its products are
+    charged to the case budget, so the parse stops at once and the report
+    says the resources ran out."""
+    path = _write(tmp_path, "power.case", """
+[algebra]
+name = large-power
+variables = X, Y, Z
+relations = (X+Y+Z)^3000
+""")
+    assert main(["--budget", "1000", "--format", "json", "verify",
+                 path]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "resource_exhausted"
+    (error,) = report["errors"]
+    assert (error["stage"], error["code"]) == ("parse", "resource")
+    assert "budget of 1000" in error["message"]
+
+
 def test_cli_verify_budget_exhaustion_exit_3(tmp_path, capsys):
     path = _write(tmp_path, "q.case", QUADRIC)
     assert main(["--budget", "2", "verify", path]) == 3
