@@ -79,11 +79,6 @@ def _steps():
     return StepCounter() if counter is None else counter
 
 
-def budget_is_open():
-    """Whether the call runs inside a `step_budget` block."""
-    return _budget.get() is not None
-
-
 # ---------------------------------------------------------------------------
 # raw engine over packed monomials
 #

@@ -1,8 +1,10 @@
-"""Graded free resolutions by syzygies, with depth and Cohen-Macaulay tests.
+"""Graded free resolutions of quotients by ideals, with depth and
+Cohen-Macaulay tests.
 
 Module elements run on the ring kernel of `groebner`: the term x^a e_c of
 a free module of rank r is the flat exponent tuple a + (c, r-1-c), kept in
-{term: Fraction} dicts.  Stage one is a module Groebner basis under the
+{term: Fraction} dicts.  Stage one is the ideal's cached reduced
+degrevlex basis, in rank one a module Groebner basis under the
 position-over-term extension of the ring order.  Every later stage is the
 family of Schreyer records of the minimal pairs of the stage before: their
 leads divide no one another and they form a Groebner basis of the
@@ -27,17 +29,8 @@ from dataclasses import dataclass
 from operator import add
 
 from .errors import ResolutionLengthError
-from .groebner import (_buchberger, _interreduce, _schreyer_records,
-                       _steps)
-from .matrix import PolyMatrix
+from .groebner import _schreyer_records, _steps
 from .poly import DEGREVLEX
-
-
-def _position_key(ctx):
-    """Position-over-term over degrevlex: earlier components dominate."""
-    ring_key = DEGREVLEX.key_for(ctx)
-    n = ctx.arity
-    return lambda t: (t[-1],) + ring_key(t[:n])
 
 
 def _induced_key(ring_key, chain, n):
@@ -68,57 +61,6 @@ def _next_chain(chain, lms, n):
 
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModulePresentation:
-    """Columns of `matrix` generate a submodule of a free module of rank
-    `target_rank`; `shifts` are target degrees making columns homogeneous."""
-
-    context: object
-    target_rank: int
-    matrix: PolyMatrix
-    shifts: tuple = None
-
-    def __post_init__(self):
-        if self.matrix.nrows != self.target_rank:
-            raise ValueError("matrix must have target_rank rows")
-        shifts = self.shifts or (0,) * self.target_rank
-        object.__setattr__(self, "shifts", tuple(shifts))
-        for j in range(self.matrix.ncols):
-            degs = set()
-            for i in range(self.target_rank):
-                p = self.matrix.entry(i, j)
-                if p.is_zero:
-                    continue
-                homog, deg = p.weighted_degree_info()
-                if not homog:
-                    raise ValueError(f"column {j} is not homogeneous")
-                degs.add(deg + self.shifts[i])
-            if len(degs) > 1:
-                raise ValueError(f"column {j} is not homogeneous for the "
-                                 "declared shifts")
-
-
-def presentation_of_ideal(handle):
-    """Rank-one presentation whose columns are the ideal generators."""
-    ctx = handle.context
-    row = tuple(handle.generators)
-    return ModulePresentation(ctx, 1, PolyMatrix(ctx, (row,)))
-
-
-def _columns_to_elements(pres, rank):
-    """The columns as elements of a free module of rank `rank`, which may
-    exceed the target rank; their terms lie in the first components."""
-    cols = []
-    for j in range(pres.matrix.ncols):
-        d = {}
-        for i in range(pres.target_rank):
-            tail = (i, rank - 1 - i)
-            for e, c in pres.matrix.entry(i, j).terms:
-                d[e + tail] = c
-        cols.append(d)
-    return cols
-
-
 def _schreyer_syzygies(family, key, counter, n):
     """The records of the minimal pairs of `family`, a basis under `key`,
     as flat elements of a free module of rank len(family), each with its
@@ -132,7 +74,7 @@ def _schreyer_syzygies(family, key, counter, n):
 
 @dataclass(frozen=True)
 class FreeResolution:
-    """A Schreyer frame of the cokernel and the minimal Betti numbers read
+    """A Schreyer frame of the quotient and the minimal Betti numbers read
     off it; the frame need not be minimal, the Betti numbers are."""
 
     ranks: tuple           # rank of each free module F_0, F_1, ... of the frame
@@ -144,34 +86,30 @@ class FreeResolution:
         return len(self.betti) - 1
 
 
-def free_resolution(pres, basis=None):
-    """Resolve the cokernel of the presentation by a Schreyer frame and
-    read its minimal Betti numbers off the frame.
+def free_resolution(handle):
+    """Resolve the quotient by the ideal of `handle` by a Schreyer frame
+    and read its minimal Betti numbers off the frame.
 
-    Stage one is the reduced Groebner basis of the columns under
-    position-over-term: `basis` when the caller already has it, as flat
-    elements, else a fresh one.  Later stages are the Schreyer records of
-    the minimal pairs of the stage family.  Each family is sorted by
+    Stage one is the handle's cached reduced degrevlex basis, in rank one
+    the reduced basis of the generators under position-over-term, which
+    orders it the same way.  Later stages are the Schreyer records of the
+    minimal pairs of the stage family.  Each family is sorted by
     decreasing lead.  A frame longer than 2n + 4 stages raises a
     ResolutionLengthError.
     """
-    ctx = pres.context
+    ctx = handle.context
     n = ctx.arity
     max_length = 2 * n + 4
     ring_key = DEGREVLEX.key_for(ctx)
-    key = _position_key(ctx)
-    rank = pres.target_rank
+    chain = [(0, (0,) * n, ())]
+    key = _induced_key(ring_key, chain, n)
     counter = _steps()
 
-    if basis is None:
-        found, lms = _buchberger(_columns_to_elements(pres, rank), key,
-                                 ctx.weighted_degree, counter, rank)
-        _, basis = _interreduce(found, lms, key, counter)
-    family = basis
+    family = [{e + (0, 0): c for e, c in g.terms}
+              for g in handle.groebner_basis()]
     leads = [max(el, key=key) for el in family]
-    chain = [(rank - 1 - c, (0,) * n, ()) for c in range(rank)]
-    ranks = [rank]
-    shifts = [tuple(pres.shifts)]
+    ranks = [1]
+    shifts = [(0,)]
     constant_ranks = []
     while family:
         order = sorted(range(len(family)), key=lambda i: key(leads[i]),
@@ -249,20 +187,15 @@ class DepthReport:
 
 def depth_and_cm(handle):
     """Depth, projective dimension and the Cohen-Macaulay verdict for the
-    graded quotient by a proper homogeneous ideal.  The handle's reduced
-    degrevlex basis, which position-over-term in rank one orders the same
-    way, is stage one of the frame."""
+    graded quotient by a proper homogeneous ideal."""
     if handle.is_unit():
         raise ValueError("the unit ideal has no quotient to measure")
-    ctx = handle.context
-    basis = [{e + (0, 0): c for e, c in g.terms}
-             for g in handle.groebner_basis()]
-    res = free_resolution(presentation_of_ideal(handle), basis)
+    res = free_resolution(handle)
     if res.betti[0] != 1:
         raise AssertionError(f"a proper ideal has beta_0 = 1, got "
                              f"{res.betti[0]}")
     pd = res.pd
-    depth = ctx.arity - pd
+    depth = handle.context.arity - pd
     dim = handle.krull_dimension().dimension
     return DepthReport(dimension=dim, depth=depth, projective_dimension=pd,
                        cohen_macaulay=depth == dim)

@@ -32,7 +32,7 @@ from .errors import (ParseError, ResolutionLengthError,
 from .fitting import (euler_minor_identity, fitting_profile, ft_condition,
                       ft_condition_off_irrelevant, height_json,
                       last_rows_probe)
-from .groebner import IdealHandle, budget_is_open, step_budget
+from .groebner import IdealHandle, step_budget
 from .poly import parse_polynomial
 from .rees import (analytic_spread, extended_context, is_linear_type,
                    rees_ideal, symmetric_presentation)
@@ -456,11 +456,7 @@ def _text_report(report):
 
 def run_case(case, seed=None, budget=None):
     """Run a parsed case in its mode under one step budget for the whole
-    case: `budget` reduction steps; when None, the budget already open
-    around the call, as `run_case_path` opens one for the parse and the
-    run together, else the default cap."""
-    if budget is None and budget_is_open():
-        return _run_in_mode(case, seed)
+    case (`budget` reduction steps, the default cap when None)."""
     with step_budget(budget):
         return _run_in_mode(case, seed)
 
@@ -492,7 +488,7 @@ def run_case_path(path, seed=None, budget=None):
                                   "message": str(ex)})
             return report
         try:
-            return run_case(case, seed=seed)
+            return _run_in_mode(case, seed)
         except Exception as ex:  # one faulty case must not lose the others
             report = Report(case=case.name, status="internal_error")
             report.errors.append({"stage": "pipeline", "code": "internal",

@@ -35,14 +35,13 @@ def column_span_checker(matrix, shifts=None):
     ring kernel with the flat term encoding of `resolution`; `shifts` are
     row degrees making its columns homogeneous."""
     from diffrees.groebner import StepCounter, _buchberger
-    from oracles import tuple_nf
-    from diffrees.resolution import (ModulePresentation,
-                                     _columns_to_elements, _position_key)
+    from oracles import (ModulePresentation, columns_to_elements,
+                         position_key, tuple_nf)
     ctx = matrix.context
     rank = matrix.nrows
     pres = ModulePresentation(ctx, rank, matrix, shifts)
-    key = _position_key(ctx)
-    basis, lms = _buchberger(_columns_to_elements(pres, rank), key,
+    key = position_key(ctx)
+    basis, lms = _buchberger(columns_to_elements(pres, rank), key,
                              ctx.weighted_degree, StepCounter(), rank)
 
     def contains(column):

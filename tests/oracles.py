@@ -17,8 +17,10 @@ syzygies to minimal generators with one basis per candidate, the
 minimization of a tower by `Polynomial` arithmetic that rescans every
 entry for a unit, the ideal quotient and the nonzerodivisor test by
 (I : g) == I, and the saturation that gave the Fitting heights off the
-irrelevant ideal.  Last comes the minimized tower that `free_resolution`
-built before it read Betti numbers off the Schreyer frame: stages
+irrelevant ideal.  Last come the module presentations (columns of a
+polynomial matrix) that `free_resolution` resolved before it took only
+ideals, and the minimized tower it built before it read Betti numbers
+off the Schreyer frame: stages
 interreduced under nested Schreyer keys, then minimized by cancelling
 constant entries on term dicts, and `syzygies`, pruned the same way.
 """
@@ -36,9 +38,7 @@ from diffrees.errors import ResolutionLengthError
 from diffrees.matrix import PolyMatrix
 from diffrees.poly import DEGREVLEX, Polynomial, mono_mul
 from diffrees.groebner import IdealHandle, StepCounter, _buchberger, _steps
-from diffrees.resolution import (ModulePresentation, _columns_to_elements,
-                                 _position_key, _schreyer_syzygies,
-                                 _stage_shifts)
+from diffrees.resolution import _schreyer_syzygies, _stage_shifts
 
 
 def mono_divide(a, b):
@@ -741,7 +741,7 @@ def syzygy_generators(pres):
 
 def minimal_generators(elements, ctx, rank):
     """Drop any element lying in the submodule spanned by the rest."""
-    key = _position_key(ctx)
+    key = position_key(ctx)
     wdeg = ctx.weighted_degree
 
     def sort_key(el):
@@ -880,6 +880,69 @@ def saturated_height_off_irrelevant(algebra, fitting):
     if sat.is_unit():
         return float("inf")
     return algebra.dimension - sat.krull_dimension().dimension
+
+
+# ---------------------------------------------------------------------------
+# module presentations, which `resolution` took before it resolved only
+# quotients by ideals
+
+@dataclass(frozen=True)
+class ModulePresentation:
+    """Columns of `matrix` generate a submodule of a free module of rank
+    `target_rank`; `shifts` are target degrees making columns homogeneous."""
+
+    context: object
+    target_rank: int
+    matrix: PolyMatrix
+    shifts: tuple = None
+
+    def __post_init__(self):
+        if self.matrix.nrows != self.target_rank:
+            raise ValueError("matrix must have target_rank rows")
+        shifts = self.shifts or (0,) * self.target_rank
+        object.__setattr__(self, "shifts", tuple(shifts))
+        for j in range(self.matrix.ncols):
+            degs = set()
+            for i in range(self.target_rank):
+                p = self.matrix.entry(i, j)
+                if p.is_zero:
+                    continue
+                homog, deg = p.weighted_degree_info()
+                if not homog:
+                    raise ValueError(f"column {j} is not homogeneous")
+                degs.add(deg + self.shifts[i])
+            if len(degs) > 1:
+                raise ValueError(f"column {j} is not homogeneous for the "
+                                 "declared shifts")
+
+
+def presentation_of_ideal(handle):
+    """Rank-one presentation whose columns are the ideal generators."""
+    ctx = handle.context
+    row = tuple(handle.generators)
+    return ModulePresentation(ctx, 1, PolyMatrix(ctx, (row,)))
+
+
+def position_key(ctx):
+    """Position-over-term over degrevlex on flat module terms: earlier
+    components dominate."""
+    ring_key = DEGREVLEX.key_for(ctx)
+    n = ctx.arity
+    return lambda t: (t[-1],) + ring_key(t[:n])
+
+
+def columns_to_elements(pres, rank):
+    """The columns as flat elements of a free module of rank `rank`, which
+    may exceed the target rank; their terms lie in the first components."""
+    cols = []
+    for j in range(pres.matrix.ncols):
+        d = {}
+        for i in range(pres.target_rank):
+            tail = (i, rank - 1 - i)
+            for e, c in pres.matrix.entry(i, j).terms:
+                d[e + tail] = c
+        cols.append(d)
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -1035,7 +1098,8 @@ class MinimizedResolution:
 
 def minimized_free_resolution(pres):
     """The minimal free resolution of the cokernel, as `free_resolution`
-    built it before it read Betti numbers off the frame: stage one is a
+    built it before it read Betti numbers off the frame and took only
+    ideals: stage one is a
     module Groebner basis of the columns, later stages the Schreyer
     records of the minimal pairs of the stage family, interreduced between
     stages under nested induced keys; families in decreasing lead order.
@@ -1043,13 +1107,13 @@ def minimized_free_resolution(pres):
     ctx = pres.context
     n = ctx.arity
     max_length = 2 * n + 4
-    key = _position_key(ctx)
+    key = position_key(ctx)
     wdeg = ctx.weighted_degree
     stage_rank = pres.target_rank
     counter = _steps()
 
     basis, lms = groebner._buchberger(
-        _columns_to_elements(pres, stage_rank), key, wdeg, counter,
+        columns_to_elements(pres, stage_rank), key, wdeg, counter,
         stage_rank)
     lms, family = groebner._interreduce(basis, lms, key, counter)
     shifts = [dict(enumerate(pres.shifts))]
@@ -1096,9 +1160,9 @@ def syzygies(pres):
     ctx = pres.context
     n = ctx.arity
     r, m = pres.target_rank, pres.matrix.ncols
-    key = _position_key(ctx)
+    key = position_key(ctx)
     counter = _steps()
-    columns = _columns_to_elements(pres, r + m)
+    columns = columns_to_elements(pres, r + m)
     unit = (0,) * n
     for j, col in enumerate(columns):
         col[unit + (r + j, m - 1 - j)] = Fraction(1)

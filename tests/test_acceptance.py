@@ -17,8 +17,7 @@ from diffrees.matrix import PolyMatrix
 from diffrees.poly import DEGREVLEX, LEX, VariableContext, parse_polynomial
 from diffrees.rees import (analytic_spread, is_linear_type, rees_ideal,
                            symmetric_presentation)
-from diffrees.resolution import (depth_and_cm, free_resolution,
-                                 presentation_of_ideal)
+from diffrees.resolution import depth_and_cm, free_resolution
 from diffrees.sampler import probe_corpus, random_homogeneous
 from diffrees.verifier import run_pipeline
 from diffrees.casefile import CaseFile
@@ -170,8 +169,7 @@ def test_criterion_7_eagon_northcott():
     cat = PolyMatrix(big, ((X, Y, Z), (Y, Z, W)))
     record = en_acyclicity(cat)
     ok = ok and record.minor_height == 2 and record.criterion_met
-    res = free_resolution(presentation_of_ideal(
-        IdealHandle(big, cat.minors(2))))
+    res = free_resolution(IdealHandle(big, cat.minors(2)))
     ok = ok and res.pd == 2
     _line(7, ok, "complex property, Koszul degeneration, catalecticant")
 

@@ -8,11 +8,10 @@ from diffrees.eagon_northcott import (FreeComplex, build_en,
                                       kernel_membership, koszul_complex)
 from diffrees.matrix import PolyMatrix
 from diffrees.poly import VariableContext
-from diffrees.resolution import ModulePresentation
 from diffrees.sampler import random_homogeneous
 
 from conftest import column_span_checker
-from oracles import syzygies
+from oracles import ModulePresentation, syzygies
 
 
 

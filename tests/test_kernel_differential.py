@@ -26,15 +26,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from diffrees import groebner, resolution
+from diffrees import groebner
 from diffrees.groebner import (IdealHandle, StepCounter, _int_normalize,
                                _Monomials)
 from diffrees.poly import (DEGREVLEX, LEX, MonomialOrder, Polynomial,
                            VariableContext)
-from diffrees.resolution import (_columns_to_elements, _induced_key,
-                                 _next_chain, _position_key,
-                                 free_resolution, presentation_of_ideal)
-from oracles import syzygies
+from diffrees.resolution import _induced_key, _next_chain, free_resolution
+from oracles import (columns_to_elements, position_key,
+                     presentation_of_ideal, syzygies)
 
 from conftest import P, homogeneous_ideals
 
@@ -86,8 +85,7 @@ def checked_kernels():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groebner, "_nf", nf_checked)
-        for module in (groebner, resolution):
-            mp.setattr(module, "_interreduce", interreduce_checked)
+        mp.setattr(groebner, "_interreduce", interreduce_checked)
         yield calls
 
 
@@ -123,7 +121,7 @@ def test_growing_basis_kernels_match_max_scan():
 def test_module_kernels_match_max_scan(drawn):
     ctx, gens = drawn
     with checked_kernels() as calls:
-        free_resolution(presentation_of_ideal(IdealHandle(ctx, gens)))
+        free_resolution(IdealHandle(ctx, gens))
     assert calls["interreduce"] >= 1
 
 
@@ -135,7 +133,7 @@ def test_schreyer_stages_match_max_scan():
     gens = [P(ctx, "X^2 - Y*W"), P(ctx, "X*Y - Z^2"),
             P(ctx, "Y^2 - X*Z + W^2"), P(ctx, "X*W")]
     with checked_kernels() as calls:
-        res = free_resolution(presentation_of_ideal(IdealHandle(ctx, gens)))
+        res = free_resolution(IdealHandle(ctx, gens))
     assert res.betti == (1, 4, 6, 4, 1)
     assert calls["interreduce"] == 1
     # 79 when this was written: the stage-one basis and the records
@@ -202,13 +200,13 @@ def test_pair_update_matches_chain_scan(drawn):
                                    order.key_for(ctx), wdeg)
     pres = presentation_of_ideal(IdealHandle(ctx, gens))
     rank = 1 + len(gens)
-    columns = _columns_to_elements(pres, rank)
+    columns = columns_to_elements(pres, rank)
     for j, col in enumerate(columns):
         col[(0,) * ctx.arity + (1 + j, rank - 2 - j)] = Fraction(1)
-    _assert_same_reduced_basis(columns, _position_key(ctx), wdeg, rank)
+    _assert_same_reduced_basis(columns, position_key(ctx), wdeg, rank)
     syz = syzygies(pres)
-    _assert_same_reduced_basis(_columns_to_elements(syz, syz.target_rank),
-                               _position_key(ctx), wdeg, syz.target_rank)
+    _assert_same_reduced_basis(columns_to_elements(syz, syz.target_rank),
+                               position_key(ctx), wdeg, syz.target_rank)
 
 
 @pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
@@ -338,7 +336,7 @@ def test_flat_keys_order_like_nested_keys(drawn):
             for b in monomials:
                 assert _sign(flat(a), flat(b)) == _sign(nested(a), nested(b))
     rank = 2
-    flat_pot = _position_key(ctx)
+    flat_pot = position_key(ctx)
     nested_pot = oracles.nested_pot_key(
         oracles.nested_key_for(DEGREVLEX, ctx))
     prev_lms = [(m, k % rank) for k, m in enumerate(monomials)]
@@ -376,7 +374,7 @@ def test_induced_keys_are_the_nested_keys(drawn):
     ctx = VariableContext(tuple(f"X{i + 1}" for i in range(n)))
     ring_key = DEGREVLEX.key_for(ctx)
     chain = [(rank - 1 - c, (0,) * n, ()) for c in range(rank)]
-    nested = _position_key(ctx)
+    nested = position_key(ctx)
     for leads in stages:
         lms = [_flat((e, c % rank), rank) for e, c in leads]
         chain = _next_chain(chain, lms, n)

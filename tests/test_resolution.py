@@ -6,11 +6,11 @@ from diffrees.errors import StepBudgetExceeded
 from diffrees.groebner import IdealHandle, step_budget
 from diffrees.matrix import PolyMatrix
 from diffrees.poly import VariableContext
-from diffrees.resolution import (ModulePresentation, depth_and_cm,
-                                 free_resolution, presentation_of_ideal)
+from diffrees.resolution import depth_and_cm, free_resolution
 
 from conftest import P, column_span_checker
-from oracles import minimized_free_resolution, syzygies
+from oracles import (ModulePresentation, minimized_free_resolution,
+                     presentation_of_ideal, syzygies)
 
 
 @pytest.fixture(scope="module")
@@ -94,11 +94,11 @@ def test_hypersurface_resolution():
 def test_quadric_cone_symmetric_ideal_resolution():
     ctx = VariableContext(("X", "Y", "Z", "T1", "T2", "T3"))
     gens = [P(ctx, "X*Y - Z^2"), P(ctx, "Y*T1 + X*T2 - 2*Z*T3")]
-    pres = presentation_of_ideal(IdealHandle(ctx, gens))
-    res = free_resolution(pres)
+    handle = IdealHandle(ctx, gens)
+    res = free_resolution(handle)
     assert res.pd == 2
     assert res.betti == (1, 2, 1)
-    minimized = minimized_free_resolution(pres)
+    minimized = minimized_free_resolution(presentation_of_ideal(handle))
     assert minimized.ranks == res.betti
     assert minimized.complex.is_complex()
 
@@ -112,7 +112,7 @@ def test_disjoint_edges_resolution():
     assert rep.depth == 1
     assert rep.dimension == 2
     assert not rep.cohen_macaulay
-    res = free_resolution(presentation_of_ideal(handle))
+    res = free_resolution(handle)
     assert res.betti == (1, 4, 4, 1)
 
 
@@ -125,7 +125,7 @@ def test_resolution_validity(ring4):
     stage1 = IdealHandle(ring4, list(res.differentials[0].row(0)))
     assert stage1.equals(handle)
     assert res.pd == 2
-    assert free_resolution(presentation_of_ideal(handle)).pd == 2
+    assert free_resolution(handle).pd == 2
 
 
 def test_pd_stable_under_generator_shuffle(ring4):
@@ -136,9 +136,10 @@ def test_pd_stable_under_generator_shuffle(ring4):
     for _ in range(4):
         shuffled = gens[:]
         rng.shuffle(shuffled)
-        pres = presentation_of_ideal(IdealHandle(ring4, shuffled))
-        pds.add(free_resolution(pres).pd)
-        assert minimized_free_resolution(pres).complex.is_complex()
+        handle = IdealHandle(ring4, shuffled)
+        pds.add(free_resolution(handle).pd)
+        assert minimized_free_resolution(
+            presentation_of_ideal(handle)).complex.is_complex()
     assert pds == {2}
 
 
@@ -156,13 +157,13 @@ def test_en_length_crosscheck(ring4):
     X, Y, Z, W = ring4.gens()
     cat = PolyMatrix(ring4, ((X, Y, Z), (Y, Z, W)))
     handle = IdealHandle(ring4, cat.minors(2))
-    res = free_resolution(presentation_of_ideal(handle))
+    res = free_resolution(handle)
     assert res.pd == 2 == cat.ncols - cat.nrows + 1
 
 
 def test_zero_ideal_resolution():
     ctx = VariableContext(("X", "Y"))
-    res = free_resolution(presentation_of_ideal(IdealHandle(ctx, [])))
+    res = free_resolution(IdealHandle(ctx, []))
     assert res.ranks == (1,) == res.betti
     assert res.pd == 0
     rep = depth_and_cm(IdealHandle(ctx, []))
@@ -177,7 +178,7 @@ def test_unit_ideal_rejected():
 
 def test_maximal_ideal_koszul_ranks(xyz):
     handle = IdealHandle(xyz, list(xyz.gens()))
-    res = free_resolution(presentation_of_ideal(handle))
+    res = free_resolution(handle)
     assert res.betti == (1, 3, 3, 1)
     rep = depth_and_cm(handle)
     assert rep.depth == 0 == rep.dimension
@@ -187,14 +188,14 @@ def test_budget_propagates(xyz):
     X, Y, Z = xyz.gens()
     handle = IdealHandle(xyz, [X**3 - Y * Z**2, Y**4 - X * Z**3])
     with step_budget(2), pytest.raises(StepBudgetExceeded):
-        free_resolution(presentation_of_ideal(handle))
+        free_resolution(handle)
 
 
 def test_shifts_are_consistent(ring4):
     X, Y, Z, W = ring4.gens()
     cat = PolyMatrix(ring4, ((X, Y, Z), (Y, Z, W)))
     handle = IdealHandle(ring4, cat.minors(2))
-    frame = free_resolution(presentation_of_ideal(handle))
+    frame = free_resolution(handle)
     res = minimized_free_resolution(presentation_of_ideal(handle))
     assert frame.shifts == res.shifts
     assert res.shifts[0] == (0,)
@@ -226,7 +227,7 @@ def test_hilbert_series_crosscheck():
     cat = PolyMatrix(ctxw, ((X, Y, Z), (Y, Z, W)))
     catalecticant = IdealHandle(ctxw, cat.minors(2))
     for handle in (cone_rees, cross_rees, catalecticant):
-        res = free_resolution(presentation_of_ideal(handle))
+        res = free_resolution(handle)
         assert (hilbert_numerator_from_resolution(res)
                 == hilbert_numerator_from_leading_terms(handle))
 
@@ -250,9 +251,9 @@ def test_resolution_fuzz_invariants():
         handle = IdealHandle(ctx, gens)
         if handle.is_unit() or handle.is_zero_ideal():
             continue
-        pres = presentation_of_ideal(handle)
-        res = free_resolution(pres)
-        assert minimized_free_resolution(pres).complex.is_complex()
+        res = free_resolution(handle)
+        assert minimized_free_resolution(
+            presentation_of_ideal(handle)).complex.is_complex()
         assert res.pd <= n
         rep = depth_and_cm(handle)
         assert rep.depth + rep.projective_dimension == n

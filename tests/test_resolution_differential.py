@@ -33,19 +33,20 @@ from hypothesis import strategies as st
 
 import oracles
 from diffrees import resolution
-from diffrees.groebner import IdealHandle, StepCounter
+from diffrees.groebner import (IdealHandle, StepCounter, _buchberger,
+                               _interreduce)
 from diffrees.matrix import PolyMatrix
 from diffrees.poly import DEGREVLEX, Polynomial, VariableContext
 from diffrees.rees import rees_ideal
-from diffrees.resolution import (ModulePresentation, depth_and_cm,
-                                 free_resolution, presentation_of_ideal)
+from diffrees.resolution import depth_and_cm, free_resolution
 from diffrees.sampler import random_graded_ci
+from oracles import ModulePresentation, presentation_of_ideal
 
 from conftest import (P, REES_RANDOM_CI_SHAPES, column_span_checker,
                       homogeneous_ideals, shipped_algebras)
 
-def _recorded_stages(pres):
-    """`free_resolution` of `pres`, with each stage family, its key and
+def _recorded_stages(handle):
+    """`free_resolution` of `handle`, with each stage family, its key and
     its Schreyer records."""
     stages = []
     schreyer_records = resolution._schreyer_records
@@ -57,7 +58,7 @@ def _recorded_stages(pres):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resolution, "_schreyer_records", recording)
-        res = free_resolution(pres)
+        res = free_resolution(handle)
     return res, stages
 
 
@@ -66,15 +67,16 @@ def _flat(element, rank):
     return {e + (c, rank - 1 - c): a for (e, c), a in element.items()}
 
 
-def assert_matches_module_engine(pres):
+def assert_matches_module_engine(handle):
     """Every stage of the frame leads like the old engine's, the first
     family is the old engine's and each record of its minimal pairs is one
     of the old engine's records; the frame's ranks and shifts are the old
     engine's before minimization and its Betti numbers the ranks after,
     where the moved minimization gives the old tower exactly."""
+    pres = presentation_of_ideal(handle)
     ctx = pres.context
     n = ctx.arity
-    res, stages = _recorded_stages(pres)
+    res, stages = _recorded_stages(handle)
     old = oracles.module_resolution_stages(pres)
     assert len(stages) == len(old)
     rank = pres.target_rank
@@ -104,33 +106,18 @@ def assert_matches_module_engine(pres):
     return res
 
 
-def _stage_one(handle):
-    """The stage-one family `depth_and_cm` hands to `free_resolution`."""
-    handed = []
-    real = resolution.free_resolution
-
-    def recording(pres, basis=None):
-        handed.append(basis)
-        return real(pres, basis)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(resolution, "free_resolution", recording)
-        depth_and_cm(handle)
-    (basis,) = handed
-    return basis
-
-
 def assert_stage_one_is_the_module_basis(handle):
     """The cached reduced degrevlex basis, as stage one, is the family
     `_buchberger` and `_interreduce` build from the generators under
-    position-over-term."""
+    position-over-term, which lists it by increasing lead."""
     ctx = handle.context
-    key = resolution._position_key(ctx)
-    found = resolution._buchberger(
-        resolution._columns_to_elements(presentation_of_ideal(handle), 1),
+    key = oracles.position_key(ctx)
+    found = _buchberger(
+        oracles.columns_to_elements(presentation_of_ideal(handle), 1),
         key, ctx.weighted_degree, StepCounter(), 1)
-    _, family = resolution._interreduce(*found, key, StepCounter())
-    assert _stage_one(handle) == family
+    _, family = _interreduce(*found, key, StepCounter())
+    _, stages = _recorded_stages(handle)
+    assert (stages[0][0] if stages else []) == family[::-1]
 
 
 @settings(max_examples=40, deadline=None,
@@ -141,7 +128,7 @@ def test_resolutions_match_module_engine(drawn):
     handle = IdealHandle(ctx, gens)
     if handle.is_unit():
         return
-    assert_matches_module_engine(presentation_of_ideal(handle))
+    assert_matches_module_engine(handle)
 
 
 @settings(max_examples=40, deadline=None,
@@ -153,9 +140,9 @@ def test_betti_numbers_match_the_minimized_tower(drawn):
     number is >= 0 and beta_0 = 1 for a proper ideal."""
     ctx, gens = drawn
     handle = IdealHandle(ctx, gens)
-    pres = presentation_of_ideal(handle)
-    res = free_resolution(pres)
-    minimized = oracles.minimized_free_resolution(pres)
+    res = free_resolution(handle)
+    minimized = oracles.minimized_free_resolution(
+        presentation_of_ideal(handle))
     assert res.betti == minimized.ranks
     assert res.pd == minimized.pd
     assert min(res.betti) >= 0
@@ -184,8 +171,8 @@ def _beta_zero_of_two():
     X, Y = ctx.gens()
     real = resolution.free_resolution
 
-    def doubled(pres, basis=None):
-        res = real(pres, basis)
+    def doubled(handle):
+        res = real(handle)
         return dataclasses.replace(res, betti=(2,) + res.betti[1:])
 
     resolution.free_resolution = doubled
@@ -209,8 +196,7 @@ def test_schreyer_example_matches_module_engine():
     ctx = VariableContext(("X", "Y", "Z", "W"))
     gens = [P(ctx, "X^2 - Y*W"), P(ctx, "X*Y - Z^2"),
             P(ctx, "Y^2 - X*Z + W^2"), P(ctx, "X*W")]
-    pres = presentation_of_ideal(IdealHandle(ctx, gens))
-    res = assert_matches_module_engine(pres)
+    res = assert_matches_module_engine(IdealHandle(ctx, gens))
     assert res.betti == (1, 4, 6, 4, 1)
 
 
@@ -228,7 +214,7 @@ def test_rees_resolutions_match_module_engine(cases_dir):
         assert algebra.is_reduced()
         handle = rees_ideal(algebra).ideal
         assert_stage_one_is_the_module_basis(handle)
-        res = assert_matches_module_engine(presentation_of_ideal(handle))
+        res = assert_matches_module_engine(handle)
         deepest = max(deepest, res.pd)
     assert deepest == 6
 
@@ -242,11 +228,11 @@ def test_records_of_a_reduced_basis_match_module_engine(drawn):
     ctx, gens = drawn
     n = ctx.arity
     pres = presentation_of_ideal(IdealHandle(ctx, gens))
-    key = resolution._position_key(ctx)
-    basis, lms = resolution._buchberger(
-        resolution._columns_to_elements(pres, 1), key, ctx.weighted_degree,
+    key = oracles.position_key(ctx)
+    basis, lms = _buchberger(
+        oracles.columns_to_elements(pres, 1), key, ctx.weighted_degree,
         StepCounter(), 1)
-    _, family = resolution._interreduce(basis, lms, key, StepCounter())
+    _, family = _interreduce(basis, lms, key, StepCounter())
     records = resolution._schreyer_records(family, key, StepCounter())
     old_key = oracles.pot_key(DEGREVLEX.key_for(ctx))
     columns = [{(t[:n], 0): c for t, c in el.items()} for el in family]
@@ -267,7 +253,7 @@ def test_records_need_a_basis():
     """A family that is not a basis has a pair with a nonzero remainder:
     X^2 + Y^2 and X*Y leave Y^3."""
     ctx = VariableContext(("X", "Y"))
-    key = resolution._position_key(ctx)
+    key = oracles.position_key(ctx)
     family = [{(2, 0, 0, 0): Fraction(1), (0, 2, 0, 0): Fraction(1)},
               {(1, 1, 0, 0): Fraction(1)}]
     with pytest.raises(AssertionError, match="already be a basis"):

@@ -453,14 +453,14 @@ def test_cli_pool_is_capped_at_the_case_count(tmp_path, capsys, monkeypatch):
 
 def test_cli_verify_isolates_a_raising_case(tmp_path, capsys, monkeypatch):
     from diffrees import verifier
-    real = verifier.run_case
+    real = verifier._run_in_mode
 
-    def flaky(case, seed=None, budget=None):
+    def flaky(case, seed):
         if case.name == "coordinate-cross":
             raise ArithmeticError("constant Jacobian entry")
-        return real(case, seed=seed, budget=budget)
+        return real(case, seed)
 
-    monkeypatch.setattr(verifier, "run_case", flaky)
+    monkeypatch.setattr(verifier, "_run_in_mode", flaky)
     _write(tmp_path, "a.case", QUADRIC)
     _write(tmp_path, "b.case", CROSS)
     _write(tmp_path, "c.case", QUADRIC.replace("quadric-cone", "second-cone"))
