@@ -9,6 +9,7 @@ height must drop below the quotient dimension.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -196,11 +197,12 @@ def last_rows_probe(algebra, rowops=0, seed=0):
     theta = algebra.jacobian_presentation().theta
 
     def compare(matrix):
-        full = IdealHandle(algebra.context,
-                           [algebra.reduce(m) for m in matrix.minors(t)])
+        # minors(t) runs over row sets in lexicographic order, so its last
+        # C(ncols, t) entries are the minors of the last t rows
+        minors = [algebra.reduce(m) for m in matrix.minors(t)]
+        full = IdealHandle(algebra.context, minors)
         last = IdealHandle(algebra.context,
-                           [algebra.reduce(m) for m in
-                            matrix.minors(t, rows=range(n - t, n))])
+                           minors[len(minors) - math.comb(matrix.ncols, t):])
         equal = algebra.ideal_sum(full).equals(algebra.ideal_sum(last))
         height = algebra.height_of(full)
         ok = (not equal) or (height < d)

@@ -13,9 +13,11 @@ basis are reduced on the same normal form (see `_schreyer_records`).
 Inside the kernel every exponent tuple is packed into one int, each
 exponent in a 32-bit field whose top bit is a guard bit: a product of
 monomials is one addition and a divisibility test one subtraction and
-mask (see `_Monomials`).  The kernel's entry points take and return
-exponent-tuple dicts and pack only inside; an exponent that reaches 2^31
-raises `ExponentOverflowError` instead of carrying into its neighbour.
+mask (see `_Monomials`).  The order key of a packed monomial is one int
+as well, so the key of a product is one addition too.  The kernel's
+entry points take and return exponent-tuple dicts and pack only inside;
+an exponent that reaches 2^31 raises `ExponentOverflowError` instead of
+carrying into its neighbour.
 
 All computations are exact over Q and deterministic: the pair queue,
 which also holds the input generators until each is reduced against the
@@ -27,11 +29,12 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import heapq
 import math
+import operator
 import struct
 from fractions import Fraction
-from operator import neg
 from typing import NamedTuple
 
 from .errors import StepBudgetExceeded
@@ -93,25 +96,40 @@ def _steps():
 # field's subtraction from borrowing out of it, and a guard survives where
 # m_i >= lm_i.  Two valid exponents sum to less than 2^32, so an exponent
 # that reaches 2^31 sets its own guard bit instead of carrying into its
-# neighbour, and `_Monomials.unpack` raises on it; `_nf` looks up the
-# order key of every monomial it meets, unpacking each new one, so no
-# such monomial gets past it.
+# neighbour.  Every product that enters a working polynomial (in `_nf`
+# and `_spoly`) has its guard bits tested, so no such monomial gets past.
+#
+# The order key of a packed monomial is one int: the flat tuple key k of
+# its exponent tuple read as the mixed-radix number
+# sum_j k_j 2^(64(s-1-j)), s = len(k).  Every coordinate lies in
+# (-2^63, 2^63) (see EXPONENT_LIMIT), so the lower digits never outweigh
+# a higher one and the ints compare like the tuples.  Every order the
+# kernel uses has coordinates affine in the exponents, with one linear
+# part in every module component, so for q = m - lm the key of e + q is
+# key(e) + key(m) - key(lm) for every term e of a reducer: the kernel
+# encodes a tuple key only where a monomial enters it (packing and S-pair
+# lcms) and adds for every product.
 #
 # Reductions are fraction-free: basis elements are content-free integer
 # polynomials with positive leading coefficient, and the working
-# polynomial carries one global rational scale instead of per-coefficient
-# denominators.  Monic output is produced once at the very end.
+# polynomial carries one rational scale, an int pair, instead of
+# per-coefficient denominators.  Fractions are made only for the
+# results: the monic basis, a normal form and a syzygy record.
 
 _FIELD = (1 << 32) - 1     # the lowest field: the last exponent
+_DIGIT = 64                # bits per order-key coordinate
 
 
 class _Monomials(dict):
     """Packed monomials of one exponent length under one order key.
 
-    Packs and unpacks exponent tuples, and maps a packed monomial to its
-    negated order key, computed on first lookup and then kept: a min-heap
-    of (negated key, monomial) pops the largest monomial first, and the
-    lead of a polynomial is the monomial of least negated key.
+    Packs and unpacks exponent tuples, and maps every packed monomial the
+    kernel has met to its negated int key: a min-heap of (negated key,
+    monomial) pops the largest monomial first, and the lead of a
+    polynomial is the monomial of least negated key.  `pack` encodes the
+    key of a monomial it has not met; products get theirs by addition
+    from their factors' keys, written where they enter a polynomial that
+    outlives a reduction step.
     """
 
     __slots__ = ("key", "guard", "_struct")
@@ -122,20 +140,30 @@ class _Monomials(dict):
         self.guard = int.from_bytes(b"\x80\0\0\0" * length, "big")
         self._struct = struct.Struct(f">{length}I")
 
+    def int_key(self, e):
+        """The int key of an exponent tuple: its tuple key in base 2^64."""
+        k = 0
+        for c in self.key(e):
+            k = (k << _DIGIT) + c
+        return k
+
     def pack(self, e):
         if max(e) >= EXPONENT_LIMIT:
             raise exponent_overflow(e)
-        return int.from_bytes(self._struct.pack(*e), "big")
+        m = int.from_bytes(self._struct.pack(*e), "big")
+        if m not in self:
+            self[m] = -self.int_key(e)
+        return m
 
     def unpack(self, m):
-        e = self._struct.unpack(m.to_bytes(self._struct.size, "big"))
         if m & self.guard:
-            raise exponent_overflow(e)
-        return e
+            raise self.overflow(m)
+        return self._struct.unpack(m.to_bytes(self._struct.size, "big"))
 
-    def __missing__(self, m):
-        v = self[m] = tuple(map(neg, self.key(self.unpack(m))))
-        return v
+    def overflow(self, m):
+        """The error for a packed monomial with a guard bit set."""
+        return exponent_overflow(
+            self._struct.unpack(m.to_bytes(self._struct.size, "big")))
 
 
 def _packed(dicts, key):
@@ -180,20 +208,23 @@ def _int_normalize(d, mons):
 
 def _nf(poly, lms, basis, mons, counter, memo, quotients=None):
     """Full normal form of a packed dict against content-free packed
-    integer reducers, ordered by the negated keys of `mons`.
+    integer reducers, ordered by the negated keys of `mons`, which holds
+    the keys of the terms of `poly` and of the reducers.
 
-    Returns (remainder, scale): a packed {monomial: int} dict and a
-    rational such that remainder / scale is the exact normal form.  When
-    `quotients` is a list it receives (index, monomial, multiplier)
-    triples, the multipliers taken against the monic reducers.
+    Returns (remainder, (num, den)): a packed {monomial: int} dict and the
+    scale num / den, in lowest terms, such that remainder * den / num is
+    the exact normal form; the keys of the remainder's terms are written
+    to `mons`.  When `quotients` is a list it receives (index, monomial,
+    numerator, denominator) quadruples, the multipliers taken against
+    the monic reducers.
 
     A term c x^m meets the reducer g with lead l x^lm by gcd-scaled
     cancellation: with h = gcd(c, l), the work and the remainder so far
     are multiplied by l // h and (c // h) x^q g is subtracted, where
-    q = m - lm is one subtraction and each product e + q one addition.
-    The content of work and remainder is removed only after a step whose
-    factor l // h is not 1, which bounds the coefficients without a
-    rebuild after every step.
+    q = m - lm is one subtraction, each product e + q one addition and
+    its key the key of e plus key(m) - key(lm).  The content of work and
+    remainder is removed only after a step whose factor l // h is not 1,
+    which bounds the coefficients without a rebuild after every step.
 
     `memo` maps a monomial to (checked_upto, first_divisor_index): the
     index of the first leading monomial dividing it, by the guard-bit
@@ -209,16 +240,16 @@ def _nf(poly, lms, basis, mons, counter, memo, quotients=None):
     descending order and a popped monomial never comes back.
     """
     work = {e: c for e, c in poly.items() if c}
-    mult = math.lcm(*(c.denominator for c in work.values()))
-    scale = Fraction(mult)
-    work = {e: c.numerator * (mult // c.denominator) for e, c in work.items()}
+    num = math.lcm(*(c.denominator for c in work.values()))
+    den = 1
+    work = {e: c.numerator * (num // c.denominator) for e, c in work.items()}
     heap = [(mons[e], e) for e in work]
     heapq.heapify(heap)
     guard = mons.guard
-    heappop, heappush = heapq.heappop, heapq.heappush
+    heappop, heappush, gcd = heapq.heappop, heapq.heappush, math.gcd
     remainder = {}
     while heap:
-        m = heappop(heap)[1]
+        key, m = heappop(heap)
         c = work.pop(m)
         if not c:
             continue
@@ -232,15 +263,17 @@ def _nf(poly, lms, basis, mons, counter, memo, quotients=None):
             memo[m] = (len(lms), idx)
         if idx is None:
             remainder[m] = c
+            mons[m] = key
             continue
         counter.spend()
         lm = lms[idx]
         q = m - lm
+        shift = key - mons[lm]
         g = basis[idx]
         lead = g[lm]
         if quotients is not None:
-            quotients.append((idx, q, c / scale))
-        h = math.gcd(c, lead)
+            quotients.append((idx, q, c * den, num))
+        h = gcd(c, lead)
         f = lead // h
         c //= h
         if f != 1:
@@ -248,41 +281,60 @@ def _nf(poly, lms, basis, mons, counter, memo, quotients=None):
                 work[e] *= f
             for e in remainder:
                 remainder[e] *= f
-            scale *= f
+            h = gcd(f, den)
+            num *= f // h
+            den //= h
         for e, a in g.items():
             if e == lm:
                 continue
             t = e + q
             v = work.get(t)
             if v is None:
+                if t & guard:
+                    raise mons.overflow(t)
                 work[t] = -c * a
-                heappush(heap, (mons[t], t))
+                heappush(heap, (mons[e] + shift, t))
             else:
                 work[t] = v - c * a
         if f != 1:
-            g0 = math.gcd(*work.values(), *remainder.values())
+            g0 = gcd(*work.values(), *remainder.values())
             if g0 > 1:
                 work = {e: v // g0 for e, v in work.items()}
                 remainder = {e: v // g0 for e, v in remainder.items()}
-                scale /= g0
-    return remainder, scale
+                h = gcd(num, g0)
+                num //= h
+                den *= g0 // h
+    return remainder, (num, den)
 
 
-def _spoly(gi, lmi, gj, lmj, lcm):
+def _spoly(gi, lmi, gj, lmj, lcm, key, mons):
     """The S-polynomial lc_j x^qi g_i - lc_i x^qj g_j of two content-free
     packed integer elements, with the quotients qi, qj of their leads'
-    packed `lcm` by those leads."""
+    packed `lcm` by those leads; `key` is the negated int key of the lcm.
+    The keys of the S-polynomial's terms are written to `mons`."""
     qi = lcm - lmi
     qj = lcm - lmj
     li, lj = gi[lmi], gj[lmj]
-    spoly = {e + qi: c * lj for e, c in gi.items()}
+    shift = key - mons[lmi]
+    spoly = {}
+    for e, c in gi.items():
+        t = e + qi
+        spoly[t] = c * lj
+        mons[t] = mons[e] + shift
+    shift = key - mons[lmj]
     for e, c in gj.items():
         t = e + qj
-        v = spoly.get(t, 0) - c * li
-        if v:
-            spoly[t] = v
-        elif t in spoly:
+        v = spoly.get(t)
+        if v is None:
+            spoly[t] = -c * li
+            mons[t] = mons[e] + shift
+        elif v == c * li:
             del spoly[t]
+        else:
+            spoly[t] = v - c * li
+    high = functools.reduce(operator.or_, spoly, 0) & mons.guard
+    if high:
+        raise mons.overflow(next(t for t in spoly if t & high))
     return spoly, qi, qj
 
 
@@ -299,11 +351,12 @@ def _buchberger(generators, key, wdeg, counter, rank=1):
     and unpacked on return.
 
     The generators are not taken in as they come.  Each waits in the pair
-    queue at (weighted degree of its lead, key of its lead, -1, index);
+    queue at (weighted degree of its lead, int key of its lead, -1,
+    index);
     when popped it is reduced against the basis found so far and enters
     only if its remainder is nonzero, so a generator that the others
     already generate costs one normal form and no pairs.  Pairs (i, j) are
-    processed in increasing (weighted lcm degree, lcm key, i, j) order and
+    processed in increasing (weighted lcm degree, lcm int key, i, j) order and
     pruned when a new element t arrives, by the update of Gebauer and
     Moeller (JSC 6, 1988).  Among the new pairs (i, t) one is kept per
     lcm, none whose lcm another new lcm strictly divides, and no lcm class
@@ -346,25 +399,25 @@ def _buchberger(generators, key, wdeg, counter, rank=1):
                 continue
             pending[(i, t)] = lcm
             e = unpack(lcm)
-            heapq.heappush(heap, (wdeg(e), key(e), i, t))
+            heapq.heappush(heap, (wdeg(e), mons.int_key(e), i, t))
 
     for g in generators:
         lm, ints = _int_normalize(g, mons)
         if lm is None:
             continue
-        e = unpack(lm)
-        heapq.heappush(heap, (wdeg(e), key(e), -1, len(inputs)))
+        heapq.heappush(heap, (wdeg(unpack(lm)), -mons[lm], -1, len(inputs)))
         inputs.append(ints)
 
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, lcm_key, i, j = heapq.heappop(heap)
         if i < 0:
             r, _ = _nf(inputs[j], lms, basis, mons, counter, memo)
         else:
             lcm = pending.pop((i, j), None)
             if lcm is None:
                 continue
-            spoly, _, _ = _spoly(basis[i], lms[i], basis[j], lms[j], lcm)
+            spoly, _, _ = _spoly(basis[i], lms[i], basis[j], lms[j], lcm,
+                                 -lcm_key, mons)
             counter.spend()
             r, _ = _nf(spoly, lms, basis, mons, counter, memo)
         if r:
@@ -415,22 +468,27 @@ def _schreyer_records(family, key, counter):
             high = q | guard
             if any(p != q and (high - p) & guard == guard for p in firsts):
                 continue
-            spoly, qi, qj = _spoly(basis[i], lmi, basis[j], lms[j], q + lmi)
+            lcm = q + lmi
+            spoly, qi, qj = _spoly(basis[i], lmi, basis[j], lms[j], lcm,
+                                   -mons.int_key(unpack(lcm)), mons)
             counter.spend()
             quotients = []
             if _nf(spoly, lms, basis, mons, counter, memo, quotients)[0]:
                 raise AssertionError("a stage family must already be a basis")
-            # the S-polynomial is l_i l_j times the monic one
-            scale = Fraction(1, basis[i][lmi] * basis[j][lms[j]])
-            record = {(i, unpack(qi)): Fraction(1),
-                      (j, unpack(qj)): Fraction(-1)}
-            for k, qk, c in quotients:
-                t = (k, unpack(qk))
-                v = record.get(t, 0) - c * scale
-                if v:
-                    record[t] = v
+            # the S-polynomial is l_i l_j times the monic one, so each
+            # coefficient is summed as an int pair in units of 1 / (l_i l_j)
+            scale = basis[i][lmi] * basis[j][lms[j]]
+            sums = {(i, qi): (scale, 1), (j, qj): (-scale, 1)}
+            for k, qk, n, d in quotients:
+                old = sums.get((k, qk))
+                if old is None:
+                    sums[(k, qk)] = (-n, d)
+                elif old[1] == d:
+                    sums[(k, qk)] = (old[0] - n, d)
                 else:
-                    del record[t]
+                    sums[(k, qk)] = (old[0] * d - n * old[1], old[1] * d)
+            record = {(k, unpack(qk)): Fraction(n, d * scale)
+                      for (k, qk), (n, d) in sums.items() if n}
             records.append(record)
     return records
 
@@ -462,8 +520,8 @@ def _interreduce(basis, lms, key, counter):
     unpack = mons.unpack
     monic = []
     for lm, p in zip(heads, polys):
-        lead = Fraction(p[lm])
-        monic.append({unpack(e): c / lead for e, c in p.items()})
+        lead = p[lm]
+        monic.append({unpack(e): Fraction(c, lead) for e, c in p.items()})
     return [unpack(lm) for lm in heads], monic
 
 
@@ -478,9 +536,9 @@ class IdealHandle:
     """An ideal in a polynomial ring with cached reduced Groebner bases.
 
     Handles are immutable apart from the write-once per-order basis cache
-    and the first-divisor memo of `normal_form`, whose entries are exact
-    whenever written; concurrent reads are safe and duplicated basis
-    computations agree by the determinism contract.
+    and the first-divisor memo and int-key map of `normal_form`, whose
+    entries are exact whenever written; concurrent reads are safe and
+    duplicated basis computations agree by the determinism contract.
     """
 
     __slots__ = ("context", "generators", "_cache", "_prepared", "_dim")
@@ -539,10 +597,11 @@ class IdealHandle:
             prepared = (mons, lms, dicts, {})
             self._prepared[order] = prepared
         mons, lms, dicts, memo = prepared
-        r, scale = _nf({mons.pack(e): c for e, c in p.terms}, lms, dicts,
-                       mons, _steps(), memo)
-        return Polynomial._make(self.context, {mons.unpack(e): v / scale
-                                               for e, v in r.items()})
+        r, (num, den) = _nf({mons.pack(e): c for e, c in p.terms}, lms,
+                            dicts, mons, _steps(), memo)
+        return Polynomial._make(self.context,
+                                {mons.unpack(e): Fraction(v * den, num)
+                                 for e, v in r.items()})
 
     def contains(self, p):
         return self.normal_form(p).is_zero

@@ -145,13 +145,13 @@ class PolyMatrix:
             return hit
         top, rest = rows[0], rows[1:]
         acc = self.context.zero
-        sign = 1
         for k, j in enumerate(cols):
             entry = self.entries[top][j]
-            if not entry.is_zero:
-                sub = self._det_memo(rest, cols[:k] + cols[k + 1:], cache)
-                acc = acc + entry * sub * sign
-            sign = -sign
+            if entry.is_zero:
+                continue
+            sub = self._det_memo(rest, cols[:k] + cols[k + 1:], cache)
+            if not sub.is_zero:
+                acc = acc - entry * sub if k % 2 else acc + entry * sub
         cache[key] = acc
         return acc
 
@@ -169,8 +169,10 @@ class PolyMatrix:
             entry = self.entries[i][j]
             if entry.is_zero:
                 continue
-            sign = -1 if (pivot_position + k) % 2 else 1
-            acc = acc + entry * self.minor(rest, cols[:k] + cols[k + 1:]) * sign
+            sub = self.minor(rest, cols[:k] + cols[k + 1:])
+            if not sub.is_zero:
+                term = entry * sub
+                acc = acc - term if (pivot_position + k) % 2 else acc + term
         return acc
 
     def signed_row_sequence_minor(self, row_sequence, cols):

@@ -15,8 +15,16 @@ from fractions import Fraction
 from .errors import ContextMismatchError, ExponentOverflowError, ParseError
 
 # Every exponent stays below 2^31: the Groebner kernel packs each into a
-# 32-bit field whose top bit is a guard bit.
+# 32-bit field whose top bit is a guard bit.  The kernel also writes a
+# flat int-tuple order key as one int with a 64-bit digit per coordinate,
+# which keeps the order while every coordinate lies in (-2^63, 2^63).
+# Each does: an exponent or its negative is below 2^31 in magnitude, and
+# below 2^32 in the F_0 image x^(a + L) a Schreyer key reads (L is an lcm
+# of stage-one leads); a weighted degree is below 2^32 times the weight
+# sum, which is at most WEIGHT_SUM_LIMIT = 2^31; a module position or a
+# Schreyer tie is below a rank.
 EXPONENT_LIMIT = 1 << 31
+WEIGHT_SUM_LIMIT = 1 << 31
 
 
 def exponent_overflow(e):
@@ -129,6 +137,8 @@ class VariableContext:
             raise ValueError("need exactly one weight per variable")
         if any(w < 1 for w in weights):
             raise ValueError("weights must be positive integers")
+        if sum(weights) > WEIGHT_SUM_LIMIT:
+            raise ValueError("weights must sum to at most 2^31")
         self.names = names
         self.weights = weights
         self._index = {n: i for i, n in enumerate(names)}

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from diffrees.algebra import GradedAlgebra
 from diffrees.fitting import (euler_minor_identity, fitting_ideal,
                               fitting_profile, ft_condition,
-                              ft_condition_off_irrelevant, last_rows_probe)
+                              ft_condition_off_irrelevant, last_rows_probe,
+                              last_rows_size, _random_invertible)
 from diffrees.groebner import IdealHandle
 from diffrees.matrix import PolyMatrix
 from diffrees.poly import DEGREVLEX, VariableContext
@@ -213,6 +215,21 @@ def test_euler_minor_identity_cubic_t3():
     from diffrees.sampler import random_graded_ci
     algebra = random_graded_ci(rng, 6, 2, max_degree=3, mixed_terms=0)
     assert euler_minor_identity(algebra).is_zero
+
+
+def test_last_rows_minors_are_the_tail_of_the_full_list():
+    """`last_rows_probe` takes the last-rows minors from the end of
+    `minors(t)`: they are the minors over rows n-t..n-1, in order, on the
+    20 probe instances and after one random row operation on each."""
+    rng = random.Random(0)
+    for _name, algebra in probe_corpus(seed=0, count=20):
+        n, t = algebra.arity, last_rows_size(algebra)
+        theta = algebra.jacobian_presentation().theta
+        for matrix in (theta, theta.scaled_rows(_random_invertible(rng, n))):
+            full = [algebra.reduce(m) for m in matrix.minors(t)]
+            last = [algebra.reduce(m)
+                    for m in matrix.minors(t, rows=range(n - t, n))]
+            assert full[len(full) - math.comb(matrix.ncols, t):] == last
 
 
 def test_probe_curve_cone(curve_cone):

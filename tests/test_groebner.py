@@ -33,6 +33,17 @@ def test_exponent_overflow_raises_instead_of_carrying(xyz):
         handle.normal_form(X * X, LEX)
 
 
+def test_exponent_overflow_raises_from_an_s_polynomial(xyz):
+    """Under lex the leads X*Y and X*Z are both reduced, and their
+    S-polynomial Z*(X*Y - Z^(2^31-1)) - Y*(X*Z - Y) holds Z^(2^31): the
+    guard test of `_spoly` refuses it before any normal form runs."""
+    g1 = P(xyz, "X*Y") - xyz.monomial((0, 0, 2**31 - 1))
+    g2 = P(xyz, "X*Z - Y")
+    with pytest.raises(ExponentOverflowError) as caught:
+        IdealHandle(xyz, [g1, g2]).groebner_basis(LEX)
+    assert caught.traceback[-1].name == "_spoly"
+
+
 def test_zero_ideal(xyz):
     I = IdealHandle(xyz, [xyz.zero])
     assert I.groebner_basis() == ()

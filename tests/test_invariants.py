@@ -35,6 +35,28 @@ def test_only_groebner_runs_a_heap():
     assert importers == ["groebner.py"]
 
 
+def test_reduction_loops_make_no_fraction_and_no_tuple_key():
+    """The Buchberger loop, the S-polynomial and the normal form run on
+    ints: scales and multipliers are int pairs, and every order key is an
+    int added from others, so they neither name `Fraction` nor call a
+    tuple key."""
+    path = Path(diffrees.__file__).parent / "groebner.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    for name in ("_nf", "_spoly", "_buchberger"):
+        names = {node.id for node in ast.walk(functions[name])
+                 if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(functions[name])
+                  if isinstance(node, ast.Attribute)}
+        assert "Fraction" not in names, name
+    for name in ("_nf", "_spoly"):
+        called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+                  for node in ast.walk(functions[name])
+                  if isinstance(node, ast.Call)}
+        assert not called & {"key", "int_key", "key_for"}, name
+
+
 def test_step_budget_is_opened_only_at_the_entry_points():
     """The step budget lives in `groebner`: only the functions that open
     one take a `budget`, and only `groebner.py` builds a StepCounter."""

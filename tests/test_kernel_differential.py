@@ -29,8 +29,8 @@ import oracles
 from diffrees import groebner
 from diffrees.groebner import (IdealHandle, StepCounter, _int_normalize,
                                _Monomials)
-from diffrees.poly import (DEGREVLEX, LEX, MonomialOrder, Polynomial,
-                           VariableContext)
+from diffrees.poly import (DEGREVLEX, EXPONENT_LIMIT, LEX, MonomialOrder,
+                           Polynomial, VariableContext)
 from diffrees.resolution import _induced_key, _next_chain, free_resolution
 from oracles import (columns_to_elements, position_key,
                      presentation_of_ideal, syzygies)
@@ -62,10 +62,11 @@ def checked_kernels():
             mons.key, ref_counter, {}, ref_quotients)
         got_quotients, before = [], counter.remaining
         got, scale = nf(poly, lms, basis, mons, counter, memo, got_quotients)
-        assert ([(unpack(e), Fraction(v) / scale) for e, v in got.items()]
+        num, den = scale
+        assert ([(unpack(e), Fraction(v * den, num)) for e, v in got.items()]
                 == list(expected.items()))
-        assert ([(k, unpack(q), c) for k, q, c in got_quotients]
-                == ref_quotients)
+        assert ([(k, unpack(q), Fraction(n, d))
+                 for k, q, n, d in got_quotients] == ref_quotients)
         assert before - counter.remaining == _spent(ref_counter)
         if quotients is not None:
             quotients.extend(got_quotients)
@@ -298,13 +299,13 @@ def test_schreyer_key_normal_forms_match_max_scan(drawn):
         lms.append(lm)
         basis.append(ints)
     got_q, ref_q, got_c, ref_c = [], [], StepCounter(), StepCounter()
-    got, scale = groebner._nf(packed(element), lms, basis, mons, got_c, {},
-                              got_q)
+    got, (num, den) = groebner._nf(packed(element), lms, basis, mons, got_c,
+                                   {}, got_q)
     expected = oracles.mod_nf(element, old_lms, old_gens, old_key, ref_c,
                               ref_q)
-    assert [(mons.unpack(t), Fraction(v) / scale) for t, v in got.items()] \
+    assert [(mons.unpack(t), Fraction(v * den, num)) for t, v in got.items()] \
         == [(_flat(t, 2), c) for t, c in expected.items()]
-    assert [(k, mons.unpack(q), c) for k, q, c in got_q] == [
+    assert [(k, mons.unpack(q), Fraction(n, d)) for k, q, n, d in got_q] == [
         (k, q + (0, 0), c) for k, q, c in ref_q]
     assert _spent(got_c) == _spent(ref_c)
 
@@ -385,3 +386,86 @@ def test_induced_keys_are_the_nested_keys(drawn):
             for c in range(rank):
                 t = _flat((e, c), rank)
                 assert flat(t) == nested(t)
+
+
+# ---------------------------------------------------------------------------
+# int keys
+
+_EXPONENT = st.integers(0, EXPONENT_LIMIT - 1)
+
+
+@st.composite
+def keyed_terms(draw):
+    """Weights 1-3 on 1-10 variables, a rank 1-3 and a Schreyer chain over
+    it, flat module terms with exponents up to 2^31 - 1 near one another,
+    and a shift q with two terms that stay valid when multiplied by it."""
+    n = draw(st.integers(1, 10))
+    weights = draw(st.tuples(*[st.integers(1, 3)] * n))
+    rank = draw(st.integers(1, 3))
+    component = st.integers(0, rank - 1)
+    exps = st.tuples(*[_EXPONENT] * n)
+    base = draw(exps)
+    # near the base, so that high key coordinates tie or differ by one
+    # while low ones differ by up to the bound
+    near = st.tuples(*[st.sampled_from((x, x ^ 1)) | _EXPONENT
+                       for x in base])
+    terms = draw(st.lists(st.tuples(near, component), min_size=2,
+                          max_size=6))
+    leads = draw(st.lists(st.tuples(exps, component), min_size=rank,
+                          max_size=rank))
+    q = draw(exps)
+    below = st.tuples(*[st.integers(0, EXPONENT_LIMIT - 1 - x) for x in q])
+    shifted = [(draw(below), draw(component)) for _ in range(2)]
+    return weights, rank, terms, leads, q, shifted
+
+
+def _tuple_keys(ctx, rank, leads):
+    """The tuple keys the kernel runs on, on flat terms of rank `rank`:
+    lex, degrevlex, every block order and a Schreyer key."""
+    n = ctx.arity
+    orders = [LEX, DEGREVLEX]
+    orders += [MonomialOrder.elimination(tuple(range(k)))
+               for k in range(1, n + 1)]
+    keys = [order.key_for(ctx) for order in orders]
+    # each lead's F_0 image stays below 2^31, as an lcm of stage-one leads
+    chain = [(rank - 1 - c, (0,) * n, ()) for c in range(rank)]
+    keys.append(_induced_key(DEGREVLEX.key_for(ctx),
+                             _next_chain(chain, [_flat(t, rank)
+                                                 for t in leads], n), n))
+    return keys
+
+
+@settings(max_examples=80, deadline=None)
+@given(keyed_terms())
+def test_int_keys_order_like_tuple_keys(drawn):
+    weights, rank, terms, leads, q, shifted = drawn
+    n = len(weights)
+    ctx = VariableContext(tuple(f"X{i + 1}" for i in range(n)), weights)
+    flat = [_flat((e, c), rank) for e, c in terms]
+    for key in _tuple_keys(ctx, rank, leads):
+        mons = _Monomials(key, n + 2)
+        for a in flat:
+            for b in flat:
+                assert (_sign(mons.int_key(a), mons.int_key(b))
+                        == _sign(key(a), key(b)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(keyed_terms())
+def test_int_key_of_a_product_adds(drawn):
+    """key(m + q) - key(m) is the same for every m in every component, and
+    it is what `_nf` adds: packing m + q is adding the packed q."""
+    weights, rank, _, leads, q, shifted = drawn
+    n = len(weights)
+    ctx = VariableContext(tuple(f"X{i + 1}" for i in range(n)), weights)
+    shift = q + (0, 0)
+    for key in _tuple_keys(ctx, rank, leads):
+        mons = _Monomials(key, n + 2)
+        differences = set()
+        for e, c in shifted:
+            m = _flat((e, c), rank)
+            product = tuple(a + b for a, b in zip(m, shift))
+            assert mons.pack(product) == mons.pack(m) + mons.pack(shift)
+            assert mons[mons.pack(product)] == -mons.int_key(product)
+            differences.add(mons.int_key(product) - mons.int_key(m))
+        assert len(differences) == 1

@@ -188,3 +188,6 @@ def test_context_validation():
         VariableContext(("X",), weights=(0,))
     with pytest.raises(ValueError):
         VariableContext(("X",), weights=(1, 2))
+    VariableContext(("X", "Y"), weights=(2**30, 2**30))
+    with pytest.raises(ValueError, match="sum to at most 2"):
+        VariableContext(("X", "Y"), weights=(2**30, 2**30 + 1))
