@@ -9,7 +9,7 @@ the verdicts together.
 
 from .algebra import GradedAlgebra, validation_issues
 from .eagon_northcott import (FreeComplex, build_en, en_acyclicity,
-                              kernel_membership, koszul_complex)
+                              koszul_complex)
 from .errors import (ContextMismatchError, DiffreesError, ParseError,
                      StepBudgetExceeded, ValidationError)
 from .fitting import (euler_minor_identity, fitting_ideal, fitting_profile,

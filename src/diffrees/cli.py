@@ -15,18 +15,14 @@ from pathlib import Path
 from .algebra import GradedAlgebra
 from .casefile import load_case, load_matrix_file
 from .eagon_northcott import build_en, en_acyclicity
-from .errors import (DiffreesError, ParseError, ResolutionLengthError,
-                     StepBudgetExceeded, TestElementSearchError,
-                     ValidationError)
+from .errors import DiffreesError, ParseError, ValidationError
 from .fitting import ft_condition, height_json, last_rows_size
 from .groebner import step_budget
 from .rees import analytic_spread, is_linear_type, rees_ideal
 from .resolution import depth_and_cm
 from .verifier import (EXIT_ASSERTION, EXIT_INVALID, EXIT_OK, EXIT_RESOURCE,
-                       emit_report, probe_report, run_case_path)
-
-_RESOURCE_ERRORS = (StepBudgetExceeded, TestElementSearchError,
-                    ResolutionLengthError)
+                       RESOURCE_ERRORS, emit_report, probe_report,
+                       run_case_path)
 
 
 def _int_at_least(lowest):
@@ -346,7 +342,7 @@ def main(argv=None):
         # verify and corpus open a budget per case, in run_case
         with step_budget(args.budget):
             return handlers[args.command](args)
-    except _RESOURCE_ERRORS as ex:
+    except RESOURCE_ERRORS as ex:
         print(f"resource exhausted: {ex}", file=sys.stderr)
         return EXIT_RESOURCE
     except DiffreesError as ex:

@@ -141,29 +141,6 @@ def build_en(matrix):
     return FreeComplex(tuple(ranks), tuple(diffs), tuple(labels))
 
 
-def en_rank(m, t, i):
-    """Independent counting formula for the stage-i rank of the complex of
-    a t x m matrix: choose the exterior subset, then a symmetric exponent."""
-    if i == 0:
-        return 1
-    return comb(m, t + i - 1) * comb(t + i - 2, t - 1)
-
-
-def d2_first_row_in_tail_ideal(complex_, matrix, tail_start):
-    """Queryable structural fact: every entry of the d_2 row indexed by the
-    leading column subset lies in the ideal generated by the entries of the
-    columns from `tail_start` on."""
-    if complex_.length < 2:
-        return True
-    ctx = matrix.context
-    tail_entries = [matrix.entry(i, j)
-                    for i in range(matrix.nrows)
-                    for j in range(tail_start, matrix.ncols)]
-    tail = IdealHandle(ctx, tail_entries)
-    first_row = complex_.differentials[1].row(0)
-    return all(tail.contains(p) for p in first_row)
-
-
 @dataclass(frozen=True)
 class AcyclicityRecord:
     minor_height: float
@@ -190,15 +167,3 @@ def en_acyclicity(matrix, quotient=None):
             height = ctx.arity - handle.krull_dimension().dimension
     return AcyclicityRecord(minor_height=height, bound=bound,
                             criterion_met=height >= bound)
-
-
-def kernel_membership(differential, vector, quotient=None):
-    """True iff the differential kills the vector, in the quotient when
-    one is supplied."""
-    vector = tuple(vector)
-    if len(vector) != differential.ncols:
-        raise ValueError("vector length must match the differential source")
-    image = differential.apply_vector(vector)
-    if quotient is None:
-        return all(p.is_zero for p in image)
-    return all(quotient.reduce(p).is_zero for p in image)

@@ -62,7 +62,6 @@ class FtVerdict:
     failing_index: int | None = None
     required: int | None = None
     actual: float | None = None
-    off_irrelevant: bool = False
 
     def to_dict(self):
         """The report form: {t, holds}, plus a witness {i, required,
@@ -116,9 +115,8 @@ def _ft_verdict(algebra, t, profile, off_irrelevant):
         height = row.height_off_irrelevant if off_irrelevant else row.height
         if height < bound:
             return FtVerdict(t, False, failing_index=row.index,
-                             required=bound, actual=height,
-                             off_irrelevant=off_irrelevant)
-    return FtVerdict(t, True, off_irrelevant=off_irrelevant)
+                             required=bound, actual=height)
+    return FtVerdict(t, True)
 
 
 # ---------------------------------------------------------------------------

@@ -338,17 +338,11 @@ def _spoly(gi, lmi, gj, lmj, lcm, key, mons):
     return spoly, qi, qj
 
 
-def _buchberger(generators, key, wdeg, counter, rank=1):
-    """Groebner basis of the ideal or submodule the given term dicts
-    generate, returned raw as (basis, lms): content-free integer elements
-    and their leading monomials, in the order they were found.
-
-    A module element of a free module of rank `rank` writes its term
-    x^a e_c as the flat exponent tuple a + (c, rank-1-c), so divisibility,
-    quotients and products stay within one component and `wdeg` ignores
-    the two trailing coordinates; a pair of leads in different components
-    is never formed.  The terms are packed on entry (see `_Monomials`)
-    and unpacked on return.
+def _buchberger(generators, key, wdeg, counter):
+    """The unique monic reduced Groebner basis of the ideal the given term
+    dicts generate, as `_interreduce` returns it.  The terms are packed
+    on entry (see `_Monomials`), and the basis stays packed until
+    `_interreduce` unpacks its result.
 
     The generators are not taken in as they come.  Each waits in the pair
     queue at (weighted degree of its lead, int key of its lead, -1,
@@ -362,7 +356,6 @@ def _buchberger(generators, key, wdeg, counter, rank=1):
     lcm, none whose lcm another new lcm strictly divides, and no lcm class
     that holds a pair with coprime leads; a pending pair (i, j) goes when
     lm_t divides its lcm and that lcm differs from lcm(i, t) and lcm(j, t).
-    Under this encoding the coprime test only ever fires in rank one.
     """
     mons, generators = _packed(generators, key)
     guard = mons.guard
@@ -376,16 +369,14 @@ def _buchberger(generators, key, wdeg, counter, rank=1):
 
     def push_pairs(t):
         lm_new = lms[t]
-        component = lm_new & _FIELD
         lcms = {}
         classes = {}
         coprime = set()
         for i in range(t):
-            if rank == 1 or lms[i] & _FIELD == component:
-                lcm = lcms[i] = _lcm(lms[i], lm_new, guard)
-                classes.setdefault(lcm, i)
-                if lcm == lms[i] + lm_new:
-                    coprime.add(lcm)
+            lcm = lcms[i] = _lcm(lms[i], lm_new, guard)
+            classes.setdefault(lcm, i)
+            if lcm == lms[i] + lm_new:
+                coprime.add(lcm)
         for (i, j), lcm in list(pending.items()):
             if (((lcm | guard) - lm_new) & guard == guard
                     and lcm != lcms.get(i) and lcm != lcms.get(j)):
@@ -426,8 +417,7 @@ def _buchberger(generators, key, wdeg, counter, rank=1):
             lms.append(lm)
             push_pairs(len(basis) - 1)
 
-    return ([{unpack(e): c for e, c in g.items()} for g in basis],
-            [unpack(lm) for lm in lms])
+    return _interreduce(basis, lms, mons, counter)
 
 
 def _schreyer_records(family, key, counter):
@@ -493,9 +483,11 @@ def _schreyer_records(family, key, counter):
     return records
 
 
-def _interreduce(basis, lms, key, counter):
-    """Minimalize and tail-reduce, then return the unique monic reduced
-    basis as (leads, {monomial: Fraction} dicts), on exponent tuples.
+def _interreduce(basis, lms, mons, counter):
+    """Minimalize and tail-reduce a Groebner basis of content-free packed
+    integer elements with leads `lms`, whose keys `mons` holds, then
+    return the unique monic reduced basis as (leads, {monomial: Fraction}
+    dicts), on exponent tuples.
 
     One pass by increasing lead: an element whose lead a kept lead divides
     is dropped, and every other one is reduced against the already reduced
@@ -503,9 +495,7 @@ def _interreduce(basis, lms, key, counter):
     larger lead divides no term of the element.  The reducer lists are
     only appended to, so one first-divisor memo serves the whole pass.
     """
-    mons, basis = _packed(basis, key)
     guard = mons.guard
-    lms = [mons.pack(lm) for lm in lms]
     heads = []
     polys = []
     memo = {}
@@ -570,11 +560,9 @@ class IdealHandle:
         if cached is not None:
             return cached
         ctx = self.context
-        key = order.key_for(ctx)
-        counter = _steps()
-        basis, lms = _buchberger([dict(g.terms) for g in self.generators],
-                                 key, ctx.weighted_degree, counter)
-        _, polys = _interreduce(basis, lms, key, counter)
+        _, polys = _buchberger([dict(g.terms) for g in self.generators],
+                               order.key_for(ctx), ctx.weighted_degree,
+                               _steps())
         basis = tuple(Polynomial._make(ctx, d) for d in polys)
         self._cache[order] = basis
         return basis
@@ -615,9 +603,6 @@ class IdealHandle:
             return True
         return (all(other.contains(g) for g in self.generators)
                 and all(self.contains(g) for g in other.generators))
-
-    def is_zero_ideal(self):
-        return not self.generators
 
     def is_unit(self):
         gb = self.groebner_basis()

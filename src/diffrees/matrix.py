@@ -29,24 +29,11 @@ class PolyMatrix:
         self.ncols = width
         self.entries = rows
 
-    @classmethod
-    def from_columns(cls, context, columns):
-        cols = [tuple(c) for c in columns]
-        if not cols:
-            return cls(context, ())
-        return cls(context, tuple(zip(*cols)))
-
     def entry(self, i, j):
         return self.entries[i][j]
 
     def row(self, i):
         return self.entries[i]
-
-    def column(self, j):
-        return tuple(r[j] for r in self.entries)
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
 
     @property
     def shape(self):
@@ -90,22 +77,6 @@ class PolyMatrix:
                 out.append(tuple(row))
             return PolyMatrix(self.context, tuple(out))
         return NotImplemented
-
-    def apply_vector(self, vector):
-        """Matrix-vector product, the vector indexed by columns."""
-        vector = tuple(vector)
-        if len(vector) != self.ncols:
-            raise ValueError("vector length must equal column count")
-        zero = self.context.zero
-        out = []
-        for i in range(self.nrows):
-            acc = zero
-            for k in range(self.ncols):
-                if vector[k].is_zero or self.entries[i][k].is_zero:
-                    continue
-                acc = acc + self.entries[i][k] * vector[k]
-            out.append(acc)
-        return tuple(out)
 
     def scaled_rows(self, integer_matrix):
         """Left-multiply by a matrix of plain integers (row operations)."""
@@ -153,26 +124,6 @@ class PolyMatrix:
             if not sub.is_zero:
                 acc = acc - entry * sub if k % 2 else acc + entry * sub
         cache[key] = acc
-        return acc
-
-    def minor_expanded_along(self, rows, cols, pivot_position):
-        """Same minor but expanded along the chosen row of the selection;
-        kept separate so tests can cross-check expansion paths."""
-        rows = tuple(rows)
-        cols = tuple(cols)
-        if not rows:
-            return self.context.one
-        i = rows[pivot_position]
-        rest = rows[:pivot_position] + rows[pivot_position + 1:]
-        acc = self.context.zero
-        for k, j in enumerate(cols):
-            entry = self.entries[i][j]
-            if entry.is_zero:
-                continue
-            sub = self.minor(rest, cols[:k] + cols[k + 1:])
-            if not sub.is_zero:
-                term = entry * sub
-                acc = acc - term if (pivot_position + k) % 2 else acc + term
         return acc
 
     def signed_row_sequence_minor(self, row_sequence, cols):

@@ -279,13 +279,6 @@ class Polynomial:
             raise ValueError("polynomial is not constant")
         return self.terms[0][1]
 
-    def coefficient(self, exponents):
-        exponents = tuple(exponents)
-        for e, c in self.terms:
-            if e == exponents:
-                return c
-        return Fraction(0)
-
     def weighted_degree_info(self):
         """(is_homogeneous, degree): homogeneous iff all terms share one
         weighted degree; the zero polynomial is homogeneous of degree None."""

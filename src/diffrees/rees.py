@@ -24,8 +24,6 @@ class SymmetricPresentation:
     algebra: object
     extended_context: VariableContext
     ideal: IdealHandle              # lifted relations + linear forms
-    lifted_relations: tuple
-    linear_forms: tuple
     is_complete_intersection: bool
     height: int
 
@@ -87,7 +85,6 @@ def symmetric_presentation(algebra):
         height = big.arity - dim
     return SymmetricPresentation(
         algebra=algebra, extended_context=big, ideal=handle,
-        lifted_relations=lifted, linear_forms=tuple(forms),
         is_complete_intersection=height == count, height=height)
 
 
@@ -149,13 +146,11 @@ def is_linear_type(rees):
 @dataclass(frozen=True)
 class SpreadRecord:
     value: int
-    rank: int
     lower: int                  # rank
     upper: int                  # dim R + rank - 1
     generator_bound: int        # mu = number of module generators
     bounds_ok: bool
     rees_dimension: int
-    rees_dimension_expected: int
 
 
 def analytic_spread(rees):
@@ -171,6 +166,5 @@ def analytic_spread(rees):
     rdim = rees.ideal.krull_dimension().dimension
     lower, upper = e, d + e - 1
     ok = (lower <= value <= upper) and value <= n and rdim == d + e
-    return SpreadRecord(value=value, rank=e, lower=lower, upper=upper,
-                        generator_bound=n, bounds_ok=ok,
-                        rees_dimension=rdim, rees_dimension_expected=d + e)
+    return SpreadRecord(value=value, lower=lower, upper=upper,
+                        generator_bound=n, bounds_ok=ok, rees_dimension=rdim)

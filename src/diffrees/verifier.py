@@ -44,6 +44,10 @@ EXIT_RESOURCE = 3
 EXIT_INVALID = 4
 EXIT_INTERNAL = 5
 
+# the errors that end a run as resource exhaustion, exit status 3
+RESOURCE_ERRORS = (StepBudgetExceeded, TestElementSearchError,
+                   ResolutionLengthError)
+
 
 @dataclass
 class Report:
@@ -98,6 +102,15 @@ def _stage(report, name):
         report.timings[name] = round(time.perf_counter() - start, 3)
 
 
+def _new_report(case):
+    """An empty report for the case, with its ring and relations."""
+    return Report(case=case.name, inputs={
+        "variables": list(case.context.names),
+        "weights": list(case.context.weights),
+        "relations": [str(f) for f in case.relations],
+    })
+
+
 def _validated(case, report):
     """The case's algebra, or None after recording every validation issue
     in the report."""
@@ -117,12 +130,7 @@ def run_pipeline(case, seed=None):
     structural assertions are evaluated on whatever verdicts exist, and the
     case's expectations, a Rees ideal among them, on the finished report.
     """
-    report = Report(case=case.name)
-    report.inputs = {
-        "variables": list(case.context.names),
-        "weights": list(case.context.weights),
-        "relations": [str(f) for f in case.relations],
-    }
+    report = _new_report(case)
     seed = case.seed_for(seed)
 
     algebra = _validated(case, report)
@@ -228,8 +236,7 @@ def run_pipeline(case, seed=None):
         else:
             report.shortcut = {"applicable": False,
                                "reason": "base is not reduced"}
-    except (StepBudgetExceeded, TestElementSearchError,
-            ResolutionLengthError) as ex:
+    except RESOURCE_ERRORS as ex:
         report.status = "resource_exhausted"
         report.errors.append({"stage": "pipeline", "code": "resource",
                               "message": str(ex)})
@@ -366,12 +373,7 @@ def check_rees_ideal_expectation(case, rees):
 
 def probe_report(case, rowops=None, seed=None):
     """Report for the last-rows minor probe mode."""
-    report = Report(case=case.name)
-    report.inputs = {
-        "variables": list(case.context.names),
-        "weights": list(case.context.weights),
-        "relations": [str(f) for f in case.relations],
-    }
+    report = _new_report(case)
     algebra = _validated(case, report)
     if algebra is None:
         return report

@@ -31,18 +31,19 @@ def shipped_algebras(cases_dir):
 
 
 def column_span_checker(matrix, shifts=None):
-    """Membership in the column span of `matrix`, by a module basis on the
-    ring kernel with the flat term encoding of `resolution`; `shifts` are
-    row degrees making its columns homogeneous."""
-    from diffrees.groebner import StepCounter, _buchberger
-    from oracles import (ModulePresentation, columns_to_elements,
-                         position_key, tuple_nf)
+    """Membership in the column span of `matrix`, by a module basis from
+    the chain-scan oracle in the flat term encoding of `resolution`;
+    `shifts` are row degrees making its columns homogeneous."""
+    from diffrees.groebner import StepCounter
+    from oracles import (ModulePresentation, chain_scan_buchberger,
+                         columns_to_elements, position_key, tuple_nf)
     ctx = matrix.context
     rank = matrix.nrows
     pres = ModulePresentation(ctx, rank, matrix, shifts)
     key = position_key(ctx)
-    basis, lms = _buchberger(columns_to_elements(pres, rank), key,
-                             ctx.weighted_degree, StepCounter(), rank)
+    basis, lms = chain_scan_buchberger(columns_to_elements(pres, rank), key,
+                                       ctx.weighted_degree, StepCounter(),
+                                       rank)
 
     def contains(column):
         element = {}

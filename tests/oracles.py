@@ -9,13 +9,15 @@ The second half keeps slow paths the library replaced by exact shortcuts,
 so the shortcuts can be checked against them: the nested order keys, the
 ring kernel on exponent tuples before monomials were packed into ints,
 the max-scan normal form, the chain-scan Buchberger and the multi-pass
-interreduction of the ring kernel, the separate module engine over
-(exponents, component) terms that resolutions ran on before the ring
-kernel took the flat module encoding, with a record for every pair (and
-syzygy generators by eliminating components on it), the pass that pruned
-syzygies to minimal generators with one basis per candidate, the
-minimization of a tower by `Polynomial` arithmetic that rescans every
-entry for a unit, the ideal quotient and the nonzerodivisor test by
+interreduction of the ring kernel (these two build every module basis
+the tests need, since the library's kernel builds only ring bases), the
+separate module engine over (exponents, component) terms that
+resolutions ran on before the ring kernel took the flat module encoding,
+with a record for every pair (and syzygy generators by eliminating
+components on it), the pass that pruned syzygies to minimal generators
+with one basis per candidate, the minimization of a tower by
+`Polynomial` arithmetic that rescans every entry for a unit, the ideal
+quotient and the nonzerodivisor test by
 (I : g) == I, and the saturation that gave the Fitting heights off the
 irrelevant ideal.  Last come the module presentations (columns of a
 polynomial matrix) that `free_resolution` resolved before it took only
@@ -32,12 +34,11 @@ from fractions import Fraction
 from itertools import combinations
 from operator import add, ge, neg, sub
 
-from diffrees import groebner
 from diffrees.eagon_northcott import FreeComplex
 from diffrees.errors import ResolutionLengthError
 from diffrees.matrix import PolyMatrix
 from diffrees.poly import DEGREVLEX, Polynomial, mono_mul
-from diffrees.groebner import IdealHandle, StepCounter, _buchberger, _steps
+from diffrees.groebner import IdealHandle, StepCounter, _steps
 from diffrees.resolution import _schreyer_syzygies, _stage_shifts
 
 
@@ -55,6 +56,11 @@ def mono_lcm(a, b):
     return tuple(map(max, a, b))
 
 
+def coefficient(p, exponents):
+    """The coefficient of the monomial `exponents` in `p`, 0 if absent."""
+    return dict(p.terms).get(exponents, Fraction(0))
+
+
 def _leading(p, key):
     return max((e for e, _ in p.terms), key=key)
 
@@ -65,12 +71,12 @@ def naive_remainder(p, basis, key):
     remainder = ctx.zero
     while not p.is_zero:
         lm = _leading(p, key)
-        lc = p.coefficient(lm)
+        lc = coefficient(p, lm)
         for g in basis:
             glm = _leading(g, key)
             q = mono_divide(lm, glm)
             if q is not None:
-                p = p - g * ctx.monomial(q, lc / g.coefficient(glm))
+                p = p - g * ctx.monomial(q, lc / coefficient(g, glm))
                 break
         else:
             t = ctx.monomial(lm, lc)
@@ -95,9 +101,9 @@ def naive_buchberger(context, generators, order=DEGREVLEX):
                 lf, lg = _leading(f, key), _leading(g, key)
                 lcm = tuple(max(a, b) for a, b in zip(lf, lg))
                 s = (f * context.monomial(mono_divide(lcm, lf),
-                                          1 / f.coefficient(lf))
+                                          1 / coefficient(f, lf))
                      - g * context.monomial(mono_divide(lcm, lg),
-                                            1 / g.coefficient(lg)))
+                                            1 / coefficient(g, lg)))
                 r = naive_remainder(s, basis, key)
                 if not r.is_zero:
                     basis.append(r)
@@ -112,7 +118,7 @@ def naive_buchberger(context, generators, order=DEGREVLEX):
     for i, f in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
         r = naive_remainder_full(f, others, key)
-        reduced.append(r / r.coefficient(_leading(r, key)))
+        reduced.append(r / coefficient(r, _leading(r, key)))
     reduced.sort(key=lambda g: key(_leading(g, key)))
     return tuple(reduced)
 
@@ -123,12 +129,12 @@ def naive_remainder_full(p, basis, key):
     remainder = ctx.zero
     while not p.is_zero:
         lm = _leading(p, key)
-        lc = p.coefficient(lm)
+        lc = coefficient(p, lm)
         for g in basis:
             glm = _leading(g, key)
             q = mono_divide(lm, glm)
             if q is not None:
-                p = p - g * ctx.monomial(q, lc / g.coefficient(glm))
+                p = p - g * ctx.monomial(q, lc / coefficient(g, glm))
                 break
         else:
             remainder = remainder + ctx.monomial(lm, lc)
@@ -166,7 +172,7 @@ def exact_divide(p, g):
         q = mono_divide(lm, glm)
         if q is None:
             raise ValueError("polynomial is not divisible")
-        t = ctx.monomial(q, p.coefficient(lm) / g.coefficient(glm))
+        t = ctx.monomial(q, coefficient(p, lm) / coefficient(g, glm))
         quotient = quotient + t
         p = p - t * g
     return quotient
@@ -757,7 +763,8 @@ def minimal_generators(elements, ctx, rank):
             others = current[:i] + current[i + 1:]
             if not others:
                 continue
-            basis, lms = _buchberger(others, key, wdeg, counter, rank)
+            basis, lms = chain_scan_buchberger(others, key, wdeg, counter,
+                                               rank)
             if not tuple_nf(current[i], lms, basis, key, counter, {})[0]:
                 del current[i]
                 changed = True
@@ -929,6 +936,11 @@ def position_key(ctx):
     ring_key = DEGREVLEX.key_for(ctx)
     n = ctx.arity
     return lambda t: (t[-1],) + ring_key(t[:n])
+
+
+def column(matrix, j):
+    """Column j of a `PolyMatrix`, as a tuple."""
+    return tuple(row[j] for row in matrix.entries)
 
 
 def columns_to_elements(pres, rank):
@@ -1103,7 +1115,9 @@ def minimized_free_resolution(pres):
     module Groebner basis of the columns, later stages the Schreyer
     records of the minimal pairs of the stage family, interreduced between
     stages under nested induced keys; families in decreasing lead order.
-    The tower is then minimized by `minimize_columns`."""
+    The bases and interreductions run on `chain_scan_buchberger` and
+    `multipass_interreduce`, because the library's kernel builds only
+    ring bases.  The tower is then minimized by `minimize_columns`."""
     ctx = pres.context
     n = ctx.arity
     max_length = 2 * n + 4
@@ -1112,10 +1126,10 @@ def minimized_free_resolution(pres):
     stage_rank = pres.target_rank
     counter = _steps()
 
-    basis, lms = groebner._buchberger(
+    basis, lms = chain_scan_buchberger(
         columns_to_elements(pres, stage_rank), key, wdeg, counter,
         stage_rank)
-    lms, family = groebner._interreduce(basis, lms, key, counter)
+    lms, family = multipass_interreduce(basis, lms, key, counter)
     shifts = [dict(enumerate(pres.shifts))]
     stages = []
     while family:
@@ -1131,7 +1145,7 @@ def minimized_free_resolution(pres):
         if not syz:
             break
         key = nested_induced_key(key, lms, n)
-        lms, family = groebner._interreduce(
+        lms, family = multipass_interreduce(
             syz, [max(s, key=key) for s in syz], key, counter)
 
     minimize_columns(stages, shifts)
@@ -1166,9 +1180,9 @@ def syzygies(pres):
     unit = (0,) * n
     for j, col in enumerate(columns):
         col[unit + (r + j, m - 1 - j)] = Fraction(1)
-    basis, lms = groebner._buchberger(columns, key, ctx.weighted_degree,
-                                      counter, r + m)
-    heads, reduced = groebner._interreduce(basis, lms, key, counter)
+    basis, lms = chain_scan_buchberger(columns, key, ctx.weighted_degree,
+                                       counter, r + m)
+    heads, reduced = multipass_interreduce(basis, lms, key, counter)
     found = [{t[:n] + (t[n] - r, t[n + 1]): c for t, c in el.items()}
              for lm, el in zip(heads, reduced) if lm[n] >= r]
     relations = _schreyer_syzygies(found, key, counter, n)

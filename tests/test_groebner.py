@@ -5,7 +5,7 @@ import pytest
 from diffrees import groebner
 from diffrees.errors import ExponentOverflowError, StepBudgetExceeded
 from diffrees.groebner import IdealHandle, step_budget
-from diffrees.poly import DEGREVLEX, LEX, VariableContext
+from diffrees.poly import DEGREVLEX, LEX, MonomialOrder, VariableContext
 from diffrees.sampler import random_homogeneous
 
 from conftest import P
@@ -127,6 +127,29 @@ def test_equal_generator_sets_build_no_basis(xyz):
     second = IdealHandle(xyz, [X**2, X * Y - Z**2, X**2])
     assert first.equals(second) and second.equals(first)
     assert not first._cache and not second._cache
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX,
+                                   MonomialOrder.elimination((0,))],
+                         ids=["degrevlex", "lex", "elimination"])
+def test_one_monomial_table_per_basis_build(order, monkeypatch):
+    """A basis build packs its generators once: `_buchberger` hands its
+    packed basis, its leads and its `_Monomials` to `_interreduce`."""
+    made = []
+
+    class Counted(groebner._Monomials):
+        __slots__ = ()
+
+        def __init__(self, key, length):
+            super().__init__(key, length)
+            made.append(self)
+
+    monkeypatch.setattr(groebner, "_Monomials", Counted)
+    ctx = VariableContext(("X", "Y", "Z", "W"))
+    gens = [P(ctx, "X^2 - Y*W + Z^2"), P(ctx, "X*Y - Z*W"),
+            P(ctx, "Y^2 - X*Z + W^2")]
+    assert len(IdealHandle(ctx, gens).groebner_basis(order)) > len(gens)
+    assert len(made) == 1
 
 
 def test_saturation_examples(xyz):

@@ -3,11 +3,25 @@ strips assert statements, so the package raises explicitly instead."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import diffrees
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+# Definitions that no code in `src/` calls, kept for their outside callers.
+UNCALLED_KEPT = {
+    "PolyMatrix.row": "demos/04_eagon_northcott.py prints the first "
+                      "differential's row",
+    "VariableContext.gens": "demos 01 and 04 name their variables with it",
+    "koszul_complex": "demos/04_eagon_northcott.py compares it with the "
+                      "complex of a one-row matrix",
+    "probe_corpus": "bench/workloads.py draws the probe workload from it",
+    "random_homogeneous": "the seeded draws of the property tests, next to "
+                          "the sampler the benchmark draws from",
+    "run_case": "bench/worker.py runs every benchmark instance through it",
+}
 
 
 def test_no_assert_statements_in_the_package():
@@ -77,18 +91,63 @@ def test_step_budget_is_opened_only_at_the_entry_points():
     assert builders == {"groebner.py"}
 
 
-def test_every_traced_entry_point_resolves():
-    """`bench/tracer.py` wraps its ENTRY_POINTS by name, so a renamed or
-    deleted function breaks a traced benchmark run; the file is only
-    read."""
+def _traced_entry_points():
+    """The ENTRY_POINTS of `bench/tracer.py`, read without importing it."""
     tree = ast.parse(TRACER.read_text(encoding="utf-8"), str(TRACER))
     (entry_points,) = [ast.literal_eval(node.value)
                        for node in tree.body if isinstance(node, ast.Assign)
                        and [getattr(t, "id", None) for t in node.targets]
                        == ["ENTRY_POINTS"]]
+    return entry_points
+
+
+def test_every_traced_entry_point_resolves():
+    """`bench/tracer.py` wraps its ENTRY_POINTS by name, so a renamed or
+    deleted function breaks a traced benchmark run; the file is only
+    read."""
+    entry_points = _traced_entry_points()
     assert entry_points
     for module_name, path, _ in entry_points:
         owner = importlib.import_module(module_name)
         for part in path.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), f"{module_name}.{path}"
+
+
+def _named(node, kinds=(ast.Name, ast.Attribute)):
+    """How often each name occurs in `node` as one of `kinds`: a variable
+    (`ast.Name`) or an attribute (`ast.Attribute`)."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node) if isinstance(n, kinds))
+
+
+def test_every_definition_has_a_caller():
+    """Every top-level function in the package is named in `src/` outside
+    its own body and `__init__.py`, and every method is named there as an
+    attribute, unless Python calls it (a dunder), the tracer wraps it
+    (ENTRY_POINTS) or UNCALLED_KEPT says who calls it; each UNCALLED_KEPT
+    entry is a definition nothing in `src/` names."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(Path(diffrees.__file__).parent.glob("*.py"))
+             if path.name != "__init__.py"]
+    traced = {path for _, path, _ in _traced_entry_points()}
+    functions, methods = (ast.Name, ast.Attribute), (ast.Attribute,)
+    named = {kinds: sum((_named(t, kinds) for t in trees), Counter())
+             for kinds in (functions, methods)}
+    uncalled = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                owner, members, kinds = f"{node.name}.", node.body, methods
+            else:
+                owner, members, kinds = "", [node], functions
+            for member in members:
+                if not isinstance(member, ast.FunctionDef):
+                    continue
+                name = member.name
+                if (not (name.startswith("__") and name.endswith("__"))
+                        and named[kinds][name]
+                        == _named(member, kinds)[name]):
+                    uncalled.add(owner + name)
+    assert uncalled - traced - set(UNCALLED_KEPT) == set()
+    assert set(UNCALLED_KEPT) <= uncalled

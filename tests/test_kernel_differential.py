@@ -9,13 +9,13 @@ exact remainders (the integer remainder over its scale, unpacked), the
 (index, monomial, multiplier) quotient triples and the reduction steps
 must agree call by call.  The one-pass interreduction must return the
 bases the multi-pass one did and spend the same steps, because the first
-of the old passes already was the one pass.  Resolutions and syzygies
-run on the same kernels with module terms in the flat encoding
-a + (c, r-1-c), so they are checked call by call too, and a module
-normal form under a Schreyer key must agree with the old module
-engine's.  The Gebauer-Moeller pair
-update, with the generators reduced as they leave the pair queue, must
-give the reduced bases the chain scan it replaced gave.
+of the old passes already was the one pass.  Resolutions run on the
+same normal form with module terms in the flat encoding a + (c, r-1-c),
+so they are checked call by call too, and a module normal form under a
+Schreyer key must agree with the old module engine's.  The
+Gebauer-Moeller pair update, with the generators reduced as they leave
+the pair queue, must give the reduced bases the chain scan it replaced
+gave.
 """
 
 from contextlib import contextmanager
@@ -32,8 +32,7 @@ from diffrees.groebner import (IdealHandle, StepCounter, _int_normalize,
 from diffrees.poly import (DEGREVLEX, EXPONENT_LIMIT, LEX, MonomialOrder,
                            Polynomial, VariableContext)
 from diffrees.resolution import _induced_key, _next_chain, free_resolution
-from oracles import (columns_to_elements, position_key,
-                     presentation_of_ideal, syzygies)
+from oracles import position_key
 
 from conftest import P, homogeneous_ideals
 
@@ -73,12 +72,14 @@ def checked_kernels():
         calls["nf"] += 1
         return got, scale
 
-    def interreduce_checked(basis, lms, key, counter):
+    def interreduce_checked(basis, lms, mons, counter):
+        unpack = mons.unpack
         ref_counter = StepCounter()
-        expected = oracles.multipass_interreduce(basis, lms, key,
-                                                 ref_counter)
+        expected = oracles.multipass_interreduce(
+            [{unpack(e): c for e, c in g.items()} for g in basis],
+            [unpack(lm) for lm in lms], mons.key, ref_counter)
         before = counter.remaining
-        got = interreduce(basis, lms, key, counter)
+        got = interreduce(basis, lms, mons, counter)
         assert got == expected
         assert before - counter.remaining == _spent(ref_counter)
         calls["interreduce"] += 1
@@ -141,24 +142,10 @@ def test_schreyer_stages_match_max_scan():
     assert calls["nf"] > 70
 
 
-@_SETTINGS
-@given(st.booleans().flatmap(lambda w: homogeneous_ideals(weighted=w)))
-def test_syzygies_match_max_scan(drawn):
-    """The component-elimination basis of `syzygies` and the Schreyer
-    records of its elements."""
-    ctx, gens = drawn
-    with checked_kernels() as calls:
-        syzygies(presentation_of_ideal(IdealHandle(ctx, gens)))
-    assert calls["interreduce"] == 1
-    assert calls["nf"] > 0
-
-
-def _assert_same_reduced_basis(generators, key, wdeg, rank=1):
-    got = groebner._buchberger(generators, key, wdeg, StepCounter(), rank)
-    ref = oracles.chain_scan_buchberger(generators, key, wdeg,
-                                        StepCounter(), rank)
-    assert (groebner._interreduce(*got, key, StepCounter())
-            == groebner._interreduce(*ref, key, StepCounter()))
+def _assert_same_reduced_basis(generators, key, wdeg):
+    ref = oracles.chain_scan_buchberger(generators, key, wdeg, StepCounter())
+    assert (groebner._buchberger(generators, key, wdeg, StepCounter())
+            == oracles.multipass_interreduce(*ref, key, StepCounter()))
 
 
 @st.composite
@@ -191,23 +178,12 @@ def redundant_generators(draw, drawn):
 def test_pair_update_matches_chain_scan(drawn):
     """The Gebauer-Moeller update, with the generators reduced as they
     leave the pair queue, against the chain scan it replaced, in three
-    ring orders and in rank > 1: the component-elimination columns of
-    `syzygies` and the first resolution stage of the syzygy module.  The
-    draws repeat some generators or add combinations of them."""
+    ring orders.  The draws repeat some generators or add combinations of
+    them."""
     ctx, gens = drawn
-    wdeg = ctx.weighted_degree
     for order in (DEGREVLEX, LEX, MonomialOrder.elimination((0,))):
         _assert_same_reduced_basis([dict(g.terms) for g in gens],
-                                   order.key_for(ctx), wdeg)
-    pres = presentation_of_ideal(IdealHandle(ctx, gens))
-    rank = 1 + len(gens)
-    columns = columns_to_elements(pres, rank)
-    for j, col in enumerate(columns):
-        col[(0,) * ctx.arity + (1 + j, rank - 2 - j)] = Fraction(1)
-    _assert_same_reduced_basis(columns, position_key(ctx), wdeg, rank)
-    syz = syzygies(pres)
-    _assert_same_reduced_basis(columns_to_elements(syz, syz.target_rank),
-                               position_key(ctx), wdeg, syz.target_rank)
+                                   order.key_for(ctx), ctx.weighted_degree)
 
 
 @pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
@@ -222,27 +198,35 @@ def test_pair_update_drops_a_pending_pair(order):
                                order.key_for(ctx), ctx.weighted_degree)
 
 
-def test_redundant_generators_are_reduced_away():
+def test_redundant_generators_are_reduced_away(monkeypatch):
     """A duplicate, a multiple and sums of two generators reduce to zero
     when they leave the pair queue, so they form no pairs: the reduced
     basis is the one of the chain scan, which appends every generator,
-    and of the no-criteria oracle, and it costs fewer steps (17 against
-    21 when this was written)."""
+    and of the no-criteria oracle, it is interreduced from fewer elements,
+    and the basis and its interreduction cost fewer steps (17 against 22
+    when this was written)."""
     ctx = VariableContext(("X", "Y", "Z", "W"))
     f1, f2, f3 = (P(ctx, "X^2 - Y*W + Z^2"), P(ctx, "X*Y - Z*W"),
                   P(ctx, "Y^2 - X*Z + W^2"))
     gens = [f1 + f3, f2 * 3, f1, f2, f3, f1, f2 - f3]
     generators = [dict(g.terms) for g in gens]
     key, wdeg = DEGREVLEX.key_for(ctx), ctx.weighted_degree
+    found = []
+    interreduce = groebner._interreduce
+
+    def recording(basis, lms, mons, counter):
+        found.append(len(basis))
+        return interreduce(basis, lms, mons, counter)
+
+    monkeypatch.setattr(groebner, "_interreduce", recording)
     got_c, ref_c = StepCounter(), StepCounter()
-    got = groebner._buchberger(generators, key, wdeg, got_c)
+    reduced = groebner._buchberger(generators, key, wdeg, got_c)
     ref = oracles.chain_scan_buchberger(generators, key, wdeg, ref_c)
-    reduced = groebner._interreduce(*got, key, StepCounter())
-    assert reduced == groebner._interreduce(*ref, key, StepCounter())
+    assert reduced == oracles.multipass_interreduce(*ref, key, ref_c)
     assert (tuple(Polynomial._make(ctx, d) for d in reduced[1])
             == oracles.naive_buchberger(ctx, gens)
             == oracles.naive_buchberger(ctx, [f1, f2, f3]))
-    assert len(got[0]) < len(ref[0])
+    assert found[0] < len(ref[0])
     assert _spent(got_c) < _spent(ref_c)
 
 

@@ -9,7 +9,7 @@ from diffrees.poly import VariableContext
 from diffrees.resolution import depth_and_cm, free_resolution
 
 from conftest import P, column_span_checker
-from oracles import (ModulePresentation, minimized_free_resolution,
+from oracles import (ModulePresentation, column, minimized_free_resolution,
                      presentation_of_ideal, syzygies)
 
 
@@ -24,7 +24,7 @@ def test_koszul_syzygy():
     pres = ModulePresentation(ctx, 1, PolyMatrix(ctx, ((X, Y),)))
     syz = syzygies(pres)
     assert syz.matrix.shape == (2, 1)
-    assert tuple(syz.matrix.column(0)) in ((Y, -X), (-Y, X))
+    assert column(syz.matrix, 0) in ((Y, -X), (-Y, X))
 
 
 def test_hilbert_burch_syzygies(ring4):
@@ -41,7 +41,7 @@ def test_zero_matrix_full_syzygies(ring4):
     syz = syzygies(ModulePresentation(ring4, 1, zero))
     # both columns are zero, so both unit vectors are syzygies
     assert syz.matrix.shape == (2, 2)
-    cols = {tuple(str(p) for p in syz.matrix.column(j)) for j in range(2)}
+    cols = {tuple(str(p) for p in column(syz.matrix, j)) for j in range(2)}
     assert cols == {("1", "0"), ("0", "1")}
 
 
@@ -55,7 +55,7 @@ def test_rank_two_syzygies(ring4):
     assert (cat @ syz.matrix).is_zero()
     assert syz.shifts == (1, 1, 1)
     known = (Y * W - Z**2, Y * Z - X * W, X * Z - Y**2)
-    assert (cat @ PolyMatrix.from_columns(ring4, [known])).is_zero()
+    assert (cat @ PolyMatrix(ring4, [(p,) for p in known])).is_zero()
     assert column_span_checker(syz.matrix)(known)
 
 
@@ -65,7 +65,7 @@ def test_zero_and_repeated_columns_give_trivial_syzygies(ring4):
     matrix = PolyMatrix(ring4, ((X, zero, X), (Y, zero, Y)))
     syz = syzygies(ModulePresentation(ring4, 2, matrix))
     assert (matrix @ syz.matrix).is_zero()
-    cols = {tuple(str(p) for p in syz.matrix.column(j))
+    cols = {tuple(str(p) for p in column(syz.matrix, j))
             for j in range(syz.matrix.ncols)}
     assert cols == {("0", "1", "0"), ("1", "0", "-1")}
 
@@ -249,7 +249,7 @@ def test_resolution_fuzz_invariants():
             except ValueError:
                 pass
         handle = IdealHandle(ctx, gens)
-        if handle.is_unit() or handle.is_zero_ideal():
+        if handle.is_unit() or not handle.generators:
             continue
         res = free_resolution(handle)
         assert minimized_free_resolution(
