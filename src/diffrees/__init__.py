@@ -23,7 +23,7 @@ from .rees import (ReesPresentation, SymmetricPresentation, analytic_spread,
                    find_test_element, is_linear_type, rees_ideal,
                    symmetric_presentation)
 from .resolution import FreeResolution, depth_and_cm, free_resolution
-from .sampler import probe_corpus, random_graded_ci, random_homogeneous
+from .sampler import probe_corpus, random_graded_ci
 from .verifier import (Report, emit_report, run_case, run_pipeline,
                        smooth_ci_shortcut)
 

@@ -2,7 +2,7 @@
 
 Everything downstream (Fitting heights, saturations, Rees ideals, free
 resolutions) reduces to the operations in this module: Groebner bases
-with the Gebauer-Moeller pair update, normal forms by gcd-scaled integer
+by a signature-based Buchberger loop, normal forms by gcd-scaled integer
 reductions, interreduction, elimination, intersection, saturation, Krull
 dimension by independent variable sets, and heights in
 complete-intersection quotients.  The same
@@ -19,10 +19,9 @@ entry points take and return exponent-tuple dicts and pack only inside;
 an exponent that reaches 2^31 raises `ExponentOverflowError` instead of
 carrying into its neighbour.
 
-All computations are exact over Q and deterministic: the pair queue,
-which also holds the input generators until each is reduced against the
-basis so far, is ordered by weighted degree with a fixed tie-break, so
-repeated runs produce identical bases.
+All computations are exact over Q and deterministic: the inputs are
+taken in a fixed order and the pair queue is ordered by signature with a
+fixed tie-break, so repeated runs produce identical bases.
 """
 
 from __future__ import annotations
@@ -206,7 +205,7 @@ def _int_normalize(d, mons):
                        for e, c in d.items()}, mons)
 
 
-def _nf(poly, lms, basis, mons, counter, memo, quotients=None):
+def _nf(poly, lms, basis, mons, counter, memo, quotients=None, bound=None):
     """Full normal form of a packed dict against content-free packed
     integer reducers, ordered by the negated keys of `mons`, which holds
     the keys of the terms of `poly` and of the reducers.
@@ -226,12 +225,21 @@ def _nf(poly, lms, basis, mons, counter, memo, quotients=None):
     remainder is removed only after a step whose factor l // h is not 1,
     which bounds the coefficients without a rebuild after every step.
 
-    `memo` maps a monomial to (checked_upto, first_divisor_index): the
-    index of the first leading monomial dividing it, by the guard-bit
-    test, or None when none of lms[:checked_upto] does.  It stays valid,
-    and the reducer choice stays that of a linear scan, as long as the
-    caller only appends to `lms`; callers that change their reducer lists
-    otherwise pass a fresh dict.
+    Without `bound` a term is reduced by the first reducer whose lead
+    divides it.  With `bound` = (sigs, (key, index)) the reduction is
+    regular (see `_buchberger`): sigs[k] = (drop, index) is the signature
+    of reducer k less the int key of its lead, so x^q g_k has signature
+    (int key of m + drop, index), and a term is reduced by the first
+    reducer whose multiple has a signature below the bound.
+
+    `memo` maps a monomial to its divisor list [scanned, k1, k2, ...]:
+    the indices k1 < k2 < ... of the leading monomials among
+    lms[:scanned] that divide it, by the guard-bit test.  A term reads the
+    list first and scans on from `scanned` only when no listed divisor
+    serves, appending each divisor it meets up to the one it takes.  The
+    list stays valid, and the reducer choice stays that of a linear scan,
+    as long as the caller only appends to `lms`; callers that change their
+    reducer lists otherwise pass a fresh dict.
 
     The working polynomial is a dict next to a min-heap of (negated key,
     monomial); a monomial is pushed when it enters the dict and cancelled
@@ -247,20 +255,37 @@ def _nf(poly, lms, basis, mons, counter, memo, quotients=None):
     heapq.heapify(heap)
     guard = mons.guard
     heappop, heappush, gcd = heapq.heappop, heapq.heappush, math.gcd
+    if bound is not None:
+        sigs, (sig_key, sig_index) = bound
     remainder = {}
     while heap:
         key, m = heappop(heap)
         c = work.pop(m)
         if not c:
             continue
-        checked, idx = memo.get(m, (0, None))
-        if idx is None and checked < len(lms):
-            mg = m | guard
-            for k in range(checked, len(lms)):
-                if (mg - lms[k]) & guard == guard:
+        divs = memo.get(m)
+        if divs is None:
+            divs = memo[m] = [0]
+        idx = None
+        if bound is None:
+            if len(divs) > 1:
+                idx = divs[1]
+        else:
+            # x^(m - lm_k) g_k is below the bound when sigs[k] is below this
+            below = (sig_key + key, sig_index)
+            for k in divs[1:]:
+                if sigs[k] < below:
                     idx = k
                     break
-            memo[m] = (len(lms), idx)
+        if idx is None and divs[0] < len(lms):
+            mg = m | guard
+            for k in range(divs[0], len(lms)):
+                if (mg - lms[k]) & guard == guard:
+                    divs.append(k)
+                    if bound is None or sigs[k] < below:
+                        idx = k
+                        break
+            divs[0] = len(lms) if idx is None else idx + 1
         if idx is None:
             remainder[m] = c
             mons[m] = key
@@ -338,84 +363,136 @@ def _spoly(gi, lmi, gj, lmj, lcm, key, mons):
     return spoly, qi, qj
 
 
-def _buchberger(generators, key, wdeg, counter):
+def _buchberger(generators, key, counter):
     """The unique monic reduced Groebner basis of the ideal the given term
     dicts generate, as `_interreduce` returns it.  The terms are packed
     on entry (see `_Monomials`), and the basis stays packed until
     `_interreduce` unpacks its result.
 
-    The generators are not taken in as they come.  Each waits in the pair
-    queue at (weighted degree of its lead, int key of its lead, -1,
-    index);
-    when popped it is reduced against the basis found so far and enters
-    only if its remainder is nonzero, so a generator that the others
-    already generate costs one normal form and no pairs.  Pairs (i, j) are
-    processed in increasing (weighted lcm degree, lcm int key, i, j) order and
-    pruned when a new element t arrives, by the update of Gebauer and
-    Moeller (JSC 6, 1988).  Among the new pairs (i, t) one is kept per
-    lcm, none whose lcm another new lcm strictly divides, and no lcm class
-    that holds a pair with coprime leads; a pending pair (i, j) goes when
-    lm_t divides its lcm and that lcm differs from lcm(i, t) and lcm(j, t).
+    A signature-based Buchberger loop (RB of Eder and Roune, Signature
+    rewriting in Groebner basis computation, ISSAC 2013; survey by Eder
+    and Faugere, JSC 80, 2017).  The generators are first taken by
+    increasing lead and each is reduced against the ones kept before it,
+    a zero dropped.  If that pass lowered some lead, one more pass takes
+    the kept ones by their new leads, so that each is reduced against all
+    whose leads now lie below its own.  (Repeating until no lead moves
+    would autoreduce them, but in lex an inhomogeneous input can need
+    many passes with coefficients that grow in each.)  The k-th input
+    kept is f_k, with signature e_k.
+    Every element g carries a signature u e_k, the largest term of a
+    representation of g over the f_k, in the Schreyer order: u e_k is
+    ranked by the int key of u lm(f_k), then by k.  The signature is kept
+    as (key, k) and as the packed monomial u lm(f_k), whose divisibility
+    is that of u within index k; the signature key never falls below the
+    key of lm(g), and their difference, the drop, ranks the two sides of
+    a pair, since multiplying both sides up to one lcm adds the same key.
+
+    S-pairs are processed by increasing signature, that of their larger
+    side; a pair whose sides have equal signatures is dropped.  Its
+    S-polynomial is reduced only by multiples of smaller signature (`_nf`
+    with a bound), so the remainder keeps the signature, and a zero
+    remainder makes that signature a syzygy's.  Two criteria skip a pair
+    with signature T before any reduction:
+      - syzygy: the signature of a known syzygy divides T.  Each new
+        element g with signature T adds, for every earlier element h, the
+        signature of the Koszul syzygy h g - g h, the larger of lm(h) T
+        and lm(g) sig(h), which subsumes the coprime-lead criterion; the
+        signatures are kept minimal per index k;
+      - rewrite: an element later than the pair's larger side has a
+        signature dividing T, so T is processed only through its latest
+        such element.
+    The pair heap is ordered by signature and then by the two indices, so
+    repeated runs produce identical bases.
     """
     mons, generators = _packed(generators, key)
     guard = mons.guard
-    unpack = mons.unpack
-    inputs = []
-    basis = []
-    lms = []
-    memo = {}
-    pending = {}
+    basis = list(filter(None, generators))
+    for _ in range(2):
+        inputs, basis, lms, memo = basis, [], [], {}
+        lowered = False
+        for g in sorted(inputs, key=lambda g: min(map(mons.__getitem__, g)),
+                        reverse=True):
+            r, _ = _nf(g, lms, basis, mons, counter, memo)
+            if r:
+                lm, ints = _primitive(r, mons)
+                lowered = lowered or lm != min(g, key=mons.__getitem__)
+                basis.append(ints)
+                lms.append(lm)
+        if not lowered:
+            break
+    sigs = [(0, k) for k in range(len(basis))]
+    sig_mons = list(lms)
+    by_index = [[k] for k in range(len(basis))]
+    syzygies = [[] for _ in basis]
     heap = []
 
-    def push_pairs(t):
-        lm_new = lms[t]
-        lcms = {}
-        classes = {}
-        coprime = set()
-        for i in range(t):
-            lcm = lcms[i] = _lcm(lms[i], lm_new, guard)
-            classes.setdefault(lcm, i)
-            if lcm == lms[i] + lm_new:
-                coprime.add(lcm)
-        for (i, j), lcm in list(pending.items()):
-            if (((lcm | guard) - lm_new) & guard == guard
-                    and lcm != lcms.get(i) and lcm != lcms.get(j)):
-                del pending[(i, j)]
-        for lcm, i in classes.items():
-            if lcm in coprime:
-                continue
-            high = lcm | guard
-            if any(other != lcm and (high - other) & guard == guard
-                   for other in classes):
-                continue
-            pending[(i, t)] = lcm
-            e = unpack(lcm)
-            heapq.heappush(heap, (wdeg(e), mons.int_key(e), i, t))
+    def skipped(s, index, larger):
+        """Whether a known syzygy signature divides signature s of index
+        `index`, or an element later than `larger` has one dividing it."""
+        high = s | guard
+        for d in syzygies[index]:
+            if (high - d) & guard == guard:
+                return True
+        for t in reversed(by_index[index]):
+            if t <= larger:
+                return False
+            if (high - sig_mons[t]) & guard == guard:
+                return True
+        return False
 
-    for g in generators:
-        lm, ints = _int_normalize(g, mons)
-        if lm is None:
-            continue
-        heapq.heappush(heap, (wdeg(unpack(lm)), -mons[lm], -1, len(inputs)))
-        inputs.append(ints)
+    def add_syzygy(s, index):
+        if s & guard:
+            raise mons.overflow(s)
+        found = syzygies[index]
+        high = s | guard
+        for d in found:
+            if (high - d) & guard == guard:
+                return
+        found[:] = [d for d in found if ((d | guard) - s) & guard != guard]
+        found.append(s)
 
+    def add_pairs(t):
+        sig_t = sigs[t]
+        sides = []
+        for j in range(t):
+            sig_j = sigs[j]
+            if sig_j == sig_t:
+                continue
+            larger, other = (t, j) if sig_t > sig_j else (j, t)
+            add_syzygy(sig_mons[larger] + lms[other], sigs[larger][1])
+            sides.append((larger, other))
+        for larger, other in sides:
+            lcm = _lcm(lms[larger], lms[other], guard)
+            s = sig_mons[larger] + lcm - lms[larger]
+            if s & guard:
+                raise mons.overflow(s)
+            drop, index = sigs[larger]
+            if not skipped(s, index, larger):
+                heapq.heappush(heap, (mons.int_key(mons.unpack(lcm)) + drop,
+                                      index, larger, other, lcm, s))
+
+    for t in range(len(basis)):
+        add_pairs(t)
     while heap:
-        _, lcm_key, i, j = heapq.heappop(heap)
-        if i < 0:
-            r, _ = _nf(inputs[j], lms, basis, mons, counter, memo)
-        else:
-            lcm = pending.pop((i, j), None)
-            if lcm is None:
-                continue
-            spoly, _, _ = _spoly(basis[i], lms[i], basis[j], lms[j], lcm,
-                                 -lcm_key, mons)
-            counter.spend()
-            r, _ = _nf(spoly, lms, basis, mons, counter, memo)
-        if r:
-            lm, ints = _primitive(r, mons)
-            basis.append(ints)
-            lms.append(lm)
-            push_pairs(len(basis) - 1)
+        sig_key, index, larger, other, lcm, s = heapq.heappop(heap)
+        if skipped(s, index, larger):
+            continue
+        drop = sigs[larger][0]
+        spoly, _, _ = _spoly(basis[larger], lms[larger], basis[other],
+                             lms[other], lcm, drop - sig_key, mons)
+        counter.spend()
+        r, _ = _nf(spoly, lms, basis, mons, counter, memo,
+                   bound=(sigs, (sig_key, index)))
+        if not r:
+            add_syzygy(s, index)
+            continue
+        lm, ints = _primitive(r, mons)
+        basis.append(ints)
+        lms.append(lm)
+        sigs.append((sig_key + mons[lm], index))
+        sig_mons.append(s)
+        by_index[index].append(len(basis) - 1)
+        add_pairs(len(basis) - 1)
 
     return _interreduce(basis, lms, mons, counter)
 
@@ -561,8 +638,7 @@ class IdealHandle:
             return cached
         ctx = self.context
         _, polys = _buchberger([dict(g.terms) for g in self.generators],
-                               order.key_for(ctx), ctx.weighted_degree,
-                               _steps())
+                               order.key_for(ctx), _steps())
         basis = tuple(Polynomial._make(ctx, d) for d in polys)
         self._cache[order] = basis
         return basis

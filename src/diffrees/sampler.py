@@ -1,5 +1,5 @@
-"""Seeded random instances: homogeneous polynomials and graded complete
-intersections for the property suites."""
+"""Seeded random instances: graded complete intersections for the
+property suites and the benchmark."""
 
 from __future__ import annotations
 
@@ -26,23 +26,6 @@ def monomials_of_degree(context, degree):
 
     rec(0, degree, ())
     return out
-
-
-def random_homogeneous(rng, context, degree, max_terms=None):
-    """Random nonzero homogeneous polynomial of the given weighted degree."""
-    pool = monomials_of_degree(context, degree)
-    if not pool:
-        raise ValueError(f"no monomials of weighted degree {degree}")
-    count = rng.randint(1, len(pool) if max_terms is None
-                        else min(max_terms, len(pool)))
-    chosen = rng.sample(pool, count)
-    terms = []
-    for e in chosen:
-        c = 0
-        while c == 0:
-            c = rng.randint(-4, 4)
-        terms.append((e, c))
-    return Polynomial.from_terms(context, terms)
 
 
 def random_graded_ci(rng, n, d, max_degree=3, mixed_terms=1, attempts=200):

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from diffrees.algebra import GradedAlgebra
+from diffrees.casefile import CaseFile, load_case
 from diffrees.poly import Polynomial, VariableContext, parse_polynomial
-from diffrees.sampler import monomials_of_degree
+from diffrees.sampler import monomials_of_degree, probe_corpus
 
 
 # (variables, dimension, max relation degree, seed of random_graded_ci):
@@ -22,12 +23,32 @@ def P(ctx, text):
     return parse_polynomial(ctx, text)
 
 
+def random_homogeneous(rng, context, degree, max_terms=None):
+    """Random nonzero homogeneous polynomial of the given weighted degree."""
+    pool = monomials_of_degree(context, degree)
+    if not pool:
+        raise ValueError(f"no monomials of weighted degree {degree}")
+    count = rng.randint(1, len(pool) if max_terms is None
+                        else min(max_terms, len(pool)))
+    chosen = rng.sample(pool, count)
+    terms = []
+    for e in chosen:
+        c = 0
+        while c == 0:
+            c = rng.randint(-4, 4)
+        terms.append((e, c))
+    return Polynomial.from_terms(context, terms)
+
+
+def shipped_case_files(cases_dir):
+    return [load_case(str(p)) for p in sorted(cases_dir.iterdir(),
+                                              key=lambda p: p.name)
+            if p.name.endswith(".case")]
+
+
 def shipped_algebras(cases_dir):
-    from diffrees.casefile import load_case
     return [GradedAlgebra.validate(case.context, case.relations)
-            for case in (load_case(str(p)) for p in sorted(
-                cases_dir.iterdir(), key=lambda p: p.name)
-                if p.name.endswith(".case"))]
+            for case in shipped_case_files(cases_dir)]
 
 
 def column_span_checker(matrix, shifts=None):
@@ -72,6 +93,33 @@ def homogeneous_ideals(draw, weighted):
                                min_size=len(chosen), max_size=len(chosen)))
         gens.append(Polynomial.from_terms(ctx, zip(chosen, coeffs)))
     return ctx, gens
+
+
+@st.composite
+def inhomogeneous_ideals(draw):
+    """A context of 2-3 variables and 1-3 generators with at most three
+    terms each, of total degree at most 3, constants allowed."""
+    n = draw(st.integers(2, 3))
+    ctx = VariableContext(tuple(f"X{i + 1}" for i in range(n)))
+    pool = [e for d in range(4) for e in monomials_of_degree(ctx, d)]
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.dictionaries(st.sampled_from(pool),
+                                     st.integers(-3, 3).filter(bool),
+                                     min_size=1, max_size=3))
+        gens.append(Polynomial.from_terms(ctx, terms.items()))
+    return ctx, gens
+
+
+@pytest.fixture(scope="session")
+def shipped_cases(cases_dir):
+    return shipped_case_files(cases_dir)
+
+
+@pytest.fixture(scope="session")
+def probe_cases():
+    return [CaseFile(name, algebra.context, algebra.relations, mode="prop31")
+            for name, algebra in probe_corpus(seed=0, count=8)]
 
 
 @pytest.fixture(scope="session")

@@ -8,9 +8,11 @@ ideal quotients instead of the one-shot elimination trick.
 The second half keeps slow paths the library replaced by exact shortcuts,
 so the shortcuts can be checked against them: the nested order keys, the
 ring kernel on exponent tuples before monomials were packed into ints,
-the max-scan normal form, the chain-scan Buchberger and the multi-pass
-interreduction of the ring kernel (these two build every module basis
-the tests need, since the library's kernel builds only ring bases), the
+the max-scan normal form (with or without a signature bound), the
+chain-scan Buchberger and the multi-pass interreduction of the ring
+kernel (these two build every module basis the tests need, since the
+library's kernel builds only ring bases), the Gebauer-Moeller engine
+that the signature-based pair loop replaced, the
 separate module engine over (exponents, component) terms that
 resolutions ran on before the ring kernel took the flat module encoding,
 with a record for every pair (and syzygy generators by eliminating
@@ -38,7 +40,9 @@ from diffrees.eagon_northcott import FreeComplex
 from diffrees.errors import ResolutionLengthError
 from diffrees.matrix import PolyMatrix
 from diffrees.poly import DEGREVLEX, Polynomial, mono_mul
-from diffrees.groebner import IdealHandle, StepCounter, _steps
+from diffrees.groebner import (IdealHandle, StepCounter, _int_normalize,
+                               _interreduce, _lcm, _nf, _packed, _primitive,
+                               _spoly, _steps)
 from diffrees.resolution import _schreyer_syzygies, _stage_shifts
 
 
@@ -421,9 +425,20 @@ def tuple_spoly(gi, lmi, gj, lmj):
     return spoly, qi, qj
 
 
-def max_scan_nf(poly, lms, basis, key, counter, memo, quotients=None):
+def int_key(key_tuple):
+    """A tuple order key read as one int, with a 64-bit digit per
+    coordinate, as `groebner._Monomials.int_key` encodes it."""
+    return sum(c << (64 * (len(key_tuple) - 1 - i))
+               for i, c in enumerate(key_tuple))
+
+
+def max_scan_nf(poly, lms, basis, key, counter, memo, quotients=None,
+                bound=None):
     """`groebner._nf` as it was: the lead found by max() over the whole
-    working polynomial at every step."""
+    working polynomial at every step.  With `bound` = (sigs, limit), as
+    `groebner._nf` takes it, a term m is reduced by the first reducer k,
+    by a fresh scan of every lead, whose multiple has the signature
+    (int key of m + sigs[k][0], sigs[k][1]) below `limit`."""
     work = {e: c for e, c in poly.items() if c}
     mult = math.lcm(*(c.denominator for c in work.values()))
     scale = Fraction(mult)
@@ -434,13 +449,20 @@ def max_scan_nf(poly, lms, basis, key, counter, memo, quotients=None):
         c = work.pop(m)
         if not c:
             continue
-        checked, idx = memo.get(m, (0, None))
-        if idx is None and checked < len(lms):
-            for k in range(checked, len(lms)):
-                if mono_divide(m, lms[k]) is not None:
-                    idx = k
-                    break
-            memo[m] = (len(lms), idx)
+        if bound is None:
+            checked, idx = memo.get(m, (0, None))
+            if idx is None and checked < len(lms):
+                for k in range(checked, len(lms)):
+                    if mono_divide(m, lms[k]) is not None:
+                        idx = k
+                        break
+                memo[m] = (len(lms), idx)
+        else:
+            sigs, limit = bound
+            at = int_key(key(m))
+            idx = next((k for k in range(len(lms))
+                        if mono_divide(m, lms[k]) is not None
+                        and (at + sigs[k][0], sigs[k][1]) < limit), None)
         if idx is None:
             remainder[m] = remainder.get(m, 0) + Fraction(c) / scale
             continue
@@ -522,6 +544,89 @@ def chain_scan_buchberger(generators, key, wdeg, counter, rank=1):
             push_pairs(len(basis) - 1)
 
     return basis, lms
+
+
+def gm_buchberger(generators, key, wdeg, counter):
+    """`groebner._buchberger` before its signature-based pair loop: the
+    unique monic reduced Groebner basis of the ideal the given term
+    dicts generate, as `_interreduce` returns it.  The terms are packed
+    on entry (see `_Monomials`), and the basis stays packed until
+    `_interreduce` unpacks its result.
+
+    The generators are not taken in as they come.  Each waits in the pair
+    queue at (weighted degree of its lead, int key of its lead, -1,
+    index);
+    when popped it is reduced against the basis found so far and enters
+    only if its remainder is nonzero, so a generator that the others
+    already generate costs one normal form and no pairs.  Pairs (i, j) are
+    processed in increasing (weighted lcm degree, lcm int key, i, j) order and
+    pruned when a new element t arrives, by the update of Gebauer and
+    Moeller (JSC 6, 1988).  Among the new pairs (i, t) one is kept per
+    lcm, none whose lcm another new lcm strictly divides, and no lcm class
+    that holds a pair with coprime leads; a pending pair (i, j) goes when
+    lm_t divides its lcm and that lcm differs from lcm(i, t) and lcm(j, t).
+    """
+    mons, generators = _packed(generators, key)
+    guard = mons.guard
+    unpack = mons.unpack
+    inputs = []
+    basis = []
+    lms = []
+    memo = {}
+    pending = {}
+    heap = []
+
+    def push_pairs(t):
+        lm_new = lms[t]
+        lcms = {}
+        classes = {}
+        coprime = set()
+        for i in range(t):
+            lcm = lcms[i] = _lcm(lms[i], lm_new, guard)
+            classes.setdefault(lcm, i)
+            if lcm == lms[i] + lm_new:
+                coprime.add(lcm)
+        for (i, j), lcm in list(pending.items()):
+            if (((lcm | guard) - lm_new) & guard == guard
+                    and lcm != lcms.get(i) and lcm != lcms.get(j)):
+                del pending[(i, j)]
+        for lcm, i in classes.items():
+            if lcm in coprime:
+                continue
+            high = lcm | guard
+            if any(other != lcm and (high - other) & guard == guard
+                   for other in classes):
+                continue
+            pending[(i, t)] = lcm
+            e = unpack(lcm)
+            heapq.heappush(heap, (wdeg(e), mons.int_key(e), i, t))
+
+    for g in generators:
+        lm, ints = _int_normalize(g, mons)
+        if lm is None:
+            continue
+        heapq.heappush(heap, (wdeg(unpack(lm)), -mons[lm], -1, len(inputs)))
+        inputs.append(ints)
+
+    while heap:
+        _, lcm_key, i, j = heapq.heappop(heap)
+        if i < 0:
+            r, _ = _nf(inputs[j], lms, basis, mons, counter, memo)
+        else:
+            lcm = pending.pop((i, j), None)
+            if lcm is None:
+                continue
+            spoly, _, _ = _spoly(basis[i], lms[i], basis[j], lms[j], lcm,
+                                 -lcm_key, mons)
+            counter.spend()
+            r, _ = _nf(spoly, lms, basis, mons, counter, memo)
+        if r:
+            lm, ints = _primitive(r, mons)
+            basis.append(ints)
+            lms.append(lm)
+            push_pairs(len(basis) - 1)
+
+    return _interreduce(basis, lms, mons, counter)
 
 
 def multipass_interreduce(basis, lms, key, counter):

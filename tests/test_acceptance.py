@@ -18,10 +18,11 @@ from diffrees.poly import DEGREVLEX, LEX, VariableContext, parse_polynomial
 from diffrees.rees import (analytic_spread, is_linear_type, rees_ideal,
                            symmetric_presentation)
 from diffrees.resolution import depth_and_cm, free_resolution
-from diffrees.sampler import probe_corpus, random_homogeneous
+from diffrees.sampler import probe_corpus
 from diffrees.verifier import run_pipeline
 from diffrees.casefile import CaseFile
 
+from conftest import random_homogeneous
 from oracles import brute_force_dimension, naive_buchberger
 
 

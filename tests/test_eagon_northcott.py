@@ -8,9 +8,8 @@ from diffrees.eagon_northcott import (FreeComplex, build_en, en_acyclicity,
 from diffrees.groebner import IdealHandle
 from diffrees.matrix import PolyMatrix
 from diffrees.poly import VariableContext
-from diffrees.sampler import random_homogeneous
 
-from conftest import column_span_checker
+from conftest import column_span_checker, random_homogeneous
 from oracles import ModulePresentation, column, syzygies
 
 

@@ -12,9 +12,9 @@ from diffrees.groebner import IdealHandle
 from diffrees.matrix import PolyMatrix
 from diffrees.poly import DEGREVLEX, VariableContext
 from diffrees.rees import find_test_element
-from diffrees.sampler import probe_corpus, random_graded_ci, random_homogeneous
+from diffrees.sampler import probe_corpus, random_graded_ci
 
-from conftest import P, shipped_algebras
+from conftest import P, random_homogeneous, shipped_algebras
 from oracles import saturated_height_off_irrelevant
 
 

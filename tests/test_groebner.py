@@ -6,9 +6,8 @@ from diffrees import groebner
 from diffrees.errors import ExponentOverflowError, StepBudgetExceeded
 from diffrees.groebner import IdealHandle, step_budget
 from diffrees.poly import DEGREVLEX, LEX, MonomialOrder, VariableContext
-from diffrees.sampler import random_homogeneous
 
-from conftest import P
+from conftest import P, random_homogeneous
 from oracles import (brute_force_dimension, ideal_quotient,
                      is_nonzerodivisor, iterated_quotient_saturation,
                      naive_buchberger)

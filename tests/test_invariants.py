@@ -18,8 +18,6 @@ UNCALLED_KEPT = {
     "koszul_complex": "demos/04_eagon_northcott.py compares it with the "
                       "complex of a one-row matrix",
     "probe_corpus": "bench/workloads.py draws the probe workload from it",
-    "random_homogeneous": "the seeded draws of the property tests, next to "
-                          "the sampler the benchmark draws from",
     "run_case": "bench/worker.py runs every benchmark instance through it",
 }
 

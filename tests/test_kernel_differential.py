@@ -12,17 +12,18 @@ bases the multi-pass one did and spend the same steps, because the first
 of the old passes already was the one pass.  Resolutions run on the
 same normal form with module terms in the flat encoding a + (c, r-1-c),
 so they are checked call by call too, and a module normal form under a
-Schreyer key must agree with the old module engine's.  The
-Gebauer-Moeller pair update, with the generators reduced as they leave
-the pair queue, must give the reduced bases the chain scan it replaced
-gave.
+Schreyer key must agree with the old module engine's.  A normal form
+bounded by a signature must take the reducers a max scan under the same
+bound takes.  The signature-based pair loop must give the reduced bases
+that the Gebauer-Moeller engine it replaced and the no-criteria oracle
+give.
 """
 
 from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -32,9 +33,10 @@ from diffrees.groebner import (IdealHandle, StepCounter, _int_normalize,
 from diffrees.poly import (DEGREVLEX, EXPONENT_LIMIT, LEX, MonomialOrder,
                            Polynomial, VariableContext)
 from diffrees.resolution import _induced_key, _next_chain, free_resolution
+from diffrees.verifier import run_case
 from oracles import position_key
 
-from conftest import P, homogeneous_ideals
+from conftest import P, homogeneous_ideals, inhomogeneous_ideals
 
 _SETTINGS = settings(max_examples=40, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -48,19 +50,21 @@ def _spent(counter):
 def checked_kernels():
     """Route every kernel call of the library through the new and the old
     version, assert that they agree, and count the compared calls."""
-    calls = dict.fromkeys(("nf", "interreduce"), 0)
+    calls = dict.fromkeys(("nf", "bounded_nf", "interreduce"), 0)
     nf, interreduce = groebner._nf, groebner._interreduce
 
-    def nf_checked(poly, lms, basis, mons, counter, memo, quotients=None):
+    def nf_checked(poly, lms, basis, mons, counter, memo, quotients=None,
+                   bound=None):
         unpack = mons.unpack
         ref_quotients, ref_counter = [], StepCounter()
         expected = oracles.max_scan_nf(
             {unpack(e): c for e, c in poly.items()},
             [unpack(lm) for lm in lms],
             [{unpack(e): c for e, c in g.items()} for g in basis],
-            mons.key, ref_counter, {}, ref_quotients)
+            mons.key, ref_counter, {}, ref_quotients, bound)
         got_quotients, before = [], counter.remaining
-        got, scale = nf(poly, lms, basis, mons, counter, memo, got_quotients)
+        got, scale = nf(poly, lms, basis, mons, counter, memo, got_quotients,
+                        bound)
         num, den = scale
         assert ([(unpack(e), Fraction(v * den, num)) for e, v in got.items()]
                 == list(expected.items()))
@@ -70,6 +74,7 @@ def checked_kernels():
         if quotients is not None:
             quotients.extend(got_quotients)
         calls["nf"] += 1
+        calls["bounded_nf"] += bound is not None
         return got, scale
 
     def interreduce_checked(basis, lms, mons, counter):
@@ -116,6 +121,7 @@ def test_growing_basis_kernels_match_max_scan():
         assert len(handle.groebner_basis()) > len(gens)
         handle.saturation(P(ctx, "X"))
     assert calls["interreduce"] == 2
+    assert calls["bounded_nf"] > 0
 
 
 @_SETTINGS
@@ -138,21 +144,15 @@ def test_schreyer_stages_match_max_scan():
         res = free_resolution(IdealHandle(ctx, gens))
     assert res.betti == (1, 4, 6, 4, 1)
     assert calls["interreduce"] == 1
-    # 79 when this was written: the stage-one basis and the records
-    assert calls["nf"] > 70
-
-
-def _assert_same_reduced_basis(generators, key, wdeg):
-    ref = oracles.chain_scan_buchberger(generators, key, wdeg, StepCounter())
-    assert (groebner._buchberger(generators, key, wdeg, StepCounter())
-            == oracles.multipass_interreduce(*ref, key, StepCounter()))
+    # 66 when this was written: the stage-one basis and the records
+    assert calls["nf"] > 60
 
 
 @st.composite
 def redundant_generators(draw, drawn):
     """The drawn generators followed by up to three redundant ones:
     duplicates, nonzero multiples and sums X1^k g_i + g_j, with k making
-    the sum homogeneous (X1 has weight 1)."""
+    the sum homogeneous when g_i and g_j are (X1 has weight 1)."""
     ctx, gens = drawn
     gens = list(gens)
     index = st.integers(0, len(gens) - 1)
@@ -172,39 +172,65 @@ def redundant_generators(draw, drawn):
     return ctx, gens
 
 
+_XYZW = VariableContext(("X", "Y", "Z", "W"))
+
+
 @_SETTINGS
-@given(st.booleans().flatmap(lambda w: homogeneous_ideals(weighted=w))
+@given(st.one_of(homogeneous_ideals(weighted=False),
+                 homogeneous_ideals(weighted=True), inhomogeneous_ideals())
        .flatmap(redundant_generators))
-def test_pair_update_matches_chain_scan(drawn):
-    """The Gebauer-Moeller update, with the generators reduced as they
-    leave the pair queue, against the chain scan it replaced, in three
-    ring orders.  The draws repeat some generators or add combinations of
-    them."""
+@example((_XYZW, [P(_XYZW, "X^2*Y - Z^3"), P(_XYZW, "X*Y^2 - W^3"),
+                  P(_XYZW, "X*Y - Z*W")]))
+def test_signature_engine_matches_old_engines(drawn):
+    """The signature-based engine against the Gebauer-Moeller engine it
+    replaced and the no-criteria oracle, in three ring orders, on
+    homogeneous, weighted and inhomogeneous draws that repeat some
+    generators or add combinations of them.  The explicit example is a
+    chain-criterion case of the old engine: X*Y divides the lcm X^2*Y^2
+    of the first two leads."""
     ctx, gens = drawn
+    generators = [dict(g.terms) for g in gens]
     for order in (DEGREVLEX, LEX, MonomialOrder.elimination((0,))):
-        _assert_same_reduced_basis([dict(g.terms) for g in gens],
-                                   order.key_for(ctx), ctx.weighted_degree)
+        key = order.key_for(ctx)
+        got = groebner._buchberger(generators, key, StepCounter())
+        assert got == oracles.gm_buchberger(generators, key,
+                                            ctx.weighted_degree, StepCounter())
+        assert (tuple(Polynomial._make(ctx, d) for d in got[1])
+                == oracles.naive_buchberger(ctx, gens, order))
 
 
-@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
-def test_pair_update_drops_a_pending_pair(order):
-    """The third generator's lead X*Y divides the lcm X^2*Y^2 of the
-    pending pair of the first two and differs from both new lcms, so the
-    update deletes that pair before it is reduced."""
-    ctx = VariableContext(("X", "Y", "Z", "W"))
-    gens = [P(ctx, "X^2*Y - Z^3"), P(ctx, "X*Y^2 - W^3"),
-            P(ctx, "X*Y - Z*W")]
-    _assert_same_reduced_basis([dict(g.terms) for g in gens],
-                               order.key_for(ctx), ctx.weighted_degree)
+def test_every_workload_basis_matches_gm_buchberger(shipped_cases,
+                                                    probe_cases, monkeypatch):
+    """Every basis build of the shipped cases and of the first eight probe
+    instances, run through `run_case`, gives the reduced basis of the
+    Gebauer-Moeller engine."""
+    builds = []
+    basis = IdealHandle.groebner_basis
+
+    def recording(handle, order=DEGREVLEX):
+        if order not in handle._cache:
+            builds.append((handle.context, handle.generators, order))
+        return basis(handle, order)
+
+    monkeypatch.setattr(IdealHandle, "groebner_basis", recording)
+    for case in shipped_cases + probe_cases:
+        assert run_case(case).status == "ok", case.name
+    assert len(builds) > 50
+    for ctx, gens, order in builds:
+        generators = [dict(g.terms) for g in gens]
+        key = order.key_for(ctx)
+        assert (groebner._buchberger(generators, key, StepCounter())
+                == oracles.gm_buchberger(generators, key, ctx.weighted_degree,
+                                         StepCounter()))
 
 
 def test_redundant_generators_are_reduced_away(monkeypatch):
     """A duplicate, a multiple and sums of two generators reduce to zero
-    when they leave the pair queue, so they form no pairs: the reduced
-    basis is the one of the chain scan, which appends every generator,
-    and of the no-criteria oracle, it is interreduced from fewer elements,
-    and the basis and its interreduction cost fewer steps (17 against 22
-    when this was written)."""
+    in the input pre-pass, so they form no pairs: the reduced basis is the
+    one of the chain scan, which appends every generator, and of the
+    no-criteria oracle, it is interreduced from fewer elements, and the
+    basis and its interreduction cost fewer steps (10 against 22 when
+    this was written)."""
     ctx = VariableContext(("X", "Y", "Z", "W"))
     f1, f2, f3 = (P(ctx, "X^2 - Y*W + Z^2"), P(ctx, "X*Y - Z*W"),
                   P(ctx, "Y^2 - X*Z + W^2"))
@@ -220,7 +246,7 @@ def test_redundant_generators_are_reduced_away(monkeypatch):
 
     monkeypatch.setattr(groebner, "_interreduce", recording)
     got_c, ref_c = StepCounter(), StepCounter()
-    reduced = groebner._buchberger(generators, key, wdeg, got_c)
+    reduced = groebner._buchberger(generators, key, got_c)
     ref = oracles.chain_scan_buchberger(generators, key, wdeg, ref_c)
     assert reduced == oracles.multipass_interreduce(*ref, key, ref_c)
     assert (tuple(Polynomial._make(ctx, d) for d in reduced[1])

@@ -7,9 +7,8 @@ from diffrees.errors import (ContextMismatchError, ExponentOverflowError,
                              ParseError)
 from diffrees.poly import (DEGREVLEX, LEX, MonomialOrder, Polynomial,
                            VariableContext, parse_polynomial)
-from diffrees.sampler import random_homogeneous
 
-from conftest import P
+from conftest import P, random_homogeneous
 
 
 def test_multiply_difference_of_squares(xyz):

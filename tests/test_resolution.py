@@ -233,7 +233,7 @@ def test_hilbert_series_crosscheck():
 
 
 def test_resolution_fuzz_invariants():
-    from diffrees.sampler import random_homogeneous
+    from conftest import random_homogeneous
     from oracles import (hilbert_numerator_from_leading_terms,
                          hilbert_numerator_from_resolution)
     rng = random.Random(61)

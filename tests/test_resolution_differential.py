@@ -112,7 +112,7 @@ def assert_stage_one_is_the_module_basis(handle):
     ctx = handle.context
     _, family = _buchberger(
         oracles.columns_to_elements(presentation_of_ideal(handle), 1),
-        oracles.position_key(ctx), ctx.weighted_degree, StepCounter())
+        oracles.position_key(ctx), StepCounter())
     _, stages = _recorded_stages(handle)
     assert (stages[0][0] if stages else []) == family[::-1]
 
@@ -227,7 +227,7 @@ def test_records_of_a_reduced_basis_match_module_engine(drawn):
     pres = presentation_of_ideal(IdealHandle(ctx, gens))
     key = oracles.position_key(ctx)
     _, family = _buchberger(oracles.columns_to_elements(pres, 1), key,
-                            ctx.weighted_degree, StepCounter())
+                            StepCounter())
     records = resolution._schreyer_records(family, key, StepCounter())
     old_key = oracles.pot_key(DEGREVLEX.key_for(ctx))
     columns = [{(t[:n], 0): c for t, c in el.items()} for el in family]

@@ -7,14 +7,8 @@ plus the first probe instances of `probe_corpus(seed=0)`, run the way a
 user's case is run, through `run_case`.
 """
 
-from importlib import resources
-
-import pytest
-
 from diffrees import groebner
-from diffrees.casefile import CaseFile, load_case
 from diffrees.poly import DEGREVLEX
-from diffrees.sampler import probe_corpus
 from diffrees.verifier import run_case
 
 # Steps the mini-workload spends once every distinct basis is built once
@@ -24,24 +18,11 @@ from diffrees.verifier import run_case
 # only their minimal Schreyer pairs and are not interreduced, the
 # linear-type verdict reads the torsion generators, ideals with equal
 # generator sets compare without a basis, a redundant input generator is
-# reduced to zero before it forms any pair and a saturation keeps the
-# degrevlex basis its elimination found; raise it only with a reason
-# recorded in CHANGES.md.
-STEP_CEILING = 25683
-
-
-@pytest.fixture(scope="module")
-def shipped_cases():
-    base = resources.files("diffrees") / "cases"
-    return [load_case(str(p)) for p in sorted(base.iterdir(),
-                                              key=lambda p: p.name)
-            if p.name.endswith(".case")]
-
-
-@pytest.fixture(scope="module")
-def probe_cases():
-    return [CaseFile(name, algebra.context, algebra.relations, mode="prop31")
-            for name, algebra in probe_corpus(seed=0, count=8)]
+# reduced to zero before it forms any pair, a saturation keeps the
+# degrevlex basis its elimination found and the signature-based pair
+# loop skips the pairs whose signature a known syzygy or a later element
+# covers; raise it only with a reason recorded in CHANGES.md.
+STEP_CEILING = 11768
 
 
 def test_step_count_does_not_grow(shipped_cases, probe_cases, monkeypatch):
