@@ -199,6 +199,43 @@ def test_signature_engine_matches_old_engines(drawn):
                 == oracles.naive_buchberger(ctx, gens, order))
 
 
+def _assert_same_reduced_basis(generators, key, wdeg):
+    """The Gebauer-Moeller engine and the signature-based one give the
+    reduced basis of the chain scan."""
+    ref = oracles.chain_scan_buchberger(generators, key, wdeg, StepCounter())
+    reduced = oracles.multipass_interreduce(*ref, key, StepCounter())
+    assert oracles.gm_buchberger(generators, key, wdeg,
+                                 StepCounter()) == reduced
+    assert groebner._buchberger(generators, key, StepCounter()) == reduced
+
+
+@_SETTINGS
+@given(st.booleans().flatmap(lambda w: homogeneous_ideals(weighted=w))
+       .flatmap(redundant_generators))
+def test_pair_update_matches_chain_scan(drawn):
+    """The Gebauer-Moeller update of `oracles.gm_buchberger`, the
+    reference of the differential tests above, and the signature-based
+    engine against the chain scan, in three ring orders.  The draws repeat
+    some generators or add combinations of them."""
+    ctx, gens = drawn
+    for order in (DEGREVLEX, LEX, MonomialOrder.elimination((0,))):
+        _assert_same_reduced_basis([dict(g.terms) for g in gens],
+                                   order.key_for(ctx), ctx.weighted_degree)
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+def test_pair_update_drops_a_pending_pair(order):
+    """The third generator's lead X*Y divides the lcm X^2*Y^2 of the
+    pending pair of the first two and differs from both new lcms, so the
+    Gebauer-Moeller update deletes that pair before it is reduced; the
+    basis is still the one of the chain scan."""
+    ctx = VariableContext(("X", "Y", "Z", "W"))
+    gens = [P(ctx, "X^2*Y - Z^3"), P(ctx, "X*Y^2 - W^3"),
+            P(ctx, "X*Y - Z*W")]
+    _assert_same_reduced_basis([dict(g.terms) for g in gens],
+                               order.key_for(ctx), ctx.weighted_degree)
+
+
 def test_every_workload_basis_matches_gm_buchberger(shipped_cases,
                                                     probe_cases, monkeypatch):
     """Every basis build of the shipped cases and of the first eight probe
