@@ -11,7 +11,7 @@ cone = GradedAlgebra.validate(ctx, relations)
 print("cone over a curve in P^3: dim", cone.dimension,
       "reduced:", cone.is_reduced())
 
-theta = cone.jacobian_presentation().theta
+theta = cone.jacobian_presentation()
 print("presentation matrix of the differential module:")
 print(theta.pretty())
 

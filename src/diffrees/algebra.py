@@ -35,18 +35,6 @@ class IrrelevantLocalData(NamedTuple):
     at_most_2d_minus_1: bool
 
 
-class DifferentialPresentation(NamedTuple):
-    """Presentation of the differential module by the transposed Jacobian.
-
-    `theta` has entries reduced modulo the defining ideal; the module has
-    `generators` = n generators and rank equal to the quotient dimension
-    whenever the rank hypotheses (reduced, equidimensional) hold.
-    """
-    theta: PolyMatrix
-    rank: int
-    generators: int
-
-
 def validation_issues(context, relations):
     """All hypothesis violations for the would-be algebra, in a fixed order."""
     return _issues_and_ideal(context, relations)[0]
@@ -136,6 +124,11 @@ class GradedAlgebra:
     # -- differential module -----------------------------------------------------
 
     def jacobian_presentation(self):
+        """The presentation matrix theta of the differential module, the
+        transposed Jacobian with entries reduced modulo the defining ideal:
+        n rows, one per generator dX_i, and one column per relation.  The
+        module has rank `dimension` whenever the rank hypotheses (reduced,
+        equidimensional) hold."""
         if self._presentation is not None:
             return self._presentation
         ctx = self.context
@@ -146,11 +139,8 @@ class GradedAlgebra:
                 if not p.is_zero and p.is_constant:
                     raise ArithmeticError(
                         "constant Jacobian entry contradicts relations in m^2")
-        pres = DifferentialPresentation(theta=PolyMatrix(ctx, rows),
-                                        rank=self.dimension,
-                                        generators=ctx.arity)
-        self._presentation = pres
-        return pres
+        self._presentation = PolyMatrix(ctx, rows)
+        return self._presentation
 
     def jacobian_minors(self, size):
         """The size x size minors of `theta` in `PolyMatrix.minors` order,
@@ -159,7 +149,7 @@ class GradedAlgebra:
         reducedness and the test-element draws share them."""
         cached = self._minors.get(size)
         if cached is None:
-            minors = tuple(self.jacobian_presentation().theta.minors(size))
+            minors = tuple(self.jacobian_presentation().minors(size))
             cached = self._minors[size] = (minors,
                                            IdealHandle(self.context, minors))
         return cached

@@ -43,7 +43,6 @@ class CaseFile:
     mode: str = "pipeline"
     seed: int | None = None
     rowops: int = 0
-    path: str | None = None
 
     def seed_for(self, seed):
         """The seed a run uses: `seed` when given (0 included), else the
@@ -156,7 +155,7 @@ def load_case(path):
 
     return CaseFile(name=name, context=context, relations=tuple(relations),
                     expectations=expectations, mode=mode, seed=seed,
-                    rowops=rowops, path=str(path))
+                    rowops=rowops)
 
 
 def load_matrix_file(path):

@@ -225,7 +225,7 @@ def cmd_en_dump(args):
                       args.format, str(ex))
                 return EXIT_INVALID
             n = algebra.arity
-            theta = algebra.jacobian_presentation().theta
+            theta = algebra.jacobian_presentation()
             matrix = theta.submatrix(range(n - t, n), range(theta.ncols))
             quotient = algebra
         else:

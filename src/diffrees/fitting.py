@@ -24,7 +24,7 @@ def fitting_ideal(algebra, i):
     every height is taken of I + F_i, whose basis does that.  F_i = (1)
     once n - i <= 0 and (0) when the requested minors outsize the
     matrix."""
-    theta = algebra.jacobian_presentation().theta
+    theta = algebra.jacobian_presentation()
     size = algebra.arity - i
     if size <= 0:
         return IdealHandle(algebra.context, [algebra.context.one])
@@ -36,9 +36,8 @@ def fitting_ideal(algebra, i):
 @dataclass(frozen=True)
 class FittingRow:
     index: int                  # the i of F_i
-    ideal: IdealHandle
     height: float               # height in R, +inf for the unit ideal
-    height_off_irrelevant: float  # after saturating by the irrelevant ideal
+    height_off_irrelevant: float  # +inf when dim R/F_i <= 0, else height
 
     def bound(self, t, rank):
         return self.index - rank + t + 1
@@ -85,10 +84,9 @@ def fitting_profile(algebra):
     n, e = algebra.arity, algebra.dimension
     rows = []
     for i in range(e, n):
-        fi = fitting_ideal(algebra, i)
-        height = algebra.height_of(fi)
+        height = algebra.height_of(fitting_ideal(algebra, i))
         off = float("inf") if height >= algebra.dimension else height
-        rows.append(FittingRow(i, fi, height, off))
+        rows.append(FittingRow(i, height, off))
     heights = [r.height for r in rows]
     if heights != sorted(heights):
         raise AssertionError(f"Fitting heights must increase: {heights}")
@@ -102,9 +100,9 @@ def ft_condition(algebra, t, profile=None):
 
 def ft_condition_off_irrelevant(algebra, t, profile=None):
     """The F_t inequality checked away from the irrelevant maximal ideal,
-    on the heights off it: a row also passes when its Fitting ideal
-    becomes the unit ideal after saturating by the irrelevant ideal (every
-    failing prime then contains it)."""
+    on the heights off it: a row also passes when dim R/F_i <= 0, where
+    F_i cuts out at most the vertex, so every failing prime contains the
+    irrelevant ideal (see `fitting_profile`)."""
     return _ft_verdict(algebra, t, profile, off_irrelevant=True)
 
 
@@ -148,7 +146,7 @@ def euler_minor_identity(algebra):
     n, d = algebra.arity, algebra.dimension
     t = last_rows_size(algebra)
     ctx = algebra.context
-    theta = algebra.jacobian_presentation().theta
+    theta = algebra.jacobian_presentation()
     cols = tuple(range(t))
     last_rows = tuple(range(2 * d - 1, n))
     lhs = ctx.gen(n - 1) * theta.minor(last_rows, cols) * ctx.weights[n - 1]
@@ -166,7 +164,6 @@ def euler_minor_identity(algebra):
 
 @dataclass(frozen=True)
 class RowOpTrial:
-    matrix: tuple
     ideals_equal: bool
     height_full: float
     implication_holds: bool
@@ -192,7 +189,7 @@ def last_rows_probe(algebra, rowops=0, seed=0):
     """
     n, d = algebra.arity, algebra.dimension
     t = last_rows_size(algebra)
-    theta = algebra.jacobian_presentation().theta
+    theta = algebra.jacobian_presentation()
 
     def compare(matrix):
         # minors(t) runs over row sets in lexicographic order, so its last
@@ -213,7 +210,7 @@ def last_rows_probe(algebra, rowops=0, seed=0):
     for _ in range(rowops):
         u = _random_invertible(rng, n)
         eq_u, h_u, ok_u, _ = compare(theta.scaled_rows(u))
-        trials.append(RowOpTrial(tuple(map(tuple, u)), eq_u, h_u, ok_u))
+        trials.append(RowOpTrial(eq_u, h_u, ok_u))
     return LastRowsProbe(t=t, ideals_equal=equal, height_full=height_full,
                          height_last_rows=height_last,
                          implication_holds=ok and all(tr.implication_holds

@@ -13,11 +13,11 @@ basis are reduced on the same normal form (see `_schreyer_records`).
 Inside the kernel every exponent tuple is packed into one int, each
 exponent in a 32-bit field whose top bit is a guard bit: a product of
 monomials is one addition and a divisibility test one subtraction and
-mask (see `_Monomials`).  The order key of a packed monomial is one int
-as well, so the key of a product is one addition too.  The kernel's
-entry points take and return exponent-tuple dicts and pack only inside;
-an exponent that reaches 2^31 raises `ExponentOverflowError` instead of
-carrying into its neighbour.
+mask (see `_Monomials`).  Every order key is one int, linear in the
+exponents (`MonomialOrder.key_for`), so the key of a product is one
+addition too.  The kernel's entry points take and return exponent-tuple
+dicts and pack only inside; an exponent that reaches 2^31 raises
+`ExponentOverflowError` instead of carrying into its neighbour.
 
 All computations are exact over Q and deterministic: the inputs are
 taken in a fixed order and the pair queue is ordered by signature with a
@@ -98,16 +98,14 @@ def _steps():
 # neighbour.  Every product that enters a working polynomial (in `_nf`
 # and `_spoly`) has its guard bits tested, so no such monomial gets past.
 #
-# The order key of a packed monomial is one int: the flat tuple key k of
-# its exponent tuple read as the mixed-radix number
-# sum_j k_j 2^(64(s-1-j)), s = len(k).  Every coordinate lies in
-# (-2^63, 2^63) (see EXPONENT_LIMIT), so the lower digits never outweigh
-# a higher one and the ints compare like the tuples.  Every order the
-# kernel uses has coordinates affine in the exponents, with one linear
-# part in every module component, so for q = m - lm the key of e + q is
+# Every order key the kernel runs on is one int.  A ring key is linear in
+# the exponents, sum_i K_i e_i (`MonomialOrder.key_for`), and a Schreyer
+# key (`resolution`) is a shifted ring key of the exponent block plus an
+# offset per module component.  So for q = m - lm, zero in the component
+# coordinates since m and lm share a component, the key of e + q is
 # key(e) + key(m) - key(lm) for every term e of a reducer: the kernel
-# encodes a tuple key only where a monomial enters it (packing and S-pair
-# lcms) and adds for every product.
+# calls a key only where a monomial enters it (packing and S-pair lcms)
+# and adds for every product.
 #
 # Reductions are fraction-free: basis elements are content-free integer
 # polynomials with positive leading coefficient, and the working
@@ -116,7 +114,6 @@ def _steps():
 # results: the monic basis, a normal form and a syzygy record.
 
 _FIELD = (1 << 32) - 1     # the lowest field: the last exponent
-_DIGIT = 64                # bits per order-key coordinate
 
 
 class _Monomials(dict):
@@ -125,7 +122,7 @@ class _Monomials(dict):
     Packs and unpacks exponent tuples, and maps every packed monomial the
     kernel has met to its negated int key: a min-heap of (negated key,
     monomial) pops the largest monomial first, and the lead of a
-    polynomial is the monomial of least negated key.  `pack` encodes the
+    polynomial is the monomial of least negated key.  `pack` calls the
     key of a monomial it has not met; products get theirs by addition
     from their factors' keys, written where they enter a polynomial that
     outlives a reduction step.
@@ -139,19 +136,12 @@ class _Monomials(dict):
         self.guard = int.from_bytes(b"\x80\0\0\0" * length, "big")
         self._struct = struct.Struct(f">{length}I")
 
-    def int_key(self, e):
-        """The int key of an exponent tuple: its tuple key in base 2^64."""
-        k = 0
-        for c in self.key(e):
-            k = (k << _DIGIT) + c
-        return k
-
     def pack(self, e):
         if max(e) >= EXPONENT_LIMIT:
             raise exponent_overflow(e)
         m = int.from_bytes(self._struct.pack(*e), "big")
         if m not in self:
-            self[m] = -self.int_key(e)
+            self[m] = -self.key(e)
         return m
 
     def unpack(self, m):
@@ -468,7 +458,7 @@ def _buchberger(generators, key, counter):
                 raise mons.overflow(s)
             drop, index = sigs[larger]
             if not skipped(s, index, larger):
-                heapq.heappush(heap, (mons.int_key(mons.unpack(lcm)) + drop,
+                heapq.heappush(heap, (mons.key(mons.unpack(lcm)) + drop,
                                       index, larger, other, lcm, s))
 
     for t in range(len(basis)):
@@ -537,7 +527,7 @@ def _schreyer_records(family, key, counter):
                 continue
             lcm = q + lmi
             spoly, qi, qj = _spoly(basis[i], lmi, basis[j], lms[j], lcm,
-                                   -mons.int_key(unpack(lcm)), mons)
+                                   -mons.key(unpack(lcm)), mons)
             counter.spend()
             quotients = []
             if _nf(spoly, lms, basis, mons, counter, memo, quotients)[0]:

@@ -15,9 +15,11 @@ from fractions import Fraction
 from .errors import ContextMismatchError, ExponentOverflowError, ParseError
 
 # Every exponent stays below 2^31: the Groebner kernel packs each into a
-# 32-bit field whose top bit is a guard bit.  The kernel also writes a
-# flat int-tuple order key as one int with a 64-bit digit per coordinate,
-# which keeps the order while every coordinate lies in (-2^63, 2^63).
+# 32-bit field whose top bit is a guard bit.  An order key is one int: a
+# tuple of digits (a row of the order's weight matrix per digit, then a
+# Schreyer tie per frame stage) read in base 2^64, most significant digit
+# first.  The ints compare like the tuples while every digit lies in
+# (-2^63, 2^63), since the lower digits then never outweigh a higher one.
 # Each does: an exponent or its negative is below 2^31 in magnitude, and
 # below 2^32 in the F_0 image x^(a + L) a Schreyer key reads (L is an lcm
 # of stage-one leads); a weighted degree is below 2^32 times the weight
@@ -25,6 +27,7 @@ from .errors import ContextMismatchError, ExponentOverflowError, ParseError
 # Schreyer tie is below a rank.
 EXPONENT_LIMIT = 1 << 31
 WEIGHT_SUM_LIMIT = 1 << 31
+KEY_DIGIT = 64             # bits per order-key digit
 
 
 def exponent_overflow(e):
@@ -73,22 +76,29 @@ class MonomialOrder:
         return cls("block", front)
 
     def key_for(self, context):
-        """Return a sort key function on exponent tuples; larger key means
-        larger monomial.  Keys are flat integer tuples, all of one length
-        for a given order and context."""
-        weights = context.weights
+        """Return the order key on exponent tuples, e -> sum_i K_i e_i: one
+        int, larger for a larger monomial.  The vector K, built here once,
+        holds per variable its column of the order's weight matrix in base
+        2^64 (see EXPONENT_LIMIT), so the key of a product is the sum of
+        the keys of its factors."""
+        n, weights = context.arity, context.weights
         if self.kind == "lex":
-            return lambda e: e
-        if self.kind == "degrevlex":
-            return _drl_key(weights)
-        front = self.front
-        if front and front[-1] >= context.arity:
-            raise ValueError("front block index out of range")
-        back = tuple(i for i in range(context.arity) if i not in set(front))
-        fkey = _drl_key(tuple(weights[i] for i in front))
-        bkey = _drl_key(tuple(weights[i] for i in back))
-        return lambda e: (fkey(tuple(e[i] for i in front))
-                          + bkey(tuple(e[i] for i in back)))
+            vector = [1 << (KEY_DIGIT * (n - 1 - i)) for i in range(n)]
+        elif self.kind == "degrevlex":
+            vector = _drl_vector(weights)
+        else:
+            front = self.front
+            if front and front[-1] >= n:
+                raise ValueError("front block index out of range")
+            back = [i for i in range(n) if i not in front]
+            vector = [0] * n
+            # the front block's digits sit above the back block's
+            for block, shift in ((front, KEY_DIGIT * (len(back) + 1)),
+                                 (back, 0)):
+                for i, k in zip(block, _drl_vector([weights[i]
+                                                    for i in block])):
+                    vector[i] = k << shift
+        return lambda e: sum(map(operator.mul, vector, e))
 
     def __eq__(self, other):
         return (isinstance(other, MonomialOrder)
@@ -103,14 +113,12 @@ class MonomialOrder:
         return f"MonomialOrder.{self.kind}()"
 
 
-def _drl_key(weights):
-    """Flat key (deg, -x_n, ..., -x_1).  Every key of one order has the
-    same length, so keys of composite orders are plain concatenations and
-    compare like the nested pairs they stand for."""
-    def key(e):
-        return ((sum(map(operator.mul, weights, e)),)
-                + tuple(map(operator.neg, reversed(e))))
-    return key
+def _drl_vector(weights):
+    """K of weighted degrevlex on len(weights) variables: the digits
+    (deg, -x_n, ..., -x_1), so K_i = w_i 2^(64n) - 2^(64i)."""
+    top = KEY_DIGIT * len(weights)
+    return [(w << top) - (1 << (KEY_DIGIT * i))
+            for i, w in enumerate(weights)]
 
 
 LEX = MonomialOrder.lex()
@@ -142,7 +150,7 @@ class VariableContext:
         self.names = names
         self.weights = weights
         self._index = {n: i for i, n in enumerate(names)}
-        self._canon_key = _drl_key(weights)
+        self._canon_key = DEGREVLEX.key_for(self)
         self._hash = hash((names, weights))
 
     @property

@@ -25,7 +25,6 @@ class SymmetricPresentation:
     extended_context: VariableContext
     ideal: IdealHandle              # lifted relations + linear forms
     is_complete_intersection: bool
-    height: int
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ def symmetric_presentation(algebra):
     ctx = algebra.context
     big = extended_context(ctx)
     n = ctx.arity
-    theta = algebra.jacobian_presentation().theta
+    theta = algebra.jacobian_presentation()
     lifted = tuple(lift_to_extended(f, big) for f in algebra.relations)
     forms = []
     for j in range(theta.ncols):
@@ -85,7 +84,7 @@ def symmetric_presentation(algebra):
         height = big.arity - dim
     return SymmetricPresentation(
         algebra=algebra, extended_context=big, ideal=handle,
-        is_complete_intersection=height == count, height=height)
+        is_complete_intersection=height == count)
 
 
 TEST_ELEMENT_DRAWS = 64

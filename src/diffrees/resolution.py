@@ -26,37 +26,32 @@ the irrelevant maximal ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 
 from .errors import ResolutionLengthError
 from .groebner import _schreyer_records, _steps
-from .poly import DEGREVLEX
+from .poly import DEGREVLEX, KEY_DIGIT
 
 
-def _induced_key(ring_key, chain, n):
-    """The Schreyer order of a stage whose components carry `chain`.
+def _stage_key(ring_key, offsets, n, stage):
+    """The Schreyer order of frame stage `stage`, whose component j has
+    the int offset `offsets[j]`: x^a e_j keys as
+    (ring_key(a) << 64 stage) + offsets[j].
 
-    `chain[j]` is (position, lead, tie) for component j: the position-
-    over-term coordinate of the F_0 component its chain of leads ends in,
-    the sum of the lead exponents along that chain, and the negated index
-    of the generator at each stage.  A term x^a e_j then compares as its
-    image x^(a + lead) in F_0, ties broken toward the earlier generator at
-    the first stage that differs: the key the stage-by-stage induced
-    orders give, in one ring-key call.
+    The offsets of F_0, stage 0, are 0.  Generator j of the next stage,
+    with lead lm_j, has the offset (key(lm_j) << 64) - j, so a key reads
+    as the digits of the F_0 image x^(a + lead) of the term, lead the sum
+    of the lead exponents along its chain, then one tie digit per stage,
+    the negated generator index: a term compares as its F_0 image, ties
+    broken toward the earlier generator at the first stage that differs,
+    the order the stage-by-stage induced orders give.
     """
-    def key(t):
-        position, lead, tie = chain[t[n]]
-        return (position,) + ring_key(tuple(map(add, t[:n], lead))) + tie
-    return key
+    shift = KEY_DIGIT * stage
+    return lambda t: (ring_key(t[:n]) << shift) + offsets[t[n]]
 
 
-def _next_chain(chain, lms, n):
-    """The chain of the stage whose generators lead with `lms`."""
-    out = []
-    for j, lm in enumerate(lms):
-        position, lead, tie = chain[lm[n]]
-        out.append((position, tuple(map(add, lead, lm[:n])), tie + (-j,)))
-    return out
+def _next_offsets(key, lms):
+    """The offsets of the stage whose generators lead with `lms`."""
+    return [(key(lm) << KEY_DIGIT) - j for j, lm in enumerate(lms)]
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +96,7 @@ def free_resolution(handle):
     n = ctx.arity
     max_length = 2 * n + 4
     ring_key = DEGREVLEX.key_for(ctx)
-    chain = [(0, (0,) * n, ())]
-    key = _induced_key(ring_key, chain, n)
+    key = _stage_key(ring_key, [0], n, 0)
     counter = _steps()
 
     family = [{e + (0, 0): c for e, c in g.terms}
@@ -123,8 +117,8 @@ def free_resolution(handle):
             raise ResolutionLengthError(
                 f"resolution exceeded maximum length {max_length}")
         family = _schreyer_syzygies(family, key, counter, n)
-        chain = _next_chain(chain, leads, n)
-        key = _induced_key(ring_key, chain, n)
+        key = _stage_key(ring_key, _next_offsets(key, leads), n,
+                         len(constant_ranks))
         leads = [next(iter(el)) for el in family]
 
     return FreeResolution(tuple(ranks), tuple(shifts),

@@ -23,7 +23,7 @@ import json
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .algebra import GradedAlgebra
 from .errors import (ParseError, ResolutionLengthError,
@@ -203,14 +203,7 @@ def run_pipeline(case, seed=None):
             }
             with _stage(report, "spread"):
                 spread_rec = analytic_spread(rees)
-            report.spread = {
-                "value": spread_rec.value,
-                "lower": spread_rec.lower,
-                "upper": spread_rec.upper,
-                "generator_bound": spread_rec.generator_bound,
-                "bounds_ok": spread_rec.bounds_ok,
-                "rees_dimension": spread_rec.rees_dimension,
-            }
+            report.spread = asdict(spread_rec)
         else:
             note = "rank hypotheses not met: base is not reduced"
             report.linear_type = {"holds": None, "note": note}

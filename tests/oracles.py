@@ -7,26 +7,26 @@ ideal quotients instead of the one-shot elimination trick.
 
 The second half keeps slow paths the library replaced by exact shortcuts,
 so the shortcuts can be checked against them: the nested order keys, the
-ring kernel on exponent tuples before monomials were packed into ints,
-the max-scan normal form (with or without a signature bound), the
-chain-scan Buchberger and the multi-pass interreduction of the ring
-kernel (these two build every module basis the tests need, since the
-library's kernel builds only ring bases), the Gebauer-Moeller engine
-that the signature-based pair loop replaced, the
-separate module engine over (exponents, component) terms that
-resolutions ran on before the ring kernel took the flat module encoding,
-with a record for every pair (and syzygy generators by eliminating
-components on it), the pass that pruned syzygies to minimal generators
-with one basis per candidate, the minimization of a tower by
-`Polynomial` arithmetic that rescans every entry for a unit, the ideal
-quotient and the nonzerodivisor test by
-(I : g) == I, and the saturation that gave the Fitting heights off the
-irrelevant ideal.  Last come the module presentations (columns of a
-polynomial matrix) that `free_resolution` resolved before it took only
-ideals, and the minimized tower it built before it read Betti numbers
-off the Schreyer frame: stages
-interreduced under nested Schreyer keys, then minimized by cancelling
-constant entries on term dicts, and `syzygies`, pruned the same way.
+flat tuple keys that the int order keys read in base 2^64, the Schreyer
+keys built from chains of such tuples, the ring kernel on exponent tuples
+before monomials were packed into ints, the max-scan normal form (with or
+without a signature bound), the chain-scan Buchberger and the multi-pass
+interreduction of the ring kernel (these two build every module basis the
+tests need, since the library's kernel builds only ring bases), the
+Gebauer-Moeller engine that the signature-based pair loop replaced, the
+separate module engine over (exponents, component) terms that resolutions
+ran on before the ring kernel took the flat module encoding, with a
+record for every pair (and syzygy generators by eliminating components on
+it), the pass that pruned syzygies to minimal generators with one basis
+per candidate, the minimization of a tower by `Polynomial` arithmetic
+that rescans every entry for a unit, the ideal quotient and the
+nonzerodivisor test by (I : g) == I, and the saturation that gave the
+Fitting heights off the irrelevant ideal.  Last come the module
+presentations (columns of a polynomial matrix) that `free_resolution`
+resolved before it took only ideals, and the minimized tower it built
+before it read Betti numbers off the Schreyer frame: stages interreduced
+under nested Schreyer keys, then minimized by cancelling constant entries
+on term dicts, and `syzygies`, pruned the same way.
 """
 
 import heapq
@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import add, ge, neg, sub
+from operator import add, ge, mul, neg, sub
 
 from diffrees.eagon_northcott import FreeComplex
 from diffrees.errors import ResolutionLengthError
@@ -92,7 +92,7 @@ def naive_remainder(p, basis, key):
 def naive_buchberger(context, generators, order=DEGREVLEX):
     """No-criteria Buchberger followed by minimalization and tail
     reduction; returns the monic reduced basis sorted by leading term."""
-    key = order.key_for(context)
+    key = flat_key_for(order, context)
     basis = [g for g in generators if not g.is_zero]
     if not basis:
         return ()
@@ -150,7 +150,7 @@ def brute_force_dimension(handle):
     """Largest variable subset missing the support of every leading term,
     found by enumerating all subsets; -1 for the unit ideal."""
     ctx = handle.context
-    key = DEGREVLEX.key_for(ctx)
+    key = flat_key_for(DEGREVLEX, ctx)
     gb = handle.groebner_basis()
     if any(g.is_constant and not g.is_zero for g in gb):
         return -1
@@ -168,7 +168,7 @@ def brute_force_dimension(handle):
 def exact_divide(p, g):
     """p / g by textbook division; raises when g does not divide p."""
     ctx = p.context
-    key = DEGREVLEX.key_for(ctx)
+    key = flat_key_for(DEGREVLEX, ctx)
     glm = _leading(g, key)
     quotient = ctx.zero
     while not p.is_zero:
@@ -221,7 +221,7 @@ def hilbert_numerator_from_leading_terms(handle):
     from collections import Counter
     ctx = handle.context
     assert ctx.is_standard_graded
-    key = DEGREVLEX.key_for(ctx)
+    key = flat_key_for(DEGREVLEX, ctx)
     lms = [_leading(g, key) for g in handle.groebner_basis()]
     out = Counter({0: 1})
     for r in range(1, len(lms) + 1):
@@ -245,6 +245,63 @@ def hilbert_numerator_from_resolution(resolution):
 
 # ---------------------------------------------------------------------------
 # replaced paths
+
+def flat_key_for(order, context):
+    """`MonomialOrder.key_for` before order keys were ints: a sort key
+    function on exponent tuples, larger key meaning larger monomial.  Keys
+    are flat integer tuples, all of one length for a given order and
+    context."""
+    weights = context.weights
+    if order.kind == "lex":
+        return lambda e: e
+    if order.kind == "degrevlex":
+        return _drl_key(weights)
+    front = order.front
+    if front and front[-1] >= context.arity:
+        raise ValueError("front block index out of range")
+    back = tuple(i for i in range(context.arity) if i not in set(front))
+    fkey = _drl_key(tuple(weights[i] for i in front))
+    bkey = _drl_key(tuple(weights[i] for i in back))
+    return lambda e: (fkey(tuple(e[i] for i in front))
+                      + bkey(tuple(e[i] for i in back)))
+
+
+def _drl_key(weights):
+    """Flat key (deg, -x_n, ..., -x_1).  Every key of one order has the
+    same length, so keys of composite orders are plain concatenations and
+    compare like the nested pairs they stand for."""
+    def key(e):
+        return ((sum(map(mul, weights, e)),)
+                + tuple(map(neg, reversed(e))))
+    return key
+
+
+def induced_key(ring_key, chain, n):
+    """The Schreyer order of a stage whose components carry `chain`, on
+    flat tuple keys, as `resolution` built it before its keys were ints.
+
+    `chain[j]` is (position, lead, tie) for component j: the position-
+    over-term coordinate of the F_0 component its chain of leads ends in,
+    the sum of the lead exponents along that chain, and the negated index
+    of the generator at each stage.  A term x^a e_j then compares as its
+    image x^(a + lead) in F_0, ties broken toward the earlier generator at
+    the first stage that differs: the key the stage-by-stage induced
+    orders give, in one ring-key call.
+    """
+    def key(t):
+        position, lead, tie = chain[t[n]]
+        return (position,) + ring_key(tuple(map(add, t[:n], lead))) + tie
+    return key
+
+
+def next_chain(chain, lms, n):
+    """The chain of the stage whose generators lead with `lms`."""
+    out = []
+    for j, lm in enumerate(lms):
+        position, lead, tie = chain[lm[n]]
+        out.append((position, tuple(map(add, lead, lm[:n])), tie + (-j,)))
+    return out
+
 
 def nested_key_for(order, context):
     """The order keys before they were flattened: degrevlex keys were
@@ -427,18 +484,25 @@ def tuple_spoly(gi, lmi, gj, lmj):
 
 def int_key(key_tuple):
     """A tuple order key read as one int, with a 64-bit digit per
-    coordinate, as `groebner._Monomials.int_key` encodes it."""
+    coordinate, most significant first: the int key of the library that
+    holds the same digits."""
     return sum(c << (64 * (len(key_tuple) - 1 - i))
                for i, c in enumerate(key_tuple))
+
+
+def int_keyed(key):
+    """The tuple key `key` as an int key, the form the library's kernels
+    take."""
+    return lambda e: int_key(key(e))
 
 
 def max_scan_nf(poly, lms, basis, key, counter, memo, quotients=None,
                 bound=None):
     """`groebner._nf` as it was: the lead found by max() over the whole
     working polynomial at every step.  With `bound` = (sigs, limit), as
-    `groebner._nf` takes it, a term m is reduced by the first reducer k,
-    by a fresh scan of every lead, whose multiple has the signature
-    (int key of m + sigs[k][0], sigs[k][1]) below `limit`."""
+    `groebner._nf` takes it, `key` is an int key and a term m is reduced
+    by the first reducer k, by a fresh scan of every lead, whose multiple
+    has the signature (key of m + sigs[k][0], sigs[k][1]) below `limit`."""
     work = {e: c for e, c in poly.items() if c}
     mult = math.lcm(*(c.denominator for c in work.values()))
     scale = Fraction(mult)
@@ -459,7 +523,7 @@ def max_scan_nf(poly, lms, basis, key, counter, memo, quotients=None,
                 memo[m] = (len(lms), idx)
         else:
             sigs, limit = bound
-            at = int_key(key(m))
+            at = key(m)
             idx = next((k for k in range(len(lms))
                         if mono_divide(m, lms[k]) is not None
                         and (at + sigs[k][0], sigs[k][1]) < limit), None)
@@ -599,7 +663,7 @@ def gm_buchberger(generators, key, wdeg, counter):
                 continue
             pending[(i, t)] = lcm
             e = unpack(lcm)
-            heapq.heappush(heap, (wdeg(e), mons.int_key(e), i, t))
+            heapq.heappush(heap, (wdeg(e), mons.key(e), i, t))
 
     for g in generators:
         lm, ints = _int_normalize(g, mons)
@@ -805,7 +869,7 @@ def module_resolution_stages(pres):
     """The stages of `free_resolution` on the module engine above: per
     stage, the family (decreasing leads) and the records of its rerun."""
     ctx = pres.context
-    key = pot_key(DEGREVLEX.key_for(ctx))
+    key = pot_key(flat_key_for(DEGREVLEX, ctx))
     wdeg = ctx.weighted_degree
     columns = []
     for j in range(pres.matrix.ncols):
@@ -842,7 +906,7 @@ def syzygy_generators(pres):
                for e, c in pres.matrix.entry(i, j).terms}
         col[(unit, r + j)] = Fraction(1)
         columns.append(col)
-    key = pot_key(DEGREVLEX.key_for(ctx))
+    key = pot_key(flat_key_for(DEGREVLEX, ctx))
     gens, lms, _, _ = module_buchberger(columns, key, ctx.weighted_degree,
                                        StepCounter())
     gens, lms = interreduce_module(gens, lms, key, StepCounter())
@@ -1038,7 +1102,7 @@ def presentation_of_ideal(handle):
 def position_key(ctx):
     """Position-over-term over degrevlex on flat module terms: earlier
     components dominate."""
-    ring_key = DEGREVLEX.key_for(ctx)
+    ring_key = flat_key_for(DEGREVLEX, ctx)
     n = ctx.arity
     return lambda t: (t[-1],) + ring_key(t[:n])
 
@@ -1246,7 +1310,7 @@ def minimized_free_resolution(pres):
         if len(stages) > max_length:
             raise ResolutionLengthError(
                 f"resolution exceeded maximum length {max_length}")
-        syz = _schreyer_syzygies(family, key, counter, n)
+        syz = _schreyer_syzygies(family, int_keyed(key), counter, n)
         if not syz:
             break
         key = nested_induced_key(key, lms, n)
@@ -1290,7 +1354,7 @@ def syzygies(pres):
     heads, reduced = multipass_interreduce(basis, lms, key, counter)
     found = [{t[:n] + (t[n] - r, t[n + 1]): c for t, c in el.items()}
              for lm, el in zip(heads, reduced) if lm[n] >= r]
-    relations = _schreyer_syzygies(found, key, counter, n)
+    relations = _schreyer_syzygies(found, int_keyed(key), counter, n)
     degrees = column_degrees(pres)
     found_shifts = _stage_shifts(ctx, found, degrees)
     shifts = [dict(enumerate(found_shifts)),

@@ -128,7 +128,7 @@ def test_acyclicity_negative_control():
 
 def test_acyclicity_in_quotient(curve_cone):
     # last-rows block of the curve cone: bound m - t + 1 equals dim
-    theta = curve_cone.jacobian_presentation().theta
+    theta = curve_cone.jacobian_presentation()
     n, d = curve_cone.arity, curve_cone.dimension
     t = n - 2 * d + 1
     block = theta.submatrix(range(n - t, n), range(theta.ncols))
@@ -173,7 +173,7 @@ def test_exactness_crosscheck_on_last_rows_block():
     algebra = GradedAlgebra.validate(ctx, [f1, f2])
     n, d = algebra.arity, algebra.dimension
     t = n - 2 * d + 1
-    theta = algebra.jacobian_presentation().theta
+    theta = algebra.jacobian_presentation()
     block = theta.submatrix(range(n - t, n), range(theta.ncols))
     record = en_acyclicity(block, algebra)
     assert record.criterion_met and record.minor_height == 2

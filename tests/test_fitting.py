@@ -26,7 +26,7 @@ def test_two_by_two_determinant():
 
 
 def test_one_by_one_minors_are_entries(quadric_cone):
-    theta = quadric_cone.jacobian_presentation().theta
+    theta = quadric_cone.jacobian_presentation()
     assert [str(p) for p in theta.minors(1)] == ["Y", "X", "-2*Z"]
 
 
@@ -81,8 +81,10 @@ def test_determinantal_inclusion(curve_cone):
     rows = profile.rows
     for smaller, larger in zip(rows, rows[1:]):
         ambient = curve_cone.defining_ideal
-        assert all((ambient + larger.ideal).contains(g)
-                   for g in smaller.ideal.generators)
+        larger_ideal = fitting_ideal(curve_cone, larger.index)
+        assert all((ambient + larger_ideal).contains(g)
+                   for g in fitting_ideal(curve_cone,
+                                          smaller.index).generators)
     heights = [r.height for r in rows]
     assert heights == sorted(heights)
 
@@ -152,7 +154,8 @@ def test_off_irrelevant_dimension_check_matches_saturation(cases_dir):
     finite = 0
     for algebra in algebras:
         for row in fitting_profile(algebra).rows:
-            expected = saturated_height_off_irrelevant(algebra, row.ideal)
+            expected = saturated_height_off_irrelevant(
+                algebra, fitting_ideal(algebra, row.index))
             assert row.height_off_irrelevant == expected, (algebra, row.index)
             finite += expected != float("inf")
     assert finite
@@ -191,7 +194,8 @@ def test_is_reduced_shares_the_profile_basis_of_i_plus_f_e(monkeypatch):
     monkeypatch.setattr(IdealHandle, "groebner_basis", recording)
     assert algebra.is_reduced()
     profile = fitting_profile(algebra)
-    assert built == [algebra.ideal_sum(row.ideal) for row in profile.rows]
+    assert built == [algebra.ideal_sum(fitting_ideal(algebra, row.index))
+                     for row in profile.rows]
 
 
 def test_jacobian_minors_are_computed_once_per_size(monkeypatch):
@@ -202,7 +206,7 @@ def test_jacobian_minors_are_computed_once_per_size(monkeypatch):
     ctx = VariableContext(("X", "Y", "Z", "W"))
     algebra = GradedAlgebra.validate(ctx, [
         P(ctx, "X^2 + Y^2 + Z^2 + W^2"), P(ctx, "X^3 + 2*Y^3 + 3*Z^3 + 4*W^3")])
-    theta = algebra.jacobian_presentation().theta
+    theta = algebra.jacobian_presentation()
     expected = {size: tuple(theta.minors(size)) for size in (1, 2)}
     sizes = []
     minors = PolyMatrix.minors
@@ -216,7 +220,8 @@ def test_jacobian_minors_are_computed_once_per_size(monkeypatch):
     profile = fitting_profile(algebra)
     find_test_element(algebra)
     assert sorted(sizes) == [1, 2]
-    assert all(row.ideal is fitting_ideal(algebra, row.index)
+    assert all(fitting_ideal(algebra, row.index)
+               is algebra.jacobian_minors(algebra.arity - row.index)[1]
                for row in profile.rows)
     assert {size: algebra.jacobian_minors(size)[0]
             for size in (1, 2)} == expected
@@ -236,7 +241,7 @@ def test_last_rows_minors_are_the_tail_of_the_full_list():
     rng = random.Random(0)
     for _name, algebra in probe_corpus(seed=0, count=20):
         n, t = algebra.arity, last_rows_size(algebra)
-        theta = algebra.jacobian_presentation().theta
+        theta = algebra.jacobian_presentation()
         for matrix in (theta, theta.scaled_rows(_random_invertible(rng, n))):
             full = [algebra.reduce(m) for m in matrix.minors(t)]
             last = [algebra.reduce(m)

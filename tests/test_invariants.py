@@ -21,6 +21,20 @@ UNCALLED_KEPT = {
     "run_case": "bench/worker.py runs every benchmark instance through it",
 }
 
+# Fields of records (dataclasses and NamedTuples) that no code in `src/`
+# reads as an attribute, kept for their outside readers; a class name
+# keeps every field of the class.
+UNREAD_KEPT = {
+    "FreeResolution.shifts": "the Hilbert-numerator check of the frame "
+                             "(ROADMAP item 7, tests/test_resolution.py)",
+    "DimensionReport.witness": "demos/01_groebner_basics.py prints the "
+                               "independent variables",
+    "NonzerodivisorCheck.note": "says why a check failed, for the caller "
+                                "who asks (tests/test_algebra.py)",
+    "IrrelevantLocalData": "run_pipeline serializes it whole by _asdict",
+    "SpreadRecord": "run_pipeline serializes it whole by asdict",
+}
+
 
 def test_no_assert_statements_in_the_package():
     found = []
@@ -49,9 +63,9 @@ def test_only_groebner_runs_a_heap():
 
 def test_reduction_loops_make_no_fraction_and_no_tuple_key():
     """The Buchberger loop, the S-polynomial and the normal form run on
-    ints: scales and multipliers are int pairs, and every order key is an
-    int added from others, so they neither name `Fraction` nor call a
-    tuple key."""
+    ints: scales and multipliers are int pairs, and the key of every
+    product is an int added from others, so they do not name `Fraction`
+    and the S-polynomial and the normal form call no order key."""
     path = Path(diffrees.__file__).parent / "groebner.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     functions = {node.name: node for node in tree.body
@@ -66,7 +80,7 @@ def test_reduction_loops_make_no_fraction_and_no_tuple_key():
         called = {getattr(node.func, "attr", getattr(node.func, "id", None))
                   for node in ast.walk(functions[name])
                   if isinstance(node, ast.Call)}
-        assert not called & {"key", "int_key", "key_for"}, name
+        assert not called & {"key", "key_for"}, name
 
 
 def test_step_budget_is_opened_only_at_the_entry_points():
@@ -149,3 +163,40 @@ def test_every_definition_has_a_caller():
                     uncalled.add(owner + name)
     assert uncalled - traced - set(UNCALLED_KEPT) == set()
     assert set(UNCALLED_KEPT) <= uncalled
+
+
+def _record_fields(tree):
+    """(class, field) for every annotated field of a dataclass or a
+    NamedTuple defined at the top of `tree`."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [getattr(d, "func", d) for d in node.decorator_list]
+        if not ("dataclass" in [getattr(d, "id", None) for d in decorators]
+                or "NamedTuple" in [getattr(b, "id", None)
+                                    for b in node.bases]):
+            continue
+        for member in node.body:
+            if (isinstance(member, ast.AnnAssign)
+                    and isinstance(member.target, ast.Name)):
+                yield node.name, member.target.id
+
+
+def test_every_record_field_has_a_reader():
+    """Every field of a dataclass or a NamedTuple in the package is read
+    in `src/` as an attribute of that name, unless UNREAD_KEPT names its
+    reader; each UNREAD_KEPT entry names a class or a field with a field
+    that nothing in `src/` reads."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(Path(diffrees.__file__).parent.glob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = {(owner, name) for tree in trees
+              for owner, name in _record_fields(tree) if name not in read}
+    assert {f"{owner}.{name}" for owner, name in unread
+            if owner not in UNREAD_KEPT
+            and f"{owner}.{name}" not in UNREAD_KEPT} == set()
+    for entry in UNREAD_KEPT:
+        assert any(entry in (owner, f"{owner}.{name}")
+                   for owner, name in unread), entry

@@ -16,7 +16,9 @@ Schreyer key must agree with the old module engine's.  A normal form
 bounded by a signature must take the reducers a max scan under the same
 bound takes.  The signature-based pair loop must give the reduced bases
 that the Gebauer-Moeller engine it replaced and the no-criteria oracle
-give.
+give.  Every int order key must hold the digits of the flat tuple key of
+the oracles in base 2^64 and order like it, up to the bounds stated at
+`EXPONENT_LIMIT`.
 """
 
 from contextlib import contextmanager
@@ -30,9 +32,10 @@ import oracles
 from diffrees import groebner
 from diffrees.groebner import (IdealHandle, StepCounter, _int_normalize,
                                _Monomials)
-from diffrees.poly import (DEGREVLEX, EXPONENT_LIMIT, LEX, MonomialOrder,
-                           Polynomial, VariableContext)
-from diffrees.resolution import _induced_key, _next_chain, free_resolution
+from diffrees.poly import (DEGREVLEX, EXPONENT_LIMIT, KEY_DIGIT, LEX,
+                           WEIGHT_SUM_LIMIT, MonomialOrder, Polynomial,
+                           VariableContext)
+from diffrees.resolution import _next_offsets, _stage_key, free_resolution
 from diffrees.verifier import run_case
 from oracles import position_key
 
@@ -199,11 +202,14 @@ def test_signature_engine_matches_old_engines(drawn):
                 == oracles.naive_buchberger(ctx, gens, order))
 
 
-def _assert_same_reduced_basis(generators, key, wdeg):
+def _assert_same_reduced_basis(generators, order, ctx):
     """The Gebauer-Moeller engine and the signature-based one give the
-    reduced basis of the chain scan."""
-    ref = oracles.chain_scan_buchberger(generators, key, wdeg, StepCounter())
-    reduced = oracles.multipass_interreduce(*ref, key, StepCounter())
+    reduced basis of the chain scan, which runs on the tuple keys."""
+    key, wdeg = order.key_for(ctx), ctx.weighted_degree
+    ref_key = oracles.flat_key_for(order, ctx)
+    ref = oracles.chain_scan_buchberger(generators, ref_key, wdeg,
+                                        StepCounter())
+    reduced = oracles.multipass_interreduce(*ref, ref_key, StepCounter())
     assert oracles.gm_buchberger(generators, key, wdeg,
                                  StepCounter()) == reduced
     assert groebner._buchberger(generators, key, StepCounter()) == reduced
@@ -219,8 +225,8 @@ def test_pair_update_matches_chain_scan(drawn):
     some generators or add combinations of them."""
     ctx, gens = drawn
     for order in (DEGREVLEX, LEX, MonomialOrder.elimination((0,))):
-        _assert_same_reduced_basis([dict(g.terms) for g in gens],
-                                   order.key_for(ctx), ctx.weighted_degree)
+        _assert_same_reduced_basis([dict(g.terms) for g in gens], order,
+                                   ctx)
 
 
 @pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
@@ -232,8 +238,7 @@ def test_pair_update_drops_a_pending_pair(order):
     ctx = VariableContext(("X", "Y", "Z", "W"))
     gens = [P(ctx, "X^2*Y - Z^3"), P(ctx, "X*Y^2 - W^3"),
             P(ctx, "X*Y - Z*W")]
-    _assert_same_reduced_basis([dict(g.terms) for g in gens],
-                               order.key_for(ctx), ctx.weighted_degree)
+    _assert_same_reduced_basis([dict(g.terms) for g in gens], order, ctx)
 
 
 def test_every_workload_basis_matches_gm_buchberger(shipped_cases,
@@ -274,6 +279,7 @@ def test_redundant_generators_are_reduced_away(monkeypatch):
     gens = [f1 + f3, f2 * 3, f1, f2, f3, f1, f2 - f3]
     generators = [dict(g.terms) for g in gens]
     key, wdeg = DEGREVLEX.key_for(ctx), ctx.weighted_degree
+    ref_key = oracles.flat_key_for(DEGREVLEX, ctx)
     found = []
     interreduce = groebner._interreduce
 
@@ -284,8 +290,8 @@ def test_redundant_generators_are_reduced_away(monkeypatch):
     monkeypatch.setattr(groebner, "_interreduce", recording)
     got_c, ref_c = StepCounter(), StepCounter()
     reduced = groebner._buchberger(generators, key, got_c)
-    ref = oracles.chain_scan_buchberger(generators, key, wdeg, ref_c)
-    assert reduced == oracles.multipass_interreduce(*ref, key, ref_c)
+    ref = oracles.chain_scan_buchberger(generators, ref_key, wdeg, ref_c)
+    assert reduced == oracles.multipass_interreduce(*ref, ref_key, ref_c)
     assert (tuple(Polynomial._make(ctx, d) for d in reduced[1])
             == oracles.naive_buchberger(ctx, gens)
             == oracles.naive_buchberger(ctx, [f1, f2, f3]))
@@ -298,13 +304,25 @@ def _flat(term, rank):
     return e + (c, rank - 1 - c)
 
 
-def _schreyer_key(ctx, rank, lms):
-    """The flat induced key of the stage after one of rank `rank` whose
-    generators lead with the flat terms `lms`."""
+def _pot_offsets(n, rank):
+    """The stage-0 offsets of a position-over-term F_0 of rank `rank` over
+    n variables: the position digit r-1-c above the n + 1 ring digits."""
+    return [(rank - 1 - c) << (KEY_DIGIT * (n + 1)) for c in range(rank)]
+
+
+def _schreyer_keys(ctx, rank, stages):
+    """The int Schreyer key of the frame stage after `stages`, each a list
+    of flat leads of the stage before, over a position-over-term F_0 of
+    rank `rank`, and the oracle's tuple key whose digits it holds."""
     n = ctx.arity
+    ring_key = DEGREVLEX.key_for(ctx)
+    key = _stage_key(ring_key, _pot_offsets(n, rank), n, 0)
     chain = [(rank - 1 - c, (0,) * n, ()) for c in range(rank)]
-    return _induced_key(DEGREVLEX.key_for(ctx), _next_chain(chain, lms, n),
-                        n)
+    for stage, lms in enumerate(stages, 1):
+        key = _stage_key(ring_key, _next_offsets(key, lms), n, stage)
+        chain = oracles.next_chain(chain, lms, n)
+    return key, oracles.induced_key(oracles.flat_key_for(DEGREVLEX, ctx),
+                                    chain, n)
 
 
 @st.composite
@@ -329,9 +347,9 @@ def test_schreyer_key_normal_forms_match_max_scan(drawn):
     engine's normal form on (exponents, component) terms."""
     prev_lms, reducers, element = drawn
     ctx = VariableContext(("X", "Y", "Z"))
-    old_key = oracles.schreyer_key(oracles.pot_key(DEGREVLEX.key_for(ctx)),
-                                   prev_lms)
-    key = _schreyer_key(ctx, 2, [_flat(t, 2) for t in prev_lms])
+    old_key = oracles.schreyer_key(
+        oracles.pot_key(oracles.flat_key_for(DEGREVLEX, ctx)), prev_lms)
+    key, _ = _schreyer_keys(ctx, 2, [[_flat(t, 2) for t in prev_lms]])
     mons = _Monomials(key, 5)
 
     def packed(el):
@@ -358,7 +376,7 @@ def test_schreyer_key_normal_forms_match_max_scan(drawn):
 
 
 # ---------------------------------------------------------------------------
-# flat keys
+# flat tuple keys, the reference of the int keys
 
 def _sign(a, b):
     return (a > b) - (a < b)
@@ -377,7 +395,7 @@ def test_flat_keys_order_like_nested_keys(drawn):
     orders += [MonomialOrder.elimination(tuple(range(k)))
                for k in range(1, n + 1)]
     for order in orders:
-        flat = order.key_for(ctx)
+        flat = oracles.flat_key_for(order, ctx)
         nested = oracles.nested_key_for(order, ctx)
         assert len({len(flat(m)) for m in monomials}) == 1
         for a in monomials:
@@ -388,8 +406,8 @@ def test_flat_keys_order_like_nested_keys(drawn):
     nested_pot = oracles.nested_pot_key(
         oracles.nested_key_for(DEGREVLEX, ctx))
     prev_lms = [(m, k % rank) for k, m in enumerate(monomials)]
-    flat_schreyer = _schreyer_key(ctx, rank,
-                                  [_flat(t, rank) for t in prev_lms])
+    _, flat_schreyer = _schreyer_keys(
+        ctx, rank, [[_flat(t, rank) for t in prev_lms]])
     nested_schreyer = oracles.nested_schreyer_key(nested_pot, prev_lms)
     terms = [(m, c) for c, m in enumerate(monomials)]
     for s in terms:
@@ -403,7 +421,10 @@ def test_flat_keys_order_like_nested_keys(drawn):
 
 
 def test_degrevlex_keys_are_flat(xyz):
-    assert DEGREVLEX.key_for(xyz)((1, 2, 0)) == (3, 0, -2, -1)
+    """The tuple key is (deg, -z, -y, -x); the int key holds its digits."""
+    assert oracles.flat_key_for(DEGREVLEX, xyz)((1, 2, 0)) == (3, 0, -2, -1)
+    assert DEGREVLEX.key_for(xyz)((1, 2, 0)) == (
+        (3 << 3 * KEY_DIGIT) - (2 << KEY_DIGIT) - 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -415,39 +436,56 @@ def test_degrevlex_keys_are_flat(xyz):
     st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1,
              max_size=4))))
 def test_induced_keys_are_the_nested_keys(drawn):
-    """Over a chain of up to three stages, the flat induced key of a term
-    is the very tuple the stage-by-stage nested keys give."""
+    """Over a chain of up to three stages from a position-over-term F_0,
+    the int key of a term holds the digits of the tuple the
+    stage-by-stage nested keys give."""
     rank, stages, exponents = drawn
     n = len(exponents[0])
     ctx = VariableContext(tuple(f"X{i + 1}" for i in range(n)))
     ring_key = DEGREVLEX.key_for(ctx)
-    chain = [(rank - 1 - c, (0,) * n, ()) for c in range(rank)]
+    key = _stage_key(ring_key, _pot_offsets(n, rank), n, 0)
     nested = position_key(ctx)
-    for leads in stages:
+    for stage, leads in enumerate(stages, 1):
         lms = [_flat((e, c % rank), rank) for e, c in leads]
-        chain = _next_chain(chain, lms, n)
+        key = _stage_key(ring_key, _next_offsets(key, lms), n, stage)
         nested = oracles.nested_induced_key(nested, lms, n)
         rank = len(lms)
-        flat = _induced_key(ring_key, chain, n)
         for e in exponents:
             for c in range(rank):
                 t = _flat((e, c), rank)
-                assert flat(t) == nested(t)
+                assert key(t) == oracles.int_key(nested(t))
 
 
 # ---------------------------------------------------------------------------
-# int keys
+# int keys at the bounds
 
 _EXPONENT = st.integers(0, EXPONENT_LIMIT - 1)
+# a chain of three Schreyer leads sums to below 2^31, as an lcm of
+# stage-one leads does
+_X = (EXPONENT_LIMIT - 1) // 3
+_CHAIN_EXPONENT = st.integers(0, _X)
+
+
+def _weights_at_the_limit(n):
+    """n positive weights summing to exactly WEIGHT_SUM_LIMIT."""
+    cuts = st.lists(st.integers(1, WEIGHT_SUM_LIMIT - 1), min_size=n - 1,
+                    max_size=n - 1, unique=True)
+    return cuts.map(lambda c: tuple(
+        b - a for a, b in zip([0, *sorted(c)],
+                              [*sorted(c), WEIGHT_SUM_LIMIT])))
 
 
 @st.composite
 def keyed_terms(draw):
-    """Weights 1-3 on 1-10 variables, a rank 1-3 and a Schreyer chain over
-    it, flat module terms with exponents up to 2^31 - 1 near one another,
-    and a shift q with two terms that stay valid when multiplied by it."""
+    """Weights 1-3 or weights summing to WEIGHT_SUM_LIMIT on 1-10
+    variables; a rank 1-3, the leads of one Schreyer stage over a
+    position-over-term F_0 of that rank, and those of three stages over
+    one of rank 3 whose last stage has that rank; flat module terms with
+    exponents up to 2^31 - 1 near one another; and a shift q with two
+    terms that stay valid when multiplied by it."""
     n = draw(st.integers(1, 10))
-    weights = draw(st.tuples(*[st.integers(1, 3)] * n))
+    weights = draw(st.tuples(*[st.integers(1, 3)] * n)
+                   | _weights_at_the_limit(n))
     rank = draw(st.integers(1, 3))
     component = st.integers(0, rank - 1)
     exps = st.tuples(*[_EXPONENT] * n)
@@ -460,41 +498,61 @@ def keyed_terms(draw):
                           max_size=6))
     leads = draw(st.lists(st.tuples(exps, component), min_size=rank,
                           max_size=rank))
+    chain_exps = st.tuples(*[_CHAIN_EXPONENT] * n)
+    stages, before = [], 3
+    for size in (draw(st.integers(1, 3)), draw(st.integers(1, 3)), rank):
+        stages.append([_flat((draw(chain_exps),
+                              draw(st.integers(0, before - 1))), before)
+                       for _ in range(size)])
+        before = size
     q = draw(exps)
     below = st.tuples(*[st.integers(0, EXPONENT_LIMIT - 1 - x) for x in q])
     shifted = [(draw(below), draw(component)) for _ in range(2)]
-    return weights, rank, terms, leads, q, shifted
+    return weights, rank, terms, leads, stages, q, shifted
 
 
-def _tuple_keys(ctx, rank, leads):
-    """The tuple keys the kernel runs on, on flat terms of rank `rank`:
-    lex, degrevlex, every block order and a Schreyer key."""
+def _keys(ctx, rank, leads, stages):
+    """The int keys the kernel runs on, each with the oracle's tuple key
+    whose digits it holds and the map from (exponents, component) terms
+    to the tuples it keys: lex, degrevlex and every block order on the
+    exponents, and on flat terms of rank `rank` a one-stage Schreyer key
+    over a position-over-term F_0 of rank `rank` and a three-stage one
+    over one of rank 3."""
     n = ctx.arity
     orders = [LEX, DEGREVLEX]
     orders += [MonomialOrder.elimination(tuple(range(k)))
                for k in range(1, n + 1)]
-    keys = [order.key_for(ctx) for order in orders]
+    keys = [(order.key_for(ctx), oracles.flat_key_for(order, ctx),
+             lambda t: t[0]) for order in orders]
     # each lead's F_0 image stays below 2^31, as an lcm of stage-one leads
-    chain = [(rank - 1 - c, (0,) * n, ()) for c in range(rank)]
-    keys.append(_induced_key(DEGREVLEX.key_for(ctx),
-                             _next_chain(chain, [_flat(t, rank)
-                                                 for t in leads], n), n))
+    for key, ref in (_schreyer_keys(ctx, rank, [[_flat(t, rank)
+                                                 for t in leads]]),
+                     _schreyer_keys(ctx, 3, stages)):
+        keys.append((key, ref, lambda t: _flat(t, rank)))
     return keys
 
 
 @settings(max_examples=80, deadline=None)
 @given(keyed_terms())
+@example(((WEIGHT_SUM_LIMIT,), 2, [((0,), 0), ((EXPONENT_LIMIT - 1,), 1)],
+          [((0,), 0), ((EXPONENT_LIMIT - 1,), 1)],
+          [[(0, 0, 2), (_X, 2, 0)], [(0, 0, 1), (_X, 1, 0)],
+           [(0, 0, 1), (_X, 1, 0)]], (0,), [((0,), 0)] * 2))
 def test_int_keys_order_like_tuple_keys(drawn):
-    weights, rank, terms, leads, q, shifted = drawn
+    """Every int key holds the digits of the oracle's tuple key and orders
+    like it.  In the explicit example one variable has weight 2^31, and in
+    both Schreyer keys the two terms differ in their position digit while
+    their degree digits, right below it, are 0 and just below 2^63."""
+    weights, rank, terms, leads, stages, q, shifted = drawn
     n = len(weights)
     ctx = VariableContext(tuple(f"X{i + 1}" for i in range(n)), weights)
-    flat = [_flat((e, c), rank) for e, c in terms]
-    for key in _tuple_keys(ctx, rank, leads):
-        mons = _Monomials(key, n + 2)
-        for a in flat:
-            for b in flat:
-                assert (_sign(mons.int_key(a), mons.int_key(b))
-                        == _sign(key(a), key(b)))
+    for key, ref, encode in _keys(ctx, rank, leads, stages):
+        keyed = list(map(encode, terms))
+        for a in keyed:
+            assert type(key(a)) is int
+            assert key(a) == oracles.int_key(ref(a))
+            for b in keyed:
+                assert _sign(key(a), key(b)) == _sign(ref(a), ref(b))
 
 
 @settings(max_examples=80, deadline=None)
@@ -502,17 +560,17 @@ def test_int_keys_order_like_tuple_keys(drawn):
 def test_int_key_of_a_product_adds(drawn):
     """key(m + q) - key(m) is the same for every m in every component, and
     it is what `_nf` adds: packing m + q is adding the packed q."""
-    weights, rank, _, leads, q, shifted = drawn
+    weights, rank, _, leads, stages, q, shifted = drawn
     n = len(weights)
     ctx = VariableContext(tuple(f"X{i + 1}" for i in range(n)), weights)
-    shift = q + (0, 0)
-    for key in _tuple_keys(ctx, rank, leads):
-        mons = _Monomials(key, n + 2)
+    for key, _, encode in _keys(ctx, rank, leads, stages):
+        shift = q + (0,) * (len(encode((q, 0))) - n)
+        mons = _Monomials(key, len(shift))
         differences = set()
-        for e, c in shifted:
-            m = _flat((e, c), rank)
+        for term in shifted:
+            m = encode(term)
             product = tuple(a + b for a, b in zip(m, shift))
             assert mons.pack(product) == mons.pack(m) + mons.pack(shift)
-            assert mons[mons.pack(product)] == -mons.int_key(product)
-            differences.add(mons.int_key(product) - mons.int_key(m))
+            assert mons[mons.pack(product)] == -key(product)
+            differences.add(key(product) - key(m))
         assert len(differences) == 1

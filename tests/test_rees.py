@@ -23,7 +23,8 @@ def test_symmetric_presentation_quadric_cone(quadric_cone):
     assert [str(g) for g in sym.ideal.generators] == [
         "X*Y - Z^2", "Y*T1 + X*T2 - 2*Z*T3"]
     assert sym.is_complete_intersection
-    assert sym.height == 2
+    assert (big.arity - sym.ideal.krull_dimension().dimension
+            == len(sym.ideal.generators) == 2)
 
 
 def test_symmetric_presentation_cross(coordinate_cross):

@@ -112,7 +112,7 @@ def assert_stage_one_is_the_module_basis(handle):
     ctx = handle.context
     _, family = _buchberger(
         oracles.columns_to_elements(presentation_of_ideal(handle), 1),
-        oracles.position_key(ctx), StepCounter())
+        oracles.int_keyed(oracles.position_key(ctx)), StepCounter())
     _, stages = _recorded_stages(handle)
     assert (stages[0][0] if stages else []) == family[::-1]
 
@@ -225,11 +225,11 @@ def test_records_of_a_reduced_basis_match_module_engine(drawn):
     ctx, gens = drawn
     n = ctx.arity
     pres = presentation_of_ideal(IdealHandle(ctx, gens))
-    key = oracles.position_key(ctx)
+    key = oracles.int_keyed(oracles.position_key(ctx))
     _, family = _buchberger(oracles.columns_to_elements(pres, 1), key,
                             StepCounter())
     records = resolution._schreyer_records(family, key, StepCounter())
-    old_key = oracles.pot_key(DEGREVLEX.key_for(ctx))
+    old_key = oracles.pot_key(oracles.flat_key_for(DEGREVLEX, ctx))
     columns = [{(t[:n], 0): c for t, c in el.items()} for el in family]
     _, _, old_records, added = oracles.module_buchberger(
         columns, old_key, ctx.weighted_degree, StepCounter())
@@ -248,7 +248,7 @@ def test_records_need_a_basis():
     """A family that is not a basis has a pair with a nonzero remainder:
     X^2 + Y^2 and X*Y leave Y^3."""
     ctx = VariableContext(("X", "Y"))
-    key = oracles.position_key(ctx)
+    key = oracles.int_keyed(oracles.position_key(ctx))
     family = [{(2, 0, 0, 0): Fraction(1), (0, 2, 0, 0): Fraction(1)},
               {(1, 1, 0, 0): Fraction(1)}]
     with pytest.raises(AssertionError, match="already be a basis"):
