@@ -205,11 +205,12 @@ class GradedAlgebra:
         """Height in R of an ideal given by ambient generators; the unit
         ideal has height +infinity.  A dimension difference is the height
         because R is a complete intersection, hence equidimensional and
-        catenary."""
-        total = self.ideal_sum(handle)
-        if total.is_unit():
-            return float("inf")
-        return self.dimension - total.krull_dimension().dimension
+        catenary.  dim P/(I + J) comes from `krull_dimension`, whose
+        zero-dimensional certificate answers an m-primary sum, height
+        dim R, without finishing its basis; a sum the certificate misses
+        has its basis built once and cached."""
+        dim = self.ideal_sum(handle).krull_dimension().dimension
+        return float("inf") if dim < 0 else self.dimension - dim
 
     def nonzerodivisor_check(self, g):
         """g is regular on R iff it lies in no minimal prime of R, because

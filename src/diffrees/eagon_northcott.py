@@ -157,10 +157,7 @@ def en_acyclicity(matrix, quotient=None):
         gens = [quotient.reduce(p) for p in matrix.minors(t)]
         height = quotient.height_of(IdealHandle(ctx, gens))
     else:
-        handle = IdealHandle(ctx, matrix.minors(t))
-        if handle.is_unit():
-            height = float("inf")
-        else:
-            height = ctx.arity - handle.krull_dimension().dimension
+        dim = IdealHandle(ctx, matrix.minors(t)).krull_dimension().dimension
+        height = float("inf") if dim < 0 else ctx.arity - dim
     return AcyclicityRecord(minor_height=height, bound=bound,
                             criterion_met=height >= bound)

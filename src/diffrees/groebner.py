@@ -3,9 +3,9 @@
 Everything downstream (Fitting heights, saturations, Rees ideals, free
 resolutions) reduces to the operations in this module: Groebner bases
 by a signature-based Buchberger loop, normal forms by gcd-scaled integer
-reductions, interreduction, elimination, intersection, saturation, Krull
-dimension by independent variable sets, and heights in
-complete-intersection quotients.  The same
+reductions, interreduction, elimination, intersection, saturation, and
+Krull dimension by independent variable sets, with an early stop that
+certifies dimension 0 (see `_buchberger`).  The same
 kernel serves free modules: the term x^a e_c of a module of rank r is the
 flat exponent tuple a + (c, r-1-c), and the Schreyer syzygy records of a
 basis are reduced on the same normal form (see `_schreyer_records`).
@@ -128,11 +128,12 @@ class _Monomials(dict):
     outlives a reduction step.
     """
 
-    __slots__ = ("key", "guard", "_struct")
+    __slots__ = ("key", "length", "guard", "_struct")
 
     def __init__(self, key, length):
         super().__init__()
         self.key = key
+        self.length = length
         self.guard = int.from_bytes(b"\x80\0\0\0" * length, "big")
         self._struct = struct.Struct(f">{length}I")
 
@@ -353,11 +354,25 @@ def _spoly(gi, lmi, gj, lmj, lcm, key, mons):
     return spoly, qi, qj
 
 
-def _buchberger(generators, key, counter):
+def _buchberger(generators, key, counter, certify=False):
     """The unique monic reduced Groebner basis of the ideal the given term
     dicts generate, as `_interreduce` returns it.  The terms are packed
     on entry (see `_Monomials`), and the basis stays packed until
     `_interreduce` unpacks its result.
+
+    With `certify`, the build may instead stop early and return None, a
+    certificate that the quotient by the ideal J has dimension 0.  It
+    stops when no generator has a constant term and the leads found so
+    far hold a pure power x_i^a of every variable, checked after each
+    input the pre-pass keeps and after each new element of the pair
+    loop.  That is exact under any monomial order: the generators lie in
+    the maximal ideal m of the origin, so J is inside m and proper, and
+    the leads are leads of elements of J, so the standard monomials,
+    which span P/J, are finite in number (Cox, Little and O'Shea, Ideals,
+    Varieties, and Algorithms, Ch. 5 Section 3, the finiteness theorem).
+    The check spends no reduction step, so a build whose certificate does
+    not fire runs and returns exactly as without `certify`, and a miss
+    costs no second build.
 
     A signature-based Buchberger loop (RB of Eder and Roune, Signature
     rewriting in Groebner basis computation, ISSAC 2013; survey by Eder
@@ -397,6 +412,10 @@ def _buchberger(generators, key, counter):
     mons, generators = _packed(generators, key)
     guard = mons.guard
     basis = list(filter(None, generators))
+    # the fields (variables) without a pure-power lead yet; the packed
+    # constant monomial is 0
+    missing = (set(range(mons.length))
+               if certify and all(0 not in g for g in basis) else None)
     for _ in range(2):
         inputs, basis, lms, memo = basis, [], [], {}
         lowered = False
@@ -408,6 +427,8 @@ def _buchberger(generators, key, counter):
                 lowered = lowered or lm != min(g, key=mons.__getitem__)
                 basis.append(ints)
                 lms.append(lm)
+                if missing is not None and _covers(lm, missing):
+                    return None
         if not lowered:
             break
     sigs = [(0, k) for k in range(len(basis))]
@@ -482,9 +503,20 @@ def _buchberger(generators, key, counter):
         sigs.append((sig_key + mons[lm], index))
         sig_mons.append(s)
         by_index[index].append(len(basis) - 1)
+        if missing is not None and _covers(lm, missing):
+            return None
         add_pairs(len(basis) - 1)
 
     return _interreduce(basis, lms, mons, counter)
+
+
+def _covers(lm, missing):
+    """Drop from `missing` the field of a packed lead that is a pure
+    power, one nonzero field; whether every field is now covered."""
+    field = (lm.bit_length() - 1) >> 5
+    if not lm & ((1 << (field << 5)) - 1):
+        missing.discard(field)
+    return not missing
 
 
 def _schreyer_records(family, key, counter):
@@ -624,12 +656,20 @@ class IdealHandle:
     def groebner_basis(self, order=DEGREVLEX):
         """The unique reduced Groebner basis under `order`, cached."""
         cached = self._cache.get(order)
-        if cached is not None:
-            return cached
+        return self._build(order) if cached is None else cached
+
+    def _build(self, order, certify=False):
+        """Run `_buchberger` on the generators under `order` and cache the
+        reduced basis it returns; every basis build of a handle starts
+        here.  With `certify` (see `_buchberger`) it returns None, and
+        caches nothing, when the build stops on a certificate that the
+        quotient has dimension 0."""
         ctx = self.context
-        _, polys = _buchberger([dict(g.terms) for g in self.generators],
-                               order.key_for(ctx), _steps())
-        basis = tuple(Polynomial._make(ctx, d) for d in polys)
+        built = _buchberger([dict(g.terms) for g in self.generators],
+                            order.key_for(ctx), _steps(), certify)
+        if built is None:
+            return None
+        basis = tuple(Polynomial._make(ctx, d) for d in built[1])
         self._cache[order] = basis
         return basis
 
@@ -661,16 +701,25 @@ class IdealHandle:
         return self.normal_form(p).is_zero
 
     def equals(self, other):
-        """Mutual inclusion of generators; equal generator sets need no
-        basis."""
+        """Mutual inclusion of generators, each side's generators tested
+        only when the other side lacks them: equal generator sets need no
+        basis, and when one set holds the other, only the basis of the
+        smaller ideal is built."""
         if self.context != other.context:
             raise ValueError("ideal context mismatch")
-        if set(self.generators) == set(other.generators):
-            return True
-        return (all(other.contains(g) for g in self.generators)
-                and all(self.contains(g) for g in other.generators))
+        mine, theirs = set(self.generators), set(other.generators)
+        return (all(other.contains(g) for g in self.generators
+                    if g not in theirs)
+                and all(self.contains(g) for g in other.generators
+                        if g not in mine))
 
     def is_unit(self):
+        """Whether the ideal is the whole ring.  When no generator has a
+        constant term (the last, least term of a generator) the ideal lies
+        in the maximal ideal of the origin, so it is proper and needs no
+        basis; otherwise the reduced basis decides."""
+        if all(any(g.terms[-1][0]) for g in self.generators):
+            return False
         gb = self.groebner_basis()
         return len(gb) == 1 and gb[0].is_constant
 
@@ -733,12 +782,24 @@ class IdealHandle:
     # -- dimension and height ---------------------------------------------------
 
     def krull_dimension(self):
-        """Dimension of context/I via independent sets modulo leading terms."""
+        """Dimension of context/I via independent sets modulo leading terms.
+
+        Without a cached degrevlex basis, the build runs with the
+        zero-dimensional certificate of `_buchberger`: an ideal without a
+        constant term in its generators whose leads come to hold a pure
+        power of every variable has dimension 0, reported with no witness
+        variable and no basis cached.  A build whose certificate does not
+        fire finishes and caches its basis, so a miss costs no second
+        build."""
         if self._dim is not None:
             return self._dim
         ctx = self.context
-        gb = self.groebner_basis()
-        if any(g.is_constant and not g.is_zero for g in gb):
+        gb = self._cache.get(DEGREVLEX)
+        if gb is None:
+            gb = self._build(DEGREVLEX, certify=True)
+        if gb is None:
+            report = DimensionReport(0, ())
+        elif any(g.is_constant and not g.is_zero for g in gb):
             report = DimensionReport(-1, None)
         else:
             # terms are sorted by the context's degrevlex key, lead first

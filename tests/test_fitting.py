@@ -10,7 +10,7 @@ from diffrees.fitting import (euler_minor_identity, fitting_ideal,
                               last_rows_size, _random_invertible)
 from diffrees.groebner import IdealHandle
 from diffrees.matrix import PolyMatrix
-from diffrees.poly import DEGREVLEX, VariableContext
+from diffrees.poly import VariableContext
 from diffrees.rees import find_test_element
 from diffrees.sampler import probe_corpus, random_graded_ci
 
@@ -177,25 +177,33 @@ def test_euler_minor_identity_shape_guard(quadric_cone):
         euler_minor_identity(quadric_cone)
 
 
+def _record_builds(monkeypatch):
+    """A list that receives (handle, certified) for every basis build."""
+    builds = []
+    build = IdealHandle._build
+
+    def recording(handle, order, certify=False):
+        basis = build(handle, order, certify)
+        builds.append((handle, basis is None))
+        return basis
+
+    monkeypatch.setattr(IdealHandle, "_build", recording)
+    return builds
+
+
 def test_is_reduced_shares_the_profile_basis_of_i_plus_f_e(monkeypatch):
     """Reducedness is the F_e row of the profile, so `is_reduced` and
-    `fitting_profile` build one basis per row between them."""
+    `fitting_profile` run one basis build per row between them, a build
+    that stopped on the zero-dimensional certificate included."""
     ctx = VariableContext(("X", "Y", "Z", "W"))
     algebra = GradedAlgebra.validate(ctx, [
         P(ctx, "X^2 + Y^2 + Z^2 + W^2"), P(ctx, "X^3 + 2*Y^3 + 3*Z^3 + 4*W^3")])
-    built = []
-    basis = IdealHandle.groebner_basis
-
-    def recording(handle, order=DEGREVLEX):
-        if order not in handle._cache:
-            built.append(handle)
-        return basis(handle, order)
-
-    monkeypatch.setattr(IdealHandle, "groebner_basis", recording)
+    builds = _record_builds(monkeypatch)
     assert algebra.is_reduced()
     profile = fitting_profile(algebra)
-    assert built == [algebra.ideal_sum(fitting_ideal(algebra, row.index))
-                     for row in profile.rows]
+    assert [handle for handle, _ in builds] == [
+        algebra.ideal_sum(fitting_ideal(algebra, row.index))
+        for row in profile.rows]
 
 
 def test_jacobian_minors_are_computed_once_per_size(monkeypatch):
@@ -247,6 +255,57 @@ def test_last_rows_minors_are_the_tail_of_the_full_list():
             last = [algebra.reduce(m)
                     for m in matrix.minors(t, rows=range(n - t, n))]
             assert full[len(full) - math.comb(matrix.ncols, t):] == last
+
+
+def _probe_sums(algebra):
+    """The handles of I + F and I + L that `last_rows_probe` compares, F
+    the ideal of all t-minors of theta and L that of its last t rows."""
+    theta = algebra.jacobian_presentation()
+    t = last_rows_size(algebra)
+    minors = [algebra.reduce(m) for m in theta.minors(t)]
+    last = minors[len(minors) - math.comb(theta.ncols, t):]
+    return (algebra.ideal_sum(IdealHandle(algebra.context, minors)),
+            algebra.ideal_sum(IdealHandle(algebra.context, last)))
+
+
+def test_probe_equality_builds_no_basis_of_i_plus_f(probe_cases,
+                                                    monkeypatch):
+    """The generators of I + L are among those of I + F, so `equals`
+    tests only that I + F lies in I + L and never builds a basis of
+    I + F; its answer is that of comparing reduced bases, and the one
+    `last_rows_probe` reports."""
+    builds = _record_builds(monkeypatch)
+    for case in probe_cases:
+        algebra = GradedAlgebra.validate(case.context, case.relations)
+        full, last = _probe_sums(algebra)
+        for first, second in ((full, last), (last, full)):
+            equal = first.equals(second)
+            assert all(handle is not full for handle, _ in builds)
+            ctx = algebra.context
+            assert equal == (IdealHandle(ctx, full.generators).groebner_basis()
+                             == IdealHandle(ctx, last.generators)
+                             .groebner_basis())
+        assert last_rows_probe(algebra).ideals_equal == equal
+
+
+def test_m_primary_probe_sums_build_no_basis_of_i_plus_f(probe_cases,
+                                                        monkeypatch):
+    """Where height_full == dim R, I + F is m-primary: `height_of` reads
+    its dimension from the zero-dimensional certificate, and no full
+    basis of I + F is built in the whole probe."""
+    builds = _record_builds(monkeypatch)
+    hits = 0
+    for case in probe_cases:
+        algebra = GradedAlgebra.validate(case.context, case.relations)
+        builds.clear()
+        probe = last_rows_probe(algebra)
+        full, _ = _probe_sums(algebra)
+        if probe.height_full == algebra.dimension:
+            hits += 1
+            assert [certified for handle, certified in builds
+                    if handle is full] == [True], case.name
+            assert not full._cache
+    assert hits
 
 
 def test_probe_curve_cone(curve_cone):

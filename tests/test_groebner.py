@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from diffrees import groebner
 from diffrees.errors import ExponentOverflowError, StepBudgetExceeded
 from diffrees.groebner import IdealHandle, step_budget
 from diffrees.poly import DEGREVLEX, LEX, MonomialOrder, VariableContext
 
-from conftest import P, random_homogeneous
+from conftest import (P, homogeneous_ideals, inhomogeneous_ideals,
+                      random_homogeneous)
 from oracles import (brute_force_dimension, ideal_quotient,
                      is_nonzerodivisor, iterated_quotient_saturation,
                      naive_buchberger)
@@ -128,6 +131,36 @@ def test_equal_generator_sets_build_no_basis(xyz):
     assert not first._cache and not second._cache
 
 
+def test_nested_generator_sets_build_only_the_smaller_basis():
+    """When one generator set holds the other, `equals` tests only the
+    inclusion that is not given, so the larger ideal's basis is never
+    built; the answer is that of comparing reduced bases, on seeded draws
+    with extra generators inside the smaller ideal and outside it."""
+    rng = random.Random(29)
+    seen = set()
+    for draw in range(40):
+        n = rng.randint(2, 4)
+        ctx = VariableContext(tuple(f"X{i}" for i in range(n)))
+        small = [random_homogeneous(rng, ctx, rng.randint(1, 3), max_terms=3)
+                 for _ in range(rng.randint(1, 3))]
+        if draw % 2:
+            extra = [sum((g * ctx.gen(rng.randrange(n)) * rng.randint(-2, 2)
+                          for g in small), ctx.zero) + small[0]]
+        else:
+            extra = [random_homogeneous(rng, ctx, rng.randint(1, 3),
+                                        max_terms=3)]
+        expected = (IdealHandle(ctx, small).groebner_basis()
+                    == IdealHandle(ctx, small + extra).groebner_basis())
+        seen.add(expected)
+        for larger_first in (True, False):
+            larger = IdealHandle(ctx, small + extra)
+            smaller = IdealHandle(ctx, small)
+            pair = (larger, smaller) if larger_first else (smaller, larger)
+            assert pair[0].equals(pair[1]) == expected
+            assert not larger._cache
+    assert seen == {True, False}
+
+
 @pytest.mark.parametrize("order", [DEGREVLEX, LEX,
                                    MonomialOrder.elimination((0,))],
                          ids=["degrevlex", "lex", "elimination"])
@@ -226,6 +259,72 @@ def test_krull_dimension_matches_brute_force():
         assert report.dimension == brute_force_dimension(handle)
         if report.dimension >= 0:
             assert len(report.witness) == report.dimension
+
+
+def test_zero_dimensional_certificate_examples(xyz):
+    """`krull_dimension` stops the build and caches no basis exactly when
+    the generators have no constant term and the quotient has dimension
+    0; `is_unit` of an ideal inside the maximal ideal builds nothing."""
+    weighted = VariableContext(("X", "Y"), (1, 2))
+    plane = VariableContext(("X", "Y"))
+    cases = [
+        (xyz, ["X^2 + Y*Z", "Y^2 + X*Z", "Z^2 + X*Y"], 0, True),
+        (xyz, ["X^2 - Y*Z", "Y^2 - X*Z", "Z^2 - X*Y"], 1, False),
+        (xyz, ["X*Y - Z^2"], 2, False),
+        (weighted, ["X^2 - Y", "Y^2"], 0, True),
+        (plane, ["X + Y^2", "Y + X^2"], 0, True),      # not homogeneous
+        # X and Y are pure-power leads, but X - 1 makes the unit ideal
+        (plane, ["X", "Y", "X - 1"], -1, False),
+        (plane, ["X - 1", "Y"], 0, False),              # proper, not in m
+    ]
+    for ctx, texts, dim, certified in cases:
+        gens = [P(ctx, t) for t in texts]
+        handle = IdealHandle(ctx, gens)
+        report = handle.krull_dimension()
+        assert report.dimension == dim, texts
+        assert (DEGREVLEX not in handle._cache) == certified, texts
+        built = IdealHandle(ctx, gens)
+        built.groebner_basis()
+        assert built.krull_dimension() == report
+        assert brute_force_dimension(built) == dim
+        fresh = IdealHandle(ctx, gens)
+        assert fresh.is_unit() == (dim == -1)
+        if all(any(e) for g in gens for e, _ in g.terms):
+            assert not fresh._cache
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(homogeneous_ideals(weighted=False),
+                 homogeneous_ideals(weighted=True), inhomogeneous_ideals()))
+def test_zero_dimensional_certificate_matches_full_basis(drawn):
+    """On standard graded, weighted and inhomogeneous draws (constants
+    allowed), the certified dimension and `is_unit` agree with the
+    full-basis answer and the brute-force oracle, and the certificate
+    fires exactly for a zero-dimensional ideal without constant terms in
+    its generators.  A build it does not stop returns the same basis for
+    the same steps."""
+    ctx, gens = drawn
+    handle = IdealHandle(ctx, gens)
+    report = handle.krull_dimension()
+    built = IdealHandle(ctx, gens)
+    built.groebner_basis()
+    assert report == built.krull_dimension()
+    assert report.dimension == brute_force_dimension(built)
+    in_m = all(any(e) for g in handle.generators for e, _ in g.terms)
+    certified = in_m and report.dimension == 0
+    assert (DEGREVLEX not in handle._cache) == certified
+    fresh = IdealHandle(ctx, gens)
+    assert fresh.is_unit() == (report.dimension == -1) == built.is_unit()
+    assert not (in_m and fresh._cache)
+    generators = [dict(g.terms) for g in handle.generators]
+    key = DEGREVLEX.key_for(ctx)
+    stopped, full = groebner.StepCounter(), groebner.StepCounter()
+    result = groebner._buchberger(generators, key, stopped, certify=True)
+    assert result == (None if certified
+                      else groebner._buchberger(generators, key, full))
+    if not certified:
+        assert stopped.remaining == full.remaining
 
 
 def test_witness_is_independent(xyz):

@@ -244,26 +244,35 @@ def test_pair_update_drops_a_pending_pair(order):
 def test_every_workload_basis_matches_gm_buchberger(shipped_cases,
                                                     probe_cases, monkeypatch):
     """Every basis build of the shipped cases and of the first eight probe
-    instances, run through `run_case`, gives the reduced basis of the
-    Gebauer-Moeller engine."""
+    instances, run through `run_case`, gives in full the reduced basis of
+    the Gebauer-Moeller engine; a build that stopped on the
+    zero-dimensional certificate has a full basis whose leads hold a pure
+    power of every variable."""
     builds = []
-    basis = IdealHandle.groebner_basis
+    build = IdealHandle._build
 
-    def recording(handle, order=DEGREVLEX):
-        if order not in handle._cache:
-            builds.append((handle.context, handle.generators, order))
-        return basis(handle, order)
+    def recording(handle, order, certify=False):
+        basis = build(handle, order, certify)
+        builds.append((handle.context, handle.generators, order,
+                       basis is None))
+        return basis
 
-    monkeypatch.setattr(IdealHandle, "groebner_basis", recording)
+    monkeypatch.setattr(IdealHandle, "_build", recording)
     for case in shipped_cases + probe_cases:
         assert run_case(case).status == "ok", case.name
     assert len(builds) > 50
-    for ctx, gens, order in builds:
+    assert any(certified for *_, certified in builds)
+    for ctx, gens, order, certified in builds:
         generators = [dict(g.terms) for g in gens]
         key = order.key_for(ctx)
-        assert (groebner._buchberger(generators, key, StepCounter())
-                == oracles.gm_buchberger(generators, key, ctx.weighted_degree,
-                                         StepCounter()))
+        full = groebner._buchberger(generators, key, StepCounter())
+        assert full == oracles.gm_buchberger(generators, key,
+                                             ctx.weighted_degree,
+                                             StepCounter())
+        if certified:
+            pure = {i for lead in full[0] for i, e in enumerate(lead)
+                    if e and lead.count(0) == len(lead) - 1}
+            assert pure == set(range(ctx.arity))
 
 
 def test_redundant_generators_are_reduced_away(monkeypatch):
