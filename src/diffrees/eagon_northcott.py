@@ -154,7 +154,7 @@ def en_acyclicity(matrix, quotient=None):
     bound = m - t + 1
     ctx = matrix.context
     if quotient is not None:
-        gens = [quotient.reduce(p) for p in matrix.minors(t)]
+        gens = matrix.minors(t, modulo=quotient.defining_ideal)
         height = quotient.height_of(IdealHandle(ctx, gens))
     else:
         dim = IdealHandle(ctx, matrix.minors(t)).krull_dimension().dimension

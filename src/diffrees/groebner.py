@@ -398,10 +398,17 @@ def _buchberger(generators, key, counter, certify=False):
     with a bound), so the remainder keeps the signature, and a zero
     remainder makes that signature a syzygy's.  Two criteria skip a pair
     with signature T before any reduction:
-      - syzygy: the signature of a known syzygy divides T.  Each new
-        element g with signature T adds, for every earlier element h, the
-        signature of the Koszul syzygy h g - g h, the larger of lm(h) T
-        and lm(g) sig(h), which subsumes the coprime-lead criterion; the
+      - syzygy: the signature of a known syzygy divides T.  Besides the
+        reductions to zero, each pair gives the Koszul syzygy of its two
+        sides, with signature K = sig(larger) lm(other).  K is recorded
+        when the pair is formed if the leads are coprime (then K is the
+        pair's own signature: the coprime-lead criterion) or the pair is
+        skipped there, and otherwise when the pair is popped, before its
+        skip test.  No skip is lost: for leads that are not coprime, K
+        lies strictly above the pair's own signature, pairs pop by
+        increasing signature and the known signatures only grow, so K is
+        recorded before any pair whose signature it divides is popped,
+        and such a pair is skipped there if not already when formed.  The
         signatures are kept minimal per index k;
       - rewrite: an element later than the pair's larger side has a
         signature dividing T, so T is processed only through its latest
@@ -470,15 +477,20 @@ def _buchberger(generators, key, counter, certify=False):
             if sig_j == sig_t:
                 continue
             larger, other = (t, j) if sig_t > sig_j else (j, t)
-            add_syzygy(sig_mons[larger] + lms[other], sigs[larger][1])
-            sides.append((larger, other))
-        for larger, other in sides:
             lcm = _lcm(lms[larger], lms[other], guard)
+            if lcm == lms[larger] + lms[other]:
+                # coprime leads: the Koszul signature is the pair's own
+                add_syzygy(sig_mons[larger] + lms[other], sigs[larger][1])
+            else:
+                sides.append((larger, other, lcm))
+        for larger, other, lcm in sides:
             s = sig_mons[larger] + lcm - lms[larger]
             if s & guard:
                 raise mons.overflow(s)
             drop, index = sigs[larger]
-            if not skipped(s, index, larger):
+            if skipped(s, index, larger):
+                add_syzygy(sig_mons[larger] + lms[other], index)
+            else:
                 heapq.heappush(heap, (mons.key(mons.unpack(lcm)) + drop,
                                       index, larger, other, lcm, s))
 
@@ -486,6 +498,7 @@ def _buchberger(generators, key, counter, certify=False):
         add_pairs(t)
     while heap:
         sig_key, index, larger, other, lcm, s = heapq.heappop(heap)
+        add_syzygy(sig_mons[larger] + lms[other], index)
         if skipped(s, index, larger):
             continue
         drop = sigs[larger][0]
@@ -673,9 +686,11 @@ class IdealHandle:
         self._cache[order] = basis
         return basis
 
-    def normal_form(self, p, order=DEGREVLEX):
-        if p.context != self.context:
-            raise ValueError("polynomial context mismatch")
+    def _reducers(self, order=DEGREVLEX):
+        """The reduced basis under `order` prepared for `_nf`, built once:
+        (mons, leads, content-free packed integer elements, first-divisor
+        memo).  `normal_form` and `PolyMatrix.minors` share it, so every
+        monomial they meet is packed and keyed once per handle."""
         prepared = self._prepared.get(order)
         if prepared is None:
             basis = self.groebner_basis(order)
@@ -688,9 +703,13 @@ class IdealHandle:
                     {mons.pack(e): c for e, c in g.terms}, mons)
                 lms.append(lm)
                 dicts.append(ints)
-            prepared = (mons, lms, dicts, {})
-            self._prepared[order] = prepared
-        mons, lms, dicts, memo = prepared
+            prepared = self._prepared[order] = (mons, lms, dicts, {})
+        return prepared
+
+    def normal_form(self, p, order=DEGREVLEX):
+        if p.context != self.context:
+            raise ValueError("polynomial context mismatch")
+        mons, lms, dicts, memo = self._reducers(order)
         r, (num, den) = _nf({mons.pack(e): c for e, c in p.terms}, lms,
                             dicts, mons, _steps(), memo)
         return Polynomial._make(self.context,

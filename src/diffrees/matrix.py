@@ -1,11 +1,16 @@
-"""Matrices of polynomials with exact Laplace-expansion minors."""
+"""Matrices of polynomials with exact Laplace-expansion minors, expanded
+on the packed monomials of the Groebner kernel and, on request, reduced
+modulo an ideal on its normal form."""
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import combinations
 
 from .errors import ContextMismatchError
-from .poly import Polynomial
+from .groebner import _Monomials, _nf, _steps
+from .poly import DEGREVLEX, Polynomial
 
 
 class PolyMatrix:
@@ -99,32 +104,13 @@ class PolyMatrix:
     # -- determinants and minors ------------------------------------------------
 
     def minor(self, rows, cols):
-        """Determinant of the selected square submatrix, expanded along its
-        first row with memoisation on column subsets."""
+        """Determinant of the selected square submatrix, rows and columns
+        taken in the given order (see `minors`)."""
         rows = tuple(rows)
         cols = tuple(cols)
         if len(rows) != len(cols):
             raise ValueError("minor needs equally many rows and columns")
-        return self._det_memo(rows, cols, {})
-
-    def _det_memo(self, rows, cols, cache):
-        if not rows:
-            return self.context.one
-        key = (rows, cols)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        top, rest = rows[0], rows[1:]
-        acc = self.context.zero
-        for k, j in enumerate(cols):
-            entry = self.entries[top][j]
-            if entry.is_zero:
-                continue
-            sub = self._det_memo(rest, cols[:k] + cols[k + 1:], cache)
-            if not sub.is_zero:
-                acc = acc - entry * sub if k % 2 else acc + entry * sub
-        cache[key] = acc
-        return acc
+        return self.minors(len(rows), rows, cols)[0]
 
     def signed_row_sequence_minor(self, row_sequence, cols):
         """Determinant taken with rows in the given sequence order; a repeated
@@ -136,9 +122,21 @@ class PolyMatrix:
         sign = _permutation_sign(seq)
         return self.minor(sorted_rows, tuple(cols)) * sign
 
-    def minors(self, size, rows=None, cols=None):
+    def minors(self, size, rows=None, cols=None, modulo=None):
         """All size x size minors over the given row/column pools, ordered
-        lexicographically by (row set, column set)."""
+        lexicographically by (row set, column set).  With `modulo`, an
+        IdealHandle of the same ring, each minor is its normal form modulo
+        that ideal under degrevlex, the polynomial `modulo.normal_form`
+        returns for it, for the same steps of the open step budget.
+
+        Laplace expansion along the first row, memoised on the (rows,
+        cols) of every subminor, on packed monomials with int coefficients
+        (`_laplace`): column j is scaled to integers by the lcm D_j of its
+        entries' denominators, so a minor comes out as prod_j D_j times
+        itself and is divided once.  With `modulo` the expansion shares
+        the `_Monomials` and first-divisor memo of the handle's prepared
+        reducers, and each minor goes to `_nf` before it becomes a
+        Polynomial."""
         row_pool = tuple(rows) if rows is not None else tuple(range(self.nrows))
         col_pool = tuple(cols) if cols is not None else tuple(range(self.ncols))
         if size < 0:
@@ -146,11 +144,41 @@ class PolyMatrix:
         if size > len(row_pool) or size > len(col_pool):
             raise ValueError(
                 f"minor size {size} exceeds available rows/columns")
-        out = []
+        ctx = self.context
+        if modulo is None:
+            mons = _Monomials(DEGREVLEX.key_for(ctx), ctx.arity)
+        elif modulo.context != ctx:
+            raise ContextMismatchError("ideal context mismatch")
+        else:
+            mons, lms, basis, memo = modulo._reducers()
+            counter = _steps()
+        pack = mons.pack
+        scales = {}
+        entries = {i: {} for i in row_pool}
+        for j in set(col_pool):
+            column = [self.entries[i][j].terms for i in entries]
+            scale = math.lcm(*(c.denominator for terms in column
+                               for _, c in terms))
+            scales[j] = scale
+            for i, terms in zip(entries, column):
+                entries[i][j] = {pack(e): c.numerator
+                                 * (scale // c.denominator)
+                                 for e, c in terms}
+        unpack = mons.unpack
         cache = {}
+        out = []
         for rs in combinations(row_pool, size):
             for cs in combinations(col_pool, size):
-                out.append(self._det_memo(rs, cs, cache))
+                det = (_laplace(entries, mons, cache, rs, cs) if size
+                       else {pack((0,) * ctx.arity): 1})
+                num, den = 1, 1
+                if modulo is not None:
+                    det, (num, den) = _nf(det, lms, basis, mons, counter,
+                                          memo)
+                num *= math.prod(scales[j] for j in cs)
+                out.append(Polynomial._make(
+                    ctx, {unpack(e): Fraction(v * den, num)
+                          for e, v in det.items()}))
         return out
 
     def __repr__(self):
@@ -175,3 +203,44 @@ def _permutation_sign(seq):
             if items[i] > items[j]:
                 sign = -sign
     return sign
+
+
+def _laplace(entries, mons, cache, rows, cols):
+    """The determinant of rows x cols of `entries`, {row: {column: packed
+    {monomial: int} dict}}, as a packed int dict: expanded along its first
+    row, each subminor memoised in `cache` by its (rows, cols).
+
+    A term product is one int addition of packed monomials, its guard bits
+    tested where it enters the sum (see `groebner._Monomials`), and its
+    negated key in `mons` the sum of its factors' keys."""
+    if len(rows) == 1:
+        return entries[rows[0]][cols[0]]
+    hit = cache.get((rows, cols))
+    if hit is not None:
+        return hit
+    top, rest = rows[0], rows[1:]
+    guard = mons.guard
+    acc = {}
+    for k, j in enumerate(cols):
+        entry = entries[top][j]
+        if not entry:
+            continue
+        sub = _laplace(entries, mons, cache, rest, cols[:k] + cols[k + 1:])
+        for a, ca in entry.items():
+            if k % 2:
+                ca = -ca
+            key = mons[a]
+            for b, cb in sub.items():
+                t = a + b
+                v = acc.get(t)
+                if v is None:
+                    if t & guard:
+                        raise mons.overflow(t)
+                    acc[t] = ca * cb
+                    if t not in mons:
+                        mons[t] = key + mons[b]
+                else:
+                    acc[t] = v + ca * cb
+    acc = {t: v for t, v in acc.items() if v}
+    cache[(rows, cols)] = acc
+    return acc

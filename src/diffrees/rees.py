@@ -92,8 +92,8 @@ TEST_ELEMENT_DRAWS = 64
 
 def find_test_element(algebra, seed=0):
     """Random small-integer combination of the maximal minors of the
-    Jacobian presentation, the algebra's cached ones reduced modulo I,
-    that is a nonzerodivisor on the base ring.
+    Jacobian presentation, reduced modulo I as they are expanded, that is
+    a nonzerodivisor on the base ring.
 
     The draw is seeded, so runs are reproducible; exhausting the retry
     bound signals either a non-reduced input or an unlucky seed.
@@ -103,7 +103,8 @@ def find_test_element(algebra, seed=0):
             "torsion is only defined over a reduced base; refusing")
     c = algebra.codimension
     candidates = ([algebra.context.one] if c == 0 else
-                  [algebra.reduce(m) for m in algebra.jacobian_minors(c)[0]])
+                  algebra.jacobian_presentation().minors(
+                      c, modulo=algebra.defining_ideal))
     rng = random.Random(seed)
     for _ in range(TEST_ELEMENT_DRAWS):
         coeffs = [rng.randint(-3, 3) for _ in candidates]

@@ -26,7 +26,9 @@ presentations (columns of a polynomial matrix) that `free_resolution`
 resolved before it took only ideals, and the minimized tower it built
 before it read Betti numbers off the Schreyer frame: stages interreduced
 under nested Schreyer keys, then minimized by cancelling constant entries
-on term dicts, and `syzygies`, pruned the same way.
+on term dicts, and `syzygies`, pruned the same way.  The very last is the
+Laplace expansion of minors by `Polynomial` arithmetic that
+`PolyMatrix.minors` ran before it expanded on packed int monomials.
 """
 
 import heapq
@@ -1365,3 +1367,35 @@ def syzygies(pres):
     matrix = columns_to_matrix(ctx, elements_to_columns(
         [found[i] for i in shifts[0]], n), range(m))
     return ModulePresentation(ctx, m, matrix, shifts=degrees)
+
+
+def laplace_minor(matrix, rows, cols, cache):
+    """Determinant of the rows x cols submatrix of a `PolyMatrix` by
+    `Polynomial` arithmetic, expanded along its first row, every subminor
+    memoised in `cache` by its (rows, cols)."""
+    if not rows:
+        return matrix.context.one
+    key = (rows, cols)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    top, rest = rows[0], rows[1:]
+    acc = matrix.context.zero
+    for k, j in enumerate(cols):
+        entry = matrix.entries[top][j]
+        if entry.is_zero:
+            continue
+        sub = laplace_minor(matrix, rest, cols[:k] + cols[k + 1:], cache)
+        if not sub.is_zero:
+            acc = acc - entry * sub if k % 2 else acc + entry * sub
+    cache[key] = acc
+    return acc
+
+
+def laplace_minors(matrix, size, rows, cols):
+    """All size x size minors over the row and column pools, in the order
+    of `PolyMatrix.minors`, by `laplace_minor` under one memo."""
+    cache = {}
+    return [laplace_minor(matrix, rs, cs, cache)
+            for rs in combinations(rows, size)
+            for cs in combinations(cols, size)]

@@ -207,10 +207,11 @@ def test_is_reduced_shares_the_profile_basis_of_i_plus_f_e(monkeypatch):
 
 
 def test_jacobian_minors_are_computed_once_per_size(monkeypatch):
-    """`is_reduced`, `fitting_profile` and `find_test_element` read the
-    algebra's minors: each size is expanded once, each Fitting index has
-    one handle, and the test element draws over the c-minors in the order
-    of `PolyMatrix.minors`, zeros included."""
+    """`is_reduced` and `fitting_profile` read the algebra's minors: each
+    size is expanded once and each Fitting index has one handle.
+    `find_test_element` draws over the c-minors reduced modulo I, in the
+    order of `PolyMatrix.minors`, zeros included: one more expansion,
+    with `modulo`."""
     ctx = VariableContext(("X", "Y", "Z", "W"))
     algebra = GradedAlgebra.validate(ctx, [
         P(ctx, "X^2 + Y^2 + Z^2 + W^2"), P(ctx, "X^3 + 2*Y^3 + 3*Z^3 + 4*W^3")])
@@ -219,15 +220,16 @@ def test_jacobian_minors_are_computed_once_per_size(monkeypatch):
     sizes = []
     minors = PolyMatrix.minors
 
-    def recording(matrix, size, rows=None, cols=None):
-        sizes.append(size)
-        return minors(matrix, size, rows, cols)
+    def recording(matrix, size, rows=None, cols=None, modulo=None):
+        sizes.append((size, modulo))
+        return minors(matrix, size, rows, cols, modulo)
 
     monkeypatch.setattr(PolyMatrix, "minors", recording)
     assert algebra.is_reduced()
     profile = fitting_profile(algebra)
     find_test_element(algebra)
-    assert sorted(sizes) == [1, 2]
+    assert sorted(sizes, key=lambda s: (s[0], s[1] is not None)) == [
+        (1, None), (2, None), (2, algebra.defining_ideal)]
     assert all(fitting_ideal(algebra, row.index)
                is algebra.jacobian_minors(algebra.arity - row.index)[1]
                for row in profile.rows)
@@ -306,6 +308,33 @@ def test_m_primary_probe_sums_build_no_basis_of_i_plus_f(probe_cases,
                     if handle is full] == [True], case.name
             assert not full._cache
     assert hits
+
+
+def test_row_operation_trials_take_the_base_height(shipped_cases,
+                                                   probe_cases):
+    """A row-operation trial reports the base probe's height_full, which
+    by Cauchy-Binet is the height of its own t-minors: checked by
+    building I + I_t(U theta) for each trial of `curve-probe` (its case
+    file asks for 2) and of the probe instances in at most five
+    variables (2 each), U drawn as `last_rows_probe` draws it."""
+    (curve,) = [case for case in shipped_cases if case.name == "curve-probe"]
+    assert curve.rowops == 2
+    runs = [(curve, curve.rowops, curve.seed_for(None))]
+    runs += [(case, 2, 0) for case in probe_cases
+             if case.context.arity <= 5]
+    assert len(runs) > 5
+    for case, rowops, seed in runs:
+        algebra = GradedAlgebra.validate(case.context, case.relations)
+        probe = last_rows_probe(algebra, rowops=rowops, seed=seed)
+        assert len(probe.row_op_trials) == rowops
+        theta = algebra.jacobian_presentation()
+        rng = random.Random(seed)
+        for trial in probe.row_op_trials:
+            u = _random_invertible(rng, algebra.arity)
+            own = IdealHandle(algebra.context, theta.scaled_rows(u).minors(
+                probe.t, modulo=algebra.defining_ideal))
+            assert (algebra.height_of(own) == trial.height_full
+                    == probe.height_full), case.name
 
 
 def test_probe_curve_cone(curve_cone):

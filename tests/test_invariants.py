@@ -61,26 +61,105 @@ def test_only_groebner_runs_a_heap():
     assert importers == ["groebner.py"]
 
 
-def test_reduction_loops_make_no_fraction_and_no_tuple_key():
-    """The Buchberger loop, the S-polynomial and the normal form run on
-    ints: scales and multipliers are int pairs, and the key of every
-    product is an int added from others, so they do not name `Fraction`
-    and the S-polynomial and the normal form call no order key."""
-    path = Path(diffrees.__file__).parent / "groebner.py"
+def _top_functions(name):
+    """The top-level functions of the package module `name`, by name."""
+    path = Path(diffrees.__file__).parent / name
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    functions = {node.name: node for node in tree.body
-                 if isinstance(node, ast.FunctionDef)}
-    for name in ("_nf", "_spoly", "_buchberger"):
-        names = {node.id for node in ast.walk(functions[name])
+    return {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_reduction_loops_make_no_fraction_and_no_tuple_key():
+    """The Buchberger loop, the S-polynomial, the normal form and the
+    Laplace expansion of minors run on ints: scales and multipliers are
+    int pairs, and the key of every product is an int added from others,
+    so they do not name `Fraction` and the S-polynomial, the normal form
+    and the expansion call no order key."""
+    functions = _top_functions("groebner.py")
+    laplace = _top_functions("matrix.py")["_laplace"]
+    for name, function in (*((n, functions[n]) for n in
+                             ("_nf", "_spoly", "_buchberger")),
+                           ("_laplace", laplace)):
+        names = {node.id for node in ast.walk(function)
                  if isinstance(node, ast.Name)}
-        names |= {node.attr for node in ast.walk(functions[name])
+        names |= {node.attr for node in ast.walk(function)
                   if isinstance(node, ast.Attribute)}
         assert "Fraction" not in names, name
-    for name in ("_nf", "_spoly"):
+    for name, function in (("_nf", functions["_nf"]),
+                           ("_spoly", functions["_spoly"]),
+                           ("_laplace", laplace)):
         called = {getattr(node.func, "attr", getattr(node.func, "id", None))
-                  for node in ast.walk(functions[name])
+                  for node in ast.walk(function)
                   if isinstance(node, ast.Call)}
         assert not called & {"key", "key_for"}, name
+
+
+def _minors_reduced_one_by_one(tree):
+    """Line numbers in `tree` where `.reduce(` or `.normal_form(` is
+    applied to the elements of a `.minors(` or `.jacobian_minors(`
+    result: by a comprehension or a for loop over such a call, or over a
+    name bound to one in the same function, or by `map`."""
+    minors = {"minors", "jacobian_minors"}
+    reducers = {"reduce", "normal_form"}
+
+    def calls(node, attrs):
+        return any(isinstance(n, ast.Call)
+                   and getattr(n.func, "attr", None) in attrs
+                   for n in ast.walk(node))
+
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        bound = {t.id for n in ast.walk(function) if isinstance(n, ast.Assign)
+                 and calls(n.value, minors)
+                 for t in n.targets if isinstance(t, ast.Name)}
+
+        def over_minors(node):
+            return calls(node, minors) or any(
+                isinstance(n, ast.Name) and n.id in bound
+                for n in ast.walk(node))
+
+        for node in ast.walk(function):
+            if isinstance(node, (ast.ListComp, ast.SetComp,
+                                 ast.GeneratorExp, ast.DictComp)):
+                loops = [(g.iter, node) for g in node.generators]
+            elif isinstance(node, ast.For):
+                loops = [(node.iter, ast.Module(body=node.body,
+                                                type_ignores=[]))]
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "map"
+                  and len(node.args) > 1
+                  and getattr(node.args[0], "attr", None) in reducers):
+                loops = [(arg, None) for arg in node.args[1:]]
+            else:
+                continue
+            if any(over_minors(it) and (body is None or calls(body, reducers))
+                   for it, body in loops):
+                found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_no_minor_is_reduced_on_its_own():
+    """Minors are reduced modulo an ideal inside the expansion
+    (`PolyMatrix.minors(..., modulo=...)`), never one by one afterwards.
+    The check is first tried on loops of the forms it must catch."""
+    caught = """
+def a(algebra, matrix, t):
+    minors = [algebra.reduce(m) for m in matrix.minors(t)]
+def b(algebra, c):
+    return [algebra.reduce(m) for m in algebra.jacobian_minors(c)[0]]
+def c(quotient, matrix, t):
+    gens = list(map(quotient.reduce, matrix.minors(t)))
+def d(handle, matrix, t):
+    found = matrix.minors(t)
+    for m in found:
+        yield handle.normal_form(m)
+"""
+    assert len(_minors_reduced_one_by_one(ast.parse(caught))) == 4
+    for path in sorted(Path(diffrees.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        assert not _minors_reduced_one_by_one(tree), path.name
 
 
 def test_step_budget_is_opened_only_at_the_entry_points():
