@@ -144,12 +144,14 @@ class GradedAlgebra:
 
     def jacobian_minors(self, size):
         """The size x size minors of `theta` in `PolyMatrix.minors` order,
-        zeros included, and the handle of the ideal they generate: built
-        once per size for the life of the algebra, so the Fitting ideals,
+        reduced modulo the defining ideal as they are expanded, zeros
+        included, and the handle of the ideal they generate: built once
+        per size for the life of the algebra, so the Fitting ideals,
         reducedness and the test-element draws share them."""
         cached = self._minors.get(size)
         if cached is None:
-            minors = tuple(self.jacobian_presentation().minors(size))
+            minors = tuple(self.jacobian_presentation().minors(
+                size, modulo=self.defining_ideal))
             cached = self._minors[size] = (minors,
                                            IdealHandle(self.context, minors))
         return cached

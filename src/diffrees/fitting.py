@@ -14,16 +14,15 @@ import random
 from dataclasses import dataclass, field
 
 from .groebner import IdealHandle
+from .matrix import PolyMatrix
 
 
 def fitting_ideal(algebra, i):
     """The i-th Fitting ideal of the differential module, i.e. the ideal of
-    (n - i)-minors of the Jacobian presentation, whose entries are reduced
-    modulo the defining ideal, as the algebra's one handle per index
-    (`GradedAlgebra.jacobian_minors`).  The minors are not reduced again:
-    every height is taken of I + F_i, whose basis does that.  F_i = (1)
-    once n - i <= 0 and (0) when the requested minors outsize the
-    matrix."""
+    (n - i)-minors of the Jacobian presentation, reduced modulo the
+    defining ideal as they are expanded, as the algebra's one handle per
+    index (`GradedAlgebra.jacobian_minors`).  F_i = (1) once n - i <= 0
+    and (0) when the requested minors outsize the matrix."""
     theta = algebra.jacobian_presentation()
     size = algebra.arity - i
     if size <= 0:
@@ -190,7 +189,7 @@ def last_rows_probe(algebra, rowops=0, seed=0):
     of theta and back, as U is invertible over Q, so I_t(U theta) =
     I_t(theta), and a trial builds only the basis of its last-rows sum.
     """
-    n, d = algebra.arity, algebra.dimension
+    d = algebra.dimension
     t = last_rows_size(algebra)
     theta = algebra.jacobian_presentation()
     ctx = algebra.context
@@ -211,7 +210,7 @@ def last_rows_probe(algebra, rowops=0, seed=0):
     trials = []
     rng = random.Random(seed)
     for _ in range(rowops):
-        eq_u = compare(theta.scaled_rows(_random_invertible(rng, n)))[0]
+        eq_u = compare(_random_invertible(rng, ctx) @ theta)[0]
         trials.append(RowOpTrial(eq_u, height_full,
                                  (not eq_u) or height_full < d))
     return LastRowsProbe(t=t, ideals_equal=equal, height_full=height_full,
@@ -221,29 +220,12 @@ def last_rows_probe(algebra, rowops=0, seed=0):
                          row_op_trials=tuple(trials))
 
 
-def _random_invertible(rng, n):
+def _random_invertible(rng, context):
+    """A constant n x n matrix over `context`, n its arity, with entries
+    drawn from [-3, 3] row by row until its determinant is nonzero."""
+    n = context.arity
     while True:
-        u = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        if _int_det(u) != 0:
+        u = PolyMatrix(context, [[context.constant(rng.randint(-3, 3))
+                                  for _ in range(n)] for _ in range(n)])
+        if not u.minor(range(n), range(n)).is_zero:
             return u
-
-
-def _int_det(rows):
-    from fractions import Fraction
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    n = len(m)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det

@@ -15,9 +15,11 @@ exponent in a 32-bit field whose top bit is a guard bit: a product of
 monomials is one addition and a divisibility test one subtraction and
 mask (see `_Monomials`).  Every order key is one int, linear in the
 exponents (`MonomialOrder.key_for`), so the key of a product is one
-addition too.  The kernel's entry points take and return exponent-tuple
-dicts and pack only inside; an exponent that reaches 2^31 raises
-`ExponentOverflowError` instead of carrying into its neighbour.
+addition too.  The kernel's entry points take exponent-tuple dicts and
+pack them; an exponent that reaches 2^31 raises `ExponentOverflowError`
+instead of carrying into its neighbour.  A reduced basis stays packed in
+the cache of its `IdealHandle`, and a Polynomial is made from packed ints
+only on request, by `_polynomial`.
 
 All computations are exact over Q and deterministic: the inputs are
 taken in a fixed order and the pair queue is ordered by signature with a
@@ -110,8 +112,9 @@ def _steps():
 # Reductions are fraction-free: basis elements are content-free integer
 # polynomials with positive leading coefficient, and the working
 # polynomial carries one rational scale, an int pair, instead of
-# per-coefficient denominators.  Fractions are made only for the
-# results: the monic basis, a normal form and a syzygy record.
+# per-coefficient denominators.  Fractions are made only where a caller
+# asks for a Polynomial (`_polynomial`): a basis element, a normal form
+# or a minor.
 
 _FIELD = (1 << 32) - 1     # the lowest field: the last exponent
 
@@ -154,15 +157,6 @@ class _Monomials(dict):
         """The error for a packed monomial with a guard bit set."""
         return exponent_overflow(
             self._struct.unpack(m.to_bytes(self._struct.size, "big")))
-
-
-def _packed(dicts, key):
-    """The `_Monomials` of the dicts' exponent length under `key`, and the
-    dicts with packed monomials."""
-    length = next((len(e) for d in dicts for e in d), 1)
-    mons = _Monomials(key, length)
-    pack = mons.pack
-    return mons, [{pack(e): c for e, c in d.items()} for d in dicts]
 
 
 def _lcm(a, b, guard):
@@ -354,11 +348,12 @@ def _spoly(gi, lmi, gj, lmj, lcm, key, mons):
     return spoly, qi, qj
 
 
-def _buchberger(generators, key, counter, certify=False):
-    """The unique monic reduced Groebner basis of the ideal the given term
-    dicts generate, as `_interreduce` returns it.  The terms are packed
-    on entry (see `_Monomials`), and the basis stays packed until
-    `_interreduce` unpacks its result.
+def _buchberger(generators, mons, counter, certify=False):
+    """The unique reduced Groebner basis of the ideal the given term dicts
+    generate, packed, as `_interreduce` returns it.  The terms are packed
+    on entry into `mons`, a fresh `_Monomials` of the ring's exponent
+    length under the order's key, and never unpacked: the result holds
+    `mons` itself.
 
     With `certify`, the build may instead stop early and return None, a
     certificate that the quotient by the ideal J has dimension 0.  It
@@ -416,9 +411,9 @@ def _buchberger(generators, key, counter, certify=False):
     The pair heap is ordered by signature and then by the two indices, so
     repeated runs produce identical bases.
     """
-    mons, generators = _packed(generators, key)
+    pack = mons.pack
     guard = mons.guard
-    basis = list(filter(None, generators))
+    basis = [{pack(e): c for e, c in g.items()} for g in generators if g]
     # the fields (variables) without a pure-power lead yet; the packed
     # constant monomial is 0
     missing = (set(range(mons.length))
@@ -532,9 +527,9 @@ def _covers(lm, missing):
     return not missing
 
 
-def _schreyer_records(family, key, counter):
+def _schreyer_records(family, mons, counter):
     """Schreyer syzygy records of a family that is already a Groebner
-    basis under `key`, one per minimal pair.
+    basis under the key of `mons`, one per minimal pair.
 
     The record of a pair i < j in one component is its reduction equation
     in monic coordinates, q_i e_i - q_j e_j - sum_k c_k q_k e_k, as a
@@ -546,16 +541,18 @@ def _schreyer_records(family, key, counter):
     for each i only the j whose quotient no other quotient of i divides
     are reduced, the smallest j among equal quotients.  Each record lists
     its lead first: every quotient term maps below the lcm, so none of
-    them cancels it.  The family is packed on entry; the records' quotient
-    monomials are exponent tuples.
+    them cancels it.  The family is packed on entry into `mons`, a fresh
+    `_Monomials` of its exponent length; the records' quotient monomials
+    are exponent tuples, and each coefficient is an int pair (numerator,
+    denominator).
     """
-    mons, family = _packed(family, key)
+    pack = mons.pack
     guard = mons.guard
     unpack = mons.unpack
     basis = []
     lms = []
     for el in family:
-        lm, ints = _int_normalize(el, mons)
+        lm, ints = _int_normalize({pack(e): c for e, c in el.items()}, mons)
         basis.append(ints)
         lms.append(lm)
     memo = {}
@@ -589,7 +586,7 @@ def _schreyer_records(family, key, counter):
                     sums[(k, qk)] = (old[0] - n, d)
                 else:
                     sums[(k, qk)] = (old[0] * d - n * old[1], old[1] * d)
-            record = {(k, unpack(qk)): Fraction(n, d * scale)
+            record = {(k, unpack(qk)): (n, d * scale)
                       for (k, qk), (n, d) in sums.items() if n}
             records.append(record)
     return records
@@ -597,9 +594,11 @@ def _schreyer_records(family, key, counter):
 
 def _interreduce(basis, lms, mons, counter):
     """Minimalize and tail-reduce a Groebner basis of content-free packed
-    integer elements with leads `lms`, whose keys `mons` holds, then
-    return the unique monic reduced basis as (leads, {monomial: Fraction}
-    dicts), on exponent tuples.
+    integer elements with leads `lms`, whose keys `mons` holds, and return
+    the unique reduced basis still packed, as an `IdealHandle` caches it:
+    (mons, leads, content-free integer elements with positive leading
+    coefficient, an empty first-divisor memo for `_nf`), by increasing
+    lead.  The monic basis is each element over its leading coefficient.
 
     One pass by increasing lead: an element whose lead a kept lead divides
     is dropped, and every other one is reduced against the already reduced
@@ -619,12 +618,16 @@ def _interreduce(basis, lms, mons, counter):
         r, _ = _nf(basis[i], heads, polys, mons, counter, memo)
         polys.append(_primitive(r, mons)[1])
         heads.append(lms[i])
+    return mons, heads, polys, {}
+
+
+def _polynomial(context, mons, ints, num=1, den=1):
+    """The Polynomial ints * den / num of `context`, from a packed
+    {monomial: int} dict whose monomials `mons` unpacks: the one place
+    where the kernel's packed ints become Fractions and Polynomials."""
     unpack = mons.unpack
-    monic = []
-    for lm, p in zip(heads, polys):
-        lead = p[lm]
-        monic.append({unpack(e): Fraction(c, lead) for e, c in p.items()})
-    return [unpack(lm) for lm in heads], monic
+    return Polynomial._make(context, {unpack(e): Fraction(v * den, num)
+                                      for e, v in ints.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -637,13 +640,17 @@ class DimensionReport(NamedTuple):
 class IdealHandle:
     """An ideal in a polynomial ring with cached reduced Groebner bases.
 
-    Handles are immutable apart from the write-once per-order basis cache
-    and the first-divisor memo and int-key map of `normal_form`, whose
+    `_cache` maps an order to the reduced basis `_buchberger` returns
+    under it, packed: (`_Monomials`, leads, content-free integer
+    elements, first-divisor memo).  It is the handle's only basis cache;
+    `groebner_basis` makes the monic Polynomials from it on each call.
+    Handles are immutable apart from that write-once cache and the memo
+    and int-key map `normal_form` and `PolyMatrix.minors` fill, whose
     entries are exact whenever written; concurrent reads are safe and
     duplicated basis computations agree by the determinism contract.
     """
 
-    __slots__ = ("context", "generators", "_cache", "_prepared", "_dim")
+    __slots__ = ("context", "generators", "_cache", "_dim")
 
     def __init__(self, context, generators):
         gens = []
@@ -657,7 +664,6 @@ class IdealHandle:
         self.context = context
         self.generators = tuple(gens)
         self._cache = {}
-        self._prepared = {}
         self._dim = None
 
     def __repr__(self):
@@ -667,54 +673,40 @@ class IdealHandle:
     # -- bases ---------------------------------------------------------------
 
     def groebner_basis(self, order=DEGREVLEX):
-        """The unique reduced Groebner basis under `order`, cached."""
+        """The unique monic reduced Groebner basis under `order`, by
+        increasing lead, made from the cached packed basis."""
+        mons, lms, basis, _ = self._reduced(order)
+        return tuple(_polynomial(self.context, mons, g, g[lm])
+                     for lm, g in zip(lms, basis))
+
+    def _reduced(self, order=DEGREVLEX):
+        """The packed reduced basis under `order` (see `_cache`), built on
+        the first request; `normal_form`, `is_unit`, `krull_dimension`
+        and `PolyMatrix.minors` read it as it is."""
         cached = self._cache.get(order)
         return self._build(order) if cached is None else cached
 
     def _build(self, order, certify=False):
         """Run `_buchberger` on the generators under `order` and cache the
-        reduced basis it returns; every basis build of a handle starts
-        here.  With `certify` (see `_buchberger`) it returns None, and
-        caches nothing, when the build stops on a certificate that the
+        packed reduced basis it returns; every basis build of a handle
+        starts here.  With `certify` (see `_buchberger`) it returns None,
+        and caches nothing, when the build stops on a certificate that the
         quotient has dimension 0."""
         ctx = self.context
         built = _buchberger([dict(g.terms) for g in self.generators],
-                            order.key_for(ctx), _steps(), certify)
-        if built is None:
-            return None
-        basis = tuple(Polynomial._make(ctx, d) for d in built[1])
-        self._cache[order] = basis
-        return basis
-
-    def _reducers(self, order=DEGREVLEX):
-        """The reduced basis under `order` prepared for `_nf`, built once:
-        (mons, leads, content-free packed integer elements, first-divisor
-        memo).  `normal_form` and `PolyMatrix.minors` share it, so every
-        monomial they meet is packed and keyed once per handle."""
-        prepared = self._prepared.get(order)
-        if prepared is None:
-            basis = self.groebner_basis(order)
-            mons = _Monomials(order.key_for(self.context),
-                              self.context.arity)
-            lms = []
-            dicts = []
-            for g in basis:
-                lm, ints = _int_normalize(
-                    {mons.pack(e): c for e, c in g.terms}, mons)
-                lms.append(lm)
-                dicts.append(ints)
-            prepared = self._prepared[order] = (mons, lms, dicts, {})
-        return prepared
+                            _Monomials(order.key_for(ctx), ctx.arity),
+                            _steps(), certify)
+        if built is not None:
+            self._cache[order] = built
+        return built
 
     def normal_form(self, p, order=DEGREVLEX):
         if p.context != self.context:
             raise ValueError("polynomial context mismatch")
-        mons, lms, dicts, memo = self._reducers(order)
+        mons, lms, basis, memo = self._reduced(order)
         r, (num, den) = _nf({mons.pack(e): c for e, c in p.terms}, lms,
-                            dicts, mons, _steps(), memo)
-        return Polynomial._make(self.context,
-                                {mons.unpack(e): Fraction(v * den, num)
-                                 for e, v in r.items()})
+                            basis, mons, _steps(), memo)
+        return _polynomial(self.context, mons, r, num, den)
 
     def contains(self, p):
         return self.normal_form(p).is_zero
@@ -736,11 +728,11 @@ class IdealHandle:
         """Whether the ideal is the whole ring.  When no generator has a
         constant term (the last, least term of a generator) the ideal lies
         in the maximal ideal of the origin, so it is proper and needs no
-        basis; otherwise the reduced basis decides."""
+        basis; otherwise the reduced basis decides: it is (1), whose one
+        lead is the constant monomial, packed as 0."""
         if all(any(g.terms[-1][0]) for g in self.generators):
             return False
-        gb = self.groebner_basis()
-        return len(gb) == 1 and gb[0].is_constant
+        return self._reduced()[1] == [0]
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -759,18 +751,12 @@ class IdealHandle:
         (tag,) = ctx.fresh_names("u", 1)
         big = ctx.insert_front((tag,))
         u = big.gen(0)
-        gens = [u * _lift(g, big, 1) for g in self.generators]
-        gens += [(big.one - u) * _lift(g, big, 1) for g in other.generators]
-        eliminated = _eliminate_front(big, gens, 1)
-        return IdealHandle(ctx, [_drop(g, ctx, 1) for g in eliminated])
+        gens = [u * _lift(g, big) for g in self.generators]
+        gens += [(big.one - u) * _lift(g, big) for g in other.generators]
+        return _eliminate_front(ctx, big, gens)
 
     def saturation(self, g):
-        """(I : g^inf) via one elimination: adjoin y, add y*g - 1, drop y.
-
-        The block order restricts to degrevlex on y-free monomials, so the
-        y-free elements of the reduced block basis, in their order, are
-        the reduced degrevlex basis of the result; it starts with that
-        basis cached."""
+        """(I : g^inf) via one elimination: adjoin y, add y*g - 1, drop y."""
         if g.is_zero:
             raise ValueError("saturation by zero is undefined")
         if g.is_constant:
@@ -779,12 +765,9 @@ class IdealHandle:
         (aux,) = ctx.fresh_names("y", 1)
         big = ctx.insert_front((aux,))
         y = big.gen(0)
-        gens = [_lift(h, big, 1) for h in self.generators]
-        gens.append(y * _lift(g, big, 1) - big.one)
-        eliminated = _eliminate_front(big, gens, 1)
-        result = IdealHandle(ctx, [_drop(h, ctx, 1) for h in eliminated])
-        result._cache[DEGREVLEX] = result.generators
-        return result
+        gens = [_lift(h, big) for h in self.generators]
+        gens.append(y * _lift(g, big) - big.one)
+        return _eliminate_front(ctx, big, gens)
 
     def saturation_by_ideal(self, other):
         """(I : J^inf), the intersection of the per-generator saturations."""
@@ -809,21 +792,20 @@ class IdealHandle:
         power of every variable has dimension 0, reported with no witness
         variable and no basis cached.  A build whose certificate does not
         fire finishes and caches its basis, so a miss costs no second
-        build."""
+        build.  The leads are read packed."""
         if self._dim is not None:
             return self._dim
         ctx = self.context
-        gb = self._cache.get(DEGREVLEX)
-        if gb is None:
-            gb = self._build(DEGREVLEX, certify=True)
-        if gb is None:
+        built = (self._cache.get(DEGREVLEX)
+                 or self._build(DEGREVLEX, certify=True))
+        if built is None:
             report = DimensionReport(0, ())
-        elif any(g.is_constant and not g.is_zero for g in gb):
+        elif 0 in built[1]:
             report = DimensionReport(-1, None)
         else:
-            # terms are sorted by the context's degrevlex key, lead first
-            supports = [frozenset(i for i, e in enumerate(g.terms[0][0]) if e)
-                        for g in gb]
+            mons, lms, _, _ = built
+            supports = [frozenset(i for i, e in enumerate(mons.unpack(lm))
+                                  if e) for lm in lms]
             hitting = _min_hitting_set(supports, ctx.arity)
             independent = tuple(sorted(set(range(ctx.arity)) - hitting))
             report = DimensionReport(
@@ -861,26 +843,34 @@ def _min_hitting_set(supports, nvars):
 # ---------------------------------------------------------------------------
 # context plumbing for elimination
 
-def _lift(p, big_context, shift):
-    pad = (0,) * shift
+def _lift(p, big_context):
+    """`p` in `big_context`, its ring with one variable put in front."""
     return Polynomial.from_terms(
-        big_context, ((pad + e, c) for e, c in p.terms))
+        big_context, (((0,) + e, c) for e, c in p.terms))
 
 
-def _drop(p, small_context, shift):
-    terms = []
-    for e, c in p.terms:
-        if any(e[:shift]):
-            raise ValueError("polynomial still involves eliminated variables")
-        terms.append((e[shift:], c))
-    return Polynomial.from_terms(small_context, terms)
-
-
-def _eliminate_front(big_context, generators, front_count):
-    """Basis elements of the ideal that avoid the first `front_count`
-    variables; with a block order their span is the elimination ideal."""
-    order = MonomialOrder.elimination(tuple(range(front_count)))
-    handle = IdealHandle(big_context, generators)
-    basis = handle.groebner_basis(order)
-    return [g for g in basis if all(not any(e[:front_count]) for e, _ in g.terms)]
-
+def _eliminate_front(context, big_context, generators):
+    """The ideal of `context` that `generators`, polynomials of
+    `big_context` (`context` with one variable put in front), generate
+    once that variable is eliminated: the elements of their reduced
+    block-order basis whose lead avoids it.  The result starts with those
+    elements, still packed, as its reduced degrevlex basis, int for int:
+    the front variable is the top packed field, so a monomial free of it
+    packs to the same int in `context`, and its block key is its
+    degrevlex key in `context` (the back block's key vector is
+    `_drl_vector` of the weights of `context`), so the elements keep
+    their ints, their negated keys and their order."""
+    mons, lms, basis, _ = IdealHandle(big_context, generators)._reduced(
+        MonomialOrder.elimination((0,)))
+    small = _Monomials(DEGREVLEX.key_for(context), context.arity)
+    front = 1 << (32 * context.arity)      # the lowest bit of the top field
+    kept = [k for k, lm in enumerate(lms) if lm < front]
+    for k in kept:
+        for e in basis[k]:
+            small[e] = mons[e]
+    result = IdealHandle(context, [
+        _polynomial(context, small, basis[k], basis[k][lms[k]])
+        for k in kept])
+    result._cache[DEGREVLEX] = (small, [lms[k] for k in kept],
+                                [basis[k] for k in kept], {})
+    return result

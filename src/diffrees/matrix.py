@@ -5,11 +5,10 @@ modulo an ideal on its normal form."""
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import ContextMismatchError
-from .groebner import _Monomials, _nf, _steps
+from .groebner import _Monomials, _nf, _polynomial, _steps
 from .poly import DEGREVLEX, Polynomial
 
 
@@ -83,24 +82,6 @@ class PolyMatrix:
             return PolyMatrix(self.context, tuple(out))
         return NotImplemented
 
-    def scaled_rows(self, integer_matrix):
-        """Left-multiply by a matrix of plain integers (row operations)."""
-        m = [tuple(int(x) for x in row) for row in integer_matrix]
-        if any(len(row) != self.nrows for row in m):
-            raise ValueError("row-operation matrix has wrong width")
-        zero = self.context.zero
-        out = []
-        for row in m:
-            new = []
-            for j in range(self.ncols):
-                acc = zero
-                for k, coeff in enumerate(row):
-                    if coeff and not self.entries[k][j].is_zero:
-                        acc = acc + self.entries[k][j] * coeff
-                new.append(acc)
-            out.append(tuple(new))
-        return PolyMatrix(self.context, tuple(out))
-
     # -- determinants and minors ------------------------------------------------
 
     def minor(self, rows, cols):
@@ -134,8 +115,8 @@ class PolyMatrix:
         (`_laplace`): column j is scaled to integers by the lcm D_j of its
         entries' denominators, so a minor comes out as prod_j D_j times
         itself and is divided once.  With `modulo` the expansion shares
-        the `_Monomials` and first-divisor memo of the handle's prepared
-        reducers, and each minor goes to `_nf` before it becomes a
+        the `_Monomials` and first-divisor memo of the handle's cached
+        packed basis, and each minor goes to `_nf` before it becomes a
         Polynomial."""
         row_pool = tuple(rows) if rows is not None else tuple(range(self.nrows))
         col_pool = tuple(cols) if cols is not None else tuple(range(self.ncols))
@@ -150,7 +131,7 @@ class PolyMatrix:
         elif modulo.context != ctx:
             raise ContextMismatchError("ideal context mismatch")
         else:
-            mons, lms, basis, memo = modulo._reducers()
+            mons, lms, basis, memo = modulo._reduced()
             counter = _steps()
         pack = mons.pack
         scales = {}
@@ -164,7 +145,6 @@ class PolyMatrix:
                 entries[i][j] = {pack(e): c.numerator
                                  * (scale // c.denominator)
                                  for e, c in terms}
-        unpack = mons.unpack
         cache = {}
         out = []
         for rs in combinations(row_pool, size):
@@ -176,9 +156,7 @@ class PolyMatrix:
                     det, (num, den) = _nf(det, lms, basis, mons, counter,
                                           memo)
                 num *= math.prod(scales[j] for j in cs)
-                out.append(Polynomial._make(
-                    ctx, {unpack(e): Fraction(v * den, num)
-                          for e, v in det.items()}))
+                out.append(_polynomial(ctx, mons, det, num, den))
         return out
 
     def __repr__(self):

@@ -103,8 +103,7 @@ def find_test_element(algebra, seed=0):
             "torsion is only defined over a reduced base; refusing")
     c = algebra.codimension
     candidates = ([algebra.context.one] if c == 0 else
-                  algebra.jacobian_presentation().minors(
-                      c, modulo=algebra.defining_ideal))
+                  algebra.jacobian_minors(c)[0])
     rng = random.Random(seed)
     for _ in range(TEST_ELEMENT_DRAWS):
         coeffs = [rng.randint(-3, 3) for _ in candidates]

@@ -26,9 +26,10 @@ the irrelevant maximal ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import ResolutionLengthError
-from .groebner import _schreyer_records, _steps
+from .groebner import _Monomials, _schreyer_records, _steps
 from .poly import DEGREVLEX, KEY_DIGIT
 
 
@@ -61,8 +62,10 @@ def _schreyer_syzygies(family, key, counter, n):
     as flat elements of a free module of rank len(family), each with its
     lead first."""
     rank = len(family)
-    return [{q[:n] + (k, rank - 1 - k): c for (k, q), c in rec.items()}
-            for rec in _schreyer_records(family, key, counter)]
+    return [{q[:n] + (k, rank - 1 - k): Fraction(*c)
+             for (k, q), c in rec.items()}
+            for rec in _schreyer_records(family, _Monomials(key, n + 2),
+                                         counter)]
 
 
 # ---------------------------------------------------------------------------

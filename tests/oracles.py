@@ -43,8 +43,8 @@ from diffrees.errors import ResolutionLengthError
 from diffrees.matrix import PolyMatrix
 from diffrees.poly import DEGREVLEX, Polynomial, mono_mul
 from diffrees.groebner import (IdealHandle, StepCounter, _int_normalize,
-                               _interreduce, _lcm, _nf, _packed, _primitive,
-                               _spoly, _steps)
+                               _interreduce, _lcm, _nf, _primitive, _spoly,
+                               _steps)
 from diffrees.resolution import _schreyer_syzygies, _stage_shifts
 
 
@@ -612,12 +612,22 @@ def chain_scan_buchberger(generators, key, wdeg, counter, rank=1):
     return basis, lms
 
 
-def gm_buchberger(generators, key, wdeg, counter):
+def monic_basis(built):
+    """A packed reduced basis as `groebner._buchberger` and
+    `gm_buchberger` return it, as the leads and the monic
+    {exponents: Fraction} dicts, on exponent tuples."""
+    mons, lms, basis, _ = built
+    unpack = mons.unpack
+    return ([unpack(lm) for lm in lms],
+            [{unpack(e): Fraction(c, g[lm]) for e, c in g.items()}
+             for lm, g in zip(lms, basis)])
+
+
+def gm_buchberger(generators, mons, wdeg, counter):
     """`groebner._buchberger` before its signature-based pair loop: the
-    unique monic reduced Groebner basis of the ideal the given term
-    dicts generate, as `_interreduce` returns it.  The terms are packed
-    on entry (see `_Monomials`), and the basis stays packed until
-    `_interreduce` unpacks its result.
+    unique reduced Groebner basis of the ideal the given term dicts
+    generate, packed into the fresh `_Monomials` `mons`, as `_interreduce`
+    returns it.
 
     The generators are not taken in as they come.  Each waits in the pair
     queue at (weighted degree of its lead, int key of its lead, -1,
@@ -632,9 +642,9 @@ def gm_buchberger(generators, key, wdeg, counter):
     that holds a pair with coprime leads; a pending pair (i, j) goes when
     lm_t divides its lcm and that lcm differs from lcm(i, t) and lcm(j, t).
     """
-    mons, generators = _packed(generators, key)
     guard = mons.guard
-    unpack = mons.unpack
+    pack, unpack = mons.pack, mons.unpack
+    generators = [{pack(e): c for e, c in g.items()} for g in generators]
     inputs = []
     basis = []
     lms = []

@@ -207,16 +207,17 @@ def test_is_reduced_shares_the_profile_basis_of_i_plus_f_e(monkeypatch):
 
 
 def test_jacobian_minors_are_computed_once_per_size(monkeypatch):
-    """`is_reduced` and `fitting_profile` read the algebra's minors: each
-    size is expanded once and each Fitting index has one handle.
-    `find_test_element` draws over the c-minors reduced modulo I, in the
-    order of `PolyMatrix.minors`, zeros included: one more expansion,
-    with `modulo`."""
+    """`is_reduced`, `fitting_profile` and `find_test_element` read the
+    algebra's minors: each size is expanded once, reduced modulo I, and
+    each Fitting index has one handle.  `find_test_element` draws over
+    the c-minors in the order of `PolyMatrix.minors`, zeros included."""
     ctx = VariableContext(("X", "Y", "Z", "W"))
     algebra = GradedAlgebra.validate(ctx, [
         P(ctx, "X^2 + Y^2 + Z^2 + W^2"), P(ctx, "X^3 + 2*Y^3 + 3*Z^3 + 4*W^3")])
     theta = algebra.jacobian_presentation()
-    expected = {size: tuple(theta.minors(size)) for size in (1, 2)}
+    defining = algebra.defining_ideal
+    expected = {size: tuple(theta.minors(size, modulo=defining))
+                for size in (1, 2)}
     sizes = []
     minors = PolyMatrix.minors
 
@@ -228,8 +229,8 @@ def test_jacobian_minors_are_computed_once_per_size(monkeypatch):
     assert algebra.is_reduced()
     profile = fitting_profile(algebra)
     find_test_element(algebra)
-    assert sorted(sizes, key=lambda s: (s[0], s[1] is not None)) == [
-        (1, None), (2, None), (2, algebra.defining_ideal)]
+    assert sorted(sizes, key=lambda s: s[0]) == [(1, defining),
+                                                 (2, defining)]
     assert all(fitting_ideal(algebra, row.index)
                is algebra.jacobian_minors(algebra.arity - row.index)[1]
                for row in profile.rows)
@@ -252,7 +253,8 @@ def test_last_rows_minors_are_the_tail_of_the_full_list():
     for _name, algebra in probe_corpus(seed=0, count=20):
         n, t = algebra.arity, last_rows_size(algebra)
         theta = algebra.jacobian_presentation()
-        for matrix in (theta, theta.scaled_rows(_random_invertible(rng, n))):
+        for matrix in (theta, _random_invertible(rng, algebra.context)
+                       @ theta):
             full = [algebra.reduce(m) for m in matrix.minors(t)]
             last = [algebra.reduce(m)
                     for m in matrix.minors(t, rows=range(n - t, n))]
@@ -330,8 +332,8 @@ def test_row_operation_trials_take_the_base_height(shipped_cases,
         theta = algebra.jacobian_presentation()
         rng = random.Random(seed)
         for trial in probe.row_op_trials:
-            u = _random_invertible(rng, algebra.arity)
-            own = IdealHandle(algebra.context, theta.scaled_rows(u).minors(
+            u = _random_invertible(rng, algebra.context)
+            own = IdealHandle(algebra.context, (u @ theta).minors(
                 probe.t, modulo=algebra.defining_ideal))
             assert (algebra.height_of(own) == trial.height_full
                     == probe.height_full), case.name

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from diffrees import groebner
 from diffrees.errors import ExponentOverflowError, StepBudgetExceeded
 from diffrees.groebner import IdealHandle, step_budget
-from diffrees.poly import DEGREVLEX, LEX, MonomialOrder, VariableContext
+from diffrees.poly import (DEGREVLEX, LEX, MonomialOrder, Polynomial,
+                           VariableContext)
 
 from conftest import (P, homogeneous_ideals, inhomogeneous_ideals,
                       random_homogeneous)
@@ -165,8 +166,9 @@ def test_nested_generator_sets_build_only_the_smaller_basis():
                                    MonomialOrder.elimination((0,))],
                          ids=["degrevlex", "lex", "elimination"])
 def test_one_monomial_table_per_basis_build(order, monkeypatch):
-    """A basis build packs its generators once: `_buchberger` hands its
-    packed basis, its leads and its `_Monomials` to `_interreduce`."""
+    """A basis build packs its generators once: `_build` makes one
+    `_Monomials`, which `_buchberger`, `_interreduce` and the handle's
+    cache share."""
     made = []
 
     class Counted(groebner._Monomials):
@@ -320,9 +322,11 @@ def test_zero_dimensional_certificate_matches_full_basis(drawn):
     generators = [dict(g.terms) for g in handle.generators]
     key = DEGREVLEX.key_for(ctx)
     stopped, full = groebner.StepCounter(), groebner.StepCounter()
-    result = groebner._buchberger(generators, key, stopped, certify=True)
-    assert result == (None if certified
-                      else groebner._buchberger(generators, key, full))
+    result = groebner._buchberger(generators,
+                                  groebner._Monomials(key, ctx.arity),
+                                  stopped, certify=True)
+    assert result == (None if certified else groebner._buchberger(
+        generators, groebner._Monomials(key, ctx.arity), full))
     if not certified:
         assert stopped.remaining == full.remaining
 
@@ -397,13 +401,53 @@ def test_elimination_basis_spans_subring_part(xyz):
 
 
 def test_two_variable_block_elimination():
-    from diffrees.groebner import _drop, _eliminate_front
+    """The elements of a block-order basis that avoid the front block
+    generate the elimination ideal: Z^5 - W from X - Z^2, Y - Z^3 and
+    X*Y - W."""
     ctx = VariableContext(("X", "Y", "Z", "W"))
     X, Y, Z, W = ctx.gens()
-    gens = [X - Z**2, Y - Z**3, X * Y - W]
-    survivors = _eliminate_front(ctx, gens, 2)
+    basis = IdealHandle(ctx, [X - Z**2, Y - Z**3, X * Y - W]).groebner_basis(
+        MonomialOrder.elimination((0, 1)))
     small = VariableContext(("Z", "W"))
-    dropped = [_drop(g, small, 2) for g in survivors]
+    survivors = [Polynomial.from_terms(small, ((e[2:], c) for e, c in g.terms))
+                 for g in basis if not any(any(e[:2]) for e, _ in g.terms)]
     z, w = small.gens()
-    assert IdealHandle(small, dropped).equals(
+    assert IdealHandle(small, survivors).equals(
         IdealHandle(small, [z**5 - w]))
+
+
+def test_queries_read_the_packed_basis(xyz, monkeypatch):
+    """`krull_dimension` on a build that the certificate misses, and
+    `contains`, read the cached packed basis: no basis element becomes a
+    Polynomial, and `contains` makes only its normal form."""
+    made = []
+    polynomial = groebner._polynomial
+
+    def recording(context, mons, ints, num=1, den=1):
+        made.append(ints)
+        return polynomial(context, mons, ints, num, den)
+
+    monkeypatch.setattr(groebner, "_polynomial", recording)
+    X, Y, Z = xyz.gens()
+    handle = IdealHandle(xyz, [X * Y - Z**2, X**2 - Y * Z])
+    assert handle.krull_dimension().dimension == 1
+    assert DEGREVLEX in handle._cache and not made
+    assert handle.contains(X * (X * Y - Z**2))
+    assert not handle.contains(X * Y)
+    assert len(made) == 2
+    assert not any(ints in handle._cache[DEGREVLEX][2] for ints in made)
+
+
+def test_the_zero_ideal_answers_queries(xyz):
+    """The zero ideal builds an empty basis on the ring's arity: every
+    polynomial is its own normal form, only zero is contained and the
+    quotient has the dimension of the ring."""
+    X, Y, Z = xyz.gens()
+    for gens in ([], [xyz.zero]):
+        handle = IdealHandle(xyz, gens)
+        p = X**2 * Y - 3 * Z + 1
+        assert handle.normal_form(p) == p
+        assert not handle.contains(X) and handle.contains(xyz.zero)
+        assert handle.krull_dimension() == (3, ("X", "Y", "Z"))
+        assert not handle.is_unit()
+        assert handle.groebner_basis() == ()

@@ -71,15 +71,27 @@ def test_weighted_bases_match_naive_oracle(drawn):
 @given(st.booleans().flatmap(lambda w: homogeneous_ideals(weighted=w)),
        st.data())
 def test_saturation_starts_with_its_reduced_basis(drawn, data):
-    """The y-free part of the block basis that `saturation` caches equals
-    a fresh degrevlex build from its generators."""
+    """The front-free part of the block basis that `saturation` and
+    `intersection` seed their result's degrevlex cache with, still
+    packed, is a fresh degrevlex build from the result's generators, int
+    for int: the same leads and content-free elements, every stored
+    negated key that of the ring's degrevlex key, and the same normal
+    forms."""
     ctx, gens = drawn
     coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=ctx.arity,
                                 max_size=ctx.arity).filter(any))
     g = sum((x * c for x, c in zip(ctx.gens(), coeffs) if c), ctx.zero)
-    sat = IdealHandle(ctx, gens).saturation(g)
-    seeded = sat._cache[DEGREVLEX]
-    assert seeded == IdealHandle(ctx, sat.generators).groebner_basis()
+    key = DEGREVLEX.key_for(ctx)
+    for result in (IdealHandle(ctx, gens).saturation(g),
+                   IdealHandle(ctx, gens).intersection(
+                       IdealHandle(ctx, [g]))):
+        mons, lms, basis, _ = result._cache[DEGREVLEX]
+        fresh = IdealHandle(ctx, result.generators)
+        assert (lms, basis) == fresh._reduced()[1:3]
+        assert {e for el in basis for e in el} <= mons.keys()
+        assert all(k == -key(mons.unpack(e)) for e, k in mons.items())
+        for p in gens + [g * g]:
+            assert result.normal_form(p) == fresh.normal_form(p)
 
 
 def test_growing_basis_matches_oracles():

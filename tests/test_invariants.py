@@ -70,15 +70,16 @@ def _top_functions(name):
 
 
 def test_reduction_loops_make_no_fraction_and_no_tuple_key():
-    """The Buchberger loop, the S-polynomial, the normal form and the
-    Laplace expansion of minors run on ints: scales and multipliers are
-    int pairs, and the key of every product is an int added from others,
-    so they do not name `Fraction` and the S-polynomial, the normal form
-    and the expansion call no order key."""
+    """The Buchberger loop, the interreduction, the S-polynomial, the
+    normal form and the Laplace expansion of minors run on ints: scales
+    and multipliers are int pairs, and the key of every product is an int
+    added from others, so they do not name `Fraction` and the
+    S-polynomial, the normal form and the expansion call no order key."""
     functions = _top_functions("groebner.py")
     laplace = _top_functions("matrix.py")["_laplace"]
     for name, function in (*((n, functions[n]) for n in
-                             ("_nf", "_spoly", "_buchberger")),
+                             ("_nf", "_spoly", "_buchberger",
+                              "_interreduce")),
                            ("_laplace", laplace)):
         names = {node.id for node in ast.walk(function)
                  if isinstance(node, ast.Name)}
@@ -92,6 +93,25 @@ def test_reduction_loops_make_no_fraction_and_no_tuple_key():
                   for node in ast.walk(function)
                   if isinstance(node, ast.Call)}
         assert not called & {"key", "key_for"}, name
+
+
+def test_one_converter_makes_polynomials_from_packed_ints():
+    """In `groebner.py` and `matrix.py` the kernel's packed ints become
+    Fractions and Polynomials in one place: `Fraction` and `._make` are
+    named only inside the converter `groebner._polynomial`."""
+    for name in ("groebner.py", "matrix.py"):
+        path = Path(diffrees.__file__).parent / name
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        converters = [node for node in tree.body
+                      if getattr(node, "name", None) == "_polynomial"]
+        inside = {id(node) for c in converters for node in ast.walk(c)}
+        found = [node.lineno for node in ast.walk(tree)
+                 if id(node) not in inside
+                 and (getattr(node, "id", None) == "Fraction"
+                      or getattr(node, "attr", None) == "_make")]
+        assert not found, name
+    converter = _top_functions("groebner.py")["_polynomial"]
+    assert _named(converter)["Fraction"] and _named(converter)["_make"]
 
 
 def _minors_reduced_one_by_one(tree):

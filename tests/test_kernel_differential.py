@@ -49,6 +49,21 @@ def _spent(counter):
     return counter.limit - counter.remaining
 
 
+def _signature_basis(generators, order, ctx, counter=None):
+    """`groebner._buchberger` on term dicts of `ctx` under `order`, as
+    `oracles.monic_basis` gives it."""
+    return oracles.monic_basis(groebner._buchberger(
+        generators, _Monomials(order.key_for(ctx), ctx.arity),
+        counter or StepCounter()))
+
+
+def _gm_basis(generators, order, ctx):
+    """`oracles.gm_buchberger` likewise."""
+    return oracles.monic_basis(oracles.gm_buchberger(
+        generators, _Monomials(order.key_for(ctx), ctx.arity),
+        ctx.weighted_degree, StepCounter()))
+
+
 @contextmanager
 def checked_kernels():
     """Route every kernel call of the library through the new and the old
@@ -88,7 +103,7 @@ def checked_kernels():
             [unpack(lm) for lm in lms], mons.key, ref_counter)
         before = counter.remaining
         got = interreduce(basis, lms, mons, counter)
-        assert got == expected
+        assert oracles.monic_basis(got) == expected
         assert before - counter.remaining == _spent(ref_counter)
         calls["interreduce"] += 1
         return got
@@ -194,10 +209,8 @@ def test_signature_engine_matches_old_engines(drawn):
     ctx, gens = drawn
     generators = [dict(g.terms) for g in gens]
     for order in (DEGREVLEX, LEX, MonomialOrder.elimination((0,))):
-        key = order.key_for(ctx)
-        got = groebner._buchberger(generators, key, StepCounter())
-        assert got == oracles.gm_buchberger(generators, key,
-                                            ctx.weighted_degree, StepCounter())
+        got = _signature_basis(generators, order, ctx)
+        assert got == _gm_basis(generators, order, ctx)
         assert (tuple(Polynomial._make(ctx, d) for d in got[1])
                 == oracles.naive_buchberger(ctx, gens, order))
 
@@ -205,14 +218,12 @@ def test_signature_engine_matches_old_engines(drawn):
 def _assert_same_reduced_basis(generators, order, ctx):
     """The Gebauer-Moeller engine and the signature-based one give the
     reduced basis of the chain scan, which runs on the tuple keys."""
-    key, wdeg = order.key_for(ctx), ctx.weighted_degree
     ref_key = oracles.flat_key_for(order, ctx)
-    ref = oracles.chain_scan_buchberger(generators, ref_key, wdeg,
-                                        StepCounter())
+    ref = oracles.chain_scan_buchberger(generators, ref_key,
+                                        ctx.weighted_degree, StepCounter())
     reduced = oracles.multipass_interreduce(*ref, ref_key, StepCounter())
-    assert oracles.gm_buchberger(generators, key, wdeg,
-                                 StepCounter()) == reduced
-    assert groebner._buchberger(generators, key, StepCounter()) == reduced
+    assert _gm_basis(generators, order, ctx) == reduced
+    assert _signature_basis(generators, order, ctx) == reduced
 
 
 @_SETTINGS
@@ -264,11 +275,8 @@ def test_every_workload_basis_matches_gm_buchberger(shipped_cases,
     assert any(certified for *_, certified in builds)
     for ctx, gens, order, certified in builds:
         generators = [dict(g.terms) for g in gens]
-        key = order.key_for(ctx)
-        full = groebner._buchberger(generators, key, StepCounter())
-        assert full == oracles.gm_buchberger(generators, key,
-                                             ctx.weighted_degree,
-                                             StepCounter())
+        full = _signature_basis(generators, order, ctx)
+        assert full == _gm_basis(generators, order, ctx)
         if certified:
             pure = {i for lead in full[0] for i, e in enumerate(lead)
                     if e and lead.count(0) == len(lead) - 1}
@@ -287,7 +295,6 @@ def test_redundant_generators_are_reduced_away(monkeypatch):
                   P(ctx, "Y^2 - X*Z + W^2"))
     gens = [f1 + f3, f2 * 3, f1, f2, f3, f1, f2 - f3]
     generators = [dict(g.terms) for g in gens]
-    key, wdeg = DEGREVLEX.key_for(ctx), ctx.weighted_degree
     ref_key = oracles.flat_key_for(DEGREVLEX, ctx)
     found = []
     interreduce = groebner._interreduce
@@ -298,8 +305,9 @@ def test_redundant_generators_are_reduced_away(monkeypatch):
 
     monkeypatch.setattr(groebner, "_interreduce", recording)
     got_c, ref_c = StepCounter(), StepCounter()
-    reduced = groebner._buchberger(generators, key, got_c)
-    ref = oracles.chain_scan_buchberger(generators, ref_key, wdeg, ref_c)
+    reduced = _signature_basis(generators, DEGREVLEX, ctx, got_c)
+    ref = oracles.chain_scan_buchberger(generators, ref_key,
+                                        ctx.weighted_degree, ref_c)
     assert reduced == oracles.multipass_interreduce(*ref, ref_key, ref_c)
     assert (tuple(Polynomial._make(ctx, d) for d in reduced[1])
             == oracles.naive_buchberger(ctx, gens)

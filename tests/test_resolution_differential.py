@@ -33,7 +33,8 @@ from hypothesis import strategies as st
 
 import oracles
 from diffrees import resolution
-from diffrees.groebner import IdealHandle, StepCounter, _buchberger
+from diffrees.groebner import (IdealHandle, StepCounter, _buchberger,
+                               _Monomials)
 from diffrees.matrix import PolyMatrix
 from diffrees.poly import DEGREVLEX, Polynomial, VariableContext
 from diffrees.rees import rees_ideal
@@ -50,15 +51,29 @@ def _recorded_stages(handle):
     stages = []
     schreyer_records = resolution._schreyer_records
 
-    def recording(family, key, counter):
-        records = schreyer_records(family, key, counter)
-        stages.append((family, key, records))
+    def recording(family, mons, counter):
+        records = schreyer_records(family, mons, counter)
+        stages.append((family, mons.key, records))
         return records
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resolution, "_schreyer_records", recording)
         res = free_resolution(handle)
     return res, stages
+
+
+def _module_basis(pres, key):
+    """The monic reduced basis `_buchberger` builds under `key` from the
+    columns of `pres`, a presentation of rank one, as flat elements."""
+    return oracles.monic_basis(_buchberger(
+        oracles.columns_to_elements(pres, 1),
+        _Monomials(key, pres.context.arity + 2), StepCounter()))[1]
+
+
+def _fractions(record):
+    """A Schreyer record with its (numerator, denominator) pairs as
+    Fractions."""
+    return {kq: Fraction(*c) for kq, c in record.items()}
 
 
 def _flat(element, rank):
@@ -90,7 +105,7 @@ def assert_matches_module_engine(handle):
     if stages:
         (family, _, records), (old_family, old_records) = stages[0], old[0]
         assert family == [_flat(el, pres.target_rank) for el in old_family]
-        assert all({(q[:n], k): c for (k, q), c in rec.items()}
+        assert all({(q[:n], k): c for (k, q), c in _fractions(rec).items()}
                    in old_records for rec in records)
     assert res.ranks == tuple(map(len, shifts))
     assert res.shifts == tuple(shifts)
@@ -109,10 +124,8 @@ def assert_stage_one_is_the_module_basis(handle):
     """The cached reduced degrevlex basis, as stage one, is the reduced
     basis `_buchberger` builds from the generators under
     position-over-term, which lists it by increasing lead."""
-    ctx = handle.context
-    _, family = _buchberger(
-        oracles.columns_to_elements(presentation_of_ideal(handle), 1),
-        oracles.int_keyed(oracles.position_key(ctx)), StepCounter())
+    family = _module_basis(presentation_of_ideal(handle), oracles.int_keyed(
+        oracles.position_key(handle.context)))
     _, stages = _recorded_stages(handle)
     assert (stages[0][0] if stages else []) == family[::-1]
 
@@ -226,9 +239,9 @@ def test_records_of_a_reduced_basis_match_module_engine(drawn):
     n = ctx.arity
     pres = presentation_of_ideal(IdealHandle(ctx, gens))
     key = oracles.int_keyed(oracles.position_key(ctx))
-    _, family = _buchberger(oracles.columns_to_elements(pres, 1), key,
-                            StepCounter())
-    records = resolution._schreyer_records(family, key, StepCounter())
+    family = _module_basis(pres, key)
+    records = map(_fractions, resolution._schreyer_records(
+        family, _Monomials(key, n + 2), StepCounter()))
     old_key = oracles.pot_key(oracles.flat_key_for(DEGREVLEX, ctx))
     columns = [{(t[:n], 0): c for t, c in el.items()} for el in family]
     _, _, old_records, added = oracles.module_buchberger(
@@ -252,7 +265,8 @@ def test_records_need_a_basis():
     family = [{(2, 0, 0, 0): Fraction(1), (0, 2, 0, 0): Fraction(1)},
               {(1, 1, 0, 0): Fraction(1)}]
     with pytest.raises(AssertionError, match="already be a basis"):
-        resolution._schreyer_records(family, key, StepCounter())
+        resolution._schreyer_records(family, _Monomials(key, 4),
+                                     StepCounter())
 
 
 def assert_matches_minimal_generators(pres):
