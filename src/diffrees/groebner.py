@@ -8,18 +8,19 @@ Krull dimension by independent variable sets, with an early stop that
 certifies dimension 0 (see `_buchberger`).  The same
 kernel serves free modules: the term x^a e_c of a module of rank r is the
 flat exponent tuple a + (c, r-1-c), and the Schreyer syzygy records of a
-basis are reduced on the same normal form (see `_schreyer_records`).
+basis are reduced on the same normal form and stay packed from one stage
+of a frame to the next (see `_schreyer_records`).
 
 Inside the kernel every exponent tuple is packed into one int, each
 exponent in a 32-bit field whose top bit is a guard bit: a product of
 monomials is one addition and a divisibility test one subtraction and
 mask (see `_Monomials`).  Every order key is one int, linear in the
 exponents (`MonomialOrder.key_for`), so the key of a product is one
-addition too.  The kernel's entry points take exponent-tuple dicts and
-pack them; an exponent that reaches 2^31 raises `ExponentOverflowError`
-instead of carrying into its neighbour.  A reduced basis stays packed in
-the cache of its `IdealHandle`, and a Polynomial is made from packed ints
-only on request, by `_polynomial`.
+addition too.  `_buchberger` takes exponent-tuple dicts and packs them;
+an exponent that reaches 2^31 raises `ExponentOverflowError` instead of
+carrying into its neighbour.  A reduced basis stays packed in the cache
+of its `IdealHandle`, and a Polynomial is made from packed ints only on
+request, by `_polynomial`.
 
 All computations are exact over Q and deterministic: the inputs are
 taken in a fixed order and the pair queue is ordered by signature with a
@@ -39,8 +40,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import StepBudgetExceeded
-from .poly import (DEGREVLEX, EXPONENT_LIMIT, MonomialOrder, Polynomial,
-                   exponent_overflow)
+from .poly import (DEGREVLEX, EXPONENT_LIMIT, KEY_DIGIT, MonomialOrder,
+                   Polynomial, exponent_overflow)
 
 DEFAULT_STEP_BUDGET = 10_000_000
 
@@ -178,18 +179,6 @@ def _primitive(ints, mons):
     return lm, ints
 
 
-def _int_normalize(d, mons):
-    """Content-free integer form with positive leading coefficient of a
-    packed dict with int or Fraction coefficients.  Returns (lm, dict) or
-    (None, {})."""
-    d = {e: c for e, c in d.items() if c}
-    if not d:
-        return None, {}
-    mult = math.lcm(*(c.denominator for c in d.values()))
-    return _primitive({e: c.numerator * (mult // c.denominator)
-                       for e, c in d.items()}, mons)
-
-
 def _nf(poly, lms, basis, mons, counter, memo, quotients=None, bound=None):
     """Full normal form of a packed dict against content-free packed
     integer reducers, ordered by the negated keys of `mons`, which holds
@@ -200,7 +189,8 @@ def _nf(poly, lms, basis, mons, counter, memo, quotients=None, bound=None):
     the exact normal form; the keys of the remainder's terms are written
     to `mons`.  When `quotients` is a list it receives (index, monomial,
     numerator, denominator) quadruples, the multipliers taken against
-    the monic reducers.
+    the monic reducers, and the key of every monomial reduced is written
+    to `mons` as well.
 
     A term c x^m meets the reducer g with lead l x^lm by gcd-scaled
     cancellation: with h = gcd(c, l), the work and the remainder so far
@@ -283,6 +273,7 @@ def _nf(poly, lms, basis, mons, counter, memo, quotients=None, bound=None):
         lead = g[lm]
         if quotients is not None:
             quotients.append((idx, q, c * den, num))
+            mons[m] = key
         h = gcd(c, lead)
         f = lead // h
         c //= h
@@ -527,40 +518,39 @@ def _covers(lm, missing):
     return not missing
 
 
-def _schreyer_records(family, mons, counter):
-    """Schreyer syzygy records of a family that is already a Groebner
-    basis under the key of `mons`, one per minimal pair.
+def _schreyer_records(lms, basis, mons, following, counter):
+    """The next frame stage of `lms` and `basis`, a packed family of
+    content-free elements with positive leading coefficients that is
+    already a Groebner basis under the key of `mons`, which holds the keys
+    of their terms: the Schreyer syzygy records of its minimal pairs, as
+    (leads, elements) in the same form.
 
     The record of a pair i < j in one component is its reduction equation
-    in monic coordinates, q_i e_i - q_j e_j - sum_k c_k q_k e_k, as a
-    {(family index, quotient monomial): coefficient} dict.  Under the
+    in monic coordinates, q_i e_i - q_j e_j - sum_k c_k q_k e_k, scaled by
+    the lcm of its denominators and divided by its content.  Under the
     order the family's leads induce, with ties broken toward the earlier
-    index, its lead is q_i e_i, where q_i = lcm(lm_i, lm_j) / lm_i.  All
+    index, its lead is q_i e_i, where q_i = lcm(lm_i, lm_j) / lm_i, with a
+    positive coefficient: every quotient term maps below the lcm.  All
     records form a Groebner basis of the syzygies (Schreyer), so the
     records whose leads minimally generate the lead module already do:
     for each i only the j whose quotient no other quotient of i divides
-    are reduced, the smallest j among equal quotients.  Each record lists
-    its lead first: every quotient term maps below the lcm, so none of
-    them cancels it.  The family is packed on entry into `mons`, a fresh
-    `_Monomials` of its exponent length; the records' quotient monomials
-    are exponent tuples, and each coefficient is an int pair (numerator,
-    denominator).
+    are reduced, the smallest j among equal quotients.
+
+    In rank r = len(lms), x^q e_k packs as q + (k, r-1-k): q, a quotient
+    within one component, is zero in both component fields.  Its key in
+    the next stage, (key(x^q lm_k) << 64) - k (`resolution._stage_key`),
+    is written negated to `following`, from the key of x^q lm_k that the
+    S-polynomial or its reduction wrote to `mons`.
     """
-    pack = mons.pack
     guard = mons.guard
-    unpack = mons.unpack
-    basis = []
-    lms = []
-    for el in family:
-        lm, ints = _int_normalize({pack(e): c for e, c in el.items()}, mons)
-        basis.append(ints)
-        lms.append(lm)
+    rank = len(lms)
     memo = {}
+    leads = []
     records = []
     for i, lmi in enumerate(lms):
         component = lmi & _FIELD
         firsts = {}
-        for j in range(i + 1, len(lms)):
+        for j in range(i + 1, rank):
             if lms[j] & _FIELD == component:
                 firsts.setdefault(_lcm(lmi, lms[j], guard) - lmi, j)
         for q, j in firsts.items():
@@ -569,7 +559,7 @@ def _schreyer_records(family, mons, counter):
                 continue
             lcm = q + lmi
             spoly, qi, qj = _spoly(basis[i], lmi, basis[j], lms[j], lcm,
-                                   -mons.key(unpack(lcm)), mons)
+                                   -mons.key(mons.unpack(lcm)), mons)
             counter.spend()
             quotients = []
             if _nf(spoly, lms, basis, mons, counter, memo, quotients)[0]:
@@ -586,10 +576,18 @@ def _schreyer_records(family, mons, counter):
                     sums[(k, qk)] = (old[0] - n, d)
                 else:
                     sums[(k, qk)] = (old[0] * d - n * old[1], old[1] * d)
-            record = {(k, unpack(qk)): (n, d * scale)
-                      for (k, qk), (n, d) in sums.items() if n}
+            mult = math.lcm(*(d for _, d in sums.values()))
+            ints = {(k, qk): n * (mult // d)
+                    for (k, qk), (n, d) in sums.items() if n}
+            content = math.gcd(*ints.values())
+            record = {}
+            for (k, qk), v in ints.items():
+                t = qk + (k << 32) + rank - 1 - k
+                record[t] = v // content
+                following[t] = (mons[qk + lms[k]] << KEY_DIGIT) + k
+            leads.append(qi + (i << 32) + rank - 1 - i)
             records.append(record)
-    return records
+    return leads, records
 
 
 def _interreduce(basis, lms, mons, counter):

@@ -2,14 +2,18 @@
 Cohen-Macaulay tests.
 
 Module elements run on the ring kernel of `groebner`: the term x^a e_c of
-a free module of rank r is the flat exponent tuple a + (c, r-1-c), kept in
-{term: Fraction} dicts.  Stage one is the ideal's cached reduced
-degrevlex basis, in rank one a module Groebner basis under the
-position-over-term extension of the ring order.  Every later stage is the
-family of Schreyer records of the minimal pairs of the stage before: their
-leads divide no one another and they form a Groebner basis of the
-syzygies under the induced Schreyer order (Schreyer), so no stage is
-interreduced (`groebner._schreyer_records`).
+a free module of rank r is the flat exponent tuple a + (c, r-1-c), packed
+into one int like a ring monomial, and an element is a content-free
+{packed term: int} dict with positive leading coefficient.  Stage one is
+the ideal's cached reduced degrevlex basis, packed as it is cached, in
+rank one a module Groebner basis under the position-over-term extension
+of the ring order.  Every later stage is the family of Schreyer records
+of the minimal pairs of the stage before: their leads divide no one
+another and they form a Groebner basis of the syzygies under the induced
+Schreyer order (Schreyer), so no stage is interreduced
+(`groebner._schreyer_records`).  The frame stays packed from the cached
+basis to the last stage; the component of a packed term t is
+(t >> 32) & _FIELD, and its exponent block is zero when t >> 64 is.
 
 That Schreyer frame is a graded free resolution, in general not a minimal
 one.  The minimal Betti numbers are the homology of F (x) k, so
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ResolutionLengthError
-from .groebner import _Monomials, _schreyer_records, _steps
+from .groebner import _FIELD, _Monomials, _schreyer_records, _steps
 from .poly import DEGREVLEX, KEY_DIGIT
 
 
@@ -50,22 +54,10 @@ def _stage_key(ring_key, offsets, n, stage):
     return lambda t: (ring_key(t[:n]) << shift) + offsets[t[n]]
 
 
-def _next_offsets(key, lms):
-    """The offsets of the stage whose generators lead with `lms`."""
-    return [(key(lm) << KEY_DIGIT) - j for j, lm in enumerate(lms)]
-
-
-# ---------------------------------------------------------------------------
-
-def _schreyer_syzygies(family, key, counter, n):
-    """The records of the minimal pairs of `family`, a basis under `key`,
-    as flat elements of a free module of rank len(family), each with its
-    lead first."""
-    rank = len(family)
-    return [{q[:n] + (k, rank - 1 - k): Fraction(*c)
-             for (k, q), c in rec.items()}
-            for rec in _schreyer_records(family, _Monomials(key, n + 2),
-                                         counter)]
+def _next_offsets(negated):
+    """The offsets of the stage whose generators lead with monomials of
+    negated keys `negated`, as `_Monomials` holds them."""
+    return [(-k << KEY_DIGIT) - j for j, k in enumerate(negated)]
 
 
 # ---------------------------------------------------------------------------
@@ -90,60 +82,55 @@ def free_resolution(handle):
 
     Stage one is the handle's cached reduced degrevlex basis, in rank one
     the reduced basis of the generators under position-over-term, which
-    orders it the same way.  Later stages are the Schreyer records of the
-    minimal pairs of the stage family.  Each family is sorted by
-    decreasing lead.  A frame longer than 2n + 4 stages raises a
-    ResolutionLengthError.
+    orders it the same way: the packed monomial m of the ring is the term
+    m e_0 = m + (0, 0), two fields up, and keeps its negated key.  Later
+    stages are the Schreyer records of the minimal pairs of the stage
+    family.  Each family is sorted by decreasing lead.  A frame longer
+    than 2n + 4 stages raises a ResolutionLengthError.
     """
     ctx = handle.context
     n = ctx.arity
     max_length = 2 * n + 4
     ring_key = DEGREVLEX.key_for(ctx)
-    key = _stage_key(ring_key, [0], n, 0)
     counter = _steps()
 
-    family = [{e + (0, 0): c for e, c in g.terms}
-              for g in handle.groebner_basis()]
-    leads = [max(el, key=key) for el in family]
+    ring, leads, basis, _ = handle._reduced()
+    mons = _Monomials(_stage_key(ring_key, [0], n, 0), n + 2)
+    mons.update((m << 64, ring[m]) for g in basis for m in g)
+    leads = [lm << 64 for lm in leads]
+    family = [{m << 64: c for m, c in g.items()} for g in basis]
     ranks = [1]
     shifts = [(0,)]
     constant_ranks = []
     while family:
-        order = sorted(range(len(family)), key=lambda i: key(leads[i]),
-                       reverse=True)
-        family = [family[i] for i in order]
-        leads = [leads[i] for i in order]
+        leads, family = zip(*sorted(zip(leads, family),
+                                    key=lambda pair: mons[pair[0]]))
         ranks.append(len(family))
-        shifts.append(_stage_shifts(ctx, family, shifts[-1]))
-        constant_ranks.append(_constant_rank(family, n))
+        shifts.append(tuple(ctx.weighted_degree(mons.unpack(t))
+                            + shifts[-1][(t >> 32) & _FIELD] for t in leads))
+        constant_ranks.append(_constant_rank(family))
         if len(constant_ranks) > max_length:
             raise ResolutionLengthError(
                 f"resolution exceeded maximum length {max_length}")
-        family = _schreyer_syzygies(family, key, counter, n)
-        key = _stage_key(ring_key, _next_offsets(key, leads), n,
-                         len(constant_ranks))
-        leads = [next(iter(el)) for el in family]
+        following = _Monomials(_stage_key(
+            ring_key, _next_offsets([mons[t] for t in leads]), n,
+            len(constant_ranks)), n + 2)
+        leads, family = _schreyer_records(leads, family, mons, following,
+                                          counter)
+        mons = following
 
     return FreeResolution(tuple(ranks), tuple(shifts),
                           _betti_numbers(ranks, constant_ranks))
 
 
-def _stage_shifts(ctx, family, prev_shifts):
-    n = ctx.arity
-    out = []
-    for el in family:
-        t = next(iter(el))
-        out.append(ctx.weighted_degree(t) + prev_shifts[t[n]])
-    return tuple(out)
-
-
-def _constant_rank(family, n):
+def _constant_rank(family):
     """Rank over Q of d (x) k for the differential whose columns are
     `family`: the terms with a zero exponent block, by exact elimination
     on sparse {row: Fraction} columns."""
     pivots = {}
     for el in family:
-        v = {t[n]: c for t, c in el.items() if not any(t[:n])}
+        v = {(t >> 32) & _FIELD: Fraction(c) for t, c in el.items()
+             if not t >> 64}
         while v:
             p = min(v)
             w = pivots.get(p)

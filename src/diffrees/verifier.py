@@ -75,21 +75,11 @@ class Report:
                 "internal_error": EXIT_INTERNAL}[self.status]
 
     def to_dict(self):
-        return {
-            "case": self.case,
-            "status": self.status,
-            "inputs": self.inputs,
-            "hypotheses": self.hypotheses,
-            "fitting": self.fitting,
-            "linear_type": self.linear_type,
-            "rees_cm": self.rees_cm,
-            "spread": self.spread,
-            "edim": self.edim,
-            "shortcut": self.shortcut,
-            "assertions": self.assertions,
-            "expectation_failures": self.expectation_failures,
-            "errors": self.errors,
-        }
+        """Every field but the wall-clock `timings`, which would make the
+        JSON differ from run to run."""
+        out = asdict(self)
+        del out["timings"]
+        return out
 
 
 @contextmanager

@@ -26,7 +26,9 @@ presentations (columns of a polynomial matrix) that `free_resolution`
 resolved before it took only ideals, and the minimized tower it built
 before it read Betti numbers off the Schreyer frame: stages interreduced
 under nested Schreyer keys, then minimized by cancelling constant entries
-on term dicts, and `syzygies`, pruned the same way.  The very last is the
+on term dicts, and `syzygies`, pruned the same way; both take their
+Schreyer records from the library's packed kernel through one tuple
+adapter, `schreyer_syzygies`.  The very last is the
 Laplace expansion of minors by `Polynomial` arithmetic that
 `PolyMatrix.minors` ran before it expanded on packed int monomials.
 """
@@ -42,10 +44,9 @@ from diffrees.eagon_northcott import FreeComplex
 from diffrees.errors import ResolutionLengthError
 from diffrees.matrix import PolyMatrix
 from diffrees.poly import DEGREVLEX, Polynomial, mono_mul
-from diffrees.groebner import (IdealHandle, StepCounter, _int_normalize,
-                               _interreduce, _lcm, _nf, _primitive, _spoly,
-                               _steps)
-from diffrees.resolution import _schreyer_syzygies, _stage_shifts
+from diffrees.groebner import (IdealHandle, StepCounter, _interreduce,
+                               _lcm, _Monomials, _nf, _primitive,
+                               _schreyer_records, _spoly, _steps)
 
 
 def mono_divide(a, b):
@@ -379,6 +380,18 @@ def tuple_int_normalize(d, key):
                             for e, c in d.items()}, key)
 
 
+def int_normalize(d, mons):
+    """`tuple_int_normalize` of a packed dict whose negated keys `mons`
+    holds, as the library's kernel takes it.  Returns (lm, dict) or
+    (None, {})."""
+    d = {e: c for e, c in d.items() if c}
+    if not d:
+        return None, {}
+    mult = math.lcm(*(c.denominator for c in d.values()))
+    return _primitive({e: c.numerator * (mult // c.denominator)
+                       for e, c in d.items()}, mons)
+
+
 def tuple_nf(poly, lms, basis, key, counter, memo, quotients=None):
     """Full normal form against content-free integer reducers.
 
@@ -678,7 +691,7 @@ def gm_buchberger(generators, mons, wdeg, counter):
             heapq.heappush(heap, (wdeg(e), mons.key(e), i, t))
 
     for g in generators:
-        lm, ints = _int_normalize(g, mons)
+        lm, ints = int_normalize(g, mons)
         if lm is None:
             continue
         heapq.heappush(heap, (wdeg(unpack(lm)), -mons[lm], -1, len(inputs)))
@@ -1036,7 +1049,7 @@ def module_free_resolution(pres):
     rank = pres.target_rank
     for family, _ in module_resolution_stages(pres):
         rows = [[ctx.zero] * len(family) for _ in range(rank)]
-        stage_shifts = []
+        degrees = []
         for j, el in enumerate(family):
             per_comp = [{} for _ in range(rank)]
             for (e, comp), c in el.items():
@@ -1044,9 +1057,9 @@ def module_free_resolution(pres):
             for i, d in enumerate(per_comp):
                 rows[i][j] = Polynomial.from_terms(ctx, d.items())
             (e, comp), _ = next(iter(el.items()))
-            stage_shifts.append(ctx.weighted_degree(e) + shifts[-1][comp])
+            degrees.append(ctx.weighted_degree(e) + shifts[-1][comp])
         mats.append(rows)
-        shifts.append(stage_shifts)
+        shifts.append(degrees)
         rank = len(family)
     minimize_matrices(mats, shifts)
     ranks = (len(shifts[0]),) + tuple(len(m[0]) for m in mats)
@@ -1289,6 +1302,33 @@ class MinimizedResolution:
         return len(self.complex.ranks) - 1
 
 
+def schreyer_syzygies(family, key, counter, n):
+    """`groebner._schreyer_records` on flat {term: Fraction} elements: the
+    records of the minimal pairs of `family`, a basis under the int key
+    `key`, as flat elements of a free module of rank len(family) in monic
+    coordinates, each with its lead first.  The family is packed and made
+    content-free on entry, and the packed records are unpacked."""
+    mons = _Monomials(key, n + 2)
+    lms, basis = [], []
+    for el in family:
+        lm, ints = int_normalize({mons.pack(e): c for e, c in el.items()},
+                                 mons)
+        lms.append(lm)
+        basis.append(ints)
+    following = _Monomials(None, n + 2)
+    leads, records = _schreyer_records(lms, basis, mons, following, counter)
+    return [{following.unpack(t): Fraction(c, rec[lm])
+             for t, c in rec.items()} for lm, rec in zip(leads, records)]
+
+
+def stage_shifts(ctx, family, prev_shifts):
+    """The degree shifts of a stage family of flat elements, each listing
+    its lead first, over a stage whose shifts are `prev_shifts`."""
+    n = ctx.arity
+    return tuple(ctx.weighted_degree(t) + prev_shifts[t[n]]
+                 for t in map(next, map(iter, family)))
+
+
 def minimized_free_resolution(pres):
     """The minimal free resolution of the cokernel, as `free_resolution`
     built it before it read Betti numbers off the frame and took only
@@ -1317,12 +1357,12 @@ def minimized_free_resolution(pres):
         family.reverse()
         lms.reverse()
         stages.append(dict(enumerate(elements_to_columns(family, n))))
-        shifts.append(dict(enumerate(_stage_shifts(ctx, family,
+        shifts.append(dict(enumerate(stage_shifts(ctx, family,
                                                    shifts[-1]))))
         if len(stages) > max_length:
             raise ResolutionLengthError(
                 f"resolution exceeded maximum length {max_length}")
-        syz = _schreyer_syzygies(family, int_keyed(key), counter, n)
+        syz = schreyer_syzygies(family, int_keyed(key), counter, n)
         if not syz:
             break
         key = nested_induced_key(key, lms, n)
@@ -1366,11 +1406,11 @@ def syzygies(pres):
     heads, reduced = multipass_interreduce(basis, lms, key, counter)
     found = [{t[:n] + (t[n] - r, t[n + 1]): c for t, c in el.items()}
              for lm, el in zip(heads, reduced) if lm[n] >= r]
-    relations = _schreyer_syzygies(found, int_keyed(key), counter, n)
+    relations = schreyer_syzygies(found, int_keyed(key), counter, n)
     degrees = column_degrees(pres)
-    found_shifts = _stage_shifts(ctx, found, degrees)
+    found_shifts = stage_shifts(ctx, found, degrees)
     shifts = [dict(enumerate(found_shifts)),
-              dict(enumerate(_stage_shifts(ctx, relations, found_shifts)))]
+              dict(enumerate(stage_shifts(ctx, relations, found_shifts)))]
     minimize_columns([dict(enumerate(elements_to_columns(relations, n)))],
                      shifts)
     # the row ids left in shifts[0] are the generators no relation cancelled

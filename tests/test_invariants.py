@@ -26,7 +26,7 @@ UNCALLED_KEPT = {
 # keeps every field of the class.
 UNREAD_KEPT = {
     "FreeResolution.shifts": "the Hilbert-numerator check of the frame "
-                             "(ROADMAP item 7, tests/test_resolution.py)",
+                             "(ROADMAP item 9, tests/test_resolution.py)",
     "DimensionReport.witness": "demos/01_groebner_basics.py prints the "
                                "independent variables",
     "NonzerodivisorCheck.note": "says why a check failed, for the caller "
@@ -71,16 +71,19 @@ def _top_functions(name):
 
 def test_reduction_loops_make_no_fraction_and_no_tuple_key():
     """The Buchberger loop, the interreduction, the S-polynomial, the
-    normal form and the Laplace expansion of minors run on ints: scales
-    and multipliers are int pairs, and the key of every product is an int
-    added from others, so they do not name `Fraction` and the
-    S-polynomial, the normal form and the expansion call no order key."""
+    normal form, the Schreyer records, the frame and the Laplace
+    expansion of minors run on ints: scales and multipliers are int
+    pairs, and the key of every product is an int added from others, so
+    they do not name `Fraction` and the S-polynomial, the normal form and
+    the expansion call no order key."""
     functions = _top_functions("groebner.py")
     laplace = _top_functions("matrix.py")["_laplace"]
+    frame = _top_functions("resolution.py")["free_resolution"]
     for name, function in (*((n, functions[n]) for n in
                              ("_nf", "_spoly", "_buchberger",
-                              "_interreduce")),
-                           ("_laplace", laplace)):
+                              "_interreduce", "_schreyer_records")),
+                           ("_laplace", laplace),
+                           ("free_resolution", frame)):
         names = {node.id for node in ast.walk(function)
                  if isinstance(node, ast.Name)}
         names |= {node.attr for node in ast.walk(function)
@@ -93,6 +96,21 @@ def test_reduction_loops_make_no_fraction_and_no_tuple_key():
                   for node in ast.walk(function)
                   if isinstance(node, ast.Call)}
         assert not called & {"key", "key_for"}, name
+
+
+def test_the_frame_runs_on_packed_ints():
+    """`resolution.py` takes the cached packed basis, not the monic
+    Polynomials: it calls no `groebner_basis`, makes no `Polynomial`,
+    and names `Fraction` only in `_constant_rank`, the rank over Q of
+    the constant entries."""
+    path = Path(diffrees.__file__).parent / "resolution.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    named = _named(tree)
+    assert not any(named[name] for name in
+                   ("groebner_basis", "Polynomial", "_polynomial", "_make"))
+    rank = _top_functions("resolution.py")["_constant_rank"]
+    inside = _named(rank)["Fraction"]
+    assert inside and named["Fraction"] == inside
 
 
 def test_one_converter_makes_polynomials_from_packed_ints():

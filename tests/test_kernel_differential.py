@@ -30,8 +30,7 @@ from hypothesis import strategies as st
 
 import oracles
 from diffrees import groebner
-from diffrees.groebner import (IdealHandle, StepCounter, _int_normalize,
-                               _Monomials)
+from diffrees.groebner import IdealHandle, StepCounter, _Monomials
 from diffrees.poly import (DEGREVLEX, EXPONENT_LIMIT, KEY_DIGIT, LEX,
                            WEIGHT_SUM_LIMIT, MonomialOrder, Polynomial,
                            VariableContext)
@@ -336,7 +335,8 @@ def _schreyer_keys(ctx, rank, stages):
     key = _stage_key(ring_key, _pot_offsets(n, rank), n, 0)
     chain = [(rank - 1 - c, (0,) * n, ()) for c in range(rank)]
     for stage, lms in enumerate(stages, 1):
-        key = _stage_key(ring_key, _next_offsets(key, lms), n, stage)
+        offsets = _next_offsets([-key(lm) for lm in lms])
+        key = _stage_key(ring_key, offsets, n, stage)
         chain = oracles.next_chain(chain, lms, n)
     return key, oracles.induced_key(oracles.flat_key_for(DEGREVLEX, ctx),
                                     chain, n)
@@ -377,7 +377,7 @@ def test_schreyer_key_normal_forms_match_max_scan(drawn):
         lm, monic = oracles.mod_monic(el, old_key)
         old_lms.append(lm)
         old_gens.append(monic)
-        lm, ints = _int_normalize(packed(el), mons)
+        lm, ints = oracles.int_normalize(packed(el), mons)
         lms.append(lm)
         basis.append(ints)
     got_q, ref_q, got_c, ref_c = [], [], StepCounter(), StepCounter()
@@ -464,7 +464,8 @@ def test_induced_keys_are_the_nested_keys(drawn):
     nested = position_key(ctx)
     for stage, leads in enumerate(stages, 1):
         lms = [_flat((e, c % rank), rank) for e, c in leads]
-        key = _stage_key(ring_key, _next_offsets(key, lms), n, stage)
+        offsets = _next_offsets([-key(lm) for lm in lms])
+        key = _stage_key(ring_key, offsets, n, stage)
         nested = oracles.nested_induced_key(nested, lms, n)
         rank = len(lms)
         for e in exponents:

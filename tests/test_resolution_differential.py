@@ -18,6 +18,7 @@ while the rest still spanned it.
 """
 
 import dataclasses
+import math
 import os
 import random
 import subprocess
@@ -32,7 +33,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from diffrees import resolution
+from diffrees import groebner, resolution
 from diffrees.groebner import (IdealHandle, StepCounter, _buchberger,
                                _Monomials)
 from diffrees.matrix import PolyMatrix
@@ -45,21 +46,40 @@ from oracles import ModulePresentation, presentation_of_ideal
 from conftest import (P, REES_RANDOM_CI_SHAPES, column_span_checker,
                       homogeneous_ideals, shipped_algebras)
 
-def _recorded_stages(handle):
-    """`free_resolution` of `handle`, with each stage family, its key and
-    its Schreyer records."""
-    stages = []
+def _recorded_calls(handle):
+    """`free_resolution` of `handle`, with the arguments and the result of
+    each `_schreyer_records` call, as (lms, basis, mons, following,
+    leads, records)."""
+    calls = []
     schreyer_records = resolution._schreyer_records
 
-    def recording(family, mons, counter):
-        records = schreyer_records(family, mons, counter)
-        stages.append((family, mons.key, records))
-        return records
+    def recording(lms, basis, mons, following, counter):
+        leads, records = schreyer_records(lms, basis, mons, following,
+                                          counter)
+        calls.append((lms, basis, mons, following, leads, records))
+        return leads, records
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resolution, "_schreyer_records", recording)
         res = free_resolution(handle)
-    return res, stages
+    return res, calls
+
+
+def _recorded_stages(handle):
+    """`free_resolution` of `handle`, with each stage family, its key and
+    its Schreyer records, the families and records as flat elements in
+    monic coordinates."""
+    res, calls = _recorded_calls(handle)
+    return res, [(_monic(lms, basis, mons), mons.key,
+                  _monic(leads, records, following))
+                 for lms, basis, mons, following, leads, records in calls]
+
+
+def _monic(lms, elements, mons):
+    """Packed content-free elements with leads `lms`, each over its
+    leading coefficient, as flat {term: Fraction} elements."""
+    return [{mons.unpack(t): Fraction(c, el[lm]) for t, c in el.items()}
+            for lm, el in zip(lms, elements)]
 
 
 def _module_basis(pres, key):
@@ -68,12 +88,6 @@ def _module_basis(pres, key):
     return oracles.monic_basis(_buchberger(
         oracles.columns_to_elements(pres, 1),
         _Monomials(key, pres.context.arity + 2), StepCounter()))[1]
-
-
-def _fractions(record):
-    """A Schreyer record with its (numerator, denominator) pairs as
-    Fractions."""
-    return {kq: Fraction(*c) for kq, c in record.items()}
 
 
 def _flat(element, rank):
@@ -105,7 +119,7 @@ def assert_matches_module_engine(handle):
     if stages:
         (family, _, records), (old_family, old_records) = stages[0], old[0]
         assert family == [_flat(el, pres.target_rank) for el in old_family]
-        assert all({(q[:n], k): c for (k, q), c in _fractions(rec).items()}
+        assert all({(t[:n], t[n]): c for t, c in rec.items()}
                    in old_records for rec in records)
     assert res.ranks == tuple(map(len, shifts))
     assert res.shifts == tuple(shifts)
@@ -240,18 +254,17 @@ def test_records_of_a_reduced_basis_match_module_engine(drawn):
     pres = presentation_of_ideal(IdealHandle(ctx, gens))
     key = oracles.int_keyed(oracles.position_key(ctx))
     family = _module_basis(pres, key)
-    records = map(_fractions, resolution._schreyer_records(
-        family, _Monomials(key, n + 2), StepCounter()))
+    records = oracles.schreyer_syzygies(family, key, StepCounter(), n)
     old_key = oracles.pot_key(oracles.flat_key_for(DEGREVLEX, ctx))
     columns = [{(t[:n], 0): c for t, c in el.items()} for el in family]
     _, _, old_records, added = oracles.module_buchberger(
         columns, old_key, ctx.weighted_degree, StepCounter())
     assert not added
     for rec in records:
-        assert {(q[:n], k): c for (k, q), c in rec.items()} in old_records
+        assert {(q[:n], q[n]): c for q, c in rec.items()} in old_records
         total = {}
-        for (k, q), c in rec.items():
-            for t, a in family[k].items():
+        for q, c in rec.items():
+            for t, a in family[q[n]].items():
                 e = tuple(map(add, t[:n], q[:n]))
                 total[e] = total.get(e, 0) + c * a
         assert not any(total.values())
@@ -261,12 +274,53 @@ def test_records_need_a_basis():
     """A family that is not a basis has a pair with a nonzero remainder:
     X^2 + Y^2 and X*Y leave Y^3."""
     ctx = VariableContext(("X", "Y"))
-    key = oracles.int_keyed(oracles.position_key(ctx))
-    family = [{(2, 0, 0, 0): Fraction(1), (0, 2, 0, 0): Fraction(1)},
-              {(1, 1, 0, 0): Fraction(1)}]
+    mons = _Monomials(oracles.int_keyed(oracles.position_key(ctx)), 4)
+    x2, y2, xy = map(mons.pack, [(2, 0, 0, 0), (0, 2, 0, 0), (1, 1, 0, 0)])
     with pytest.raises(AssertionError, match="already be a basis"):
-        resolution._schreyer_records(family, _Monomials(key, 4),
+        resolution._schreyer_records([x2, xy], [{x2: 1, y2: 1}, {xy: 1}],
+                                     mons, _Monomials(None, 4),
                                      StepCounter())
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.booleans().flatmap(lambda w: homogeneous_ideals(weighted=w)))
+def test_frame_stays_packed(drawn):
+    """Stage one is the handle's packed basis two 32-bit fields up, with
+    the ring's negated keys; every key the records write for the next
+    stage is the negated `_stage_key` of the unpacked term, with offsets
+    (key(lm_j) << 64) - j from the leads; every record is content-free
+    and leads with q_i e_i, q_i = lcm(lm_i, lm_j) / lm_i for a later
+    lm_j of its component, with a positive coefficient."""
+    ctx, gens = drawn
+    n = ctx.arity
+    handle = IdealHandle(ctx, gens)
+    _, calls = _recorded_calls(handle)
+    ring, ring_lms, ring_basis, _ = handle._reduced()
+    lms, basis, mons = calls[0][:3]
+    assert list(lms) == [lm << 64 for lm in reversed(ring_lms)]
+    assert list(basis) == [{m << 64: c for m, c in g.items()}
+                           for g in reversed(ring_basis)]
+    assert all(mons[m << 64] == ring[m] for g in ring_basis for m in g)
+    ring_key = DEGREVLEX.key_for(ctx)
+    for stage, (lms, _, mons, following, leads, records) in enumerate(
+            calls, 1):
+        offsets = [(mons.key(mons.unpack(lm)) << 64) - j
+                   for j, lm in enumerate(lms)]
+        key = resolution._stage_key(ring_key, offsets, n, stage)
+        guard, field = mons.guard, groebner._FIELD
+        for lead, record in zip(leads, records):
+            assert all(following[t] == -key(following.unpack(t))
+                       for t in record)
+            assert math.gcd(*record.values()) == 1
+            assert record[lead] > 0
+            assert lead == min(record, key=following.__getitem__)
+            i = (lead >> 32) & field
+            assert lead & field == len(lms) - 1 - i
+            q = (lead >> 64) << 64
+            assert any(lms[j] & field == lms[i] & field
+                       and groebner._lcm(lms[i], lms[j], guard)
+                       == q + lms[i] for j in range(i + 1, len(lms)))
 
 
 def assert_matches_minimal_generators(pres):
