@@ -48,16 +48,19 @@ class MonomialOrder:
 
     Three kinds are supported: lexicographic, weighted degree-reverse-
     lexicographic, and a block elimination order that compares a front
-    block of variables (degrevlex within the block) before the rest.
+    block of variables (degrevlex within the block) before the rest.  A
+    degrevlex order may rank one chosen variable `last`, the variable
+    whose exponent breaks degree ties first, in place of the final one.
     """
 
-    __slots__ = ("kind", "front")
+    __slots__ = ("kind", "front", "last")
 
-    def __init__(self, kind, front=()):
+    def __init__(self, kind, front=(), last=None):
         if kind not in ("lex", "degrevlex", "block"):
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
         self.front = tuple(sorted(front))
+        self.last = last
 
     @classmethod
     def lex(cls):
@@ -66,6 +69,13 @@ class MonomialOrder:
     @classmethod
     def degrevlex(cls):
         return cls("degrevlex")
+
+    @classmethod
+    def degrevlex_last(cls, index):
+        """Weighted degrevlex with the variable of `index` ranked last:
+        the other variables keep their order, and among monomials of one
+        degree the smaller power of this variable makes the larger one."""
+        return cls("degrevlex", last=index)
 
     @classmethod
     def elimination(cls, front_indices):
@@ -85,7 +95,12 @@ class MonomialOrder:
         if self.kind == "lex":
             vector = [1 << (KEY_DIGIT * (n - 1 - i)) for i in range(n)]
         elif self.kind == "degrevlex":
-            vector = _drl_vector(weights)
+            ranks = [i for i in range(n) if i != self.last]
+            if self.last is not None:
+                ranks.append(self.last)
+            vector = [0] * n
+            for i, k in zip(ranks, _drl_vector([weights[i] for i in ranks])):
+                vector[i] = k
         else:
             front = self.front
             if front and front[-1] >= n:
@@ -102,14 +117,17 @@ class MonomialOrder:
 
     def __eq__(self, other):
         return (isinstance(other, MonomialOrder)
-                and self.kind == other.kind and self.front == other.front)
+                and self.kind == other.kind and self.front == other.front
+                and self.last == other.last)
 
     def __hash__(self):
-        return hash((self.kind, self.front))
+        return hash((self.kind, self.front, self.last))
 
     def __repr__(self):
         if self.kind == "block":
             return f"MonomialOrder.elimination({self.front})"
+        if self.last is not None:
+            return f"MonomialOrder.degrevlex_last({self.last})"
         return f"MonomialOrder.{self.kind}()"
 
 

@@ -2,9 +2,13 @@
 
 The symmetric algebra is presented over the base ring extended by one
 T-variable per module generator; the Rees algebra is the quotient by the
-torsion, computed as a saturation with respect to a test element that is
-regular on the base ring and lands in the top Fitting ideal (so the module
-becomes free once it is inverted).
+torsion.  The torsion is killed by a power of any element that is regular
+on the base ring and lies in the radical of I + F_e, F_e the top Fitting
+ideal (the module becomes free once it is inverted), so the Rees ideal is
+the saturation by such an element.  A base variable that qualifies gives
+it by the Bayer-Stillman division of one degrevlex basis; the seeded
+random test element, drawn and reported in any case, gives it by an
+elimination when no variable does.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import NotReducedError, TestElementSearchError
+from .fitting import fitting_ideal
 from .groebner import IdealHandle
 from .poly import Polynomial, VariableContext
 
@@ -121,13 +126,47 @@ def find_test_element(algebra, seed=0):
         "draws; try another --seed")
 
 
+def kills_torsion(algebra, j):
+    """Whether the base variable X_j (index j) is (a) regular on R and
+    (b) in the radical of I + F_e, F_e = `fitting_ideal(algebra, e)`,
+    e = dim R.  Off V(I + F_e) the differential module is free, so the
+    torsion of its symmetric algebra is supported in V(I + F_e), which
+    (b) puts inside V(X_j); by (a) every element that a power of X_j
+    kills is torsion.  So J : X_j^inf is the Rees ideal, as J : g^inf is
+    for the test element g.  (b) holds for every variable when
+    dim P/(I + F_e) <= 0 (that dimension is cached by the Fitting
+    profile), and is otherwise tested as (I + F_e) : X_j^inf = (1)."""
+    x = algebra.context.gen(j)
+    if not algebra.nonzerodivisor_check(x).ok:
+        return False
+    fe = fitting_ideal(algebra, algebra.dimension)
+    return (algebra.height_of(fe) >= algebra.dimension
+            or algebra.ideal_sum(fe).saturation(x).is_unit())
+
+
+def saturating_variable(algebra):
+    """The index of the last base variable that `kills_torsion`, trying
+    X_n down to X_1, or None when none does."""
+    return next((j for j in reversed(range(algebra.arity))
+                 if kills_torsion(algebra, j)), None)
+
+
 def rees_ideal(algebra, seed=0, symmetric=None):
-    """Saturate the symmetric-algebra ideal by a test element; the extra
-    basis elements generate the torsion."""
+    """Saturate the symmetric-algebra ideal J by an element that kills
+    its torsion; the extra basis elements generate the torsion.
+
+    The test element g is drawn and reported in any case, which also
+    refuses a non-reduced base.  J is homogeneous, so when a base
+    variable X_j qualifies (`saturating_variable`) the saturation is
+    J : X_j^inf, read off one degrevlex basis of J with X_j ranked last
+    (`IdealHandle.saturation`); otherwise it is J : g^inf, by the
+    elimination of y*g - 1."""
     sym = symmetric or symmetric_presentation(algebra)
     g = find_test_element(algebra, seed=seed)
-    lifted_g = lift_to_extended(g, sym.extended_context)
-    saturated = sym.ideal.saturation(lifted_g)
+    j = saturating_variable(algebra)
+    by = g if j is None else algebra.context.gen(j)
+    saturated = sym.ideal.saturation(lift_to_extended(by,
+                                                      sym.extended_context))
     torsion = tuple(h for h in saturated.groebner_basis()
                     if not sym.ideal.contains(h))
     return ReesPresentation(symmetric=sym, ideal=saturated, test_element=g,

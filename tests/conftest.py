@@ -1,4 +1,5 @@
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,23 @@ def shipped_case_files(cases_dir):
 def shipped_algebras(cases_dir):
     return [GradedAlgebra.validate(case.context, case.relations)
             for case in shipped_case_files(cases_dir)]
+
+
+@contextmanager
+def built_orders():
+    """The orders of the basis builds inside the block, in order: every
+    build starts in `IdealHandle._build`."""
+    from diffrees.groebner import IdealHandle
+    orders = []
+    build = IdealHandle._build
+
+    def recording(handle, order, certify=False):
+        orders.append(order)
+        return build(handle, order, certify)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IdealHandle, "_build", recording)
+        yield orders
 
 
 def column_span_checker(matrix, shifts=None):

@@ -20,8 +20,9 @@ record for every pair (and syzygy generators by eliminating components on
 it), the pass that pruned syzygies to minimal generators with one basis
 per candidate, the minimization of a tower by `Polynomial` arithmetic
 that rescans every entry for a unit, the ideal quotient and the
-nonzerodivisor test by (I : g) == I, and the saturation that gave the
-Fitting heights off the irrelevant ideal.  Last come the module
+nonzerodivisor test by (I : g) == I, the elimination saturation that the
+Bayer-Stillman division replaced for a variable, and the saturation that
+gave the Fitting heights off the irrelevant ideal.  Last come the module
 presentations (columns of a polynomial matrix) that `free_resolution`
 resolved before it took only ideals, and the minimized tower it built
 before it read Betti numbers off the Schreyer frame: stages interreduced
@@ -44,9 +45,9 @@ from diffrees.eagon_northcott import FreeComplex
 from diffrees.errors import ResolutionLengthError
 from diffrees.matrix import PolyMatrix
 from diffrees.poly import DEGREVLEX, Polynomial, mono_mul
-from diffrees.groebner import (IdealHandle, StepCounter, _interreduce,
-                               _lcm, _Monomials, _nf, _primitive,
-                               _schreyer_records, _spoly, _steps)
+from diffrees.groebner import (IdealHandle, StepCounter, _eliminate_front,
+                               _interreduce, _lcm, _lift, _Monomials, _nf,
+                               _primitive, _schreyer_records, _spoly, _steps)
 
 
 def mono_divide(a, b):
@@ -201,9 +202,21 @@ def is_nonzerodivisor(defining_ideal, g):
     return ideal_quotient(defining_ideal, g).equals(defining_ideal)
 
 
+def elimination_saturation(handle, g):
+    """(I : g^inf) by the elimination of y*g - 1, the path
+    `IdealHandle.saturation` takes for every g but a variable, run here
+    for a variable too."""
+    ctx = handle.context
+    big = ctx.insert_front(ctx.fresh_names("y", 1))
+    gens = [_lift(h, big) for h in handle.generators]
+    gens.append(big.gen(0) * _lift(g, big) - big.one)
+    return _eliminate_front(ctx, big, gens)
+
+
 def iterated_quotient_saturation(handle, g, max_rounds=64):
     """(I : g^inf) by stabilizing (.. : g); the library instead uses one
-    auxiliary-variable elimination."""
+    auxiliary-variable elimination, or for a variable the Bayer-Stillman
+    division."""
     current = handle
     for _ in range(max_rounds):
         nxt = ideal_quotient(current, g)
@@ -258,7 +271,12 @@ def flat_key_for(order, context):
     if order.kind == "lex":
         return lambda e: e
     if order.kind == "degrevlex":
-        return _drl_key(weights)
+        if order.last is None:
+            return _drl_key(weights)
+        ranks = [i for i in range(context.arity) if i != order.last]
+        ranks.append(order.last)
+        key = _drl_key(tuple(weights[i] for i in ranks))
+        return lambda e: key(tuple(e[i] for i in ranks))
     front = order.front
     if front and front[-1] >= context.arity:
         raise ValueError("front block index out of range")

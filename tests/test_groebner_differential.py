@@ -9,15 +9,16 @@ would change a basis or a normal form and show here.
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from diffrees.groebner import IdealHandle, StepCounter
 from diffrees.poly import DEGREVLEX, VariableContext
 
-from conftest import P, homogeneous_ideals
-from oracles import (flat_key_for, memo_key, naive_buchberger,
-                     naive_remainder_full, tuple_nf)
+from conftest import (P, built_orders, homogeneous_ideals,
+                      inhomogeneous_ideals)
+from oracles import (elimination_saturation, flat_key_for, memo_key,
+                     naive_buchberger, naive_remainder_full, tuple_nf)
 
 
 def _sympy_basis(ctx, gens):
@@ -92,6 +93,47 @@ def test_saturation_starts_with_its_reduced_basis(drawn, data):
         assert all(k == -key(mons.unpack(e)) for e, k in mons.items())
         for p in gens + [g * g]:
             assert result.normal_form(p) == fresh.normal_form(p)
+
+
+def _variable_and_ideal(ctx, gens, data):
+    """A drawn variable times a nonzero constant, and the ideal."""
+    j = data.draw(st.integers(0, ctx.arity - 1))
+    c = data.draw(st.integers(-3, 3).filter(bool))
+    return ctx.gen(j) * c, IdealHandle(ctx, gens)
+
+
+@_SETTINGS
+@given(st.booleans().flatmap(lambda w: homogeneous_ideals(weighted=w)),
+       st.data())
+def test_variable_saturation_matches_elimination(drawn, data):
+    """For a homogeneous ideal, standard or weighted, the saturation by a
+    variable divides a basis with that variable ranked last and builds no
+    elimination order, and its generators and cached basis are the
+    reduced degrevlex basis the elimination of y*x - 1 gives."""
+    ctx, gens = drawn
+    x, handle = _variable_and_ideal(ctx, gens, data)
+    with built_orders() as orders:
+        sat = handle.saturation(x)
+    assert all(order.kind == "degrevlex" for order in orders)
+    ref = elimination_saturation(IdealHandle(ctx, gens), x)
+    assert sat.generators == ref.generators
+    assert sat._cache[DEGREVLEX][1:3] == ref._cache[DEGREVLEX][1:3]
+    assert all(sat.contains(g) for g in gens)
+
+
+@_SETTINGS
+@given(inhomogeneous_ideals(), st.data())
+def test_inhomogeneous_saturation_takes_the_elimination(drawn, data):
+    """An ideal with an inhomogeneous generator is saturated by a
+    variable through the elimination, with its block order."""
+    ctx, gens = drawn
+    assume(not all(g.weighted_degree_info()[0] for g in gens))
+    x, handle = _variable_and_ideal(ctx, gens, data)
+    with built_orders() as orders:
+        sat = handle.saturation(x)
+    assert [order.kind for order in orders] == ["block"]
+    assert sat.generators == elimination_saturation(
+        IdealHandle(ctx, gens), x).generators
 
 
 def test_growing_basis_matches_oracles():

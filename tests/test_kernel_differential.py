@@ -128,16 +128,20 @@ def test_ring_kernels_match_max_scan(drawn):
 
 
 def test_growing_basis_kernels_match_max_scan():
-    """Buchberger appends S-polynomial remainders here, and the
-    saturation adds an elimination order with a block key."""
+    """Buchberger appends S-polynomial remainders here, the saturation by
+    X + Y adds an elimination order with a block key, and the one by X a
+    degrevlex key with X ranked last, then a degrevlex build of the
+    divided basis."""
     ctx = VariableContext(("X", "Y", "Z", "W"))
     gens = [P(ctx, "X^2 - Y*W + Z^2"), P(ctx, "X*Y - Z*W"),
             P(ctx, "Y^2 - X*Z + W^2")]
     with checked_kernels() as calls:
         handle = IdealHandle(ctx, gens)
         assert len(handle.groebner_basis()) > len(gens)
+        handle.saturation(P(ctx, "X + Y"))
+        assert calls["interreduce"] == 2
         handle.saturation(P(ctx, "X"))
-    assert calls["interreduce"] == 2
+    assert calls["interreduce"] == 4
     assert calls["bounded_nf"] > 0
 
 
@@ -532,14 +536,15 @@ def keyed_terms(draw):
 def _keys(ctx, rank, leads, stages):
     """The int keys the kernel runs on, each with the oracle's tuple key
     whose digits it holds and the map from (exponents, component) terms
-    to the tuples it keys: lex, degrevlex and every block order on the
-    exponents, and on flat terms of rank `rank` a one-stage Schreyer key
-    over a position-over-term F_0 of rank `rank` and a three-stage one
-    over one of rank 3."""
+    to the tuples it keys: lex, degrevlex, degrevlex with each variable
+    ranked last and every block order on the exponents, and on flat terms
+    of rank `rank` a one-stage Schreyer key over a position-over-term F_0
+    of rank `rank` and a three-stage one over one of rank 3."""
     n = ctx.arity
     orders = [LEX, DEGREVLEX]
     orders += [MonomialOrder.elimination(tuple(range(k)))
                for k in range(1, n + 1)]
+    orders += [MonomialOrder.degrevlex_last(j) for j in range(n)]
     keys = [(order.key_for(ctx), oracles.flat_key_for(order, ctx),
              lambda t: t[0]) for order in orders]
     # each lead's F_0 image stays below 2^31, as an lcm of stage-one leads

@@ -8,12 +8,22 @@ from diffrees.fitting import ft_condition
 from diffrees.groebner import IdealHandle
 from diffrees.poly import VariableContext, parse_polynomial
 from diffrees.rees import (analytic_spread, extended_context,
-                           find_test_element, is_linear_type, rees_ideal,
+                           find_test_element, is_linear_type, kills_torsion,
+                           lift_to_extended, rees_ideal, saturating_variable,
                            symmetric_presentation)
 from diffrees.resolution import depth_and_cm
 from diffrees.sampler import random_graded_ci
 
-from conftest import P, REES_RANDOM_CI_SHAPES, shipped_algebras
+from conftest import P, REES_RANDOM_CI_SHAPES, built_orders, shipped_algebras
+from oracles import elimination_saturation
+
+
+def _finishing_algebras(cases_dir):
+    """The shipped cases and the random-ci draws that finish, freshly
+    validated, so no basis of theirs is cached yet."""
+    return shipped_algebras(cases_dir) + [
+        random_graded_ci(random.Random(seed), n, d, max_degree=deg)
+        for n, d, deg, seed in REES_RANDOM_CI_SHAPES]
 
 
 def test_symmetric_presentation_quadric_cone(quadric_cone):
@@ -107,12 +117,8 @@ def test_linear_type_is_equality_with_the_symmetric_ideal(cases_dir):
     """No torsion generator exactly when the Rees ideal equals the
     symmetric-algebra ideal, on the shipped cases and the random-ci draws
     that finish."""
-    algebras = shipped_algebras(cases_dir)
-    algebras += [random_graded_ci(random.Random(seed), n, d,
-                                  max_degree=deg)
-                 for n, d, deg, seed in REES_RANDOM_CI_SHAPES]
     verdicts = []
-    for algebra in algebras:
+    for algebra in _finishing_algebras(cases_dir):
         rp = rees_ideal(algebra)
         verdicts.append(is_linear_type(rp))
         assert verdicts[-1] == rp.ideal.equals(rp.symmetric.ideal)
@@ -171,3 +177,64 @@ def test_surface_cone_full_chain(surface_cone):
     assert rep.cohen_macaulay
     assert rep.dimension == 6 and rep.depth == 6
     assert rep.projective_dimension == 2
+
+
+def test_rees_ideal_by_a_variable_is_the_saturation_by_g(cases_dir):
+    """On every finishing instance, the Rees ideal that the chosen
+    variable gives equals J : g^inf for the reported test element g, by
+    the elimination of y*g - 1.  Of the shipped cases (by name),
+    coordinate-cross has no variable that qualifies (both are zero
+    divisors), and four-point-cone skips X4."""
+    chosen = []
+    for algebra in _finishing_algebras(cases_dir):
+        rp = rees_ideal(algebra)
+        g = lift_to_extended(rp.test_element, rp.symmetric.extended_context)
+        assert rp.ideal.equals(elimination_saturation(rp.symmetric.ideal, g))
+        chosen.append(saturating_variable(algebra))
+    assert chosen[:5] == [None, 3, 3, 2, 2]
+
+
+def test_each_variable_that_kills_torsion_gives_the_rees_ideal(cases_dir):
+    """For every base variable X_j of every finishing instance, J : X_j^inf
+    by the Bayer-Stillman division is the elimination's, reduced basis for
+    reduced basis.  It is the Rees ideal for every X_j that
+    `kills_torsion`, and at most the Rees ideal for any X_j regular on R.
+    On ci-n4-a and ci-n4-b (X1, X3) and four-point-cone (X4), a regular
+    variable outside the radical of I + F_e gives a strictly smaller
+    ideal, so the radical check cannot be dropped; on ci-n5-a X1 and X2
+    fail it yet give the Rees ideal, so the check is sufficient, not
+    necessary."""
+    smaller = {}
+    for algebra in _finishing_algebras(cases_dir):
+        rp = rees_ideal(algebra)
+        for j in range(algebra.arity):
+            x = rp.symmetric.extended_context.gen(j)
+            sat = rp.symmetric.ideal.saturation(x)
+            assert sat.generators == elimination_saturation(
+                rp.symmetric.ideal, x).generators
+            if not algebra.nonzerodivisor_check(algebra.context.gen(j)).ok:
+                assert not kills_torsion(algebra, j)
+                continue
+            assert all(rp.ideal.contains(h) for h in sat.generators)
+            if kills_torsion(algebra, j):
+                assert sat.equals(rp.ideal)
+            elif not sat.equals(rp.ideal):
+                smaller.setdefault(algebra.relations, []).append(j)
+    ci_n4_a = random_graded_ci(random.Random(0), 4, 2, max_degree=3)
+    assert smaller[ci_n4_a.relations] == [0, 2]
+    # four-point-cone, ci-n4-a and ci-n4-b
+    assert list(smaller.values()) == [[3], [0, 2], [0, 2]]
+
+
+def test_no_elimination_basis_when_a_variable_kills_torsion(cases_dir):
+    """Inside `rees_ideal`, an elimination-order basis is built exactly
+    when no base variable qualifies, on coordinate-cross only."""
+    eliminated = []
+    for algebra in _finishing_algebras(cases_dir):
+        sym = symmetric_presentation(algebra)
+        with built_orders() as orders:
+            rees_ideal(algebra, symmetric=sym)
+        block = any(order.kind == "block" for order in orders)
+        assert block == (saturating_variable(algebra) is None)
+        eliminated.append(block)
+    assert eliminated.count(True) == 1 and eliminated[0]
