@@ -17,8 +17,8 @@ from .fitting import (euler_minor_identity, fitting_ideal, fitting_profile,
                       last_rows_probe)
 from .groebner import DimensionReport, IdealHandle, step_budget
 from .matrix import PolyMatrix
-from .poly import (DEGREVLEX, LEX, MonomialOrder, Polynomial,
-                   VariableContext, parse_polynomial)
+from .poly import (DEGREVLEX, MonomialOrder, Polynomial, VariableContext,
+                   parse_polynomial)
 from .rees import (ReesPresentation, SymmetricPresentation, analytic_spread,
                    find_test_element, is_linear_type, rees_ideal,
                    symmetric_presentation)

@@ -3,9 +3,11 @@
 Everything downstream (Fitting heights, saturations, Rees ideals, free
 resolutions) reduces to the operations in this module: Groebner bases
 by a signature-based Buchberger loop, normal forms by gcd-scaled integer
-reductions, interreduction, elimination, intersection, saturation, and
-Krull dimension by independent variable sets, with an early stop that
-certifies dimension 0 (see `_buchberger`).  The same
+reductions, interreduction, saturation and intersection of homogeneous
+ideals by one Bayer-Stillman division in degrevlex (see
+`IdealHandle._divided`), and Krull dimension by independent variable
+sets, with an early stop that certifies dimension 0 (see `_buchberger`).
+Every ring order is weighted degrevlex (`MonomialOrder`).  The same
 kernel serves free modules: the term x^a e_c of a module of rank r is the
 flat exponent tuple a + (c, r-1-c), and the Schreyer syzygy records of a
 basis are reduced on the same normal form and stay packed from one stage
@@ -41,7 +43,8 @@ from typing import NamedTuple
 
 from .errors import StepBudgetExceeded
 from .poly import (DEGREVLEX, EXPONENT_LIMIT, KEY_DIGIT, MonomialOrder,
-                   Polynomial, exponent_overflow)
+                   Polynomial, VariableContext, exponent_overflow,
+                   lift_to_extended)
 
 DEFAULT_STEP_BUDGET = 10_000_000
 
@@ -344,7 +347,8 @@ def _buchberger(generators, mons, counter, certify=False):
     generate, packed, as `_interreduce` returns it.  The terms are packed
     on entry into `mons`, a fresh `_Monomials` of the ring's exponent
     length under the order's key, and never unpacked: the result holds
-    `mons` itself.
+    `mons` itself.  A nonzero constant among the generators makes it the
+    unit basis (1) at once, with no step spent.
 
     With `certify`, the build may instead stop early and return None, a
     certificate that the quotient by the ideal J has dimension 0.  It
@@ -367,8 +371,8 @@ def _buchberger(generators, mons, counter, certify=False):
     a zero dropped.  If that pass lowered some lead, one more pass takes
     the kept ones by their new leads, so that each is reduced against all
     whose leads now lie below its own.  (Repeating until no lead moves
-    would autoreduce them, but in lex an inhomogeneous input can need
-    many passes with coefficients that grow in each.)  The k-th input
+    would autoreduce them, but an inhomogeneous input can need many
+    passes with coefficients that grow in each.)  The k-th input
     kept is f_k, with signature e_k.
     Every element g carries a signature u e_k, the largest term of a
     representation of g over the f_k, in the Schreyer order: u e_k is
@@ -405,6 +409,8 @@ def _buchberger(generators, mons, counter, certify=False):
     pack = mons.pack
     guard = mons.guard
     basis = [{pack(e): c for e, c in g.items()} for g in generators if g]
+    if any(len(g) == 1 and 0 in g for g in basis):
+        return mons, [0], [{0: 1}], {}
     # the fields (variables) without a pure-power lead yet; the packed
     # constant monomial is 0
     missing = (set(range(mons.length))
@@ -742,52 +748,78 @@ class IdealHandle:
         return NotImplemented
 
     def intersection(self, other):
-        """Computed with a tag variable: eliminate u from u*I + (1-u)*J."""
+        """I meet J for homogeneous I and J: the elements free of t and u
+        of (t*I + (u - t)*J) : u^inf, with t and u adjoined last at weight
+        1, by the division of `_divided`.  Every f of both has u*f =
+        t*f + (u - t)*f; conversely u^k f = t*a + (u - t)*b, a over I and
+        b over J, puts f in J at t = 0, u = 1 and in I at t = u = 1.  The
+        ideal is bigraded by the degree in t and u, so each divided
+        element is bihomogeneous, and one whose lead avoids t and u
+        avoids them in every term: these elements are a basis of the
+        intersection.  The result is returned as `_seeded` makes it."""
         if self.context != other.context:
             raise ValueError("ideal context mismatch")
+        _require_homogeneous(self.generators + other.generators)
         ctx = self.context
-        (tag,) = ctx.fresh_names("u", 1)
-        big = ctx.insert_front((tag,))
-        u = big.gen(0)
-        gens = [u * _lift(g, big) for g in self.generators]
-        gens += [(big.one - u) * _lift(g, big) for g in other.generators]
-        return _eliminate_front(ctx, big, gens)
+        n = ctx.arity
+        big = VariableContext(ctx.names + ctx.fresh_names("t", 2),
+                              ctx.weights + (1, 1))
+        t, u = big.gen(n), big.gen(n + 1)
+        gens = [t * lift_to_extended(h, big) for h in self.generators]
+        gens += [(u - t) * lift_to_extended(h, big)
+                 for h in other.generators]
+        return _seeded(ctx, [
+            Polynomial.from_terms(ctx, ((e[:n], c) for e, c in p.terms))
+            for p in IdealHandle(big, gens)._divided(n + 1)
+            if not any(any(e[n:]) for e, _ in p.terms)])
 
     def saturation(self, g):
-        """(I : g^inf).  For g a variable x_j and I homogeneous for the
-        ring's weights, by the basis of I in degrevlex with x_j ranked
-        last (`_saturate_variable`); otherwise by one elimination: adjoin
-        y, add y*g - 1, drop y."""
+        """(I : g^inf) for homogeneous I and g, by the division of
+        `_divided`.  For g a variable x_j (times a constant) that is the
+        divided basis of I with x_j ranked last.  Otherwise z is adjoined,
+        of weight deg g and ranked last, and z := g maps the divided basis
+        of (I + (z - g)) : z^inf onto I : g^inf: g^k f in I gives z^k f
+        in I + (z - g), and z^k h in I + (z - g) gives g^k h(g) in I,
+        since z -> g kills exactly (z - g).  The result is returned as
+        `_seeded` makes it."""
         if g.is_zero:
             raise ValueError("saturation by zero is undefined")
+        _require_homogeneous(self.generators + (g,))
+        ctx = self.context
         if g.is_constant:
-            return IdealHandle(self.context, self.generators)
-        ctx = self.context
+            return IdealHandle(ctx, self.generators)
         (e, _), *rest = g.terms
-        if (not rest and sum(e) == 1 and all(
-                h.weighted_degree_info()[0] for h in self.generators)):
-            return self._saturate_variable(e.index(1))
-        (aux,) = ctx.fresh_names("y", 1)
-        big = ctx.insert_front((aux,))
-        y = big.gen(0)
-        gens = [_lift(h, big) for h in self.generators]
-        gens.append(y * _lift(g, big) - big.one)
-        return _eliminate_front(ctx, big, gens)
+        if not rest and sum(e) == 1:
+            return _seeded(ctx, self._divided(e.index(1)))
+        n = ctx.arity
+        big = VariableContext(ctx.names + ctx.fresh_names("z", 1),
+                              ctx.weights + (g.weighted_degree,))
+        gens = [lift_to_extended(h, big) for h in self.generators]
+        gens.append(big.gen(n) - lift_to_extended(g, big))
+        power = functools.cache(g.__pow__)
+        substituted = []
+        for p in IdealHandle(big, gens)._divided(n):
+            parts = {}
+            for e, c in p.terms:
+                parts.setdefault(e[n], []).append((e[:n], c))
+            substituted.append(sum((Polynomial.from_terms(ctx, terms)
+                                    * power(k)
+                                    for k, terms in parts.items()),
+                                   ctx.zero))
+        return _seeded(ctx, substituted)
 
-    def _saturate_variable(self, j):
-        """(I : x_j^inf) for I homogeneous, by Bayer and Stillman (A
-        criterion for detecting m-regularity, Invent. Math. 87, 1987;
-        Eisenbud, Commutative Algebra, Prop. 15.12): in a degrevlex order
-        with x_j ranked last, x_j divides a homogeneous polynomial exactly
-        when it divides its lead, so the reduced basis of I, each element
-        divided by the largest power of x_j that divides it, is a basis of
-        the saturation.  The division is one subtraction per packed term,
-        of the least field j of the element.  As from an elimination, the
-        result's generators are its reduced degrevlex basis, which its
-        cache holds, built from the divided elements."""
+    def _divided(self, j):
+        """The divided basis of I : x_j^inf for I homogeneous, by Bayer and
+        Stillman (A criterion for detecting m-regularity, Invent. Math. 87,
+        1987; Eisenbud, Commutative Algebra, Prop. 15.12): in a degrevlex
+        order with x_j ranked last, x_j divides a homogeneous polynomial
+        exactly when it divides its lead, so the reduced basis of I, each
+        element divided by the largest power of x_j that divides it, is a
+        Groebner basis of the saturation in that order.  The division is
+        one subtraction per packed term, of the least field j of the
+        element; the monic quotients are returned as Polynomials."""
         ctx = self.context
-        order = (DEGREVLEX if j == ctx.arity - 1
-                 else MonomialOrder.degrevlex_last(j))
+        order = DEGREVLEX if j == ctx.arity - 1 else MonomialOrder(j)
         mons, lms, basis, _ = self._reduced(order)
         shift = 32 * (ctx.arity - 1 - j)
         divided = []
@@ -796,10 +828,7 @@ class IdealHandle:
             divided.append(_polynomial(ctx, mons, {e - power: c
                                                    for e, c in g.items()},
                                        g[lm]))
-        handle = IdealHandle(ctx, divided)
-        result = IdealHandle(ctx, handle.groebner_basis())
-        result._cache[DEGREVLEX] = handle._cache[DEGREVLEX]
-        return result
+        return divided
 
     def saturation_by_ideal(self, other):
         """(I : J^inf), the intersection of the per-generator saturations."""
@@ -807,6 +836,7 @@ class IdealHandle:
             raise ValueError("ideal context mismatch")
         if not other.generators:
             raise ValueError("saturation by the zero ideal is undefined")
+        _require_homogeneous(self.generators + other.generators)
         result = None
         for g in other.generators:
             sat = self.saturation(g)
@@ -847,6 +877,24 @@ class IdealHandle:
         return report
 
 
+def _require_homogeneous(polynomials):
+    """Raise unless every polynomial is homogeneous for its ring's
+    weights, as the Bayer-Stillman division needs."""
+    if not all(p.weighted_degree_info()[0] for p in polynomials):
+        raise ValueError("saturation and intersection need homogeneous "
+                         "ideals and elements")
+
+
+def _seeded(context, generators):
+    """The ideal of `generators` as every saturation and intersection
+    returns it: its generators are its reduced degrevlex basis, which its
+    cache holds."""
+    handle = IdealHandle(context, generators)
+    result = IdealHandle(context, handle.groebner_basis())
+    result._cache[DEGREVLEX] = handle._cache[DEGREVLEX]
+    return result
+
+
 def _min_hitting_set(supports, nvars):
     """Smallest set of variables meeting every support set (branch & bound)."""
     minimal = []
@@ -870,39 +918,3 @@ def _min_hitting_set(supports, nvars):
 
     search(0, set())
     return best[0]
-
-
-# ---------------------------------------------------------------------------
-# context plumbing for elimination
-
-def _lift(p, big_context):
-    """`p` in `big_context`, its ring with one variable put in front."""
-    return Polynomial.from_terms(
-        big_context, (((0,) + e, c) for e, c in p.terms))
-
-
-def _eliminate_front(context, big_context, generators):
-    """The ideal of `context` that `generators`, polynomials of
-    `big_context` (`context` with one variable put in front), generate
-    once that variable is eliminated: the elements of their reduced
-    block-order basis whose lead avoids it.  The result starts with those
-    elements, still packed, as its reduced degrevlex basis, int for int:
-    the front variable is the top packed field, so a monomial free of it
-    packs to the same int in `context`, and its block key is its
-    degrevlex key in `context` (the back block's key vector is
-    `_drl_vector` of the weights of `context`), so the elements keep
-    their ints, their negated keys and their order."""
-    mons, lms, basis, _ = IdealHandle(big_context, generators)._reduced(
-        MonomialOrder.elimination((0,)))
-    small = _Monomials(DEGREVLEX.key_for(context), context.arity)
-    front = 1 << (32 * context.arity)      # the lowest bit of the top field
-    kept = [k for k, lm in enumerate(lms) if lm < front]
-    for k in kept:
-        for e in basis[k]:
-            small[e] = mons[e]
-    result = IdealHandle(context, [
-        _polynomial(context, small, basis[k], basis[k][lms[k]])
-        for k in kept])
-    result._cache[DEGREVLEX] = (small, [lms[k] for k in kept],
-                                [basis[k] for k in kept], {})
-    return result

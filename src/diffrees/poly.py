@@ -44,46 +44,17 @@ def mono_mul(a, b):
 
 
 class MonomialOrder:
-    """A total, multiplicative well-order on monomials.
+    """Weighted degree-reverse-lexicographic order on monomials, a total,
+    multiplicative well-order.  It may rank one chosen variable `last`,
+    the variable whose exponent breaks degree ties first, in place of the
+    final one: the other variables keep their order, and among monomials
+    of one degree the smaller power of this variable makes the larger
+    one."""
 
-    Three kinds are supported: lexicographic, weighted degree-reverse-
-    lexicographic, and a block elimination order that compares a front
-    block of variables (degrevlex within the block) before the rest.  A
-    degrevlex order may rank one chosen variable `last`, the variable
-    whose exponent breaks degree ties first, in place of the final one.
-    """
+    __slots__ = ("last",)
 
-    __slots__ = ("kind", "front", "last")
-
-    def __init__(self, kind, front=(), last=None):
-        if kind not in ("lex", "degrevlex", "block"):
-            raise ValueError(f"unknown order kind {kind!r}")
-        self.kind = kind
-        self.front = tuple(sorted(front))
+    def __init__(self, last=None):
         self.last = last
-
-    @classmethod
-    def lex(cls):
-        return cls("lex")
-
-    @classmethod
-    def degrevlex(cls):
-        return cls("degrevlex")
-
-    @classmethod
-    def degrevlex_last(cls, index):
-        """Weighted degrevlex with the variable of `index` ranked last:
-        the other variables keep their order, and among monomials of one
-        degree the smaller power of this variable makes the larger one."""
-        return cls("degrevlex", last=index)
-
-    @classmethod
-    def elimination(cls, front_indices):
-        """Block order eliminating the given variable indices."""
-        front = tuple(sorted(front_indices))
-        if not front:
-            raise ValueError("elimination order needs a nonempty front block")
-        return cls("block", front)
 
     def key_for(self, context):
         """Return the order key on exponent tuples, e -> sum_i K_i e_i: one
@@ -92,43 +63,22 @@ class MonomialOrder:
         2^64 (see EXPONENT_LIMIT), so the key of a product is the sum of
         the keys of its factors."""
         n, weights = context.arity, context.weights
-        if self.kind == "lex":
-            vector = [1 << (KEY_DIGIT * (n - 1 - i)) for i in range(n)]
-        elif self.kind == "degrevlex":
-            ranks = [i for i in range(n) if i != self.last]
-            if self.last is not None:
-                ranks.append(self.last)
-            vector = [0] * n
-            for i, k in zip(ranks, _drl_vector([weights[i] for i in ranks])):
-                vector[i] = k
-        else:
-            front = self.front
-            if front and front[-1] >= n:
-                raise ValueError("front block index out of range")
-            back = [i for i in range(n) if i not in front]
-            vector = [0] * n
-            # the front block's digits sit above the back block's
-            for block, shift in ((front, KEY_DIGIT * (len(back) + 1)),
-                                 (back, 0)):
-                for i, k in zip(block, _drl_vector([weights[i]
-                                                    for i in block])):
-                    vector[i] = k << shift
+        ranks = [i for i in range(n) if i != self.last]
+        if self.last is not None:
+            ranks.append(self.last)
+        vector = [0] * n
+        for i, k in zip(ranks, _drl_vector([weights[i] for i in ranks])):
+            vector[i] = k
         return lambda e: sum(map(operator.mul, vector, e))
 
     def __eq__(self, other):
-        return (isinstance(other, MonomialOrder)
-                and self.kind == other.kind and self.front == other.front
-                and self.last == other.last)
+        return isinstance(other, MonomialOrder) and self.last == other.last
 
     def __hash__(self):
-        return hash((self.kind, self.front, self.last))
+        return hash((MonomialOrder, self.last))
 
     def __repr__(self):
-        if self.kind == "block":
-            return f"MonomialOrder.elimination({self.front})"
-        if self.last is not None:
-            return f"MonomialOrder.degrevlex_last({self.last})"
-        return f"MonomialOrder.{self.kind}()"
+        return f"MonomialOrder({'' if self.last is None else self.last})"
 
 
 def _drl_vector(weights):
@@ -139,8 +89,7 @@ def _drl_vector(weights):
             for i, w in enumerate(weights)]
 
 
-LEX = MonomialOrder.lex()
-DEGREVLEX = MonomialOrder.degrevlex()
+DEGREVLEX = MonomialOrder()
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +170,6 @@ class VariableContext:
 
     def variable(self, name):
         return self.gen(self.index(name))
-
-    def insert_front(self, names):
-        """New context with extra variables of weight 1 prepended (used for
-        elimination)."""
-        names = tuple(names)
-        return VariableContext(names + self.names,
-                               (1,) * len(names) + self.weights)
 
     def fresh_names(self, base, count):
         """Deterministic variable names built from `base` avoiding clashes."""
@@ -482,6 +424,13 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({str(self)!r})"
+
+
+def lift_to_extended(p, big):
+    """`p` in `big`, a ring with the variables of p's ring first and more
+    adjoined after them: each exponent tuple padded with zeros."""
+    pad = (0,) * (big.arity - p.context.arity)
+    return Polynomial.from_terms(big, ((e + pad, c) for e, c in p.terms))
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ T-variable per module generator; the Rees algebra is the quotient by the
 torsion.  The torsion is killed by a power of any element that is regular
 on the base ring and lies in the radical of I + F_e, F_e the top Fitting
 ideal (the module becomes free once it is inverted), so the Rees ideal is
-the saturation by such an element.  A base variable that qualifies gives
-it by the Bayer-Stillman division of one degrevlex basis; the seeded
-random test element, drawn and reported in any case, gives it by an
-elimination when no variable does.
+the saturation by such an element.  Every saturation is a Bayer-Stillman
+division of one degrevlex basis: at a base variable that qualifies, or,
+when none does, at a variable z adjoined for the seeded random test
+element g (drawn and reported in any case) and mapped back by z := g.
+The pipeline's algebras are standard graded, so J and g are homogeneous.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from .errors import NotReducedError, TestElementSearchError
 from .fitting import fitting_ideal
 from .groebner import IdealHandle
-from .poly import Polynomial, VariableContext
+from .poly import Polynomial, VariableContext, lift_to_extended
 
 
 @dataclass(frozen=True)
@@ -51,12 +52,6 @@ def extended_context(ctx):
     """
     t_names = ctx.fresh_names("T", ctx.arity)
     return VariableContext(ctx.names + t_names, ctx.weights + ctx.weights)
-
-
-def lift_to_extended(p, big):
-    """Reinterpret a base-ring polynomial in the extended ring."""
-    pad = (0,) * (big.arity - p.context.arity)
-    return Polynomial.from_terms(big, ((e + pad, c) for e, c in p.terms))
 
 
 def symmetric_presentation(algebra):
@@ -156,11 +151,11 @@ def rees_ideal(algebra, seed=0, symmetric=None):
     its torsion; the extra basis elements generate the torsion.
 
     The test element g is drawn and reported in any case, which also
-    refuses a non-reduced base.  J is homogeneous, so when a base
-    variable X_j qualifies (`saturating_variable`) the saturation is
-    J : X_j^inf, read off one degrevlex basis of J with X_j ranked last
-    (`IdealHandle.saturation`); otherwise it is J : g^inf, by the
-    elimination of y*g - 1."""
+    refuses a non-reduced base.  When a base variable X_j qualifies
+    (`saturating_variable`) the saturation is J : X_j^inf, read off one
+    degrevlex basis of J with X_j ranked last; otherwise it is J : g^inf,
+    read off one of J + (z - g) with z ranked last
+    (`IdealHandle.saturation`)."""
     sym = symmetric or symmetric_presentation(algebra)
     g = find_test_element(algebra, seed=seed)
     j = saturating_variable(algebra)

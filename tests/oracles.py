@@ -3,7 +3,7 @@
 These deliberately avoid the library's engine: the Buchberger oracle uses
 its own division loop and no pair criteria, the dimension oracle
 enumerates every variable subset, and the saturation oracle iterates
-ideal quotients instead of the one-shot elimination trick.
+ideal quotients instead of the library's one-shot division.
 
 The second half keeps slow paths the library replaced by exact shortcuts,
 so the shortcuts can be checked against them: the nested order keys, the
@@ -20,9 +20,10 @@ record for every pair (and syzygy generators by eliminating components on
 it), the pass that pruned syzygies to minimal generators with one basis
 per candidate, the minimization of a tower by `Polynomial` arithmetic
 that rescans every entry for a unit, the ideal quotient and the
-nonzerodivisor test by (I : g) == I, the elimination saturation that the
-Bayer-Stillman division replaced for a variable, and the saturation that
-gave the Fitting heights off the irrelevant ideal.  Last come the module
+nonzerodivisor test by (I : g) == I, the lex and block orders
+(`ReferenceOrder`) and the block-order saturation and intersection that
+the Bayer-Stillman division replaced, and the saturation that gave the
+Fitting heights off the irrelevant ideal.  Last come the module
 presentations (columns of a polynomial matrix) that `free_resolution`
 resolved before it took only ideals, and the minimized tower it built
 before it read Betti numbers off the Schreyer frame: stages interreduced
@@ -44,10 +45,11 @@ from operator import add, ge, mul, neg, sub
 from diffrees.eagon_northcott import FreeComplex
 from diffrees.errors import ResolutionLengthError
 from diffrees.matrix import PolyMatrix
-from diffrees.poly import DEGREVLEX, Polynomial, mono_mul
-from diffrees.groebner import (IdealHandle, StepCounter, _eliminate_front,
-                               _interreduce, _lcm, _lift, _Monomials, _nf,
-                               _primitive, _schreyer_records, _spoly, _steps)
+from diffrees.poly import (DEGREVLEX, KEY_DIGIT, MonomialOrder, Polynomial,
+                           VariableContext, _drl_vector, mono_mul)
+from diffrees.groebner import (IdealHandle, StepCounter, _interreduce, _lcm,
+                               _Monomials, _nf, _polynomial, _primitive,
+                               _schreyer_records, _spoly, _steps)
 
 
 def mono_divide(a, b):
@@ -190,7 +192,7 @@ def ideal_quotient(handle, g):
     """(I : g) for a nonzero g, as (I meet (g)) / g."""
     if g.is_zero:
         raise ValueError("quotient by zero is undefined")
-    meet = handle.intersection(IdealHandle(handle.context, [g]))
+    meet = elimination_intersection(handle, IdealHandle(handle.context, [g]))
     return IdealHandle(handle.context,
                        [exact_divide(h, g) for h in meet.generators])
 
@@ -202,21 +204,124 @@ def is_nonzerodivisor(defining_ideal, g):
     return ideal_quotient(defining_ideal, g).equals(defining_ideal)
 
 
+class ReferenceOrder:
+    """The lex and block elimination orders that `MonomialOrder` offered
+    before every ring order of the library became weighted degrevlex.
+    The engine runs under any order with a linear int key, so the kernel
+    tests build with these too, and the eliminations below need the block
+    order."""
+
+    __slots__ = ("kind", "front")
+
+    def __init__(self, kind, front=()):
+        self.kind = kind
+        self.front = tuple(sorted(front))
+
+    @classmethod
+    def elimination(cls, front_indices):
+        """Block order eliminating the given variable indices: the front
+        block (degrevlex within it) compares before the rest."""
+        return cls("block", front_indices)
+
+    def key_for(self, context):
+        """The int key sum_i K_i e_i, as `MonomialOrder.key_for`."""
+        n, weights = context.arity, context.weights
+        if self.kind == "lex":
+            vector = [1 << (KEY_DIGIT * (n - 1 - i)) for i in range(n)]
+        else:
+            front = self.front
+            if front and front[-1] >= n:
+                raise ValueError("front block index out of range")
+            back = [i for i in range(n) if i not in front]
+            vector = [0] * n
+            # the front block's digits sit above the back block's
+            for block, shift in ((front, KEY_DIGIT * (len(back) + 1)),
+                                 (back, 0)):
+                for i, k in zip(block, _drl_vector([weights[i]
+                                                    for i in block])):
+                    vector[i] = k << shift
+        return lambda e: sum(map(mul, vector, e))
+
+    def __eq__(self, other):
+        return (isinstance(other, ReferenceOrder)
+                and (self.kind, self.front) == (other.kind, other.front))
+
+    def __hash__(self):
+        return hash((self.kind, self.front))
+
+    def __repr__(self):
+        return f"ReferenceOrder({self.kind!r}, {self.front})"
+
+
+LEX = ReferenceOrder("lex")
+
+
+def insert_front(context, names):
+    """`context` with variables of weight 1 put in front."""
+    names = tuple(names)
+    return VariableContext(names + context.names,
+                           (1,) * len(names) + context.weights)
+
+
+def _lift(p, big_context):
+    """`p` in `big_context`, its ring with one variable put in front."""
+    return Polynomial.from_terms(
+        big_context, (((0,) + e, c) for e, c in p.terms))
+
+
+def _eliminate_front(context, big_context, generators):
+    """The ideal of `context` that `generators`, polynomials of
+    `big_context` (`context` with one variable put in front), generate
+    once that variable is eliminated: the elements of their reduced
+    block-order basis whose lead avoids it.  The result starts with those
+    elements, still packed, as its reduced degrevlex basis, int for int:
+    the front variable is the top packed field, so a monomial free of it
+    packs to the same int in `context`, and its block key is its
+    degrevlex key in `context` (the back block's key vector is
+    `_drl_vector` of the weights of `context`), so the elements keep
+    their ints, their negated keys and their order."""
+    mons, lms, basis, _ = IdealHandle(big_context, generators)._reduced(
+        ReferenceOrder.elimination((0,)))
+    small = _Monomials(DEGREVLEX.key_for(context), context.arity)
+    front = 1 << (32 * context.arity)      # the lowest bit of the top field
+    kept = [k for k, lm in enumerate(lms) if lm < front]
+    for k in kept:
+        for e in basis[k]:
+            small[e] = mons[e]
+    result = IdealHandle(context, [
+        _polynomial(context, small, basis[k], basis[k][lms[k]])
+        for k in kept])
+    result._cache[DEGREVLEX] = (small, [lms[k] for k in kept],
+                                [basis[k] for k in kept], {})
+    return result
+
+
 def elimination_saturation(handle, g):
-    """(I : g^inf) by the elimination of y*g - 1, the path
-    `IdealHandle.saturation` takes for every g but a variable, run here
-    for a variable too."""
+    """(I : g^inf) by the elimination of y*g - 1 in a block order, the
+    path `IdealHandle.saturation` took before it divided a degrevlex
+    basis for every homogeneous g; it needs no homogeneity."""
     ctx = handle.context
-    big = ctx.insert_front(ctx.fresh_names("y", 1))
+    big = insert_front(ctx, ctx.fresh_names("y", 1))
     gens = [_lift(h, big) for h in handle.generators]
     gens.append(big.gen(0) * _lift(g, big) - big.one)
     return _eliminate_front(ctx, big, gens)
 
 
+def elimination_intersection(handle, other):
+    """I meet J by eliminating u from u*I + (1 - u)*J in a block order,
+    the path `IdealHandle.intersection` took before it divided a
+    degrevlex basis; it needs no homogeneity."""
+    ctx = handle.context
+    big = insert_front(ctx, ctx.fresh_names("u", 1))
+    u = big.gen(0)
+    gens = [u * _lift(g, big) for g in handle.generators]
+    gens += [(big.one - u) * _lift(g, big) for g in other.generators]
+    return _eliminate_front(ctx, big, gens)
+
+
 def iterated_quotient_saturation(handle, g, max_rounds=64):
     """(I : g^inf) by stabilizing (.. : g); the library instead uses one
-    auxiliary-variable elimination, or for a variable the Bayer-Stillman
-    division."""
+    Bayer-Stillman division."""
     current = handle
     for _ in range(max_rounds):
         nxt = ideal_quotient(current, g)
@@ -268,15 +373,15 @@ def flat_key_for(order, context):
     are flat integer tuples, all of one length for a given order and
     context."""
     weights = context.weights
-    if order.kind == "lex":
-        return lambda e: e
-    if order.kind == "degrevlex":
+    if isinstance(order, MonomialOrder):
         if order.last is None:
             return _drl_key(weights)
         ranks = [i for i in range(context.arity) if i != order.last]
         ranks.append(order.last)
         key = _drl_key(tuple(weights[i] for i in ranks))
         return lambda e: key(tuple(e[i] for i in ranks))
+    if order.kind == "lex":
+        return lambda e: e
     front = order.front
     if front and front[-1] >= context.arity:
         raise ValueError("front block index out of range")
@@ -334,10 +439,10 @@ def nested_key_for(order, context):
         return key
 
     weights = context.weights
+    if isinstance(order, MonomialOrder):
+        return drl(weights)
     if order.kind == "lex":
         return lambda e: e
-    if order.kind == "degrevlex":
-        return drl(weights)
     front = order.front
     back = tuple(i for i in range(context.arity) if i not in set(front))
     fkey = drl(tuple(weights[i] for i in front))

@@ -14,7 +14,7 @@ from diffrees.fitting import (euler_minor_identity, ft_condition,
                               ft_condition_off_irrelevant, last_rows_probe)
 from diffrees.groebner import IdealHandle
 from diffrees.matrix import PolyMatrix
-from diffrees.poly import DEGREVLEX, LEX, VariableContext, parse_polynomial
+from diffrees.poly import DEGREVLEX, VariableContext, parse_polynomial
 from diffrees.rees import (analytic_spread, is_linear_type, rees_ideal,
                            symmetric_presentation)
 from diffrees.resolution import depth_and_cm, free_resolution
@@ -23,7 +23,7 @@ from diffrees.verifier import run_pipeline
 from diffrees.casefile import CaseFile
 
 from conftest import random_homogeneous
-from oracles import brute_force_dimension, naive_buchberger
+from oracles import LEX, brute_force_dimension, naive_buchberger
 
 
 def _line(criterion, ok, detail=""):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -6,15 +7,14 @@ from hypothesis import strategies as st
 
 from diffrees import groebner
 from diffrees.errors import ExponentOverflowError, StepBudgetExceeded
-from diffrees.groebner import IdealHandle, step_budget
-from diffrees.poly import (DEGREVLEX, LEX, MonomialOrder, Polynomial,
-                           VariableContext)
+from diffrees.groebner import IdealHandle, StepCounter, step_budget
+from diffrees.poly import DEGREVLEX, Polynomial, VariableContext
 
 from conftest import (P, homogeneous_ideals, inhomogeneous_ideals,
                       random_homogeneous)
-from oracles import (brute_force_dimension, ideal_quotient,
-                     is_nonzerodivisor, iterated_quotient_saturation,
-                     naive_buchberger)
+from oracles import (LEX, ReferenceOrder, brute_force_dimension,
+                     ideal_quotient, is_nonzerodivisor,
+                     iterated_quotient_saturation, naive_buchberger)
 
 
 def test_monomial_ideal_is_its_own_basis(xyz):
@@ -163,7 +163,7 @@ def test_nested_generator_sets_build_only_the_smaller_basis():
 
 
 @pytest.mark.parametrize("order", [DEGREVLEX, LEX,
-                                   MonomialOrder.elimination((0,))],
+                                   ReferenceOrder.elimination((0,))],
                          ids=["degrevlex", "lex", "elimination"])
 def test_one_monomial_table_per_basis_build(order, monkeypatch):
     """A basis build packs its generators once: `_build` makes one
@@ -184,6 +184,27 @@ def test_one_monomial_table_per_basis_build(order, monkeypatch):
             P(ctx, "Y^2 - X*Z + W^2")]
     assert len(IdealHandle(ctx, gens).groebner_basis(order)) > len(gens)
     assert len(made) == 1
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX,
+                                   ReferenceOrder.elimination((0,))],
+                         ids=["degrevlex", "lex", "elimination"])
+def test_a_constant_generator_gives_the_unit_basis_at_once(order, xyz):
+    """A nonzero constant among the generators makes the basis (1) in every
+    order, with no reduction step spent, also when the build certifies."""
+    X, Y, Z = xyz.gens()
+    for gens in ([X**2 - Y * Z, xyz.constant(-3), Y**3 - Z],
+                 [xyz.constant(Fraction(1, 2))]):
+        counter = StepCounter(0)
+        mons, lms, basis, _ = groebner._buchberger(
+            [dict(g.terms) for g in gens],
+            groebner._Monomials(order.key_for(xyz), xyz.arity), counter,
+            certify=True)
+        assert (lms, basis) == ([0], [{0: 1}])
+        assert mons.unpack(0) == (0, 0, 0) and mons[0] == 0
+        assert counter.remaining == 0
+        with step_budget(0):
+            assert IdealHandle(xyz, gens).groebner_basis(order) == (xyz.one,)
 
 
 def test_saturation_examples(xyz):
@@ -407,7 +428,7 @@ def test_two_variable_block_elimination():
     ctx = VariableContext(("X", "Y", "Z", "W"))
     X, Y, Z, W = ctx.gens()
     basis = IdealHandle(ctx, [X - Z**2, Y - Z**3, X * Y - W]).groebner_basis(
-        MonomialOrder.elimination((0, 1)))
+        ReferenceOrder.elimination((0, 1)))
     small = VariableContext(("Z", "W"))
     survivors = [Polynomial.from_terms(small, ((e[2:], c) for e, c in g.terms))
                  for g in basis if not any(any(e[:2]) for e, _ in g.terms)]

