@@ -7,13 +7,24 @@ into one int like a ring monomial, and an element is a content-free
 {packed term: int} dict with positive leading coefficient.  Stage one is
 the ideal's cached reduced degrevlex basis, packed as it is cached, in
 rank one a module Groebner basis under the position-over-term extension
-of the ring order.  Every later stage is the family of Schreyer records
-of the minimal pairs of the stage before: their leads divide no one
-another and they form a Groebner basis of the syzygies under the induced
-Schreyer order (Schreyer), so no stage is interreduced
-(`groebner._schreyer_records`).  The frame stays packed from the cached
-basis to the last stage; the component of a packed term t is
-(t >> 32) & _FIELD, and its exponent block is zero when t >> 64 is.
+of the ring order, with the trailing variables that divide no lead set
+to 0.  In degrevlex the last variable x_n is regular on S/K exactly when
+it divides no lead of the basis of the homogeneous ideal K, and then the
+basis with x_n = 0 is a basis of the section K + (x_n) / (x_n), with the
+same leads (Bayer-Stillman, Invent. Math. 87, 1987; Eisenbud,
+Commutative Algebra, Prop. 15.12); the same holds again for x_(n-1) on
+the section when it divides no lead either.  A minimal resolution F of
+S/K gives F / x_n F, a minimal resolution of the section, and the
+section's basis, free of x_n, resolves over S as over k[x_1..x_(n-1)], so
+the graded Betti numbers are those of K; the frame's ranks and shifts,
+which the leads alone determine, do not change either.  Every later
+stage is the family of Schreyer records of the minimal pairs of the
+stage before: their leads divide no one another and they form a
+Groebner basis of the syzygies under the induced Schreyer order
+(Schreyer), so no stage is interreduced (`groebner._schreyer_records`).
+The frame stays packed from the cached basis to the last stage; the
+component of a packed term t is (t >> 32) & _FIELD, and its exponent
+block is zero when t >> 64 is.
 
 That Schreyer frame is a graded free resolution, in general not a minimal
 one.  The minimal Betti numbers are the homology of F (x) k, so
@@ -31,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import ResolutionLengthError
 from .groebner import _FIELD, _Monomials, _schreyer_records, _steps
@@ -83,7 +95,12 @@ def free_resolution(handle):
     Stage one is the handle's cached reduced degrevlex basis, in rank one
     the reduced basis of the generators under position-over-term, which
     orders it the same way: the packed monomial m of the ring is the term
-    m e_0 = m + (0, 0), two fields up, and keeps its negated key.  Later
+    m e_0 = m + (0, 0), two fields up, and keeps its negated key.  The
+    trailing variables that divide no lead, counted from x_n until one
+    does, are regular, and their fields are the lowest of m: the terms
+    with m & ((1 << 32 cut) - 1) nonzero are dropped and each element made
+    content-free again, which keeps its lead, so the frame resolves the
+    section with the same leads, ranks, shifts and Betti numbers.  Later
     stages are the Schreyer records of the minimal pairs of the stage
     family.  Each family is sorted by decreasing lead.  A frame longer
     than 2n + 4 stages raises a ResolutionLengthError.
@@ -95,10 +112,22 @@ def free_resolution(handle):
     counter = _steps()
 
     ring, leads, basis, _ = handle._reduced()
+    occupied = 0
+    for lm in leads:
+        occupied |= lm
+    low = occupied & -occupied      # the lowest field that holds a lead
+    cut = (low.bit_length() - 1) >> 5 if low else n
+    mask = (1 << 32 * cut) - 1
+    family = []
+    for g in basis:
+        g = {m << 64: c for m, c in g.items() if not m & mask}
+        content = gcd(*g.values())
+        if content > 1:
+            g = {t: c // content for t, c in g.items()}
+        family.append(g)
     mons = _Monomials(_stage_key(ring_key, [0], n, 0), n + 2)
-    mons.update((m << 64, ring[m]) for g in basis for m in g)
+    mons.update((t, ring[t >> 64]) for g in family for t in g)
     leads = [lm << 64 for lm in leads]
-    family = [{m << 64: c for m, c in g.items()} for g in basis]
     ranks = [1]
     shifts = [(0,)]
     constant_ranks = []

@@ -30,7 +30,9 @@ before it read Betti numbers off the Schreyer frame: stages interreduced
 under nested Schreyer keys, then minimized by cancelling constant entries
 on term dicts, and `syzygies`, pruned the same way; both take their
 Schreyer records from the library's packed kernel through one tuple
-adapter, `schreyer_syzygies`.  The very last is the
+adapter, `schreyer_syzygies`.  `section_of` gives the section that the
+frame resolves: the reduced basis with the trailing variables that divide
+no lead set to 0.  The very last is the
 Laplace expansion of minors by `Polynomial` arithmetic that
 `PolyMatrix.minors` ran before it expanded on packed int monomials.
 """
@@ -1245,6 +1247,28 @@ def presentation_of_ideal(handle):
     ctx = handle.context
     row = tuple(handle.generators)
     return ModulePresentation(ctx, 1, PolyMatrix(ctx, (row,)))
+
+
+def section_of(handle):
+    """(cut, section): the number of trailing variables x_n, x_(n-1), ...
+    that divide no lead of the reduced degrevlex basis of `handle`,
+    counted until one does, and the ideal that basis generates with
+    those variables set to 0, in the same ring; `handle` itself when no
+    variable is cut.  Each cut variable is regular on the quotient
+    (Bayer-Stillman), so the section has the handle's Betti numbers."""
+    ctx = handle.context
+    n = ctx.arity
+    basis = handle.groebner_basis()
+    leads = [_leading(g, flat_key_for(DEGREVLEX, ctx)) for g in basis]
+    cut = 0
+    while cut < n and not any(e[n - 1 - cut] for e in leads):
+        cut += 1
+    if not cut:
+        return 0, handle
+    return cut, IdealHandle(ctx, [
+        Polynomial.from_terms(ctx, [(e, c) for e, c in g.terms
+                                    if not any(e[n - cut:])])
+        for g in basis])
 
 
 def position_key(ctx):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from diffrees import groebner
 from diffrees.errors import StepBudgetExceeded
 from diffrees.groebner import IdealHandle, step_budget
 from diffrees.matrix import PolyMatrix
@@ -184,10 +185,26 @@ def test_maximal_ideal_koszul_ranks(xyz):
     assert rep.depth == 0 == rep.dimension
 
 
-def test_budget_propagates(xyz):
+def test_budget_propagates(xyz, monkeypatch):
+    """The open budget bounds the frame.  Z divides no lead of
+    (X^3 - Y*Z^2, Y^4 - X*Z^3), so the frame resolves (X^3, Y^4) and
+    spends one step, on its one pair; a budget of no step raises."""
     X, Y, Z = xyz.gens()
     handle = IdealHandle(xyz, [X**3 - Y * Z**2, Y**4 - X * Z**3])
-    with step_budget(2), pytest.raises(StepBudgetExceeded):
+    handle._reduced()
+    steps = [0]
+    spend = groebner.StepCounter.spend
+
+    def counted(counter, n=1):
+        steps[0] += n
+        return spend(counter, n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner.StepCounter, "spend", counted)
+        with step_budget(1):
+            free_resolution(handle)
+    assert steps[0] == 1
+    with step_budget(0), pytest.raises(StepBudgetExceeded):
         free_resolution(handle)
 
 

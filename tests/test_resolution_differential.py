@@ -4,17 +4,20 @@ tower it built before, both of which `oracles.py` keeps.
 
 The ring kernel runs module elements in the flat encoding a + (c, r-1-c),
 reduces only the minimal pairs of each stage family and interreduces no
-stage after the first.  The old engine works on (exponents, component)
-terms with monic reducers, a record for every pair and reduced stage
-families.  The leads of the records of the minimal pairs depend only on
-the leads of the stage before, so both frames have the same leads at
-every stage, hence the same ranks and shifts; the first families agree
-term by term and each record of the first stage is one of the old ones.
-The Betti numbers read off the frame must be the ranks of the minimized
-tower.  The minimization on term dicts is also checked against the
-`Polynomial` one it replaced on hand-built towers, and `syzygies`, which
-prunes through it, against the pass that dropped one generator at a time
-while the rest still spanned it.
+stage after the first.  It resolves the section: the reduced basis with
+the trailing variables that divide no lead set to 0 (`oracles.section_of`),
+which has the ideal's leads.  The old engine works on (exponents,
+component) terms with monic reducers, a record for every pair and reduced
+stage families.  The leads of the records of the minimal pairs depend only
+on the leads of the stage before, so the frame has the old engine's leads
+on the ideal at every stage, hence its ranks and shifts; the first family
+agrees term by term with the old engine's on the section, and each record
+of the first stage is one of the old ones there.  The Betti numbers read
+off the frame must be the ranks of the tower minimized from the ideal.
+The minimization on term dicts is also checked against the `Polynomial`
+one it replaced on hand-built towers, and `syzygies`, which prunes
+through it, against the pass that dropped one generator at a time while
+the rest still spanned it.
 """
 
 import dataclasses
@@ -34,6 +37,7 @@ from hypothesis import strategies as st
 
 import oracles
 from diffrees import groebner, resolution
+from diffrees.algebra import GradedAlgebra
 from diffrees.groebner import (IdealHandle, StepCounter, _buchberger,
                                _Monomials)
 from diffrees.matrix import PolyMatrix
@@ -44,7 +48,8 @@ from diffrees.sampler import random_graded_ci
 from oracles import ModulePresentation, presentation_of_ideal
 
 from conftest import (P, REES_RANDOM_CI_SHAPES, column_span_checker,
-                      homogeneous_ideals, shipped_algebras)
+                      homogeneous_ideals, shipped_algebras,
+                      shipped_case_files)
 
 def _recorded_calls(handle):
     """`free_resolution` of `handle`, with the arguments and the result of
@@ -96,11 +101,13 @@ def _flat(element, rank):
 
 
 def assert_matches_module_engine(handle):
-    """Every stage of the frame leads like the old engine's, the first
-    family is the old engine's and each record of its minimal pairs is one
-    of the old engine's records; the frame's ranks and shifts are the old
-    engine's before minimization and its Betti numbers the ranks after,
-    where the moved minimization gives the old tower exactly."""
+    """Every stage of the frame leads like the old engine's on the ideal,
+    the first family is the old engine's on the section and each record
+    of its minimal pairs is one of the old engine's records there; the
+    frame's ranks and shifts are the old engine's on the ideal before
+    minimization and its Betti numbers the ranks after, where the moved
+    minimization gives the old tower exactly.  With no variable cut the
+    section is the ideal, so the first stage is compared in full."""
     pres = presentation_of_ideal(handle)
     ctx = pres.context
     n = ctx.arity
@@ -116,8 +123,12 @@ def assert_matches_module_engine(handle):
         shifts.append(tuple(ctx.weighted_degree(t) + shifts[-1][t[n]]
                             for t in map(next, map(iter, old_family))))
         rank = len(family)
+    cut, section = oracles.section_of(handle)
     if stages:
-        (family, _, records), (old_family, old_records) = stages[0], old[0]
+        section_old = old if not cut else oracles.module_resolution_stages(
+            presentation_of_ideal(section))
+        (family, _, records), (old_family, old_records) = (stages[0],
+                                                           section_old[0])
         assert family == [_flat(el, pres.target_rank) for el in old_family]
         assert all({(t[:n], t[n]): c for t, c in rec.items()}
                    in old_records for rec in records)
@@ -135,10 +146,12 @@ def assert_matches_module_engine(handle):
 
 
 def assert_stage_one_is_the_module_basis(handle):
-    """The cached reduced degrevlex basis, as stage one, is the reduced
-    basis `_buchberger` builds from the generators under
-    position-over-term, which lists it by increasing lead."""
-    family = _module_basis(presentation_of_ideal(handle), oracles.int_keyed(
+    """Stage one, the cached reduced degrevlex basis with the cut
+    variables set to 0, is the reduced basis `_buchberger` builds from the
+    section's generators under position-over-term, which lists it by
+    increasing lead."""
+    section = oracles.section_of(handle)[1]
+    family = _module_basis(presentation_of_ideal(section), oracles.int_keyed(
         oracles.position_key(handle.context)))
     _, stages = _recorded_stages(handle)
     assert (stages[0][0] if stages else []) == family[::-1]
@@ -234,13 +247,78 @@ def test_rees_resolutions_match_module_engine(cases_dir):
     algebras += [random_graded_ci(random.Random(seed), n, d,
                                   max_degree=deg)
                  for n, d, deg, seed in REES_RANDOM_CI_SHAPES]
+    cuts = []
     for algebra in algebras:
         assert algebra.is_reduced()
         handle = rees_ideal(algebra).ideal
         assert_stage_one_is_the_module_basis(handle)
         res = assert_matches_module_engine(handle)
         deepest = max(deepest, res.pd)
+        cuts.append(oracles.section_of(handle)[0])
     assert deepest == 6
+    assert tuple(cuts[7:]) == RANDOM_CI_CUTS
+
+
+def _frame_cut(handle):
+    """`free_resolution` of `handle` and the number of trailing variables
+    in no term of its stage one, the variables it set to 0; None when the
+    frame has no stage."""
+    res, calls = _recorded_calls(handle)
+    if not calls:
+        return res, None
+    n = handle.context.arity
+    _, basis, mons = calls[0][:3]
+    terms = [mons.unpack(t)[:n] for g in basis for t in g]
+    cut = 0
+    while cut < n and not any(e[n - 1 - cut] for e in terms):
+        cut += 1
+    return res, cut
+
+
+FIVE = ("X1", "X2", "X3", "X4", "X5")
+
+
+@pytest.mark.parametrize("names,gens,cut,ranks,betti", [
+    (FIVE, [], None, (1,), (1,)),
+    (FIVE, ["1"], 5, (1, 1), (0,)),
+    (FIVE, ["X1"], 4, (1, 1), (1, 1)),
+    (("X", "Y", "Z"), ["X", "Y", "Z"], 0, (1, 3, 3, 1), (1, 3, 3, 1))],
+    ids=["zero", "unit", "first-variable", "maximal"])
+def test_section_edge_cases(names, gens, cut, ranks, betti):
+    """The zero ideal has no stage to cut; no variable divides the unit
+    ideal's lead 1, so all are cut; (X1) cuts X2 to X5; the maximal ideal
+    has every variable as a lead, so nothing is cut.  The Betti numbers
+    are the minimized tower's of the uncut ideal."""
+    ctx = VariableContext(names)
+    handle = IdealHandle(ctx, [P(ctx, g) for g in gens])
+    res, frame_cut = _frame_cut(handle)
+    assert frame_cut == cut
+    assert oracles.section_of(handle)[0] == (len(names) if cut is None
+                                             else cut)
+    assert (res.ranks, res.betti) == (ranks, betti)
+    assert res.betti == oracles.minimized_free_resolution(
+        presentation_of_ideal(handle)).ranks
+
+
+# Variables cut from the Rees ideal of each shipped case and of the
+# random-ci draws of REES_RANDOM_CI_SHAPES, in that order.
+SHIPPED_CUTS = {"coordinate-cross": 0, "curve-probe": 1,
+                "diagonal-quadrics-curve": 1, "fermat-cubic": 2,
+                "four-point-cone": 2, "quadric-cone": 2,
+                "quadric-surface": 3}
+RANDOM_CI_CUTS = (3, 3, 4, 4, 2, 2, 2, 3)
+
+
+def test_section_cuts_of_shipped_cases(cases_dir):
+    """The frame of each shipped Rees ideal cuts exactly the trailing
+    variables that divide no lead, as `oracles.section_of` counts them."""
+    cuts = {}
+    for case in shipped_case_files(cases_dir):
+        handle = rees_ideal(GradedAlgebra.validate(
+            case.context, case.relations)).ideal
+        cuts[case.name] = _frame_cut(handle)[1]
+        assert cuts[case.name] == oracles.section_of(handle)[0]
+    assert cuts == SHIPPED_CUTS
 
 
 @settings(max_examples=40, deadline=None,
@@ -286,22 +364,27 @@ def test_records_need_a_basis():
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.booleans().flatmap(lambda w: homogeneous_ideals(weighted=w)))
 def test_frame_stays_packed(drawn):
-    """Stage one is the handle's packed basis two 32-bit fields up, with
-    the ring's negated keys; every key the records write for the next
-    stage is the negated `_stage_key` of the unpacked term, with offsets
-    (key(lm_j) << 64) - j from the leads; every record is content-free
-    and leads with q_i e_i, q_i = lcm(lm_i, lm_j) / lm_i for a later
-    lm_j of its component, with a positive coefficient."""
+    """Stage one has the handle's packed leads and is the section's packed
+    basis two 32-bit fields up, with the ring's negated keys, which with
+    no variable cut is the handle's basis int for int; every key the
+    records write for the next stage is the negated `_stage_key` of the
+    unpacked term, with offsets (key(lm_j) << 64) - j from the leads;
+    every record is content-free and leads with q_i e_i,
+    q_i = lcm(lm_i, lm_j) / lm_i for a later lm_j of its component, with
+    a positive coefficient."""
     ctx, gens = drawn
     n = ctx.arity
     handle = IdealHandle(ctx, gens)
     _, calls = _recorded_calls(handle)
-    ring, ring_lms, ring_basis, _ = handle._reduced()
+    ring_lms = handle._reduced()[1]
+    ring, section_lms, section_basis, _ = oracles.section_of(
+        handle)[1]._reduced()
     lms, basis, mons = calls[0][:3]
     assert list(lms) == [lm << 64 for lm in reversed(ring_lms)]
+    assert section_lms == ring_lms
     assert list(basis) == [{m << 64: c for m, c in g.items()}
-                           for g in reversed(ring_basis)]
-    assert all(mons[m << 64] == ring[m] for g in ring_basis for m in g)
+                           for g in reversed(section_basis)]
+    assert all(mons[m << 64] == ring[m] for g in section_basis for m in g)
     ring_key = DEGREVLEX.key_for(ctx)
     for stage, (lms, _, mons, following, leads, records) in enumerate(
             calls, 1):
