@@ -25,6 +25,12 @@ class ExponentOverflowError(DiffreesError, ValueError):
     each exponent into."""
 
 
+class NotHomogeneousError(DiffreesError, ValueError):
+    """A saturation or an intersection got an ideal or an element that is
+    not homogeneous for its ring's weights, as the Bayer-Stillman
+    division needs."""
+
+
 class StepBudgetExceeded(DiffreesError):
     """A Groebner computation ran out of its reduction-step budget.
 

@@ -41,7 +41,7 @@ import struct
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import StepBudgetExceeded
+from .errors import NotHomogeneousError, StepBudgetExceeded
 from .poly import (DEGREVLEX, EXPONENT_LIMIT, KEY_DIGIT, MonomialOrder,
                    Polynomial, VariableContext, exponent_overflow,
                    lift_to_extended)
@@ -881,8 +881,8 @@ def _require_homogeneous(polynomials):
     """Raise unless every polynomial is homogeneous for its ring's
     weights, as the Bayer-Stillman division needs."""
     if not all(p.weighted_degree_info()[0] for p in polynomials):
-        raise ValueError("saturation and intersection need homogeneous "
-                         "ideals and elements")
+        raise NotHomogeneousError("saturation and intersection need "
+                                  "homogeneous ideals and elements")
 
 
 def _seeded(context, generators):

@@ -70,28 +70,19 @@ def built_orders():
 
 
 def column_span_checker(matrix, shifts=None):
-    """Membership in the column span of `matrix`, by a module basis from
-    the chain-scan oracle in the flat term encoding of `resolution`;
-    `shifts` are row degrees making its columns homogeneous."""
-    from diffrees.groebner import StepCounter
-    from oracles import (ModulePresentation, chain_scan_buchberger,
-                         columns_to_elements, position_key, tuple_nf)
+    """Membership in the column span of `matrix`, by `oracles.spans` in
+    the flat term encoding of `resolution`; `shifts` are row degrees
+    making its columns homogeneous."""
+    from oracles import (ModulePresentation, columns_to_elements,
+                         position_key, spans)
     ctx = matrix.context
     rank = matrix.nrows
     pres = ModulePresentation(ctx, rank, matrix, shifts)
-    key = position_key(ctx)
-    basis, lms = chain_scan_buchberger(columns_to_elements(pres, rank), key,
-                                       ctx.weighted_degree, StepCounter(),
-                                       rank)
-
-    def contains(column):
-        element = {}
-        for i, p in enumerate(column):
-            for e, c in p.terms:
-                element[e + (i, rank - 1 - i)] = c
-        return not tuple_nf(element, lms, basis, key, StepCounter(), {})[0]
-
-    return contains
+    inside = spans(columns_to_elements(pres, rank), position_key(ctx),
+                   ctx.weighted_degree)
+    return lambda column: inside({e + (i, rank - 1 - i): c
+                                  for i, p in enumerate(column)
+                                  for e, c in p.terms})
 
 
 @st.composite
@@ -134,10 +125,16 @@ def shipped_cases(cases_dir):
     return shipped_case_files(cases_dir)
 
 
-@pytest.fixture(scope="session")
-def probe_cases():
+def probe_case_files():
+    """The first eight instances of `probe_corpus(0, ...)`, in prop31
+    mode."""
     return [CaseFile(name, algebra.context, algebra.relations, mode="prop31")
             for name, algebra in probe_corpus(seed=0, count=8)]
+
+
+@pytest.fixture(scope="session")
+def probe_cases():
+    return probe_case_files()
 
 
 @pytest.fixture(scope="session")

@@ -13,8 +13,8 @@ from diffrees.poly import DEGREVLEX, Polynomial, VariableContext
 from conftest import (P, homogeneous_ideals, inhomogeneous_ideals,
                       random_homogeneous)
 from oracles import (LEX, ReferenceOrder, brute_force_dimension,
-                     ideal_quotient, is_nonzerodivisor,
-                     iterated_quotient_saturation, naive_buchberger)
+                     elimination_saturation, ideal_quotient,
+                     is_nonzerodivisor, naive_buchberger)
 
 
 def test_monomial_ideal_is_its_own_basis(xyz):
@@ -215,12 +215,12 @@ def test_saturation_examples(xyz):
     assert coprime.equals(IdealHandle(xyz, [X]))
 
 
-def test_saturation_vs_iterated_quotient_oracle():
+def test_saturation_vs_elimination_oracle():
     ctx = VariableContext(("X", "Y", "T1", "T2"))
     X, Y, T1, T2 = ctx.gens()
     I = IdealHandle(ctx, [X * Y, Y * T1 + X * T2])
     sat = I.saturation(X + Y)
-    oracle = iterated_quotient_saturation(I, X + Y)
+    oracle = elimination_saturation(I, X + Y)
     assert sat.equals(oracle)
     expected = IdealHandle(ctx, [X * Y, X * T2, Y * T1, T1 * T2])
     assert sat.equals(expected)

@@ -3,7 +3,8 @@
 Reduced Groebner bases are unique, so the engine must agree term by term
 with the no-criteria oracle in `oracles.py` and, for standard gradings,
 with sympy.  A wrong reducer choice in the first-divisor memo of `_nf`
-would change a basis or a normal form and show here.
+would change a basis or a normal form and show here, against the fresh
+scan of `oracles.max_scan_nf`.
 """
 
 from fractions import Fraction
@@ -12,35 +13,27 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from diffrees.groebner import IdealHandle, StepCounter
+from diffrees.groebner import (IdealHandle, StepCounter, _Monomials, _nf,
+                               _primitive)
 from diffrees.poly import DEGREVLEX, MonomialOrder, Polynomial, VariableContext
 from diffrees.sampler import monomials_of_degree
 
 from conftest import (P, built_orders, homogeneous_ideals,
                       inhomogeneous_ideals)
 from oracles import (elimination_intersection, elimination_saturation,
-                     flat_key_for, memo_key, naive_buchberger,
-                     naive_remainder_full, tuple_nf)
-
-
-def _sympy_basis(ctx, gens):
-    sympy = pytest.importorskip("sympy")
-    syms = sympy.symbols(ctx.names)
-    exprs = [sum(sympy.Rational(c.numerator, c.denominator)
-                 * sympy.Mul(*(s**e for s, e in zip(syms, exps)))
-                 for exps, c in g.terms) for g in gens]
-    basis = sympy.groebner(exprs, *syms, order="grevlex", domain=sympy.QQ)
-    return {frozenset((exps, Fraction(int(c.p), int(c.q)))
-                      for exps, c in g.terms())
-            for g in basis.polys}
+                     flat_key_for, max_scan_nf, naive_buchberger,
+                     sympy_basis)
 
 
 def _check_normal_forms(ctx, handle, basis, probes):
     """normal_form, called twice so the second call reads the memo that
-    the first one filled, against full division by the reduced basis."""
-    key = DEGREVLEX.key_for(ctx)
+    the first one filled, against `max_scan_nf` by the reduced basis."""
+    key = flat_key_for(DEGREVLEX, ctx)
+    lms = [max((e for e, _ in g.terms), key=key) for g in basis]
+    reducers = [dict(g.terms) for g in basis]
     for p in probes:
-        expected = naive_remainder_full(p, basis, key)
+        expected = Polynomial.from_terms(ctx, max_scan_nf(
+            dict(p.terms), lms, reducers, key, StepCounter()).items())
         assert handle.normal_form(p) == expected
         assert handle.normal_form(p) == expected
 
@@ -56,7 +49,7 @@ def test_standard_graded_bases_match_oracles(drawn):
     handle = IdealHandle(ctx, gens)
     basis = handle.groebner_basis()
     assert basis == naive_buchberger(ctx, gens)
-    assert {frozenset(g.terms) for g in basis} == _sympy_basis(ctx, gens)
+    assert {frozenset(g.terms) for g in basis} == sympy_basis(ctx, gens)
     _check_normal_forms(ctx, handle, basis, gens + [g * g for g in gens])
 
 
@@ -224,34 +217,38 @@ def test_growing_basis_matches_oracles():
     basis = IdealHandle(ctx, gens).groebner_basis()
     assert len(basis) > len(gens)
     assert basis == naive_buchberger(ctx, gens)
-    assert {frozenset(g.terms) for g in basis} == _sympy_basis(ctx, gens)
+    assert {frozenset(g.terms) for g in basis} == sympy_basis(ctx, gens)
 
 
 def test_memo_picks_the_linear_scan_reducer_after_appends(xyz):
-    """A memo filled against a shorter reducer list must give the same
-    reducers, steps and remainder as a fresh scan of the longer list."""
-    key = memo_key(flat_key_for(DEGREVLEX, xyz))
+    """`groebner._nf` with a memo filled against a shorter reducer list
+    must give the reducers, steps and remainder of `max_scan_nf`, a fresh
+    scan of the longer list."""
+    mons = _Monomials(DEGREVLEX.key_for(xyz), 3)
+    key = flat_key_for(DEGREVLEX, xyz)
     p = dict(P(xyz, "X^2*Y + X*Y*Z + Y^2*Z + Z^3").terms)
+    packed = {mons.pack(e): c for e, c in p.items()}
     reducers = [P(xyz, "X*Y - Z^2"), P(xyz, "Y*Z - X^2"), P(xyz, "X*Z")]
-    lms, basis = [], []
+    lms, basis, plain_lms, plain = [], [], [], []
     memo = {}
     rescanned = []
     for g in reducers:
-        terms = dict(g.terms)
-        lms.append(max(terms, key=key))
-        basis.append({e: int(c) for e, c in terms.items()})
-        before = dict(memo)
-        shared, fresh = [], []
-        steps_shared, steps_fresh = StepCounter(), StepCounter()
-        r_shared, s_shared = tuple_nf(p, lms, basis, key, steps_shared,
-                                      memo, shared)
-        r_fresh, s_fresh = tuple_nf(p, lms, basis, key, steps_fresh, {},
-                                    fresh)
-        assert ({e: v / s_shared for e, v in r_shared.items()}
-                == {e: v / s_fresh for e, v in r_fresh.items()})
-        assert shared == fresh
-        assert steps_shared.remaining == steps_fresh.remaining
-        rescanned += [m for m, (_, idx) in before.items()
-                      if idx is None and memo[m][1] is not None]
+        lm, ints = _primitive({mons.pack(e): int(c) for e, c in g.terms},
+                              mons)
+        lms.append(lm)
+        basis.append(ints)
+        plain_lms.append(mons.unpack(lm))
+        plain.append({mons.unpack(e): c for e, c in ints.items()})
+        before = {m: list(divs) for m, divs in memo.items()}
+        got_q, ref_q, got_c, ref_c = [], [], StepCounter(), StepCounter()
+        got, (num, den) = _nf(packed, lms, basis, mons, got_c, memo, got_q)
+        expected = max_scan_nf(p, plain_lms, plain, key, ref_c, ref_q)
+        assert {mons.unpack(e): Fraction(v * den, num)
+                for e, v in got.items()} == expected
+        assert [(k, mons.unpack(q), Fraction(a, b))
+                for k, q, a, b in got_q] == ref_q
+        assert got_c.remaining == ref_c.remaining
+        rescanned += [m for m, divs in before.items()
+                      if len(divs) == 1 and len(memo[m]) > 1]
     # X*Z^2 had no divisor among X*Y and X^2 and is found by X*Z.
     assert rescanned

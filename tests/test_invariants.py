@@ -8,7 +8,8 @@ from pathlib import Path
 
 import diffrees
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+TESTS = Path(__file__).resolve().parent
+TRACER = TESTS.parent / "bench" / "tracer.py"
 
 # Definitions that no code in `src/` calls, kept for their outside callers.
 UNCALLED_KEPT = {
@@ -19,9 +20,7 @@ UNCALLED_KEPT = {
                       "complex of a one-row matrix",
     "probe_corpus": "bench/workloads.py draws the probe workload from it",
     "run_case": "bench/worker.py runs every benchmark instance through it",
-    "IdealHandle.saturation_by_ideal": "bench/tracer.py wraps it by name; "
-                                       "tests/oracles.py takes the old "
-                                       "Fitting heights by it",
+    "IdealHandle.saturation_by_ideal": "bench/tracer.py wraps it by name",
     "validation_issues": "bench/tracer.py wraps it by name; "
                          "tests/test_algebra.py reads every issue at once",
 }
@@ -321,3 +320,27 @@ def test_every_record_field_has_a_reader():
     for entry in UNREAD_KEPT:
         assert any(entry in (owner, f"{owner}.{name}")
                    for owner, name in unread), entry
+
+
+def test_every_oracle_has_a_caller():
+    """Every top-level definition in `tests/oracles.py` is named in a test
+    module or `conftest.py`, or inside another definition there that is
+    itself named so: a reference that nothing checks against is dead."""
+    tree = ast.parse((TESTS / "oracles.py").read_text(encoding="utf-8"))
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defined.update((t.id, node) for t in node.targets
+                           if isinstance(t, ast.Name))
+    named = set()
+    for path in [*TESTS.glob("test_*.py"), TESTS / "conftest.py"]:
+        named |= set(_named(ast.parse(path.read_text(encoding="utf-8"))))
+    reached = named & set(defined)
+    frontier = set(reached)
+    while frontier:
+        inside = set().union(*(_named(defined[name]) for name in frontier))
+        frontier = (inside & set(defined)) - reached
+        reached |= frontier
+    assert set(defined) - reached == set()

@@ -249,6 +249,46 @@ def test_cli_linear_type_and_rees_cm(tmp_path, capsys):
     assert "is NOT Cohen-Macaulay" in capsys.readouterr().out
 
 
+WEIGHTED = {
+    "cross": """
+[algebra]
+name = weighted-cross
+variables = X, Y
+weights = 1, 2
+relations = X*Y
+""",
+    "fermat": """
+[algebra]
+name = weighted-fermat
+variables = X, Y, Z
+weights = 1, 1, 2
+relations = X^4 + Y^4 + Z^2
+"""}
+WEIGHTED_FERMAT_JSON = {
+    "linear-type": {"case": "weighted-fermat", "linear_type": True,
+                    "test_element": "12*X^3 + 6*Z",
+                    "torsion_generators": []},
+    "rees-cm": {"case": "weighted-fermat", "cohen_macaulay": True,
+                "depth": 4, "dim": 4, "pd": 2, "spread": 3,
+                "spread_bounds_ok": True}}
+
+
+@pytest.mark.parametrize("command", ["linear-type", "rees-cm"])
+def test_cli_weighted_input(tmp_path, capsys, command):
+    """Under weights 1, 2 no base variable of X*Y kills the torsion, and
+    the drawn test element mixes weighted degrees, so the saturation by
+    it refuses the input: exit 4 with a one-line message, no traceback.
+    X^4 + Y^4 + Z^2 under weights 1, 1, 2 saturates at a variable."""
+    cross = _write(tmp_path, "w.case", WEIGHTED["cross"])
+    assert main(["--format", "json", command, cross]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+    fermat = _write(tmp_path, "f.case", WEIGHTED["fermat"])
+    assert main(["--format", "json", command, fermat]) == 0
+    assert (json.loads(capsys.readouterr().out)
+            == WEIGHTED_FERMAT_JSON[command])
+
+
 def test_cli_explicit_seed_zero_beats_the_case_seed(tmp_path, capsys):
     """`--seed 0` is a seed like any other: linear-type draws the test
     element verify draws with it, not the one of the file's seed 5."""
