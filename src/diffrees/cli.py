@@ -21,8 +21,8 @@ from .groebner import step_budget
 from .rees import analytic_spread, is_linear_type, rees_ideal
 from .resolution import depth_and_cm
 from .verifier import (EXIT_ASSERTION, EXIT_INVALID, EXIT_OK, EXIT_RESOURCE,
-                       RESOURCE_ERRORS, emit_report, probe_report,
-                       run_case_path)
+                       GRADING_MESSAGE, RESOURCE_ERRORS, emit_report,
+                       probe_report, run_case_path)
 
 
 def _int_at_least(lowest):
@@ -127,7 +127,10 @@ def cmd_validate(args):
     return EXIT_OK
 
 
-def _validated_algebra(args):
+def _validated_algebra(args, standard_graded=False):
+    """The case and its validated algebra, or the exit code of a refusal.
+    With `standard_graded`, a weighted algebra is refused as `verify`
+    refuses it, before any stage of the pipeline runs."""
     case, err = _load(args.case)
     if err:
         _emit({"status": "invalid_input", "errors": [err]}, args.format,
@@ -139,6 +142,10 @@ def _validated_algebra(args):
         text = "\n".join(f"[{i.code}] {i.message}" for i in ex.issues)
         _emit({"status": "invalid_input",
                "issues": [i.message for i in ex.issues]}, args.format, text)
+        return None, None, EXIT_INVALID
+    if standard_graded and not algebra.standard_graded:
+        _emit({"status": "invalid_input", "issues": [GRADING_MESSAGE]},
+              args.format, f"[grading] {GRADING_MESSAGE}")
         return None, None, EXIT_INVALID
     return case, algebra, None
 
@@ -158,7 +165,7 @@ def cmd_ft_check(args):
 
 
 def cmd_linear_type(args):
-    case, algebra, code = _validated_algebra(args)
+    case, algebra, code = _validated_algebra(args, standard_graded=True)
     if code is not None:
         return code
     rees = rees_ideal(algebra, seed=case.seed_for(args.seed))
@@ -176,7 +183,7 @@ def cmd_linear_type(args):
 
 
 def cmd_rees_cm(args):
-    case, algebra, code = _validated_algebra(args)
+    case, algebra, code = _validated_algebra(args, standard_graded=True)
     if code is not None:
         return code
     rees = rees_ideal(algebra, seed=case.seed_for(args.seed))

@@ -18,11 +18,11 @@ exponent in a 32-bit field whose top bit is a guard bit: a product of
 monomials is one addition and a divisibility test one subtraction and
 mask (see `_Monomials`).  Every order key is one int, linear in the
 exponents (`MonomialOrder.key_for`), so the key of a product is one
-addition too.  `_buchberger` takes exponent-tuple dicts and packs them;
-an exponent that reaches 2^31 raises `ExponentOverflowError` instead of
-carrying into its neighbour.  A reduced basis stays packed in the cache
-of its `IdealHandle`, and a Polynomial is made from packed ints only on
-request, by `_polynomial`.
+addition too.  `_buchberger` takes exponent-tuple dicts, clears their
+denominators and packs them; an exponent that reaches 2^31 raises
+`ExponentOverflowError` instead of carrying into its neighbour.  A
+reduced basis stays packed in the cache of its `IdealHandle`, and a
+Polynomial is made from packed ints only on request, by `_polynomial`.
 
 All computations are exact over Q and deterministic: the inputs are
 taken in a fixed order and the pair queue is ordered by signature with a
@@ -116,9 +116,10 @@ def _steps():
 # Reductions are fraction-free: basis elements are content-free integer
 # polynomials with positive leading coefficient, and the working
 # polynomial carries one rational scale, an int pair, instead of
-# per-coefficient denominators.  Fractions are made only where a caller
-# asks for a Polynomial (`_polynomial`): a basis element, a normal form
-# or a minor.
+# per-coefficient denominators.  Denominators are cleared once, where a
+# polynomial enters the kernel (`_cleared`), and Fractions are made only
+# where a caller asks for a Polynomial (`_polynomial`): a basis element,
+# a normal form or a minor.
 
 _FIELD = (1 << 32) - 1     # the lowest field: the last exponent
 
@@ -182,18 +183,31 @@ def _primitive(ints, mons):
     return lm, ints
 
 
+def _cleared(terms, pack):
+    """(scale, ints): a polynomial's (exponent tuple, rational) terms
+    packed by `pack`, times the lcm `scale` of their denominators, as a
+    {monomial: int} dict.  The one place where Fractions enter the
+    kernel: `_buchberger` clears its generators here and
+    `IdealHandle.normal_form` its argument, so `_nf` sees ints only."""
+    scale = math.lcm(*(c.denominator for _, c in terms))
+    return scale, {pack(e): c.numerator * (scale // c.denominator)
+                   for e, c in terms}
+
+
 def _nf(poly, lms, basis, mons, counter, memo, quotients=None, bound=None):
-    """Full normal form of a packed dict against content-free packed
-    integer reducers, ordered by the negated keys of `mons`, which holds
-    the keys of the terms of `poly` and of the reducers.
+    """Full normal form of a packed {monomial: int} dict (see `_cleared`)
+    against content-free packed integer reducers, ordered by the negated
+    keys of `mons`, which holds the keys of the terms of `poly` and of the
+    reducers.
 
     Returns (remainder, (num, den)): a packed {monomial: int} dict and the
     scale num / den, in lowest terms, such that remainder * den / num is
-    the exact normal form; the keys of the remainder's terms are written
-    to `mons`.  When `quotients` is a list it receives (index, monomial,
-    numerator, denominator) quadruples, the multipliers taken against
-    the monic reducers, and the key of every monomial reduced is written
-    to `mons` as well.
+    the exact normal form of `poly`; the keys of the remainder's terms
+    are written to `mons`.  `poly` is copied, never changed.  When
+    `quotients` is a list it receives (index, monomial, numerator,
+    denominator) quadruples, the multipliers taken against the monic
+    reducers, and the key of every monomial reduced is written to `mons`
+    as well.
 
     A term c x^m meets the reducer g with lead l x^lm by gcd-scaled
     cancellation: with h = gcd(c, l), the work and the remainder so far
@@ -225,10 +239,8 @@ def _nf(poly, lms, basis, mons, counter, memo, quotients=None, bound=None):
     is smaller than the lead it cancels, so the heap pops the terms in
     descending order and a popped monomial never comes back.
     """
-    work = {e: c for e, c in poly.items() if c}
-    num = math.lcm(*(c.denominator for c in work.values()))
-    den = 1
-    work = {e: c.numerator * (num // c.denominator) for e, c in work.items()}
+    work = dict(poly)
+    num = den = 1
     heap = [(mons[e], e) for e in work]
     heapq.heapify(heap)
     guard = mons.guard
@@ -342,13 +354,15 @@ def _spoly(gi, lmi, gj, lmj, lcm, key, mons):
     return spoly, qi, qj
 
 
-def _buchberger(generators, mons, counter, certify=False):
+def _buchberger(generators, mons, counter, certify=False, known=()):
     """The unique reduced Groebner basis of the ideal the given term dicts
     generate, packed, as `_interreduce` returns it.  The terms are packed
     on entry into `mons`, a fresh `_Monomials` of the ring's exponent
     length under the order's key, and never unpacked: the result holds
-    `mons` itself.  A nonzero constant among the generators makes it the
-    unit basis (1) at once, with no step spent.
+    `mons` itself.  Each generator's denominators are cleared once there
+    (`_cleared`), so every `_nf` call of the build runs on ints.  A
+    nonzero constant among the generators makes it the unit basis (1) at
+    once, with no step spent.
 
     With `certify`, the build may instead stop early and return None, a
     certificate that the quotient by the ideal J has dimension 0.  It
@@ -362,7 +376,14 @@ def _buchberger(generators, mons, counter, certify=False):
     Varieties, and Algorithms, Ch. 5 Section 3, the finiteness theorem).
     The check spends no reduction step, so a build whose certificate does
     not fire runs and returns exactly as without `certify`, and a miss
-    costs no second build.
+    costs no second build.  `known` may hold packed leads of elements of
+    the ideal found before the build, such as the cached leads of a
+    summand's basis under the same order (`IdealHandle._build`): their
+    pure powers are counted before the pre-pass, and if they already
+    cover every variable the build returns None at once, with no step
+    spent.  Each is a lead the full build would also reach, up to a
+    divisor that is again a pure power, so the answer is the same and
+    only comes sooner.
 
     A signature-based Buchberger loop (RB of Eder and Roune, Signature
     rewriting in Groebner basis computation, ISSAC 2013; survey by Eder
@@ -408,13 +429,17 @@ def _buchberger(generators, mons, counter, certify=False):
     """
     pack = mons.pack
     guard = mons.guard
-    basis = [{pack(e): c for e, c in g.items()} for g in generators if g]
+    basis = [_cleared(g.items(), pack)[1] for g in generators if g]
     if any(len(g) == 1 and 0 in g for g in basis):
         return mons, [0], [{0: 1}], {}
     # the fields (variables) without a pure-power lead yet; the packed
     # constant monomial is 0
-    missing = (set(range(mons.length))
-               if certify and all(0 not in g for g in basis) else None)
+    missing = None
+    if certify and all(0 not in g for g in basis):
+        missing = set(range(mons.length))
+        for lm in known:
+            if _covers(lm, missing):
+                return None
     for _ in range(2):
         inputs, basis, lms, memo = basis, [], [], {}
         lowered = False
@@ -483,8 +508,11 @@ def _buchberger(generators, mons, counter, certify=False):
             if skipped(s, index, larger):
                 add_syzygy(sig_mons[larger] + lms[other], index)
             else:
-                heapq.heappush(heap, (mons.key(mons.unpack(lcm)) + drop,
-                                      index, larger, other, lcm, s))
+                key = mons.get(lcm)
+                if key is None:
+                    key = mons[lcm] = -mons.key(mons.unpack(lcm))
+                heapq.heappush(heap, (drop - key, index, larger, other, lcm,
+                                      s))
 
     for t in range(len(basis)):
         add_pairs(t)
@@ -654,7 +682,7 @@ class IdealHandle:
     duplicated basis computations agree by the determinism contract.
     """
 
-    __slots__ = ("context", "generators", "_cache", "_dim")
+    __slots__ = ("context", "generators", "_cache", "_dim", "_summand")
 
     def __init__(self, context, generators):
         gens = []
@@ -669,6 +697,7 @@ class IdealHandle:
         self.generators = tuple(gens)
         self._cache = {}
         self._dim = None
+        self._summand = None
 
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.generators) or "0"
@@ -695,11 +724,16 @@ class IdealHandle:
         packed reduced basis it returns; every basis build of a handle
         starts here.  With `certify` (see `_buchberger`) it returns None,
         and caches nothing, when the build stops on a certificate that the
-        quotient has dimension 0."""
+        quotient has dimension 0; the certificate starts from the leads
+        of the left summand's basis under `order` when a sum (`__add__`)
+        has one cached."""
         ctx = self.context
+        cached = (self._summand._cache.get(order)
+                  if certify and self._summand is not None else None)
         built = _buchberger([dict(g.terms) for g in self.generators],
                             _Monomials(order.key_for(ctx), ctx.arity),
-                            _steps(), certify)
+                            _steps(), certify,
+                            () if cached is None else cached[1])
         if built is not None:
             self._cache[order] = built
         return built
@@ -708,9 +742,9 @@ class IdealHandle:
         if p.context != self.context:
             raise ValueError("polynomial context mismatch")
         mons, lms, basis, memo = self._reduced(order)
-        r, (num, den) = _nf({mons.pack(e): c for e, c in p.terms}, lms,
-                            basis, mons, _steps(), memo)
-        return _polynomial(self.context, mons, r, num, den)
+        scale, ints = _cleared(p.terms, mons.pack)
+        r, (num, den) = _nf(ints, lms, basis, mons, _steps(), memo)
+        return _polynomial(self.context, mons, r, num * scale, den)
 
     def contains(self, p):
         return self.normal_form(p).is_zero
@@ -741,10 +775,17 @@ class IdealHandle:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
+        """The sum I + J, generated by I's generators and then J's.  It
+        records I, its left summand: every lead of a basis of I is a lead
+        of an element of I + J, so a certified build of the sum (`_build`)
+        counts the pure powers among the cached leads of I first."""
         if isinstance(other, IdealHandle):
             if self.context != other.context:
                 raise ValueError("ideal context mismatch")
-            return IdealHandle(self.context, self.generators + other.generators)
+            total = IdealHandle(self.context,
+                                self.generators + other.generators)
+            total._summand = self
+            return total
         return NotImplemented
 
     def intersection(self, other):

@@ -44,6 +44,11 @@ EXIT_RESOURCE = 3
 EXIT_INVALID = 4
 EXIT_INTERNAL = 5
 
+# why the pipeline, and each CLI command that runs a stage of it, refuses
+# a weighted algebra
+GRADING_MESSAGE = ("the pipeline needs a standard-graded algebra; weighted "
+                   "inputs only support the probe operations")
+
 # the errors that end a run as resource exhaustion, exit status 3
 RESOURCE_ERRORS = (StepBudgetExceeded, TestElementSearchError,
                    ResolutionLengthError)
@@ -129,9 +134,7 @@ def run_pipeline(case, seed=None):
     if not algebra.standard_graded:
         report.status = "invalid_input"
         report.errors = [{"stage": "validate", "code": "grading",
-                          "message": "the pipeline needs a standard-graded "
-                                     "algebra; weighted inputs only support "
-                                     "the probe operations"}]
+                          "message": GRADING_MESSAGE}]
         return report
 
     algebra.euler_residuals()

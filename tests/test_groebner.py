@@ -352,6 +352,71 @@ def test_zero_dimensional_certificate_matches_full_basis(drawn):
         assert stopped.remaining == full.remaining
 
 
+def _spent_on(call):
+    """The result of `call()` and the reduction steps it spent."""
+    with step_budget(None):
+        counter = groebner._steps()
+        result = call()
+    return result, counter.limit - counter.remaining
+
+
+@st.composite
+def split_sums(draw):
+    """(ctx, I, X): a drawn ideal split into a left summand I and the rest
+    X, each with pure powers of a drawn set of variables added, so that
+    I + X is m-primary on some draws and not on others, and I's leads
+    cover some variables, all of them or none."""
+    ctx, gens = draw(st.one_of(homogeneous_ideals(weighted=False),
+                               homogeneous_ideals(weighted=True),
+                               inhomogeneous_ideals()))
+    cut = draw(st.integers(0, len(gens)))
+    sides = []
+    for part in (gens[:cut], gens[cut:]):
+        powers = draw(st.dictionaries(st.integers(0, ctx.arity - 1),
+                                      st.integers(1, 3), max_size=ctx.arity))
+        sides.append(IdealHandle(ctx, part + [ctx.gen(i) ** a
+                                              for i, a in powers.items()]))
+    return ctx, *sides
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(split_sums())
+def test_certificate_from_summand_leads_matches_a_fresh_build(drawn):
+    """The dimension of I + X with I's degrevlex basis cached, whose
+    certified build counts the pure powers among I's leads first, equals
+    that of a fresh handle on the same generators with nothing cached and
+    that read off the full basis, for no more steps than the fresh
+    build; the two builds cache a basis exactly alike."""
+    ctx, I, X = drawn
+    I.groebner_basis()
+    total = I + X
+    assert total._summand is I
+    fresh = IdealHandle(ctx, total.generators)
+    summed, spent = _spent_on(total.krull_dimension)
+    report, fresh_spent = _spent_on(fresh.krull_dimension)
+    assert summed == report and spent <= fresh_spent
+    assert (DEGREVLEX in total._cache) == (DEGREVLEX in fresh._cache)
+    built = IdealHandle(ctx, total.generators)
+    built.groebner_basis()
+    assert summed == built.krull_dimension()
+
+
+def test_summand_leads_alone_certify_dimension_zero(xyz):
+    """When the leads of I hold a pure power of every variable, I + X has
+    dimension 0 with no step spent and no basis built, although a fresh
+    handle on the same generators needs reductions to see it."""
+    X, Y, Z = xyz.gens()
+    I = IdealHandle(xyz, [X**2 + Y**2, X**2 - Y**2, Z**3])
+    assert I.groebner_basis() == (Y**2, X**2, Z**3)
+    total = I + IdealHandle(xyz, [X * Y - Z**2])
+    with step_budget(0):
+        assert total.krull_dimension() == (0, ())
+    assert not total._cache
+    with pytest.raises(StepBudgetExceeded), step_budget(0):
+        IdealHandle(xyz, total.generators).krull_dimension()
+
+
 def test_witness_is_independent(xyz):
     X, Y, Z = xyz.gens()
     handle = IdealHandle(xyz, [X * Y, Y * Z])

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from diffrees.groebner import (IdealHandle, StepCounter, _Monomials, _nf,
-                               _primitive)
+from diffrees.groebner import (IdealHandle, StepCounter, _cleared,
+                               _Monomials, _nf, _primitive)
 from diffrees.poly import DEGREVLEX, MonomialOrder, Polynomial, VariableContext
 from diffrees.sampler import monomials_of_degree
 
@@ -227,7 +227,7 @@ def test_memo_picks_the_linear_scan_reducer_after_appends(xyz):
     mons = _Monomials(DEGREVLEX.key_for(xyz), 3)
     key = flat_key_for(DEGREVLEX, xyz)
     p = dict(P(xyz, "X^2*Y + X*Y*Z + Y^2*Z + Z^3").terms)
-    packed = {mons.pack(e): c for e, c in p.items()}
+    scale, packed = _cleared(p.items(), mons.pack)
     reducers = [P(xyz, "X*Y - Z^2"), P(xyz, "Y*Z - X^2"), P(xyz, "X*Z")]
     lms, basis, plain_lms, plain = [], [], [], []
     memo = {}
@@ -243,9 +243,9 @@ def test_memo_picks_the_linear_scan_reducer_after_appends(xyz):
         got_q, ref_q, got_c, ref_c = [], [], StepCounter(), StepCounter()
         got, (num, den) = _nf(packed, lms, basis, mons, got_c, memo, got_q)
         expected = max_scan_nf(p, plain_lms, plain, key, ref_c, ref_q)
-        assert {mons.unpack(e): Fraction(v * den, num)
+        assert {mons.unpack(e): Fraction(v * den, num * scale)
                 for e, v in got.items()} == expected
-        assert [(k, mons.unpack(q), Fraction(a, b))
+        assert [(k, mons.unpack(q), Fraction(a, b * scale))
                 for k, q, a, b in got_q] == ref_q
         assert got_c.remaining == ref_c.remaining
         rescanned += [m for m, divs in before.items()

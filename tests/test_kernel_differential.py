@@ -68,6 +68,8 @@ def checked_kernels():
 
     def nf_checked(poly, lms, basis, mons, counter, memo, quotients=None,
                    bound=None):
+        # denominators are cleared before a polynomial reaches `_nf`
+        assert all(type(c) is int for g in (poly, *basis) for c in g.values())
         unpack = mons.unpack
         ref_quotients, ref_counter = [], StepCounter()
         expected = oracles.max_scan_nf(
@@ -379,16 +381,15 @@ def test_schreyer_key_normal_forms_match_max_scan(drawn):
         lms.append(lm)
         basis.append(ints)
     got_q, ref_q, got_c, ref_c = [], [], StepCounter(), StepCounter()
-    got, (num, den) = groebner._nf(
-        {mons.pack(t): c for t, c in element.items()}, lms, basis, mons,
-        got_c, {}, got_q)
+    scale, packed = groebner._cleared(element.items(), mons.pack)
+    got, (num, den) = groebner._nf(packed, lms, basis, mons, got_c, {}, got_q)
     expected = oracles.max_scan_nf(
         element, [mons.unpack(lm) for lm in lms],
         [{mons.unpack(t): c for t, c in g.items()} for g in basis],
         ref_key, ref_c, ref_q)
-    assert [(mons.unpack(t), Fraction(v * den, num))
+    assert [(mons.unpack(t), Fraction(v * den, num * scale))
             for t, v in got.items()] == list(expected.items())
-    assert [(k, mons.unpack(q), Fraction(a, b))
+    assert [(k, mons.unpack(q), Fraction(a, b * scale))
             for k, q, a, b in got_q] == ref_q
     assert _spent(got_c) == _spent(ref_c)
 

@@ -8,7 +8,8 @@ from diffrees.casefile import load_case, load_matrix_file
 from diffrees.cli import main
 from diffrees.errors import ParseError
 from diffrees.fitting import euler_minor_identity
-from diffrees.verifier import emit_report, run_case, run_case_path, run_pipeline
+from diffrees.verifier import (EXIT_INVALID, emit_report, run_case,
+                               run_case_path, run_pipeline)
 
 
 
@@ -264,29 +265,30 @@ variables = X, Y, Z
 weights = 1, 1, 2
 relations = X^4 + Y^4 + Z^2
 """}
-WEIGHTED_FERMAT_JSON = {
-    "linear-type": {"case": "weighted-fermat", "linear_type": True,
-                    "test_element": "12*X^3 + 6*Z",
-                    "torsion_generators": []},
-    "rees-cm": {"case": "weighted-fermat", "cohen_macaulay": True,
-                "depth": 4, "dim": 4, "pd": 2, "spread": 3,
-                "spread_bounds_ok": True}}
-
-
 @pytest.mark.parametrize("command", ["linear-type", "rees-cm"])
-def test_cli_weighted_input(tmp_path, capsys, command):
-    """Under weights 1, 2 no base variable of X*Y kills the torsion, and
-    the drawn test element mixes weighted degrees, so the saturation by
-    it refuses the input: exit 4 with a one-line message, no traceback.
-    X^4 + Y^4 + Z^2 under weights 1, 1, 2 saturates at a variable."""
-    cross = _write(tmp_path, "w.case", WEIGHTED["cross"])
-    assert main(["--format", "json", command, cross]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("invalid input: ") and err.count("\n") == 1
-    fermat = _write(tmp_path, "f.case", WEIGHTED["fermat"])
-    assert main(["--format", "json", command, fermat]) == 0
-    assert (json.loads(capsys.readouterr().out)
-            == WEIGHTED_FERMAT_JSON[command])
+def test_cli_weighted_input(tmp_path, capsys, monkeypatch, command):
+    """Both commands run stages of the pipeline, which needs a standard
+    grading, so they refuse a weighted algebra as `verify` does: exit 4
+    with its "grading" message, before any saturation runs.  Under
+    weights 1, 1, 2 the Rees ideal of X^4 + Y^4 + Z^2 could be saturated
+    at a variable; under weights 1, 2 that of X*Y could not."""
+    def no_saturation(*args):
+        raise AssertionError("a saturation ran")
+
+    for name in ("saturation", "_divided"):
+        monkeypatch.setattr(groebner.IdealHandle, name, no_saturation)
+    for text in WEIGHTED.values():
+        path = _write(tmp_path, "w.case", text)
+        assert main(["--format", "json", "verify", path]) == EXIT_INVALID
+        (error,) = json.loads(capsys.readouterr().out)["errors"]
+        assert error["code"] == "grading"
+        assert main(["--format", "json", command, path]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"status": "invalid_input",
+                                            "issues": [error["message"]]}
+        assert not captured.err
+        assert main([command, path]) == EXIT_INVALID
+        assert capsys.readouterr().out == f"[grading] {error['message']}\n"
 
 
 def test_cli_explicit_seed_zero_beats_the_case_seed(tmp_path, capsys):
