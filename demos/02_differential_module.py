@@ -20,8 +20,8 @@ for row in profile.rows:
     print(f"  F_{row.index}: height {row.height}, "
           f"off the vertex {row.height_off_irrelevant}")
 
-print("F_1 globally:", ft_condition(cone, 1, profile))
-print("F_0 off the vertex:", ft_condition_off_irrelevant(cone, 0, profile).holds)
+print("F_1 globally:", ft_condition(cone, 1))
+print("F_0 off the vertex:", ft_condition_off_irrelevant(cone, 0).holds)
 
 # The last-rows probe: if the full minor ideal equals the last-rows one,
 # its height must drop below the dimension.

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import (DimensionTooSmallError, InhomogeneousRelationError,
-                     LinearTermError, NotRegularSequenceError,
-                     RelationDegreeError, ValidationError)
+from .errors import ValidationError
 from .fitting import fitting_ideal
 from .groebner import IdealHandle
 from .matrix import PolyMatrix
@@ -21,11 +19,6 @@ from .matrix import PolyMatrix
 class ValidationIssue(NamedTuple):
     code: str
     message: str
-
-
-class NonzerodivisorCheck(NamedTuple):
-    ok: bool
-    note: str | None
 
 
 class IrrelevantLocalData(NamedTuple):
@@ -92,12 +85,14 @@ class GradedAlgebra:
 
     @classmethod
     def validate(cls, context, relations):
-        """The validated algebra; raises the ValidationError of the first
-        issue, carrying every issue as `.issues`."""
+        """The validated algebra; raises a ValidationError with the first
+        issue's message, carrying every issue as `.issues`."""
         relations = tuple(relations)
         issues, defining = _issues_and_ideal(context, relations)
         if issues:
-            raise _error_for(issues[0], issues)
+            error = ValidationError(issues[0].message)
+            error.issues = tuple(issues)
+            raise error
         self = object.__new__(cls)
         self.context = context
         self.relations = relations
@@ -215,29 +210,16 @@ class GradedAlgebra:
         return float("inf") if dim < 0 else self.dimension - dim
 
     def nonzerodivisor_check(self, g):
-        """g is regular on R iff it lies in no minimal prime of R, because
+        """Whether g is regular on R: it is iff it lies in no minimal prime
+        of R, because
         R is a complete intersection, hence Cohen-Macaulay and unmixed; that
         is iff dim R/gR < dim R, i.e. iff g has height >= 1 in R.  No
         homogeneity of g is needed."""
         if g.is_zero or self.defining_ideal.contains(g):
-            return NonzerodivisorCheck(False, "zero element of the quotient")
-        return NonzerodivisorCheck(
-            self.height_of(IdealHandle(self.context, [g])) >= 1, None)
+            return False
+        return self.height_of(IdealHandle(self.context, [g])) >= 1
 
     def __repr__(self):
         rels = ", ".join(str(f) for f in self.relations) or "0"
         return f"GradedAlgebra({'/'.join([repr(self.context), '(' + rels + ')'])})"
 
-
-def _error_for(first, issues):
-    classes = {
-        "inhomogeneous": InhomogeneousRelationError,
-        "degree": RelationDegreeError,
-        "linear-term": LinearTermError,
-        "dimension": DimensionTooSmallError,
-        "not-regular-sequence": NotRegularSequenceError,
-    }
-    cls = classes.get(first.code, ValidationError)
-    err = cls(first.message)
-    err.issues = tuple(issues)
-    return err

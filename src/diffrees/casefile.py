@@ -160,7 +160,8 @@ def load_case(path):
 
 def load_matrix_file(path):
     """Parse a [matrix] file: `variables`, optional `weights`, and a
-    multiline `rows` value with one ';'-separated row per line."""
+    multiline `rows` value with one ';'-separated row per line, at most
+    as many rows as columns, as the Eagon-Northcott complex needs."""
     section = _read(path, "matrix", "matrix")["matrix"]
     context = _context(section)
     rows = []
@@ -174,5 +175,7 @@ def load_matrix_file(path):
         raise ParseError("[matrix] needs a nonempty 'rows' value")
     if len({len(r) for r in rows}) != 1:
         raise ParseError("matrix rows must have equal length")
+    if len(rows) > len(rows[0]):
+        raise ParseError("matrix needs at least as many columns as rows")
     from .matrix import PolyMatrix
     return PolyMatrix(context, tuple(rows))

@@ -10,19 +10,18 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
-from .algebra import GradedAlgebra
-from .casefile import load_case, load_matrix_file
 from .eagon_northcott import build_en, en_acyclicity
-from .errors import DiffreesError, ParseError, ValidationError
-from .fitting import ft_condition, height_json, last_rows_size
+from .errors import DiffreesError
+from .fitting import height_json
 from .groebner import step_budget
-from .rees import analytic_spread, is_linear_type, rees_ideal
-from .resolution import depth_and_cm
 from .verifier import (EXIT_ASSERTION, EXIT_INVALID, EXIT_OK, EXIT_RESOURCE,
-                       GRADING_MESSAGE, RESOURCE_ERRORS, emit_report,
-                       probe_report, run_case_path)
+                       RESOURCE_ERRORS, emit_report, en_dump_input,
+                       ft_section, hypotheses_section, linear_type_section,
+                       open_case, probe_sections, rees_cm_section,
+                       run_case_path)
 
 
 def _int_at_least(lowest):
@@ -86,167 +85,36 @@ def _parser():
     return parser
 
 
-def _emit(payload, fmt, text):
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(text)
-
-
-def _load(path):
-    try:
-        return load_case(path), None
-    except ParseError as ex:
-        return None, str(ex)
+def _emit_case(args, fill, standard_graded=False):
+    """Print the report of one case command (see `verifier.open_case`)."""
+    report = open_case(args.case, fill, args.seed, standard_graded)
+    return _emit_reports([report], args)
 
 
 def cmd_validate(args):
-    case, err = _load(args.case)
-    if err:
-        _emit({"status": "invalid_input", "errors": [err]}, args.format,
-              f"parse error: {err}")
-        return EXIT_INVALID
-    try:
-        algebra = GradedAlgebra.validate(case.context, case.relations)
-    except ValidationError as ex:
-        payload = {"status": "invalid_input", "case": case.name,
-                   "issues": [{"code": i.code, "message": i.message}
-                              for i in ex.issues]}
-        text = "\n".join([f"case {case.name}: rejected"]
-                         + [f"  [{i.code}] {i.message}" for i in ex.issues])
-        _emit(payload, args.format, text)
-        return EXIT_INVALID
-    payload = {"status": "ok", "case": case.name,
-               "dimension": algebra.dimension,
-               "codimension": algebra.codimension,
-               "standard_graded": algebra.standard_graded,
-               "relation_degrees": list(algebra.relation_degrees)}
-    text = (f"case {case.name}: valid graded complete intersection, "
-            f"dim {algebra.dimension}, codim {algebra.codimension}")
-    _emit(payload, args.format, text)
-    return EXIT_OK
-
-
-def _validated_algebra(args, standard_graded=False):
-    """The case and its validated algebra, or the exit code of a refusal.
-    With `standard_graded`, a weighted algebra is refused as `verify`
-    refuses it, before any stage of the pipeline runs."""
-    case, err = _load(args.case)
-    if err:
-        _emit({"status": "invalid_input", "errors": [err]}, args.format,
-              f"parse error: {err}")
-        return None, None, EXIT_INVALID
-    try:
-        algebra = GradedAlgebra.validate(case.context, case.relations)
-    except ValidationError as ex:
-        text = "\n".join(f"[{i.code}] {i.message}" for i in ex.issues)
-        _emit({"status": "invalid_input",
-               "issues": [i.message for i in ex.issues]}, args.format, text)
-        return None, None, EXIT_INVALID
-    if standard_graded and not algebra.standard_graded:
-        _emit({"status": "invalid_input", "issues": [GRADING_MESSAGE]},
-              args.format, f"[grading] {GRADING_MESSAGE}")
-        return None, None, EXIT_INVALID
-    return case, algebra, None
+    return _emit_case(args, hypotheses_section)
 
 
 def cmd_ft_check(args):
-    case, algebra, code = _validated_algebra(args)
-    if code is not None:
-        return code
-    verdict = ft_condition(algebra, args.t)
-    payload = {"case": case.name, **verdict.to_dict()}
-    text = (f"case {case.name}: F_{args.t} "
-            + ("holds" if verdict.holds else
-               f"fails at i={verdict.failing_index} "
-               f"(height {verdict.actual} < {verdict.required})"))
-    _emit(payload, args.format, text)
-    return EXIT_OK
+    return _emit_case(args, partial(ft_section, t=args.t))
 
 
 def cmd_linear_type(args):
-    case, algebra, code = _validated_algebra(args, standard_graded=True)
-    if code is not None:
-        return code
-    rees = rees_ideal(algebra, seed=case.seed_for(args.seed))
-    holds = is_linear_type(rees)
-    payload = {"case": case.name, "linear_type": holds,
-               "test_element": str(rees.test_element),
-               "torsion_generators": [str(t)
-                                      for t in rees.torsion_generators]}
-    text = (f"case {case.name}: "
-            + ("of linear type" if holds else
-               "not of linear type; torsion witness "
-               + str(rees.torsion_generators[0])))
-    _emit(payload, args.format, text)
-    return EXIT_OK
+    return _emit_case(args, linear_type_section, standard_graded=True)
 
 
 def cmd_rees_cm(args):
-    case, algebra, code = _validated_algebra(args, standard_graded=True)
-    if code is not None:
-        return code
-    rees = rees_ideal(algebra, seed=case.seed_for(args.seed))
-    rep = depth_and_cm(rees.ideal)
-    spread = analytic_spread(rees)
-    payload = {"case": case.name, "cohen_macaulay": rep.cohen_macaulay,
-               "dim": rep.dimension, "depth": rep.depth,
-               "pd": rep.projective_dimension,
-               "spread": spread.value, "spread_bounds_ok": spread.bounds_ok}
-    text = (f"case {case.name}: Rees algebra "
-            + ("is" if rep.cohen_macaulay else "is NOT")
-            + f" Cohen-Macaulay (dim {rep.dimension}, depth {rep.depth}, "
-              f"pd {rep.projective_dimension}); spread {spread.value}")
-    _emit(payload, args.format, text)
-    return EXIT_OK
+    return _emit_case(args, rees_cm_section, standard_graded=True)
 
 
 def cmd_prop31(args):
-    case, err = _load(args.case)
-    if err:
-        _emit({"status": "invalid_input", "errors": [err]}, args.format,
-              f"parse error: {err}")
-        return EXIT_INVALID
-    report = probe_report(case, rowops=args.rowops, seed=args.seed)
-    _emit(report.to_dict(), args.format, emit_report(report, "text"))
-    return report.exit_code()
+    return _emit_case(args, partial(probe_sections, rowops=args.rowops))
 
 
 def cmd_en_dump(args):
-    path = Path(args.path)
-    try:
-        if path.suffix == ".case":
-            case = load_case(path)
-            try:
-                algebra = GradedAlgebra.validate(case.context,
-                                                 case.relations)
-            except ValidationError as ex:
-                _emit({"status": "invalid_input",
-                       "issues": [i.message for i in ex.issues]},
-                      args.format, "\n".join(i.message for i in ex.issues))
-                return EXIT_INVALID
-            try:
-                t = last_rows_size(algebra)
-            except ValueError as ex:
-                _emit({"status": "invalid_input", "issues": [str(ex)]},
-                      args.format, str(ex))
-                return EXIT_INVALID
-            n = algebra.arity
-            theta = algebra.jacobian_presentation()
-            matrix = theta.submatrix(range(n - t, n), range(theta.ncols))
-            quotient = algebra
-        else:
-            matrix = load_matrix_file(path)
-            quotient = None
-    except ParseError as ex:
-        _emit({"status": "invalid_input", "errors": [str(ex)]}, args.format,
-              f"parse error: {ex}")
-        return EXIT_INVALID
-    if matrix.nrows > matrix.ncols:
-        _emit({"status": "invalid_input",
-               "issues": ["matrix needs at least as many columns as rows"]},
-              args.format, "matrix needs at least as many columns as rows")
-        return EXIT_INVALID
+    matrix, quotient, report = en_dump_input(args.path)
+    if matrix is None:
+        return _emit_reports([report], args)
     complex_ = build_en(matrix)
     record = en_acyclicity(matrix, quotient)
     payload = {
@@ -260,23 +128,26 @@ def cmd_en_dump(args):
                        "criterion_met": record.criterion_met},
         "is_complex": complex_.is_complex(),
     }
-    lines = [f"ranks: {' '.join(str(r) for r in complex_.ranks)}"]
+    if args.format == "json":
+        print(json.dumps(payload, sort_keys=True, indent=2))
+        return EXIT_OK
+    print(f"ranks: {' '.join(str(r) for r in complex_.ranks)}")
     for k, d in enumerate(complex_.differentials, start=1):
-        lines.append(f"d_{k} ({d.nrows}x{d.ncols}):")
-        lines.append(d.pretty())
-    lines.append(f"height of maximal minors: {record.minor_height} "
-                 f"(bound {record.bound}) -> "
-                 + ("acyclic" if record.criterion_met else
-                    "criterion not met"))
-    _emit(payload, args.format, "\n".join(lines))
+        print(f"d_{k} ({d.nrows}x{d.ncols}):")
+        print(d.pretty())
+    print(f"height of maximal minors: {record.minor_height} "
+          f"(bound {record.bound}) -> "
+          + ("acyclic" if record.criterion_met else "criterion not met"))
     return EXIT_OK
 
 
 def _case_paths(target):
+    """The .case files of a directory, else the target itself, so a
+    directory without one is refused as a file that cannot be read."""
     path = Path(target)
-    if path.is_dir():
-        return sorted(p for p in path.iterdir() if p.suffix == ".case")
-    return [path]
+    found = (sorted(p for p in path.iterdir() if p.suffix == ".case")
+             if path.is_dir() else [])
+    return found or [path]
 
 
 def _run_many(paths, args):
@@ -316,13 +187,7 @@ def _emit_reports(reports, args):
 
 
 def cmd_verify(args):
-    paths = _case_paths(args.target)
-    if not paths:
-        _emit({"status": "invalid_input",
-               "errors": ["no .case files found"]}, args.format,
-              "no .case files found")
-        return EXIT_INVALID
-    return _emit_reports(_run_many(paths, args), args)
+    return _emit_reports(_run_many(_case_paths(args.target), args), args)
 
 
 def cmd_corpus(args):

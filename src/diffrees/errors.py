@@ -44,37 +44,8 @@ class ResolutionLengthError(DiffreesError):
 
 
 class ValidationError(DiffreesError):
-    """A presented algebra violates one of the input hypotheses."""
-
-    code = "invalid"
-
-
-class InhomogeneousRelationError(ValidationError):
-    code = "inhomogeneous"
-
-
-class RelationDegreeError(ValidationError):
-    """A relation is zero or has weighted degree < 2."""
-
-    code = "degree"
-
-
-class LinearTermError(ValidationError):
-    """A relation has a term of total degree <= 1, so it escapes m^2."""
-
-    code = "linear-term"
-
-
-class NotRegularSequenceError(ValidationError):
-    """The relations do not form a regular sequence."""
-
-    code = "not-regular-sequence"
-
-
-class DimensionTooSmallError(ValidationError):
-    """The quotient ring would have dimension < 1."""
-
-    code = "dimension"
+    """A presented algebra violates one of the input hypotheses; its
+    message is the first violation's, and `.issues` lists every one."""
 
 
 class NotReducedError(DiffreesError):

@@ -92,21 +92,23 @@ def fitting_profile(algebra):
     return FittingProfile(rank=e, rows=tuple(rows))
 
 
-def ft_condition(algebra, t, profile=None):
+def ft_condition(algebra, t):
     """True iff ht F_i >= i - e + t + 1 for every i in [e, n-1]."""
-    return _ft_verdict(algebra, t, profile, off_irrelevant=False)
+    return _ft_verdict(algebra, t, off_irrelevant=False)
 
 
-def ft_condition_off_irrelevant(algebra, t, profile=None):
+def ft_condition_off_irrelevant(algebra, t):
     """The F_t inequality checked away from the irrelevant maximal ideal,
     on the heights off it: a row also passes when dim R/F_i <= 0, where
     F_i cuts out at most the vertex, so every failing prime contains the
     irrelevant ideal (see `fitting_profile`)."""
-    return _ft_verdict(algebra, t, profile, off_irrelevant=True)
+    return _ft_verdict(algebra, t, off_irrelevant=True)
 
 
-def _ft_verdict(algebra, t, profile, off_irrelevant):
-    profile = profile or fitting_profile(algebra)
+def _ft_verdict(algebra, t, off_irrelevant):
+    """The verdict on the algebra's Fitting profile, whose heights the
+    algebra caches, so recomputing the profile builds no basis."""
+    profile = fitting_profile(algebra)
     for row in profile.rows:
         bound = row.bound(t, profile.rank)
         height = row.height_off_irrelevant if off_irrelevant else row.height

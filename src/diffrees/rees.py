@@ -113,8 +113,7 @@ def find_test_element(algebra, seed=0):
                 g = g + m * co
         if g.is_zero:
             continue
-        check = algebra.nonzerodivisor_check(g)
-        if check.ok:
+        if algebra.nonzerodivisor_check(g):
             return g
     raise TestElementSearchError(
         f"no nonzerodivisor test element found in {TEST_ELEMENT_DRAWS} "
@@ -132,7 +131,7 @@ def kills_torsion(algebra, j):
     dim P/(I + F_e) <= 0 (that dimension is cached by the Fitting
     profile), and is otherwise tested as (I + F_e) : X_j^inf = (1)."""
     x = algebra.context.gen(j)
-    if not algebra.nonzerodivisor_check(x).ok:
+    if not algebra.nonzerodivisor_check(x):
         return False
     fe = fitting_ideal(algebra, algebra.dimension)
     return (algebra.height_of(fe) >= algebra.dimension

@@ -12,6 +12,10 @@ asserts the cross-implications these verdicts must satisfy:
   gamma: the F_0 verdict forces the symmetric-algebra ideal to be a
          complete intersection.
 
+Every case command enters through `open_case`, which parses, validates
+and refuses as the pipeline does and lets the command fill the report
+sections it computes, with the builders the pipeline runs.
+
 Assertion failures are defects, never tolerated outcomes; the text format
 carries timings, the JSON format omits them so equal seeds give byte-equal
 output.
@@ -24,14 +28,17 @@ import time
 import traceback
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from functools import partial
+from pathlib import Path
 
 from .algebra import GradedAlgebra
+from .casefile import load_case, load_matrix_file
 from .errors import (ParseError, ResolutionLengthError,
                      StepBudgetExceeded, TestElementSearchError,
                      ValidationError)
 from .fitting import (euler_minor_identity, fitting_profile, ft_condition,
                       ft_condition_off_irrelevant, height_json,
-                      last_rows_probe)
+                      last_rows_probe, last_rows_size)
 from .groebner import IdealHandle, step_budget
 from .poly import parse_polynomial
 from .rees import (analytic_spread, extended_context, is_linear_type,
@@ -106,132 +113,207 @@ def _new_report(case):
     })
 
 
-def _validated(case, report):
-    """The case's algebra, or None after recording every validation issue
-    in the report."""
+def _fail(report, status, stage, code, message):
+    """Record an error of `stage` in the report, which ends with `status`."""
+    report.status = status
+    report.errors.append({"stage": stage, "code": code, "message": message})
+    return report
+
+
+# ---------------------------------------------------------------------------
+# The front door of every case command: parse, validate, refuse a weighted
+# algebra where a pipeline stage runs, then fill the report's sections.
+
+def open_case(path, fill, seed=None, standard_graded=False):
+    """The report of one case command on the case file at `path`.  The
+    file is parsed, its algebra validated and, with `standard_graded` (for
+    every command that runs a stage of the pipeline), a weighted algebra
+    refused; then `fill(case, algebra, report, seed)` fills the sections
+    the command computes, `seed` being the case's seed for `seed`.  A
+    refusal, and a resource error of the parse or of `fill`, become the
+    report's status and errors exactly as in `run_case_path`."""
+    case, report = _parsed(path)
+    if case is None:
+        return report
+    return _checked(case, fill, seed, standard_graded)
+
+
+def _parsed(path, load=load_case):
+    """What `load` reads from the file at `path` and None, or None and a
+    refusal report when the file does not parse or its parse runs out of
+    the step budget."""
     try:
-        return GradedAlgebra.validate(case.context, case.relations)
+        return load(path), None
+    except ParseError as ex:
+        status, code, message = "invalid_input", "parse", str(ex)
+    except StepBudgetExceeded as ex:
+        status, code, message = "resource_exhausted", "resource", str(ex)
+    return None, _fail(Report(case=str(path)), status, "parse", code, message)
+
+
+def _checked(case, fill, seed=None, standard_graded=False):
+    """A report for the parsed case: its validation issues, its grading
+    refusal, or the sections `fill` computes (see `open_case`)."""
+    report = _new_report(case)
+    try:
+        algebra = GradedAlgebra.validate(case.context, case.relations)
     except ValidationError as ex:
-        report.status = "invalid_input"
-        report.errors = [{"stage": "validate", "code": i.code,
-                          "message": i.message} for i in ex.issues]
+        for issue in ex.issues:
+            _fail(report, "invalid_input", "validate", issue.code,
+                  issue.message)
+        return report
+    if standard_graded and not algebra.standard_graded:
+        return _fail(report, "invalid_input", "validate", "grading",
+                     GRADING_MESSAGE)
+    try:
+        fill(case, algebra, report, case.seed_for(seed))
+    except RESOURCE_ERRORS as ex:
+        _fail(report, "resource_exhausted", "pipeline", "resource", str(ex))
+    return report
+
+
+# ---------------------------------------------------------------------------
+# Section builders, shared by the pipeline and the single-verdict commands.
+# Each takes (case, algebra, report, seed), as `open_case` calls it.
+
+def hypotheses_section(case, algebra, report, seed):
+    """The hypotheses validation establishes, and the embedding dimension
+    at the irrelevant maximal ideal."""
+    report.hypotheses = {
+        "standard_graded": algebra.standard_graded,
+        "regular_sequence": True,
+        "relation_degrees": list(algebra.relation_degrees),
+    }
+    report.edim = algebra.irrelevant_local_data()._asdict()
+
+
+def ft_section(case, algebra, report, seed, *, t):
+    """The F_t verdict, as the pipeline reports F_0 and F_1."""
+    report.fitting = {f"f{t}": ft_condition(algebra, t).to_dict()}
+
+
+def linear_type_section(case, algebra, report, seed):
+    """The linear-type verdict, with the test element and the torsion."""
+    _linear_type(report, _rees(algebra, report, seed))
+
+
+def rees_cm_section(case, algebra, report, seed):
+    """The Cohen-Macaulay verdict of the Rees algebra and the analytic
+    spread."""
+    _rees_cm(report, _rees(algebra, report, seed))
+
+
+NOT_REDUCED = "rank hypotheses not met: base is not reduced"
+
+
+def _rees(algebra, report, seed, symmetric=None):
+    """The Rees presentation, or None when the base is not reduced."""
+    if not algebra.is_reduced():
         return None
+    with _stage(report, "rees"):
+        return rees_ideal(algebra, seed=seed, symmetric=symmetric)
+
+
+def _linear_type(report, rees):
+    """Fill the linear-type section; the verdict, None without `rees`."""
+    if rees is None:
+        report.linear_type = {"holds": None, "note": NOT_REDUCED}
+        return None
+    holds = is_linear_type(rees)
+    witness = (str(rees.torsion_generators[0])
+               if rees.torsion_generators else None)
+    report.linear_type = {
+        "holds": holds,
+        "test_element": str(rees.test_element),
+        "torsion_generators": [str(t) for t in rees.torsion_generators],
+        "torsion_witness": witness,
+    }
+    return holds
+
+
+def _rees_cm(report, rees):
+    """Fill the Rees Cohen-Macaulay and spread sections; their records,
+    None without `rees`."""
+    if rees is None:
+        report.rees_cm = {"holds": None, "note": NOT_REDUCED}
+        report.spread = {"value": None, "note": NOT_REDUCED}
+        return None, None
+    with _stage(report, "rees_cm"):
+        cm = depth_and_cm(rees.ideal)
+    report.rees_cm = {
+        "holds": cm.cohen_macaulay,
+        "dim": cm.dimension,
+        "depth": cm.depth,
+        "pd": cm.projective_dimension,
+        "method": cm.method,
+    }
+    with _stage(report, "spread"):
+        spread = analytic_spread(rees)
+    report.spread = asdict(spread)
+    return cm, spread
 
 
 def run_pipeline(case, seed=None):
     """Execute the full pipeline for a parsed case file and build a report.
 
-    Resource and exhaustion errors are caught and reported per stage; the
-    structural assertions are evaluated on whatever verdicts exist, and the
-    case's expectations, a Rees ideal among them, on the finished report.
+    Resource and exhaustion errors are caught and reported; the structural
+    assertions are evaluated on whatever verdicts exist, and the case's
+    expectations, a Rees ideal among them, on the finished report.
     """
-    report = _new_report(case)
-    seed = case.seed_for(seed)
+    return _checked(case, _pipeline, seed, standard_graded=True)
 
-    algebra = _validated(case, report)
-    if algebra is None:
-        return report
-    if not algebra.standard_graded:
-        report.status = "invalid_input"
-        report.errors = [{"stage": "validate", "code": "grading",
-                          "message": GRADING_MESSAGE}]
-        return report
 
+def _pipeline(case, algebra, report, seed):
     algebra.euler_residuals()
+    with _stage(report, "hypotheses"):
+        reduced = algebra.is_reduced()
+        profile = fitting_profile(algebra)
+        condition_i = ft_condition_off_irrelevant(algebra, 0)
+    hypotheses_section(case, algebra, report, seed)
+    report.hypotheses.update(reduced=reduced, condition_i=condition_i.holds)
+    with _stage(report, "fitting"):
+        f1 = ft_condition(algebra, 1)
+        f0 = ft_condition(algebra, 0)
+        f1_off = ft_condition_off_irrelevant(algebra, 1)
+    report.fitting = {
+        "rank": profile.rank,
+        "generators": algebra.arity,
+        "profile": [{"i": r.index,
+                     "height": height_json(r.height),
+                     "height_off_irrelevant":
+                         height_json(r.height_off_irrelevant)}
+                    for r in profile.rows],
+        "f0": f0.to_dict(),
+        "f1": f1.to_dict(),
+        "f1_off_irrelevant": f1_off.to_dict(),
+    }
 
-    try:
-        with _stage(report, "hypotheses"):
-            reduced = algebra.is_reduced()
-            profile = fitting_profile(algebra)
-            condition_i = ft_condition_off_irrelevant(algebra, 0, profile)
-        report.hypotheses = {
-            "standard_graded": True,
-            "regular_sequence": True,
-            "relation_degrees": list(algebra.relation_degrees),
-            "reduced": reduced,
-            "condition_i": condition_i.holds,
-        }
-        with _stage(report, "fitting"):
-            f1 = ft_condition(algebra, 1, profile)
-            f0 = ft_condition(algebra, 0, profile)
-            f1_off = ft_condition_off_irrelevant(algebra, 1, profile)
-        report.fitting = {
-            "rank": profile.rank,
-            "generators": algebra.arity,
-            "profile": [{"i": r.index,
-                         "height": height_json(r.height),
-                         "height_off_irrelevant":
-                             height_json(r.height_off_irrelevant)}
-                        for r in profile.rows],
-            "f0": f0.to_dict(),
-            "f1": f1.to_dict(),
-            "f1_off_irrelevant": f1_off.to_dict(),
-        }
-        report.edim = algebra.irrelevant_local_data()._asdict()
+    with _stage(report, "symmetric"):
+        sym = symmetric_presentation(algebra)
+    rees = _rees(algebra, report, seed, symmetric=sym)
+    linear = _linear_type(report, rees)
+    cm, spread = _rees_cm(report, rees)
+    report.hypotheses["symmetric_algebra_ci"] = sym.is_complete_intersection
 
-        linear = cm = spread_rec = None
-        with _stage(report, "symmetric"):
-            sym = symmetric_presentation(algebra)
-        if reduced:
-            with _stage(report, "rees"):
-                rees = rees_ideal(algebra, seed=seed, symmetric=sym)
-                linear = is_linear_type(rees)
-            witness = (str(rees.torsion_generators[0])
-                       if rees.torsion_generators else None)
-            report.linear_type = {
-                "holds": linear,
-                "test_element": str(rees.test_element),
-                "torsion_generators": [str(t)
-                                       for t in rees.torsion_generators],
-                "torsion_witness": witness,
-            }
-            with _stage(report, "rees_cm"):
-                cm = depth_and_cm(rees.ideal)
-            report.rees_cm = {
-                "holds": cm.cohen_macaulay,
-                "dim": cm.dimension,
-                "depth": cm.depth,
-                "pd": cm.projective_dimension,
-                "method": cm.method,
-            }
-            with _stage(report, "spread"):
-                spread_rec = analytic_spread(rees)
-            report.spread = asdict(spread_rec)
-        else:
-            note = "rank hypotheses not met: base is not reduced"
-            report.linear_type = {"holds": None, "note": note}
-            report.rees_cm = {"holds": None, "note": note}
-            report.spread = {"value": None, "note": note}
-        report.hypotheses["symmetric_algebra_ci"] = \
-            sym.is_complete_intersection
-
-        _run_assertions(report, reduced=reduced,
-                        condition_i=condition_i.holds, f0=f0.holds,
-                        f1=f1.holds, f1_off=f1_off.holds,
-                        linear=linear, cm=cm,
-                        spread_rec=spread_rec,
-                        sym_ci=sym.is_complete_intersection)
-        if reduced:
-            with _stage(report, "shortcut"):
-                report.shortcut = _shortcut(algebra, profile, report)
-            if check_rees_ideal_expectation(case, rees) is False:
-                report.expectation_failures.append(
-                    {"key": "rees_ideal",
-                     "expected": case.expectations["rees_ideal"],
-                     "actual": [str(g) for g in rees.ideal.groebner_basis()]})
-        else:
-            report.shortcut = {"applicable": False,
-                               "reason": "base is not reduced"}
-    except RESOURCE_ERRORS as ex:
-        report.status = "resource_exhausted"
-        report.errors.append({"stage": "pipeline", "code": "resource",
-                              "message": str(ex)})
-        return report
-
+    _run_assertions(report, reduced=reduced,
+                    condition_i=condition_i.holds, f0=f0.holds,
+                    f1=f1.holds, f1_off=f1_off.holds,
+                    linear=linear, cm=cm, spread_rec=spread,
+                    sym_ci=sym.is_complete_intersection)
+    if reduced:
+        with _stage(report, "shortcut"):
+            report.shortcut = _shortcut(algebra, report)
+        if check_rees_ideal_expectation(case, rees) is False:
+            report.expectation_failures.append(
+                {"key": "rees_ideal",
+                 "expected": case.expectations["rees_ideal"],
+                 "actual": [str(g) for g in rees.ideal.groebner_basis()]})
+    else:
+        report.shortcut = {"applicable": False,
+                           "reason": "base is not reduced"}
     _check_expectations(case, report)
     if report.expectation_failures and report.status == "ok":
         report.status = "assertion_failure"
-    return report
 
 
 def _run_assertions(report, *, reduced, condition_i, f0, f1, f1_off,
@@ -272,7 +354,7 @@ def _run_assertions(report, *, reduced, condition_i, f0, f1, f1_off,
         report.status = "assertion_failure"
 
 
-def smooth_ci_shortcut(algebra, profile=None, pipeline_cm=None):
+def smooth_ci_shortcut(algebra, pipeline_cm=None):
     """Cone-over-smooth-projective-variety shortcut.
 
     When the input is reduced and smooth away from the vertex (every
@@ -283,9 +365,8 @@ def smooth_ci_shortcut(algebra, profile=None, pipeline_cm=None):
     must agree.  A failed smoothness check makes the shortcut
     inapplicable, never fatal.
     """
-    profile = profile or fitting_profile(algebra)
     smooth_off_origin = all(r.height_off_irrelevant == float("inf")
-                            for r in profile.rows)
+                            for r in fitting_profile(algebra).rows)
     if not (algebra.is_reduced() and smooth_off_origin):
         return {"applicable": False,
                 "reason": "input is not smooth away from the vertex"}
@@ -298,8 +379,8 @@ def smooth_ci_shortcut(algebra, profile=None, pipeline_cm=None):
     return out
 
 
-def _shortcut(algebra, profile, report):
-    out = smooth_ci_shortcut(algebra, profile,
+def _shortcut(algebra, report):
+    out = smooth_ci_shortcut(algebra,
                              pipeline_cm=report.rees_cm.get("holds"))
     if out.get("agrees_with_pipeline") is False:
         report.status = "assertion_failure"
@@ -359,25 +440,21 @@ def check_rees_ideal_expectation(case, rees):
 
 def probe_report(case, rowops=None, seed=None):
     """Report for the last-rows minor probe mode."""
-    report = _new_report(case)
-    algebra = _validated(case, report)
-    if algebra is None:
-        return report
+    return _checked(case, partial(probe_sections, rowops=rowops), seed)
+
+
+def probe_sections(case, algebra, report, seed, rowops=None):
+    """The last-rows probe, with `rowops` row-operation trials (the case's
+    count when None), and the Euler identity of its corner minor."""
+    if _last_rows_size(algebra, report) is None:
+        return
     rowops = case.rowops if rowops is None else rowops
-    seed = case.seed_for(seed)
     try:
         probe = last_rows_probe(algebra, rowops=rowops, seed=seed)
         residual = euler_minor_identity(algebra)
-    except ValueError as ex:
-        report.status = "invalid_input"
-        report.errors.append({"stage": "probe", "code": "shape",
-                              "message": str(ex)})
-        return report
     except StepBudgetExceeded as ex:
-        report.status = "resource_exhausted"
-        report.errors.append({"stage": "probe", "code": "resource",
-                              "message": str(ex)})
-        return report
+        _fail(report, "resource_exhausted", "probe", "resource", str(ex))
+        return
     report.fitting = {
         "minor_size": probe.t,
         "ideals_equal": probe.ideals_equal,
@@ -394,7 +471,38 @@ def probe_report(case, rowops=None, seed=None):
     }
     if not (probe.implication_holds and residual.is_zero):
         report.status = "assertion_failure"
-    return report
+
+
+def _last_rows_size(algebra, report):
+    """`last_rows_size(algebra)`, or None after refusing an algebra the
+    last-rows block does not fit."""
+    try:
+        return last_rows_size(algebra)
+    except ValueError as ex:
+        _fail(report, "invalid_input", "probe", "shape", str(ex))
+        return None
+
+
+def en_dump_input(path):
+    """The matrix whose Eagon-Northcott complex `en-dump` prints, the
+    algebra it is read over, and a report: for a case file the last-rows
+    block of the Jacobian presentation over the case's algebra, for a
+    [matrix] file its matrix over the polynomial ring (no algebra).  The
+    matrix is None when the report refuses the input."""
+    if Path(path).suffix != ".case":
+        matrix, refusal = _parsed(path, load_matrix_file)
+        return matrix, None, refusal
+    found = [None, None]
+
+    def block(case, algebra, report, seed):
+        t = _last_rows_size(algebra, report)
+        if t is not None:
+            n, theta = algebra.arity, algebra.jacobian_presentation()
+            found[:] = (theta.submatrix(range(n - t, n), range(theta.ncols)),
+                        algebra)
+
+    report = open_case(path, block)
+    return (*found, report)
 
 
 # ---------------------------------------------------------------------------
@@ -457,24 +565,13 @@ def _run_in_mode(case, seed):
 
 def run_case_path(path, seed=None, budget=None):
     """Load and run one case file under one step budget of `budget`
-    steps for the parse and the run together; parse errors become
-    invalid-input reports, a parse out of budget a resource-exhausted one
-    and any other exception an internal-error report, so directory runs
-    keep going."""
-    from .casefile import load_case
+    steps for the parse and the run together; a refused parse becomes its
+    report (see `open_case`) and any other exception an internal-error
+    report, so directory runs keep going."""
     with step_budget(budget):
-        try:
-            case = load_case(path)
-        except ParseError as ex:
-            report = Report(case=str(path), status="invalid_input")
-            report.errors.append({"stage": "parse", "code": "parse",
-                                  "message": str(ex)})
-            return report
-        except StepBudgetExceeded as ex:
-            report = Report(case=str(path), status="resource_exhausted")
-            report.errors.append({"stage": "parse", "code": "resource",
-                                  "message": str(ex)})
-            return report
+        case, refusal = _parsed(path)
+        if case is None:
+            return refusal
         try:
             return _run_in_mode(case, seed)
         except Exception as ex:  # one faulty case must not lose the others

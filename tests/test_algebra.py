@@ -3,9 +3,7 @@ import random
 import pytest
 
 from diffrees.algebra import GradedAlgebra, validation_issues
-from diffrees.errors import (DimensionTooSmallError,
-                             InhomogeneousRelationError, LinearTermError,
-                             NotRegularSequenceError, RelationDegreeError)
+from diffrees.errors import ValidationError
 from diffrees.groebner import IdealHandle
 from diffrees.poly import VariableContext
 from diffrees.sampler import random_graded_ci
@@ -27,24 +25,27 @@ def test_validate_coordinate_cross(coordinate_cross):
 
 def test_not_regular_sequence_reports_dimension():
     ctx = VariableContext(("X", "Y"))
-    with pytest.raises(NotRegularSequenceError) as exc:
+    with pytest.raises(ValidationError) as exc:
         GradedAlgebra.validate(ctx, [P(ctx, "X^2"), P(ctx, "X*Y")])
+    assert exc.value.issues[0].code == "not-regular-sequence"
     assert "dim P/I = 1" in str(exc.value)
 
 
 def test_distinct_validation_errors():
+    """One ValidationError, its message the first issue's, and the kind
+    of each rejection in that issue's code."""
     ctx = VariableContext(("X", "Y"))
-    with pytest.raises(InhomogeneousRelationError):
-        GradedAlgebra.validate(ctx, [P(ctx, "X + Y^2")])
-    with pytest.raises(RelationDegreeError):
-        GradedAlgebra.validate(ctx, [P(ctx, "X + Y")])
-    with pytest.raises(RelationDegreeError):
-        GradedAlgebra.validate(ctx, [ctx.zero])
-    with pytest.raises(DimensionTooSmallError):
-        GradedAlgebra.validate(ctx, [P(ctx, "X^2"), P(ctx, "Y^2")])
     weighted = VariableContext(("X", "Y"), weights=(2, 1))
-    with pytest.raises(LinearTermError):
-        GradedAlgebra.validate(weighted, [P(weighted, "X + Y^2")])
+    for context, relations, code in [
+            (ctx, [P(ctx, "X + Y^2")], "inhomogeneous"),
+            (ctx, [P(ctx, "X + Y")], "degree"),
+            (ctx, [ctx.zero], "degree"),
+            (ctx, [P(ctx, "X^2"), P(ctx, "Y^2")], "dimension"),
+            (weighted, [P(weighted, "X + Y^2")], "linear-term")]:
+        with pytest.raises(ValidationError) as exc:
+            GradedAlgebra.validate(context, relations)
+        assert exc.value.issues[0].code == code
+        assert str(exc.value) == exc.value.issues[0].message
 
 
 def test_rejections_are_total():
@@ -64,8 +65,9 @@ def test_weighted_validation_accepted():
 
 def test_weighted_linear_term_rejected():
     ctx = VariableContext(("X", "Y", "Z"), weights=(1, 1, 2))
-    with pytest.raises(LinearTermError):
+    with pytest.raises(ValidationError) as exc:
         GradedAlgebra.validate(ctx, [P(ctx, "Z - X*Y")])
+    assert exc.value.issues[0].code == "linear-term"
 
 
 def test_jacobian_presentation(quadric_cone, coordinate_cross):
@@ -144,13 +146,13 @@ def test_irrelevant_local_data(quadric_cone, coordinate_cross,
     assert surface.edim == 4 and surface.at_most_2d
 
 
-def test_nonzerodivisor_check_notes(coordinate_cross):
+def test_nonzerodivisor_check_zero_element(coordinate_cross):
+    """A bool; an element zero in the quotient is a zerodivisor."""
     ctx = coordinate_cross.context
     X, Y = ctx.gens()
-    ok = coordinate_cross.nonzerodivisor_check(X + Y)
-    assert ok.ok and ok.note is None
-    zero = coordinate_cross.nonzerodivisor_check(X * Y)
-    assert not zero.ok and "zero element" in zero.note
+    assert coordinate_cross.nonzerodivisor_check(X + Y) is True
+    assert coordinate_cross.nonzerodivisor_check(X * Y) is False
+    assert coordinate_cross.nonzerodivisor_check(ctx.zero) is False
 
 
 def test_nonzerodivisor_check_matches_quotient(cases_dir, monkeypatch):
@@ -162,8 +164,8 @@ def test_nonzerodivisor_check_matches_quotient(cases_dir, monkeypatch):
 
     def compared(algebra, g):
         got = check(algebra, g)
-        assert got.ok == is_nonzerodivisor(algebra.defining_ideal, g)
-        verdicts.append(got.ok)
+        assert got == is_nonzerodivisor(algebra.defining_ideal, g)
+        verdicts.append(got)
         return got
 
     monkeypatch.setattr(GradedAlgebra, "nonzerodivisor_check", compared)
@@ -191,7 +193,7 @@ def test_nonzerodivisor_check_known_zerodivisors(coordinate_cross):
              (planes, P(planes_ctx, "Z"), True),
              (planes, P(planes_ctx, "X"), True)]
     for algebra, g, expected in cases:
-        assert algebra.nonzerodivisor_check(g).ok is expected, g
+        assert algebra.nonzerodivisor_check(g) is expected, g
         assert is_nonzerodivisor(algebra.defining_ideal, g) is expected, g
 
 

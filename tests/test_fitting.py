@@ -13,6 +13,7 @@ from diffrees.matrix import PolyMatrix
 from diffrees.poly import VariableContext
 from diffrees.rees import find_test_element
 from diffrees.sampler import probe_corpus, random_graded_ci
+from diffrees.verifier import smooth_ci_shortcut
 
 from conftest import P, random_homogeneous, shipped_algebras
 from oracles import saturated_height_off_irrelevant
@@ -112,10 +113,9 @@ def test_ft_monotone_in_t(quadric_cone, coordinate_cross, curve_cone,
                           surface_cone):
     for algebra in (quadric_cone, coordinate_cross, curve_cone,
                     surface_cone):
-        profile = fitting_profile(algebra)
         for t in (2, 1):
-            if ft_condition(algebra, t, profile).holds:
-                assert ft_condition(algebra, t - 1, profile).holds
+            if ft_condition(algebra, t).holds:
+                assert ft_condition(algebra, t - 1).holds
 
 
 def test_off_irrelevant_examples(coordinate_cross, curve_cone,
@@ -204,6 +204,23 @@ def test_is_reduced_shares_the_profile_basis_of_i_plus_f_e(monkeypatch):
     assert [handle for handle, _ in builds] == [
         algebra.ideal_sum(fitting_ideal(algebra, row.index))
         for row in profile.rows]
+
+
+def test_verdicts_after_the_profile_build_no_basis(monkeypatch):
+    """The F_t verdicts and the smooth-cone shortcut take no profile:
+    they recompute it from the heights the algebra caches, so after one
+    `fitting_profile` none of them starts a basis build."""
+    ctx = VariableContext(("X", "Y", "Z", "W"))
+    algebra = GradedAlgebra.validate(ctx, [
+        P(ctx, "X^2 + Y^2 + Z^2 + W^2"), P(ctx, "X^3 + 2*Y^3 + 3*Z^3 + 4*W^3")])
+    profile = fitting_profile(algebra)
+    builds = _record_builds(monkeypatch)
+    for t in (0, 1, 2):
+        ft_condition(algebra, t)
+        ft_condition_off_irrelevant(algebra, t)
+    assert smooth_ci_shortcut(algebra)["applicable"]
+    assert fitting_profile(algebra) == profile
+    assert builds == []
 
 
 def test_jacobian_minors_are_computed_once_per_size(monkeypatch):

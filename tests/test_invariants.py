@@ -33,8 +33,6 @@ UNREAD_KEPT = {
                              "(ROADMAP item 9, tests/test_resolution.py)",
     "DimensionReport.witness": "demos/01_groebner_basics.py prints the "
                                "independent variables",
-    "NonzerodivisorCheck.note": "says why a check failed, for the caller "
-                                "who asks (tests/test_algebra.py)",
     "IrrelevantLocalData": "run_pipeline serializes it whole by _asdict",
     "SpreadRecord": "run_pipeline serializes it whole by asdict",
 }

@@ -56,12 +56,12 @@ def test_find_test_element_deterministic(quadric_cone):
     g1 = find_test_element(quadric_cone, seed=0)
     g2 = find_test_element(quadric_cone, seed=0)
     assert g1 == g2
-    assert quadric_cone.nonzerodivisor_check(g1).ok
+    assert quadric_cone.nonzerodivisor_check(g1)
 
 
 def test_find_test_element_cross(coordinate_cross):
     g = find_test_element(coordinate_cross, seed=0)
-    assert coordinate_cross.nonzerodivisor_check(g).ok
+    assert coordinate_cross.nonzerodivisor_check(g)
 
 
 def test_find_test_element_refuses_nonreduced():
@@ -213,7 +213,7 @@ def test_each_variable_that_kills_torsion_gives_the_rees_ideal(cases_dir):
             sat = rp.symmetric.ideal.saturation(x)
             assert sat.generators == elimination_saturation(
                 rp.symmetric.ideal, x).generators
-            if not algebra.nonzerodivisor_check(algebra.context.gen(j)).ok:
+            if not algebra.nonzerodivisor_check(algebra.context.gen(j)):
                 assert not kills_torsion(algebra, j)
                 continue
             assert all(rp.ideal.contains(h) for h in sat.generators)

@@ -222,32 +222,46 @@ def test_run_case_path_parse_error(tmp_path):
 # ---------------------------------------------------------------------------
 # CLI surface
 
+def _json_report(capsys, *argv, code=0):
+    """The JSON report `diffrees --format json *argv` prints, asserting
+    its exit status."""
+    assert main(["--format", "json", *argv]) == code
+    return json.loads(capsys.readouterr().out)
+
+
 def test_cli_validate_ok(tmp_path, capsys):
     path = _write(tmp_path, "q.case", QUADRIC)
-    assert main(["validate", path]) == 0
-    assert "valid graded complete intersection" in capsys.readouterr().out
+    report = _json_report(capsys, "validate", path)
+    assert report["status"] == "ok"
+    assert report["hypotheses"] == {"standard_graded": True,
+                                    "regular_sequence": True,
+                                    "relation_degrees": [2]}
+    assert (report["edim"]["edim"], report["edim"]["dim"]) == (3, 2)
 
 
 def test_cli_validate_invalid_exit_4(tmp_path, capsys):
     path = _write(tmp_path, "b.case", QUADRIC.replace("X*Y - Z^2", "X + Y"))
-    assert main(["validate", path]) == 4
-    out = capsys.readouterr().out
-    assert "rejected" in out
+    report = _json_report(capsys, "validate", path, code=4)
+    assert report["status"] == "invalid_input"
+    assert report["hypotheses"] == {}
+    assert [(e["stage"], e["code"]) for e in report["errors"]] == [
+        ("validate", "degree"), ("validate", "linear-term")]
 
 
 def test_cli_ft_check(tmp_path, capsys):
     path = _write(tmp_path, "q.case", QUADRIC)
-    assert main(["ft-check", path, "--t", "1"]) == 0
-    assert "F_1 holds" in capsys.readouterr().out
+    report = _json_report(capsys, "ft-check", path, "--t", "1")
+    assert report["fitting"]["f1"]["holds"] is True
 
 
 def test_cli_linear_type_and_rees_cm(tmp_path, capsys):
     path = _write(tmp_path, "c.case", CROSS)
-    assert main(["linear-type", path]) == 0
-    out = capsys.readouterr().out
-    assert "not of linear type" in out
-    assert main(["rees-cm", path]) == 0
-    assert "is NOT Cohen-Macaulay" in capsys.readouterr().out
+    report = _json_report(capsys, "linear-type", path)
+    assert report["linear_type"]["holds"] is False
+    assert report["rees_cm"] == {}
+    report = _json_report(capsys, "rees-cm", path)
+    assert report["rees_cm"]["holds"] is False
+    assert report["linear_type"] == {}
 
 
 WEIGHTED = {
@@ -284,11 +298,56 @@ def test_cli_weighted_input(tmp_path, capsys, monkeypatch, command):
         assert error["code"] == "grading"
         assert main(["--format", "json", command, path]) == EXIT_INVALID
         captured = capsys.readouterr()
-        assert json.loads(captured.out) == {"status": "invalid_input",
-                                            "issues": [error["message"]]}
+        assert json.loads(captured.out)["errors"] == [error]
         assert not captured.err
-        assert main([command, path]) == EXIT_INVALID
-        assert capsys.readouterr().out == f"[grading] {error['message']}\n"
+
+
+CASE_COMMANDS = {"validate": [], "ft-check": ["--t", "1"], "linear-type": [],
+                 "rees-cm": [], "prop31": [], "en-dump": []}
+# name: (case file text, global options, the commands that refuse it)
+REFUSED = {
+    "unparseable": ("not a case file [\n", [], list(CASE_COMMANDS)),
+    "linear-relation": (QUADRIC.replace("X*Y - Z^2", "X + Y"), [],
+                        list(CASE_COMMANDS)),
+    "weighted": (WEIGHTED["cross"], [], ["linear-type", "rees-cm"]),
+    "parse-over-budget": (QUADRIC.replace("X*Y - Z^2", "(X+Y+Z)^3000"),
+                          ["--budget", "1000"], list(CASE_COMMANDS)),
+}
+
+
+@pytest.mark.parametrize("refused,command", [
+    (name, command) for name, (_, _, commands) in REFUSED.items()
+    for command in commands])
+def test_cli_refusals_match_verify(tmp_path, capsys, refused, command):
+    """Every case command refuses through the verifier's front door: its
+    JSON is the report `verify` prints on the same file, with the same
+    exit status, and its text names the status and every error."""
+    text, options, _ = REFUSED[refused]
+    path = _write(tmp_path, "refused.case", text)
+    argv = [command, path, *CASE_COMMANDS[command]]
+    code = main([*options, "--format", "json", "verify", path])
+    expected = json.loads(capsys.readouterr().out)
+    assert code == {"invalid_input": 4,
+                    "resource_exhausted": 3}[expected["status"]]
+    assert main([*options, "--format", "json", *argv]) == code
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert (report["status"], report["errors"]) == (expected["status"],
+                                                   expected["errors"])
+    assert report == expected
+    assert not captured.err
+    assert main([*options, *argv]) == code
+    out = capsys.readouterr().out
+    assert f"status: {expected['status']}\n" in out
+    for error in expected["errors"]:
+        assert f"error[{error['stage']}]: {error['message']}" in out
+
+
+def test_cli_verify_refuses_a_directory_without_cases(tmp_path, capsys):
+    report = _json_report(capsys, "verify", str(tmp_path), code=4)
+    (error,) = report["errors"]
+    assert (error["stage"], error["code"]) == ("parse", "parse")
+    assert str(tmp_path) in error["message"]
 
 
 def test_cli_explicit_seed_zero_beats_the_case_seed(tmp_path, capsys):
@@ -308,11 +367,11 @@ seed = 5
         assert main(["--format", "json", *argv, path]) == 0
         return json.loads(capsys.readouterr().out)
 
-    zero = run("--seed", "0", "linear-type")["test_element"]
-    assert zero == run("--seed", "0", "verify")["linear_type"]["test_element"]
-    assert zero != run("linear-type")["test_element"]
-    assert (run("linear-type")["test_element"]
-            == run("--seed", "5", "verify")["linear_type"]["test_element"])
+    zero = run("--seed", "0", "linear-type")["linear_type"]
+    assert zero == run("--seed", "0", "verify")["linear_type"]
+    assert zero != run("linear-type")["linear_type"]
+    assert (run("linear-type")["linear_type"]
+            == run("--seed", "5", "verify")["linear_type"])
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys):
@@ -457,8 +516,8 @@ def test_cli_counts_must_be_nonnegative_integers(tmp_path, capsys, command,
 
 def test_cli_ft_check_accepts_t_zero(tmp_path, capsys):
     path = _write(tmp_path, "q.case", QUADRIC)
-    assert main(["ft-check", path, "--t", "0"]) == 0
-    assert "F_0 holds" in capsys.readouterr().out
+    report = _json_report(capsys, "ft-check", path, "--t", "0")
+    assert report["fitting"]["f0"]["holds"] is True
 
 
 def test_cli_pool_is_capped_at_the_case_count(tmp_path, capsys, monkeypatch):
@@ -565,12 +624,15 @@ rows = X; Y; Z
 @pytest.mark.parametrize("body", [
     b"[matrix]\nvariables = X, Y\nweights = 1, a\nrows = X; Y\n",
     b"[matrix]\nvariables = X, X\nrows = X; X\n",
-    b"[matrix]\nvariables = X, Y\nrows = X; Y # \xff\n"],
-    ids=["non-integer-weight", "duplicate-variable", "not-utf8"])
+    b"[matrix]\nvariables = X, Y\nrows = X; Y # \xff\n",
+    b"[matrix]\nvariables = X, Y\nrows = X\n    Y\n"],
+    ids=["non-integer-weight", "duplicate-variable", "not-utf8",
+         "more-rows-than-columns"])
 def test_cli_en_dump_rejects_a_bad_matrix_file(tmp_path, capsys, body):
     (tmp_path / "bad.matrix").write_bytes(body)
     assert main(["en-dump", str(tmp_path / "bad.matrix")]) == 4
-    assert "parse error" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "status: invalid_input\nerror[parse]: " in out
 
 
 def test_last_rows_shape_is_rejected_with_one_message(tmp_path, capsys,
@@ -581,11 +643,10 @@ def test_last_rows_shape_is_rejected_with_one_message(tmp_path, capsys,
         euler_minor_identity(quadric_cone)
     message = str(raised.value)
     path = _write(tmp_path, "q.case", QUADRIC)
-    assert main(["--format", "json", "en-dump", path]) == 4
-    assert json.loads(capsys.readouterr().out)["issues"] == [message]
-    assert main(["--format", "json", "prop31", path]) == 4
-    errors = json.loads(capsys.readouterr().out)["errors"]
-    assert [e["message"] for e in errors] == [message]
+    dump = _json_report(capsys, "en-dump", path, code=4)
+    probe = _json_report(capsys, "prop31", path, code=4)
+    assert dump == probe
+    assert [e["message"] for e in probe["errors"]] == [message]
 
 
 def test_cli_ft_check_json_is_the_pipeline_entry(tmp_path, capsys):
@@ -593,10 +654,9 @@ def test_cli_ft_check_json_is_the_pipeline_entry(tmp_path, capsys):
     assert main(["--format", "json", "verify", path]) == 0
     fitting = json.loads(capsys.readouterr().out)["fitting"]
     for t in (0, 1):
-        assert main(["--format", "json", "ft-check", path, "--t", str(t)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload.pop("case") == "coordinate-cross"
-        assert payload == fitting[f"f{t}"]
+        report = _json_report(capsys, "ft-check", path, "--t", str(t))
+        assert report["case"] == "coordinate-cross"
+        assert report["fitting"] == {f"f{t}": fitting[f"f{t}"]}
     assert "witness" in fitting["f1"]
 
 
