@@ -13,12 +13,11 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
-from .eagon_northcott import build_en, en_acyclicity
 from .errors import DiffreesError
 from .fitting import height_json
 from .groebner import step_budget
 from .verifier import (EXIT_ASSERTION, EXIT_INVALID, EXIT_OK, EXIT_RESOURCE,
-                       RESOURCE_ERRORS, emit_report, en_dump_input,
+                       RESOURCE_ERRORS, emit_report, en_dump,
                        ft_section, hypotheses_section, linear_type_section,
                        open_case, probe_sections, rees_cm_section,
                        run_case_path)
@@ -112,11 +111,9 @@ def cmd_prop31(args):
 
 
 def cmd_en_dump(args):
-    matrix, quotient, report = en_dump_input(args.path)
-    if matrix is None:
+    complex_, record, report = en_dump(args.path)
+    if complex_ is None:
         return _emit_reports([report], args)
-    complex_ = build_en(matrix)
-    record = en_acyclicity(matrix, quotient)
     payload = {
         "ranks": list(complex_.ranks),
         "differentials": [[[str(p) for p in row] for row in d.entries]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import combinations, product
 
 from .groebner import IdealHandle
 from .matrix import PolyMatrix
@@ -143,18 +144,24 @@ def euler_minor_identity(algebra):
     over rows listed in sequence order.  The returned polynomial is the
     difference of the two sides reduced modulo the defining ideal and must
     be identically zero; the sign convention is fixed by our own expansion.
+
+    A row i >= 2d - 1 repeats a row of D[2d..n-1], a zero minor; any other
+    precedes them, so its rows are sorted.  The minors are the algebra's
+    t-minors, reduced modulo I as the residual is, so it is unchanged.
     """
     n, d = algebra.arity, algebra.dimension
     t = last_rows_size(algebra)
     ctx = algebra.context
     theta = algebra.jacobian_presentation()
     cols = tuple(range(t))
-    last_rows = tuple(range(2 * d - 1, n))
-    lhs = ctx.gen(n - 1) * theta.minor(last_rows, cols) * ctx.weights[n - 1]
-    rhs = ctx.zero
+    minor = dict(zip(product(combinations(range(n), t),
+                             combinations(range(theta.ncols), t)),
+                     algebra.jacobian_minors(t)[0]))
     middle = tuple(range(2 * d - 1, n - 1))
-    for i in range(n - 1):
-        det = theta.signed_row_sequence_minor((i,) + middle, cols)
+    lhs = ctx.gen(n - 1) * minor[middle + (n - 1,), cols] * ctx.weights[n - 1]
+    rhs = ctx.zero
+    for i in range(2 * d - 1):
+        det = minor[(i,) + middle, cols]
         if det.is_zero:
             continue
         rhs = rhs + ctx.gen(i) * det * ctx.weights[i]
@@ -190,29 +197,31 @@ def last_rows_probe(algebra, rowops=0, seed=0):
     by Cauchy-Binet every t-minor of U theta is a Q-combination of those
     of theta and back, as U is invertible over Q, so I_t(U theta) =
     I_t(theta), and a trial builds only the basis of its last-rows sum.
+    The minors of theta are the algebra's t-minors, which
+    `euler_minor_identity` reads too.
     """
     d = algebra.dimension
     t = last_rows_size(algebra)
     theta = algebra.jacobian_presentation()
     ctx = algebra.context
 
-    def compare(matrix):
+    def compare(minors):
         # minors(t) runs over row sets in lexicographic order, so its last
         # C(ncols, t) entries are the minors of the last t rows
-        minors = matrix.minors(t, modulo=algebra.defining_ideal)
         full = IdealHandle(ctx, minors)
         last = IdealHandle(ctx,
-                           minors[len(minors) - math.comb(matrix.ncols, t):])
+                           minors[len(minors) - math.comb(theta.ncols, t):])
         equal = algebra.ideal_sum(full).equals(algebra.ideal_sum(last))
         return equal, full, last
 
-    equal, full, last = compare(theta)
+    equal, full, last = compare(algebra.jacobian_minors(t)[0])
     height_full = algebra.height_of(full)
     height_last = algebra.height_of(last)
     trials = []
     rng = random.Random(seed)
     for _ in range(rowops):
-        eq_u = compare(_random_invertible(rng, ctx) @ theta)[0]
+        turned = _random_invertible(rng, ctx) @ theta
+        eq_u = compare(turned.minors(t, modulo=algebra.defining_ideal))[0]
         trials.append(RowOpTrial(eq_u, height_full,
                                  (not eq_u) or height_full < d))
     return LastRowsProbe(t=t, ideals_equal=equal, height_full=height_full,

@@ -194,7 +194,8 @@ def _cleared(terms, pack):
                    for e, c in terms}
 
 
-def _nf(poly, lms, basis, mons, counter, memo, quotients=None, bound=None):
+def _nf(poly, lms, basis, mons, counter, memo, quotients=None, bound=None,
+        components=None):
     """Full normal form of a packed {monomial: int} dict (see `_cleared`)
     against content-free packed integer reducers, ordered by the negated
     keys of `mons`, which holds the keys of the terms of `poly` and of the
@@ -224,14 +225,19 @@ def _nf(poly, lms, basis, mons, counter, memo, quotients=None, bound=None):
     (int key of m + drop, index), and a term is reduced by the first
     reducer whose multiple has a signature below the bound.
 
+    A term scans the leads of `lms` in index order.  With `components`,
+    a module stage's map from the low field of a packed term (its
+    component) to the (indices, leads) of the reducers in that component
+    (see `_schreyer_records`), it scans only those of its own: a lead of
+    another component never divides it, so the first divisor is the same.
     `memo` maps a monomial to its divisor list [scanned, k1, k2, ...]:
-    the indices k1 < k2 < ... of the leading monomials among
-    lms[:scanned] that divide it, by the guard-bit test.  A term reads the
-    list first and scans on from `scanned` only when no listed divisor
-    serves, appending each divisor it meets up to the one it takes.  The
-    list stays valid, and the reducer choice stays that of a linear scan,
-    as long as the caller only appends to `lms`; callers that change their
-    reducer lists otherwise pass a fresh dict.
+    the indices k1 < k2 < ... of the leading monomials among the first
+    `scanned` of its scan that divide it, by the guard-bit test.  A term
+    reads the list first and scans on from `scanned` only when no listed
+    divisor serves, appending each divisor it meets up to the one it
+    takes.  The list stays valid, and the reducer choice stays that of a
+    linear scan, as long as the caller only appends to `lms`; callers that
+    change their reducer lists otherwise pass a fresh dict.
 
     The working polynomial is a dict next to a min-heap of (negated key,
     monomial); a monomial is pushed when it enters the dict and cancelled
@@ -247,6 +253,7 @@ def _nf(poly, lms, basis, mons, counter, memo, quotients=None, bound=None):
     heappop, heappush, gcd = heapq.heappop, heapq.heappush, math.gcd
     if bound is not None:
         sigs, (sig_key, sig_index) = bound
+    everything = range(len(lms)), lms
     remainder = {}
     while heap:
         key, m = heappop(heap)
@@ -267,15 +274,19 @@ def _nf(poly, lms, basis, mons, counter, memo, quotients=None, bound=None):
                 if sigs[k] < below:
                     idx = k
                     break
-        if idx is None and divs[0] < len(lms):
-            mg = m | guard
-            for k in range(divs[0], len(lms)):
-                if (mg - lms[k]) & guard == guard:
-                    divs.append(k)
-                    if bound is None or sigs[k] < below:
-                        idx = k
-                        break
-            divs[0] = len(lms) if idx is None else idx + 1
+        if idx is None:
+            ks, leads = (everything if components is None
+                         else components[m & _FIELD])
+            if divs[0] < len(leads):
+                mg = m | guard
+                for at in range(divs[0], len(leads)):
+                    if (mg - leads[at]) & guard == guard:
+                        k = ks[at]
+                        divs.append(k)
+                        if bound is None or sigs[k] < below:
+                            idx = k
+                            break
+                divs[0] = len(leads) if idx is None else at + 1
         if idx is None:
             remainder[m] = c
             mons[m] = key
@@ -568,7 +579,10 @@ def _schreyer_records(lms, basis, mons, following, counter):
     records form a Groebner basis of the syzygies (Schreyer), so the
     records whose leads minimally generate the lead module already do:
     for each i only the j whose quotient no other quotient of i divides
-    are reduced, the smallest j among equal quotients.
+    are reduced, the smallest j among equal quotients.  The family is
+    indexed by component once, as (indices, leads) per low field: the
+    pairs of i are taken from its own component, and each S-polynomial
+    is reduced against the leads of its terms' component only (`_nf`).
 
     In rank r = len(lms), x^q e_k packs as q + (k, r-1-k): q, a quotient
     within one component, is zero in both component fields.  Its key in
@@ -578,15 +592,20 @@ def _schreyer_records(lms, basis, mons, following, counter):
     """
     guard = mons.guard
     rank = len(lms)
+    components = {}
+    for k, lm in enumerate(lms):
+        ks, same = components.setdefault(lm & _FIELD, ([], []))
+        ks.append(k)
+        same.append(lm)
     memo = {}
     leads = []
     records = []
     for i, lmi in enumerate(lms):
-        component = lmi & _FIELD
+        ks, same = components[lmi & _FIELD]
+        after = ks.index(i) + 1
         firsts = {}
-        for j in range(i + 1, rank):
-            if lms[j] & _FIELD == component:
-                firsts.setdefault(_lcm(lmi, lms[j], guard) - lmi, j)
+        for j, lmj in zip(ks[after:], same[after:]):
+            firsts.setdefault(_lcm(lmi, lmj, guard) - lmi, j)
         for q, j in firsts.items():
             high = q | guard
             if any(p != q and (high - p) & guard == guard for p in firsts):
@@ -596,7 +615,8 @@ def _schreyer_records(lms, basis, mons, following, counter):
                                    -mons.key(mons.unpack(lcm)), mons)
             counter.spend()
             quotients = []
-            if _nf(spoly, lms, basis, mons, counter, memo, quotients)[0]:
+            if _nf(spoly, lms, basis, mons, counter, memo, quotients,
+                   components=components)[0]:
                 raise AssertionError("a stage family must already be a basis")
             # the S-polynomial is l_i l_j times the monic one, so each
             # coefficient is summed as an int pair in units of 1 / (l_i l_j)
@@ -656,15 +676,30 @@ def _interreduce(basis, lms, mons, counter):
 def _polynomial(context, mons, ints, num=1, den=1):
     """The Polynomial ints * den / num of `context`, from a packed
     {monomial: int} dict whose monomials `mons` unpacks: the one place
-    where the kernel's packed ints become Fractions and Polynomials."""
+    where the kernel's packed ints become Fractions and Polynomials.
+
+    When `mons` runs on the context's canonical degrevlex key, the terms
+    are put in canonical order by the negated keys it holds, and only a
+    monomial it has not met is keyed, its key written to `mons`; under
+    any other key `Polynomial._make` keys and sorts them."""
     unpack = mons.unpack
-    return Polynomial._make(context, {unpack(e): Fraction(v * den, num)
-                                      for e, v in ints.items()})
+    if mons.key is not context._canon_key:
+        return Polynomial._make(context, {unpack(e): Fraction(v * den, num)
+                                          for e, v in ints.items()})
+    for e in ints:
+        if e not in mons:
+            mons[e] = -mons.key(unpack(e))
+    return Polynomial._ordered(context, tuple(
+        (unpack(e), Fraction(ints[e] * den, num))
+        for e in sorted(ints, key=mons.__getitem__) if ints[e]))
 
 
 # ---------------------------------------------------------------------------
 
 class DimensionReport(NamedTuple):
+    """dim P/I, and a largest set of variables independent modulo the
+    leads of the basis it was read from, the one cached first, under any
+    order (`krull_dimension`); () for a certified 0, None for (1)."""
     dimension: int
     witness: tuple | None  # maximal independent variable subset (names)
 
@@ -730,9 +765,9 @@ class IdealHandle:
         ctx = self.context
         cached = (self._summand._cache.get(order)
                   if certify and self._summand is not None else None)
+        key = ctx._canon_key if order == DEGREVLEX else order.key_for(ctx)
         built = _buchberger([dict(g.terms) for g in self.generators],
-                            _Monomials(order.key_for(ctx), ctx.arity),
-                            _steps(), certify,
+                            _Monomials(key, ctx.arity), _steps(), certify,
                             () if cached is None else cached[1])
         if built is not None:
             self._cache[order] = built
@@ -747,7 +782,9 @@ class IdealHandle:
         return _polynomial(self.context, mons, r, num * scale, den)
 
     def contains(self, p):
-        return self.normal_form(p).is_zero
+        """Whether p reduces to zero against the reduced basis cached
+        first, under any order; with none cached, the degrevlex one."""
+        return self.normal_form(p, next(iter(self._cache), DEGREVLEX)).is_zero
 
     def equals(self, other):
         """Mutual inclusion of generators, each side's generators tested
@@ -889,17 +926,18 @@ class IdealHandle:
     def krull_dimension(self):
         """Dimension of context/I via independent sets modulo leading terms.
 
-        Without a cached degrevlex basis, the build runs with the
-        zero-dimensional certificate of `_buchberger`: an ideal without a
-        constant term in its generators whose leads come to hold a pure
-        power of every variable has dimension 0, reported with no witness
-        variable and no basis cached.  A build whose certificate does not
-        fire finishes and caches its basis, so a miss costs no second
-        build.  The leads are read packed."""
+        The leads are read packed from the reduced basis cached first,
+        under any order, since dim P/I = dim P/in(I) for every monomial
+        order.  With none cached, a degrevlex build runs with the zero-dimensional certificate of `_buchberger`:
+        an ideal without a constant term in its generators whose leads
+        come to hold a pure power of every variable has dimension 0,
+        reported with no witness variable and no basis cached.  A build
+        whose certificate does not fire finishes and caches its basis, so
+        a miss costs no second build."""
         if self._dim is not None:
             return self._dim
         ctx = self.context
-        built = (self._cache.get(DEGREVLEX)
+        built = (next(iter(self._cache.values()), None)
                  or self._build(DEGREVLEX, certify=True))
         if built is None:
             report = DimensionReport(0, ())

@@ -9,7 +9,7 @@ from itertools import combinations
 
 from .errors import ContextMismatchError
 from .groebner import _Monomials, _nf, _polynomial, _steps
-from .poly import DEGREVLEX, Polynomial
+from .poly import Polynomial
 
 
 class PolyMatrix:
@@ -93,16 +93,6 @@ class PolyMatrix:
             raise ValueError("minor needs equally many rows and columns")
         return self.minors(len(rows), rows, cols)[0]
 
-    def signed_row_sequence_minor(self, row_sequence, cols):
-        """Determinant taken with rows in the given sequence order; a repeated
-        row gives zero, otherwise the sorted minor times the permutation sign."""
-        seq = tuple(row_sequence)
-        if len(set(seq)) != len(seq):
-            return self.context.zero
-        sorted_rows = tuple(sorted(seq))
-        sign = _permutation_sign(seq)
-        return self.minor(sorted_rows, tuple(cols)) * sign
-
     def minors(self, size, rows=None, cols=None, modulo=None):
         """All size x size minors over the given row/column pools, ordered
         lexicographically by (row set, column set).  With `modulo`, an
@@ -127,7 +117,7 @@ class PolyMatrix:
                 f"minor size {size} exceeds available rows/columns")
         ctx = self.context
         if modulo is None:
-            mons = _Monomials(DEGREVLEX.key_for(ctx), ctx.arity)
+            mons = _Monomials(ctx._canon_key, ctx.arity)
         elif modulo.context != ctx:
             raise ContextMismatchError("ideal context mismatch")
         else:
@@ -171,16 +161,6 @@ class PolyMatrix:
             lines.append("[ " + "  ".join(c.rjust(w) for c, w in zip(row, widths))
                          + " ]")
         return "\n".join(lines)
-
-
-def _permutation_sign(seq):
-    sign = 1
-    items = list(seq)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[i] > items[j]:
-                sign = -sign
-    return sign
 
 
 def _laplace(entries, mons, cache, rows, cols):

@@ -211,12 +211,17 @@ class Polynomial:
     @classmethod
     def _make(cls, context, mapping):
         """Build from {exponents: coefficient}; zero coefficients are dropped."""
+        key = context._canon_key
+        return cls._ordered(context, tuple(sorted(
+            ((e, c) for e, c in mapping.items() if c),
+            key=lambda t: key(t[0]), reverse=True)))
+
+    @classmethod
+    def _ordered(cls, context, terms):
+        """Build from a tuple of nonzero terms already in canonical
+        descending order (see `groebner._polynomial`)."""
         self = object.__new__(cls)
         self.context = context
-        key = context._canon_key
-        terms = tuple(sorted(
-            ((e, c) for e, c in mapping.items() if c),
-            key=lambda t: key(t[0]), reverse=True))
         self.terms = terms
         self._hash = None
         return self

@@ -30,7 +30,13 @@ class SymmetricPresentation:
     algebra: object
     extended_context: VariableContext
     ideal: IdealHandle              # lifted relations + linear forms
-    is_complete_intersection: bool
+
+    @property
+    def is_complete_intersection(self):
+        """Whether J's height is its generator count; read after the Rees
+        stage, from the basis of J it cached (`krull_dimension`)."""
+        dim = self.ideal.krull_dimension().dimension
+        return self.extended_context.arity - dim == len(self.ideal.generators)
 
 
 @dataclass(frozen=True)
@@ -55,8 +61,8 @@ def extended_context(ctx):
 
 
 def symmetric_presentation(algebra):
-    """Present the symmetric algebra and report whether its defining ideal
-    is a complete intersection (height equals the generator count).
+    """Present the symmetric algebra; whether its defining ideal is a
+    complete intersection is read on request, and builds no basis here.
 
     The linear forms read the Jacobian entries reduced modulo I; they
     differ from the raw derivatives by elements of I*P[T], which the
@@ -75,16 +81,9 @@ def symmetric_presentation(algebra):
                 continue
             acc = acc + lift_to_extended(entry, big) * big.gen(n + i)
         forms.append(acc)
-    handle = IdealHandle(big, lifted + tuple(forms))
-    count = len(handle.generators)
-    if count == 0:
-        height = 0
-    else:
-        dim = handle.krull_dimension().dimension
-        height = big.arity - dim
     return SymmetricPresentation(
-        algebra=algebra, extended_context=big, ideal=handle,
-        is_complete_intersection=height == count)
+        algebra=algebra, extended_context=big,
+        ideal=IdealHandle(big, lifted + tuple(forms)))
 
 
 TEST_ELEMENT_DRAWS = 64
@@ -154,7 +153,8 @@ def rees_ideal(algebra, seed=0, symmetric=None):
     (`saturating_variable`) the saturation is J : X_j^inf, read off one
     degrevlex basis of J with X_j ranked last; otherwise it is J : g^inf,
     read off one of J + (z - g) with z ranked last
-    (`IdealHandle.saturation`)."""
+    (`IdealHandle.saturation`).  The torsion tests read the first basis
+    of J cached (`IdealHandle.contains`): at X_j, the divided one."""
     sym = symmetric or symmetric_presentation(algebra)
     g = find_test_element(algebra, seed=seed)
     j = saturating_variable(algebra)

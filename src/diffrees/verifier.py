@@ -33,6 +33,7 @@ from pathlib import Path
 
 from .algebra import GradedAlgebra
 from .casefile import load_case, load_matrix_file
+from .eagon_northcott import build_en, en_acyclicity
 from .errors import (ParseError, ResolutionLengthError,
                      StepBudgetExceeded, TestElementSearchError,
                      ValidationError)
@@ -293,13 +294,14 @@ def _pipeline(case, algebra, report, seed):
     rees = _rees(algebra, report, seed, symmetric=sym)
     linear = _linear_type(report, rees)
     cm, spread = _rees_cm(report, rees)
-    report.hypotheses["symmetric_algebra_ci"] = sym.is_complete_intersection
+    # read after the Rees stage, from the basis of J its division built
+    sym_ci = sym.is_complete_intersection
+    report.hypotheses["symmetric_algebra_ci"] = sym_ci
 
     _run_assertions(report, reduced=reduced,
                     condition_i=condition_i.holds, f0=f0.holds,
                     f1=f1.holds, f1_off=f1_off.holds,
-                    linear=linear, cm=cm, spread_rec=spread,
-                    sym_ci=sym.is_complete_intersection)
+                    linear=linear, cm=cm, spread_rec=spread, sym_ci=sym_ci)
     if reduced:
         with _stage(report, "shortcut"):
             report.shortcut = _shortcut(algebra, report)
@@ -483,23 +485,36 @@ def _last_rows_size(algebra, report):
         return None
 
 
-def en_dump_input(path):
-    """The matrix whose Eagon-Northcott complex `en-dump` prints, the
-    algebra it is read over, and a report: for a case file the last-rows
-    block of the Jacobian presentation over the case's algebra, for a
-    [matrix] file its matrix over the polynomial ring (no algebra).  The
-    matrix is None when the report refuses the input."""
+def en_dump(path):
+    """The Eagon-Northcott complex `en-dump` prints, its acyclicity record
+    and a report: for a case file the complex of the last-rows block of
+    the Jacobian presentation over the case's algebra, for a [matrix]
+    file that of its matrix over the polynomial ring.  The complex and
+    the record are None when the report refuses the input or, as for
+    every case command, records that a resource ran out."""
+    found = [None, None]
+
+    def complex_of(matrix, quotient=None):
+        found[:] = build_en(matrix), en_acyclicity(matrix, quotient)
+
     if Path(path).suffix != ".case":
         matrix, refusal = _parsed(path, load_matrix_file)
-        return matrix, None, refusal
-    found = [None, None]
+        if matrix is None:
+            return None, None, refusal
+        report = Report(case=str(path))
+        try:
+            complex_of(matrix)
+        except RESOURCE_ERRORS as ex:
+            _fail(report, "resource_exhausted", "pipeline", "resource",
+                  str(ex))
+        return (*found, report)
 
     def block(case, algebra, report, seed):
         t = _last_rows_size(algebra, report)
         if t is not None:
             n, theta = algebra.arity, algebra.jacobian_presentation()
-            found[:] = (theta.submatrix(range(n - t, n), range(theta.ncols)),
-                        algebra)
+            complex_of(theta.submatrix(range(n - t, n), range(theta.ncols)),
+                       algebra)
 
     report = open_case(path, block)
     return (*found, report)

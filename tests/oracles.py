@@ -35,6 +35,8 @@ reduced basis, which the differential tests check.
                                        minimize_matrices
     syzygies of columns              syzygies
     minors                           laplace_minors
+    minors with rows in sequence     signed_row_sequence_minor
+      order (the Euler identity)
 
 The rest adapt the library's forms to these: `int_key` reads a tuple key
 as the int key the library runs on, `monic_basis` unpacks a packed
@@ -892,3 +894,15 @@ def laplace_minors(matrix, size, rows, cols):
     return [laplace_minor(matrix, rs, cs, cache)
             for rs in combinations(rows, size)
             for cs in combinations(cols, size)]
+
+
+def signed_row_sequence_minor(matrix, row_sequence, cols):
+    """Determinant of a `PolyMatrix` with its rows taken in the given
+    sequence order: zero for a repeated row, otherwise the library's
+    `minor` on the sorted rows times the sign of the sorting
+    permutation."""
+    seq = tuple(row_sequence)
+    if len(set(seq)) != len(seq):
+        return matrix.context.zero
+    inversions = sum(a > b for a, b in combinations(seq, 2))
+    return matrix.minor(tuple(sorted(seq)), tuple(cols)) * (-1) ** inversions

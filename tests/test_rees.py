@@ -6,7 +6,9 @@ from diffrees.algebra import GradedAlgebra
 from diffrees.errors import NotReducedError
 from diffrees.fitting import ft_condition
 from diffrees.groebner import IdealHandle
-from diffrees.poly import MonomialOrder, VariableContext, parse_polynomial
+from diffrees import verifier
+from diffrees.poly import (DEGREVLEX, MonomialOrder, VariableContext,
+                           parse_polynomial)
 from diffrees.rees import (analytic_spread, extended_context,
                            find_test_element, is_linear_type, kills_torsion,
                            lift_to_extended, rees_ideal, saturating_variable,
@@ -225,6 +227,50 @@ def test_each_variable_that_kills_torsion_gives_the_rees_ideal(cases_dir):
     assert smaller[ci_n4_a.relations] == [0, 2]
     # four-point-cone, ci-n4-a and ci-n4-b
     assert list(smaller.values()) == [[3], [0, 2], [0, 2]]
+
+
+def test_the_symmetric_ideal_is_built_once_per_case(shipped_cases,
+                                                    cases_dir, monkeypatch):
+    """J, the symmetric-algebra ideal, has one basis per pipeline case
+    wherever a base variable X_j qualifies: the one with X_j ranked last
+    that the Rees division builds also answers J's dimension, for the
+    complete-intersection verdict read after the Rees stage, and the
+    torsion membership tests.  On the z path, coordinate-cross only, J is
+    built in degrevlex, once, for both."""
+    expected = {}
+    for case, algebra in zip(shipped_cases, shipped_algebras(cases_dir)):
+        if case.mode != "prop31":
+            j = saturating_variable(algebra)
+            expected[case.name] = [DEGREVLEX if j is None
+                                   else MonomialOrder(j)]
+    built = []
+    build = IdealHandle._build
+
+    def recording(handle, order, certify=False):
+        built.append((handle, order))
+        return build(handle, order, certify)
+
+    presented = []
+
+    def presenting(algebra):
+        presented.append(symmetric_presentation(algebra))
+        return presented[-1]
+
+    monkeypatch.setattr(IdealHandle, "_build", recording)
+    monkeypatch.setattr(verifier, "symmetric_presentation", presenting)
+    orders = {}
+    for case in shipped_cases:
+        if case.mode == "prop31":
+            continue
+        built.clear()
+        presented.clear()
+        assert run_case(case).status == "ok", case.name
+        (sym,) = presented
+        orders[case.name] = [order for handle, order in built
+                             if handle is sym.ideal]
+    assert orders == expected
+    assert [name for name, (order,) in orders.items()
+            if order == DEGREVLEX] == ["coordinate-cross"]
 
 
 def test_every_build_of_a_corpus_run_is_degrevlex(shipped_cases,

@@ -672,6 +672,30 @@ relations = X1^2 + X2^2 + X3^2 + X4^2; X1^2 + 2*X2^2 + 3*X3^2 + 4*X4^2
     capsys.readouterr()
 
 
+def test_cli_en_dump_budget_ends_in_a_report(tmp_path, capsys, cases_dir):
+    """A budget that lets the parse through but runs out in the complex
+    table ends as every case command's does: a resource_exhausted report
+    with exit status 3, nothing on stderr.  A matrix file does the same."""
+    path = str(cases_dir / "curve-probe.case")
+    report = _json_report(capsys, "--budget", "20", "en-dump", path, code=3)
+    assert report["status"] == "resource_exhausted"
+    assert report["case"] == "curve-probe"
+    assert [(e["stage"], e["code"]) for e in report["errors"]] == [
+        ("pipeline", "resource")]
+    assert "budget of 20 exceeded" in report["errors"][0]["message"]
+    assert not capsys.readouterr().err
+    assert main(["--budget", "20", "en-dump", path]) == 3
+    out = capsys.readouterr().out
+    assert "status: resource_exhausted\n" in out
+    assert "error[pipeline]: Groebner step budget of 20 exceeded" in out
+    matrix = _write(tmp_path, "m.matrix", "[matrix]\nvariables = X, Y, Z, W"
+                    "\nrows = X; Y; Z\n    Y; Z; W\n")
+    report = _json_report(capsys, "--budget", "1", "en-dump", matrix, code=3)
+    assert (report["case"], report["status"]) == (matrix,
+                                                  "resource_exhausted")
+    assert not capsys.readouterr().err
+
+
 def test_cli_corpus(capsys):
     assert main(["corpus"]) == 0
     out = capsys.readouterr().out
