@@ -24,8 +24,7 @@ from .rees import (ReesPresentation, SymmetricPresentation, analytic_spread,
                    symmetric_presentation)
 from .resolution import FreeResolution, depth_and_cm, free_resolution
 from .sampler import probe_corpus, random_graded_ci
-from .verifier import (Report, emit_report, run_case, run_pipeline,
-                       smooth_ci_shortcut)
+from .verifier import Report, emit_report, run_case, smooth_ci_shortcut
 
 __version__ = "0.1.0"
 

@@ -8,8 +8,8 @@ Grammar (configparser dialect, `#`-comments):
     weights   = 1, 1, 1          # optional, defaults to all 1
     relations = X*Y - Z^2        # ';'-separated and/or one per line
 
-    [expect]                     # optional expected verdicts
-    f1 = true
+    [expect]                     # optional expected verdicts, for
+    f1 = true                    # run = pipeline only
     rees_dim = 4
     torsion_contains = X*T2
     rees_ideal = X*Y; X*T2; Y*T1; T1*T2
@@ -152,6 +152,9 @@ def load_case(path):
             seed = _parse_int("seed", msec["seed"])
         if "rowops" in msec:
             rowops = _parse_int("rowops", msec["rowops"], nonnegative=True)
+    if mode == "prop31" and parser.has_section("expect"):
+        raise ParseError("[expect] applies to run = pipeline only, and "
+                         "[mode] has run = prop31")
 
     return CaseFile(name=name, context=context, relations=tuple(relations),
                     expectations=expectations, mode=mode, seed=seed,

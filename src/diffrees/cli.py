@@ -13,14 +13,9 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
-from .errors import DiffreesError
-from .fitting import height_json
-from .groebner import step_budget
-from .verifier import (EXIT_ASSERTION, EXIT_INVALID, EXIT_OK, EXIT_RESOURCE,
-                       RESOURCE_ERRORS, emit_report, en_dump,
+from .verifier import (EXIT_ASSERTION, EXIT_OK, emit_report, en_dump,
                        ft_section, hypotheses_section, linear_type_section,
-                       open_case, probe_sections, rees_cm_section,
-                       run_case_path)
+                       open_case, probe_sections, rees_cm_section)
 
 
 def _int_at_least(lowest):
@@ -60,71 +55,56 @@ def _parser():
                         help="parallel worker processes for directory runs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("validate", help="check the input hypotheses") \
-        .add_argument("case")
-    ft = sub.add_parser("ft-check", help="Fitting-height condition for one t")
-    ft.add_argument("case")
+    def case_command(name, fill, help, option=None):
+        """A subcommand that prints the report `fill` fills (see
+        `_emit_case`)."""
+        command = sub.add_parser(name, help=help)
+        command.add_argument("case")
+        command.set_defaults(run=partial(_emit_case, fill=fill,
+                                         option=option))
+        return command
+
+    case_command("validate", hypotheses_section,
+                 "check the input hypotheses")
+    ft = case_command("ft-check", ft_section,
+                      "Fitting-height condition for one t", option="t")
     ft.add_argument("--t", type=_nonnegative_int, required=True)
-    sub.add_parser("linear-type", help="compare the Rees and symmetric "
-                                       "ideals").add_argument("case")
-    sub.add_parser("rees-cm", help="depth and Cohen-Macaulay verdict for "
-                                   "the Rees algebra").add_argument("case")
-    probe = sub.add_parser("prop31", help="last-rows minor comparison probe")
-    probe.add_argument("case")
+    case_command("linear-type", linear_type_section,
+                 "compare the Rees and symmetric ideals")
+    case_command("rees-cm", rees_cm_section,
+                 "depth and Cohen-Macaulay verdict for the Rees algebra")
+    probe = case_command("prop31", probe_sections,
+                         "last-rows minor comparison probe", option="rowops")
     probe.add_argument("--rowops", type=_nonnegative_int, default=None,
                        help="extra random invertible row-operation trials")
     dump = sub.add_parser("en-dump", help="print the Eagon-Northcott complex "
                                           "of a case's last-rows block or of "
                                           "a [matrix] file")
     dump.add_argument("path")
+    dump.set_defaults(run=cmd_en_dump)
     verify = sub.add_parser("verify", help="full pipeline with assertions")
     verify.add_argument("target", help="case file or directory of .case "
                                        "files")
-    sub.add_parser("corpus", help="run the shipped example cases")
+    verify.set_defaults(run=cmd_verify)
+    sub.add_parser("corpus", help="run the shipped example cases") \
+        .set_defaults(run=cmd_corpus)
     return parser
 
 
-def _emit_case(args, fill, standard_graded=False):
-    """Print the report of one case command (see `verifier.open_case`)."""
-    report = open_case(args.case, fill, args.seed, standard_graded)
+def _emit_case(args, fill, option=None):
+    """Print the report of one case command (see `verifier.open_case`);
+    `option` names the command's own option, which `fill` takes as a
+    keyword."""
+    if option is not None:
+        fill = partial(fill, **{option: getattr(args, option)})
+    report = open_case(args.case, fill, args.seed, args.budget)
     return _emit_reports([report], args)
 
 
-def cmd_validate(args):
-    return _emit_case(args, hypotheses_section)
-
-
-def cmd_ft_check(args):
-    return _emit_case(args, partial(ft_section, t=args.t))
-
-
-def cmd_linear_type(args):
-    return _emit_case(args, linear_type_section, standard_graded=True)
-
-
-def cmd_rees_cm(args):
-    return _emit_case(args, rees_cm_section, standard_graded=True)
-
-
-def cmd_prop31(args):
-    return _emit_case(args, partial(probe_sections, rowops=args.rowops))
-
-
 def cmd_en_dump(args):
-    complex_, record, report = en_dump(args.path)
+    complex_, payload, report = en_dump(args.path, args.budget)
     if complex_ is None:
         return _emit_reports([report], args)
-    payload = {
-        "ranks": list(complex_.ranks),
-        "differentials": [[[str(p) for p in row] for row in d.entries]
-                          for d in complex_.differentials],
-        "labels": [[repr(l) for l in stage] for stage in
-                   complex_.basis_labels],
-        "acyclicity": {"minor_height": height_json(record.minor_height),
-                       "bound": record.bound,
-                       "criterion_met": record.criterion_met},
-        "is_complex": complex_.is_complex(),
-    }
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
         return EXIT_OK
@@ -132,9 +112,11 @@ def cmd_en_dump(args):
     for k, d in enumerate(complex_.differentials, start=1):
         print(f"d_{k} ({d.nrows}x{d.ncols}):")
         print(d.pretty())
-    print(f"height of maximal minors: {record.minor_height} "
-          f"(bound {record.bound}) -> "
-          + ("acyclic" if record.criterion_met else "criterion not met"))
+    acyclicity = payload["acyclicity"]
+    print(f"height of maximal minors: {acyclicity['minor_height']} "
+          f"(bound {acyclicity['bound']}) -> "
+          + ("acyclic" if acyclicity["criterion_met"]
+             else "criterion not met"))
     return EXIT_OK
 
 
@@ -148,19 +130,18 @@ def _case_paths(target):
 
 
 def _run_many(paths, args):
-    results = []
+    """The reports of the case files at `paths`, each run in its own mode
+    (see `verifier.open_case`), in case-name order."""
+    run = partial(open_case, seed=args.seed, budget=args.budget)
+    paths = [str(p) for p in paths]
     if args.jobs > 1 and len(paths) > 1:
         workers = min(args.jobs, len(paths))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(str(p), pool.submit(run_case_path, str(p),
-                                            args.seed, args.budget))
-                       for p in paths]
-            results = [(name, f.result()) for name, f in futures]
+            futures = [pool.submit(run, p) for p in paths]
+            reports = [f.result() for f in futures]
     else:
-        results = [(str(p), run_case_path(str(p), args.seed, args.budget))
-                   for p in paths]
-    results.sort(key=lambda pair: pair[1].case)
-    return [r for _, r in results]
+        reports = [run(p) for p in paths]
+    return sorted(reports, key=lambda r: r.case)
 
 
 def _emit_reports(reports, args):
@@ -197,26 +178,7 @@ def cmd_corpus(args):
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    handlers = {
-        "validate": cmd_validate,
-        "ft-check": cmd_ft_check,
-        "linear-type": cmd_linear_type,
-        "rees-cm": cmd_rees_cm,
-        "prop31": cmd_prop31,
-        "en-dump": cmd_en_dump,
-        "verify": cmd_verify,
-        "corpus": cmd_corpus,
-    }
-    try:
-        # verify and corpus open a budget per case, in run_case
-        with step_budget(args.budget):
-            return handlers[args.command](args)
-    except RESOURCE_ERRORS as ex:
-        print(f"resource exhausted: {ex}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except DiffreesError as ex:
-        print(f"invalid input: {ex}", file=sys.stderr)
-        return EXIT_INVALID
+    return args.run(args)
 
 
 if __name__ == "__main__":

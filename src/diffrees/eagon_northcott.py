@@ -110,9 +110,9 @@ def build_en(matrix):
         ranks.append(len(basis))
         labels.append(tuple(basis))
 
-    # d_1: the row of maximal minors, ordered by column subset.
-    first = [[matrix.minor(tuple(range(t)), J) for (J, _) in stage_bases[0]]]
-    diffs.append(PolyMatrix(ctx, tuple(tuple(r) for r in first)))
+    # d_1: the row of maximal minors, ordered by column subset as
+    # `minors` lists them.
+    diffs.append(PolyMatrix(ctx, (tuple(matrix.minors(t)),)))
 
     for i in range(2, length + 1):
         source = stage_bases[i - 1]

@@ -186,9 +186,10 @@ def _primitive(ints, mons):
 def _cleared(terms, pack):
     """(scale, ints): a polynomial's (exponent tuple, rational) terms
     packed by `pack`, times the lcm `scale` of their denominators, as a
-    {monomial: int} dict.  The one place where Fractions enter the
-    kernel: `_buchberger` clears its generators here and
-    `IdealHandle.normal_form` its argument, so `_nf` sees ints only."""
+    {monomial: int} dict.  `_buchberger` clears its generators here and
+    `IdealHandle.normal_form` its argument; `PolyMatrix.minors` clears
+    each column of its matrix by the lcm of the column's denominators
+    itself.  So `_nf` sees ints only."""
     scale = math.lcm(*(c.denominator for _, c in terms))
     return scale, {pack(e): c.numerator * (scale // c.denominator)
                    for e, c in terms}

@@ -28,15 +28,15 @@ class SymmetricPresentation:
     """Defining data of the symmetric algebra over the extended ring."""
 
     algebra: object
-    extended_context: VariableContext
-    ideal: IdealHandle              # lifted relations + linear forms
+    ideal: IdealHandle              # lifted relations + linear forms, in
+    #                                 the extended ring
 
     @property
     def is_complete_intersection(self):
         """Whether J's height is its generator count; read after the Rees
         stage, from the basis of J it cached (`krull_dimension`)."""
         dim = self.ideal.krull_dimension().dimension
-        return self.extended_context.arity - dim == len(self.ideal.generators)
+        return self.ideal.context.arity - dim == len(self.ideal.generators)
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,7 @@ def symmetric_presentation(algebra):
             acc = acc + lift_to_extended(entry, big) * big.gen(n + i)
         forms.append(acc)
     return SymmetricPresentation(
-        algebra=algebra, extended_context=big,
-        ideal=IdealHandle(big, lifted + tuple(forms)))
+        algebra=algebra, ideal=IdealHandle(big, lifted + tuple(forms)))
 
 
 TEST_ELEMENT_DRAWS = 64
@@ -159,8 +158,7 @@ def rees_ideal(algebra, seed=0, symmetric=None):
     g = find_test_element(algebra, seed=seed)
     j = saturating_variable(algebra)
     by = g if j is None else algebra.context.gen(j)
-    saturated = sym.ideal.saturation(lift_to_extended(by,
-                                                      sym.extended_context))
+    saturated = sym.ideal.saturation(lift_to_extended(by, sym.ideal.context))
     torsion = tuple(h for h in saturated.groebner_basis()
                     if not sym.ideal.contains(h))
     return ReesPresentation(symmetric=sym, ideal=saturated, test_element=g,
@@ -189,7 +187,7 @@ def analytic_spread(rees):
     """Dimension of the special fiber (the Rees algebra modulo the base
     variables), with the inequality checks it must satisfy."""
     algebra = rees.symmetric.algebra
-    big = rees.symmetric.extended_context
+    big = rees.symmetric.ideal.context
     n = algebra.arity
     d = algebra.dimension
     e = d

@@ -12,9 +12,10 @@ asserts the cross-implications these verdicts must satisfy:
   gamma: the F_0 verdict forces the symmetric-algebra ideal to be a
          complete intersection.
 
-Every case command enters through `open_case`, which parses, validates
-and refuses as the pipeline does and lets the command fill the report
-sections it computes, with the builders the pipeline runs.
+Every case command enters through `open_case`, which opens the case's
+step budget, parses, validates and lets the command fill the report
+sections it computes, with the builders the pipeline runs; a refusal, a
+resource error or an unexpected exception ends in the report.
 
 Assertion failures are defects, never tolerated outcomes; the text format
 carries timings, the JSON format omits them so equal seeds give byte-equal
@@ -28,7 +29,6 @@ import time
 import traceback
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from pathlib import Path
 
 from .algebra import GradedAlgebra
@@ -52,8 +52,7 @@ EXIT_RESOURCE = 3
 EXIT_INVALID = 4
 EXIT_INTERNAL = 5
 
-# why the pipeline, and each CLI command that runs a stage of it, refuses
-# a weighted algebra
+# why every stage of the pipeline refuses a weighted algebra
 GRADING_MESSAGE = ("the pipeline needs a standard-graded algebra; weighted "
                    "inputs only support the probe operations")
 
@@ -122,24 +121,56 @@ def _fail(report, status, stage, code, message):
 
 
 # ---------------------------------------------------------------------------
-# The front door of every case command: parse, validate, refuse a weighted
-# algebra where a pipeline stage runs, then fill the report's sections.
+# The front door of every case command: open the case's step budget, parse,
+# validate, fill the report's sections, and report whatever goes wrong.
 
-def open_case(path, fill, seed=None, standard_graded=False):
-    """The report of one case command on the case file at `path`.  The
-    file is parsed, its algebra validated and, with `standard_graded` (for
-    every command that runs a stage of the pipeline), a weighted algebra
-    refused; then `fill(case, algebra, report, seed)` fills the sections
-    the command computes, `seed` being the case's seed for `seed`.  A
-    refusal, and a resource error of the parse or of `fill`, become the
-    report's status and errors exactly as in `run_case_path`."""
-    case, report = _parsed(path)
-    if case is None:
-        return report
-    return _checked(case, fill, seed, standard_graded)
+def open_case(path, fill=None, seed=None, budget=None):
+    """The report of one case command on the case file at `path`, under
+    one step budget of `budget` steps (the default cap when None) for the
+    parse and the run together.  The file is parsed and its algebra
+    validated; then `fill(case, algebra, report, seed)` fills the sections
+    the command computes, `seed` being the case's seed for `seed`; with
+    `fill` None those of the case's own mode.  A refusal or a resource
+    error becomes the report's status and errors, and any other exception
+    an internal-error report (see `_door`)."""
+    def run(case):
+        return _checked(case, fill or _MODES[case.mode], seed)
+
+    return _door(path, load_case, run, budget)
 
 
-def _parsed(path, load=load_case):
+def run_case(case, seed=None, budget=None):
+    """Run a parsed case in its mode under one step budget for the whole
+    case (`budget` reduction steps, the default cap when None); an
+    exception no report stage names is raised."""
+    with step_budget(budget):
+        return _checked(case, _MODES[case.mode], seed)
+
+
+def _door(path, load, run, budget):
+    """Under one step budget of `budget` steps: `run(parsed)`, the report
+    of what `load` reads from the file at `path`, or the refusal report of
+    its parse.  Any other exception of the parse or the run becomes an
+    internal-error report carrying its traceback, so one faulty case never
+    loses the others of a directory run."""
+    name = str(path)
+    with step_budget(budget):
+        try:
+            parsed, refusal = _parsed(path, load)
+            if parsed is None:
+                return refusal
+            # a case's report bears its name, a matrix file's its path
+            name = getattr(parsed, "name", name)
+            return run(parsed)
+        except Exception as ex:
+            report = Report(case=name, status="internal_error")
+            report.errors.append({"stage": "pipeline", "code": "internal",
+                                  "message": f"{type(ex).__name__}: {ex}",
+                                  "traceback": traceback.format_exc()})
+            return report
+
+
+def _parsed(path, load):
     """What `load` reads from the file at `path` and None, or None and a
     refusal report when the file does not parse or its parse runs out of
     the step budget."""
@@ -152,25 +183,39 @@ def _parsed(path, load=load_case):
     return None, _fail(Report(case=str(path)), status, "parse", code, message)
 
 
-def _checked(case, fill, seed=None, standard_graded=False):
-    """A report for the parsed case: its validation issues, its grading
-    refusal, or the sections `fill` computes (see `open_case`)."""
+def _checked(case, fill, seed):
+    """A report for the parsed case: its validation issues, or the
+    sections `fill` computes (see `open_case`)."""
     report = _new_report(case)
-    try:
-        algebra = GradedAlgebra.validate(case.context, case.relations)
-    except ValidationError as ex:
-        for issue in ex.issues:
-            _fail(report, "invalid_input", "validate", issue.code,
-                  issue.message)
-        return report
-    if standard_graded and not algebra.standard_graded:
-        return _fail(report, "invalid_input", "validate", "grading",
-                     GRADING_MESSAGE)
-    try:
+    with _resources(report):
+        try:
+            algebra = GradedAlgebra.validate(case.context, case.relations)
+        except ValidationError as ex:
+            for issue in ex.issues:
+                _fail(report, "invalid_input", "validate", issue.code,
+                      issue.message)
+            return report
         fill(case, algebra, report, case.seed_for(seed))
+    return report
+
+
+@contextmanager
+def _resources(report):
+    """End `report` as resource_exhausted, stage `pipeline`, when the
+    block runs out of a resource."""
+    try:
+        yield
     except RESOURCE_ERRORS as ex:
         _fail(report, "resource_exhausted", "pipeline", "resource", str(ex))
-    return report
+
+
+def _standard_graded(algebra, report):
+    """Whether the algebra is standard graded, as every stage of the
+    pipeline needs; a weighted one is refused in the report."""
+    if algebra.standard_graded:
+        return True
+    _fail(report, "invalid_input", "validate", "grading", GRADING_MESSAGE)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +240,15 @@ def ft_section(case, algebra, report, seed, *, t):
 
 def linear_type_section(case, algebra, report, seed):
     """The linear-type verdict, with the test element and the torsion."""
-    _linear_type(report, _rees(algebra, report, seed))
+    if _standard_graded(algebra, report):
+        _linear_type(report, _rees(algebra, report, seed))
 
 
 def rees_cm_section(case, algebra, report, seed):
     """The Cohen-Macaulay verdict of the Rees algebra and the analytic
     spread."""
-    _rees_cm(report, _rees(algebra, report, seed))
+    if _standard_graded(algebra, report):
+        _rees_cm(report, _rees(algebra, report, seed))
 
 
 NOT_REDUCED = "rank hypotheses not met: base is not reduced"
@@ -216,29 +263,28 @@ def _rees(algebra, report, seed, symmetric=None):
 
 
 def _linear_type(report, rees):
-    """Fill the linear-type section; the verdict, None without `rees`."""
+    """Fill the linear-type section, with a note in place of the verdict
+    without `rees`."""
     if rees is None:
         report.linear_type = {"holds": None, "note": NOT_REDUCED}
-        return None
-    holds = is_linear_type(rees)
+        return
     witness = (str(rees.torsion_generators[0])
                if rees.torsion_generators else None)
     report.linear_type = {
-        "holds": holds,
+        "holds": is_linear_type(rees),
         "test_element": str(rees.test_element),
         "torsion_generators": [str(t) for t in rees.torsion_generators],
         "torsion_witness": witness,
     }
-    return holds
 
 
 def _rees_cm(report, rees):
-    """Fill the Rees Cohen-Macaulay and spread sections; their records,
-    None without `rees`."""
+    """Fill the Rees Cohen-Macaulay and spread sections, with notes in
+    place of the verdicts without `rees`."""
     if rees is None:
         report.rees_cm = {"holds": None, "note": NOT_REDUCED}
         report.spread = {"value": None, "note": NOT_REDUCED}
-        return None, None
+        return
     with _stage(report, "rees_cm"):
         cm = depth_and_cm(rees.ideal)
     report.rees_cm = {
@@ -249,22 +295,15 @@ def _rees_cm(report, rees):
         "method": cm.method,
     }
     with _stage(report, "spread"):
-        spread = analytic_spread(rees)
-    report.spread = asdict(spread)
-    return cm, spread
-
-
-def run_pipeline(case, seed=None):
-    """Execute the full pipeline for a parsed case file and build a report.
-
-    Resource and exhaustion errors are caught and reported; the structural
-    assertions are evaluated on whatever verdicts exist, and the case's
-    expectations, a Rees ideal among them, on the finished report.
-    """
-    return _checked(case, _pipeline, seed, standard_graded=True)
+        report.spread = asdict(analytic_spread(rees))
 
 
 def _pipeline(case, algebra, report, seed):
+    """The full pipeline: every section, then the structural assertions
+    on the verdicts the sections hold, and the case's expectations, a
+    Rees ideal among them, on the finished report."""
+    if not _standard_graded(algebra, report):
+        return
     algebra.euler_residuals()
     with _stage(report, "hypotheses"):
         reduced = algebra.is_reduced()
@@ -292,16 +331,12 @@ def _pipeline(case, algebra, report, seed):
     with _stage(report, "symmetric"):
         sym = symmetric_presentation(algebra)
     rees = _rees(algebra, report, seed, symmetric=sym)
-    linear = _linear_type(report, rees)
-    cm, spread = _rees_cm(report, rees)
+    _linear_type(report, rees)
+    _rees_cm(report, rees)
     # read after the Rees stage, from the basis of J its division built
-    sym_ci = sym.is_complete_intersection
-    report.hypotheses["symmetric_algebra_ci"] = sym_ci
+    report.hypotheses["symmetric_algebra_ci"] = sym.is_complete_intersection
 
-    _run_assertions(report, reduced=reduced,
-                    condition_i=condition_i.holds, f0=f0.holds,
-                    f1=f1.holds, f1_off=f1_off.holds,
-                    linear=linear, cm=cm, spread_rec=spread, sym_ci=sym_ci)
+    _run_assertions(report)
     if reduced:
         with _stage(report, "shortcut"):
             report.shortcut = _shortcut(algebra, report)
@@ -318,19 +353,25 @@ def _pipeline(case, algebra, report, seed):
         report.status = "assertion_failure"
 
 
-def _run_assertions(report, *, reduced, condition_i, f0, f1, f1_off,
-                    linear, cm, spread_rec, sym_ci):
+def _run_assertions(report):
+    """The cross-implications (see the module doc), read off the verdicts
+    the pipeline's sections hold."""
+    hypotheses, fitting = report.hypotheses, report.fitting
+    f0, f1 = fitting["f0"]["holds"], fitting["f1"]["holds"]
     assertions = {}
-    if reduced:
+    if hypotheses["reduced"]:
+        linear = report.linear_type["holds"]
         assertions["f1_iff_linear_type"] = {
             "pass": f1 == linear,
             "f1": f1, "linear_type": linear,
         }
-        if condition_i and cm is not None:
-            combined = f1_off and report.edim["at_most_2d_minus_1"]
+        if hypotheses["condition_i"]:
+            cm = report.rees_cm["holds"]
+            combined = (fitting["f1_off_irrelevant"]["holds"]
+                        and report.edim["at_most_2d_minus_1"])
             assertions["cm_iff_f1"] = {
-                "pass": (cm.cohen_macaulay == f1) and (f1 == combined),
-                "rees_cm": cm.cohen_macaulay, "f1": f1,
+                "pass": (cm == f1) and (f1 == combined),
+                "rees_cm": cm, "f1": f1,
                 "combined_local_verdict": combined,
             }
         else:
@@ -338,12 +379,12 @@ def _run_assertions(report, *, reduced, condition_i, f0, f1, f1_off,
                 "pass": None,
                 "skipped": "condition (i) fails; raw verdicts only",
             }
+        sym_ci = hypotheses["symmetric_algebra_ci"]
         assertions["f0_implies_symmetric_ci"] = {
             "pass": (not f0) or sym_ci,
             "f0": f0, "symmetric_ci": sym_ci,
         }
-        if spread_rec is not None:
-            assertions["spread_bounds"] = {"pass": spread_rec.bounds_ok}
+        assertions["spread_bounds"] = {"pass": report.spread["bounds_ok"]}
     else:
         assertions["f1_iff_linear_type"] = {
             "pass": None, "skipped": "rank hypotheses not met"}
@@ -433,17 +474,12 @@ def check_rees_ideal_expectation(case, rees):
     expected = case.expectations.get("rees_ideal")
     if not expected:
         return None
-    big = rees.symmetric.extended_context
+    big = rees.symmetric.ideal.context
     gens = [parse_polynomial(big, raw) for raw in expected]
     return rees.ideal.equals(IdealHandle(big, gens))
 
 
 # ---------------------------------------------------------------------------
-
-def probe_report(case, rowops=None, seed=None):
-    """Report for the last-rows minor probe mode."""
-    return _checked(case, partial(probe_sections, rowops=rowops), seed)
-
 
 def probe_sections(case, algebra, report, seed, rowops=None):
     """The last-rows probe, with `rowops` row-operation trials (the case's
@@ -475,6 +511,10 @@ def probe_sections(case, algebra, report, seed, rowops=None):
         report.status = "assertion_failure"
 
 
+# the section builder of each case mode
+_MODES = {"pipeline": _pipeline, "prop31": probe_sections}
+
+
 def _last_rows_size(algebra, report):
     """`last_rows_size(algebra)`, or None after refusing an algebra the
     last-rows block does not fit."""
@@ -485,38 +525,49 @@ def _last_rows_size(algebra, report):
         return None
 
 
-def en_dump(path):
-    """The Eagon-Northcott complex `en-dump` prints, its acyclicity record
-    and a report: for a case file the complex of the last-rows block of
-    the Jacobian presentation over the case's algebra, for a [matrix]
-    file that of its matrix over the polynomial ring.  The complex and
-    the record are None when the report refuses the input or, as for
-    every case command, records that a resource ran out."""
+def en_dump(path, budget=None):
+    """The Eagon-Northcott complex `en-dump` prints, the JSON payload of
+    its table and a report: for a case file the complex of the last-rows
+    block of the Jacobian presentation over the case's algebra, for a
+    [matrix] file that of its matrix over the polynomial ring.  The whole
+    payload is computed behind the door of every case command
+    (`open_case`, `_door`), under one step budget of `budget` steps; the
+    complex and the payload are None when the report refuses the input,
+    or records that a resource ran out or an internal error."""
     found = [None, None]
 
-    def complex_of(matrix, quotient=None):
-        found[:] = build_en(matrix), en_acyclicity(matrix, quotient)
-
-    if Path(path).suffix != ".case":
-        matrix, refusal = _parsed(path, load_matrix_file)
-        if matrix is None:
-            return None, None, refusal
-        report = Report(case=str(path))
-        try:
-            complex_of(matrix)
-        except RESOURCE_ERRORS as ex:
-            _fail(report, "resource_exhausted", "pipeline", "resource",
-                  str(ex))
-        return (*found, report)
+    def table(matrix, quotient=None):
+        complex_ = build_en(matrix)
+        record = en_acyclicity(matrix, quotient)
+        found[:] = complex_, {
+            "ranks": list(complex_.ranks),
+            "differentials": [[[str(p) for p in row] for row in d.entries]
+                              for d in complex_.differentials],
+            "labels": [[repr(label) for label in stage]
+                       for stage in complex_.basis_labels],
+            "acyclicity": {"minor_height": height_json(record.minor_height),
+                           "bound": record.bound,
+                           "criterion_met": record.criterion_met},
+            "is_complex": complex_.is_complex(),
+        }
 
     def block(case, algebra, report, seed):
         t = _last_rows_size(algebra, report)
         if t is not None:
             n, theta = algebra.arity, algebra.jacobian_presentation()
-            complex_of(theta.submatrix(range(n - t, n), range(theta.ncols)),
-                       algebra)
+            table(theta.submatrix(range(n - t, n), range(theta.ncols)),
+                  algebra)
 
-    report = open_case(path, block)
+    def matrix_report(matrix):
+        report = Report(case=str(path))
+        with _resources(report):
+            table(matrix)
+        return report
+
+    if Path(path).suffix == ".case":
+        report = open_case(path, block, budget=budget)
+    else:
+        report = _door(path, load_matrix_file, matrix_report, budget)
     return (*found, report)
 
 
@@ -564,34 +615,3 @@ def _text_report(report):
         lines.append(f"timings: total={round(total, 3)}s ({stages})")
     return "\n".join(lines)
 
-
-def run_case(case, seed=None, budget=None):
-    """Run a parsed case in its mode under one step budget for the whole
-    case (`budget` reduction steps, the default cap when None)."""
-    with step_budget(budget):
-        return _run_in_mode(case, seed)
-
-
-def _run_in_mode(case, seed):
-    if case.mode == "prop31":
-        return probe_report(case, seed=seed)
-    return run_pipeline(case, seed=seed)
-
-
-def run_case_path(path, seed=None, budget=None):
-    """Load and run one case file under one step budget of `budget`
-    steps for the parse and the run together; a refused parse becomes its
-    report (see `open_case`) and any other exception an internal-error
-    report, so directory runs keep going."""
-    with step_budget(budget):
-        case, refusal = _parsed(path)
-        if case is None:
-            return refusal
-        try:
-            return _run_in_mode(case, seed)
-        except Exception as ex:  # one faulty case must not lose the others
-            report = Report(case=case.name, status="internal_error")
-            report.errors.append({"stage": "pipeline", "code": "internal",
-                                  "message": f"{type(ex).__name__}: {ex}",
-                                  "traceback": traceback.format_exc()})
-            return report

@@ -19,7 +19,7 @@ from diffrees.rees import (analytic_spread, is_linear_type, rees_ideal,
                            symmetric_presentation)
 from diffrees.resolution import depth_and_cm, free_resolution
 from diffrees.sampler import probe_corpus
-from diffrees.verifier import run_pipeline
+from diffrees.verifier import run_case
 from diffrees.casefile import CaseFile
 
 from conftest import random_homogeneous
@@ -69,7 +69,7 @@ def test_criterion_2_coordinate_cross(coordinate_cross):
     ok = (not f1.holds and f1.failing_index == 1
           and f1.actual == 1 and f1.required == 2)
     rp = rees_ideal(coordinate_cross)
-    big = rp.symmetric.extended_context
+    big = rp.symmetric.ideal.context
     witnesses = {str(t) for t in rp.torsion_generators}
     ok = ok and "X*T2" in witnesses
     expected = IdealHandle(big, [parse_polynomial(big, s) for s in
@@ -90,7 +90,7 @@ def test_criterion_3_curve_cone(curve_cone):
     ok = ok and not f1.holds and f1.failing_index == 3
     case = CaseFile(name="curve", context=curve_cone.context,
                     relations=curve_cone.relations)
-    report = run_pipeline(case)
+    report = run_case(case)
     ok = ok and report.status == "ok"
     ok = ok and report.rees_cm["holds"] is False
     ok = ok and report.shortcut["applicable"]
@@ -105,7 +105,7 @@ def test_criterion_4_surface_cone(surface_cone):
     start = time.monotonic()
     case = CaseFile(name="surface", context=surface_cone.context,
                     relations=surface_cone.relations)
-    report = run_pipeline(case)
+    report = run_case(case)
     ok = report.status == "ok"
     ok = ok and report.fitting["f1"]["holds"]
     ok = ok and report.linear_type["holds"]

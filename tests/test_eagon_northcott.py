@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -53,6 +54,32 @@ def test_catalecticant_complex(catalecticant):
     minors = catalecticant.minors(2)
     # same entries up to the fixed sign convention
     assert [p if p in minors else -p for p in d1] == minors
+
+
+def test_first_differential_is_one_minors_call(monkeypatch):
+    """d_1 is the row of maximal minors by column subset in lex order,
+    minor by minor, and `build_en` reads it off one `minors` call."""
+    rng = random.Random(43)
+    ctx = VariableContext(("X", "Y", "Z"))
+    calls = []
+    minors = PolyMatrix.minors
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(args)
+        return minors(matrix, *args, **kwargs)
+
+    for t in (1, 2, 3):
+        for m in range(t, 6):
+            matrix = PolyMatrix(ctx, tuple(
+                tuple(random_homogeneous(rng, ctx, 1, max_terms=2)
+                      for _ in range(m)) for _ in range(t)))
+            with monkeypatch.context() as patch:
+                patch.setattr(PolyMatrix, "minors", counted)
+                calls.clear()
+                d1 = build_en(matrix).differentials[0]
+                assert calls == [(t,)]
+            assert list(d1.row(0)) == [matrix.minor(range(t), cols)
+                                       for cols in combinations(range(m), t)]
 
 
 def en_rank(m, t, i):

@@ -30,11 +30,12 @@ UNCALLED_KEPT = {
 # keeps every field of the class.
 UNREAD_KEPT = {
     "FreeResolution.shifts": "the Hilbert-numerator check of the frame "
-                             "(ROADMAP item 9, tests/test_resolution.py)",
+                             "(ROADMAP item 7, tests/test_resolution.py)",
     "DimensionReport.witness": "demos/01_groebner_basics.py prints the "
                                "independent variables",
-    "IrrelevantLocalData": "run_pipeline serializes it whole by _asdict",
-    "SpreadRecord": "run_pipeline serializes it whole by asdict",
+    "IrrelevantLocalData": "hypotheses_section serializes it whole by "
+                           "_asdict",
+    "SpreadRecord": "_rees_cm serializes it whole by asdict",
 }
 
 
@@ -203,8 +204,10 @@ def d(handle, matrix, t):
 
 
 def test_step_budget_is_opened_only_at_the_entry_points():
-    """The step budget lives in `groebner`: only the functions that open
-    one take a `budget`, and only `groebner.py` builds a StepCounter."""
+    """The step budget lives in `groebner`: only the entry points of a
+    case, which open one (`run_case`, and `_door` behind `open_case` and
+    `en_dump`), take a `budget`, and only `groebner.py` builds a
+    StepCounter."""
     owners, builders = set(), set()
     for path in sorted(Path(diffrees.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -217,9 +220,25 @@ def test_step_budget_is_opened_only_at_the_entry_points():
             elif (isinstance(node, ast.Call)
                   and getattr(node.func, "id", None) == "StepCounter"):
                 builders.add(path.name)
-    assert owners <= {"step_budget", "run_case", "run_case_path"}
-    assert {"run_case", "run_case_path"} <= owners
+    assert owners <= {"step_budget", "run_case", "open_case", "en_dump",
+                      "_door"}
+    assert {"run_case", "open_case"} <= owners
     assert builders == {"groebner.py"}
+
+
+def test_cli_main_keeps_no_error_path_of_its_own():
+    """Every command reports what goes wrong through the verifier's door,
+    which opens the case's step budget: `cli.main` holds no `try` and
+    opens no `step_budget`."""
+    from diffrees import cli
+    path = Path(cli.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    (main,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    nodes = list(ast.walk(main))
+    assert not [node for node in nodes if isinstance(node, ast.Try)]
+    assert "step_budget" not in {getattr(node, "id", None)
+                                 for node in nodes}
 
 
 def _traced_entry_points():

@@ -31,7 +31,7 @@ def _finishing_algebras(cases_dir):
 
 def test_symmetric_presentation_quadric_cone(quadric_cone):
     sym = symmetric_presentation(quadric_cone)
-    big = sym.extended_context
+    big = sym.ideal.context
     assert big.names == ("X", "Y", "Z", "T1", "T2", "T3")
     assert [str(g) for g in sym.ideal.generators] == [
         "X*Y - Z^2", "Y*T1 + X*T2 - 2*Z*T3"]
@@ -82,7 +82,7 @@ def test_rees_ideal_quadric_cone(quadric_cone):
 
 def test_rees_ideal_cross_exact(coordinate_cross):
     rp = rees_ideal(coordinate_cross)
-    big = rp.symmetric.extended_context
+    big = rp.symmetric.ideal.context
     expected = IdealHandle(big, [parse_polynomial(big, s) for s in
                                  ("X*Y", "X*T2", "Y*T1", "T1*T2")])
     assert rp.ideal.equals(expected)
@@ -191,7 +191,7 @@ def test_rees_ideal_by_a_variable_is_the_saturation_by_g(cases_dir):
     chosen = []
     for algebra in _finishing_algebras(cases_dir):
         rp = rees_ideal(algebra)
-        g = lift_to_extended(rp.test_element, rp.symmetric.extended_context)
+        g = lift_to_extended(rp.test_element, rp.symmetric.ideal.context)
         assert rp.ideal.equals(elimination_saturation(rp.symmetric.ideal, g))
         chosen.append(saturating_variable(algebra))
     assert chosen[:5] == [None, 3, 3, 2, 2]
@@ -211,7 +211,7 @@ def test_each_variable_that_kills_torsion_gives_the_rees_ideal(cases_dir):
     for algebra in _finishing_algebras(cases_dir):
         rp = rees_ideal(algebra)
         for j in range(algebra.arity):
-            x = rp.symmetric.extended_context.gen(j)
+            x = rp.symmetric.ideal.context.gen(j)
             sat = rp.symmetric.ideal.saturation(x)
             assert sat.generators == elimination_saturation(
                 rp.symmetric.ideal, x).generators

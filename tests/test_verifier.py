@@ -4,12 +4,12 @@ from importlib import resources
 import pytest
 
 from diffrees import groebner
+from diffrees.algebra import GradedAlgebra
 from diffrees.casefile import load_case, load_matrix_file
 from diffrees.cli import main
 from diffrees.errors import ParseError
 from diffrees.fitting import euler_minor_identity
-from diffrees.verifier import (EXIT_INVALID, emit_report, run_case,
-                               run_case_path, run_pipeline)
+from diffrees.verifier import EXIT_INVALID, emit_report, open_case, run_case
 
 
 
@@ -100,6 +100,14 @@ def test_load_case_rejects_bad_mode_counts(tmp_path, line, message):
         load_case(_write(tmp_path, "bad.case", text))
 
 
+def test_load_case_rejects_expectations_of_a_probe(tmp_path):
+    """Only the pipeline checks [expect], so a prop31 case may not carry
+    one; the refusal names both sections."""
+    text = QUADRIC + "\n[mode]\nrun = prop31\n\n[expect]\nf1 = true\n"
+    with pytest.raises(ParseError, match=r"\[expect\].*prop31"):
+        load_case(_write(tmp_path, "bad.case", text))
+
+
 def test_matrix_file(tmp_path):
     text = """
 [matrix]
@@ -113,7 +121,7 @@ rows = X; Y; Z
 
 def test_pipeline_quadric(tmp_path):
     case = load_case(_write(tmp_path, "q.case", QUADRIC))
-    report = run_pipeline(case)
+    report = run_case(case)
     assert report.status == "ok"
     assert report.hypotheses["reduced"]
     assert report.hypotheses["condition_i"]
@@ -145,7 +153,7 @@ name = broken
 variables = X, Y
 relations = X + Y^2
 """
-    report = run_pipeline(load_case(_write(tmp_path, "b.case", text)))
+    report = run_case(load_case(_write(tmp_path, "b.case", text)))
     assert report.status == "invalid_input"
     assert report.errors[0]["code"] == "inhomogeneous"
 
@@ -157,7 +165,7 @@ name = broken
 variables = X, Y
 relations = X + Y^2; X + Y
 """
-    report = run_pipeline(load_case(_write(tmp_path, "b.case", text)))
+    report = run_case(load_case(_write(tmp_path, "b.case", text)))
     codes = {e["code"] for e in report.errors}
     assert codes >= {"inhomogeneous", "degree"}
 
@@ -169,7 +177,7 @@ name = doubled-line
 variables = X, Y
 relations = X^2
 """
-    report = run_pipeline(load_case(_write(tmp_path, "n.case", text)))
+    report = run_case(load_case(_write(tmp_path, "n.case", text)))
     assert report.status == "ok"
     assert report.hypotheses["reduced"] is False
     assert report.linear_type["holds"] is None
@@ -186,8 +194,8 @@ def test_expectation_mismatch_fails(tmp_path):
 
 def test_report_json_roundtrip_and_determinism(tmp_path):
     case = load_case(_write(tmp_path, "q.case", QUADRIC))
-    first = emit_report(run_pipeline(case, seed=7), "json")
-    second = emit_report(run_pipeline(case, seed=7), "json")
+    first = emit_report(run_case(case, seed=7), "json")
+    second = emit_report(run_case(case, seed=7), "json")
     assert first == second
     data = json.loads(first)
     assert json.dumps(data, sort_keys=True, indent=2) == first
@@ -213,9 +221,9 @@ rowops = 2
     assert len(report.fitting["row_op_trials"]) == 2
 
 
-def test_run_case_path_parse_error(tmp_path):
+def test_open_case_parse_error(tmp_path):
     path = _write(tmp_path, "bad.case", "not a case file [")
-    report = run_case_path(path)
+    report = open_case(path)
     assert report.status == "invalid_input"
 
 
@@ -304,7 +312,17 @@ def test_cli_weighted_input(tmp_path, capsys, monkeypatch, command):
 
 CASE_COMMANDS = {"validate": [], "ft-check": ["--t", "1"], "linear-type": [],
                  "rees-cm": [], "prop31": [], "en-dump": []}
-# name: (case file text, global options, the commands that refuse it)
+PROBE = """
+[algebra]
+name = curve-probe
+variables = X1, X2, X3, X4
+relations = X1^2 + X2^2 + X3^2 + X4^2; X1^2 + 2*X2^2 + 3*X3^2 + 4*X4^2
+
+[mode]
+run = prop31
+"""
+# name: (case file text, global options, the commands that refuse it, or
+# that report an internal error on it)
 REFUSED = {
     "unparseable": ("not a case file [\n", [], list(CASE_COMMANDS)),
     "linear-relation": (QUADRIC.replace("X*Y - Z^2", "X + Y"), [],
@@ -312,26 +330,42 @@ REFUSED = {
     "weighted": (WEIGHTED["cross"], [], ["linear-type", "rees-cm"]),
     "parse-over-budget": (QUADRIC.replace("X*Y - Z^2", "(X+Y+Z)^3000"),
                           ["--budget", "1000"], list(CASE_COMMANDS)),
+    # [expect] is checked by the pipeline only
+    "prop31-expect": (PROBE + "\n[expect]\nf1 = false\n", [],
+                      list(CASE_COMMANDS)),
+    # its reducedness test overflows the packed exponents
+    "exponent-overflow": (QUADRIC.replace(
+        "X*Y - Z^2", "X^2000000000*Y - Z^2000000001"), [],
+        ["ft-check", "linear-type", "rees-cm"]),
 }
+
+
+def _untraced(report):
+    """The report without the `traceback` of its errors, which differs
+    from command to command."""
+    for error in report["errors"]:
+        error.pop("traceback", None)
+    return report
 
 
 @pytest.mark.parametrize("refused,command", [
     (name, command) for name, (_, _, commands) in REFUSED.items()
     for command in commands])
 def test_cli_refusals_match_verify(tmp_path, capsys, refused, command):
-    """Every case command refuses through the verifier's front door: its
-    JSON is the report `verify` prints on the same file, with the same
-    exit status, and its text names the status and every error."""
+    """Every case command refuses, and reports an unexpected error,
+    through the verifier's front door: its JSON is the report `verify`
+    prints on the same file (traceback aside), with the same exit status,
+    and its text names the status and every error."""
     text, options, _ = REFUSED[refused]
     path = _write(tmp_path, "refused.case", text)
     argv = [command, path, *CASE_COMMANDS[command]]
     code = main([*options, "--format", "json", "verify", path])
-    expected = json.loads(capsys.readouterr().out)
-    assert code == {"invalid_input": 4,
-                    "resource_exhausted": 3}[expected["status"]]
+    expected = _untraced(json.loads(capsys.readouterr().out))
+    assert code == {"invalid_input": 4, "resource_exhausted": 3,
+                    "internal_error": 5}[expected["status"]]
     assert main([*options, "--format", "json", *argv]) == code
     captured = capsys.readouterr()
-    report = json.loads(captured.out)
+    report = _untraced(json.loads(captured.out))
     assert (report["status"], report["errors"]) == (expected["status"],
                                                    expected["errors"])
     assert report == expected
@@ -460,13 +494,32 @@ def test_cli_budget_bounds_the_whole_case(capsys, monkeypatch, name):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["verify", "validate"])
+def test_cli_budget_run_out_in_validation_is_a_resource_error(
+        capsys, monkeypatch, command):
+    """The regular-sequence check of validation spends from the case's
+    budget; when the budget runs out there, the report says the resources
+    ran out (exit 3), as after validation."""
+    path = _shipped("four-point-cone")
+    case = load_case(path)
+    steps = _steps_of(lambda: load_case(path), monkeypatch) + _steps_of(
+        lambda: GradedAlgebra.validate(case.context, case.relations),
+        monkeypatch)
+    report = _json_report(capsys, "--budget", str(steps - 1), command, path,
+                          code=3)
+    assert report["status"] == "resource_exhausted"
+    assert report["hypotheses"] == {}
+    assert [(e["stage"], e["code"]) for e in report["errors"]] == [
+        ("pipeline", "resource")]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_cli_budget_is_per_case_in_a_directory(tmp_path, capsys, monkeypatch,
                                                jobs):
     """Each case fits the budget, the two together do not."""
     a = _write(tmp_path, "a.case", QUADRIC)
     b = _write(tmp_path, "b.case", CROSS)
-    steps = [_steps_of(lambda: run_case_path(p), monkeypatch) for p in (a, b)]
+    steps = [_steps_of(lambda: open_case(p), monkeypatch) for p in (a, b)]
     limit = max(steps)
     assert sum(steps) > limit
     assert main(["--jobs", jobs, "--budget", str(limit), "verify",
@@ -555,14 +608,14 @@ def test_cli_pool_is_capped_at_the_case_count(tmp_path, capsys, monkeypatch):
 
 def test_cli_verify_isolates_a_raising_case(tmp_path, capsys, monkeypatch):
     from diffrees import verifier
-    real = verifier._run_in_mode
+    real = verifier._MODES["pipeline"]
 
-    def flaky(case, seed):
+    def flaky(case, algebra, report, seed):
         if case.name == "coordinate-cross":
             raise ArithmeticError("constant Jacobian entry")
-        return real(case, seed)
+        real(case, algebra, report, seed)
 
-    monkeypatch.setattr(verifier, "_run_in_mode", flaky)
+    monkeypatch.setitem(verifier._MODES, "pipeline", flaky)
     _write(tmp_path, "a.case", QUADRIC)
     _write(tmp_path, "b.case", CROSS)
     _write(tmp_path, "c.case", QUADRIC.replace("quadric-cone", "second-cone"))
@@ -696,6 +749,30 @@ def test_cli_en_dump_budget_ends_in_a_report(tmp_path, capsys, cases_dir):
     assert not capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,text", [
+    ("c.case", PROBE),
+    ("m.matrix", "[matrix]\nvariables = X, Y, Z, W\nrows = X; Y; Z\n"
+                 "    Y; Z; W\n")])
+def test_cli_en_dump_reports_an_internal_error(tmp_path, capsys, monkeypatch,
+                                               name, text):
+    """The whole table, its `is_complex` check included, is computed
+    behind the case door: an exception there is an internal-error report
+    with exit status 5, for case and matrix files, nothing on stderr."""
+    from diffrees.eagon_northcott import FreeComplex
+
+    def broken(complex_):
+        raise ArithmeticError("broken product")
+
+    monkeypatch.setattr(FreeComplex, "is_complex", broken)
+    path = _write(tmp_path, name, text)
+    report = _json_report(capsys, "en-dump", path, code=5)
+    assert report["status"] == "internal_error"
+    (error,) = report["errors"]
+    assert error["message"] == "ArithmeticError: broken product"
+    assert "is_complex" in error["traceback"]
+    assert not capsys.readouterr().err
+
+
 def test_cli_corpus(capsys):
     assert main(["corpus"]) == 0
     out = capsys.readouterr().out
@@ -748,7 +825,7 @@ name = four-point-cone
 variables = X, Y, Z, W
 relations = X^2 + Y^2 + Z^2; X^2 + 2*Y^2 + 3*Z^2
 """
-    report = run_pipeline(load_case(_write(tmp_path, "f.case", text)))
+    report = run_case(load_case(_write(tmp_path, "f.case", text)))
     assert report.status == "ok"
     assert report.hypotheses["reduced"] is True
     assert report.hypotheses["condition_i"] is False
@@ -770,7 +847,7 @@ name = plane-conic-pair
 variables = X, Y
 relations = X^2 + Y^2
 """
-    report = run_pipeline(load_case(_write(tmp_path, "d1.case", text)))
+    report = run_case(load_case(_write(tmp_path, "d1.case", text)))
     assert report.status == "ok"
     assert report.hypotheses["condition_i"] is True
     assert report.fitting["f1"]["holds"] is False
