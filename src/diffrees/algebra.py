@@ -214,9 +214,7 @@ class GradedAlgebra:
         of R, because
         R is a complete intersection, hence Cohen-Macaulay and unmixed; that
         is iff dim R/gR < dim R, i.e. iff g has height >= 1 in R.  No
-        homogeneity of g is needed."""
-        if g.is_zero or self.defining_ideal.contains(g):
-            return False
+        homogeneity of g is needed; g = 0 and g in I have height 0."""
         return self.height_of(IdealHandle(self.context, [g])) >= 1
 
     def __repr__(self):

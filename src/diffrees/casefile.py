@@ -9,8 +9,8 @@ Grammar (configparser dialect, `#`-comments):
     relations = X*Y - Z^2        # ';'-separated and/or one per line
 
     [expect]                     # optional expected verdicts, for
-    f1 = true                    # run = pipeline only
-    rees_dim = 4
+    f1 = true                    # run = pipeline only; keys and their
+    rees_dim = 4                 # parsers in EXPECTATIONS
     torsion_contains = X*T2
     rees_ideal = X*Y; X*T2; Y*T1; T1*T2
 
@@ -26,12 +26,7 @@ import configparser
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .poly import VariableContext, parse_polynomial
-
-_BOOL_KEYS = ("reduced", "condition_i", "f0", "f1", "linear_type", "rees_cm",
-              "shortcut_cm", "standard_graded")
-_INT_KEYS = ("rees_dim", "rees_depth", "rees_pd", "spread", "edim", "dim")
-_TEXT_KEYS = ("torsion_contains", "rees_ideal")
+from .poly import VariableContext, extended_context, parse_polynomial
 
 
 @dataclass
@@ -62,7 +57,7 @@ def _split_values(raw):
     return parts
 
 
-def _parse_bool(key, raw):
+def _boolean(key, raw, ring):
     low = raw.strip().lower()
     if low in ("true", "yes", "1"):
         return True
@@ -71,7 +66,7 @@ def _parse_bool(key, raw):
     raise ParseError(f"expected a boolean for {key!r}, got {raw!r}")
 
 
-def _parse_int(key, raw, nonnegative=False):
+def _integer(key, raw, ring=None, nonnegative=False):
     try:
         value = int(raw)
     except ValueError:
@@ -80,6 +75,37 @@ def _parse_int(key, raw, nonnegative=False):
         kind = "a nonnegative integer" if nonnegative else "an integer"
         raise ParseError(f"expected {kind} for {key!r}, got {raw!r}")
     return value
+
+
+def _polynomials(key, raw, ring):
+    return tuple(parse_polynomial(ring, chunk)
+                 for chunk in _split_values(raw))
+
+
+# The [expect] vocabulary: each key's parser, called as parse(key, raw,
+# ring) with the case's extended ring (base and T-variables), and what its
+# value must equal: the report field at a path (a report section, then
+# keys into it), or, for the two polynomial keys, the name of their own
+# check ("torsion": each is a torsion generator; "rees_ideal": together
+# they generate the Rees ideal).
+EXPECTATIONS = {
+    "standard_graded": (_boolean, ("hypotheses", "standard_graded")),
+    "reduced": (_boolean, ("hypotheses", "reduced")),
+    "condition_i": (_boolean, ("hypotheses", "condition_i")),
+    "f0": (_boolean, ("fitting", "f0", "holds")),
+    "f1": (_boolean, ("fitting", "f1", "holds")),
+    "linear_type": (_boolean, ("linear_type", "holds")),
+    "rees_cm": (_boolean, ("rees_cm", "holds")),
+    "shortcut_cm": (_boolean, ("shortcut", "cm")),
+    "rees_dim": (_integer, ("rees_cm", "dim")),
+    "rees_depth": (_integer, ("rees_cm", "depth")),
+    "rees_pd": (_integer, ("rees_cm", "pd")),
+    "spread": (_integer, ("spread", "value")),
+    "edim": (_integer, ("edim", "edim")),
+    "dim": (_integer, ("edim", "dim")),
+    "torsion_contains": (_polynomials, "torsion"),
+    "rees_ideal": (_polynomials, "rees_ideal"),
+}
 
 
 def _read(path, kind, required):
@@ -120,8 +146,9 @@ def _context(section):
 
 
 def load_case(path):
-    """Parse and lex a case file; algebra-level validation happens later so
-    rejections can list every violated hypothesis."""
+    """Parse and lex a case file, every `[expect]` value included;
+    algebra-level validation happens later so rejections can list every
+    violated hypothesis."""
     parser = _read(path, "case", "algebra")
     section = parser["algebra"]
     context = _context(section)
@@ -132,15 +159,11 @@ def load_case(path):
 
     expectations = {}
     if parser.has_section("expect"):
+        ring = extended_context(context)
         for key, raw in parser["expect"].items():
-            if key in _BOOL_KEYS:
-                expectations[key] = _parse_bool(key, raw)
-            elif key in _INT_KEYS:
-                expectations[key] = _parse_int(key, raw)
-            elif key in _TEXT_KEYS:
-                expectations[key] = _split_values(raw)
-            else:
+            if key not in EXPECTATIONS:
                 raise ParseError(f"unknown expectation key {key!r}")
+            expectations[key] = EXPECTATIONS[key][0](key, raw, ring)
 
     mode, seed, rowops = "pipeline", None, 0
     if parser.has_section("mode"):
@@ -149,9 +172,9 @@ def load_case(path):
         if mode not in ("pipeline", "prop31"):
             raise ParseError(f"unknown mode {mode!r}")
         if "seed" in msec:
-            seed = _parse_int("seed", msec["seed"])
+            seed = _integer("seed", msec["seed"])
         if "rowops" in msec:
-            rowops = _parse_int("rowops", msec["rowops"], nonnegative=True)
+            rowops = _integer("rowops", msec["rowops"], nonnegative=True)
     if mode == "prop31" and parser.has_section("expect"):
         raise ParseError("[expect] applies to run = pipeline only, and "
                          "[mode] has run = prop31")

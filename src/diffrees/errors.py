@@ -5,7 +5,7 @@ class DiffreesError(Exception):
     """Base class for all library errors."""
 
 
-class ContextMismatchError(DiffreesError):
+class ContextMismatchError(DiffreesError, ValueError):
     """Operands live in different polynomial rings."""
 
 

@@ -41,7 +41,8 @@ import struct
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import NotHomogeneousError, StepBudgetExceeded
+from .errors import (ContextMismatchError, NotHomogeneousError,
+                     StepBudgetExceeded)
 from .poly import (DEGREVLEX, EXPONENT_LIMIT, KEY_DIGIT, MonomialOrder,
                    Polynomial, VariableContext, exponent_overflow,
                    lift_to_extended)
@@ -726,7 +727,7 @@ class IdealHandle:
             if not isinstance(g, Polynomial):
                 raise TypeError("generators must be Polynomial values")
             if g.context != context:
-                raise ValueError("generator context mismatch")
+                raise ContextMismatchError("generator context mismatch")
             if not g.is_zero:
                 gens.append(g)
         self.context = context
@@ -776,7 +777,7 @@ class IdealHandle:
 
     def normal_form(self, p, order=DEGREVLEX):
         if p.context != self.context:
-            raise ValueError("polynomial context mismatch")
+            raise ContextMismatchError("polynomial context mismatch")
         mons, lms, basis, memo = self._reduced(order)
         scale, ints = _cleared(p.terms, mons.pack)
         r, (num, den) = _nf(ints, lms, basis, mons, _steps(), memo)
@@ -793,7 +794,7 @@ class IdealHandle:
         basis, and when one set holds the other, only the basis of the
         smaller ideal is built."""
         if self.context != other.context:
-            raise ValueError("ideal context mismatch")
+            raise ContextMismatchError("ideal context mismatch")
         mine, theirs = set(self.generators), set(other.generators)
         return (all(other.contains(g) for g in self.generators
                     if g not in theirs)
@@ -819,7 +820,7 @@ class IdealHandle:
         counts the pure powers among the cached leads of I first."""
         if isinstance(other, IdealHandle):
             if self.context != other.context:
-                raise ValueError("ideal context mismatch")
+                raise ContextMismatchError("ideal context mismatch")
             total = IdealHandle(self.context,
                                 self.generators + other.generators)
             total._summand = self
@@ -837,7 +838,7 @@ class IdealHandle:
         avoids them in every term: these elements are a basis of the
         intersection.  The result is returned as `_seeded` makes it."""
         if self.context != other.context:
-            raise ValueError("ideal context mismatch")
+            raise ContextMismatchError("ideal context mismatch")
         _require_homogeneous(self.generators + other.generators)
         ctx = self.context
         n = ctx.arity
@@ -912,7 +913,7 @@ class IdealHandle:
     def saturation_by_ideal(self, other):
         """(I : J^inf), the intersection of the per-generator saturations."""
         if self.context != other.context:
-            raise ValueError("ideal context mismatch")
+            raise ContextMismatchError("ideal context mismatch")
         if not other.generators:
             raise ValueError("saturation by the zero ideal is undefined")
         _require_homogeneous(self.generators + other.generators)

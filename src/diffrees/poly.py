@@ -438,6 +438,19 @@ def lift_to_extended(p, big):
     return Polynomial.from_terms(big, ((e + pad, c) for e, c in p.terms))
 
 
+def extended_context(ctx):
+    """The ring of the symmetric and Rees algebras: the base variables
+    followed by T-variables, one per module generator dX_i, so one per
+    base variable.
+
+    T_i carries the weight of X_i, which keeps each linear form
+    sum_i (df_j/dX_i) T_i homogeneous of the degree of f_j; under standard
+    grading every T-weight is 1.
+    """
+    t_names = ctx.fresh_names("T", ctx.arity)
+    return VariableContext(ctx.names + t_names, ctx.weights + ctx.weights)
+
+
 # ---------------------------------------------------------------------------
 # text grammar: identifiers, ^ powers, optional * between factors,
 # integer/rational coefficients, parentheses.
@@ -568,5 +581,10 @@ class _Parser:
 
 
 def parse_polynomial(context, text):
-    """Parse `text` in the polynomial grammar against `context`."""
-    return _Parser(context, _tokenize(text)).parse()
+    """Parse `text` in the polynomial grammar against `context`.  The
+    parser recurses once per parenthesis and per leading sign, so text
+    nested past the interpreter's recursion limit is refused."""
+    try:
+        return _Parser(context, _tokenize(text)).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None

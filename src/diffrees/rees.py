@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import NotReducedError, TestElementSearchError
 from .fitting import fitting_ideal
 from .groebner import IdealHandle
-from .poly import Polynomial, VariableContext, lift_to_extended
+from .poly import Polynomial, extended_context, lift_to_extended
 
 
 @dataclass(frozen=True)
@@ -46,18 +46,6 @@ class ReesPresentation:
     test_element: Polynomial        # in the base ring
     torsion_generators: tuple       # basis elements of the Rees ideal
     #   that do not lie in the symmetric-algebra ideal
-
-
-def extended_context(ctx):
-    """Base variables followed by T-variables, one per module generator
-    dX_i, so one per base variable.
-
-    T_i carries the weight of X_i, which keeps each linear form
-    sum_i (df_j/dX_i) T_i homogeneous of the degree of f_j; under standard
-    grading every T-weight is 1.
-    """
-    t_names = ctx.fresh_names("T", ctx.arity)
-    return VariableContext(ctx.names + t_names, ctx.weights + ctx.weights)
 
 
 def symmetric_presentation(algebra):

@@ -6,7 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from diffrees import groebner
-from diffrees.errors import ExponentOverflowError, StepBudgetExceeded
+from diffrees.errors import (ContextMismatchError, ExponentOverflowError,
+                             StepBudgetExceeded)
 from diffrees.groebner import IdealHandle, StepCounter, step_budget
 from diffrees.poly import DEGREVLEX, Polynomial, VariableContext
 
@@ -205,6 +206,29 @@ def test_a_constant_generator_gives_the_unit_basis_at_once(order, xyz):
         assert counter.remaining == 0
         with step_budget(0):
             assert IdealHandle(xyz, gens).groebner_basis(order) == (xyz.one,)
+
+
+@pytest.mark.parametrize("site", [
+    "init", "normal_form", "equals", "add", "intersection",
+    "saturation_by_ideal"])
+def test_context_mismatch_is_one_error(xyz, site):
+    """Every handle operation given an operand of another ring raises
+    ContextMismatchError, as `poly` and `matrix` do, which is also a
+    ValueError."""
+    other = VariableContext(("A", "B"))
+    mine = IdealHandle(xyz, [xyz.gen(0)])
+    theirs = IdealHandle(other, [other.gen(0)])
+    calls = {
+        "init": lambda: IdealHandle(xyz, [other.gen(0)]),
+        "normal_form": lambda: mine.normal_form(other.gen(0)),
+        "equals": lambda: mine.equals(theirs),
+        "add": lambda: mine + theirs,
+        "intersection": lambda: mine.intersection(theirs),
+        "saturation_by_ideal": lambda: mine.saturation_by_ideal(theirs),
+    }
+    with pytest.raises(ContextMismatchError, match="context mismatch"):
+        calls[site]()
+    assert issubclass(ContextMismatchError, ValueError)
 
 
 def test_saturation_examples(xyz):

@@ -130,6 +130,17 @@ def test_parser_errors(xyz):
         parse_polynomial(xyz, "X ^ Y")
 
 
+def test_deep_nesting_is_a_parse_error(xyz):
+    """The parser recurses once per parenthesis and per leading sign; text
+    nested past the recursion limit is refused, and nesting 100 deep is
+    not."""
+    nested = "(" * 100 + "X*Y" + ")" * 100
+    assert parse_polynomial(xyz, nested) == P(xyz, "X*Y")
+    for text in ("(" * 3000 + "X*Y" + ")" * 3000, "X*" + "-" * 3000 + "Y"):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_polynomial(xyz, text)
+
+
 def test_exponents_of_2_31_are_rejected(xyz):
     """The Groebner kernel packs each exponent into 31 bits, so neither
     the parser nor `monomial` lets one reach 2^31."""

@@ -1,11 +1,13 @@
 import json
+import re
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from diffrees import groebner
 from diffrees.algebra import GradedAlgebra
-from diffrees.casefile import load_case, load_matrix_file
+from diffrees.casefile import EXPECTATIONS, load_case, load_matrix_file
 from diffrees.cli import main
 from diffrees.errors import ParseError
 from diffrees.fitting import euler_minor_identity
@@ -192,6 +194,64 @@ def test_expectation_mismatch_fails(tmp_path):
     assert report.expectation_failures[0]["key"] == "f1"
 
 
+def _wrong_value(key, report):
+    """An `[expect]` value for `key` that the quadric cone's `report`
+    contradicts."""
+    check = EXPECTATIONS[key][1]
+    if check == "torsion":
+        return "X*T2"            # the cone is of linear type: no torsion
+    if check == "rees_ideal":
+        return "X*Y - Z^2"       # the linear forms are missing
+    value = report
+    for part in check:
+        value = value[part]
+    return str(not value).lower() if isinstance(value, bool) else value + 1
+
+
+@pytest.mark.parametrize("key", list(EXPECTATIONS))
+def test_every_expectation_key_can_fail(tmp_path, capsys, key):
+    """A wrong value for any key of the [expect] vocabulary gives exactly
+    one failure entry, naming the key, and exit status 2."""
+    path = _write(tmp_path, "q.case", QUADRIC)
+    report = _json_report(capsys, "verify", path)
+    text = QUADRIC + f"\n[expect]\n{key} = {_wrong_value(key, report)}\n"
+    path = _write(tmp_path, "wrong.case", text)
+    report = _json_report(capsys, "verify", path, code=2)
+    assert report["status"] == "assertion_failure"
+    assert [f["key"] for f in report["expectation_failures"]] == [key]
+
+
+def test_rees_ideal_expectation_without_a_rees_ideal_fails(tmp_path, capsys):
+    """A non-reduced base has no Rees ideal, so an expected one fails with
+    actual None, as every other key without a verdict does; failures come
+    in file order, expected polynomials in their printed form."""
+    text = """
+[algebra]
+name = doubled-plane
+variables = X, Y, Z
+relations = X^2
+
+[expect]
+rees_ideal = 1*X
+linear_type = true
+"""
+    report = _json_report(capsys, "verify", _write(tmp_path, "n.case", text),
+                          code=2)
+    assert report["expectation_failures"] == [
+        {"key": "rees_ideal", "expected": ["X"], "actual": None},
+        {"key": "linear_type", "expected": True, "actual": None}]
+
+
+def test_readme_names_every_expectation_key():
+    """README's "Expectation keys" paragraph lists the table's keys, no
+    more and no fewer."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    paragraph = readme.split("Expectation keys:", 1)[1].split("\n\n", 1)[0]
+    assert sorted(re.findall(r"`([a-z_0-9]+)`", paragraph)) == sorted(
+        EXPECTATIONS)
+
+
 def test_report_json_roundtrip_and_determinism(tmp_path):
     case = load_case(_write(tmp_path, "q.case", QUADRIC))
     first = emit_report(run_case(case, seed=7), "json")
@@ -321,6 +381,7 @@ relations = X1^2 + X2^2 + X3^2 + X4^2; X1^2 + 2*X2^2 + 3*X3^2 + 4*X4^2
 [mode]
 run = prop31
 """
+CROSS_RING = CROSS[:CROSS.index("[expect]")]
 # name: (case file text, global options, the commands that refuse it, or
 # that report an internal error on it)
 REFUSED = {
@@ -337,6 +398,19 @@ REFUSED = {
     "exponent-overflow": (QUADRIC.replace(
         "X*Y - Z^2", "X^2000000000*Y - Z^2000000001"), [],
         ["ft-check", "linear-type", "rees-cm"]),
+    # the parser recurses once per parenthesis and per leading sign
+    "nested-parentheses": (QUADRIC.replace(
+        "X*Y - Z^2", "(" * 3000 + "X*Y - Z^2" + ")" * 3000), [],
+        list(CASE_COMMANDS)),
+    "nested-signs": (QUADRIC.replace("X*Y - Z^2", "X*" + "-" * 3000 + "Y"),
+                     [], list(CASE_COMMANDS)),
+    # [expect] polynomials are parsed, in the extended ring, with the file
+    "unknown-torsion-variable": (CROSS_RING + "\n[expect]\n"
+                                 "torsion_contains = X*T9\n", [],
+                                 list(CASE_COMMANDS)),
+    "unbalanced-rees-ideal": (CROSS_RING + "\n[expect]\n"
+                              "rees_ideal = X*Y; (X*T2\n", [],
+                              list(CASE_COMMANDS)),
 }
 
 
@@ -375,6 +449,20 @@ def test_cli_refusals_match_verify(tmp_path, capsys, refused, command):
     assert f"status: {expected['status']}\n" in out
     for error in expected["errors"]:
         assert f"error[{error['stage']}]: {error['message']}" in out
+
+
+@pytest.mark.parametrize("refused", [
+    "nested-parentheses", "nested-signs", "unknown-torsion-variable",
+    "unbalanced-rees-ideal"])
+def test_cli_refuses_bad_text_as_it_parses(tmp_path, capsys, refused):
+    """A relation nested too deeply and a bad [expect] polynomial are
+    refused as the file is parsed: stage `parse`, exit 4, nothing run."""
+    path = _write(tmp_path, "refused.case", REFUSED[refused][0])
+    report = _json_report(capsys, "verify", path, code=EXIT_INVALID)
+    assert report["status"] == "invalid_input"
+    assert [(e["stage"], e["code"]) for e in report["errors"]] == [
+        ("parse", "parse")]
+    assert report["fitting"] == {}
 
 
 def test_cli_verify_refuses_a_directory_without_cases(tmp_path, capsys):
@@ -723,6 +811,19 @@ relations = X1^2 + X2^2 + X3^2 + X4^2; X1^2 + 2*X2^2 + 3*X3^2 + 4*X4^2
     path = _write(tmp_path, "c.case", text)
     assert main(["en-dump", path]) == 0
     capsys.readouterr()
+
+
+def test_cli_probe_budget_is_reported_by_the_door(capsys, cases_dir):
+    """The last-rows probe leaves a budget run out to the door, as every
+    other builder does: verify, prop31 and en-dump report the same
+    error, stage `pipeline`."""
+    path = str(cases_dir / "curve-probe.case")
+    errors = [_json_report(capsys, "--budget", "20", command, path,
+                           code=3)["errors"]
+              for command in ("verify", "prop31", "en-dump")]
+    assert errors[0] == errors[1] == errors[2]
+    assert [(e["stage"], e["code"]) for e in errors[0]] == [
+        ("pipeline", "resource")]
 
 
 def test_cli_en_dump_budget_ends_in_a_report(tmp_path, capsys, cases_dir):
